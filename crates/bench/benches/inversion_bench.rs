@@ -97,8 +97,8 @@ fn bench_composite_cdf(c: &mut Criterion) {
     group.finish();
 }
 
-/// Quantile extraction through the budgeted Ridders solver (the pre-Ridders
-/// path spent ~90 bisection probes; the budget now caps probes at 16).
+/// Quantile extraction through the log-survival Newton search: each probe
+/// is one inversion yielding the CDF and its density.
 fn bench_quantile(c: &mut Criterion) {
     let m = s1_model();
     let cfg = InversionConfig::default();

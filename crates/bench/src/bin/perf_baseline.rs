@@ -24,9 +24,10 @@
 //!   cargo run --release -p cos-bench --bin perf_baseline -- --quick
 //!       fewer iterations, prints only (CI smoke)
 //!   cargo run --release -p cos-bench --bin perf_baseline -- --quick --check BENCH_inversion.json
-//!       re-measures and exits nonzero if any metric regressed more than
-//!       2x against the committed `current` section (both the named file
-//!       and BENCH_coded.json), if the obs hot path or the per-request
+//!       re-measures and exits nonzero if any time regressed more than
+//!       2x, or any inversion count rose at all, against the committed
+//!       `current` section (both the named file and BENCH_coded.json),
+//!       if the obs hot path or the per-request
 //!       admission decision blows its absolute budget, if the snapshot
 //!       read path fails to beat the worker path at 4 concurrent clients,
 //!       if the reactor serves warm 16-client load slower than the
@@ -1133,9 +1134,9 @@ fn print_metrics(label: &str, vals: &[(&str, f64)]) {
 }
 
 /// Compares fresh measurements against the committed `current` section:
-/// a metric more than 2x slower (or 2x more inversions) fails the check.
-/// Count metrics (`*_inversions`, `*_workers`) are machine-independent;
-/// time metrics tolerate noise up to the 2x band.
+/// a time more than 2x slower fails the check, and an inversion count
+/// (`*_inversions`) fails on any increase. Counts repeat exactly on every
+/// machine, so only times get the 2x noise band.
 fn check(file: &str, fresh: &[(&str, f64)]) -> Result<(), String> {
     let text = std::fs::read_to_string(file).map_err(|e| format!("read {file}: {e}"))?;
     let doc = json::parse(&text)?;
@@ -1150,7 +1151,13 @@ fn check(file: &str, fresh: &[(&str, f64)]) -> Result<(), String> {
         let Some(expect) = committed.get(key).and_then(Value::as_f64) else {
             continue; // metric added after the file was generated
         };
-        if expect > 0.0 && measured > 2.0 * expect {
+        if key.ends_with("_inversions") {
+            if measured > expect {
+                failures.push(format!(
+                    "{key}: measured {measured} > committed {expect} (counts repeat exactly)"
+                ));
+            }
+        } else if expect > 0.0 && measured > 2.0 * expect {
             failures.push(format!(
                 "{key}: measured {measured:.2} > 2x committed {expect:.2}"
             ));
@@ -1356,7 +1363,9 @@ fn main() {
         }
         let fresh: Vec<(&str, f64)> = inv.iter().chain(sweep.iter()).copied().collect();
         match check(&file, &fresh) {
-            Ok(()) => println!("check: ok (no metric regressed past 2x of {file})"),
+            Ok(()) => println!(
+                "check: ok (no time regressed past 2x and no inversion count rose in {file})"
+            ),
             Err(msg) => {
                 eprintln!("check: FAILED against {file}: {msg}");
                 std::process::exit(1);

@@ -175,6 +175,24 @@ impl CodedReadModel {
         k_of_n_tail(&self.branch_probs(&self.full, sla), self.spec.needed)
     }
 
+    /// The point prediction's CDF at `t` and its density
+    /// `Σ_i f_i · P[exactly k−1 of the other n−1 branches by t]`, at one
+    /// inversion batch per distinct device. The CDF is bit-identical to
+    /// [`CodedReadModel::fraction_meeting_sla`].
+    pub fn fraction_and_density(&self, t: f64) -> (f64, f64) {
+        let nd = self.full.devices().len();
+        let per_device: Vec<(f64, f64)> = (0..nd.min(self.spec.launched))
+            .map(|d| self.full.device_fraction_and_density(d, t))
+            .collect();
+        let (probs, densities): (Vec<f64>, Vec<f64>) =
+            (0..self.spec.launched).map(|i| per_device[i % nd]).unzip();
+        let k = self.spec.needed;
+        (
+            k_of_n_tail(&probs, k),
+            k_of_n_tail_density(&probs, &densities, k),
+        )
+    }
+
     /// The split-merge anchor's CDF at `t` (frontend sojourn composed with
     /// the blocking M/G/1), or `None` when that queue is unstable.
     pub fn split_merge_fraction(&self, t: f64) -> Option<f64> {
@@ -216,8 +234,10 @@ impl CodedReadModel {
         self.full.mean_response()
     }
 
-    /// Smallest `t` with `fraction_meeting_sla(t) ≥ p`, or `None` when the
-    /// bracketing search exhausts its budget.
+    /// Smallest `t` with `fraction_meeting_sla(t) ≥ p`, found by the
+    /// log-survival Newton search of [`cos_numeric::invert_monotone`] over
+    /// [`CodedReadModel::fraction_and_density`], seeded at the branch mean
+    /// response; `None` when the CDF stays below `p` up to `2^40` of it.
     ///
     /// # Panics
     /// Panics unless `0 ≤ p < 1`.
@@ -227,13 +247,38 @@ impl CodedReadModel {
             return Some(0.0);
         }
         cos_numeric::invert_monotone(
-            |t| self.fraction_meeting_sla(t),
+            |t| self.fraction_and_density(t),
             p,
             self.branch_mean_response().max(1e-6),
             40,
             cos_numeric::QUANTILE_INVERSION_BUDGET,
         )
     }
+}
+
+/// Derivative of [`k_of_n_tail`]`(probs, k)` when each branch's probability
+/// moves at rate `densities[i]`: the tangent half of a forward-mode pass
+/// through the same Poisson-binomial DP, which sums to
+/// `Σ_i densities[i] · P[exactly k−1 of the other branches]`.
+fn k_of_n_tail_density(probs: &[f64], densities: &[f64], k: usize) -> f64 {
+    if k == 0 || k > probs.len() {
+        return 0.0;
+    }
+    // count[j] as in `k_of_n_tail`; tangent[j] is its derivative.
+    let mut count = vec![0.0f64; probs.len() + 1];
+    let mut tangent = vec![0.0f64; probs.len() + 1];
+    count[0] = 1.0;
+    for (i, (&p, &dp)) in probs.iter().zip(densities).enumerate() {
+        let p = p.clamp(0.0, 1.0);
+        for j in (1..=i + 1).rev() {
+            tangent[j] =
+                tangent[j] * (1.0 - p) + tangent[j - 1] * p + (count[j - 1] - count[j]) * dp;
+            count[j] = count[j] * (1.0 - p) + count[j - 1] * p;
+        }
+        tangent[0] = tangent[0] * (1.0 - p) - count[0] * dp;
+        count[0] *= 1.0 - p;
+    }
+    tangent[k..].iter().sum()
 }
 
 /// [`LaplaceFn`] view of the split-merge response transform — frontend
@@ -361,6 +406,75 @@ mod tests {
             assert!((back - p).abs() < 1e-3, "p={p}: t={t} back={back}");
         }
         assert_eq!(m.latency_percentile(0.0), Some(0.0));
+    }
+
+    #[test]
+    fn k_of_n_density_sums_the_leave_one_out_terms() {
+        let probs = [0.2, 0.55, 0.9, 0.35, 0.7, 0.05];
+        let densities = [3.0, 0.4, 1.7, 2.2, 0.9, 5.0];
+        for k in 0..=probs.len() + 1 {
+            let mut want = 0.0;
+            for (i, &density) in densities.iter().enumerate() {
+                let others: Vec<f64> = (0..probs.len())
+                    .filter(|&j| j != i)
+                    .map(|j| probs[j])
+                    .collect();
+                // P[exactly k−1 of the others] = tail(k−1) − tail(k).
+                let exactly = if k == 0 {
+                    0.0
+                } else {
+                    k_of_n_tail(&others, k - 1) - k_of_n_tail(&others, k)
+                };
+                want += density * exactly;
+            }
+            let got = k_of_n_tail_density(&probs, &densities, k);
+            assert!((got - want).abs() < 1e-13, "k={k}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn coded_fraction_and_density_are_the_cdf_and_its_slope() {
+        let params = system(40.0, 6, 1);
+        for (n, k) in [(4, 2), (6, 4), (9, 6)] {
+            let m = CodedReadModel::new(&params, CodingSpec::eager(n, k)).unwrap();
+            for &t in &[0.01, 0.04, 0.1] {
+                let (cdf, density) = m.fraction_and_density(t);
+                assert_eq!(cdf.to_bits(), m.fraction_meeting_sla(t).to_bits());
+                let h = 1e-5 * t;
+                let slope =
+                    (m.fraction_meeting_sla(t + h) - m.fraction_meeting_sla(t - h)) / (2.0 * h);
+                assert!(
+                    (density - slope).abs() <= 1e-4 * density + 1e-6,
+                    "({n},{k}) t={t}: density {density} vs slope {slope}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn coded_percentile_takes_a_few_newton_probes() {
+        let params = system(40.0, 6, 1);
+        for (n, k) in [(4, 2), (6, 4)] {
+            let m = CodedReadModel::new(&params, CodingSpec::eager(n, k)).unwrap();
+            for &p in &[0.5, 0.9, 0.99, 0.999] {
+                let mut probes = 0;
+                let t = cos_numeric::invert_monotone(
+                    |t| {
+                        probes += 1;
+                        m.fraction_and_density(t)
+                    },
+                    p,
+                    m.branch_mean_response(),
+                    40,
+                    cos_numeric::QUANTILE_INVERSION_BUDGET,
+                )
+                .unwrap();
+                assert_eq!(t.to_bits(), m.latency_percentile(p).unwrap().to_bits());
+                let back = m.fraction_meeting_sla(t);
+                assert!((back - p).abs() < 1e-11, "({n},{k}) p={p}: F(t) = {back}");
+                assert!(probes <= 6, "({n},{k}) p={p}: {probes} probes");
+            }
+        }
     }
 
     #[test]

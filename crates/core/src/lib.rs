@@ -49,8 +49,7 @@ pub use estimate::{
 pub use frontend::{FrontendModel, FrontendSetParams};
 pub use params::{DeviceParams, FrontendParams, SystemParams};
 pub use planning::{
-    elastic_plan, max_admissible_rate, max_admissible_rate_par, min_devices, model_at_rate,
-    rank_bottlenecks, SlaGoal,
+    elastic_plan, max_admissible_rate, min_devices, model_at_rate, rank_bottlenecks, SlaGoal,
 };
 pub use sensitivity::{sla_sensitivities, sla_sensitivities_par, Parameter, Sensitivity};
 pub use system::{DeviceModel, SystemModel};

@@ -79,9 +79,23 @@ impl SystemParams {
     }
 }
 
-/// Overload control (§I): the largest total arrival rate at which the goal
-/// still holds, found by bisection over `[0, upper]`. Returns `None` if the
-/// goal fails even as the rate approaches zero.
+/// Overload control (§I): the largest total arrival rate in `(0, upper]`
+/// at which the goal still holds. Returns `Some(upper)` when the goal holds
+/// at `upper`, and `None` when it fails even at the floor: a ten-thousandth
+/// of the starting rate, where queueing no longer matters.
+///
+/// The search starts at the template's own total rate (or `upper`, if
+/// lower). While the goal holds it doubles the rate until it fails or
+/// reaches `upper`; when the goal fails at the start it probes the floor
+/// next — so an unreachable goal costs two model evaluations — and then
+/// halves the rate until the goal holds. It closes the resulting bracket
+/// to 1e-9 relative by false position on the log-survival margin
+/// `ln(1 − target) − ln(1 − F(sla))`, which is linear in the rate for an
+/// M/M/1 sojourn and close to linear for the model's queues, with the
+/// Anderson–Björck weighting that keeps both ends moving. An unstable rate
+/// counts as `F = 0`, the limit of its attainment as the queues saturate.
+/// The answer is the bracket's passing end, so the goal holds at the
+/// returned rate. A typical answer takes 7–12 model evaluations.
 pub fn max_admissible_rate(
     template: &SystemParams,
     variant: ModelVariant,
@@ -92,86 +106,105 @@ pub fn max_admissible_rate(
         upper > 0.0 && upper.is_finite(),
         "upper bound must be positive"
     );
-    let ok = |rate: f64| -> bool {
-        SystemModel::new(&template.scaled_to_rate(rate), variant)
-            .map(|m| goal.met_by(&m))
-            .unwrap_or(false)
-    };
-    let mut lo = upper * 1e-4;
-    if !ok(lo) {
-        return None;
-    }
-    let mut hi = upper;
-    if ok(hi) {
-        return Some(hi);
-    }
-    for _ in 0..50 {
-        let mid = 0.5 * (lo + hi);
-        if ok(mid) {
-            lo = mid;
+    let ln_target = (-goal.target_fraction).ln_1p();
+    let margin = |rate: f64| -> f64 {
+        let f = SystemModel::new(&template.scaled_to_rate(rate), variant)
+            .map(|m| m.fraction_meeting_sla(goal.sla))
+            .ok()
+            .filter(|f| !f.is_nan())
+            .unwrap_or(0.0);
+        // ln(1 − F) is floored at ln ε so that F = 1 stays finite.
+        let g = ln_target - (-f).ln_1p().max(f64::EPSILON.ln());
+        // The sign is `goal.met_by`'s own comparison, immune to rounding.
+        if f >= goal.target_fraction {
+            g.max(0.0)
         } else {
-            hi = mid;
+            g.min(-f64::MIN_POSITIVE)
+        }
+    };
+    let own: f64 = template.devices.iter().map(|d| d.arrival_rate).sum();
+    largest_passing_rate(margin, own.min(upper), upper)
+}
+
+/// The search behind [`max_admissible_rate`], over a margin that is
+/// nonincreasing in the rate and `≥ 0` exactly where the goal holds: the
+/// largest passing rate in `(0, upper]`, starting at `start ≤ upper`.
+fn largest_passing_rate(mut margin: impl FnMut(f64) -> f64, start: f64, upper: f64) -> Option<f64> {
+    let m_start = margin(start);
+    // Bracket: the goal holds at `lo` (m_lo ≥ 0) and fails at `hi`.
+    let (mut lo, mut m_lo, mut hi, mut m_hi);
+    if m_start >= 0.0 {
+        (lo, m_lo) = (start, m_start);
+        loop {
+            if lo == upper {
+                return Some(upper);
+            }
+            let rate = (2.0 * lo).min(upper);
+            let m = margin(rate);
+            if m < 0.0 {
+                (hi, m_hi) = (rate, m);
+                break;
+            }
+            (lo, m_lo) = (rate, m);
+        }
+    } else {
+        (hi, m_hi) = (start, m_start);
+        let floor = start * 1e-4;
+        let m_floor = margin(floor);
+        if m_floor < 0.0 {
+            return None;
+        }
+        loop {
+            let rate = 0.5 * hi;
+            if rate <= floor {
+                (lo, m_lo) = (floor, m_floor);
+                break;
+            }
+            let m = margin(rate);
+            if m >= 0.0 {
+                (lo, m_lo) = (rate, m);
+                break;
+            }
+            (hi, m_hi) = (rate, m);
+        }
+    }
+    // Which end moved last: the Anderson–Björck weighting damps the other
+    // end's margin when the same end moves twice in a row.
+    let mut lo_moved_last = None;
+    while hi - lo > 1e-9 * lo {
+        // Probe at least a quarter of the tolerance inside each end, so
+        // once the interpolant is that close to the root the probe lands
+        // across it and closes the bracket.
+        let inset = 0.25e-9 * lo;
+        let rate = (lo + (hi - lo) * m_lo / (m_lo - m_hi)).clamp(lo + inset, hi - inset);
+        let m = margin(rate);
+        if m >= 0.0 {
+            if lo_moved_last == Some(true) {
+                m_hi *= anderson_bjorck(m, m_lo);
+            }
+            (lo, m_lo) = (rate, m);
+            lo_moved_last = Some(true);
+        } else {
+            if lo_moved_last == Some(false) {
+                m_lo *= anderson_bjorck(m, m_hi);
+            }
+            (hi, m_hi) = (rate, m);
+            lo_moved_last = Some(false);
         }
     }
     Some(lo)
 }
 
-/// Parallel [`max_admissible_rate`]: each refinement round probes a
-/// **fixed** grid of 8 interior rates concurrently on `workers` threads
-/// (via [`cos_par::par_map`]) and shrinks the bracket to the last-passing /
-/// first-failing pair. Probe positions depend only on the bracket — never
-/// on scheduling — so the result is **identical for every worker count**,
-/// including `workers = 1`.
-///
-/// Sixteen 9-fold shrink rounds refine past the serial version's 50
-/// bisection halvings, so the two agree to the same tolerance, but the
-/// parallel version's wall-clock is `rounds × slowest-probe` instead of
-/// `50 × probe`.
-pub fn max_admissible_rate_par(
-    template: &SystemParams,
-    variant: ModelVariant,
-    goal: SlaGoal,
-    upper: f64,
-    workers: usize,
-) -> Option<f64> {
-    assert!(
-        upper > 0.0 && upper.is_finite(),
-        "upper bound must be positive"
-    );
-    let ok = |rate: f64| -> bool {
-        SystemModel::new(&template.scaled_to_rate(rate), variant)
-            .map(|m| goal.met_by(&m))
-            .unwrap_or(false)
-    };
-    let mut lo = upper * 1e-4;
-    if !ok(lo) {
-        return None;
+/// Anderson–Björck factor for the end that stayed put, when the other end
+/// moved from margin `old` to `new` (same sign): `1 − new/old`, or ½ when
+/// that is not positive.
+fn anderson_bjorck(new: f64, old: f64) -> f64 {
+    let g = 1.0 - new / old;
+    if g > 0.0 {
+        g
+    } else {
+        0.5
     }
-    let mut hi = upper;
-    if ok(hi) {
-        return Some(hi);
-    }
-    const PROBES: usize = 8;
-    const ROUNDS: usize = 16;
-    for _ in 0..ROUNDS {
-        let step = (hi - lo) / (PROBES + 1) as f64;
-        let rates: Vec<f64> = (1..=PROBES).map(|k| lo + step * k as f64).collect();
-        let passed = cos_par::par_map(workers, &rates, |_, &r| ok(r));
-        // The goal is monotone in rate, so results form a true… false…
-        // prefix; scan in rate order (par_map preserves it) for the edge.
-        for (&rate, &p) in rates.iter().zip(&passed) {
-            if p {
-                lo = rate;
-            } else {
-                hi = rate;
-                break;
-            }
-        }
-        if hi - lo <= 1e-9 * upper {
-            break;
-        }
-    }
-    Some(lo)
 }
 
 /// Capacity planning (§I): the smallest number of identical devices that
@@ -376,32 +409,65 @@ mod tests {
     }
 
     #[test]
-    fn parallel_admissible_rate_is_worker_count_independent() {
-        let goal = SlaGoal::new(0.100, 0.90);
+    fn admissible_rate_is_upper_when_the_goal_holds_there() {
+        let goal = SlaGoal::new(0.1, 0.9);
         let t = template(100.0);
-        let one = max_admissible_rate_par(&t, ModelVariant::Full, goal, 1000.0, 1).unwrap();
-        for workers in [2, 4, 7] {
-            let w = max_admissible_rate_par(&t, ModelVariant::Full, goal, 1000.0, workers).unwrap();
-            assert_eq!(
-                one.to_bits(),
-                w.to_bits(),
-                "workers={workers}: {one} vs {w}"
-            );
-        }
-        // And it agrees with the serial bisection to fine tolerance.
-        let serial = max_admissible_rate(&t, ModelVariant::Full, goal, 1000.0).unwrap();
-        assert!(
-            (one - serial).abs() / serial < 1e-4,
-            "par {one} vs serial {serial}"
-        );
+        let at = |upper| max_admissible_rate(&t, ModelVariant::Full, goal, upper);
+        assert_eq!(at(150.0), Some(150.0));
+        // Below the template's own rate too: the search starts at upper.
+        assert_eq!(at(60.0), Some(60.0));
     }
 
     #[test]
-    fn parallel_admissible_rate_none_for_impossible_goal() {
-        let goal = SlaGoal::new(0.001, 0.999);
-        assert_eq!(
-            max_admissible_rate_par(&template(100.0), ModelVariant::Full, goal, 500.0, 4),
-            None
+    fn admissible_rate_does_not_depend_on_a_far_upper_bound() {
+        // A "rate → 0" floor taken from upper (upper·1e-4 = 1000 req/s at
+        // upper = 1e7) would sit past the answer and report this reachable
+        // goal as unreachable; the floor follows the template's own rate.
+        let goal = SlaGoal::new(0.100, 0.90);
+        let t = template(100.0);
+        let at = |upper| max_admissible_rate(&t, ModelVariant::Full, goal, upper);
+        let reference = at(1e3).unwrap();
+        assert!(goal.met_by(&model_at_rate(&t, ModelVariant::Full, reference).unwrap()));
+        let above = model_at_rate(&t, ModelVariant::Full, reference * (1.0 + 1e-8));
+        assert!(above.map(|m| !goal.met_by(&m)).unwrap_or(true));
+        for upper in [1e4, 1e5, 1e6, 1e7] {
+            assert_eq!(at(upper), Some(reference), "upper={upper}");
+        }
+    }
+
+    #[test]
+    fn largest_passing_rate_costs_few_probes() {
+        // Unreachable: the start and the floor, nothing else.
+        let mut probes = Vec::new();
+        let none = largest_passing_rate(
+            |r| {
+                probes.push(r);
+                -1.0
+            },
+            50.0,
+            1e4,
         );
+        assert_eq!((none, probes), (None, vec![50.0, 50.0 * 1e-4]));
+        // The log-survival margin of an M/M/1 sojourn at a 100 ms SLA with
+        // service rate 400 is linear in the rate up to saturation: the 90%
+        // goal holds up to 400 − 10·ln 10, and past 400 the queue is
+        // unstable (F = 0). From far below (nine doublings), near or past
+        // the answer, the search brackets it and closes the bracket to 1e-9
+        // relative.
+        let limit = 400.0 - 10f64.ln() / 0.1;
+        for (start, probes) in [(1.0, 16), (160.0, 10), (1000.0, 10)] {
+            let mut count = 0;
+            let rate = largest_passing_rate(
+                |r| {
+                    count += 1;
+                    0.1f64.ln() + 0.1 * (400.0 - r).max(0.0)
+                },
+                start,
+                1e4,
+            )
+            .unwrap();
+            assert!(rate <= limit && limit - rate <= 1e-9 * rate, "{rate}");
+            assert!(count <= probes, "start={start}: {count} probes");
+        }
     }
 }

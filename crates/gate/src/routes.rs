@@ -993,6 +993,39 @@ mod tests {
     }
 
     #[test]
+    fn headroom_answers_the_same_rate_for_a_far_upper_bound() {
+        // A "rate → 0" floor of upper·1e-4 would put the floor at 1000
+        // req/s for upper = 1e7, past this fit's answer, and the route would
+        // refuse with 422; the answer must not depend on a far upper bound.
+        let handle_ = spawn_service();
+        let client = handle_.client();
+        for ev in sample_events() {
+            client.ingest(ev).unwrap();
+        }
+        client.flush().unwrap();
+        client.refit_now().unwrap();
+        let rate = |upper: &str| {
+            let resp = get(
+                &client,
+                &format!("/v1/headroom?sla=0.1&target=0.9&upper={upper}"),
+            );
+            assert_eq!(
+                resp.status,
+                200,
+                "upper={upper}: {:?}",
+                String::from_utf8_lossy(&resp.body)
+            );
+            let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            body.f64_field("value").unwrap()
+        };
+        let reference = rate("1000");
+        assert!(reference > 0.0 && reference < 1000.0, "{reference}");
+        for upper in ["10000", "100000", "1000000", "10000000"] {
+            assert_eq!(rate(upper).to_bits(), reference.to_bits(), "upper={upper}");
+        }
+    }
+
+    #[test]
     fn routing_distinguishes_404_and_405() {
         let handle_ = spawn_service();
         let client = handle_.client();

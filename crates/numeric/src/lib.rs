@@ -11,7 +11,8 @@
 //! * [`laplace`] — numerical Laplace-transform inversion (Abate–Whitt Euler,
 //!   fixed Talbot, Gaver–Stehfest) and CDF/quantile helpers,
 //! * [`moments`] — moments from LSTs by numerical differentiation,
-//! * [`roots`] — bisection / Brent / damped Newton,
+//! * [`roots`] — bisection / Brent / Ridders / damped Newton, and the
+//!   log-survival Newton search that inverts CDFs,
 //! * [`quad`] — adaptive Simpson and Gauss–Legendre quadrature,
 //! * [`sum`] — compensated (Neumaier) summation.
 //!
@@ -32,9 +33,9 @@ pub mod sum;
 
 pub use complex::Complex64;
 pub use laplace::{
-    ccdf_from_lst, cdf_from_lst, euler, gaver_stehfest, quantile_from_lst, talbot, ConfigError,
-    CountingLaplaceFn, InversionAlgorithm, InversionConfig, LaplaceFn, GAVER_STEHFEST_MAX_TERMS,
-    QUANTILE_INVERSION_BUDGET,
+    ccdf_from_lst, cdf_and_density_from_lst, cdf_from_lst, euler, gaver_stehfest,
+    quantile_from_lst, talbot, ConfigError, CountingLaplaceFn, InversionAlgorithm, InversionConfig,
+    LaplaceFn, GAVER_STEHFEST_MAX_TERMS, QUANTILE_INVERSION_BUDGET,
 };
 pub use moments::{mean_from_lst, moments_from_lst, second_moment_from_lst};
 pub use roots::invert_monotone;

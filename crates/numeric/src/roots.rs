@@ -1,4 +1,5 @@
-//! Scalar root finding: bisection, Brent's method, and damped Newton.
+//! Scalar root finding: bisection, Brent's method, Ridders' method, damped
+//! Newton, and the log-survival Newton search that inverts CDFs.
 //!
 //! Used by the calibration layer (Gamma MLE shape equation, service-time
 //! decomposition) and by quantile searches.
@@ -261,83 +262,106 @@ pub fn ridders<F: FnMut(f64) -> f64>(
     })
 }
 
-/// Inverts a nondecreasing function: finds `t > 0` with `f(t) = target`,
-/// assuming `f(0) = 0` and `f` nondecreasing (a CDF or an attainment
-/// curve). This is the quantile-search engine shared by
+/// Relative Newton step at which [`invert_monotone`] stops. The step just
+/// computed is the distance to the root to first order, and Newton's
+/// quadratic convergence leaves about its square once it is taken, so the
+/// stepped point is accurate to ~1e-14 relative.
+const NEWTON_STOP: f64 = 1e-7;
+
+/// Relative bracket width at which [`invert_monotone`] stops when its
+/// Newton steps are unusable and it falls back to bisection.
+const BRACKET_STOP: f64 = 1e-12;
+
+/// Inverts a CDF: finds `t > 0` with `F(t) = target`, given a probe that
+/// returns `(F(t), f(t))` — the CDF and its density — with `F(0) = 0`. This
+/// is the quantile-search engine shared by
 /// `cos_numeric::laplace::quantile_from_lst` and the model layer's
-/// percentile queries, tuned so each probe (often a full numerical Laplace
-/// inversion) counts.
+/// percentile queries, where one probe is one numerical Laplace inversion
+/// per transform, so the probe count is the cost.
 ///
-/// The search first grows `initial_hi` geometrically (at most `max_growth`
-/// doublings) until `f(hi) ≥ target`, then runs a Ridders iteration on the
-/// bracket. Because `f` is monotone, *every* probe tightens the bracket
-/// directly — no generic sign bookkeeping — so the post-bracket phase is
-/// capped at `budget` probes, which in practice resolves the root to
-/// ~1e-12 relative. Returns `None` when no bracket exists within
-/// `2^max_growth * initial_hi`.
-pub fn invert_monotone<F: FnMut(f64) -> f64>(
-    mut f: F,
+/// Every step is a Newton step on the log-survival `ln(1 − F)`, whose slope
+/// is `−f/(1 − F)`:
+/// `t ← t + (ln(1 − F) − ln(1 − target))·(1 − F)/f`. A latency law's
+/// log-survival is close to linear in its tail (exactly linear for an
+/// exponential), so one step from a mean-sized start lands near a tail
+/// quantile. Probes below the target raise the bracket's left end and
+/// probes at or above it lower the right end. A step the density cannot
+/// steer (no positive density, or `F = 1`) doubles `t` while no probe has
+/// reached the target, and bisects the bracket after one has — as does a
+/// step that would leave the bracket. Bisection is geometric while the
+/// bracket spans more than a factor of four, so a far-off start costs a
+/// logarithmic number of probes.
+///
+/// The search returns the stepped point once a Newton step falls below
+/// `1e-7·t`, the bracket midpoint once the bracket closes to 1e-12
+/// relative, and its next probe point once `budget` probes other than
+/// doublings have been spent. Returns `None` when `F` stays below the
+/// target up to `2^max_growth * initial_hi`.
+pub fn invert_monotone<F: FnMut(f64) -> (f64, f64)>(
+    mut probe: F,
     target: f64,
     initial_hi: f64,
     max_growth: usize,
     budget: usize,
 ) -> Option<f64> {
-    let mut hi = initial_hi.max(1e-300);
-    let mut f_hi = f(hi) - target;
-    let mut growth = 0;
-    while f_hi < 0.0 {
-        growth += 1;
-        if growth > max_growth {
-            return None;
+    let mut t = initial_hi.max(1e-300);
+    let ceiling = t * 2f64.powi(max_growth as i32);
+    let ln_target = (-target).ln_1p();
+    // F(0) = 0 < target gives the left end for free.
+    let (mut lo, mut hi) = (0.0f64, f64::INFINITY);
+    let mut charged = 0usize;
+    let mut doubled = false;
+    loop {
+        let (cdf, density) = probe(t);
+        if !doubled {
+            charged += 1;
         }
-        hi *= 2.0;
-        f_hi = f(hi) - target;
-    }
-    if f_hi == 0.0 {
-        return Some(hi);
-    }
-    // f(0) = 0 < target gives the left endpoint for free.
-    let (mut a, mut fa) = (0.0f64, -target);
-    let (mut b, mut fb) = (hi, f_hi);
-    let tol = 1e-12 * hi.max(1.0);
-    let mut probes = 0usize;
-    while b - a > tol && probes < budget {
-        let m = 0.5 * (a + b);
-        let fm = f(m) - target;
-        probes += 1;
-        if fm == 0.0 {
-            return Some(m);
+        if cdf == target {
+            return Some(t);
         }
-        // Ridders step off the midpoint; fa < 0 < fb keeps the discriminant
-        // positive and sign(fa − fb) = −1.
-        let s = (fm * fm - fa * fb).sqrt();
-        let x = if s > 0.0 && s.is_finite() {
-            m - (m - a) * fm / s
+        if cdf < target {
+            lo = t;
         } else {
-            m
+            hi = t;
+        }
+        let step = if cdf < 1.0 && density > 0.0 {
+            ((-cdf).ln_1p() - ln_target) * (1.0 - cdf) / density
+        } else {
+            f64::NAN
         };
-        // Monotonicity: any probe below target moves the left edge, above
-        // target the right edge — both probes tighten the bracket.
-        if fm < 0.0 {
-            (a, fa) = (m, fm);
+        if step.abs() <= NEWTON_STOP * t {
+            return Some((t + step).clamp(lo, hi));
+        }
+        let newton = t + step;
+        let next = if hi == f64::INFINITY {
+            if t >= ceiling {
+                return None;
+            }
+            // A NaN step (no usable density) fails this test too.
+            doubled = newton <= t || newton.is_nan();
+            if doubled {
+                (2.0 * t).min(ceiling)
+            } else {
+                newton.min(ceiling)
+            }
         } else {
-            (b, fb) = (m, fm);
+            if hi - lo <= BRACKET_STOP * hi {
+                return Some(0.5 * (lo + hi));
+            }
+            doubled = false;
+            if newton > lo && newton < hi {
+                newton
+            } else if lo > 0.0 && hi > 4.0 * lo {
+                (lo * hi).sqrt()
+            } else {
+                0.5 * (lo + hi)
+            }
+        };
+        if !doubled && charged >= budget {
+            return Some(next);
         }
-        if b - a <= tol || probes >= budget || !(x > a && x < b) {
-            continue;
-        }
-        let fx = f(x) - target;
-        probes += 1;
-        if fx == 0.0 {
-            return Some(x);
-        }
-        if fx < 0.0 {
-            (a, fa) = (x, fx);
-        } else {
-            (b, fb) = (x, fx);
-        }
+        t = next;
     }
-    Some(0.5 * (a + b))
 }
 
 /// Damped Newton iteration with positivity constraint (the MLE shape equation
@@ -490,45 +514,111 @@ mod tests {
         );
     }
 
-    #[test]
-    fn invert_monotone_finds_exponential_quantile() {
-        let q = invert_monotone(|t| 1.0 - (-2.0 * t).exp(), 0.5, 1.0, 40, 16).unwrap();
-        assert!((q - std::f64::consts::LN_2 / 2.0).abs() < 1e-10, "q={q}");
+    /// `(F, f)` of Exp(λ).
+    fn exponential(lambda: f64) -> impl Fn(f64) -> (f64, f64) {
+        move |t| (1.0 - (-lambda * t).exp(), lambda * (-lambda * t).exp())
     }
 
     #[test]
-    fn invert_monotone_grows_bracket() {
-        // Hint 2^20 times too small: growth still succeeds, then converges.
-        let q = invert_monotone(|t| 1.0 - (-0.001 * t).exp(), 0.5, 1e-3, 40, 16).unwrap();
+    fn invert_monotone_finds_exponential_quantile() {
+        let q = invert_monotone(exponential(2.0), 0.5, 1.0, 40, 16).unwrap();
+        assert!((q - std::f64::consts::LN_2 / 2.0).abs() < 1e-12, "q={q}");
+    }
+
+    #[test]
+    fn invert_monotone_grows_past_a_small_hint() {
+        // Hint 2^20 times too small: the first Newton step on the linear
+        // log-survival lands on the answer.
+        let q = invert_monotone(exponential(0.001), 0.5, 1e-3, 40, 16).unwrap();
         assert!(
-            (q - std::f64::consts::LN_2 / 0.001).abs() / q < 1e-9,
+            (q - std::f64::consts::LN_2 / 0.001).abs() / q < 1e-12,
             "q={q}"
         );
     }
 
     #[test]
-    fn invert_monotone_respects_probe_budget() {
-        let count = std::cell::Cell::new(0usize);
+    fn invert_monotone_doubles_where_the_density_vanishes() {
+        // Exp(1) shifted by 8: below the shift F = f = 0, so the search
+        // can only double its way there from a hint of 1e-3.
+        let probes = std::cell::Cell::new(0usize);
+        let shifted = |t: f64| {
+            probes.set(probes.get() + 1);
+            if t <= 8.0 {
+                (0.0, 0.0)
+            } else {
+                exponential(1.0)(t - 8.0)
+            }
+        };
+        let q = invert_monotone(shifted, 0.9, 1e-3, 40, 16).unwrap();
+        assert!((q - (8.0 + 10f64.ln())).abs() < 1e-10, "q={q}");
+        // 13 doublings reach the support; Newton needs a few more.
+        assert!(probes.get() <= 13 + 6, "{} probes", probes.get());
+    }
+
+    #[test]
+    fn invert_monotone_converges_in_a_few_probes() {
+        for (p, most) in [(0.05, 6), (0.5, 4), (0.95, 5), (0.999, 5)] {
+            let probes = std::cell::Cell::new(0usize);
+            // Erlang-3 with rate 2: mean 1.5, the hint.
+            let erlang = |t: f64| {
+                probes.set(probes.get() + 1);
+                let x = 2.0 * t;
+                let tail = (-x).exp() * (1.0 + x + 0.5 * x * x);
+                (1.0 - tail, 2.0 * (-x).exp() * 0.5 * x * x)
+            };
+            let q = invert_monotone(erlang, p, 1.5, 40, 16).unwrap();
+            let x = 2.0 * q;
+            let back = 1.0 - (-x).exp() * (1.0 + x + 0.5 * x * x);
+            assert!((back - p).abs() < 1e-13, "p={p}: F(q) = {back}");
+            assert!(probes.get() <= most, "p={p}: {} probes", probes.get());
+        }
+    }
+
+    #[test]
+    fn invert_monotone_bisects_when_newton_leaves_the_bracket() {
+        // A density 1000× too small: Newton steps overshoot the bracket,
+        // so the search bisects — geometrically across the huge bracket its
+        // first overshoot opens — until the bracket is tight enough for the
+        // stretched steps to land inside it. The stop rule trusts the step
+        // size, so the answer is 1000× less accurate than with a true
+        // density, but still close.
+        let q = invert_monotone(
+            |t| (1.0 - (-2.0 * t).exp(), 2e-3 * (-2.0 * t).exp()),
+            0.95,
+            1.0,
+            40,
+            64,
+        )
+        .unwrap();
+        let want = -(0.05f64).ln() / 2.0;
+        assert!((q - want).abs() < 1e-8, "q={q} want {want}");
+    }
+
+    #[test]
+    fn invert_monotone_respects_the_probe_budget() {
+        // With no usable density every step bisects; the budget caps the
+        // probes and the answer is the bracket's midpoint so far.
+        let probes = std::cell::Cell::new(0usize);
         let q = invert_monotone(
             |t| {
-                count.set(count.get() + 1);
-                1.0 - (-2.0 * t).exp()
+                probes.set(probes.get() + 1);
+                (1.0 - (-2.0 * t).exp(), 0.0)
             },
-            0.95,
+            0.5,
             1.0,
             40,
             16,
         )
         .unwrap();
-        assert!((q - (-(0.05f64).ln()) / 2.0).abs() < 1e-9, "q={q}");
-        // Budget covers the post-bracket phase; growth here needs ≤ 2 probes.
-        assert!(count.get() <= 20, "{} probes", count.get());
+        assert_eq!(probes.get(), 16);
+        assert!((q - std::f64::consts::LN_2 / 2.0).abs() < 1e-4, "q={q}");
     }
 
     #[test]
     fn invert_monotone_reports_unreachable_target() {
-        // Capped function never reaches the target.
-        assert_eq!(invert_monotone(|t| t.min(0.3), 0.9, 1.0, 10, 16), None);
+        // A CDF capped at 0.3 never reaches the target.
+        let capped = |t: f64| (t.min(0.3), if t < 0.3 { 1.0 } else { 0.0 });
+        assert_eq!(invert_monotone(capped, 0.9, 1.0, 10, 16), None);
     }
 
     #[test]
