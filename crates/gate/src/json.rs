@@ -1,16 +1,31 @@
 //! Minimal JSON for the gate's query surface (std-only, like everything
 //! else here — the offline build environment forbids serde).
 //!
-//! A [`Value`] tree, a depth-limited recursive-descent parser, and a
-//! compact writer. Numbers are `f64` and are written with Rust's shortest
-//! round-trip `Display`, so **any finite `f64` survives encode → decode
-//! bit-identically** (the property tests assert this); non-finite floats
-//! have no JSON spelling and serialize as `null`.
+//! One depth-limited recursive-descent lexer with two consumers: [`parse`]
+//! builds a [`Value`] tree, and [`decode_telemetry`] reads a telemetry
+//! body straight into [`TelemetryEvent`]s without building one. Every
+//! syntax rule and error text lives in the lexer once, so the two reject
+//! exactly the same documents with exactly the same messages. A compact
+//! writer serializes trees. Numbers are `f64` and are written with Rust's
+//! shortest round-trip `Display`, so **any finite `f64` survives encode →
+//! decode bit-identically** (the property tests assert this); non-finite
+//! floats have no JSON spelling and serialize as `null`.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+
+use cos_serve::TelemetryEvent;
+
+use crate::routes::{event_from_fields, EVENT_FIELDS, NOT_AN_ARRAY};
 
 /// Nesting depth the parser accepts before rejecting the document.
 const MAX_DEPTH: usize = 64;
+
+/// Bytes of the shortest event the telemetry field rules accept,
+/// `{"type":"arrival","at":0,"device":0}`, plus its separating comma: a
+/// body of `n` bytes holds at most `n / MIN_EVENT_BYTES` events, so
+/// [`decode_telemetry`] sizes its output once and never regrows it.
+const MIN_EVENT_BYTES: usize = 37;
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,28 +77,28 @@ impl Value {
         }
     }
 
+    /// The value as the typed field accessors see it.
+    pub(crate) fn as_field(&self) -> Field<'_> {
+        match self {
+            Value::String(s) => Field::Str(Cow::Borrowed(s)),
+            Value::Number(n) => Field::Num(*n),
+            _ => Field::Other,
+        }
+    }
+
     /// Required object field, with the missing key named in the error.
     pub fn field(&self, key: &str) -> Result<&Value, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing field `{key}`"))
+        self.get(key).ok_or_else(|| missing_field(key))
     }
 
     /// Required finite-number field.
     pub fn f64_field(&self, key: &str) -> Result<f64, String> {
-        self.field(key)?
-            .as_f64()
-            .filter(|n| n.is_finite())
-            .ok_or_else(|| format!("field `{key}` must be a finite number"))
+        Field::required(key, self.get(key).map(Value::as_field))?.finite(key)
     }
 
     /// Required non-negative-integer field.
     pub fn usize_field(&self, key: &str) -> Result<usize, String> {
-        let n = self.f64_field(key)?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 {
-            Ok(n as usize)
-        } else {
-            Err(format!("field `{key}` must be a non-negative integer"))
-        }
+        Field::required(key, self.get(key).map(Value::as_field))?.index(key)
     }
 
     /// Serializes compactly (no whitespace).
@@ -155,28 +170,143 @@ pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+fn missing_field(key: &str) -> String {
+    format!("missing field `{key}`")
+}
+
+/// One object field as the typed accessors read it — a string (borrowed
+/// from the document unless it held escapes), a number, or anything else —
+/// with the error texts every accessor and both telemetry decoders share.
+pub(crate) enum Field<'a> {
+    /// A string.
+    Str(Cow<'a, str>),
+    /// A number (any `f64` the lexer produced, `1e400` → `inf` included).
+    Num(f64),
+    /// `null`, a boolean, an array, or an object.
+    Other,
+}
+
+impl<'a> Field<'a> {
+    /// `found`, or the error naming the missing `key`.
+    pub(crate) fn required(key: &str, found: Option<Field<'a>>) -> Result<Field<'a>, String> {
+        found.ok_or_else(|| missing_field(key))
+    }
+
+    /// A view borrowing this field's string.
+    pub(crate) fn view(&self) -> Field<'_> {
+        match self {
+            Field::Str(s) => Field::Str(Cow::Borrowed(s)),
+            Field::Num(n) => Field::Num(*n),
+            Field::Other => Field::Other,
+        }
+    }
+
+    /// The field `key` as a string.
+    pub(crate) fn string(self, key: &str) -> Result<Cow<'a, str>, String> {
+        match self {
+            Field::Str(s) => Ok(s),
+            _ => Err(format!("field `{key}` must be a string")),
+        }
+    }
+
+    /// The field `key` as a finite number.
+    pub(crate) fn finite(self, key: &str) -> Result<f64, String> {
+        match self {
+            Field::Num(n) if n.is_finite() => Ok(n),
+            _ => Err(format!("field `{key}` must be a finite number")),
+        }
+    }
+
+    /// The field `key` as a non-negative integer.
+    pub(crate) fn index(self, key: &str) -> Result<usize, String> {
+        let n = self.finite(key)?;
+        if n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 {
+            Ok(n as usize)
+        } else {
+            Err(format!("field `{key}` must be a non-negative integer"))
+        }
+    }
+}
+
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let value = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
+    let mut lexer = Lexer::new(text);
+    lexer.skip_ws();
+    let value = lexer.value(0)?;
+    lexer.finish()?;
     Ok(value)
 }
 
-struct Parser<'a> {
+/// Decodes a `POST /v1/telemetry` body in one pass, straight into events:
+/// fields the event rules do not read are checked for syntax and skipped
+/// without being built, escape-free strings are borrowed from `text`, and
+/// the only allocation an escape-free body costs is the returned `Vec`.
+///
+/// Exactly equivalent to the reference decoder,
+/// `parse(text).and_then(|doc| decode_events(&doc))`: the same events, or
+/// the same error text ([`crate::decode_events`] is that reference, and the
+/// property tests hold the two to it). Syntax errors therefore win over
+/// field-rule refusals wherever they sit in the document, as the reference
+/// parses the whole tree before it reads a field.
+pub fn decode_telemetry(text: &str) -> Result<Vec<TelemetryEvent>, String> {
+    let mut lexer = Lexer::new(text);
+    lexer.skip_ws();
+    let mut events = Vec::new();
+    // The first refusal waits for the rest of the document's syntax check.
+    let mut refusal = None;
+    if lexer.peek() == Some(b'[') {
+        events.reserve_exact(text.len() / MIN_EVENT_BYTES);
+        let mut index = 0;
+        lexer.array(0, |lexer, depth| {
+            if refusal.is_some() {
+                return lexer.skip(depth);
+            }
+            match lexer.event(index, depth)? {
+                Ok(event) => events.push(event),
+                Err(e) => refusal = Some(e),
+            }
+            index += 1;
+            Ok(())
+        })?;
+    } else {
+        lexer.skip(0)?;
+        refusal = Some(NOT_AN_ARRAY.to_string());
+    }
+    lexer.finish()?;
+    refusal.map_or(Ok(events), Err)
+}
+
+/// A scalar token; strings stay borrowed from the document unless they
+/// held escapes.
+enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Number(f64),
+    Str(Cow<'a, str>),
+}
+
+/// The lexer both consumers share. Containers are walked by [`array`] and
+/// [`object`], which hand each element to the consumer's callback one
+/// level deeper; everything else is a [`Scalar`].
+///
+/// [`array`]: Lexer::array
+/// [`object`]: Lexer::object
+struct Lexer<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Lexer<'a> {
+    fn new(text: &'a str) -> Self {
+        Lexer {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
     fn skip_ws(&mut self) {
         while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -196,62 +326,145 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
+    /// Trailing whitespace allowed, trailing garbage rejected.
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
         } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+            Err(format!("trailing garbage at byte {}", self.pos))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Value, String> {
+    /// Checked on entry to every value, before its first byte is looked at.
+    fn enter(depth: usize) -> Result<(), String> {
         if depth > MAX_DEPTH {
-            return Err("document nests too deeply".into());
-        }
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of document".into()),
+            Err("document nests too deeply".into())
+        } else {
+            Ok(())
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Value, String> {
+    /// Builds one value as a tree.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
+        Lexer::enter(depth)?;
+        match self.peek() {
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(depth, |lexer, depth| {
+                    items.push(lexer.value(depth)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(depth, |lexer, key, depth| {
+                    pairs.push((key.into_owned(), lexer.value(depth)?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(pairs))
+            }
+            _ => Ok(match self.scalar()? {
+                Scalar::Null => Value::Null,
+                Scalar::Bool(b) => Value::Bool(b),
+                Scalar::Number(n) => Value::Number(n),
+                Scalar::Str(s) => Value::String(s.into_owned()),
+            }),
+        }
+    }
+
+    /// Checks one value's syntax without building it.
+    fn skip(&mut self, depth: usize) -> Result<(), String> {
+        Lexer::enter(depth)?;
+        match self.peek() {
+            Some(b'[') => self.array(depth, Lexer::skip),
+            Some(b'{') => self.object(depth, |lexer, _, depth| lexer.skip(depth)),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// One array item as telemetry event `index`: the syntax verdict
+    /// outside, the field rules' verdict inside. Of each field the rules
+    /// read, the first occurrence is kept, as [`Value::get`] finds it.
+    fn event(
+        &mut self,
+        index: usize,
+        depth: usize,
+    ) -> Result<Result<TelemetryEvent, String>, String> {
+        let mut fields: [Option<Field<'a>>; EVENT_FIELDS.len()] = Default::default();
+        let slot = |key: &str| EVENT_FIELDS.iter().position(|&name| name == key);
+        Lexer::enter(depth)?;
+        if self.peek() == Some(b'{') {
+            self.object(depth, |lexer, key, depth| match slot(&key) {
+                Some(i) if fields[i].is_none() => {
+                    fields[i] = Some(lexer.field(depth)?);
+                    Ok(())
+                }
+                _ => lexer.skip(depth),
+            })?;
+        } else {
+            self.skip(depth)?;
+        }
+        Ok(event_from_fields(index, |key| {
+            fields[slot(key)?].as_ref().map(Field::view)
+        }))
+    }
+
+    /// One value in a field position: scalars kept, containers skipped.
+    fn field(&mut self, depth: usize) -> Result<Field<'a>, String> {
+        Lexer::enter(depth)?;
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            self.skip(depth)?;
+            return Ok(Field::Other);
+        }
+        Ok(match self.scalar()? {
+            Scalar::Str(s) => Field::Str(s),
+            Scalar::Number(n) => Field::Num(n),
+            Scalar::Null | Scalar::Bool(_) => Field::Other,
+        })
+    }
+
+    /// Walks `[ item, ... ]`, calling `item` at each element's first byte
+    /// with the element's depth.
+    fn array(
+        &mut self,
+        depth: usize,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            item(self, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Value, String> {
+    /// Walks `{ "key": value, ... }`, calling `member` with each key at its
+    /// value's first byte, with the value's depth.
+    fn object(
+        &mut self,
+        depth: usize,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>, usize) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(pairs));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -259,41 +472,68 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            member(self, key, depth + 1)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(pairs));
+                    return Ok(());
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn scalar(&mut self) -> Result<Scalar<'a>, String> {
+        match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Scalar::Null),
+            Some(b't') => self.literal("true").map(|()| Scalar::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Scalar::Bool(false)),
+            Some(b'"') => self.string().map(Scalar::Str),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Scalar::Number),
+            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
+            None => Err("unexpected end of document".into()),
+        }
+    }
+
+    fn literal(&mut self, text: &str) -> Result<(), String> {
+        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(())
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// A string literal: borrowed when escape-free, unescaped otherwise.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut unescaped: Option<String> = None;
         loop {
             let start = self.pos;
-            while !matches!(self.peek(), Some(b'"' | b'\\') | None) && self.bytes[self.pos] >= 0x20
-            {
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?,
-            );
+            // The run stops only at ASCII bytes, so it ends on a char
+            // boundary of the (already valid UTF-8) text.
+            let run = &self.text[start..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(run),
+                        Some(mut out) => {
+                            out.push_str(run);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    self.escape(&mut out)?;
+                    let out = unescaped.get_or_insert_with(String::new);
+                    out.push_str(run);
+                    self.escape(out)?;
                 }
                 Some(_) => return Err(format!("control byte in string at {}", self.pos)),
                 None => return Err("unterminated string".into()),
@@ -354,7 +594,7 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn number(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -394,9 +634,8 @@ impl Parser<'_> {
                 return Err(format!("malformed number at byte {start}"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number");
-        text.parse::<f64>()
-            .map(Value::Number)
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| format!("malformed number at byte {start}"))
     }
 }
@@ -480,6 +719,30 @@ mod tests {
         assert!(v.f64_field("missing").unwrap_err().contains("missing"));
         assert!(v.usize_field("n").is_err());
         assert!(v.f64_field("s").is_err());
+    }
+
+    #[test]
+    fn telemetry_decoder_reads_first_fields_and_holds_refusals_for_syntax() {
+        // An escaped key names the same field, the first `at` wins, and an
+        // unknown field is skipped whatever it holds.
+        let body = r#"[{"\u0074ype":"arrival","at":1.5,"at":"x","extra":{"a":[[]]},"device":2}]"#;
+        let arrival = TelemetryEvent::Arrival { at: 1.5, device: 2 };
+        assert_eq!(decode_telemetry(body), Ok(vec![arrival]));
+        // Event 0's refusal waits for the rest of the syntax check, so a
+        // later syntax error wins, as in the tree reference.
+        for (body, verdict) in [
+            (
+                r#"[{"type":"warp"},1]"#,
+                "event 0: unknown event type `warp`",
+            ),
+            (r#"[{"type":"warp"},1,"#, "unexpected end of document"),
+            ("[1]", "event 0: missing field `type`"),
+            ("{}", "telemetry body must be a JSON array"),
+        ] {
+            assert_eq!(decode_telemetry(body), Err(verdict.to_string()), "{body}");
+            let reference = parse(body).and_then(|doc| crate::decode_events(&doc));
+            assert_eq!(reference, Err(verdict.to_string()), "{body}");
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! * [`http`] — the incremental request parser (a pure state machine:
 //!   incremental parse ≡ one-shot parse at every byte split) and the
 //!   response writer, with the `400`/`413`/`431` error mapping;
-//! * [`json`] — a minimal JSON tree, parser, and writer whose number
-//!   encoding round-trips every finite `f64` bit-identically;
+//! * [`json`] — minimal JSON: one lexer with two consumers, a tree parser
+//!   and the one-pass telemetry decoder ([`json::decode_telemetry`]) that
+//!   `POST /v1/telemetry` uses, held exactly equal to the tree-based
+//!   reference ([`decode_events`]); plus a writer whose number encoding
+//!   round-trips every finite `f64` bit-identically;
 //! * [`query`] — query-string parsing with percent-decoding and typed
 //!   parameter accessors;
 //! * [`routes`] — the `/v1/*` query surface over a cloned

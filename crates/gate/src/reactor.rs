@@ -84,10 +84,12 @@
 //! reactor thread evaluates it in place — the response lands in the
 //! connection's output queue microseconds after the request parses,
 //! with zero handoff. The one blocking exception is `POST
-//! /v1/telemetry`, which keeps the worker channel and its flush-before-
-//! reply barrier; ingest bursts briefly occupy one reactor thread, which
-//! is accepted — writes are rare and the barrier is the consistency
-//! contract.
+//! /v1/telemetry`: the route decodes the body in one pass and waits for
+//! the service thread's reply to the batch's one ingest command. A
+//! 480-event POST holds its reactor thread for about 0.3 ms this way
+//! (about 0.8 ms when the body went through a JSON tree and 480 sends
+//! plus a flush), which is accepted — writes are rare and the reply is
+//! the consistency contract.
 //!
 //! # Deadlines without timers
 //!

@@ -7,13 +7,13 @@
 //! | `GET /v1/percentile?p=P[&n=N&k=K]` | response-latency percentile (seconds), optionally for `(N, K)` erasure-coded reads |
 //! | `GET /v1/headroom?sla=S&target=F[&upper=U]` | largest admissible rate meeting the goal |
 //! | `GET /v1/bottlenecks?sla=S` | devices ranked worst-first |
-//! | `POST /v1/telemetry` | batch event ingest (JSON array), flushed before replying |
+//! | `POST /v1/telemetry` | batch event ingest (JSON array), decoded in one pass ([`json::decode_telemetry`]) and handed to the service thread as one command whose reply precedes the `200` |
 //! | `GET /v1/status` | full health summary |
 //! | `GET /v1/selfcheck` | observed gate latency percentiles vs model-predicted percentiles |
 //! | `GET /v1/anomalies` | scored anomalies + controller state (404 without a controller) |
 //! | `GET /metrics` | Prometheus-style text (see [`crate::metrics`]), plus the capped per-tenant block and every registered instrument when the gate runs with a [`GateObs`] |
 //! | `GET /v1/tenants/{tenant}/{attainment,percentile,headroom,bottlenecks,status}` | the same answers, scoped to one tenant's estimator shard |
-//! | `POST /v1/tenants/{tenant}/telemetry` | batch ingest into one tenant's shard (auto-vivifies the tenant) |
+//! | `POST /v1/tenants/{tenant}/telemetry` | batch ingest into one tenant's shard (auto-vivifies the tenant on its first event; an empty batch creates nothing) |
 //!
 //! The legacy `/v1/*` routes are exact aliases for the reserved `default`
 //! tenant: `/v1/attainment` and `/v1/tenants/default/attainment` answer
@@ -50,7 +50,7 @@ use cos_serve::{
 };
 
 use crate::http::{Method, Request, Response};
-use crate::json::{self, Value};
+use crate::json::{self, Field, Value};
 use crate::metrics::{render_ctrl_metrics, render_metrics, render_tenant_metrics};
 use crate::obs::GateObs;
 use crate::query;
@@ -387,8 +387,14 @@ fn percentile(reader: &Reader<'_>, req: &Request) -> Response {
         Err(r) => return r,
     };
     let p = match query::require_f64(&params, "p") {
-        Ok(v) if v > 0.0 && v < 1.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `p` must lie in (0, 1)"),
+        Ok(v) if cos_serve::percentile_in_range(v) => v,
+        Ok(_) => {
+            return Response::error(
+                400,
+                "query parameter `p` must lie in (0, 1) and below 0.99995, \
+                 which the 1e-4 percentile grid rounds to 1",
+            )
+        }
         Err(e) => return Response::error(400, &e),
     };
     let coding = match parse_coding(&params) {
@@ -470,24 +476,15 @@ fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Respon
         Ok(_) => return Response::error(400, "empty telemetry body (expected a JSON array)"),
         Err(_) => return Response::error(400, "telemetry body is not UTF-8"),
     };
-    let doc = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &e),
-    };
-    let events = match decode_events(&doc) {
+    let events = match json::decode_telemetry(text) {
         Ok(evs) => evs,
         Err(e) => return Response::error(400, &e),
     };
     let accepted = events.len();
-    for event in events {
-        if client.ingest_for(tenant, event).is_err() {
-            return service_error(ServeError::Disconnected);
-        }
-    }
-    // The flush barrier makes the ingest visible to every later query on
-    // any connection: FIFO per channel, and this reply is the client's
-    // happens-before edge.
-    if client.flush().is_err() {
+    // The service replies once it has ingested the whole batch, so this
+    // 200 is the client's happens-before edge: every later query on any
+    // connection sees the events.
+    if client.ingest_batch_for(tenant, events).is_err() {
         return service_error(ServeError::Disconnected);
     }
     Response::json(
@@ -746,57 +743,72 @@ pub fn encode_events(events: &[TelemetryEvent]) -> String {
     Value::Array(items).encode()
 }
 
-/// Decodes the `POST /v1/telemetry` body. Errors name the offending entry.
+/// The reference decoder of the `POST /v1/telemetry` body, over a parsed
+/// tree. The gate decodes bodies in one pass with
+/// [`json::decode_telemetry`], which the property tests hold to exactly
+/// this function's events and error texts; this one stays as that
+/// reference and as the entry point the benchmark's replay times. Errors
+/// name the offending entry.
 pub fn decode_events(doc: &Value) -> Result<Vec<TelemetryEvent>, String> {
-    let items = doc
-        .as_array()
-        .ok_or_else(|| "telemetry body must be a JSON array".to_string())?;
+    let items = doc.as_array().ok_or_else(|| NOT_AN_ARRAY.to_string())?;
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        out.push(decode_event(item).map_err(|e| format!("event {i}: {e}"))?);
+        out.push(event_from_fields(i, |key| {
+            item.get(key).map(Value::as_field)
+        })?);
     }
     Ok(out)
 }
 
-fn decode_event(item: &Value) -> Result<TelemetryEvent, String> {
-    let kind = item
-        .field("type")?
-        .as_str()
-        .ok_or_else(|| "field `type` must be a string".to_string())?;
-    match kind {
+/// The telemetry body's document-level refusal.
+pub(crate) const NOT_AN_ARRAY: &str = "telemetry body must be a JSON array";
+
+/// Every key [`event_from_fields`] reads.
+pub(crate) const EVENT_FIELDS: [&str; 6] = ["type", "at", "device", "class", "latency", "arrival"];
+
+/// The per-event field rules of the telemetry wire format, shared by both
+/// decoders: which fields each event type reads, in which order, their
+/// types, and the error texts, prefixed with the event's `index`.
+/// `field(key)` is the first value stored under `key` in the event's
+/// object (never any value for a non-object item).
+pub(crate) fn event_from_fields<'f>(
+    index: usize,
+    field: impl Fn(&str) -> Option<Field<'f>>,
+) -> Result<TelemetryEvent, String> {
+    let get = |key: &str| Field::required(key, field(key));
+    let number = |key: &str| get(key)?.finite(key);
+    let device = || get("device")?.index("device");
+    let event = || match &*get("type")?.string("type")? {
         "arrival" => Ok(TelemetryEvent::Arrival {
-            at: item.f64_field("at")?,
-            device: item.usize_field("device")?,
+            at: number("at")?,
+            device: device()?,
         }),
         "data_read" => Ok(TelemetryEvent::DataRead {
-            at: item.f64_field("at")?,
-            device: item.usize_field("device")?,
+            at: number("at")?,
+            device: device()?,
         }),
         "op" => {
-            let class = match item
-                .field("class")?
-                .as_str()
-                .ok_or_else(|| "field `class` must be a string".to_string())?
-            {
+            let class = match &*get("class")?.string("class")? {
                 "index" => OpClass::Index,
                 "meta" => OpClass::Meta,
                 "data" => OpClass::Data,
                 other => return Err(format!("unknown op class `{other}`")),
             };
             Ok(TelemetryEvent::Op {
-                at: item.f64_field("at")?,
-                device: item.usize_field("device")?,
+                at: number("at")?,
+                device: device()?,
                 class,
-                latency: item.f64_field("latency")?,
+                latency: number("latency")?,
             })
         }
         "completion" => Ok(TelemetryEvent::Completion {
-            arrival: item.f64_field("arrival")?,
-            latency: item.f64_field("latency")?,
-            device: item.usize_field("device")?,
+            arrival: number("arrival")?,
+            latency: number("latency")?,
+            device: device()?,
         }),
         other => Err(format!("unknown event type `{other}`")),
-    }
+    };
+    event().map_err(|e| format!("event {index}: {e}"))
 }
 
 #[cfg(test)]
@@ -925,6 +937,10 @@ mod tests {
             ("/v1/attainment?sla=0.05&rate=0", "rate"),
             ("/v1/percentile?p=1.5", "p"),
             ("/v1/percentile", "p"),
+            // The 1e-4 grid rounds these to p = 1, which has no answer.
+            ("/v1/percentile?p=0.99995", "1e-4"),
+            ("/v1/percentile?p=0.99999&n=4&k=2", "1e-4"),
+            ("/v1/tenants/default/percentile?p=0.99999", "1e-4"),
             ("/v1/headroom?sla=0.05", "target"),
             ("/v1/headroom?sla=0.05&target=2", "target"),
             ("/v1/bottlenecks?sla=%zz", "percent"),
@@ -1062,6 +1078,8 @@ mod tests {
                 "class",
             ),
             ("[1,2", "expected"),
+            // A syntax error wins over an earlier event's refusal.
+            ("[{\"type\":\"warp\"}", "expected"),
         ] {
             let resp = handle(&client, &post("/v1/telemetry", body));
             assert_eq!(resp.status, 400, "{body}");
@@ -1397,6 +1415,9 @@ mod tests {
             String::from_utf8_lossy(&resp.body)
         );
         assert_eq!(get(&client, "/v1/attainment?sla=0.05").status, 503);
+        // An empty batch names a tenant but ingests nothing: still unknown.
+        let resp = handle(&client, &post("/v1/tenants/ghost/telemetry", "[]"));
+        assert_eq!(resp.status, 200);
         // A well-formed tenant nobody has named: 404.
         let resp = get(&client, "/v1/tenants/ghost/attainment?sla=0.05");
         assert_eq!(resp.status, 404);

@@ -18,7 +18,8 @@
 //! [`GateConfig::max_connections`] are answered `503` and closed, a
 //! per-request deadline runs from the first byte of a request head to
 //! its response (`408` past it), and writes (telemetry) go through the
-//! service's FIFO channel with a flush barrier before the reply.
+//! service's FIFO channel as one batch command each, whose reply comes
+//! before the HTTP reply.
 //!
 //! Graceful shutdown: [`Gate::shutdown`] flips a flag and wakes both
 //! kinds of loop (a condvar for the thread-per-connection accept loop, a

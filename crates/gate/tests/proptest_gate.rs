@@ -7,6 +7,13 @@
 //!   regardless of how the bytes arrive.
 //! * The JSON number encoding round-trips arbitrary finite `f64`s (any
 //!   bit pattern, subnormals and negative zero included) bit-identically.
+//! * The one-pass telemetry decoder is the reference decoder, exactly:
+//!   on encoded event batches put through up to three random mutations
+//!   (deletions, truncation, inserted whitespace and tokens, duplicate,
+//!   unknown and escaped keys, non-object items, `1e400`, nests around
+//!   the depth limit, trailing garbage), `json::decode_telemetry` returns
+//!   the same events bit for bit, or the same error text, as
+//!   `json::parse` followed by `decode_events`.
 //! * The reactor's edge-triggered drain loop is chunking-invariant on the
 //!   wire: a pipelined burst delivered in chunks cut at any byte
 //!   boundaries — each cut forcing a `WouldBlock` (and, past 8 KiB, a
@@ -15,6 +22,7 @@
 
 use cos_gate::http::{parse_one, ParseError, ParserLimits, RequestParser};
 use cos_gate::json;
+use cos_serve::{OpClass, TelemetryEvent};
 use proptest::prelude::*;
 
 /// Renders a syntactically valid request from drawn parts.
@@ -190,7 +198,6 @@ proptest! {
         at_bits in proptest::collection::vec(0u64..u64::MAX, 24),
         devices in proptest::collection::vec(0usize..8, 24),
     ) {
-        use cos_serve::{OpClass, TelemetryEvent};
         let events: Vec<TelemetryEvent> = kinds
             .iter()
             .enumerate()
@@ -217,6 +224,233 @@ proptest! {
         for (d, e) in decoded.iter().zip(&events) {
             prop_assert_eq!(d, e);
         }
+    }
+}
+
+/// Events of all four kinds over arbitrary finite `f64` bit patterns
+/// (three per event) and devices exact in an `f64`.
+fn drawn_events(kinds: &[usize], bits: &[u64], devices: &[u64]) -> Vec<TelemetryEvent> {
+    kinds
+        .iter()
+        .enumerate()
+        .map(|(i, &kind)| {
+            let x = |j: usize| finite_from_bits(bits[3 * i + j]);
+            let device = devices[i] as usize;
+            match kind {
+                0 => TelemetryEvent::Arrival { at: x(0), device },
+                1 => TelemetryEvent::DataRead { at: x(0), device },
+                2 => TelemetryEvent::Op {
+                    at: x(0),
+                    device,
+                    class: OpClass::ALL[bits[3 * i + 2] as usize % 3],
+                    latency: x(1),
+                },
+                _ => TelemetryEvent::Completion {
+                    arrival: x(0),
+                    latency: x(1),
+                    device,
+                },
+            }
+        })
+        .collect()
+}
+
+/// Keys the telemetry field rules read.
+const EVENT_KEYS: [&str; 6] = ["type", "at", "device", "class", "latency", "arrival"];
+
+/// Byte offset of the `n`-th (modulo the count) match of `needle`.
+fn nth_match(text: &str, needle: &str, n: usize) -> Option<usize> {
+    let hits: Vec<usize> = text.match_indices(needle).map(|(i, _)| i).collect();
+    (!hits.is_empty()).then(|| hits[n % hits.len()])
+}
+
+/// Number of kinds [`mutate`] draws from.
+const MUTATION_KINDS: usize = 11;
+
+/// Applies mutation `kind` at a position drawn from `at`, with the variant
+/// drawn from `pick`. Every edit cuts and inserts at char boundaries, so
+/// the text stays UTF-8 (the gate checks that before either decoder runs).
+fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
+    let bounds: Vec<usize> = text
+        .char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .collect();
+    let at = bounds[at % bounds.len()];
+    let choose = |options: &[&'static str]| options[pick % options.len()];
+    // Right after the `pick`-th `{`: the head of an event object.
+    let object_head = nth_match(text, "{", pick).map(|i| i + 1);
+    match kind {
+        0 => {
+            if let Some(c) = text[at..].chars().next() {
+                text.replace_range(at..at + c.len_utf8(), "");
+            }
+        }
+        1 => text.truncate(at),
+        2 => text.insert_str(at, choose(&[" ", "\n", "\t", "\r", " \r\n\t "])),
+        3 => text.insert_str(
+            at,
+            choose(&[
+                ",",
+                ":",
+                "[",
+                "]",
+                "{",
+                "}",
+                "\"",
+                "\\",
+                "null",
+                "true",
+                "false",
+                "0",
+                "-",
+                "01",
+                "1.",
+                "1e",
+                "1e400",
+                "\"x\"",
+                "\"\\u00e9\"",
+                "\"\\ud800\"",
+                "é",
+                "\u{1}",
+            ]),
+        ),
+        4 => {
+            if let Some(head) = object_head {
+                let key = EVENT_KEYS[at % EVENT_KEYS.len()];
+                let value = choose(&[
+                    "\"arrival\"",
+                    "\"op\"",
+                    "\"completion\"",
+                    "\"data\"",
+                    "\"warp\"",
+                    "1",
+                    "-0",
+                    "2.5",
+                    "1e400",
+                    "null",
+                    "[1]",
+                    "{}",
+                ]);
+                text.insert_str(head, &format!("\"{key}\":{value},"));
+            }
+        }
+        5 => {
+            if let Some(head) = object_head {
+                let nested = choose(&[
+                    r#""extra":{"a":[1,{"b":null}],"c":"x\u00e9"},"#,
+                    r#""extra":[[],{},"\"",-1.5e-3,true],"#,
+                    r#""x":null,"#,
+                ]);
+                text.insert_str(head, nested);
+            }
+        }
+        6 => {
+            let key = EVENT_KEYS[at % EVENT_KEYS.len()];
+            if let Some(i) = nth_match(text, &format!("\"{key}\":"), pick) {
+                let first = key.as_bytes()[0];
+                text.replace_range(i + 1..i + 2, &format!("\\u{first:04x}"));
+            }
+        }
+        7 => {
+            // A non-object item at the front of the array or after an event.
+            let item = choose(&["1", "1e400", "\"op\"", "null", "[]", "[{\"type\":\"op\"}]"]);
+            let slot = if at.is_multiple_of(2) {
+                nth_match(text, "[", 0).map(|i| i + 1)
+            } else {
+                nth_match(text, "},", pick).map(|i| i + 2)
+            };
+            if let Some(i) = slot {
+                text.insert_str(i, &format!("{item},"));
+            }
+        }
+        8 => {
+            // Some number in a field position becomes `±1e400` (→ ±inf).
+            if let Some(i) = nth_match(text, "\":", pick).map(|i| i + 2) {
+                let end = text[i..]
+                    .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
+                    .map_or(text.len(), |n| i + n);
+                if end > i {
+                    text.replace_range(i..end, choose(&["1e400", "-1e400"]));
+                }
+            }
+        }
+        9 => {
+            // A nest around the depth limit inside an unknown field: the
+            // field sits at depth 2, so 63 arrays parse and 65 do not.
+            if let Some(head) = object_head {
+                let depth = 60 + pick % 7;
+                let nest = format!("\"deep\":{}{},", "[".repeat(depth), "]".repeat(depth));
+                text.insert_str(head, &nest);
+            }
+        }
+        _ => text.push_str(choose(&["x", "]", ",", "{}", "null", "  ", "\n"])),
+    }
+}
+
+/// A decode verdict with every `f64` as its bit pattern.
+fn verdict_bits(r: Result<Vec<TelemetryEvent>, String>) -> Result<Vec<[u64; 4]>, String> {
+    r.map(|events| {
+        events
+            .iter()
+            .map(|ev| match *ev {
+                TelemetryEvent::Arrival { at, device } => [0, at.to_bits(), 0, device as u64],
+                TelemetryEvent::DataRead { at, device } => [1, at.to_bits(), 0, device as u64],
+                TelemetryEvent::Op {
+                    at,
+                    device,
+                    class,
+                    latency,
+                } => [
+                    2 + 16 * class as u64,
+                    at.to_bits(),
+                    latency.to_bits(),
+                    device as u64,
+                ],
+                TelemetryEvent::Completion {
+                    arrival,
+                    latency,
+                    device,
+                } => [3, arrival.to_bits(), latency.to_bits(), device as u64],
+            })
+            .collect()
+    })
+}
+
+/// The one-pass decoder's verdict on `text` must be the reference's.
+fn assert_decoders_agree(text: &str) -> Result<(), TestCaseError> {
+    let one_pass = verdict_bits(json::decode_telemetry(text));
+    let reference = verdict_bits(json::parse(text).and_then(|doc| cos_gate::decode_events(&doc)));
+    prop_assert_eq!(one_pass, reference, "body {:?}", text);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// `decode_telemetry` equals `parse` + `decode_events` exactly — the
+    /// same events bit for bit, or the same error text — on encoded
+    /// batches under zero to three random mutations.
+    #[test]
+    fn one_pass_decoder_matches_the_reference_exactly(
+        kinds in proptest::collection::vec(0usize..4, 0..12),
+        bits in proptest::collection::vec(0u64..u64::MAX, 36),
+        devices in proptest::collection::vec(0u64..1 << 53, 12),
+        mutations in proptest::collection::vec(
+            (0usize..MUTATION_KINDS, 0usize..usize::MAX, 0usize..usize::MAX),
+            0..4,
+        ),
+    ) {
+        let events = drawn_events(&kinds, &bits, &devices);
+        let mut text = cos_gate::encode_events(&events);
+        if mutations.is_empty() {
+            let decoded = json::decode_telemetry(&text).expect("an encoded batch decodes");
+            prop_assert_eq!(verdict_bits(Ok(decoded)), verdict_bits(Ok(events)));
+        }
+        for &(kind, at, pick) in &mutations {
+            mutate(&mut text, kind, at, pick);
+        }
+        assert_decoders_agree(&text)?;
     }
 }
 

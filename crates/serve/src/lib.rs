@@ -63,7 +63,7 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use obs::ServeObs;
-pub use query::{Query, DEFAULT_HEADROOM_UPPER};
+pub use query::{percentile_in_range, Query, DEFAULT_HEADROOM_UPPER};
 pub use service::{
     InvalidConfig, ServeConfig, ServeConfigBuilder, ServiceClient, ServiceHandle, ServiceStatus,
     SlaService, TelemetrySender,

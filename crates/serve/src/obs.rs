@@ -19,8 +19,10 @@ pub struct ServeObs {
     pub query_hit: Hist,
     /// Latency of queries that had to run a fresh inversion.
     pub query_miss: Hist,
-    /// Queue delay between a telemetry event being sent to the service
-    /// thread and the moment it is ingested (command-channel lag).
+    /// Queue delay between an ingest command being sent to the service
+    /// thread and the moment its ingest starts (command-channel lag): one
+    /// sample per command, whether it carries one event or a whole POST's
+    /// batch.
     pub ingest_lag: Hist,
     /// Total telemetry events ingested.
     pub ingest_events_total: Counter,
@@ -58,7 +60,7 @@ impl ServeObs {
             ),
             ingest_lag: registry.histogram(
                 "cos_serve_ingest_lag_seconds",
-                "Command-channel delay between sending and ingesting a telemetry event",
+                "Command-channel delay between sending an ingest command (one event or a batch) and its ingest",
             ),
             ingest_events_total: registry.counter(
                 "cos_serve_ingest_events_total",

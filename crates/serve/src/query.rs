@@ -25,11 +25,19 @@
 use cos_model::SlaGoal;
 
 use crate::cache::{quantize_rate, QueryKind};
+use crate::engine::{snap, FRACTION_QUANTUM};
 use crate::error::ServeError;
 use crate::tenant::TenantId;
 
 /// Default headroom search ceiling (req/s) when [`Query::upper`] is unset.
 pub const DEFAULT_HEADROOM_UPPER: f64 = 10_000.0;
+
+/// Whether the service can answer percentile `p`: `p` lies in `(0, 1)`
+/// and stays below 1 once snapped to the [`FRACTION_QUANTUM`] grid, which
+/// rounds every `p ≥ 0.99995` up to exactly 1, where no latency exists.
+pub fn percentile_in_range(p: f64) -> bool {
+    p > 0.0 && snap(p, FRACTION_QUANTUM).1 < 1.0
+}
 
 /// One prediction question, built fluently. Which fields are required
 /// depends on the endpoint the query is handed to:
@@ -151,8 +159,10 @@ impl Query {
     /// Resolves this query as a latency-percentile question.
     pub(crate) fn percentile_question(&self) -> Result<(Option<i64>, QueryKind), ServeError> {
         let p = Query::require(self.p, "percentile requires a finite `p`")?;
-        if !(0.0..1.0).contains(&p) || p <= 0.0 {
-            return Err(Query::bad("`p` must lie in (0, 1)"));
+        if !percentile_in_range(p) {
+            return Err(Query::bad(
+                "`p` must lie in (0, 1) and below 0.99995, which the 1e-4 grid rounds to 1",
+            ));
         }
         let rate_q = self.rate.map(quantize_rate);
         let kind = match self.coding_checked()? {
@@ -284,6 +294,31 @@ mod tests {
             .headroom_question());
         assert!(Query::new().ranking_sla().is_err());
         assert!(Query::new().sla(0.05).n_k(4, 2).ranking_sla().is_err());
+    }
+
+    #[test]
+    fn percentiles_that_snap_to_one_are_refused_plain_and_coded() {
+        // 0.99995 and up round to 1 on the 1e-4 grid, where the model has
+        // no percentile to give; 0.9999 is the top of the grid.
+        for p in [0.99995, 0.99999, 1.0 - 1e-12] {
+            for query in [Query::new().p(p), Query::new().p(p).n_k(6, 4)] {
+                let refusal = query.percentile_question();
+                assert!(
+                    matches!(refusal, Err(ServeError::BadQuery { reason }) if reason.contains("1e-4")),
+                    "p = {p}: {refusal:?}"
+                );
+            }
+            assert!(!percentile_in_range(p), "{p}");
+        }
+        let (_, kind) = Query::new().p(0.9999).percentile_question().unwrap();
+        assert_eq!(kind, QueryKind::percentile(0.9999));
+        let (_, kind) = Query::new()
+            .p(0.9999)
+            .n_k(6, 4)
+            .percentile_question()
+            .unwrap();
+        assert_eq!(kind, QueryKind::coded_percentile(6, 4, 0.9999));
+        assert!(percentile_in_range(0.9999) && percentile_in_range(1e-9));
     }
 
     #[test]

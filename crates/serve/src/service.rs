@@ -15,9 +15,14 @@
 //! [`SlaService::spawn`] wraps the service in a dedicated thread behind a
 //! single command channel (`std::sync::mpsc` has no `select`, so every
 //! interaction — telemetry, queries, control — is one `enum` message; FIFO
-//! ordering doubles as the flush barrier). The returned [`ServiceHandle`]
-//! is the client side; [`TelemetrySender`] is a cheap cloneable
-//! tenant-scoped ingest-only endpoint to hand to a telemetry source.
+//! ordering doubles as the flush barrier). Telemetry travels as batches,
+//! one command each: a single event from [`TelemetrySender::send`] or
+//! [`ServiceClient::ingest_for`] is a batch of one, and
+//! [`ServiceClient::ingest_batch_for`] hands over a whole batch and waits
+//! for the service to reply once it is ingested. The returned
+//! [`ServiceHandle`] is the client side; [`TelemetrySender`] is a cheap
+//! cloneable tenant-scoped ingest-only endpoint to hand to a telemetry
+//! source.
 //!
 //! Queries are [`Query`] values (`service.attainment(&Query::tenant(t)
 //! .sla(0.05))`); the positional methods of the spawned client surface are
@@ -436,6 +441,20 @@ impl SlaService {
         self.ingest_slot(slot, event);
     }
 
+    /// Feeds a batch for `tenant`: the slot resolves once, then every
+    /// event ingests exactly as [`ingest_for`](SlaService::ingest_for)
+    /// would, so refits fire at the same events. An empty batch
+    /// materializes no tenant.
+    fn ingest_batch(&mut self, tenant: &TenantId, events: Vec<TelemetryEvent>) {
+        if events.is_empty() {
+            return;
+        }
+        let slot = self.slot_or_create(tenant);
+        for event in events {
+            self.ingest_slot(slot, event);
+        }
+    }
+
     fn ingest_slot(&mut self, slot: u32, event: TelemetryEvent) {
         self.obs.ingest_events_total.inc();
         let t = event.time();
@@ -791,7 +810,8 @@ fn timed_query<T>(
 }
 
 enum Command {
-    Ingest(TenantId, TelemetryEvent, Option<Instant>),
+    /// A telemetry batch, when it was sent, and who waits for its ingest.
+    Ingest(TenantId, Vec<TelemetryEvent>, Instant, Option<Sender<()>>),
     Refit(Sender<bool>),
     Attainment(Query, Sender<Result<Prediction, ServeError>>),
     Percentile(Query, Sender<Result<Prediction, ServeError>>),
@@ -810,11 +830,12 @@ enum Command {
 fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
     while let Ok(command) = rx.recv() {
         match command {
-            Command::Ingest(tenant, ev, sent_at) => {
-                if let Some(at) = sent_at {
-                    service.obs.ingest_lag.record_duration(at.elapsed());
+            Command::Ingest(tenant, events, sent_at, reply) => {
+                service.obs.ingest_lag.record_duration(sent_at.elapsed());
+                service.ingest_batch(&tenant, events);
+                if let Some(reply) = reply {
+                    let _ = reply.send(());
                 }
-                service.ingest_for(&tenant, ev);
             }
             Command::Refit(reply) => {
                 let _ = reply.send(service.refit_now());
@@ -866,8 +887,9 @@ impl TelemetrySender {
     pub fn send(&self, event: TelemetryEvent) {
         let _ = self.tx.send(Command::Ingest(
             self.tenant.clone(),
-            event,
-            Some(Instant::now()),
+            vec![event],
+            Instant::now(),
+            None,
         ));
     }
 
@@ -928,8 +950,27 @@ impl ServiceClient {
     /// shard materializes on first sight.
     pub fn ingest_for(&self, tenant: &TenantId, event: TelemetryEvent) -> Result<(), ServeError> {
         self.tx
-            .send(Command::Ingest(tenant.clone(), event, Some(Instant::now())))
+            .send(Command::Ingest(
+                tenant.clone(),
+                vec![event],
+                Instant::now(),
+                None,
+            ))
             .map_err(|_| ServeError::Disconnected)
+    }
+
+    /// Feeds a batch of events for `tenant` as one command and returns
+    /// once the service has ingested all of them (re-fitting wherever the
+    /// event-time cadence falls inside the batch). Like
+    /// [`flush`](ServiceClient::flush), the return is a happens-before
+    /// edge for every later query on any client. The tenant's shard
+    /// materializes with its first event; an empty batch creates nothing.
+    pub fn ingest_batch_for(
+        &self,
+        tenant: &TenantId,
+        events: Vec<TelemetryEvent>,
+    ) -> Result<(), ServeError> {
+        self.ask(|reply| Command::Ingest(tenant.clone(), events, Instant::now(), Some(reply)))
     }
 
     /// Waits until every previously sent event has been processed.
@@ -1508,13 +1549,92 @@ mod tests {
         let config = ServeConfig::default();
         let registry = config.obs.clone();
         let handle = SlaService::new(base(), config).spawn();
-        for ev in events(40.0, 5.0, 2) {
+        let client = handle.client();
+        let singles = events(40.0, 5.0, 2);
+        for &ev in &singles {
             handle.ingest(ev).unwrap();
         }
-        handle.flush().unwrap();
+        handle.telemetry_sender().send(singles[0]);
+        client
+            .ingest_batch_for(&TenantId::default_tenant(), singles.clone())
+            .unwrap();
         let lag = registry.merged_histogram("cos_serve_ingest_lag_seconds");
-        assert!(lag.count() > 0, "channel lag recorded per event");
+        assert_eq!(
+            lag.count(),
+            singles.len() as u64 + 2,
+            "one lag sample per ingest command, however many events it carries"
+        );
         drop(handle);
+    }
+
+    /// What a published fleet says about each tenant, every `f64` as bits.
+    fn fleet_fingerprint(reader: &SnapshotReader) -> Vec<(String, Option<u64>, String, u64, u64)> {
+        reader
+            .fleet()
+            .unwrap()
+            .entries()
+            .iter()
+            .map(|e| {
+                let snapshot = e.state.snapshot.as_ref();
+                (
+                    e.tenant.to_string(),
+                    snapshot.map(|s| s.epoch),
+                    // `Debug` prints every f64 in shortest round-trip form.
+                    format!("{:?}", snapshot.map(|s| (&s.params, s.fitted_at))),
+                    e.generation,
+                    e.events_total,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_refits_where_per_event_ingest_does() {
+        // 12 s of event time crosses the 5 s refit cadence twice inside
+        // the one batch.
+        let stream = events(40.0, 12.0, 2);
+        let blue = TenantId::new("blue").unwrap();
+
+        let batched = SlaService::new(base(), ServeConfig::default()).spawn();
+        batched
+            .client()
+            .ingest_batch_for(&blue, stream.clone())
+            .unwrap();
+        let per_event = SlaService::new(base(), ServeConfig::default()).spawn();
+        for &ev in &stream {
+            per_event.ingest_for(&blue, ev).unwrap();
+        }
+        per_event.flush().unwrap();
+
+        let (a, b) = (batched.reader(), per_event.reader());
+        assert_eq!(a.generation(), b.generation(), "same publishes");
+        assert!(a.generation() >= 2, "the cadence fired inside the batch");
+        let fleet = fleet_fingerprint(&a);
+        assert_eq!(fleet, fleet_fingerprint(&b));
+        assert!(fleet[1].1.is_some(), "blue calibrated: {fleet:?}");
+        let query = Query::tenant(blue).sla(0.05);
+        assert_eq!(
+            a.attainment(&query).unwrap().value.to_bits(),
+            b.attainment(&query).unwrap().value.to_bits()
+        );
+        let (a, b) = (batched.shutdown().unwrap(), per_event.shutdown().unwrap());
+        assert_eq!(a.event_time().to_bits(), b.event_time().to_bits());
+    }
+
+    #[test]
+    fn an_empty_batch_creates_no_tenant() {
+        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
+        let ghost = TenantId::new("ghost").unwrap();
+        handle
+            .client()
+            .ingest_batch_for(&ghost, Vec::new())
+            .unwrap();
+        assert!(handle.reader().fleet().unwrap().get(&ghost).is_none());
+        assert!(matches!(
+            handle.status_for(&ghost),
+            Err(ServeError::UnknownTenant { .. })
+        ));
+        assert_eq!(handle.shutdown().unwrap().tenants(), 1, "default only");
     }
 
     #[test]

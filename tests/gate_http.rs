@@ -389,33 +389,7 @@ fn worker_and_snapshot_gates_answer_byte_identically() {
 /// echoed back, and a `k`-of-`n` join with larger `k` is never faster.
 #[test]
 fn coded_queries_answer_identically_in_both_server_modes() {
-    let mut service = SlaService::new(bare_base(), ServeConfig::default());
-    let mut i = 0u64;
-    let mut t = 0.0;
-    while t < 20.0 {
-        for d in 0..2 {
-            service.ingest(TelemetryEvent::Arrival { at: t, device: d });
-            service.ingest(TelemetryEvent::DataRead { at: t, device: d });
-            for class in OpClass::ALL {
-                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
-                service.ingest(TelemetryEvent::Op {
-                    at: t,
-                    device: d,
-                    class,
-                    latency,
-                });
-                i += 1;
-            }
-            service.ingest(TelemetryEvent::Completion {
-                arrival: t,
-                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
-                device: d,
-            });
-        }
-        t += 1.0 / 40.0;
-    }
-    assert!(service.refit_now(), "deterministic stream must fit");
-    let handle = service.spawn();
+    let handle = calibrated_bare_service().spawn();
 
     let gate_for = |mode: ServerMode| {
         let config = GateConfig {
@@ -462,6 +436,41 @@ fn coded_queries_answer_identically_in_both_server_modes() {
     drop(handle);
 }
 
+/// A percentile the 1e-4 grid rounds to 1 (`p ≥ 0.99995`) has no answer:
+/// every percentile form refuses it `400`, over both read paths, instead
+/// of panicking on the thread that would evaluate it. Each request gets a
+/// fresh connection, several per reactor thread (or one connection thread
+/// each), and a fresh connection still gets its `200` afterwards.
+#[test]
+fn percentiles_that_snap_to_one_are_400_and_every_reactor_survives() {
+    const REACTORS: usize = 2;
+    let handle = calibrated_bare_service().spawn();
+    for read_path in [ReadPath::Snapshot, ReadPath::Worker] {
+        let config = GateConfig {
+            read_path,
+            reactor_threads: REACTORS,
+            ..GateConfig::default()
+        };
+        let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind");
+        let addr = gate.local_addr();
+        for _ in 0..2 * REACTORS {
+            for target in [
+                "/v1/percentile?p=0.99999",
+                "/v1/percentile?p=0.99995&n=4&k=2",
+                "/v1/tenants/default/percentile?p=0.99999",
+            ] {
+                let (status, body) = Client::connect(addr).get(target);
+                assert_eq!(status, 400, "{read_path:?} {target}: {body}");
+                assert!(body.contains("1e-4"), "{read_path:?} {target}: {body}");
+            }
+        }
+        let (status, body) = Client::connect(addr).get("/v1/percentile?p=0.9999");
+        assert_eq!(status, 200, "{read_path:?}: {body}");
+        gate.shutdown();
+    }
+    drop(handle);
+}
+
 /// The synthetic calibration base used by the protocol-level tests.
 fn bare_base() -> CalibrationBase {
     use cosmodel::distr::{Degenerate, Gamma};
@@ -476,6 +485,38 @@ fn bare_base() -> CalibrationBase {
         processes_per_device: 1,
         frontend_processes: 3,
     }
+}
+
+/// A service over [`bare_base`] calibrated in-process from a deterministic
+/// 20 s stream at 40 req/s per device, with one epoch installed.
+fn calibrated_bare_service() -> SlaService {
+    let mut service = SlaService::new(bare_base(), ServeConfig::default());
+    let mut i = 0u64;
+    let mut t = 0.0;
+    while t < 20.0 {
+        for d in 0..2 {
+            service.ingest(TelemetryEvent::Arrival { at: t, device: d });
+            service.ingest(TelemetryEvent::DataRead { at: t, device: d });
+            for class in OpClass::ALL {
+                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
+                service.ingest(TelemetryEvent::Op {
+                    at: t,
+                    device: d,
+                    class,
+                    latency,
+                });
+                i += 1;
+            }
+            service.ingest(TelemetryEvent::Completion {
+                arrival: t,
+                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
+                device: d,
+            });
+        }
+        t += 1.0 / 40.0;
+    }
+    assert!(service.refit_now(), "deterministic stream must fit");
+    service
 }
 
 /// Spawns a warming-up service behind a gate (no calibration needed: the
