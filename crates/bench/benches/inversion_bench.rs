@@ -3,7 +3,9 @@
 //! CDF, at the three accuracy-relevant orders.
 
 use cos_distr::{Degenerate, Gamma};
-use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
+use cos_model::{
+    DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams, DELAY_FREE_INVERSION,
+};
 use cos_numeric::laplace::{cdf_from_lst, InversionAlgorithm, InversionConfig};
 use cos_numeric::{quantile_from_lst, Complex64};
 use cos_queueing::from_distribution;
@@ -76,11 +78,11 @@ fn s1_model() -> SystemModel {
 
 /// The composite-model hot path: batch dispatch (via the `LaplaceFn`
 /// adapter inside `device_fraction_meeting`) vs the scalar closure path the
-/// pre-batch code used. Both compute bit-identical values; the delta is the
-/// per-abscissa re-walk of the component tree.
+/// pre-batch code used, both inverting the delay-free transform at `t − D`.
+/// Both compute bit-identical values; the delta is the per-abscissa re-walk
+/// of the component tree.
 fn bench_composite_cdf(c: &mut Criterion) {
     let m = s1_model();
-    let cfg = InversionConfig::default();
     let mut group = c.benchmark_group("composite_cdf");
     group.bench_function("batch_path", |b| {
         b.iter(|| m.device_fraction_meeting(black_box(0), black_box(0.05)))
@@ -88,9 +90,9 @@ fn bench_composite_cdf(c: &mut Criterion) {
     group.bench_function("scalar_closure_path", |b| {
         b.iter(|| {
             cdf_from_lst(
-                &|s| m.device_response_lst(0, s),
-                black_box(0.05),
-                black_box(&cfg),
+                &|s| m.device_delay_free_lst(0, s),
+                black_box(0.05) - m.device_delay(0),
+                black_box(&DELAY_FREE_INVERSION),
             )
         })
     });

@@ -6,7 +6,7 @@
 //! (`index_d = meta_d = data_d = S_diskN`), the per-process arrival rate is
 //! `r / N_be`, and the `N_be = 1` machinery applies unchanged.
 
-use crate::components::{CacheMixed, Mm1kSojournService, ZeroService};
+use crate::components::{point_mass, CacheMixed, Mm1kSojournService, ZeroService};
 use crate::params::DeviceParams;
 use crate::variant::ModelVariant;
 use cos_numeric::Complex64;
@@ -54,6 +54,8 @@ pub struct BackendModel {
     mg1: Mg1,
     union: Arc<UnionOperation>,
     disk_queue: Option<Mm1k>,
+    /// The parse law's location when it is a point mass.
+    parse_delay: Option<f64>,
 }
 
 impl std::fmt::Debug for BackendModel {
@@ -142,6 +144,7 @@ impl BackendModel {
             mg1,
             union,
             disk_queue,
+            parse_delay: point_mass(&*params.parse_be),
         })
     }
 
@@ -182,24 +185,49 @@ impl BackendModel {
         self.mg1.waiting_lst_batch(s, out)
     }
 
-    /// Evaluates both Eq. 1 transforms — the backend response `S_be` and
-    /// the waiting time `W_be` — for a whole abscissa batch with **one**
-    /// pass over the union-operation components.
+    /// The backend's constant delay `D_be`: the parse law's location when
+    /// it is a point mass, else 0.
+    pub fn delay(&self) -> f64 {
+        self.parse_delay.unwrap_or(0.0)
+    }
+
+    /// LST of `S_be − D_be` (see [`BackendModel::delay`]): the response
+    /// tail with a point-mass parse factor left out, after `W_be`, whose
+    /// union-operation service keeps its parse law.
+    /// [`BackendModel::sojourn_lst`] is this times `e^{−s·D_be}`.
+    pub fn delay_free_sojourn_lst(&self, s: Complex64) -> Complex64 {
+        let tail = match self.parse_delay {
+            Some(_) => self.union.parse_free_response_lst(s),
+            None => self.union.response_lst(s),
+        };
+        self.mg1.waiting_lst(s) * tail
+    }
+
+    /// Evaluates both transforms a device response needs from the backend
+    /// — [`BackendModel::delay_free_sojourn_lst`] and the waiting time
+    /// `W_be` — for a whole abscissa batch with **one** pass over the
+    /// union-operation components.
     ///
     /// The scalar path evaluates every component LST three times per
     /// abscissa (once inside `W_be`'s full union LST, once for the response
     /// tail, and — under the Full/ODOPR WTA composition — once more for the
-    /// repeated `W_be` factor); here the shared `parse·index·meta·data`
-    /// product is computed once and reused. Outputs are bit-identical to
-    /// [`BackendModel::sojourn_lst`] / [`BackendModel::waiting_lst`].
-    pub fn sojourn_and_waiting_lst_batch(
+    /// repeated `W_be` factor); here each is evaluated once and its
+    /// products are shared. Outputs are bit-identical to
+    /// [`BackendModel::delay_free_sojourn_lst`] /
+    /// [`BackendModel::waiting_lst`].
+    pub fn delay_free_sojourn_and_waiting_lst_batch(
         &self,
         s: &[Complex64],
         sojourn: &mut [Complex64],
         waiting: &mut [Complex64],
     ) {
         // `sojourn` holds the response tail, `waiting` the full union LST…
-        self.union.response_and_union_lst_batch(s, sojourn, waiting);
+        match self.parse_delay {
+            Some(_) => self
+                .union
+                .parse_free_response_and_union_lst_batch(s, sojourn, waiting),
+            None => self.union.response_and_union_lst_batch(s, sojourn, waiting),
+        }
         // …then both are finished through the P–K transform per point.
         for i in 0..s.len() {
             let w = self.mg1.waiting_lst_given_service(s[i], waiting[i]);

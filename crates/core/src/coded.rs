@@ -25,10 +25,17 @@ use crate::backend::ModelError;
 use crate::params::SystemParams;
 use crate::system::SystemModel;
 use crate::variant::ModelVariant;
-use cos_numeric::laplace::{InversionConfig, LaplaceFn};
+use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, LaplaceFn};
 use cos_numeric::Complex64;
 use cos_queueing::fork_join::{k_of_n_tail, split_merge};
 use cos_queueing::Mg1;
+
+/// The series the split-merge anchor is inverted with: its transform keeps
+/// the frontend parse shift, which only a long Euler series resolves.
+const SPLIT_MERGE_INVERSION: InversionConfig = InversionConfig {
+    algorithm: InversionAlgorithm::Euler,
+    terms: 100,
+};
 
 /// How a coded read fans out: `launched` sub-requests in flight, `needed`
 /// completions to respond. Eager (n,k) redundancy launches `n`; a plain
@@ -91,7 +98,6 @@ pub struct CodedReadModel {
     no_wta: SystemModel,
     odopr: SystemModel,
     split_merge: Option<Mg1>,
-    inversion: InversionConfig,
 }
 
 impl CodedReadModel {
@@ -134,7 +140,6 @@ impl CodedReadModel {
             no_wta,
             odopr,
             split_merge,
-            inversion: InversionConfig::default(),
         })
     }
 
@@ -198,7 +203,7 @@ impl CodedReadModel {
     pub fn split_merge_fraction(&self, t: f64) -> Option<f64> {
         let sm = self.split_merge.as_ref()?;
         let lst = SplitMergeResponseLst { model: self, sm };
-        Some(cos_numeric::cdf_from_lst(&lst, t, &self.inversion))
+        Some(cos_numeric::cdf_from_lst(&lst, t, &SPLIT_MERGE_INVERSION))
     }
 
     /// The bracketing envelope at `t` (see module docs for the bound

@@ -98,6 +98,24 @@ impl ServiceTime for ZeroService {
     }
 }
 
+/// The location of `law` if it is an exact point mass — a `Degenerate`,
+/// whose second moment equals its squared mean exactly — else `None`. Only
+/// such a law is a constant delay the model may factor out of a response
+/// transform.
+pub(crate) fn point_mass(law: &dyn ServiceTime) -> Option<f64> {
+    let mean = law.mean();
+    (law.second_moment() == mean * mean).then_some(mean)
+}
+
+/// `e^{−sd}`, the LST of a point mass at `d ≥ 0`; exactly 1 at `d = 0`.
+pub(crate) fn shift(s: Complex64, d: f64) -> Complex64 {
+    if d == 0.0 {
+        Complex64::ONE
+    } else {
+        (s * (-d)).exp()
+    }
+}
+
 /// The M/M/1/K disk sojourn lifted to a [`ServiceTime`] with precomputed
 /// moments — the per-process "disk service time" `S_diskN` of §III-B.
 ///
@@ -174,6 +192,24 @@ mod tests {
         assert_eq!(z.mean(), 0.0);
         assert_eq!(z.second_moment(), 0.0);
         assert_eq!(z.lst(Complex64::new(2.0, 3.0)), Complex64::ONE);
+    }
+
+    #[test]
+    fn only_an_exact_point_mass_is_a_delay() {
+        use cos_distr::{Degenerate, Uniform};
+        let parse = from_distribution(Degenerate::new(0.0005));
+        assert_eq!(point_mass(&*parse), Some(0.0005));
+        assert_eq!(point_mass(&ZeroService), Some(0.0));
+        // Narrow spread around a large mean is still not a point mass.
+        let narrow = from_distribution(Uniform::new(0.000499, 0.000501));
+        assert_eq!(point_mass(&*narrow), None);
+        assert_eq!(
+            point_mass(&*from_distribution(Gamma::new(2.0, 100.0))),
+            None
+        );
+        let s = Complex64::new(40.0, -900.0);
+        assert_eq!(shift(s, 0.0), Complex64::ONE);
+        assert_eq!(shift(s, 0.0005), parse.lst(s));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! that of any single process.
 
 use crate::backend::ModelError;
+use crate::components::{point_mass, shift};
 use crate::params::FrontendParams;
 use cos_numeric::Complex64;
 use cos_queueing::{Mg1, QueueError};
@@ -36,7 +37,17 @@ impl std::fmt::Debug for FrontendSetParams {
 /// servers, and the distribution of queueing latencies can be calculated
 /// separately").
 pub struct FrontendModel {
-    sets: Vec<(f64, Mg1)>,
+    sets: Vec<FrontendSet>,
+    delay: f64,
+}
+
+/// One homogeneous set: its traffic share, its parse M/G/1, and the point
+/// mass of its parse law beyond the tier's constant delay (`None` when the
+/// law is not a point mass, which makes that delay 0).
+struct FrontendSet {
+    share: f64,
+    queue: Mg1,
+    excess_delay: Option<f64>,
 }
 
 impl std::fmt::Debug for FrontendModel {
@@ -60,9 +71,7 @@ impl FrontendModel {
     pub fn new(params: &FrontendParams) -> Result<Self, ModelError> {
         params.validate();
         let mg1 = build_mg1(params.per_process_rate(), params.parse_fe.clone())?;
-        Ok(FrontendModel {
-            sets: vec![(1.0, mg1)],
-        })
+        Ok(FrontendModel::from_sets(vec![(1.0, mg1)]))
     }
 
     /// Builds a heterogeneous frontend model from homogeneous sets. Shares
@@ -88,12 +97,46 @@ impl FrontendModel {
             let per_process = total_rate * share / set.processes as f64;
             out.push((share, build_mg1(per_process, set.parse_fe.clone())?));
         }
-        Ok(FrontendModel { sets: out })
+        Ok(FrontendModel::from_sets(out))
+    }
+
+    /// Attaches the tier's constant delay to `(share, queue)` sets: the
+    /// smallest parse point mass over them, or 0 when some set's parse law
+    /// is not a point mass.
+    fn from_sets(sets: Vec<(f64, Mg1)>) -> Self {
+        let masses: Vec<Option<f64>> = sets
+            .iter()
+            .map(|(_, q)| point_mass(&**q.service()))
+            .collect();
+        let delay = masses
+            .iter()
+            .map(|m| m.unwrap_or(0.0))
+            .fold(f64::INFINITY, f64::min);
+        let sets = sets
+            .into_iter()
+            .zip(masses)
+            .map(|((share, queue), mass)| FrontendSet {
+                share,
+                queue,
+                excess_delay: mass.map(|m| m - delay),
+            })
+            .collect();
+        FrontendModel { sets, delay }
     }
 
     /// Traffic-weighted utilization across sets.
     pub fn utilization(&self) -> f64 {
-        self.sets.iter().map(|(w, q)| w * q.utilization()).sum()
+        self.sets
+            .iter()
+            .map(|set| set.share * set.queue.utilization())
+            .sum()
+    }
+
+    /// The tier's constant delay: every request spends at least this long
+    /// parsing, since it is the smallest parse point mass over the sets (0
+    /// unless every set's parse law is a point mass).
+    pub fn delay(&self) -> f64 {
+        self.delay
     }
 
     /// LST of `S_q`: the share-weighted mixture of per-set P–K sojourn
@@ -101,7 +144,19 @@ impl FrontendModel {
     pub fn sojourn_lst(&self, s: Complex64) -> Complex64 {
         self.sets
             .iter()
-            .map(|(w, q)| q.sojourn_lst(s) * *w)
+            .map(|set| set.queue.sojourn_lst(s) * set.share)
+            .fold(Complex64::ZERO, |a, b| a + b)
+    }
+
+    /// LST of `S_q − D` with `D` = [`FrontendModel::delay`]: the mixture of
+    /// [`FrontendModel::sojourn_lst`] with each set's parse factor replaced
+    /// by its shift beyond `D`, which is exactly 1 on a homogeneous tier.
+    /// `sojourn_lst(s)` equals this times `e^{−sD}`; the P–K waiting times
+    /// keep their parse laws.
+    pub fn delay_free_sojourn_lst(&self, s: Complex64) -> Complex64 {
+        self.sets
+            .iter()
+            .map(|set| set.delay_free_sojourn_lst(s) * set.share)
             .fold(Complex64::ZERO, |a, b| a + b)
     }
 
@@ -112,17 +167,54 @@ impl FrontendModel {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         out.fill(Complex64::ZERO);
         let mut tmp = vec![Complex64::ZERO; s.len()];
-        for (w, q) in &self.sets {
-            q.sojourn_lst_batch(s, &mut tmp);
+        for set in &self.sets {
+            set.queue.sojourn_lst_batch(s, &mut tmp);
             for (o, t) in out.iter_mut().zip(tmp.iter()) {
-                *o += *t * *w;
+                *o += *t * set.share;
+            }
+        }
+    }
+
+    /// Batch [`FrontendModel::delay_free_sojourn_lst`], bit-identical to
+    /// the scalar path.
+    pub fn delay_free_sojourn_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        out.fill(Complex64::ZERO);
+        let mut tmp = vec![Complex64::ZERO; s.len()];
+        for set in &self.sets {
+            match set.excess_delay {
+                Some(excess) => {
+                    set.queue.waiting_lst_batch(s, &mut tmp);
+                    for (t, s) in tmp.iter_mut().zip(s.iter()) {
+                        *t *= shift(*s, excess);
+                    }
+                }
+                None => set.queue.sojourn_lst_batch(s, &mut tmp),
+            }
+            for (o, t) in out.iter_mut().zip(tmp.iter()) {
+                *o += *t * set.share;
             }
         }
     }
 
     /// Mean frontend sojourn (share-weighted).
     pub fn mean_sojourn(&self) -> f64 {
-        self.sets.iter().map(|(w, q)| w * q.mean_sojourn()).sum()
+        self.sets
+            .iter()
+            .map(|set| set.share * set.queue.mean_sojourn())
+            .sum()
+    }
+}
+
+impl FrontendSet {
+    /// This set's sojourn LST shifted by the tier's delay: the P–K waiting
+    /// time times the parse point mass beyond that delay, or the whole
+    /// sojourn when the parse law is not a point mass (the delay is 0).
+    fn delay_free_sojourn_lst(&self, s: Complex64) -> Complex64 {
+        match self.excess_delay {
+            Some(excess) => self.queue.waiting_lst(s) * shift(s, excess),
+            None => self.queue.sojourn_lst(s),
+        }
     }
 }
 
@@ -224,6 +316,51 @@ mod tests {
         .unwrap();
         let want = 0.5 * fast.mean_sojourn() + 0.5 * slow.mean_sojourn();
         assert!((hetero.mean_sojourn() - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn delay_free_sojourn_factors_out_the_smallest_parse_mass() {
+        use crate::frontend::FrontendSetParams;
+        let set = |share: f64, parse: f64| FrontendSetParams {
+            share,
+            processes: 2,
+            parse_fe: from_distribution(Degenerate::new(parse)),
+        };
+        let homo = FrontendModel::new(&params(300.0, 3)).unwrap();
+        let hetero =
+            FrontendModel::heterogeneous(600.0, &[set(0.5, 0.0012), set(0.5, 0.0003)]).unwrap();
+        assert_eq!(homo.delay(), 0.0003);
+        assert_eq!(hetero.delay(), 0.0003);
+        let s: Vec<Complex64> = (0..40)
+            .map(|k| Complex64::new(1840.0, k as f64 * 6283.0))
+            .collect();
+        for m in [&homo, &hetero] {
+            let mut batch = vec![Complex64::ZERO; s.len()];
+            m.delay_free_sojourn_lst_batch(&s, &mut batch);
+            for (&si, &b) in s.iter().zip(&batch) {
+                let free = m.delay_free_sojourn_lst(si);
+                assert_eq!(
+                    (free.re.to_bits(), free.im.to_bits()),
+                    (b.re.to_bits(), b.im.to_bits())
+                );
+                let full = m.sojourn_lst(si);
+                // Terms are shares times LSTs of modulus ≤ 1; the shifts
+                // differ from the parse factors by the rounding of `s·d`.
+                let err = (free * shift(si, m.delay()) - full).abs();
+                assert!(err <= 1e-14, "{err:e} at {si:?}");
+            }
+        }
+        // A parse law with spread is not a delay: nothing is factored out.
+        let spread = FrontendModel::new(&FrontendParams {
+            parse_fe: from_distribution(cos_distr::Gamma::new(50.0, 50.0 / 0.0003)),
+            ..params(300.0, 3)
+        })
+        .unwrap();
+        assert_eq!(spread.delay(), 0.0);
+        assert_eq!(
+            spread.delay_free_sojourn_lst(s[7]),
+            spread.sojourn_lst(s[7])
+        );
     }
 
     #[test]

@@ -6,11 +6,21 @@
 //! `S(t) = Σ r_j S_j(t) / Σ r_j`.
 
 use crate::backend::{BackendModel, ModelError};
+use crate::components::shift;
 use crate::frontend::FrontendModel;
 use crate::params::SystemParams;
 use crate::variant::ModelVariant;
-use cos_numeric::laplace::{InversionConfig, LaplaceFn};
+use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, LaplaceFn};
 use cos_numeric::Complex64;
+
+/// The series every device CDF is inverted with. With the constant parse
+/// delays factored out, 20 Euler burn-in terms (32 transform evaluations)
+/// are as accurate as the 100 the full transform needs; 15 are not, at
+/// large `t`.
+pub const DELAY_FREE_INVERSION: InversionConfig = InversionConfig {
+    algorithm: InversionAlgorithm::Euler,
+    terms: 20,
+};
 
 /// One device's end-to-end model.
 #[derive(Debug)]
@@ -38,7 +48,6 @@ pub struct SystemModel {
     frontend: FrontendModel,
     devices: Vec<DeviceModel>,
     variant: ModelVariant,
-    inversion: InversionConfig,
 }
 
 impl SystemModel {
@@ -64,14 +73,7 @@ impl SystemModel {
             frontend,
             devices,
             variant,
-            inversion: InversionConfig::default(),
         })
-    }
-
-    /// Overrides the Laplace-inversion configuration.
-    pub fn with_inversion(mut self, inversion: InversionConfig) -> Self {
-        self.inversion = inversion;
-        self
     }
 
     /// Replaces the frontend model, e.g. with a heterogeneous-tier model
@@ -96,10 +98,39 @@ impl SystemModel {
         &self.devices
     }
 
-    /// LST of `S_fe` for device `idx` (Eq. 2): `S_q · W_a · S_be`.
+    /// The constant delay `D` in device `idx`'s response latency: the
+    /// frontend's parse point mass plus the backend's
+    /// ([`FrontendModel::delay`], [`BackendModel::delay`]). No request
+    /// completes sooner.
+    pub fn device_delay(&self, idx: usize) -> f64 {
+        self.frontend.delay() + self.devices[idx].backend.delay()
+    }
+
+    /// LST of `S_fe` for device `idx` (Eq. 2): `S_q · W_a · S_be`, composed
+    /// as [`SystemModel::device_delay_free_lst`] times `e^{−sD}`.
     pub fn device_response_lst(&self, idx: usize, s: Complex64) -> Complex64 {
+        self.device_delay_free_lst(idx, s) * shift(s, self.device_delay(idx))
+    }
+
+    /// Batch [`SystemModel::device_response_lst`], bit-identical to the
+    /// scalar path.
+    pub fn device_response_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
+        self.device_delay_free_lst_batch(idx, s, out);
+        let delay = self.device_delay(idx);
+        for (o, s) in out.iter_mut().zip(s.iter()) {
+            *o *= shift(*s, delay);
+        }
+    }
+
+    /// LST of `S_fe − D` for device `idx`, with `D` =
+    /// [`SystemModel::device_delay`]: Eq. 2 with the parse point masses
+    /// left out of `S_q` and `S_be`. They contribute exactly 1 here; the
+    /// union-operation service inside both P–K waiting times keeps its
+    /// parse law. Without the shift factor `e^{−sD}` to brute-force, the
+    /// transform inverts accurately with [`DELAY_FREE_INVERSION`].
+    pub fn device_delay_free_lst(&self, idx: usize, s: Complex64) -> Complex64 {
         let d = &self.devices[idx];
-        let mut lst = self.frontend.sojourn_lst(s) * d.backend.sojourn_lst(s);
+        let mut lst = self.frontend.delay_free_sojourn_lst(s) * d.backend.delay_free_sojourn_lst(s);
         match d.variant {
             // W_a = W_be (the paper's approximation, §III-C).
             ModelVariant::Full | ModelVariant::Odopr => {
@@ -123,20 +154,20 @@ impl SystemModel {
         lst
     }
 
-    /// Batch [`SystemModel::device_response_lst`]: the frontend mixture,
+    /// Batch [`SystemModel::device_delay_free_lst`]: the frontend mixture,
     /// the backend response, and the WTA factor share one pass over the
     /// component transforms (see
-    /// [`BackendModel::sojourn_and_waiting_lst_batch`]) instead of
-    /// re-walking the whole composite tree per abscissa. Bit-identical to
-    /// the scalar path.
-    pub fn device_response_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
+    /// [`BackendModel::delay_free_sojourn_and_waiting_lst_batch`]) instead
+    /// of re-walking the whole composite tree per abscissa. Bit-identical
+    /// to the scalar path.
+    pub fn device_delay_free_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         let d = &self.devices[idx];
         let mut sojourn = vec![Complex64::ZERO; s.len()];
         let mut waiting = vec![Complex64::ZERO; s.len()];
         d.backend
-            .sojourn_and_waiting_lst_batch(s, &mut sojourn, &mut waiting);
-        self.frontend.sojourn_lst_batch(s, out);
+            .delay_free_sojourn_and_waiting_lst_batch(s, &mut sojourn, &mut waiting);
+        self.frontend.delay_free_sojourn_lst_batch(s, out);
         match d.variant {
             ModelVariant::Full | ModelVariant::Odopr => {
                 for i in 0..s.len() {
@@ -163,12 +194,15 @@ impl SystemModel {
         }
     }
 
-    /// CDF of the response latency of device `idx` at `t`.
+    /// CDF of the response latency of device `idx` at `t`: by the shift
+    /// theorem, `P(S ≤ t) = P(S − D ≤ t − D)`, so the delay-free transform
+    /// is inverted at `t − D` ([`SystemModel::device_delay`]), and every
+    /// `t ≤ D` answers exactly 0.
     pub fn device_fraction_meeting(&self, idx: usize, sla: f64) -> f64 {
         cos_numeric::cdf_from_lst(
-            &DeviceResponseLst { model: self, idx },
-            sla,
-            &self.inversion,
+            &DelayFreeLst { model: self, idx },
+            sla - self.device_delay(idx),
+            &DELAY_FREE_INVERSION,
         )
     }
 
@@ -177,9 +211,9 @@ impl SystemModel {
     /// [`SystemModel::device_fraction_meeting`].
     pub(crate) fn device_fraction_and_density(&self, idx: usize, t: f64) -> (f64, f64) {
         cos_numeric::cdf_and_density_from_lst(
-            &DeviceResponseLst { model: self, idx },
-            t,
-            &self.inversion,
+            &DelayFreeLst { model: self, idx },
+            t - self.device_delay(idx),
+            &DELAY_FREE_INVERSION,
         )
     }
 
@@ -255,20 +289,23 @@ impl SystemModel {
     }
 }
 
-/// [`LaplaceFn`] view of one device's composite response transform, so the
-/// inversion routines hit [`SystemModel::device_response_lst_batch`] instead
-/// of re-walking the component tree per abscissa through a scalar closure.
-struct DeviceResponseLst<'a> {
+/// [`LaplaceFn`] view of one device's delay-free response transform, so
+/// the inversion routines hit [`SystemModel::device_delay_free_lst_batch`]
+/// instead of re-walking the component tree per abscissa through a scalar
+/// closure. Every device CDF the model answers goes through it.
+struct DelayFreeLst<'a> {
     model: &'a SystemModel,
     idx: usize,
 }
 
-impl LaplaceFn for DeviceResponseLst<'_> {
+impl LaplaceFn for DelayFreeLst<'_> {
     fn eval(&self, s: Complex64) -> Complex64 {
-        self.model.device_response_lst(self.idx, s)
+        self.model.device_delay_free_lst(self.idx, s)
     }
     fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        self.model.device_response_lst_batch(self.idx, s, out)
+        #[cfg(test)]
+        tests::LST_EVALS.with(|n| n.set(n.get() + s.len()));
+        self.model.device_delay_free_lst_batch(self.idx, s, out)
     }
 }
 
@@ -303,6 +340,52 @@ mod tests {
             },
             devices: (0..devices).map(|_| device(rate_per_device, nbe)).collect(),
         }
+    }
+
+    thread_local! {
+        /// Transform evaluations [`DelayFreeLst`] made on this thread.
+        pub(super) static LST_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Transform evaluations `f` makes through the served inversion path.
+    fn lst_evals(f: impl FnOnce()) -> usize {
+        LST_EVALS.with(|n| n.set(0));
+        f();
+        LST_EVALS.with(|n| n.get())
+    }
+
+    #[test]
+    fn a_device_cdf_costs_32_transform_evaluations() {
+        // Euler with 20 burn-in terms evaluates 20 + 12 points. Counts
+        // repeat exactly, so this pins the series length: the 100-term
+        // series the full transform needs costs 112 per device, 448 per
+        // 4-device system.
+        let m = SystemModel::new(&system(40.0, 4, 1), ModelVariant::Full).unwrap();
+        assert_eq!(
+            lst_evals(|| {
+                m.device_fraction_meeting(0, 0.05);
+            }),
+            32
+        );
+        assert_eq!(
+            lst_evals(|| {
+                m.fraction_meeting_sla(0.05);
+            }),
+            128
+        );
+        assert_eq!(
+            lst_evals(|| {
+                m.fraction_and_density(0.05);
+            }),
+            128
+        );
+        // At or below the constant delay the answer is exactly 0, uncomputed.
+        let delay = m.device_delay(0);
+        assert_eq!(delay, 0.0003 + 0.0005);
+        assert_eq!(
+            lst_evals(|| assert_eq!(m.fraction_and_density(delay), (0.0, 0.0))),
+            0
+        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Golden bit-identity tests: the batched composite response transform must
-//! reproduce the scalar path exactly (`f64::to_bits` equality), for every
-//! model variant and for both the S1-like and S16-like system shapes, on a
-//! contour covering the Euler vertical line and Gaver–Stehfest real points.
+//! Golden bit-identity tests: the batched composite response transforms —
+//! full and delay-free — must reproduce the scalar paths exactly
+//! (`f64::to_bits` equality), for every model variant and for both the
+//! S1-like and S16-like system shapes, on a contour covering the Euler
+//! vertical line and Gaver–Stehfest real points.
 
 use cos_distr::{Degenerate, Gamma};
 use cos_model::params::{DeviceParams, FrontendParams};
-use cos_model::{ModelVariant, SystemModel, SystemParams};
+use cos_model::{ModelVariant, SystemModel, SystemParams, DELAY_FREE_INVERSION};
 use cos_numeric::Complex64;
 use cos_queueing::from_distribution;
 
@@ -40,6 +41,17 @@ fn s16_params(rate: f64) -> SystemParams {
         d.miss_meta = 0.08;
         d.miss_data = 0.18;
         d.processes = 16;
+    }
+    p
+}
+
+/// S1 with Gamma parse laws of the same means: laws with spread, which the
+/// model does not factor out as delays.
+fn spread_parse_params(rate: f64) -> SystemParams {
+    let mut p = s1_params(rate);
+    p.frontend.parse_fe = from_distribution(Gamma::new(400.0, 400.0 / 0.0003));
+    for d in &mut p.devices {
+        d.parse_be = from_distribution(Gamma::new(400.0, 400.0 / 0.0005));
     }
     p
 }
@@ -88,6 +100,9 @@ fn check_all_devices(params: &SystemParams, variant: ModelVariant, what: &str) {
         let scalar: Vec<Complex64> = s.iter().map(|&p| m.device_response_lst(idx, p)).collect();
         m.device_response_lst_batch(idx, &s, &mut batch);
         assert_bits_equal(&scalar, &batch, &format!("{what} device {idx}"));
+        let scalar: Vec<Complex64> = s.iter().map(|&p| m.device_delay_free_lst(idx, p)).collect();
+        m.device_delay_free_lst_batch(idx, &s, &mut batch);
+        assert_bits_equal(&scalar, &batch, &format!("{what} device {idx} delay-free"));
     }
 }
 
@@ -95,18 +110,33 @@ fn check_all_devices(params: &SystemParams, variant: ModelVariant, what: &str) {
 fn full_variant_batch_is_bit_identical() {
     check_all_devices(&s1_params(40.0), ModelVariant::Full, "S1/full");
     check_all_devices(&s16_params(150.0), ModelVariant::Full, "S16/full");
+    check_all_devices(
+        &spread_parse_params(40.0),
+        ModelVariant::Full,
+        "spread/full",
+    );
 }
 
 #[test]
 fn odopr_variant_batch_is_bit_identical() {
     check_all_devices(&s1_params(40.0), ModelVariant::Odopr, "S1/odopr");
     check_all_devices(&s16_params(150.0), ModelVariant::Odopr, "S16/odopr");
+    check_all_devices(
+        &spread_parse_params(40.0),
+        ModelVariant::Odopr,
+        "spread/odopr",
+    );
 }
 
 #[test]
 fn nowta_variant_batch_is_bit_identical() {
     check_all_devices(&s1_params(40.0), ModelVariant::NoWta, "S1/nowta");
     check_all_devices(&s16_params(150.0), ModelVariant::NoWta, "S16/nowta");
+    check_all_devices(
+        &spread_parse_params(40.0),
+        ModelVariant::NoWta,
+        "spread/nowta",
+    );
 }
 
 #[test]
@@ -117,23 +147,40 @@ fn residual_wta_variant_batch_is_bit_identical() {
         ModelVariant::ResidualWta,
         "S16/residual",
     );
+    check_all_devices(
+        &spread_parse_params(40.0),
+        ModelVariant::ResidualWta,
+        "spread/residual",
+    );
 }
 
 #[test]
 fn batched_cdf_matches_closure_cdf() {
-    // The full inversion pipeline through the batch path must agree with a
-    // scalar closure fed to the same inversion (different call graph, same
-    // arithmetic): bit-identity holds because eval_batch replicates the
-    // scalar op order.
-    let m = SystemModel::new(&s1_params(40.0), ModelVariant::Full).unwrap();
-    let cfg = cos_numeric::InversionConfig::default();
-    for &t in &[0.01, 0.05, 0.1] {
-        let via_batch = m.device_fraction_meeting(0, t);
-        let via_closure = cos_numeric::cdf_from_lst(&|s| m.device_response_lst(0, s), t, &cfg);
-        assert_eq!(
-            via_batch.to_bits(),
-            via_closure.to_bits(),
-            "t={t}: {via_batch} vs {via_closure}"
-        );
+    // The model's inversion pipeline through the batch path must agree with
+    // a scalar closure over the delay-free transform, inverted at `t − D`
+    // with the model's series (different call graph, same arithmetic):
+    // bit-identity holds because eval_batch replicates the scalar op order.
+    for (shape, params) in [("S1", s1_params(40.0)), ("S16", s16_params(150.0))] {
+        for variant in [
+            ModelVariant::Full,
+            ModelVariant::Odopr,
+            ModelVariant::NoWta,
+            ModelVariant::ResidualWta,
+        ] {
+            let m = SystemModel::new(&params, variant).unwrap();
+            for &t in &[0.01, 0.05, 0.1] {
+                let via_batch = m.device_fraction_meeting(0, t);
+                let via_closure = cos_numeric::cdf_from_lst(
+                    &|s| m.device_delay_free_lst(0, s),
+                    t - m.device_delay(0),
+                    &DELAY_FREE_INVERSION,
+                );
+                assert_eq!(
+                    via_batch.to_bits(),
+                    via_closure.to_bits(),
+                    "{shape}/{variant:?} t={t}: {via_batch} vs {via_closure}"
+                );
+            }
+        }
     }
 }

@@ -75,6 +75,13 @@ impl UnionOperation {
         self.parse.lst(s) * self.index.lst(s) * self.meta.lst(s) * self.data.lst(s)
     }
 
+    /// LST of the response tail with its parse factor left out:
+    /// `index ∗ meta ∗ data`. When the parse law is a point mass at `D`,
+    /// [`UnionOperation::response_lst`] is this times `e^{−sD}`.
+    pub fn parse_free_response_lst(&self, s: Complex64) -> Complex64 {
+        self.index.lst(s) * self.meta.lst(s) * self.data.lst(s)
+    }
+
     /// Mean of the response tail (no extra reads).
     pub fn response_mean(&self) -> f64 {
         self.parse.mean() + self.index.mean() + self.meta.mean() + self.data.mean()
@@ -131,6 +138,35 @@ impl UnionOperation {
             // union = response · e^{p (L_data − 1)}; the scalar path groups
             // ((((parse·index)·meta)·data)·exp), which is exactly this.
             union[i] = response[i] * ((d - Complex64::ONE) * self.extra_reads).exp();
+        }
+    }
+
+    /// [`UnionOperation::response_and_union_lst_batch`] with the parse
+    /// factor left out of the response tail (but kept in the union
+    /// operation, whose LST feeds the P–K waiting time). Each output is
+    /// bit-identical to its scalar counterpart
+    /// ([`UnionOperation::parse_free_response_lst`] /
+    /// [`ServiceTime::lst`]).
+    pub fn parse_free_response_and_union_lst_batch(
+        &self,
+        s: &[Complex64],
+        response: &mut [Complex64],
+        union: &mut [Complex64],
+    ) {
+        assert_eq!(s.len(), response.len(), "abscissa/output length mismatch");
+        assert_eq!(s.len(), union.len(), "abscissa/output length mismatch");
+        let mut meta = vec![Complex64::ZERO; s.len()];
+        let mut data = vec![Complex64::ZERO; s.len()];
+        self.parse.lst_batch(s, union);
+        self.index.lst_batch(s, response);
+        self.meta.lst_batch(s, &mut meta);
+        self.data.lst_batch(s, &mut data);
+        for i in 0..s.len() {
+            let (index, d) = (response[i], data[i]);
+            // Both products keep the scalar left-to-right grouping.
+            response[i] = index * meta[i] * d;
+            union[i] =
+                union[i] * index * meta[i] * d * ((d - Complex64::ONE) * self.extra_reads).exp();
         }
     }
 }

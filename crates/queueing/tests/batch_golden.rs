@@ -59,6 +59,12 @@ fn union_operation_batches_are_bit_identical() {
     u.response_and_union_lst_batch(&s, &mut resp2, &mut lst2);
     assert_bits_equal("fused response", &resp2, &want_resp);
     assert_bits_equal("fused lst", &lst2, &want_lst);
+
+    // So must the pass that leaves the parse factor out of the response.
+    let want_free: Vec<Complex64> = s.iter().map(|&si| u.parse_free_response_lst(si)).collect();
+    u.parse_free_response_and_union_lst_batch(&s, &mut resp2, &mut lst2);
+    assert_bits_equal("parse-free response", &resp2, &want_free);
+    assert_bits_equal("parse-free pass lst", &lst2, &want_lst);
 }
 
 #[test]
