@@ -1,44 +1,37 @@
-//! Machine-readable perf baseline for the inversion, sweep, gate
-//! read-path, admission-controller, coded-read, and fleet-refit hot paths.
+//! Machine-readable perf baseline for the inversion, sweep, gate,
+//! admission-controller, coded-read, and fleet-refit hot paths.
 //!
 //! Measures the composite-model CDF, quantile, sweep-grid, multi-client
 //! gate throughput, per-request admission cost, and coded-read prediction
 //! accuracy, and writes them to `BENCH_inversion.json` / `BENCH_sweep.json`
-//! / `BENCH_gate.json` / `BENCH_ctrl.json` / `BENCH_coded.json`, alongside
-//! the frozen pre-optimization numbers (`baseline`) so the speedup is
-//! auditable from the committed files. For the gate file both sections are
-//! measured on the *same run*: `baseline` is the blocking
-//! thread-per-connection server, `current` the event-driven reactor (both
-//! on the lock-free snapshot read path; the baseline section additionally
-//! carries a same-run worker-read-path reference so the snapshot-vs-worker
-//! ratio stays auditable). For the ctrl file: `baseline` is the snapshot
-//! gate with no controller, `current` the same gate with admission control
-//! deciding every request. For the coded file: `baseline` is the plain
-//! replica model predicting coded quantiles as if no stripe join existed,
-//! `current` the fork-join [`CodedReadModel`] on the same seeded runs.
+//! / `BENCH_ctrl.json` / `BENCH_coded.json`, alongside the frozen
+//! pre-optimization numbers (`baseline`) so the speedup is auditable from
+//! the committed files. For the ctrl file: `baseline` is the gate with no
+//! controller, `current` the same gate with admission control deciding
+//! every request. For the coded file: `baseline` is the plain replica
+//! model predicting coded quantiles as if no stripe join existed,
+//! `current` the fork-join [`CodedReadModel`] on the same seeded runs. The
+//! gate's throughput rows are printed only; `BENCH_gate.json` keeps the
+//! last comparison of the retired server, trigger, accept and read-path
+//! variants as a historic record.
 //!
 //! Usage:
 //!   cargo run --release -p cos-bench --bin perf_baseline
 //!       full run; writes BENCH_inversion.json, BENCH_sweep.json,
-//!       BENCH_gate.json, BENCH_ctrl.json, and BENCH_coded.json
+//!       BENCH_ctrl.json, BENCH_coded.json, and BENCH_fleet.json
 //!   cargo run --release -p cos-bench --bin perf_baseline -- --quick
 //!       fewer iterations, prints only (CI smoke)
 //!   cargo run --release -p cos-bench --bin perf_baseline -- --quick --check BENCH_inversion.json
 //!       re-measures and exits nonzero if any time regressed more than
 //!       2x, or any inversion count rose at all, against the committed
 //!       `current` section (both the named file and BENCH_coded.json),
-//!       if the obs hot path or the per-request
-//!       admission decision blows its absolute budget, if the snapshot
-//!       read path fails to beat the worker path at 4 concurrent clients,
-//!       if the reactor serves warm 16-client load slower than the
-//!       thread-per-connection server, if the edge-triggered reactor is
-//!       slower than the level-triggered one (same run, best-of-three), if
-//!       the reactor's warm window blows its syscalls-per-request or
-//!       allocations-per-request budget, if any coded-read cell breaks
-//!       its bracket / accuracy / inversion-cost budget, if the batched
-//!       fleet refit fails its speedup floor (full runs on boxes with
-//!       >= 4 workers only), or if a ~5% delta publish ships more than a
-//!       quarter of the full-state bytes
+//!       if the obs hot path or the per-request admission decision blows
+//!       its absolute budget, if the gate's warm window blows its
+//!       syscalls-per-request or allocations-per-request budget, if any
+//!       coded-read cell breaks its bracket / accuracy / inversion-cost
+//!       budget, if the batched fleet refit fails its speedup floor (full
+//!       runs on boxes with >= 4 workers only), or if a ~5% delta publish
+//!       ships more than a quarter of the full-state bytes
 //!
 //! Full runs additionally write `BENCH_fleet.json`: full-fleet refit
 //! wall-time (sequential vs batched over `cos-par`) and warm snapshot
@@ -52,13 +45,12 @@ use std::time::Instant;
 
 use cos_bench::json::{self, Value};
 use cos_distr::{Degenerate, Gamma};
-use cos_gate::{AcceptMode, Gate, GateConfig, ReadPath, ServerMode};
+use cos_gate::{Gate, GateConfig};
 use cos_model::{
     model_at_rate, CodedReadModel, CodingSpec, DeviceParams, FrontendParams, ModelVariant,
     SystemModel, SystemParams,
 };
 use cos_numeric::{quantile_from_lst, CountingLaplaceFn, InversionConfig};
-use cos_par::poller::TriggerMode;
 use cos_queueing::{from_distribution, from_dyn_service};
 use cos_serve::{
     CalibrationBase, OpClass, Query, ServeConfig, ServiceHandle, SlaService, TelemetryEvent,
@@ -220,29 +212,6 @@ fn measure_obs(quick: bool) -> Vec<(&'static str, f64)> {
 /// The absolute obs-overhead budget enforced in `--check` mode.
 const OBS_RECORD_BUDGET_NS: f64 = 100.0;
 
-/// Minimum same-run warm-cache throughput ratio (snapshot / worker at 4
-/// concurrent clients) enforced in `--check` mode. The committed
-/// `BENCH_gate.json` shows the full-run ratio; the check band is looser to
-/// tolerate CI noise.
-const GATE_WARM_4C_MIN_RATIO: f64 = 1.5;
-
-/// Minimum same-run warm-cache throughput ratio (reactor /
-/// thread-per-connection, snapshot read path, 16 concurrent clients)
-/// enforced in `--check` mode: the event-driven reactor must never serve
-/// slower than the blocking architecture it replaced. The committed
-/// `BENCH_gate.json` shows the full-run ratio (target ≥ 2x); the floor
-/// only guards against regressions under CI noise.
-const GATE_REACTOR_MIN_RATIO: f64 = 1.0;
-
-/// Minimum same-run 16-client serial-RPC throughput ratio
-/// (edge-triggered / level-triggered reactor, both best-of-three)
-/// enforced in `--check` mode. Serial round trips make per-request
-/// syscall cost the dominant term, which is where the edge-triggered
-/// short-read exit (one read per wake instead of read + `WouldBlock`
-/// read) and re-arm-free registration pay off; the edge-triggered
-/// default must never serve that regime slower than level-triggered.
-const GATE_ET_MIN_RATIO: f64 = 1.0;
-
 /// Hard ceiling on reactor syscalls per served request over the warm
 /// 16-client window (epoll waits + interest updates + reads + writev
 /// flushes + accepts, summed across reactor threads), enforced in
@@ -259,7 +228,7 @@ const GATE_SYSCALLS_PER_REQ_BUDGET: f64 = 2.0;
 /// building its JSON response.
 const GATE_ALLOCS_PER_REQ_BUDGET: f64 = 64.0;
 
-// --- gate read-path throughput -------------------------------------------
+// --- gate throughput -------------------------------------------------------
 
 fn gate_base() -> CalibrationBase {
     CalibrationBase {
@@ -382,24 +351,12 @@ fn throughput(addr: SocketAddr, per_client_targets: Vec<Vec<String>>) -> f64 {
     total as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Measures one server mode's warm and cold multi-client throughput on the
-/// snapshot read path, scaling warm load to 64 clients (and 256 when
-/// `include_256c` — the territory past the thread-per-connection ceiling).
-/// `cold_block` hands out disjoint SLA ranges so a "cold" query is never
-/// accidentally resident from an earlier phase (both gates share the
-/// service's one cache).
-fn bench_gate_mode(
-    handle: &ServiceHandle,
-    mode: ServerMode,
-    quick: bool,
-    cold_block: &mut usize,
-    include_256c: bool,
-) -> Vec<(&'static str, f64)> {
+/// Measures the gate's warm and cold multi-client throughput, scaling warm
+/// load to 64 clients (and 256 when `include_256c`).
+fn bench_gate(handle: &ServiceHandle, quick: bool, include_256c: bool) -> Vec<(&'static str, f64)> {
     let warm_n = if quick { 200 } else { 1500 };
     let cold_n = if quick { 60 } else { 300 };
     let config = GateConfig::builder()
-        .read_path(ReadPath::Snapshot)
-        .server_mode(mode)
         .max_connections(512)
         .build()
         .expect("gate config");
@@ -419,25 +376,21 @@ fn bench_gate_mode(
     };
     let warm_1 = warm(1);
     let warm_4 = warm(4);
-    // Cost the reactor's warm 16-client window in syscalls and reactor-
-    // thread heap allocations per served request (the thread-per-conn
-    // server is uninstrumented, so only the reactor reports these).
-    let probe_before = (mode == ServerMode::Reactor)
-        .then(|| (gate.syscalls(), cos_par::alloc_probe::tracked_allocs()));
+    // Cost the warm 16-client window in syscalls and reactor-thread heap
+    // allocations per served request.
+    let (sys_before, allocs_before) = (gate.syscalls(), cos_par::alloc_probe::tracked_allocs());
     let warm_16 = warm(16);
-    let per_req = probe_before.map(|(sys_before, allocs_before)| {
-        let requests = (16 * warm_n) as f64;
-        let syscalls = gate.syscalls().since(&sys_before).total() as f64 / requests;
-        let allocs = (cos_par::alloc_probe::tracked_allocs() - allocs_before) as f64 / requests;
-        (syscalls, allocs)
-    });
+    let requests = (16 * warm_n) as f64;
+    let syscalls_per_req = gate.syscalls().since(&sys_before).total() as f64 / requests;
+    let allocs_per_req = (cos_par::alloc_probe::tracked_allocs() - allocs_before) as f64 / requests;
     let warm_64 = warm(64);
     let warm_256 = include_256c.then(|| warm(256));
 
+    let mut cold_block = 0usize;
     let mut cold = |clients: usize| {
         let targets = (0..clients)
             .map(|c| {
-                let slot = *cold_block * 16 + c;
+                let slot = cold_block * 16 + c;
                 (0..cold_n)
                     .map(|i| {
                         format!(
@@ -448,12 +401,11 @@ fn bench_gate_mode(
                     .collect()
             })
             .collect();
-        *cold_block += 1;
+        cold_block += 1;
         throughput(addr, targets)
     };
     let cold_1 = cold(1);
     let cold_4 = cold(4);
-    let sharded = gate.accept_sharded();
     gate.shutdown();
     let mut rows = vec![
         ("warm_1c_rps", warm_1),
@@ -466,237 +418,10 @@ fn bench_gate_mode(
     }
     rows.push(("cold_1c_rps", cold_1));
     rows.push(("cold_4c_rps", cold_4));
-    if let Some((syscalls, allocs)) = per_req {
-        rows.push(("syscalls_per_req", syscalls));
-        rows.push(("allocs_per_req", allocs));
-        rows.push(("accept_sharded", f64::from(sharded)));
-    }
+    rows.push(("syscalls_per_req", syscalls_per_req));
+    rows.push(("allocs_per_req", allocs_per_req));
+    rows.push(("reactor_workers", cos_par::default_workers() as f64));
     rows
-}
-
-/// One RPC client: `n` strictly serial request→response round trips on a
-/// single keep-alive connection — no pipelining, so the per-request
-/// syscall overhead (exactly what edge triggering reduces) dominates.
-fn rpc(addr: SocketAddr, target: &str, n: usize) {
-    let mut stream = TcpStream::connect(addr).expect("connect rpc client");
-    let _ = stream.set_nodelay(true);
-    let raw = format!("GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n");
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
-    for _ in 0..n {
-        stream.write_all(raw.as_bytes()).expect("write rpc");
-        // Framing-only read of exactly one response (any status: the
-        // trigger-mode pair deliberately drives the cheapest route).
-        loop {
-            if let Some(head_end) = find_double_crlf(&buf) {
-                let head = std::str::from_utf8(&buf[..head_end]).expect("ASCII head");
-                assert!(head.starts_with("HTTP/1.1 "), "gate answered: {head}");
-                let body_len: usize = head
-                    .lines()
-                    .find_map(|l| l.strip_prefix("Content-Length: "))
-                    .map(|v| v.trim().parse().expect("content length"))
-                    .unwrap_or(0);
-                if buf.len() >= head_end + body_len {
-                    buf.drain(..head_end + body_len);
-                    break;
-                }
-            }
-            let got = stream.read(&mut chunk).expect("read rpc response");
-            assert!(got > 0, "EOF mid-benchmark");
-            buf.extend_from_slice(&chunk[..got]);
-        }
-    }
-}
-
-/// Serial-RPC requests per second across `clients` concurrent clients.
-fn rpc_throughput(addr: SocketAddr, target: &'static str, clients: usize, n: usize) -> f64 {
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                rpc(addr, target, n);
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("rpc client thread");
-    }
-    (clients * n) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// One churn client: `n` one-shot connections (connect → GET → full
-/// response → server close) — the accept-path-bound load shape.
-fn churn(addr: SocketAddr, n: usize) {
-    for _ in 0..n {
-        let mut stream = TcpStream::connect(addr).expect("connect churn client");
-        let _ = stream.set_nodelay(true);
-        stream
-            .write_all(
-                b"GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n",
-            )
-            .expect("write churn");
-        let mut buf = Vec::new();
-        stream.read_to_end(&mut buf).expect("read churn");
-        assert!(buf.starts_with(b"HTTP/1.1 200"), "churn reply");
-    }
-}
-
-/// One-shot connections per second (== requests per second) across
-/// `clients` concurrent churn clients.
-fn churn_throughput(addr: SocketAddr, clients: usize, n: usize) -> f64 {
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let handles: Vec<_> = (0..clients)
-        .map(|_| {
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                churn(addr, n);
-            })
-        })
-        .collect();
-    barrier.wait();
-    let start = Instant::now();
-    for h in handles {
-        h.join().expect("churn client thread");
-    }
-    (clients * n) as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Same-run edge-vs-level trigger comparison: the default reactor gate
-/// under 16 serial-RPC clients, identical except for
-/// [`GateConfig::trigger_mode`]. Serial RPC (not pipelining) so syscalls
-/// per request dominate — the regime the edge-triggered contract (fewer
-/// reads via the short-read exit, zero re-arms) is built for. Each side
-/// is best-of-three (scheduler noise only ever subtracts throughput).
-/// Returns `(edge_rps, level_rps)`.
-fn gate_trigger_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let warm_n = if quick { 400 } else { 1500 };
-    let spawn = |mode: TriggerMode| {
-        let config = GateConfig::builder()
-            .read_path(ReadPath::Snapshot)
-            .server_mode(ServerMode::Reactor)
-            .trigger_mode(mode)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate")
-    };
-    // Both gates stay alive for the whole comparison and rounds are
-    // interleaved with alternating order, so slow monotonic drift
-    // (frequency scaling, allocator state) cancels instead of always
-    // taxing whichever side happens to be measured second.
-    let edge_gate = spawn(TriggerMode::Edge);
-    let level_gate = spawn(TriggerMode::Level);
-    // A route-miss 404 is the cheapest response the gate can produce, so
-    // the per-request syscall count — the thing the two trigger modes
-    // actually differ on — dominates the measurement instead of route
-    // dispatch drowning it.
-    const TARGET: &str = "/v1/nope";
-    let (edge_addr, level_addr) = (edge_gate.local_addr(), level_gate.local_addr());
-    rpc_throughput(edge_addr, TARGET, 1, 64); // prewarm
-    rpc_throughput(level_addr, TARGET, 1, 64);
-    let (mut edge, mut level) = (f64::MIN, f64::MIN);
-    for round in 0..6 {
-        let order = if round % 2 == 0 {
-            [edge_addr, level_addr]
-        } else {
-            [level_addr, edge_addr]
-        };
-        for addr in order {
-            let rps = rpc_throughput(addr, TARGET, 16, warm_n);
-            if addr == edge_addr {
-                edge = edge.max(rps);
-            } else {
-                level = level.max(rps);
-            }
-        }
-    }
-    edge_gate.shutdown();
-    level_gate.shutdown();
-    (edge, level)
-}
-
-/// Same-run sharded-vs-shared accept comparison under connection churn
-/// (the accept-bound load shape), both sides on a reactor pool forced to
-/// at least two threads so the `SO_REUSEPORT` group actually forms.
-/// Returns `(sharded_rps, shared_rps)`; on platforms where sharding is
-/// unavailable both sides run shared and the ratio reads ~1.
-fn gate_accept_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let churn_n = if quick { 150 } else { 500 };
-    let threads = cos_par::default_workers().max(2);
-    let spawn = |mode: AcceptMode| {
-        let config = GateConfig::builder()
-            .read_path(ReadPath::Snapshot)
-            .server_mode(ServerMode::Reactor)
-            .accept_mode(mode)
-            .reactor_threads(threads)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate")
-    };
-    // Same interleaved-rounds discipline as `gate_trigger_pair`: both
-    // gates live for the whole comparison, alternating order per round.
-    let sharded_gate = spawn(AcceptMode::Sharded);
-    let shared_gate = spawn(AcceptMode::Shared);
-    let (sharded_addr, shared_addr) = (sharded_gate.local_addr(), shared_gate.local_addr());
-    churn_throughput(sharded_addr, 1, 16); // prewarm
-    churn_throughput(shared_addr, 1, 16);
-    let (mut sharded, mut shared) = (f64::MIN, f64::MIN);
-    for round in 0..4 {
-        let order = if round % 2 == 0 {
-            [sharded_addr, shared_addr]
-        } else {
-            [shared_addr, sharded_addr]
-        };
-        for addr in order {
-            let rps = churn_throughput(addr, 16, churn_n);
-            if addr == sharded_addr {
-                sharded = sharded.max(rps);
-            } else {
-                shared = shared.max(rps);
-            }
-        }
-    }
-    sharded_gate.shutdown();
-    shared_gate.shutdown();
-    (sharded, shared)
-}
-
-/// Same-run snapshot-vs-worker warm 4-client comparison, both read paths
-/// under the thread-per-connection server — the architecture the
-/// historical 1.5x floor was established on (under the reactor the
-/// pipelined worker channel behaves differently, so the floor only holds
-/// mode-for-mode). Each side is best-of-three: scheduler noise on a
-/// loaded CI box only ever subtracts throughput, so the max of repeated
-/// short windows is the least-biased estimate. Returns
-/// `(snapshot_rps, worker_rps)`.
-fn gate_read_path_pair(handle: &ServiceHandle, quick: bool) -> (f64, f64) {
-    let warm_n = if quick { 800 } else { 1500 };
-    let bench = |path: ReadPath| {
-        let config = GateConfig::builder()
-            .read_path(path)
-            .server_mode(ServerMode::ThreadPerConn)
-            .max_connections(512)
-            .build()
-            .expect("gate config");
-        let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind gate");
-        let addr = gate.local_addr();
-        let target = "/v1/attainment?sla=0.05".to_string();
-        throughput(addr, vec![vec![target.clone()]]);
-        let best = (0..3)
-            .map(|_| throughput(addr, (0..4).map(|_| vec![target.clone(); warm_n]).collect()))
-            .fold(f64::MIN, f64::max);
-        gate.shutdown();
-        best
-    };
-    let worker = bench(ReadPath::Worker);
-    let snapshot = bench(ReadPath::Snapshot);
-    (snapshot, worker)
 }
 
 /// Hard ceiling on the per-request admission decision enforced in
@@ -742,7 +467,7 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
 
     let warm_n = if quick { 200 } else { 1500 };
     let bench = |controller: Option<Arc<cos_ctrl::Controller>>| {
-        let mut builder = GateConfig::builder().read_path(ReadPath::Snapshot);
+        let mut builder = GateConfig::builder();
         if let Some(c) = controller {
             builder = builder.controller(c);
         }
@@ -773,42 +498,16 @@ fn measure_ctrl(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f6
     )
 }
 
-/// Multi-client loopback throughput of the two gate server architectures
-/// against one calibrated service: `baseline` = blocking
-/// thread-per-connection, `current` = event-driven reactor, both on the
-/// lock-free snapshot read path. Same process, same run, same cache. The
-/// baseline section also carries the paired best-of-three
-/// snapshot-vs-worker reference at 4 clients (so the read-path speedup
-/// from the earlier snapshot work stays auditable mode-for-mode) and the
-/// reactor section records its thread count.
-#[allow(clippy::type_complexity)]
-fn measure_gate(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
+/// Multi-client loopback throughput of the gate against one calibrated
+/// service, with its warm window's syscall and allocation cost.
+fn measure_gate(quick: bool) -> Vec<(&'static str, f64)> {
     let mut service = SlaService::new(gate_base(), ServeConfig::default());
     for ev in gate_events(40.0) {
         service.ingest(ev);
     }
     service.refit_now();
     let handle = service.spawn();
-    let mut cold_block = 0usize;
-    let mut tpc = bench_gate_mode(
-        &handle,
-        ServerMode::ThreadPerConn,
-        quick,
-        &mut cold_block,
-        false,
-    );
-    let (snap_best, worker_best) = gate_read_path_pair(&handle, quick);
-    tpc.push(("snapshot_warm_4c_best_rps", snap_best));
-    tpc.push(("worker_warm_4c_best_rps", worker_best));
-    let mut reactor = bench_gate_mode(&handle, ServerMode::Reactor, quick, &mut cold_block, !quick);
-    let (et_best, lt_best) = gate_trigger_pair(&handle, quick);
-    reactor.push(("et_rpc_16c_best_rps", et_best));
-    reactor.push(("lt_rpc_16c_best_rps", lt_best));
-    let (sharded_best, shared_best) = gate_accept_pair(&handle, quick);
-    reactor.push(("sharded_accept_churn_16c_rps", sharded_best));
-    reactor.push(("shared_accept_churn_16c_rps", shared_best));
-    reactor.push(("reactor_workers", cos_par::default_workers() as f64));
-    (tpc, reactor)
+    bench_gate(&handle, quick, !quick)
 }
 
 // --- coded-read accuracy ---------------------------------------------------
@@ -1144,9 +843,8 @@ fn check(file: &str, fresh: &[(&str, f64)]) -> Result<(), String> {
     let mut failures = Vec::new();
     for &(key, measured) in fresh {
         if key.ends_with("_workers") || key.ends_with("_rps") || key.ends_with("_per_req") {
-            continue; // informational / machine-dependent; rps is checked
-                      // as a same-run ratio and *_per_req against absolute
-                      // budgets instead of the 2x band
+            continue; // informational / machine-dependent; *_per_req rows
+                      // have absolute budgets instead of the 2x band
         }
         let Some(expect) = committed.get(key).and_then(Value::as_f64) else {
             continue; // metric added after the file was generated
@@ -1182,79 +880,27 @@ fn main() {
     let inv = measure_inversion(quick);
     let sweep = measure_sweep(quick);
     let obs = measure_obs(quick);
-    let (gate_tpc, gate_reactor) = measure_gate(quick);
+    let gate = measure_gate(quick);
     let (ctrl_off, ctrl_on) = measure_ctrl(quick);
     let (coded_base, coded_cur) = measure_coded(quick);
     let (fleet_base_rows, fleet_cur) = measure_fleet(quick);
     print_metrics("inversion", &inv);
     print_metrics("sweep", &sweep);
     print_metrics("obs", &obs);
-    print_metrics("gate.thread_per_conn", &gate_tpc);
-    print_metrics("gate.reactor", &gate_reactor);
+    print_metrics("gate", &gate);
     print_metrics("ctrl.off", &ctrl_off);
     print_metrics("ctrl.on", &ctrl_on);
     print_metrics("coded.naive", &as_refs(&coded_base));
     print_metrics("coded.forkjoin", &as_refs(&coded_cur));
     print_metrics("fleet.sequential", &as_refs(&fleet_base_rows));
     print_metrics("fleet.batched", &as_refs(&fleet_cur));
-    let warm_4c_ratio = metric(&gate_tpc, "snapshot_warm_4c_best_rps")
-        / metric(&gate_tpc, "worker_warm_4c_best_rps");
-    println!("gate.warm_4c_ratio (snapshot/worker): {warm_4c_ratio:.2}x");
-    let reactor_ratio = metric(&gate_reactor, "warm_16c_rps") / metric(&gate_tpc, "warm_16c_rps");
-    println!("gate.warm_16c_ratio (reactor/thread-per-conn): {reactor_ratio:.2}x");
-    let et_ratio =
-        metric(&gate_reactor, "et_rpc_16c_best_rps") / metric(&gate_reactor, "lt_rpc_16c_best_rps");
-    println!("gate.rpc_16c_ratio (edge/level trigger): {et_ratio:.2}x");
-    let shard_ratio = metric(&gate_reactor, "sharded_accept_churn_16c_rps")
-        / metric(&gate_reactor, "shared_accept_churn_16c_rps");
-    println!("gate.churn_16c_ratio (sharded/shared accept): {shard_ratio:.2}x");
     let ctrl_tax = metric(&ctrl_on, "warm_4c_rps") / metric(&ctrl_off, "warm_4c_rps");
     println!("ctrl.warm_4c_ratio (controller on/off): {ctrl_tax:.2}x");
 
     if let Some(file) = check_file {
-        // Same-run relative check: the snapshot path must beat the worker
-        // path at 4 concurrent clients on this very machine, this very run.
-        if warm_4c_ratio < GATE_WARM_4C_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: snapshot warm_4c_rps only {warm_4c_ratio:.2}x the worker path \
-                 (need >= {GATE_WARM_4C_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: snapshot read path {warm_4c_ratio:.2}x worker at 4 clients \
-             (>= {GATE_WARM_4C_MIN_RATIO}x)"
-        );
-        // Same-run architecture check: the reactor must serve warm 16-client
-        // load at least as fast as the thread-per-connection server it
-        // replaced as the default.
-        if reactor_ratio < GATE_REACTOR_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: reactor warm_16c_rps only {reactor_ratio:.2}x thread-per-conn \
-                 (need >= {GATE_REACTOR_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: reactor {reactor_ratio:.2}x thread-per-conn at 16 clients \
-             (>= {GATE_REACTOR_MIN_RATIO}x)"
-        );
-        // Same-run trigger-mode check: edge-triggered registration (the
-        // default) must never serve slower than level-triggered.
-        if et_ratio < GATE_ET_MIN_RATIO {
-            eprintln!(
-                "check: FAILED: edge-triggered serial RPC only {et_ratio:.2}x level-triggered \
-                 (need >= {GATE_ET_MIN_RATIO}x)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "check: edge-triggered reactor {et_ratio:.2}x level-triggered at 16 RPC clients \
-             (>= {GATE_ET_MIN_RATIO}x)"
-        );
-        // Absolute per-request budgets over the reactor's warm 16-client
+        // Absolute per-request budgets over the gate's warm 16-client
         // window: syscall count and reactor-thread heap allocations.
-        let syscalls_per_req = metric(&gate_reactor, "syscalls_per_req");
+        let syscalls_per_req = metric(&gate, "syscalls_per_req");
         if syscalls_per_req >= GATE_SYSCALLS_PER_REQ_BUDGET {
             eprintln!(
                 "check: FAILED: syscalls_per_req {syscalls_per_req:.3} >= \
@@ -1262,7 +908,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        let allocs_per_req = metric(&gate_reactor, "allocs_per_req");
+        let allocs_per_req = metric(&gate, "allocs_per_req");
         if allocs_per_req >= GATE_ALLOCS_PER_REQ_BUDGET {
             eprintln!(
                 "check: FAILED: allocs_per_req {allocs_per_req:.2} >= \
@@ -1271,7 +917,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "check: reactor warm window costs {syscalls_per_req:.3} syscalls and \
+            "check: gate warm window costs {syscalls_per_req:.3} syscalls and \
              {allocs_per_req:.2} allocations per request (budgets \
              {GATE_SYSCALLS_PER_REQ_BUDGET} / {GATE_ALLOCS_PER_REQ_BUDGET})"
         );
@@ -1386,11 +1032,6 @@ fn main() {
         )
         .expect("write BENCH_sweep.json");
         std::fs::write(
-            "BENCH_gate.json",
-            to_json(&gate_tpc, &gate_reactor).to_string_pretty(),
-        )
-        .expect("write BENCH_gate.json");
-        std::fs::write(
             "BENCH_ctrl.json",
             to_json(&ctrl_off, &ctrl_on).to_string_pretty(),
         )
@@ -1406,8 +1047,8 @@ fn main() {
         )
         .expect("write BENCH_fleet.json");
         println!(
-            "wrote BENCH_inversion.json, BENCH_sweep.json, BENCH_gate.json, BENCH_ctrl.json, \
-             BENCH_coded.json, BENCH_fleet.json"
+            "wrote BENCH_inversion.json, BENCH_sweep.json, BENCH_ctrl.json, BENCH_coded.json, \
+             BENCH_fleet.json"
         );
     }
 }

@@ -149,7 +149,7 @@ fn main() {
                 .iter()
                 .map(|&sla| {
                     boundary_handle
-                        .attainment(Query::new().sla(sla))
+                        .attainment(&Query::new().sla(sla))
                         .ok()
                         .map(|p| p.value)
                 })
@@ -267,9 +267,9 @@ fn main() {
     let status_before = handle.status().expect("service alive");
     for _ in 0..25 {
         for &sla in &slas {
-            let _ = handle.attainment(Query::new().sla(sla));
+            let _ = handle.attainment(&Query::new().sla(sla));
         }
-        let _ = handle.latency_percentile(Query::new().p(0.95));
+        let _ = handle.latency_percentile(&Query::new().p(0.95));
     }
     let status = handle.status().expect("service alive");
     let hits = status.engine.cache.hits - status_before.engine.cache.hits;
@@ -289,7 +289,7 @@ fn main() {
             .fold(f64::NAN, f64::max);
         println!("# what-if sweep (50 ms SLA): stable ≥90% up to ~{knee:.0} req/s");
     }
-    if let Ok(head) = handle.admissible_rate(Query::new().sla(0.050).target(0.90).upper(2000.0)) {
+    if let Ok(head) = handle.admissible_rate(&Query::new().sla(0.050).target(0.90).upper(2000.0)) {
         println!(
             "# overload headroom (90% under 50 ms): {:.1} req/s",
             head.value

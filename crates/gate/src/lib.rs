@@ -21,23 +21,24 @@
 //! * [`query`] — query-string parsing with percent-decoding and typed
 //!   parameter accessors;
 //! * [`routes`] — the `/v1/*` query surface over a cloned
-//!   [`cos_serve::ServiceClient`], plus the telemetry wire format and the
-//!   per-request admission check (`429` + `Retry-After`) when the gate
-//!   runs with a [`cos_ctrl::Controller`];
+//!   [`cos_serve::ServiceClient`], answered from its lock-free snapshot,
+//!   plus the telemetry wire format and the per-request admission check
+//!   (`429` + `Retry-After`) when the gate runs with a
+//!   [`cos_ctrl::Controller`];
 //! * [`metrics`] — `GET /metrics` Prometheus-style text exposition;
 //! * [`obs`] — the gate's self-measuring instruments ([`GateObs`]):
 //!   per-route request latency, parse/dispatch sub-spans, and counters,
 //!   recorded into the [`cos_obs::Registry`] carried by [`GateConfig`];
-//! * [`server`] — the socket front door: keep-alive, pipelining,
-//!   read/write timeouts, per-request deadlines, connection caps, and a
-//!   graceful shutdown that drains in-flight responses, in either of two
-//!   [`ServerMode`]s;
-//! * [`reactor`] — the default event-driven mode: a fixed pool of
-//!   reactor threads multiplexing nonblocking connections over an
-//!   edge-triggered readiness poller ([`cos_par::poller`]), with sharded
-//!   `SO_REUSEPORT` accept, single-`writev` response flushes, pooled
-//!   buffers, and per-thread syscall counters ([`Gate::syscalls`]),
-//!   dispatching GETs inline through the lock-free snapshot read path.
+//! * [`server`] — the socket front door: keep-alive, pipelining, write
+//!   timeouts, per-request deadlines, connection caps, and a graceful
+//!   shutdown that drains in-flight responses;
+//! * [`reactor`] — the event-driven core: a fixed pool of reactor threads
+//!   taking connections from one shared listener and multiplexing them
+//!   over a level-triggered readiness poller ([`cos_par::poller`]: epoll
+//!   on Linux, `poll(2)` on other Unix targets), with single-`writev`
+//!   response flushes, pooled buffers, and per-thread syscall counters
+//!   ([`Gate::syscalls`]), dispatching GETs inline through the lock-free
+//!   snapshot read path.
 //!
 //! ```no_run
 //! use cos_gate::{Gate, GateConfig};
@@ -64,8 +65,5 @@ pub use http::{parse_one, Method, ParseError, ParserLimits, Request, RequestPars
 pub use json::Value;
 pub use metrics::{render_ctrl_metrics, render_metrics};
 pub use obs::{GateObs, TRACKED_ROUTES};
-pub use routes::{
-    classify, decode_events, encode_events, handle, handle_ctrl, handle_full, handle_with_obs,
-    status_body, ReadPath,
-};
-pub use server::{AcceptMode, Gate, GateConfig, GateConfigBuilder, InvalidConfig, ServerMode};
+pub use routes::{classify, decode_events, encode_events, handle, handle_ctrl, status_body};
+pub use server::{Gate, GateConfig, GateConfigBuilder, InvalidConfig};

@@ -2,37 +2,30 @@
 //! multiplexing many nonblocking connections over one [`Poller`].
 //!
 //! This is the architecture the paper models — an event-driven server
+//! whose processes take connections from one shared accept queue, and
 //! whose concurrency is bounded by memory per connection, not by OS
-//! threads — and since PR 10 it is *syscall-lean* end to end: the hot
-//! serving path costs one `epoll_wait` share, one short-read-terminated
-//! `read`, and one vectored `writev` per wake, with no `epoll_ctl` re-arms
-//! and no heap allocation in steady state. Four mechanisms, all
-//! DESIGN §15:
+//! threads. A warm keep-alive request costs three syscalls: one poller
+//! wait, one `read` and one `writev`, with no interest updates and no
+//! heap allocation in the transport. The mechanisms (DESIGN §12):
 //!
-//! * **Edge-triggered registration.** Each reactor's [`Poller`] runs in
-//!   [`GateConfig::trigger_mode`] (edge by default). Every connection
-//!   honors the *drain contract*: on a readable event it reads until
-//!   `WouldBlock` — or until a short read proves the kernel queue empty,
-//!   which saves the trailing always-`WouldBlock` read — and on a writable
-//!   event it flushes until `WouldBlock`. Under epoll+edge the poller is
-//!   [`rearm_free`](Poller::rearm_free): connections register
-//!   `READ_WRITE` once and the reactor never calls `modify` again. The
-//!   256 KiB fairness burst cap survives ET through a reactor-local
-//!   **re-drive queue**: a connection that hits the cap is queued locally
-//!   and re-driven on the next loop iteration (with a zero poll timeout),
-//!   because an edge-triggered poller will not re-report bytes it already
-//!   announced.
-//! * **Sharded accept.** Each reactor thread owns *its own* listener.
-//!   [`Gate::bind`](crate::Gate::bind) creates one listener per thread in
-//!   a `SO_REUSEPORT` group when the platform allows, so the kernel
-//!   spreads incoming connections across reactors and an accept edge
-//!   wakes exactly one thread — no thundering herd on a shared fd. When
-//!   `SO_REUSEPORT` is unavailable every reactor holds an `Arc` of the
-//!   same listener and accepts race exactly as before (the losers see
-//!   `WouldBlock`). Admission stays **global** either way: every accept
-//!   consults `Shared::try_admit`, so `max_connections`, the
-//!   over-capacity `503`, and the lingering-reject protocol are
-//!   byte-identical in both accept modes.
+//! * **Level-triggered readiness.** Each reactor's [`Poller`] re-reports a
+//!   descriptor for as long as it stays ready, so nothing a reactor leaves
+//!   behind is ever stranded: bytes past the 256 KiB fairness burst cap,
+//!   a peer's FIN queued behind its last request, a listener backlog after
+//!   a transient accept failure — each shows up again on the next wait.
+//!   A connection is registered read-only and gains write interest only
+//!   while it has output queued, so an idle writable socket never wakes
+//!   its reactor.
+//! * **Short-read exit.** A stream `read` returns everything queued up to
+//!   the buffer size, so a read shorter than the buffer proves the kernel
+//!   queue empty and the trailing always-`WouldBlock` read is skipped. If
+//!   more bytes (or an EOF) land afterwards, the level-triggered poller
+//!   reports them on the next wait.
+//! * **Shared accept.** Every reactor registers the same listener and
+//!   accepts race (the losers see `WouldBlock`). Admission is global:
+//!   every accept consults `Shared::try_admit`, so `max_connections`, the
+//!   over-capacity `503`, and the lingering-reject protocol do not depend
+//!   on which reactor won the race.
 //! * **Vectored response flush.** Responses are queued as segments (a
 //!   pooled head+small-body buffer, plus large bodies as their own
 //!   zero-copy segment) in an `OutQueue`, and each drive cycle flushes
@@ -43,13 +36,12 @@
 //!   recycled too; combined with the parser's retained buffer and the
 //!   allocation-free [`Response::write_head_to`] serializer, a
 //!   steady-state keep-alive request allocates nothing in the transport
-//!   (measured by `perf_baseline`'s allocations-per-request cell via
+//!   (pinned by the `gate_budgets` test through
 //!   [`cos_par::alloc_probe`]).
 //!
 //! Every syscall the reactor makes is counted in the poller's shared
 //! [`SyscallCounters`], which [`Gate::syscalls`](crate::Gate::syscalls)
-//! aggregates across threads — the substrate of the syscalls-per-request
-//! bench cell and its CI budget.
+//! aggregates across threads.
 //!
 //! # Per-connection state machine
 //!
@@ -69,12 +61,10 @@
 //! ```
 //!
 //! Every poller event is handled *uniformly* by `Reactor::drive`: try to
-//! read, drain the parser, flush the output queue, then (when interest
-//! management is still needed) recompute interest. A stale or spurious
-//! event (slab slot reused, kernel-reported hangup, an extra level-mode
-//! report) therefore costs one harmless `WouldBlock` round, never a wrong
-//! state transition — which is also exactly why the portable poller's
-//! "edge" contract mode (spurious re-reports allowed) is safe here.
+//! read, drain the parser, flush the output queue, then recompute
+//! interest. A stale or spurious event (slab slot reused, kernel-reported
+//! hangup) therefore costs one harmless `WouldBlock` round, never a wrong
+//! state transition.
 //!
 //! # Why dispatch runs inline
 //!
@@ -95,8 +85,8 @@
 //!
 //! There is no timer wheel: each poll wait's timeout is the nearest
 //! pending deadline (request deadline from the first byte of a request
-//! head, write timeout from the first short write) — or zero while the
-//! re-drive queue is non-empty — and a sweep after every wait answers
+//! head, write timeout from the first short write), and a sweep after
+//! every wait answers
 //! expired requests with `408` and closes stuck writers. With no
 //! deadlines armed the reactor sleeps until the poller or its [`Waker`]
 //! says otherwise.
@@ -104,13 +94,15 @@
 //! # Shutdown / drain protocol
 //!
 //! [`Gate::shutdown`](crate::Gate::shutdown) flips the shared flag and
-//! fires every reactor's waker. Each reactor then stops accepting,
+//! fires every reactor's waker. Each reactor then stops accepting — it
+//! deregisters the listener, which a level-triggered poller would
+//! otherwise report on every wait while connections wait in its backlog —
 //! closes idle keep-alive connections (no partial request, no pending
 //! output), demotes in-flight responses to `Connection: close`, arms a
 //! request-deadline clock on any connection still mid-request (so a
 //! stalled peer bounds the drain at `408` instead of wedging it), and
 //! exits once its slab is empty. The `Gate` joins all reactors, at which
-//! point each listener's last `Arc` drops and the port closes.
+//! point the listener's last `Arc` drops and the port closes.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
@@ -121,7 +113,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cos_par::poller::{Backend, Interest, Poller, SyscallCounters, TriggerMode, WakeReader, Waker};
+use cos_par::poller::{Backend, Interest, Poller, SyscallCounters, WakeReader, Waker};
 use cos_serve::ServiceClient;
 
 use crate::http::{RequestParser, Response};
@@ -137,9 +129,9 @@ const WAKER: u64 = 1;
 const CONN_BASE: u64 = 2;
 
 /// Byte ceiling read per connection per event before yielding back to the
-/// event loop: a firehose peer gets re-queued (by the level-triggered
-/// poller, or by the reactor's own re-drive queue under edge triggering)
-/// instead of starving its neighbors on the same reactor thread.
+/// event loop: the level-triggered poller reports a firehose peer again on
+/// the next wait instead of letting it starve its neighbors on the same
+/// reactor thread.
 const READ_BURST_BYTES: usize = 256 * 1024;
 
 /// Bodies up to this size are copied into the (pooled) head buffer so a
@@ -158,17 +150,6 @@ const MAX_POOLED_CAPACITY: usize = 64 * 1024;
 /// Free-list depth cap per reactor.
 const MAX_POOLED_BUFFERS: usize = 256;
 
-/// Which backend the reactors' pollers use:
-/// `COS_GATE_FORCE_POLL_BACKEND=portable` (or `poll`) forces the portable
-/// `poll(2)` backend so CI exercises the non-epoll path on Linux too;
-/// anything else picks the platform default.
-pub(crate) fn backend_from_env() -> Backend {
-    match std::env::var("COS_GATE_FORCE_POLL_BACKEND").as_deref() {
-        Ok("portable") | Ok("poll") => Backend::Poll,
-        _ => Backend::default_for_platform(),
-    }
-}
-
 /// Everything [`spawn`] hands back to the server: join handles, one waker
 /// per thread (fire all of them after setting the shared shutdown flag,
 /// then join), and each thread's syscall counters for aggregation.
@@ -178,32 +159,31 @@ pub(crate) struct SpawnedReactors {
     pub(crate) counters: Vec<Arc<SyscallCounters>>,
 }
 
-/// Spawns one reactor thread per listener in `listeners` (sharded accept
-/// passes distinct listeners; shared accept passes clones of one `Arc`).
+/// Spawns `threads` reactor threads polling the one shared `listener`, each
+/// on its own poller of the given `backend`.
 pub(crate) fn spawn(
-    listeners: Vec<Arc<TcpListener>>,
+    listener: Arc<TcpListener>,
+    threads: usize,
+    backend: Backend,
     client: ServiceClient,
     config: GateConfig,
     obs: GateObs,
     shared: Arc<Shared>,
 ) -> std::io::Result<SpawnedReactors> {
-    let mut joins = Vec::with_capacity(listeners.len());
-    let mut wakers = Vec::with_capacity(listeners.len());
-    let mut counters = Vec::with_capacity(listeners.len());
-    let backend = backend_from_env();
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let poller = Poller::with_mode(backend, config.trigger_mode)?;
+    let mut joins = Vec::with_capacity(threads);
+    let mut wakers = Vec::with_capacity(threads);
+    let mut counters = Vec::with_capacity(threads);
+    for i in 0..threads {
+        let poller = Poller::with_backend(backend)?;
         let (waker, wake_rx) = Waker::pair()?;
         poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
         poller.register(wake_rx.as_raw_fd(), WAKER, Interest::READ)?;
         counters.push(poller.counters().clone());
         let ctx = Reactor {
-            edge: config.trigger_mode == TriggerMode::Edge,
-            rearm_free: poller.rearm_free(),
             counters: poller.counters().clone(),
             poller,
             wake_rx,
-            listener,
+            listener: Arc::clone(&listener),
             client: client.clone(),
             config: config.clone(),
             obs: obs.clone(),
@@ -212,16 +192,14 @@ pub(crate) fn spawn(
             free: Vec::new(),
             live: 0,
             lingering: 0,
-            pending: Vec::new(),
-            accept_pending: false,
             buf_pool: Vec::new(),
         };
         let join = std::thread::Builder::new()
             .name(format!("cos-gate-reactor-{i}"))
             .spawn(move || {
-                // Opt into bench-side allocation accounting (a no-op
-                // thread-local write unless the counting allocator is
-                // installed, which only `perf_baseline` does).
+                // Opt into allocation accounting (a no-op thread-local
+                // write unless the binary installed the counting
+                // allocator, as the benchmarks and budget tests do).
                 cos_par::alloc_probe::track_current_thread(true);
                 ctx.run()
             })?;
@@ -375,11 +353,6 @@ struct Conn {
     closing: bool,
     /// The peer's write half is done (`read` returned 0).
     saw_eof: bool,
-    /// The kernel flagged a hangup (`EPOLLRDHUP`-class) for this
-    /// connection. The peer's FIN can ride the *same* edge as its final
-    /// data bytes, so once this is set the short-read exit is disabled:
-    /// the EOF must be read out now — no later edge will announce it.
-    peer_hup: bool,
     /// This connection holds a slot in the shared connection count
     /// (false for over-capacity rejects, which ride the slab but must
     /// not consume admitted capacity).
@@ -392,8 +365,7 @@ struct Conn {
     linger_until: Option<Instant>,
     /// The write half has been shut down (lingering close only).
     fin_sent: bool,
-    /// Currently registered poller interest (fixed at `READ_WRITE` for
-    /// the connection's whole life when the poller is rearm-free).
+    /// Currently registered poller interest.
     interest: Interest,
 }
 
@@ -405,12 +377,6 @@ impl Conn {
 
 struct Reactor {
     poller: Poller,
-    /// Drain-contract mode: enables the short-read exit and the re-drive
-    /// queue semantics.
-    edge: bool,
-    /// Kernel-side edge triggering: interest is `READ_WRITE` for life and
-    /// `modify` is never called (see [`Poller::rearm_free`]).
-    rearm_free: bool,
     counters: Arc<SyscallCounters>,
     wake_rx: WakeReader,
     listener: Arc<TcpListener>,
@@ -424,14 +390,6 @@ struct Reactor {
     /// Slab connections lingering on an over-capacity `503` (unadmitted,
     /// bounded by `max_connections` of their own).
     lingering: usize,
-    /// Slots that hit the fairness burst cap and must be re-driven on
-    /// the next loop iteration: an edge-triggered poller will not
-    /// re-report bytes it already announced.
-    pending: Vec<usize>,
-    /// The last accept burst ended on a transient error; retry next
-    /// iteration rather than waiting for a (possibly never-coming under
-    /// ET) fresh listener event.
-    accept_pending: bool,
     /// Recycled head/segment buffers (per-reactor, so no locking).
     buf_pool: Vec<Vec<u8>>,
 }
@@ -445,15 +403,7 @@ impl Reactor {
             if draining && self.live == 0 {
                 return;
             }
-            // Local work pending (burst-capped connections, a stalled
-            // accept) means a zero timeout: poll for anything new, then
-            // get right back to it.
-            let timeout = if self.pending.is_empty() && !self.accept_pending {
-                self.next_timeout()
-            } else {
-                Some(Duration::ZERO)
-            };
-            if self.poller.wait(&mut events, timeout).is_err() {
+            if self.poller.wait(&mut events, self.next_timeout()).is_err() {
                 // A broken poller cannot drive anything; abandon the
                 // remaining connections rather than spin.
                 self.close_all();
@@ -468,30 +418,12 @@ impl Reactor {
                         }
                     }
                     WAKER => self.wake_rx.drain(),
-                    token => {
-                        let slot = (token - CONN_BASE) as usize;
-                        if ev.closed {
-                            if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                                conn.peer_hup = true;
-                            }
-                        }
-                        self.drive(slot, draining);
-                    }
+                    token => self.drive((token - CONN_BASE) as usize, draining),
                 }
             }
-            // Re-drive burst-capped connections the poller will not (or,
-            // level-triggered, simply has not yet) re-report.
-            let pending = std::mem::take(&mut self.pending);
-            for slot in pending {
-                self.drive(slot, draining);
-            }
-            if self.accept_pending && !draining {
-                self.accept_pending = false;
-                self.accept_burst();
-            }
             if draining && !was_draining {
-                // First sweep after shutdown: close idle keep-alives, arm
-                // drain deadlines on the rest.
+                // First sweep after shutdown: stop accepting, close idle
+                // keep-alives, arm drain deadlines on the rest.
                 self.begin_drain();
                 was_draining = true;
             }
@@ -522,8 +454,7 @@ impl Reactor {
     }
 
     /// Accepts until the listener runs dry. Over-capacity accepts are
-    /// answered `503` and closed, same bytes as the thread-per-connection
-    /// front door.
+    /// answered `503` and closed.
     fn accept_burst(&mut self) {
         loop {
             SyscallCounters::bump(&self.counters.accepts);
@@ -547,12 +478,10 @@ impl Reactor {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 // Transient accept failures (e.g. fd exhaustion, a peer
-                // that reset before accept): yield briefly and retry next
-                // iteration — an edge-triggered listener will not re-fire
-                // for connections already sitting in the backlog.
+                // that reset before accept): yield briefly; the poller
+                // reports the backlog again on the next wait.
                 Err(_) => {
                     std::thread::sleep(Duration::from_millis(1));
-                    self.accept_pending = true;
                     return;
                 }
             }
@@ -568,15 +497,9 @@ impl Reactor {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        // A rearm-free poller reports each readiness transition exactly
-        // once, so blanket READ_WRITE interest costs nothing and spares
-        // every future `modify`; a re-reporting poller would busy-wake on
-        // an idle-but-writable socket, so it starts read-only.
-        let interest = if self.rearm_free {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
+        // Read-only: write interest on an idle, writable socket would
+        // make the level-triggered poller report it on every wait.
+        let interest = Interest::READ;
         match self
             .poller
             .register(stream.as_raw_fd(), slot as u64 + CONN_BASE, interest)
@@ -595,7 +518,6 @@ impl Reactor {
             write_started: None,
             closing: false,
             saw_eof: false,
-            peer_hup: false,
             counted,
             linger_until: None,
             fin_sent: false,
@@ -646,21 +568,20 @@ impl Reactor {
 
     /// The uniform per-event connection handler: read, parse+dispatch,
     /// flush, recompute interest. Called for real events, stale events on
-    /// a reused slot, re-drives, and drain sweeps alike.
+    /// a reused slot, and drain sweeps alike.
     fn drive(&mut self, slot: usize, draining: bool) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return; // stale event for a slot already closed
         };
 
-        // Read until WouldBlock, EOF, or the fairness burst ceiling. In
-        // edge mode a *short* read already proves the kernel queue empty
-        // (a stream read returns everything available up to the buffer
-        // size), so the trailing always-WouldBlock read is skipped — any
-        // later refill is a fresh edge. A closing connection still reads
-        // while it lingers — discarding, so a flooding peer cannot grow
-        // the parser buffer.
+        // Read until WouldBlock, EOF, a short read, or the fairness burst
+        // ceiling; the level-triggered poller reports whatever is left on
+        // the next wait. A *short* read proves the kernel queue empty (a
+        // stream read returns everything available up to the buffer
+        // size), so the trailing always-WouldBlock read is skipped. A
+        // closing connection still reads while it lingers — discarding,
+        // so a flooding peer cannot grow the parser buffer.
         let mut dead = false;
-        let mut hit_burst_cap = false;
         if !conn.saw_eof && (!conn.closing || conn.linger_until.is_some()) {
             let mut chunk = [0u8; 8 * 1024];
             let mut taken = 0usize;
@@ -679,12 +600,8 @@ impl Reactor {
                             conn.parser.feed(&chunk[..n]);
                         }
                         taken += n;
-                        if taken >= READ_BURST_BYTES {
-                            hit_burst_cap = true;
+                        if taken >= READ_BURST_BYTES || n < chunk.len() {
                             break;
-                        }
-                        if self.edge && !conn.peer_hup && n < chunk.len() {
-                            break; // short read: the kernel queue is empty
                         }
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -699,12 +616,6 @@ impl Reactor {
         if dead {
             self.close(slot);
             return;
-        }
-        if hit_burst_cap {
-            // An edge-triggered poller will not re-report what it already
-            // announced; queue a local re-drive. (Harmless double-drive
-            // under level triggering.)
-            self.pending.push(slot);
         }
 
         // Drain every complete request already buffered (pipelining),
@@ -724,7 +635,6 @@ impl Reactor {
                     let response = routes::handle_ctrl(
                         &self.client,
                         Some(&self.obs),
-                        self.config.read_path,
                         self.config.controller.as_deref(),
                         &request,
                     );
@@ -828,10 +738,7 @@ impl Reactor {
                     let _ = conn.stream.shutdown(Shutdown::Write);
                     conn.fin_sent = true;
                 }
-                // Rearm-free: the fixed READ_WRITE registration already
-                // covers the read-side EOF we are waiting for, and edge
-                // triggering means no writable busy-wakes to silence.
-                if !self.rearm_free && conn.interest != Interest::READ {
+                if conn.interest != Interest::READ {
                     if self
                         .poller
                         .modify(
@@ -852,9 +759,6 @@ impl Reactor {
             let _ = conn.stream.shutdown(Shutdown::Both);
             self.close(slot);
             return;
-        }
-        if self.rearm_free {
-            return; // interest is READ_WRITE for life; nothing to manage
         }
         let want = Interest {
             readable: !conn.saw_eof && (!conn.closing || conn.linger_until.is_some()),
@@ -910,10 +814,13 @@ impl Reactor {
         }
     }
 
-    /// The first sweep after shutdown flips: close idle connections, arm
-    /// drain deadlines, demote everything else via a full drive (which
-    /// sees `draining == true`).
+    /// The first sweep after shutdown flips: stop polling the listener,
+    /// close idle connections, arm drain deadlines, demote everything else
+    /// via a full drive (which sees `draining == true`).
     fn begin_drain(&mut self) {
+        // A level-triggered poller would report a non-empty backlog on
+        // every wait until the drain ends.
+        let _ = self.poller.deregister(self.listener.as_raw_fd());
         for slot in 0..self.conns.len() {
             if self.conns[slot].is_some() {
                 self.drive(slot, true);

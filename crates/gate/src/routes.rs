@@ -38,11 +38,9 @@
 //! never shed: starving the feedback loop that decides when to re-admit
 //! would wedge the controller in the shed state.
 //!
-//! Every GET route answers through a [`ReadPath`]: by default the
-//! lock-free snapshot path (evaluated on the connection thread, see
-//! [`cos_serve::SnapshotReader`]), or the worker's command channel when
-//! configured — the answers are bit-identical either way. The telemetry
-//! POST always goes through the channel: it is a write.
+//! Every GET route answers from the lock-free snapshot path, evaluated on
+//! the calling thread (see [`cos_serve::SnapshotReader`]). The telemetry
+//! POST goes through the service's command channel: it is a write.
 
 use cos_ctrl::{Controller, SlaClass};
 use cos_serve::{
@@ -58,27 +56,11 @@ use crate::query;
 /// Default `upper` bound (req/s) of the headroom search.
 pub const DEFAULT_HEADROOM_UPPER: f64 = cos_serve::DEFAULT_HEADROOM_UPPER;
 
-/// Which evaluation path the GET routes use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Evaluate on the calling (connection) thread against the worker's
-    /// published snapshot — lock-free, no channel round-trip, bit-identical
-    /// answers. The default.
-    #[default]
-    Snapshot,
-    /// Round-trip every query through the service worker's command
-    /// channel. Kept for comparison benchmarks and as a behavioral
-    /// reference; writes (`POST /v1/telemetry`) always use the channel.
-    Worker,
-}
-
-/// The GET routes' view of the service: one [`ServiceClient`] dispatched
-/// through the configured [`ReadPath`], scoped to one tenant's estimator
+/// The GET routes' view of the service, scoped to one tenant's estimator
 /// shard. Legacy `/v1/*` routes run through the same struct with the
 /// reserved `default` tenant, which is what makes the alias byte-exact.
 struct Reader<'a> {
     client: &'a ServiceClient,
-    path: ReadPath,
     tenant: TenantId,
 }
 
@@ -87,70 +69,14 @@ impl Reader<'_> {
     fn query(&self) -> Query {
         Query::tenant(self.tenant.clone())
     }
-
-    fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_attainment(&query),
-            ReadPath::Worker => self.client.attainment(query),
-        }
-    }
-
-    fn percentile(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_latency_percentile(&query),
-            ReadPath::Worker => self.client.latency_percentile(query),
-        }
-    }
-
-    fn headroom(&self, query: Query) -> Result<Prediction, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_admissible_rate(&query),
-            ReadPath::Worker => self.client.admissible_rate(query),
-        }
-    }
-
-    fn bottlenecks(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_device_ranking(&query),
-            ReadPath::Worker => self.client.device_ranking(query),
-        }
-    }
-
-    fn status(&self) -> Result<ServiceStatus, ServeError> {
-        match self.path {
-            ReadPath::Snapshot => self.client.read_status_for(&self.tenant),
-            ReadPath::Worker => self.client.status_for(&self.tenant),
-        }
-    }
 }
 
 /// Dispatches one parsed request against the service, without gate
-/// instrumentation: `/v1/selfcheck` reports no observed latencies and
-/// `/metrics` carries only the service summary. The socket server uses
-/// [`handle_full`].
+/// instrumentation or admission control: `/v1/selfcheck` reports no
+/// observed latencies and `/metrics` carries only the service summary.
+/// The socket server uses [`handle_ctrl`].
 pub fn handle(client: &ServiceClient, req: &Request) -> Response {
-    handle_with_obs(client, None, req)
-}
-
-/// Dispatches one parsed request against the service over the default
-/// (snapshot) read path. With `obs`, the self-measuring routes light up:
-/// `/metrics` appends every registered instrument and `/v1/selfcheck`
-/// reports observed request percentiles.
-pub fn handle_with_obs(client: &ServiceClient, obs: Option<&GateObs>, req: &Request) -> Response {
-    handle_full(client, obs, ReadPath::default(), req)
-}
-
-/// Dispatches one parsed request with an explicit [`ReadPath`]: every GET
-/// route answers through `read_path`; `POST /v1/telemetry` always goes
-/// through the worker's command channel (it is a write). Equivalent to
-/// [`handle_ctrl`] with no admission controller.
-pub fn handle_full(
-    client: &ServiceClient,
-    obs: Option<&GateObs>,
-    read_path: ReadPath,
-    req: &Request,
-) -> Response {
-    handle_ctrl(client, obs, read_path, None, req)
+    handle_ctrl(client, None, None, req)
 }
 
 /// Classifies one request for admission: control-plane routes (the
@@ -213,13 +139,13 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
     Ok((tenant, route))
 }
 
-/// The widest dispatcher: tenant resolution, then admission control (when
-/// a controller is configured), then routing. A shed request is answered
+/// The full dispatcher: tenant resolution, then admission control (when a
+/// controller is configured), then routing. A shed request is answered
 /// `429 Too Many Requests` with a `Retry-After` header and never reaches
-/// the service. With `ctrl = None` the behavior — including every response
-/// byte — is identical to [`handle_full`] before admission control
-/// existed, except that `GET /v1/anomalies` exists only when a controller
-/// is present.
+/// the service; `GET /v1/anomalies` exists only when a controller is
+/// present. With `obs`, the self-measuring routes light up: `/metrics`
+/// appends every registered instrument and `/v1/selfcheck` reports
+/// observed request percentiles.
 ///
 /// Tenant resolution runs *before* the admission decision so the
 /// controller can apply the tenant's shed budget
@@ -230,7 +156,6 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
 pub fn handle_ctrl(
     client: &ServiceClient,
     obs: Option<&GateObs>,
-    read_path: ReadPath,
     ctrl: Option<&Controller>,
     req: &Request,
 ) -> Response {
@@ -249,7 +174,6 @@ pub fn handle_ctrl(
     }
     let reader = Reader {
         client,
-        path: read_path,
         tenant: tenant.clone(),
     };
     let get = |handler: &dyn Fn() -> Response| -> Response {
@@ -362,15 +286,17 @@ fn attainment(reader: &Reader<'_>, req: &Request) -> Response {
                 "query parameter `rate` cannot be combined with `n`/`k`",
             );
         }
-        return match reader.attainment(reader.query().sla(sla).n_k(n, k)) {
+        return match reader.client.attainment(&reader.query().sla(sla).n_k(n, k)) {
             Ok(p) => prediction_body(&[("sla", sla), ("n", n as f64), ("k", k as f64)], p),
             Err(e) => service_error(e),
         };
     }
     let answer = match query::get(&params, "rate") {
-        None => reader.attainment(reader.query().sla(sla)),
+        None => reader.client.attainment(&reader.query().sla(sla)),
         Some(_) => match query::require_f64(&params, "rate") {
-            Ok(rate) if rate > 0.0 => reader.attainment(reader.query().sla(sla).rate(rate)),
+            Ok(rate) if rate > 0.0 => reader
+                .client
+                .attainment(&reader.query().sla(sla).rate(rate)),
             Ok(_) => return Response::error(400, "query parameter `rate` must be positive"),
             Err(e) => return Response::error(400, &e),
         },
@@ -402,12 +328,15 @@ fn percentile(reader: &Reader<'_>, req: &Request) -> Response {
         Err(r) => return r,
     };
     if let Some((n, k)) = coding {
-        return match reader.percentile(reader.query().p(p).n_k(n, k)) {
+        return match reader
+            .client
+            .latency_percentile(&reader.query().p(p).n_k(n, k))
+        {
             Ok(answer) => prediction_body(&[("p", p), ("n", n as f64), ("k", k as f64)], answer),
             Err(e) => service_error(e),
         };
     }
-    match reader.percentile(reader.query().p(p)) {
+    match reader.client.latency_percentile(&reader.query().p(p)) {
         Ok(answer) => prediction_body(&[("p", p)], answer),
         Err(e) => service_error(e),
     }
@@ -433,7 +362,10 @@ fn headroom(reader: &Reader<'_>, req: &Request) -> Response {
         Ok(_) => return Response::error(400, "query parameter `upper` must be positive"),
         Err(e) => return Response::error(400, &e),
     };
-    match reader.headroom(reader.query().sla(sla).target(target).upper(upper)) {
+    match reader
+        .client
+        .admissible_rate(&reader.query().sla(sla).target(target).upper(upper))
+    {
         Ok(answer) => prediction_body(&[("sla", sla), ("target", target)], answer),
         Err(e) => service_error(e),
     }
@@ -449,7 +381,7 @@ fn bottlenecks(reader: &Reader<'_>, req: &Request) -> Response {
         Ok(_) => return Response::error(400, "query parameter `sla` must be positive"),
         Err(e) => return Response::error(400, &e),
     };
-    match reader.bottlenecks(reader.query().sla(sla)) {
+    match reader.client.device_ranking(&reader.query().sla(sla)) {
         Ok(ranked) => {
             let items = ranked
                 .into_iter()
@@ -494,14 +426,14 @@ fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Respon
 }
 
 fn status(reader: &Reader<'_>, _req: &Request) -> Response {
-    match reader.status() {
+    match reader.client.status_for(&reader.tenant) {
         Ok(s) => Response::json(200, status_body(&s).encode()),
         Err(e) => service_error(e),
     }
 }
 
 fn metrics(reader: &Reader<'_>, obs: Option<&GateObs>, ctrl: Option<&Controller>) -> Response {
-    match reader.status() {
+    match reader.client.status_for(&reader.tenant) {
         Ok(s) => {
             let mut text = render_metrics(&s);
             if let Ok(fleet) = reader.client.reader().fleet() {
@@ -619,7 +551,7 @@ fn selfcheck(reader: &Reader<'_>, obs: Option<&GateObs>) -> Response {
     let mut stale = Value::Null;
     let mut unavailable = Value::Null;
     for (name, q) in QUANTILES {
-        match reader.percentile(reader.query().p(q)) {
+        match reader.client.latency_percentile(&reader.query().p(q)) {
             Ok(p) => {
                 epoch = Value::Number(p.epoch as f64);
                 stale = Value::Bool(p.stale);
@@ -910,7 +842,7 @@ mod tests {
         assert_eq!(resp.status, 200);
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let value = body.f64_field("value").unwrap();
-        let direct = client.attainment(Query::new().sla(0.05)).unwrap().value;
+        let direct = client.attainment(&Query::new().sla(0.05)).unwrap().value;
         assert_eq!(value.to_bits(), direct.to_bits(), "JSON is bit-exact");
     }
 
@@ -965,7 +897,7 @@ mod tests {
     }
 
     #[test]
-    fn coded_queries_answer_through_both_read_paths() {
+    fn coded_queries_echo_the_spec_and_answer_like_the_client() {
         let handle_ = spawn_service();
         let client = handle_.client();
         for ev in sample_events() {
@@ -987,17 +919,10 @@ mod tests {
         let snapshot_value = body.f64_field("value").unwrap();
         assert!(snapshot_value > 0.0);
         let direct = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 2))
+            .latency_percentile(&Query::new().p(0.99).n_k(4, 2))
             .unwrap()
             .value;
         assert_eq!(snapshot_value.to_bits(), direct.to_bits());
-
-        // The worker channel path answers bit-identically.
-        let request = req("GET /v1/percentile?p=0.99&n=4&k=2 HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_full(&client, None, ReadPath::Worker, &request);
-        assert_eq!(resp.status, 200);
-        let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-        assert_eq!(body.f64_field("value").unwrap().to_bits(), direct.to_bits());
 
         // Coded attainment echoes the spec and answers in (0, 1].
         let resp = get(&client, "/v1/attainment?sla=0.05&n=6&k=4");
@@ -1099,9 +1024,10 @@ mod tests {
         let obs = GateObs::register(&registry);
 
         // Warming up, nothing recorded: both sides null, still 200.
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /v1/selfcheck HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1124,9 +1050,10 @@ mod tests {
         for ns in [200_000u64, 400_000, 800_000] {
             obs.request_hist("/v1/attainment").record_ns(ns);
         }
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /v1/selfcheck HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1158,9 +1085,10 @@ mod tests {
         let registry = cos_obs::Registry::new();
         let obs = GateObs::register(&registry);
         obs.request_hist("/v1/status").record_ns(50_000);
-        let resp = handle_with_obs(
+        let resp = handle_ctrl(
             &client,
             Some(&obs),
+            None,
             &req("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"),
         );
         assert_eq!(resp.status, 200);
@@ -1212,13 +1140,13 @@ mod tests {
         let ctrl = controller(&client);
         ctrl.force_shed(ctrl.policy().max_shed); // batch + standard shed fully
         let request = req("GET /v1/status HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 200, "control routes are never shed");
         // At max_shed (0.95 < 1) the error-diffusion accumulator admits
         // the very first request; the second crosses a whole unit.
         let request = req("GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: t\r\n\r\n");
         let resp = (0..3)
-            .map(|_| handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request))
+            .map(|_| handle_ctrl(&client, None, Some(&ctrl), &request))
             .find(|r| r.status == 429)
             .expect("shedding at max_shed must refuse a standard request");
         assert!(resp
@@ -1231,7 +1159,7 @@ mod tests {
         );
         // Back to zero shed, everything flows again (503: still warming).
         ctrl.force_shed(0.0);
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 503);
     }
 
@@ -1243,7 +1171,7 @@ mod tests {
         assert_eq!(get(&client, "/v1/anomalies").status, 404);
         let ctrl = controller(&client);
         let request = req("GET /v1/anomalies HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 200);
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(
@@ -1255,7 +1183,7 @@ mod tests {
         assert!(body.field("last_tick").unwrap().field("violating").is_ok());
         // Wrong method: 405 with Allow.
         let request = req("POST /v1/anomalies HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
-        let resp = handle_ctrl(&client, None, ReadPath::default(), Some(&ctrl), &request);
+        let resp = handle_ctrl(&client, None, Some(&ctrl), &request);
         assert_eq!(resp.status, 405);
     }
 
@@ -1271,23 +1199,11 @@ mod tests {
         // crossing happens on request two).
         for _ in 0..2 {
             let request = req("GET /v1/headroom HTTP/1.1\r\nHost: t\r\nx-sla-class: batch\r\n\r\n");
-            handle_ctrl(
-                &client,
-                Some(&obs),
-                ReadPath::default(),
-                Some(&ctrl),
-                &request,
-            );
+            handle_ctrl(&client, Some(&obs), Some(&ctrl), &request);
         }
         assert_eq!(obs.sheds_total.get(), 1);
         let request = req("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-        let resp = handle_ctrl(
-            &client,
-            Some(&obs),
-            ReadPath::default(),
-            Some(&ctrl),
-            &request,
-        );
+        let resp = handle_ctrl(&client, Some(&obs), Some(&ctrl), &request);
         assert_eq!(resp.status, 200);
         let text = String::from_utf8(resp.body).unwrap();
         assert!(text.contains("cos_ctrl_shed_fraction 0.5"), "{text}");
@@ -1311,8 +1227,8 @@ mod tests {
         }
         client.flush().unwrap();
         client.refit_now().unwrap();
-        client.attainment(Query::new().sla(0.05)).unwrap();
-        client.attainment(Query::new().sla(0.05)).unwrap();
+        client.attainment(&Query::new().sla(0.05)).unwrap();
+        client.attainment(&Query::new().sla(0.05)).unwrap();
         let resp = get(&client, "/v1/status");
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert!(body.f64_field("epoch").unwrap() >= 1.0);

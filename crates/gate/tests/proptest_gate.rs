@@ -14,11 +14,11 @@
 //!   the depth limit, trailing garbage), `json::decode_telemetry` returns
 //!   the same events bit for bit, or the same error text, as
 //!   `json::parse` followed by `decode_events`.
-//! * The reactor's edge-triggered drain loop is chunking-invariant on the
-//!   wire: a pipelined burst delivered in chunks cut at any byte
-//!   boundaries — each cut forcing a `WouldBlock` (and, past 8 KiB, a
-//!   short-read loop exit) at that exact position — answers byte-for-byte
-//!   the same status sequence as a single-segment delivery.
+//! * The reactor's read loop is chunking-invariant on the wire: a
+//!   pipelined burst delivered in chunks cut at any byte boundaries — each
+//!   cut forcing a short read (and, past 8 KiB, a full read followed by
+//!   another) at that exact position — answers byte-for-byte the same
+//!   status sequence as a single-segment delivery.
 
 use cos_gate::http::{parse_one, ParseError, ParserLimits, RequestParser};
 use cos_gate::json;
@@ -454,10 +454,10 @@ proptest! {
     }
 }
 
-/// One edge-triggered reactor gate shared by every case of the drain-loop
-/// property below (spawning a service per case would dominate the run).
-/// The gate and service are leaked: they die with the test process.
-fn edge_gate_addr() -> std::net::SocketAddr {
+/// One reactor gate shared by every case of the read-loop property below
+/// (spawning a service per case would dominate the run). The gate and
+/// service are leaked: they die with the test process.
+fn gate_addr() -> std::net::SocketAddr {
     use cos_distr::{Degenerate, Gamma};
     use cos_queueing::from_distribution;
     use cos_serve::{CalibrationBase, ServeConfig, SlaService};
@@ -476,11 +476,8 @@ fn edge_gate_addr() -> std::net::SocketAddr {
         let handle = SlaService::new(base, ServeConfig::default()).spawn();
         let client = handle.client();
         std::mem::forget(handle);
-        let config = cos_gate::GateConfig {
-            server_mode: cos_gate::ServerMode::Reactor,
-            ..cos_gate::GateConfig::default()
-        };
-        let gate = cos_gate::Gate::bind("127.0.0.1:0", client, config).expect("bind gate");
+        let gate = cos_gate::Gate::bind("127.0.0.1:0", client, cos_gate::GateConfig::default())
+            .expect("bind gate");
         let addr = gate.local_addr();
         std::mem::forget(gate);
         addr
@@ -488,8 +485,8 @@ fn edge_gate_addr() -> std::net::SocketAddr {
 }
 
 /// Writes `raw` in pieces cut at `bounds` (each flush followed by a pause
-/// long enough for the reactor to drain to `WouldBlock` at exactly that
-/// byte position), half-closes, and returns every response status.
+/// long enough for the reactor to read up to exactly that byte position),
+/// half-closes, and returns every response status.
 fn exchange_in_chunks(addr: std::net::SocketAddr, raw: &[u8], bounds: &[usize]) -> Vec<u16> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
@@ -532,18 +529,18 @@ fn exchange_in_chunks(addr: std::net::SocketAddr, raw: &[u8], bounds: &[usize]) 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The edge-triggered drain loop never loses bytes at a `WouldBlock`
-    /// boundary: a pipelined burst (GETs plus one padded telemetry POST,
-    /// sized to cross the reactor's 8 KiB read chunk and trigger the
-    /// short-read exit) cut into wire chunks at arbitrary byte positions
-    /// answers exactly the status sequence of a one-shot delivery.
+    /// The read loop never loses bytes at a short-read boundary: a
+    /// pipelined burst (GETs plus one padded telemetry POST, sized to
+    /// cross the reactor's 8 KiB read chunk) cut into wire chunks at
+    /// arbitrary byte positions answers exactly the status sequence of a
+    /// one-shot delivery.
     #[test]
-    fn et_drain_loop_is_chunking_invariant_on_the_wire(
+    fn drain_loop_is_chunking_invariant_on_the_wire(
         cut_seeds in proptest::collection::vec(0usize..usize::MAX, 0..6),
         gets in 1usize..4,
         pad in 0usize..20_000,
     ) {
-        let addr = edge_gate_addr();
+        let addr = gate_addr();
         let mut raw = Vec::new();
         for _ in 0..gets {
             raw.extend_from_slice(b"GET /v1/status HTTP/1.1\r\nHost: gate\r\n\r\n");

@@ -9,14 +9,16 @@
 //!
 //! 1. A binary that wants the numbers installs
 //!    `#[global_allocator] static A: CountingAlloc = CountingAlloc;`
-//!    (only `perf_baseline` does; production binaries keep the system
-//!    allocator untouched).
+//!    (benchmark and allocation-budget binaries do; production binaries
+//!    keep the system allocator untouched).
 //! 2. Threads whose allocations matter — the gate's reactor threads — call
 //!    [`track_current_thread`]`(true)` at startup. The reactor does this
 //!    unconditionally: when the counting allocator is not installed the
 //!    flag is a write to a thread-local bool that nothing reads.
 //! 3. The bench diffs [`tracked_allocs`] around a traffic window and
-//!    divides by requests served.
+//!    divides by requests served. The counter is process-wide on purpose:
+//!    the reading thread (a load-generating client) is not the counting
+//!    one (a reactor), so a per-thread counter would read zero.
 //!
 //! Only allocation *events* are counted (alloc, realloc, alloc_zeroed —
 //! not dealloc): the claim under test is "the hot path does not go to the
@@ -91,9 +93,13 @@ mod tests {
 
     // The test binary does not install `CountingAlloc`, so `tracked_allocs`
     // stays flat no matter what — which is itself the documented contract
-    // for production binaries. The flag plumbing is still exercisable.
+    // for production binaries. The wrapper itself is callable directly
+    // (not as the global allocator) and counts only while the thread is
+    // opted in. Both halves share one test: the counter is process-wide,
+    // so the second half running on another test thread would move the
+    // first half's counter.
     #[test]
-    fn flag_round_trips_and_counter_is_flat_without_installation() {
+    fn counter_is_flat_without_installation_and_counts_only_opted_in_threads() {
         track_current_thread(true);
         let before = tracked_allocs();
         let v: Vec<u64> = (0..1000).collect();
@@ -104,12 +110,7 @@ mod tests {
             "counter moved without CountingAlloc installed"
         );
         track_current_thread(false);
-    }
 
-    // The wrapper itself is callable directly (not as the global
-    // allocator) and counts only while the thread is opted in.
-    #[test]
-    fn wrapper_counts_only_opted_in_threads() {
         let a = CountingAlloc;
         let layout = Layout::from_size_align(64, 8).unwrap();
 

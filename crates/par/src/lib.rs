@@ -24,7 +24,7 @@
 //! rest of the workspace is similarly std-only.
 //!
 //! A fourth block lives in [`poller`]: a readiness [`Poller`] (epoll on
-//! Linux, `poll(2)` elsewhere; level- or edge-triggered) plus a pipe-based
+//! Linux, `poll(2)` elsewhere; level-triggered) plus a pipe-based
 //! [`Waker`], the OS surface under the gate's event-driven reactor. Its
 //! companion [`alloc_probe`] is the bench-only allocation counter that
 //! proves the reactor's "steady state allocates nothing" claim.
@@ -33,8 +33,7 @@ pub mod alloc_probe;
 pub mod poller;
 
 pub use poller::{
-    Backend, Event, Interest, Poller, SyscallCounters, SyscallSnapshot, TriggerMode, WakeReader,
-    Waker,
+    Backend, Event, Interest, Poller, SyscallCounters, SyscallSnapshot, WakeReader, Waker,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

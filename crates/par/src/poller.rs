@@ -6,40 +6,13 @@
 //! file descriptor with a caller-chosen `u64` token and an [`Interest`]
 //! (read, write, or both), then [`wait`](Poller::wait) for [`Event`]s.
 //!
-//! # Trigger modes
-//!
-//! A poller is created in one of two [`TriggerMode`]s:
-//!
-//! * [`TriggerMode::Level`] — as long as a descriptor stays
-//!   readable/writable it keeps showing up, so a caller that processes less
-//!   than everything on one wake is never stranded.
-//! * [`TriggerMode::Edge`] — the caller promises the *drain contract*: on
-//!   every readable event it reads until `WouldBlock` (or EOF), and on
-//!   every writable event it writes until `WouldBlock` (or done). Under
-//!   that contract the epoll backend registers with `EPOLLET` and reports
-//!   each readiness transition once, which is the whole point: no
-//!   re-reports means no redundant wakes and — combined with
-//!   [`rearm_free`](Poller::rearm_free) — no `epoll_ctl` re-arms on the
-//!   hot path.
-//!
-//!   The portable `poll(2)` backend cannot express edge semantics to the
-//!   kernel, and *emulating* them in userspace is unsound: suppressing a
-//!   level that the caller already drained races against the peer
-//!   refilling the socket between waits (undrained data and drained-then-
-//!   refilled data are indistinguishable from out here), so a suppressed
-//!   report can strand a connection forever. Instead the portable backend
-//!   honors the *contract* rather than the mechanism: in `Edge` mode it
-//!   stays level-triggered under the hood, which is a legal (if chatty)
-//!   edge-triggered implementation — ET consumers must tolerate spurious
-//!   re-reports, and a drain-compliant caller treats a repeat exactly like
-//!   a fresh edge. Both backends therefore run the same drain-contract
-//!   test suite; only the no-re-report *optimization* is epoll-specific.
-//!
-//! [`rearm_free`](Poller::rearm_free) tells the caller whether registering
-//! `READ_WRITE` once up front is enough — i.e. whether it may skip all
-//! [`modify`](Poller::modify) interest management without busy-waking. True
-//! only for epoll in `Edge` mode: a level-triggered poller told to watch
-//! `READ_WRITE` would re-report an idle-but-writable socket forever.
+//! Readiness is **level-triggered** on both backends: as long as a
+//! descriptor stays readable/writable it keeps showing up, so a caller
+//! that processes less than everything on one wake is never stranded, and
+//! a peer's EOF queued behind data it already read is reported on the
+//! next wait. The price is interest management: a caller must not keep
+//! write interest on an idle socket, or the poller re-reports it forever;
+//! [`modify`](Poller::modify) narrows it.
 //!
 //! # Syscall accounting
 //!
@@ -62,9 +35,7 @@
 //! the pipe with [`WakeReader::drain`] and carries on. Wakes are
 //! *coalescing* — a thousand `wake()` calls before the loop runs cost one
 //! event — and never lost: the byte sits in the pipe until drained, so a
-//! wake that races a falling-asleep poller still lands. (The pipe is
-//! drained on every report, so the waker works identically under both
-//! trigger modes.)
+//! wake that races a falling-asleep poller still lands.
 //!
 //! The `poll(2)` backend keeps its registration table behind a mutex as a
 //! slot map: O(1) register/modify/deregister through an fd index, with
@@ -102,11 +73,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Both directions.
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness report from [`Poller::wait`].
@@ -114,13 +80,11 @@ impl Interest {
 pub struct Event {
     /// The token the descriptor was registered with.
     pub token: u64,
-    /// The descriptor is readable (or at EOF / hung up — read to find out).
+    /// The descriptor is readable, at EOF, hung up or in error — read to
+    /// find out which.
     pub readable: bool,
     /// The descriptor is writable.
     pub writable: bool,
-    /// The kernel flagged an error or hangup. Callers should still just
-    /// attempt I/O: the next `read`/`write` returns the honest story.
-    pub closed: bool,
 }
 
 /// Which kernel mechanism a [`Poller`] uses.
@@ -145,19 +109,6 @@ impl Backend {
             Backend::Poll
         }
     }
-}
-
-/// Level- vs edge-triggered readiness reporting. See the module docs for
-/// the drain contract `Edge` imposes on callers and how the portable
-/// backend honors it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerMode {
-    /// Re-report readiness on every wait until the condition clears.
-    Level,
-    /// Report each readiness *transition*; the caller drains to
-    /// `WouldBlock` on every report. (`EPOLLET` on epoll; contract-only on
-    /// the portable backend, which may legally re-report.)
-    Edge,
 }
 
 /// Monotonic per-poller syscall counters, shared with the poller's caller
@@ -262,7 +213,6 @@ enum Impl {
 /// A readiness poller. See the module docs.
 pub struct Poller {
     inner: Impl,
-    mode: TriggerMode,
     counters: Arc<SyscallCounters>,
 }
 
@@ -270,27 +220,19 @@ impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Poller")
             .field("backend", &self.backend())
-            .field("mode", &self.mode)
             .finish()
     }
 }
 
 impl Poller {
-    /// Creates a level-triggered poller on the platform's preferred
-    /// backend.
+    /// Creates a poller on the platform's preferred backend.
     pub fn new() -> io::Result<Poller> {
-        Poller::with_mode(Backend::default_for_platform(), TriggerMode::Level)
+        Poller::with_backend(Backend::default_for_platform())
     }
 
-    /// Creates a level-triggered poller on an explicit backend (the
-    /// `poll(2)` fallback is available everywhere, so tests can exercise
-    /// it next to epoll).
+    /// Creates a poller on an explicit backend (the `poll(2)` fallback is
+    /// available everywhere, so tests can exercise it next to epoll).
     pub fn with_backend(backend: Backend) -> io::Result<Poller> {
-        Poller::with_mode(backend, TriggerMode::Level)
-    }
-
-    /// Creates a poller on an explicit backend and trigger mode.
-    pub fn with_mode(backend: Backend, mode: TriggerMode) -> io::Result<Poller> {
         let inner = match backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll => Impl::Epoll(epoll::Epoll::new()?),
@@ -298,7 +240,6 @@ impl Poller {
         };
         Ok(Poller {
             inner,
-            mode,
             counters: Arc::new(SyscallCounters::default()),
         })
     }
@@ -309,26 +250,6 @@ impl Poller {
             #[cfg(target_os = "linux")]
             Impl::Epoll(_) => Backend::Epoll,
             Impl::Poll(_) => Backend::Poll,
-        }
-    }
-
-    /// Which trigger mode this poller was created in.
-    pub fn trigger_mode(&self) -> TriggerMode {
-        self.mode
-    }
-
-    /// True when a drain-contract caller may register `READ_WRITE` once
-    /// and never call [`modify`](Self::modify) again: readiness
-    /// transitions are reported exactly once, so blanket write interest
-    /// cannot busy-wake an idle connection. Only genuine kernel-side edge
-    /// triggering (epoll + [`TriggerMode::Edge`]) qualifies; the portable
-    /// backend re-reports levels and therefore still needs interest
-    /// narrowing.
-    pub fn rearm_free(&self) -> bool {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(_) => self.mode == TriggerMode::Edge,
-            Impl::Poll(_) => false,
         }
     }
 
@@ -345,7 +266,7 @@ impl Poller {
         SyscallCounters::bump(&self.counters.ctls);
         match &self.inner {
             #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest, self.mode),
+            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_ADD, fd, token, interest),
             Impl::Poll(p) => p.register(fd, token, interest),
         }
     }
@@ -355,7 +276,7 @@ impl Poller {
         SyscallCounters::bump(&self.counters.ctls);
         match &self.inner {
             #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest, self.mode),
+            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_MOD, fd, token, interest),
             Impl::Poll(p) => p.modify(fd, token, interest),
         }
     }
@@ -369,7 +290,7 @@ impl Poller {
         SyscallCounters::bump(&self.counters.ctls);
         match &self.inner {
             #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_DEL, fd, 0, Interest::READ, self.mode),
+            Impl::Epoll(e) => e.ctl(epoll::EPOLL_CTL_DEL, fd, 0, Interest::READ),
             Impl::Poll(p) => p.deregister(fd),
         }
     }
@@ -445,8 +366,7 @@ impl Waker {
 
 impl WakeReader {
     /// Consumes every pending wake byte so the poller stops reporting the
-    /// reader readable. Draining to empty also satisfies the edge-mode
-    /// drain contract: the next wake byte is a fresh transition.
+    /// reader readable.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
         while let Ok(n) = sys::read_fd(self.rx.as_raw_fd(), &mut buf) {
@@ -546,7 +466,7 @@ mod sys {
 /// The epoll backend.
 #[cfg(target_os = "linux")]
 mod epoll {
-    use super::{Event, Interest, TriggerMode};
+    use super::{Event, Interest};
     use std::ffi::c_int;
     use std::io;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -559,8 +479,6 @@ mod epoll {
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLLET: u32 = 1 << 31;
     const EPOLL_CLOEXEC: c_int = 0o2000000;
 
     /// `struct epoll_event`; packed on x86 per the kernel ABI.
@@ -601,23 +519,13 @@ mod epoll {
             })
         }
 
-        pub fn ctl(
-            &self,
-            op: c_int,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-            mode: TriggerMode,
-        ) -> io::Result<()> {
-            let mut events = EPOLLRDHUP;
+        pub fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+            let mut events = 0;
             if interest.readable {
                 events |= EPOLLIN;
             }
             if interest.writable {
                 events |= EPOLLOUT;
-            }
-            if mode == TriggerMode::Edge {
-                events |= EPOLLET;
             }
             let mut ev = EpollEvent {
                 events,
@@ -654,9 +562,8 @@ mod epoll {
                 let bits = ev.events;
                 out.push(Event {
                     token: ev.data,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
+                    readable: bits & (EPOLLIN | EPOLLHUP | EPOLLERR) != 0,
                     writable: bits & EPOLLOUT != 0,
-                    closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
                 });
             }
             Ok(out.len())
@@ -808,9 +715,8 @@ mod pollfd {
                 }
                 out.push(Event {
                     token,
-                    readable: bits & (POLLIN | POLLHUP) != 0,
+                    readable: bits & (POLLIN | POLLHUP | POLLERR) != 0,
                     writable: bits & POLLOUT != 0,
-                    closed: bits & (POLLERR | POLLHUP) != 0,
                 });
             }
             Ok(out.len())
@@ -834,10 +740,6 @@ mod tests {
         {
             vec![Backend::Poll]
         }
-    }
-
-    fn modes() -> [TriggerMode; 2] {
-        [TriggerMode::Level, TriggerMode::Edge]
     }
 
     #[test]
@@ -885,95 +787,38 @@ mod tests {
         }
     }
 
-    /// The drain contract works identically on every backend × mode: an
-    /// event fires, the owner drains to `WouldBlock`, and a *refill* by
-    /// the peer produces a fresh event. This is the exact loop the gate
-    /// reactor runs, so it is pinned for all four combinations.
+    /// A drained socket goes quiet and a refill by the peer fires again,
+    /// round after round: the loop the gate reactor runs on every
+    /// connection.
     #[test]
-    fn drain_contract_refill_fires_again_under_all_backends_and_modes() {
+    fn refill_after_a_drain_fires_again_on_every_backend() {
         for backend in backends() {
-            for mode in modes() {
-                let poller = Poller::with_mode(backend, mode).unwrap();
-                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-                let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-                let (mut rx, _) = listener.accept().unwrap();
-                rx.set_nonblocking(true).unwrap();
-                poller.register(rx.as_raw_fd(), 5, Interest::READ).unwrap();
+            let poller = Poller::with_backend(backend).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut rx, _) = listener.accept().unwrap();
+            rx.set_nonblocking(true).unwrap();
+            poller.register(rx.as_raw_fd(), 5, Interest::READ).unwrap();
 
-                let mut events = Vec::new();
-                for round in 0..3 {
-                    tx.write_all(b"edge").unwrap();
-                    poller
-                        .wait(&mut events, Some(Duration::from_secs(5)))
-                        .unwrap();
-                    assert_eq!(events.len(), 1, "{backend:?}/{mode:?} round {round}");
-                    assert!(events[0].readable);
-                    // Drain to WouldBlock: the contract every reactor
-                    // connection honors.
-                    let mut buf = [0u8; 16];
-                    loop {
-                        match rx.read(&mut buf) {
-                            Ok(0) => panic!("unexpected EOF"),
-                            Ok(_) => continue,
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                            Err(e) => panic!("read: {e}"),
-                        }
+            let mut events = Vec::new();
+            for round in 0..3 {
+                tx.write_all(b"fill").unwrap();
+                poller
+                    .wait(&mut events, Some(Duration::from_secs(5)))
+                    .unwrap();
+                assert_eq!(events.len(), 1, "{backend:?} round {round}");
+                assert!(events[0].readable);
+                let mut buf = [0u8; 16];
+                loop {
+                    match rx.read(&mut buf) {
+                        Ok(0) => panic!("unexpected EOF"),
+                        Ok(_) => continue,
+                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                        Err(e) => panic!("read: {e}"),
                     }
                 }
-                poller.deregister(rx.as_raw_fd()).unwrap();
             }
-        }
-    }
-
-    /// Kernel-side edge triggering (epoll only): an *undrained* socket is
-    /// reported once, not on every wait. This is the optimization the
-    /// portable backend legally does not implement, so it is pinned for
-    /// epoll alone.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_edge_mode_reports_an_undrained_socket_once() {
-        let poller = Poller::with_mode(Backend::Epoll, TriggerMode::Edge).unwrap();
-        assert!(poller.rearm_free());
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (rx, _) = listener.accept().unwrap();
-        rx.set_nonblocking(true).unwrap();
-        poller.register(rx.as_raw_fd(), 8, Interest::READ).unwrap();
-
-        let mut events = Vec::new();
-        tx.write_all(b"once").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(events.len(), 1);
-
-        // Deliberately do NOT drain: a second wait must stay silent.
-        poller
-            .wait(&mut events, Some(Duration::from_millis(20)))
-            .unwrap();
-        assert!(events.is_empty(), "EPOLLET re-reported an undrained fd");
-
-        // A refill is a fresh edge even with stale bytes still queued.
-        tx.write_all(b"more").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert_eq!(events.len(), 1, "refill edge lost");
-        poller.deregister(rx.as_raw_fd()).unwrap();
-    }
-
-    /// `rearm_free` is an epoll+Edge-only promise.
-    #[test]
-    fn rearm_free_only_on_kernel_edge_triggering() {
-        for backend in backends() {
-            for mode in modes() {
-                let poller = Poller::with_mode(backend, mode).unwrap();
-                #[cfg(target_os = "linux")]
-                let expected = backend == Backend::Epoll && mode == TriggerMode::Edge;
-                #[cfg(not(target_os = "linux"))]
-                let expected = false;
-                assert_eq!(poller.rearm_free(), expected, "{backend:?}/{mode:?}");
-            }
+            poller.deregister(rx.as_raw_fd()).unwrap();
         }
     }
 
@@ -1006,7 +851,7 @@ mod tests {
     }
 
     #[test]
-    fn peer_hangup_reports_readable_and_closed() {
+    fn peer_hangup_reports_readable() {
         for backend in backends() {
             let poller = Poller::with_backend(backend).unwrap();
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();

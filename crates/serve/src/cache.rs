@@ -3,8 +3,8 @@
 //!
 //! One bounded cache implementation serves both paths, which is what makes
 //! the snapshot path **bit-identical by construction**: every query —
-//! whether it arrives over the service's command channel or is evaluated
-//! in place on a gate connection thread — collapses to the same quantized
+//! whether the service answers it in-process or a reader evaluates it in
+//! place on a gate reactor thread — collapses to the same quantized
 //! [`QueryKey`] and runs the same [`QueryKind`] evaluation code on the
 //! same snapped inputs, so two paths can never disagree on a value's bits.
 //!
@@ -264,8 +264,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The sharded, bounded, single-flight memo of inversion results and built
 /// models. See the module docs for the design; one instance is shared by
-/// the [`PredictionEngine`](crate::PredictionEngine) (worker path) and
-/// every [`SnapshotReader`](crate::SnapshotReader) (lock-free read path).
+/// the [`PredictionEngine`](crate::PredictionEngine) (the service's own
+/// queries) and every [`SnapshotReader`](crate::SnapshotReader) (lock-free
+/// read path).
 pub struct InversionCache {
     shards: Vec<Mutex<ResultShard>>,
     model_shards: Vec<Mutex<ModelShard>>,

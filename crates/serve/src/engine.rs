@@ -16,10 +16,10 @@
 //! new SLA on an already-seen rate only pays the final inversion.
 //!
 //! The memo itself lives in a shared, sharded
-//! [`InversionCache`]: the engine (worker
-//! path) and every [`SnapshotReader`](crate::SnapshotReader) (lock-free
-//! read path) funnel through the same bounded cache and the same quantized
-//! evaluation code, which is what keeps the two paths bit-identical.
+//! [`InversionCache`]: the engine (the service's own queries) and every
+//! [`SnapshotReader`](crate::SnapshotReader) (lock-free read path) funnel
+//! through the same bounded cache and the same quantized evaluation code,
+//! which is what keeps the two bit-identical.
 //!
 //! Epoch handling degrades gracefully: when a re-fit fails (no traffic, or
 //! the fitted point is unstable), the engine keeps serving the last good

@@ -13,10 +13,9 @@
 //! ```
 //!
 //! Resolution to the cache's quantized [`QueryKind`] lives here, in one
-//! place, so the worker path and the lock-free snapshot path cannot drift:
-//! both call the same `*_question` helper and therefore produce the same
-//! [`QueryKey`](crate::QueryKey) bits as the legacy positional methods
-//! they replace.
+//! place, so the service's in-process queries and the lock-free snapshot
+//! path cannot drift: both call the same `*_question` helper and therefore
+//! produce the same [`QueryKey`](crate::QueryKey) bits.
 //!
 //! [`ServiceClient`]: crate::ServiceClient
 //! [`SnapshotReader`]: crate::SnapshotReader

@@ -12,22 +12,23 @@
 //! changed tenants' states are republished (see the
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
 //!
-//! [`SlaService::spawn`] wraps the service in a dedicated thread behind a
-//! single command channel (`std::sync::mpsc` has no `select`, so every
-//! interaction — telemetry, queries, control — is one `enum` message; FIFO
-//! ordering doubles as the flush barrier). Telemetry travels as batches,
-//! one command each: a single event from [`TelemetrySender::send`] or
-//! [`ServiceClient::ingest_for`] is a batch of one, and
-//! [`ServiceClient::ingest_batch_for`] hands over a whole batch and waits
-//! for the service to reply once it is ingested. The returned
+//! [`SlaService::spawn`] wraps the service in a dedicated thread that owns
+//! the write path behind a single command channel: ingest, refit, sweep,
+//! flush (`std::sync::mpsc` has no `select`, so each is one `enum`
+//! message; FIFO ordering doubles as the flush barrier). Telemetry travels
+//! as batches, one command each: a single event from
+//! [`TelemetrySender::send`] or [`ServiceClient::ingest_for`] is a batch of
+//! one, and [`ServiceClient::ingest_batch_for`] hands over a whole batch
+//! and waits for the service to reply once it is ingested. The returned
 //! [`ServiceHandle`] is the client side; [`TelemetrySender`] is a cheap
 //! cloneable tenant-scoped ingest-only endpoint to hand to a telemetry
 //! source.
 //!
 //! Queries are [`Query`] values (`service.attainment(&Query::tenant(t)
-//! .sla(0.05))`); the positional methods of the spawned client surface are
-//! kept as deprecated shims that delegate to the `Query` path,
-//! bit-identically.
+//! .sla(0.05))`). The spawned service's clients answer them on the calling
+//! thread from the published snapshot, never through the channel; a caller
+//! that needs its earlier non-blocking ingests to be visible calls
+//! [`ServiceClient::flush`] first.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -35,7 +36,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use cos_model::{ModelVariant, SlaGoal, SystemModel, SystemParams};
+use cos_model::{ModelVariant, SystemModel, SystemParams};
 use cos_obs::Registry;
 
 use crate::cache::{InversionCache, QueryKey, QueryKind};
@@ -590,8 +591,7 @@ impl SlaService {
             changes.push((slot, Arc::new(build_state(shard)), shard.events_total));
         }
         // Publish on every attempt — success or failure — so snapshot
-        // readers observe staleness and fit errors as promptly as the
-        // channel path does.
+        // readers observe staleness and fit errors at once.
         self.last_publish = self.shared.publish_delta(&changes);
         installed_default
     }
@@ -651,78 +651,6 @@ impl SlaService {
         timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
             e.bottlenecks(sla)
         })
-    }
-
-    /// Predicted fraction of requests meeting `sla` at the calibrated
-    /// operating point (`default` tenant).
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.fraction_meeting_sla(sla)
-        })
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate
-    /// (`default` tenant).
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.fraction_at_rate(rate, sla)
-        })
-    }
-
-    /// Predicted response-latency percentile (e.g. `p = 0.95`), `default`
-    /// tenant.
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.latency_percentile(p)
-        })
-    }
-
-    /// Overload-control headroom up to `upper` req/s (`default` tenant).
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.headroom(goal, upper)
-        })
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.coded_fraction(launched, needed, sla)
-        })
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| {
-            e.coded_percentile(launched, needed, p)
-        })
-    }
-
-    /// Bottleneck ranking, worst device first (`default` tenant).
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        timed_query(&self.obs, &self.shards[0].engine, |e| e.bottlenecks(sla))
     }
 
     /// Submits a batch what-if sweep of the `default` tenant to the worker
@@ -813,16 +741,11 @@ enum Command {
     /// A telemetry batch, when it was sent, and who waits for its ingest.
     Ingest(TenantId, Vec<TelemetryEvent>, Instant, Option<Sender<()>>),
     Refit(Sender<bool>),
-    Attainment(Query, Sender<Result<Prediction, ServeError>>),
-    Percentile(Query, Sender<Result<Prediction, ServeError>>),
-    Headroom(Query, Sender<Result<Prediction, ServeError>>),
-    Ranking(Query, Sender<Result<Vec<(usize, f64)>, ServeError>>),
     Sweep {
         rates: Vec<f64>,
         slas: Vec<f64>,
         reply: Sender<Result<Vec<RatePoint>, ServeError>>,
     },
-    Status(TenantId, Sender<Result<ServiceStatus, ServeError>>),
     Flush(Sender<()>),
     Shutdown,
 }
@@ -840,26 +763,11 @@ fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
             Command::Refit(reply) => {
                 let _ = reply.send(service.refit_now());
             }
-            Command::Attainment(query, reply) => {
-                let _ = reply.send(service.attainment(&query));
-            }
-            Command::Percentile(query, reply) => {
-                let _ = reply.send(service.latency_percentile(&query));
-            }
-            Command::Headroom(query, reply) => {
-                let _ = reply.send(service.admissible_rate(&query));
-            }
-            Command::Ranking(query, reply) => {
-                let _ = reply.send(service.device_ranking(&query));
-            }
             Command::Sweep { rates, slas, reply } => {
                 // Submit, then collect off-thread work while staying
                 // responsive is not possible without select; the pool does
                 // the evaluation, this thread only blocks on collection.
                 let _ = reply.send(service.sweep(&rates, slas).map(SweepHandle::wait));
-            }
-            Command::Status(tenant, reply) => {
-                let _ = reply.send(service.status_for(&tenant));
             }
             Command::Flush(reply) => {
                 let _ = reply.send(());
@@ -899,12 +807,14 @@ impl TelemetrySender {
     }
 }
 
-/// Cloneable query endpoint to a spawned [`SlaService`]: everything a
-/// concurrent consumer (e.g. one `cos-gate` connection per thread) needs —
-/// ingest, queries, status — without ownership of the service thread.
-/// Cloning shares the one command channel; the service stays single-
-/// threaded and FIFO-ordered per sender. Once the owning [`ServiceHandle`]
-/// shuts the service down, every call returns
+/// Cloneable endpoint to a spawned [`SlaService`]: everything a concurrent
+/// consumer (e.g. a `cos-gate` reactor thread) needs — ingest, queries,
+/// status — without ownership of the service thread. Writes share the one
+/// command channel, FIFO-ordered per sender; queries and status answer on
+/// the calling thread from the published snapshot (see
+/// [`SnapshotReader`]), so they see every refit published before the call
+/// and never wait for the service thread. Once the owning
+/// [`ServiceHandle`] shuts the service down, every call returns
 /// [`ServeError::Disconnected`].
 #[derive(Clone)]
 pub struct ServiceClient {
@@ -921,9 +831,9 @@ impl ServiceClient {
         rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
-    /// The lock-free snapshot endpoint: evaluates queries on the calling
-    /// thread against the worker's published fleet, bit-identical to the
-    /// channel methods below. Prefer it for read-heavy consumers.
+    /// The lock-free snapshot endpoint the query methods below answer
+    /// from, with the published fleet's raw state and generation counters
+    /// besides.
     pub fn reader(&self) -> SnapshotReader {
         self.reader.clone()
     }
@@ -986,24 +896,24 @@ impl ServiceClient {
 
     /// Predicted fraction of requests meeting the query's SLA (plain,
     /// what-if rate, or erasure-coded), for the query's tenant.
-    pub fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Attainment(query, reply))?
+    pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
+        self.reader.attainment(query)
     }
 
     /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Percentile(query, reply))?
+    pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
+        self.reader.latency_percentile(query)
     }
 
     /// Overload-control headroom (largest admissible rate) for the
     /// query's tenant.
-    pub fn admissible_rate(&self, query: Query) -> Result<Prediction, ServeError> {
-        self.ask(|reply| Command::Headroom(query, reply))?
+    pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
+        self.reader.admissible_rate(query)
     }
 
     /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.ask(|reply| Command::Ranking(query, reply))?
+    pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
+        self.reader.device_ranking(query)
     }
 
     /// Batch what-if sweep of the `default` tenant, evaluated on the
@@ -1012,164 +922,15 @@ impl ServiceClient {
         self.ask(|reply| Command::Sweep { rates, slas, reply })?
     }
 
-    /// Health summary of the `default` tenant.
+    /// Health summary of the `default` tenant, as published (drift
+    /// verdicts are as of the last re-fit attempt).
     pub fn status(&self) -> Result<ServiceStatus, ServeError> {
-        self.ask(|reply| Command::Status(TenantId::default_tenant(), reply))?
-    }
-
-    /// Health summary of an arbitrary tenant.
-    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        self.ask(|reply| Command::Status(tenant.clone(), reply))?
-    }
-
-    /// Snapshot-path [`attainment`](ServiceClient::attainment): evaluated
-    /// on the calling thread, no channel round-trip, bit-identical answer.
-    pub fn read_attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.attainment(query)
-    }
-
-    /// Snapshot-path
-    /// [`latency_percentile`](ServiceClient::latency_percentile).
-    pub fn read_latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.latency_percentile(query)
-    }
-
-    /// Snapshot-path [`admissible_rate`](ServiceClient::admissible_rate).
-    pub fn read_admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.admissible_rate(query)
-    }
-
-    /// Snapshot-path [`device_ranking`](ServiceClient::device_ranking).
-    pub fn read_device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.reader.device_ranking(query)
-    }
-
-    /// Snapshot-path [`status`](ServiceClient::status): assembled from
-    /// the published state without a service-thread round-trip. Drift
-    /// verdicts are as of the last re-fit attempt.
-    pub fn read_status(&self) -> Result<ServiceStatus, ServeError> {
         self.reader.status()
     }
 
-    /// Snapshot-path [`status_for`](ServiceClient::status_for).
-    pub fn read_status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
+    /// Health summary of an arbitrary tenant, as published.
+    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
         self.reader.status_for(tenant)
-    }
-
-    /// Predicted fraction meeting `sla` at the calibrated operating point.
-    #[deprecated(note = "use attainment(Query::new().sla(sla))")]
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla))
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).rate(rate))")]
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla).rate(rate))
-    }
-
-    /// Predicted response-latency percentile.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p))")]
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.latency_percentile(Query::new().p(p))
-    }
-
-    /// Overload-control headroom up to `upper` req/s.
-    #[deprecated(note = "use admissible_rate(Query::new().sla(..).target(..).upper(upper))")]
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.admissible_rate(
-            Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.attainment(Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p).n_k(launched, needed))")]
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.latency_percentile(Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Bottleneck ranking, worst device first.
-    #[deprecated(note = "use device_ranking(Query::new().sla(sla))")]
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.device_ranking(Query::new().sla(sla))
-    }
-
-    /// Snapshot-path predict.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla))")]
-    pub fn read_predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.reader.attainment(&Query::new().sla(sla))
-    }
-
-    /// Snapshot-path predict-at-rate.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla).rate(rate))")]
-    pub fn read_predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.reader.attainment(&Query::new().sla(sla).rate(rate))
-    }
-
-    /// Snapshot-path percentile.
-    #[deprecated(note = "use read_latency_percentile(&Query::new().p(p))")]
-    pub fn read_percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.reader.latency_percentile(&Query::new().p(p))
-    }
-
-    /// Snapshot-path headroom.
-    #[deprecated(note = "use read_admissible_rate(&Query::new().sla(..).target(..).upper(upper))")]
-    pub fn read_headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.reader.admissible_rate(
-            &Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Snapshot-path coded fraction.
-    #[deprecated(note = "use read_attainment(&Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn read_coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.reader
-            .attainment(&Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Snapshot-path coded percentile.
-    #[deprecated(note = "use read_latency_percentile(&Query::new().p(p).n_k(launched, needed))")]
-    pub fn read_coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.reader
-            .latency_percentile(&Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Snapshot-path bottleneck ranking.
-    #[deprecated(note = "use read_device_ranking(&Query::new().sla(sla))")]
-    pub fn read_bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.reader.device_ranking(&Query::new().sla(sla))
     }
 }
 
@@ -1224,22 +985,22 @@ impl ServiceHandle {
 
     /// Predicted fraction of requests meeting the query's SLA, for the
     /// query's tenant.
-    pub fn attainment(&self, query: Query) -> Result<Prediction, ServeError> {
+    pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.client.attainment(query)
     }
 
     /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: Query) -> Result<Prediction, ServeError> {
+    pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.client.latency_percentile(query)
     }
 
     /// Overload-control headroom for the query's tenant.
-    pub fn admissible_rate(&self, query: Query) -> Result<Prediction, ServeError> {
+    pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
         self.client.admissible_rate(query)
     }
 
     /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: Query) -> Result<Vec<(usize, f64)>, ServeError> {
+    pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
         self.client.device_ranking(query)
     }
 
@@ -1256,65 +1017,6 @@ impl ServiceHandle {
     /// Health summary of an arbitrary tenant.
     pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
         self.client.status_for(tenant)
-    }
-
-    /// Predicted fraction meeting `sla` at the calibrated operating point.
-    #[deprecated(note = "use attainment(Query::new().sla(sla))")]
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.client.attainment(Query::new().sla(sla))
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).rate(rate))")]
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.client.attainment(Query::new().sla(sla).rate(rate))
-    }
-
-    /// Predicted response-latency percentile.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p))")]
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.client.latency_percentile(Query::new().p(p))
-    }
-
-    /// Overload-control headroom up to `upper` req/s.
-    #[deprecated(note = "use admissible_rate(Query::new().sla(..).target(..).upper(upper))")]
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.client.admissible_rate(
-            Query::new()
-                .sla(goal.sla)
-                .target(goal.target_fraction)
-                .upper(upper),
-        )
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`.
-    #[deprecated(note = "use attainment(Query::new().sla(sla).n_k(launched, needed))")]
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.client
-            .attainment(Query::new().sla(sla).n_k(launched, needed))
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads.
-    #[deprecated(note = "use latency_percentile(Query::new().p(p).n_k(launched, needed))")]
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.client
-            .latency_percentile(Query::new().p(p).n_k(launched, needed))
-    }
-
-    /// Bottleneck ranking, worst device first.
-    #[deprecated(note = "use device_ranking(Query::new().sla(sla))")]
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.client.device_ranking(Query::new().sla(sla))
     }
 
     /// Stops the service and returns its final state. Outstanding
@@ -1398,11 +1100,12 @@ mod tests {
     #[test]
     fn service_calibrates_from_the_stream_and_answers() {
         let mut service = SlaService::new(base(), ServeConfig::default());
-        assert_eq!(service.predict(0.05), Err(ServeError::NotCalibrated));
+        let q = Query::new().sla(0.05);
+        assert_eq!(service.attainment(&q), Err(ServeError::NotCalibrated));
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let p = service.predict(0.05).unwrap();
+        let p = service.attainment(&q).unwrap();
         assert!(p.value > 0.0 && p.value <= 1.0);
         assert!(!p.stale);
         let status = service.status();
@@ -1420,7 +1123,8 @@ mod tests {
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let fresh = service.predict(0.05).unwrap();
+        let q = Query::new().sla(0.05);
+        let fresh = service.attainment(&q).unwrap();
         // One lone event far in the future: the windows have emptied, the
         // forced re-fit fails, and the old epoch serves with the flag set.
         service.ingest(TelemetryEvent::Arrival {
@@ -1428,7 +1132,7 @@ mod tests {
             device: 0,
         });
         assert!(!service.refit_now());
-        let stale = service.predict(0.05).unwrap();
+        let stale = service.attainment(&q).unwrap();
         assert!(stale.stale);
         assert_eq!(stale.epoch, fresh.epoch);
         let status = service.status();
@@ -1448,8 +1152,7 @@ mod tests {
             .wait();
         assert_eq!(points.len(), 3);
         assert!(points[0].fractions.is_some());
-        let goal = SlaGoal::new(0.100, 0.90);
-        let head = service.headroom(goal, 2000.0);
+        let head = service.admissible_rate(&Query::new().sla(0.100).target(0.90).upper(2000.0));
         if let Ok(h) = head {
             assert!(h.value > 0.0);
         }
@@ -1468,9 +1171,9 @@ mod tests {
         feeder.join().unwrap();
         handle.flush().unwrap();
         handle.refit_now().unwrap();
-        let p = handle.attainment(Query::new().sla(0.05)).unwrap();
+        let p = handle.attainment(&Query::new().sla(0.05)).unwrap();
         assert!(p.value > 0.0);
-        let again = handle.attainment(Query::new().sla(0.05)).unwrap();
+        let again = handle.attainment(&Query::new().sla(0.05)).unwrap();
         assert_eq!(p.value.to_bits(), again.value.to_bits());
         let status = handle.status().unwrap();
         assert!(status.engine.cache.hits >= 1);
@@ -1492,7 +1195,7 @@ mod tests {
             .map(|_| {
                 let c = client.clone();
                 std::thread::spawn(move || {
-                    c.attainment(Query::new().sla(0.05))
+                    c.attainment(&Query::new().sla(0.05))
                         .unwrap()
                         .value
                         .to_bits()
@@ -1501,12 +1204,12 @@ mod tests {
             .map(|j| j.join().unwrap())
             .collect();
         assert!(answers.windows(2).all(|w| w[0] == w[1]));
-        let ranked = client.device_ranking(Query::new().sla(0.05)).unwrap();
+        let ranked = client.device_ranking(&Query::new().sla(0.05)).unwrap();
         assert_eq!(ranked.len(), 2, "one entry per device");
         assert!(ranked[0].1 <= ranked[1].1, "worst device first");
         drop(handle);
         assert_eq!(
-            client.attainment(Query::new().sla(0.05)),
+            client.attainment(&Query::new().sla(0.05)),
             Err(ServeError::Disconnected)
         );
         assert!(matches!(client.status(), Err(ServeError::Disconnected)));
@@ -1523,8 +1226,9 @@ mod tests {
             service.ingest(ev);
         }
         service.refit_now();
-        let first = service.predict(0.05).unwrap();
-        let again = service.predict(0.05).unwrap();
+        let q = Query::new().sla(0.05);
+        let first = service.attainment(&q).unwrap();
+        let again = service.attainment(&q).unwrap();
         assert_eq!(first.value.to_bits(), again.value.to_bits());
         service.sweep(&[40.0, 80.0], vec![0.05]).unwrap().wait();
 
@@ -1702,93 +1406,39 @@ mod tests {
     }
 
     #[test]
-    fn coded_queries_agree_across_channel_and_snapshot_paths() {
-        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
-        let client = handle.client();
+    fn coded_queries_agree_between_the_service_and_its_clients() {
+        let mut service = SlaService::new(base(), ServeConfig::default());
         for ev in events(40.0, 20.0, 2) {
-            client.ingest(ev).unwrap();
+            service.ingest(ev);
         }
-        client.flush().unwrap();
-        client.refit_now().unwrap();
-
-        let frac = client.attainment(Query::new().sla(0.05).n_k(4, 2)).unwrap();
-        assert!(frac.value > 0.0 && frac.value <= 1.0);
-        let via_reader = client
-            .read_attainment(&Query::new().sla(0.05).n_k(4, 2))
-            .unwrap();
-        assert_eq!(frac.value.to_bits(), via_reader.value.to_bits());
-
-        let p99 = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 2))
-            .unwrap();
-        assert!(p99.value > 0.0);
-        let p99_reader = client
-            .read_latency_percentile(&Query::new().p(0.99).n_k(4, 2))
-            .unwrap();
-        assert_eq!(p99.value.to_bits(), p99_reader.value.to_bits());
-
+        service.refit_now();
+        let queries = [
+            Query::new().sla(0.05).n_k(4, 2),
+            Query::new().p(0.99).n_k(4, 2),
+            Query::new().p(0.99).n_k(4, 4),
+        ];
+        let direct = [
+            service.attainment(&queries[0]).unwrap(),
+            service.latency_percentile(&queries[1]).unwrap(),
+            service.latency_percentile(&queries[2]).unwrap(),
+        ];
+        assert!(direct[0].value > 0.0 && direct[0].value <= 1.0);
+        assert!(direct[1].value > 0.0);
         // Needing more of the launched chunks (a max-like join) can only
         // slow the read down: p99 of a 4-of-4 join dominates 2-of-4.
-        let p99_44 = client
-            .latency_percentile(Query::new().p(0.99).n_k(4, 4))
-            .unwrap();
-        assert!(p99_44.value >= p99.value);
-        drop(handle);
-    }
+        assert!(direct[2].value >= direct[1].value);
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_are_bit_identical_to_the_query_path() {
-        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
+        let handle = service.spawn();
         let client = handle.client();
-        for ev in events(40.0, 20.0, 2) {
-            client.ingest(ev).unwrap();
+        let via_client = [
+            client.attainment(&queries[0]).unwrap(),
+            client.latency_percentile(&queries[1]).unwrap(),
+            client.latency_percentile(&queries[2]).unwrap(),
+        ];
+        for (d, c) in direct.iter().zip(&via_client) {
+            assert_eq!(d.value.to_bits(), c.value.to_bits());
+            assert_eq!(d.epoch, c.epoch);
         }
-        client.flush().unwrap();
-        client.refit_now().unwrap();
-
-        let bits = |p: Prediction| p.value.to_bits();
-        assert_eq!(
-            bits(client.predict(0.05).unwrap()),
-            bits(client.attainment(Query::new().sla(0.05)).unwrap())
-        );
-        assert_eq!(
-            bits(client.predict_at_rate(150.0, 0.05).unwrap()),
-            bits(
-                client
-                    .attainment(Query::new().sla(0.05).rate(150.0))
-                    .unwrap()
-            )
-        );
-        assert_eq!(
-            bits(client.percentile(0.95).unwrap()),
-            bits(client.latency_percentile(Query::new().p(0.95)).unwrap())
-        );
-        assert_eq!(
-            bits(client.coded_fraction(4, 2, 0.05).unwrap()),
-            bits(client.attainment(Query::new().sla(0.05).n_k(4, 2)).unwrap())
-        );
-        let goal = SlaGoal::new(0.100, 0.90);
-        let legacy = client.headroom(goal, 2000.0);
-        let new = client.admissible_rate(Query::new().sla(0.100).target(0.90).upper(2000.0));
-        assert_eq!(legacy.map(bits), new.map(bits));
-        assert_eq!(
-            client.bottlenecks(0.05).unwrap(),
-            client.device_ranking(Query::new().sla(0.05)).unwrap()
-        );
-        // Snapshot-path shims.
-        assert_eq!(
-            bits(client.read_predict(0.05).unwrap()),
-            bits(client.read_attainment(&Query::new().sla(0.05)).unwrap())
-        );
-        assert_eq!(
-            bits(client.read_percentile(0.95).unwrap()),
-            bits(
-                client
-                    .read_latency_percentile(&Query::new().p(0.95))
-                    .unwrap()
-            )
-        );
         drop(handle);
     }
 
@@ -1931,14 +1581,14 @@ mod tests {
         handle.flush().unwrap();
         handle.refit_now().unwrap();
         let p = handle
-            .attainment(Query::tenant(blue.clone()).sla(0.05))
+            .attainment(&Query::tenant(blue.clone()).sla(0.05))
             .unwrap();
         assert!(p.value > 0.0);
         let status = handle.status_for(&blue).unwrap();
         assert!(status.epoch.is_some());
         // The default tenant saw nothing.
         assert_eq!(
-            handle.attainment(Query::new().sla(0.05)),
+            handle.attainment(&Query::new().sla(0.05)),
             Err(ServeError::NotCalibrated)
         );
         drop(handle);

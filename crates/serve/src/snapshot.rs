@@ -41,11 +41,11 @@
 //!   (including the bumped per-entry generations) *happens-before* any
 //!   read through the swapped pointer. There is exactly one writer (the
 //!   service thread), so read-modify-write on the cell needs no CAS loop.
-//! * Answers are **bit-identical** to the worker path by construction:
-//!   both paths funnel through the shared
-//!   [`InversionCache`], which reconstructs every
-//!   input from the quantized tenant-scoped key and runs one evaluation
-//!   code path.
+//! * Answers are **bit-identical** to the service's own in-process
+//!   queries ([`SlaService::attainment`](crate::SlaService::attainment)
+//!   and friends) by construction: both funnel through the shared
+//!   [`InversionCache`], which reconstructs every input from the quantized
+//!   tenant-scoped key and runs one evaluation code path.
 //! * The live event clock is a plain `AtomicU64` holding the `f64` bits
 //!   of the newest event time (`Relaxed` — it is an independent
 //!   monotone scalar, not a synchronization edge).
@@ -55,10 +55,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cos_model::{ModelVariant, SlaGoal};
+use cos_model::ModelVariant;
 use cos_par::ArcCell;
 
-use crate::cache::{quantize_rate, InversionCache, QueryKind};
+use crate::cache::{InversionCache, QueryKind};
 use crate::drift::DriftReport;
 use crate::engine::{EngineHealth, EpochSnapshot, Prediction};
 use crate::error::ServeError;
@@ -204,7 +204,7 @@ fn state_bytes(state: &SnapshotState) -> usize {
 pub(crate) struct SnapshotShared {
     cell: ArcCell<FleetState>,
     /// Set when the service thread exits; readers then answer
-    /// [`ServeError::Disconnected`], matching the channel path.
+    /// [`ServeError::Disconnected`], matching the dead command channel.
     closed: AtomicBool,
     /// `f64` bits of the newest event time, updated on every ingest.
     event_time: AtomicU64,
@@ -298,13 +298,12 @@ impl SnapshotShared {
 /// (or [`ServiceHandle::reader`](crate::ServiceHandle::reader)); cloning
 /// is cheap (one `Arc`). Every method is a pure read: one atomic load of
 /// the published state, then evaluation through the shared, sharded
-/// [`InversionCache`] — so answers are
-/// bit-identical to the worker path and concurrent readers scale without
-/// serializing on the service thread.
+/// [`InversionCache`] — so answers are bit-identical to the service's
+/// in-process queries and concurrent readers scale without serializing on
+/// the service thread.
 ///
-/// Tenant-unaware convenience methods (and the deprecated positional
-/// shims) are scoped to the reserved `default` tenant; [`Query`]-taking
-/// methods reach any tenant.
+/// Tenant-unaware methods are scoped to the reserved `default` tenant;
+/// [`Query`]-taking methods reach any tenant.
 #[derive(Clone)]
 pub struct SnapshotReader {
     shared: Arc<SnapshotShared>,
@@ -342,18 +341,6 @@ impl SnapshotReader {
         Ok((Arc::clone(&entry.state), snap, entry.slot))
     }
 
-    /// The `default` tenant's view (slot 0 always exists).
-    fn current(&self) -> Result<(Arc<SnapshotState>, EpochSnapshot), ServeError> {
-        let fleet = self.fleet_checked()?;
-        let entry = fleet.default_entry();
-        let snap = entry
-            .state
-            .snapshot
-            .clone()
-            .ok_or(ServeError::NotCalibrated)?;
-        Ok((Arc::clone(&entry.state), snap))
-    }
-
     fn answer_slot(
         &self,
         slot: u32,
@@ -372,11 +359,6 @@ impl SnapshotReader {
             epoch: snap.epoch,
             stale: snap.stale,
         })
-    }
-
-    fn answer(&self, rate_q: Option<i64>, kind: QueryKind) -> Result<Prediction, ServeError> {
-        let (_state, snap) = self.current()?;
-        self.answer_slot(0, &snap, rate_q, kind)
     }
 
     fn record(&self, start: Instant, miss: bool) {
@@ -437,73 +419,6 @@ impl SnapshotReader {
         out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
         self.record(start, any_miss);
         Ok(out)
-    }
-
-    /// Predicted fraction of requests meeting `sla` at the calibrated
-    /// operating point (`default` tenant).
-    #[deprecated(note = "use attainment(&Query::new().sla(sla))")]
-    pub fn predict(&self, sla: f64) -> Result<Prediction, ServeError> {
-        self.answer(None, QueryKind::fraction(sla))
-    }
-
-    /// What-if: fraction meeting `sla` at a hypothetical total rate
-    /// (`default` tenant).
-    #[deprecated(note = "use attainment(&Query::new().sla(sla).rate(rate))")]
-    pub fn predict_at_rate(&self, rate: f64, sla: f64) -> Result<Prediction, ServeError> {
-        self.answer(Some(quantize_rate(rate)), QueryKind::fraction(sla))
-    }
-
-    /// Predicted response-latency percentile (e.g. `p = 0.95`), `default`
-    /// tenant.
-    #[deprecated(note = "use latency_percentile(&Query::new().p(p))")]
-    pub fn percentile(&self, p: f64) -> Result<Prediction, ServeError> {
-        self.answer(None, QueryKind::percentile(p))
-    }
-
-    /// Overload-control headroom up to `upper` req/s (`default` tenant).
-    #[deprecated(note = "use admissible_rate(&Query::new().sla(..).target(..).upper(upper))")]
-    pub fn headroom(&self, goal: SlaGoal, upper: f64) -> Result<Prediction, ServeError> {
-        self.answer(None, QueryKind::headroom(goal, upper))
-    }
-
-    /// Fraction of erasure-coded `(launched, needed)` reads meeting `sla`
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    #[deprecated(note = "use attainment(&Query::new().sla(sla).n_k(n, k))")]
-    pub fn coded_fraction(
-        &self,
-        launched: u16,
-        needed: u16,
-        sla: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.answer(None, QueryKind::coded_fraction(launched, needed, sla))
-    }
-
-    /// Latency percentile of erasure-coded `(launched, needed)` reads
-    /// (`default` tenant).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 <= needed <= launched` — network callers are
-    /// validated at the gate.
-    #[deprecated(note = "use latency_percentile(&Query::new().p(p).n_k(n, k))")]
-    pub fn coded_percentile(
-        &self,
-        launched: u16,
-        needed: u16,
-        p: f64,
-    ) -> Result<Prediction, ServeError> {
-        self.answer(None, QueryKind::coded_percentile(launched, needed, p))
-    }
-
-    /// Bottleneck ranking, worst device first (`default` tenant).
-    #[deprecated(note = "use device_ranking(&Query::new().sla(sla))")]
-    pub fn bottlenecks(&self, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.device_ranking(&Query::new().sla(sla))
     }
 
     fn status_of_entry(&self, entry: &TenantEntry) -> ServiceStatus {

@@ -120,7 +120,7 @@ pub mod prelude {
     };
 
     // Tier 1: the HTTP front door.
-    pub use cos_gate::{Gate, GateConfig, GateConfigBuilder, ReadPath};
+    pub use cos_gate::{Gate, GateConfig, GateConfigBuilder};
 
     // Tier 1: the admission controller + anomaly detector.
     pub use cos_ctrl::{

@@ -1,0 +1,135 @@
+//! The cost of one warm keep-alive request through the gate, counted from
+//! inside the reactors: syscalls from their poller counters, heap
+//! allocations from the counting allocator.
+//!
+//! This test binary installs the counting allocator, so it holds exactly
+//! one test: the allocation counter is process-wide, and another gate's
+//! reactors serving at the same time would add their allocations to this
+//! one's.
+
+use std::io::{Read, Write};
+use std::net::TcpStream;
+
+use cosmodel::distr::{Degenerate, Gamma};
+use cosmodel::gate::{Gate, GateConfig};
+use cosmodel::par::alloc_probe::{tracked_allocs, CountingAlloc};
+use cosmodel::queueing::from_distribution;
+use cosmodel::serve::{CalibrationBase, OpClass, ServeConfig, SlaService, TelemetryEvent};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Requests in the measured window.
+const REQUESTS: u64 = 200;
+
+/// Reactor-thread allocations allowed per warm request: the transport
+/// allocates nothing in steady state, and the route's JSON answer was
+/// measured at 18.
+const ALLOCS_PER_REQUEST: u64 = 64;
+
+/// A service calibrated in-process from a deterministic 20 s stream at
+/// 40 req/s per device.
+fn calibrated_service() -> SlaService {
+    let base = CalibrationBase {
+        index_law: from_distribution(Gamma::new(3.0, 250.0)),
+        meta_law: from_distribution(Gamma::new(2.5, 312.5)),
+        data_law: from_distribution(Gamma::new(3.5, 245.0)),
+        parse_be: from_distribution(Degenerate::new(0.0005)),
+        parse_fe: from_distribution(Degenerate::new(0.0003)),
+        devices: 2,
+        processes_per_device: 1,
+        frontend_processes: 3,
+    };
+    let mut service = SlaService::new(base, ServeConfig::default());
+    let mut i = 0u64;
+    let mut t = 0.0;
+    while t < 20.0 {
+        for device in 0..2 {
+            service.ingest(TelemetryEvent::Arrival { at: t, device });
+            service.ingest(TelemetryEvent::DataRead { at: t, device });
+            for class in OpClass::ALL {
+                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
+                service.ingest(TelemetryEvent::Op {
+                    at: t,
+                    device,
+                    class,
+                    latency,
+                });
+                i += 1;
+            }
+            service.ingest(TelemetryEvent::Completion {
+                arrival: t,
+                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
+                device,
+            });
+        }
+        t += 1.0 / 40.0;
+    }
+    assert!(service.refit_now(), "deterministic stream must fit");
+    service
+}
+
+/// Sends one request and reads exactly its response off the keep-alive
+/// connection, asserting a `200`.
+fn round_trip(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) {
+    stream.write_all(request).expect("write request");
+    buf.clear();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = std::str::from_utf8(&buf[..head_end]).expect("ASCII head");
+            assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
+            let body: usize = head
+                .lines()
+                .find_map(|l| l.strip_prefix("Content-Length: "))
+                .map(|v| v.trim().parse().expect("content length"))
+                .expect("content length header");
+            if buf.len() >= head_end + 4 + body {
+                assert_eq!(buf.len(), head_end + 4 + body, "one response per request");
+                return;
+            }
+        }
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "gate closed the connection");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
+#[test]
+fn a_warm_keep_alive_request_costs_one_read_one_writev_and_few_allocations() {
+    let handle = calibrated_service().spawn();
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(gate.local_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let request = b"GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: gate\r\n\r\n";
+    let mut buf = Vec::new();
+    // Warm-up: the accept, the memoized answer, the pooled buffers.
+    for _ in 0..20 {
+        round_trip(&mut stream, request, &mut buf);
+    }
+
+    let syscalls = gate.syscalls();
+    let allocs = tracked_allocs();
+    for _ in 0..REQUESTS {
+        round_trip(&mut stream, request, &mut buf);
+    }
+    let allocs = tracked_allocs() - allocs;
+    let spent = gate.syscalls().since(&syscalls);
+
+    assert_eq!(spent.reads, REQUESTS, "one read per request: {spent:?}");
+    assert_eq!(spent.writevs, REQUESTS, "one writev per request: {spent:?}");
+    assert!(
+        spent.waits <= REQUESTS + 2,
+        "at most one poller wait per request: {spent:?}"
+    );
+    assert_eq!(spent.ctls, 0, "no interest updates: {spent:?}");
+    assert!(
+        allocs < ALLOCS_PER_REQUEST * REQUESTS,
+        "{} reactor allocations per request (budget {ALLOCS_PER_REQUEST})",
+        allocs as f64 / REQUESTS as f64
+    );
+
+    drop(stream);
+    gate.shutdown();
+    drop(handle);
+}

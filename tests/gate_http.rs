@@ -18,9 +18,9 @@ use std::sync::mpsc::channel;
 use std::time::Duration;
 
 use cos_bench::scenario::calibrate;
-use cosmodel::gate::{encode_events, json, Gate, GateConfig, ReadPath, ServerMode};
+use cosmodel::gate::{encode_events, json, Gate, GateConfig};
 use cosmodel::serve::{
-    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, ServeConfig, SlaService,
+    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, Query, ServeConfig, SlaService,
     TelemetryEvent,
 };
 use cosmodel::storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
@@ -251,7 +251,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     let ref_status = reference.status();
     let ref_epoch = ref_status.epoch.expect("reference calibrated") as f64;
     for &sla in &slas {
-        let expected = reference.predict(sla).expect("reference answers");
+        let expected = reference
+            .attainment(&Query::new().sla(sla))
+            .expect("reference answers");
         let (status, body) = client.get(&format!("/v1/attainment?sla={sla}"));
         assert_eq!(status, 200, "{body}");
         let doc = json::parse(&body).unwrap();
@@ -265,7 +267,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
         assert_eq!(doc.f64_field("epoch").unwrap(), ref_epoch, "same epoch");
         assert_eq!(doc.f64_field("sla").unwrap().to_bits(), sla.to_bits());
     }
-    let expected_p95 = reference.percentile(0.95).expect("reference answers");
+    let expected_p95 = reference
+        .latency_percentile(&Query::new().p(0.95))
+        .expect("reference answers");
     let (status, body) = client.get("/v1/percentile?p=0.95");
     assert_eq!(status, 200, "{body}");
     assert_eq!(
@@ -295,129 +299,146 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     drop(handle);
 }
 
-/// Two gates over the *same* spawned service — one forced onto the worker
-/// channel path, one onto the lock-free snapshot path — must serve
-/// byte-identical response bodies for every prediction route: both funnel
-/// through the same quantized evaluation code path and the same JSON
-/// writer, so nothing may differ, down to the last bit of every `f64`.
+/// Every prediction route over the wire answers bit-for-bit what an
+/// identical in-process [`SlaService`] answers to the same [`Query`]: the
+/// gate's snapshot path and the service's own queries funnel through the
+/// same quantized evaluation code, and the JSON writer round-trips every
+/// `f64`, so nothing may differ.
 #[test]
-fn worker_and_snapshot_gates_answer_byte_identically() {
-    use cosmodel::serve::OpClass;
-    let mut service = SlaService::new(bare_base(), ServeConfig::default());
-    // A deterministic 20 s stream at 40 req/s per device.
-    let mut i = 0u64;
-    let mut t = 0.0;
-    while t < 20.0 {
-        for d in 0..2 {
-            service.ingest(TelemetryEvent::Arrival { at: t, device: d });
-            service.ingest(TelemetryEvent::DataRead { at: t, device: d });
-            for class in OpClass::ALL {
-                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
-                service.ingest(TelemetryEvent::Op {
-                    at: t,
-                    device: d,
-                    class,
-                    latency,
-                });
-                i += 1;
-            }
-            service.ingest(TelemetryEvent::Completion {
-                arrival: t,
-                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
-                device: d,
-            });
-        }
-        t += 1.0 / 40.0;
-    }
-    assert!(service.refit_now(), "deterministic stream must fit");
-    let handle = service.spawn();
+fn gate_answers_every_prediction_route_like_the_unspawned_service() {
+    let reference = calibrated_bare_service();
+    let handle = calibrated_bare_service().spawn();
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut client = Client::connect(gate.local_addr());
 
-    let gate_for = |path: ReadPath| {
-        let config = GateConfig::builder().read_path(path).build().unwrap();
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind")
-    };
-    let worker_gate = gate_for(ReadPath::Worker);
-    let snapshot_gate = gate_for(ReadPath::Snapshot);
-    let mut worker = Client::connect(worker_gate.local_addr());
-    let mut snapshot = Client::connect(snapshot_gate.local_addr());
-
-    let targets = [
-        "/v1/attainment?sla=0.05",
-        "/v1/attainment?sla=0.05&rate=120",
-        "/v1/attainment?sla=0.01",
-        "/v1/percentile?p=0.95",
-        "/v1/headroom?sla=0.05&target=0.9",
-        "/v1/bottlenecks?sla=0.05",
-        "/v1/attainment?sla=0.05&n=4&k=2",
-        "/v1/percentile?p=0.95&n=6&k=4",
-        "/v1/percentile?p=0.99&n=9&k=6",
+    let upper = cosmodel::serve::DEFAULT_HEADROOM_UPPER;
+    let predictions = [
+        (
+            "/v1/attainment?sla=0.05",
+            reference.attainment(&Query::new().sla(0.05)),
+        ),
+        (
+            "/v1/attainment?sla=0.05&rate=120",
+            reference.attainment(&Query::new().sla(0.05).rate(120.0)),
+        ),
+        (
+            "/v1/attainment?sla=0.01",
+            reference.attainment(&Query::new().sla(0.01)),
+        ),
+        (
+            "/v1/percentile?p=0.95",
+            reference.latency_percentile(&Query::new().p(0.95)),
+        ),
+        (
+            "/v1/headroom?sla=0.05&target=0.9",
+            reference.admissible_rate(&Query::new().sla(0.05).target(0.9).upper(upper)),
+        ),
+        (
+            "/v1/attainment?sla=0.05&n=4&k=2",
+            reference.attainment(&Query::new().sla(0.05).n_k(4, 2)),
+        ),
+        (
+            "/v1/percentile?p=0.95&n=6&k=4",
+            reference.latency_percentile(&Query::new().p(0.95).n_k(6, 4)),
+        ),
+        (
+            "/v1/percentile?p=0.99&n=9&k=6",
+            reference.latency_percentile(&Query::new().p(0.99).n_k(9, 6)),
+        ),
     ];
-    for target in targets {
-        let (ws, wb) = worker.get(target);
-        let (ss, sb) = snapshot.get(target);
-        assert_eq!(ws, 200, "worker path {target}: {wb}");
-        assert_eq!(ss, 200, "snapshot path {target}: {sb}");
-        assert_eq!(wb, sb, "bodies differ for {target}");
+    for (target, expected) in predictions {
+        let expected = expected.expect("reference answers");
+        let (status, body) = client.get(target);
+        assert_eq!(status, 200, "{target}: {body}");
+        let doc = json::parse(&body).unwrap();
+        assert_eq!(
+            doc.f64_field("value").unwrap().to_bits(),
+            expected.value.to_bits(),
+            "{target}: {body}"
+        );
+        assert_eq!(doc.f64_field("epoch").unwrap(), expected.epoch as f64);
     }
 
-    // /v1/status: the cache counters legitimately differ between the two
-    // requests (each read bumps them), so compare only the fields the
-    // snapshot must mirror exactly: the epoch and the live event clock.
-    let (ws, wb) = worker.get("/v1/status");
-    let (ss, sb) = snapshot.get("/v1/status");
-    assert_eq!(ws, 200, "{wb}");
-    assert_eq!(ss, 200, "{sb}");
-    let wd = json::parse(&wb).unwrap();
-    let sd = json::parse(&sb).unwrap();
+    let ranking = reference
+        .device_ranking(&Query::new().sla(0.05))
+        .expect("reference ranks");
+    let (status, body) = client.get("/v1/bottlenecks?sla=0.05");
+    assert_eq!(status, 200, "{body}");
+    let doc = json::parse(&body).unwrap();
+    let served: Vec<(usize, u64)> = doc
+        .field("devices")
+        .unwrap()
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|d| {
+            (
+                d.usize_field("device").unwrap(),
+                d.f64_field("fraction").unwrap().to_bits(),
+            )
+        })
+        .collect();
+    let expected: Vec<(usize, u64)> = ranking.iter().map(|&(d, f)| (d, f.to_bits())).collect();
+    assert_eq!(served, expected, "{body}");
+
+    // /v1/status: the cache counters legitimately differ (each read bumps
+    // them), so compare the fields the snapshot must mirror exactly: the
+    // epoch and the live event clock.
+    let (status, body) = client.get("/v1/status");
+    assert_eq!(status, 200, "{body}");
+    let doc = json::parse(&body).unwrap();
+    let ref_status = reference.status();
     assert_eq!(
-        wd.f64_field("epoch").unwrap().to_bits(),
-        sd.f64_field("epoch").unwrap().to_bits()
+        doc.f64_field("epoch").unwrap(),
+        ref_status.epoch.expect("reference calibrated") as f64
     );
     assert_eq!(
-        wd.f64_field("event_time").unwrap().to_bits(),
-        sd.f64_field("event_time").unwrap().to_bits()
+        doc.f64_field("event_time").unwrap().to_bits(),
+        reference.event_time().to_bits()
     );
 
-    worker_gate.shutdown();
-    snapshot_gate.shutdown();
+    gate.shutdown();
     drop(handle);
 }
 
-/// Coded-read smoke over the wire in **both** server modes: the reactor
-/// and the thread-per-connection servers must serve byte-identical coded
-/// percentile/attainment answers (same service, same epoch), the spec is
-/// echoed back, and a `k`-of-`n` join with larger `k` is never faster.
+/// Coded-read smoke over the wire: coded percentile/attainment answers
+/// equal the in-process client's bit for bit, the spec is echoed back, a
+/// `k`-of-`n` join with larger `k` is never faster, and a malformed spec is
+/// refused `400`.
 #[test]
-fn coded_queries_answer_identically_in_both_server_modes() {
+fn coded_queries_answer_on_the_wire_like_the_client() {
     let handle = calibrated_bare_service().spawn();
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut client = Client::connect(gate.local_addr());
 
-    let gate_for = |mode: ServerMode| {
-        let config = GateConfig {
-            server_mode: mode,
-            ..GateConfig::default()
-        };
-        Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind")
-    };
-    let reactor_gate = gate_for(ServerMode::Reactor);
-    let threaded_gate = gate_for(ServerMode::ThreadPerConn);
-    let mut reactor = Client::connect(reactor_gate.local_addr());
-    let mut threaded = Client::connect(threaded_gate.local_addr());
-
+    let in_process = handle.client();
     let targets = [
-        "/v1/percentile?p=0.99&n=4&k=2",
-        "/v1/percentile?p=0.99&n=4&k=4",
-        "/v1/attainment?sla=0.05&n=6&k=4",
+        (
+            "/v1/percentile?p=0.99&n=4&k=2",
+            in_process.latency_percentile(&Query::new().p(0.99).n_k(4, 2)),
+        ),
+        (
+            "/v1/percentile?p=0.99&n=4&k=4",
+            in_process.latency_percentile(&Query::new().p(0.99).n_k(4, 4)),
+        ),
+        (
+            "/v1/attainment?sla=0.05&n=6&k=4",
+            in_process.attainment(&Query::new().sla(0.05).n_k(6, 4)),
+        ),
     ];
     let mut p99 = Vec::new();
-    for target in targets {
-        let (rs, rb) = reactor.get(target);
-        let (ts, tb) = threaded.get(target);
-        assert_eq!(rs, 200, "reactor {target}: {rb}");
-        assert_eq!(ts, 200, "thread-per-conn {target}: {tb}");
-        assert_eq!(rb, tb, "bodies differ for {target}");
-        let doc = json::parse(&rb).unwrap();
-        assert!(doc.f64_field("n").is_ok(), "spec echoed: {rb}");
-        p99.push(doc.f64_field("value").unwrap());
+    for (target, expected) in targets {
+        let (status, body) = client.get(target);
+        assert_eq!(status, 200, "{target}: {body}");
+        let doc = json::parse(&body).unwrap();
+        assert!(doc.f64_field("n").is_ok(), "spec echoed: {body}");
+        let value = doc.f64_field("value").unwrap();
+        assert_eq!(
+            value.to_bits(),
+            expected.unwrap().value.to_bits(),
+            "{target}"
+        );
+        p99.push(value);
     }
     // Needing all four chunks (a max) dominates needing any two.
     assert!(
@@ -426,48 +447,43 @@ fn coded_queries_answer_identically_in_both_server_modes() {
         p99[1],
         p99[0]
     );
-    // Malformed specs are rejected on the wire by both servers.
-    let (rs, _) = reactor.get("/v1/percentile?p=0.99&n=4&k=9");
-    let (ts, _) = threaded.get("/v1/percentile?p=0.99&n=4&k=9");
-    assert_eq!((rs, ts), (400, 400));
+    // Malformed specs are rejected on the wire.
+    let (status, _) = client.get("/v1/percentile?p=0.99&n=4&k=9");
+    assert_eq!(status, 400);
 
-    reactor_gate.shutdown();
-    threaded_gate.shutdown();
+    gate.shutdown();
     drop(handle);
 }
 
 /// A percentile the 1e-4 grid rounds to 1 (`p ≥ 0.99995`) has no answer:
-/// every percentile form refuses it `400`, over both read paths, instead
-/// of panicking on the thread that would evaluate it. Each request gets a
-/// fresh connection, several per reactor thread (or one connection thread
-/// each), and a fresh connection still gets its `200` afterwards.
+/// every percentile form refuses it `400` instead of panicking on the
+/// reactor thread that would evaluate it. Each request gets a fresh
+/// connection, several per reactor thread, and a fresh connection still
+/// gets its `200` afterwards.
 #[test]
 fn percentiles_that_snap_to_one_are_400_and_every_reactor_survives() {
     const REACTORS: usize = 2;
     let handle = calibrated_bare_service().spawn();
-    for read_path in [ReadPath::Snapshot, ReadPath::Worker] {
-        let config = GateConfig {
-            read_path,
-            reactor_threads: REACTORS,
-            ..GateConfig::default()
-        };
-        let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind");
-        let addr = gate.local_addr();
-        for _ in 0..2 * REACTORS {
-            for target in [
-                "/v1/percentile?p=0.99999",
-                "/v1/percentile?p=0.99995&n=4&k=2",
-                "/v1/tenants/default/percentile?p=0.99999",
-            ] {
-                let (status, body) = Client::connect(addr).get(target);
-                assert_eq!(status, 400, "{read_path:?} {target}: {body}");
-                assert!(body.contains("1e-4"), "{read_path:?} {target}: {body}");
-            }
+    let config = GateConfig {
+        reactor_threads: REACTORS,
+        ..GateConfig::default()
+    };
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind");
+    let addr = gate.local_addr();
+    for _ in 0..2 * REACTORS {
+        for target in [
+            "/v1/percentile?p=0.99999",
+            "/v1/percentile?p=0.99995&n=4&k=2",
+            "/v1/tenants/default/percentile?p=0.99999",
+        ] {
+            let (status, body) = Client::connect(addr).get(target);
+            assert_eq!(status, 400, "{target}: {body}");
+            assert!(body.contains("1e-4"), "{target}: {body}");
         }
-        let (status, body) = Client::connect(addr).get("/v1/percentile?p=0.9999");
-        assert_eq!(status, 200, "{read_path:?}: {body}");
-        gate.shutdown();
     }
+    let (status, body) = Client::connect(addr).get("/v1/percentile?p=0.9999");
+    assert_eq!(status, 200, "{body}");
+    gate.shutdown();
     drop(handle);
 }
 
@@ -931,9 +947,7 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
         "127.0.0.1:0",
         handle.client(),
         GateConfig {
-            server_mode: ServerMode::Reactor,
             reactor_threads: 1,
-            read_timeout: Duration::from_millis(50),
             request_deadline: deadline,
             max_connections: 32,
             ..GateConfig::default()
@@ -997,13 +1011,13 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
     drop(handle);
 }
 
-/// The ISSUE-level alias contract over a real socket: `/v1/*` and
+/// The alias contract over a real socket: `/v1/*` and
 /// `/v1/tenants/default/*` must serve **byte-identical** bodies from one
-/// live service in **both** server modes (reactor and thread-per-conn) —
-/// including refusals — and tenant-scoped telemetry posted over the wire
-/// calibrates an isolated shard that legacy routes never see.
+/// live service — including refusals — and tenant-scoped telemetry posted
+/// over the wire calibrates an isolated shard that legacy routes never
+/// see.
 #[test]
-fn tenant_routes_alias_legacy_byte_identically_in_both_server_modes() {
+fn tenant_routes_alias_legacy_byte_identically() {
     // A deterministic stream; `slow_mod` skews the completion mix so two
     // tenants get visibly different fits.
     let stream = |t0: f64, t1: f64, slow_mod: u64| {
@@ -1074,54 +1088,40 @@ fn tenant_routes_alias_legacy_byte_identically_in_both_server_modes() {
         ),
     ];
 
-    for mode in [ServerMode::Reactor, ServerMode::ThreadPerConn] {
-        let gate = Gate::bind(
-            "127.0.0.1:0",
-            handle.client(),
-            GateConfig {
-                server_mode: mode,
-                ..GateConfig::default()
-            },
-        )
-        .expect("bind");
-        let mut client = Client::connect(gate.local_addr());
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut client = Client::connect(gate.local_addr());
 
-        for (legacy, tenant) in pairs {
-            let (ls, lb) = client.get(legacy);
-            let (ts, tb) = client.get(tenant);
-            assert_eq!(ls, ts, "{mode:?}: status differs for {legacy}");
-            assert_eq!(lb, tb, "{mode:?}: body differs for {legacy}");
-        }
-        // Status pair back-to-back (no reads between): byte-identical.
-        let (ls, lb) = client.get("/v1/status");
-        let (ts, tb) = client.get("/v1/tenants/default/status");
-        assert_eq!((ls, ts), (200, 200));
-        assert_eq!(lb, tb, "{mode:?}: status body differs");
-
-        // Telemetry write path aliases as well (same acceptance count).
-        let batch = stream(0.0, 0.1, 3);
-        let (ls, lb) = client.post("/v1/telemetry", &encode_events(&batch));
-        let (ts, tb) = client.post("/v1/tenants/default/telemetry", &encode_events(&batch));
-        assert_eq!((ls, ts), (200, 200), "{lb} / {tb}");
-        assert_eq!(lb, tb, "{mode:?}: telemetry ack differs");
-
-        // Tenant refusal discipline over the wire: unknown → 404,
-        // malformed id → 422, and neither kills the connection.
-        let (status, body) = client.get("/v1/tenants/ghost/status");
-        assert_eq!(status, 404, "{body}");
-        let (status, body) = client.get("/v1/tenants/NOPE/status");
-        assert_eq!(status, 422, "{body}");
-        let (status, _) = client.get("/v1/status");
-        assert_eq!(status, 200);
-
-        gate.shutdown();
+    for (legacy, tenant) in pairs {
+        let (ls, lb) = client.get(legacy);
+        let (ts, tb) = client.get(tenant);
+        assert_eq!(ls, ts, "status differs for {legacy}");
+        assert_eq!(lb, tb, "body differs for {legacy}");
     }
+    // Status pair back-to-back (no reads between): byte-identical.
+    let (ls, lb) = client.get("/v1/status");
+    let (ts, tb) = client.get("/v1/tenants/default/status");
+    assert_eq!((ls, ts), (200, 200));
+    assert_eq!(lb, tb, "status body differs");
+
+    // Telemetry write path aliases as well (same acceptance count).
+    let batch = stream(0.0, 0.1, 3);
+    let (ls, lb) = client.post("/v1/telemetry", &encode_events(&batch));
+    let (ts, tb) = client.post("/v1/tenants/default/telemetry", &encode_events(&batch));
+    assert_eq!((ls, ts), (200, 200), "{lb} / {tb}");
+    assert_eq!(lb, tb, "telemetry ack differs");
+
+    // Tenant refusal discipline over the wire: unknown → 404,
+    // malformed id → 422, and neither kills the connection.
+    let (status, body) = client.get("/v1/tenants/ghost/status");
+    assert_eq!(status, 404, "{body}");
+    let (status, body) = client.get("/v1/tenants/NOPE/status");
+    assert_eq!(status, 422, "{body}");
+    let (status, _) = client.get("/v1/status");
+    assert_eq!(status, 200);
 
     // Tenant-scoped ingestion over the wire: a `blue` shard calibrated
     // through POST /v1/tenants/blue/telemetry alone, isolated from the
     // default tenant the legacy routes serve.
-    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
-    let mut client = Client::connect(gate.local_addr());
     // Event times continue past the default tenant's (last refit at 20 s),
     // so the service's own cadence triggers the fleet refit.
     let blue_events = stream(21.0, 46.0, 7);

@@ -9,7 +9,7 @@ use std::sync::mpsc::channel;
 use cos_bench::scenario::{calibrate, estimate_miss_ratios};
 use cosmodel::model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
 use cosmodel::serve::{
-    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, ServeConfig, SlaService,
+    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, Query, ServeConfig, SlaService,
     TelemetryEvent,
 };
 use cosmodel::storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
@@ -176,7 +176,7 @@ fn online_calibration_matches_offline_pipeline_and_observations() {
     );
 
     for (si, &sla) in slas.iter().enumerate() {
-        let online = service.predict(sla).unwrap().value;
+        let online = service.attainment(&Query::new().sla(sla)).unwrap().value;
         let offline_p = offline.fraction_meeting_sla(sla);
         let observed = metrics.observed_fraction(0, si).unwrap();
         assert!(
@@ -212,9 +212,9 @@ fn online_calibration_matches_offline_pipeline_and_observations() {
     let before = service.engine().stats();
     for _ in 0..10 {
         for &sla in &slas {
-            service.predict(sla).unwrap();
+            service.attainment(&Query::new().sla(sla)).unwrap();
         }
-        service.percentile(0.95).unwrap();
+        service.latency_percentile(&Query::new().p(0.95)).unwrap();
     }
     let after = service.engine().stats();
     let hits = (after.hits - before.hits) as f64;

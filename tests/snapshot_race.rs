@@ -1,8 +1,9 @@
 //! Race and bit-identity tests for the lock-free snapshot read path.
 //!
 //! The contract under test: any number of [`SnapshotReader`]s answering on
-//! their own threads must return **bit-identical** results to the worker
-//! channel path and to a cold, freshly-installed [`PredictionEngine`]; a
+//! their own threads must return **bit-identical** results to the service
+//! state machine the worker thread runs, queried in-process, and to a
+//! cold, freshly-installed [`PredictionEngine`]; a
 //! reader racing a re-fit must only ever observe whole epochs (monotone,
 //! never torn); and the shared [`InversionCache`] must coalesce identical
 //! concurrent misses into one computation while staying bounded under
@@ -74,16 +75,17 @@ fn calibrated_service() -> SlaService {
     service
 }
 
-/// The same question answered three ways — snapshot reader, worker
-/// channel, and a cold engine freshly installed with the fitted
-/// parameters — must produce the same `f64` bits, because every path
-/// funnels through one quantized evaluation code path.
+/// The same question answered three ways — snapshot reader, the worker's
+/// own [`SlaService`] queried in-process (unspawned), and a cold engine
+/// freshly installed with the fitted parameters — must produce the same
+/// `f64` bits, because every path funnels through one quantized
+/// evaluation code path.
 #[test]
 fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     // Reference: an identical in-process service, its fitted parameters
     // transplanted into a cold engine with an empty private cache.
-    let reference = calibrated_service();
-    let fitted = reference
+    let worker_service = calibrated_service();
+    let fitted = worker_service
         .engine()
         .snapshot()
         .expect("reference calibrated")
@@ -92,17 +94,17 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     let mut cold = PredictionEngine::new(config.variant);
     cold.install(fitted.params.clone(), fitted.fitted_at, None);
 
-    // Subject: the same service type spawned; ask through both paths.
+    // Subject: the same service type spawned, read through its snapshot.
     let handle = calibrated_service().spawn();
-    let client = handle.client();
+    let snapshot = handle.reader();
     let goal = SlaGoal::new(0.05, 0.90);
 
     for sla in [0.010, 0.050, 0.100] {
-        let worker = client
-            .attainment(Query::new().sla(sla))
+        let worker = worker_service
+            .attainment(&Query::new().sla(sla))
             .expect("worker answers");
-        let reader = client
-            .read_attainment(&Query::new().sla(sla))
+        let reader = snapshot
+            .attainment(&Query::new().sla(sla))
             .expect("reader answers");
         let cold_p = cold.fraction_meeting_sla(sla).expect("cold engine answers");
         assert_eq!(
@@ -123,11 +125,11 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     }
 
     for (rate, sla) in [(60.0, 0.05), (120.0, 0.05), (90.0, 0.01)] {
-        let worker = client
-            .attainment(Query::new().sla(sla).rate(rate))
+        let worker = worker_service
+            .attainment(&Query::new().sla(sla).rate(rate))
             .expect("worker answers");
-        let reader = client
-            .read_attainment(&Query::new().sla(sla).rate(rate))
+        let reader = snapshot
+            .attainment(&Query::new().sla(sla).rate(rate))
             .expect("reader answers");
         let cold_p = cold.fraction_at_rate(rate, sla).expect("cold answers");
         assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "at {rate}");
@@ -135,11 +137,11 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     }
 
     for p in [0.50, 0.95, 0.99] {
-        let worker = client
-            .latency_percentile(Query::new().p(p))
+        let worker = worker_service
+            .latency_percentile(&Query::new().p(p))
             .expect("worker answers");
-        let reader = client
-            .read_latency_percentile(&Query::new().p(p))
+        let reader = snapshot
+            .latency_percentile(&Query::new().p(p))
             .expect("reader answers");
         let cold_p = cold.latency_percentile(p).expect("cold answers");
         assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "p{p}");
@@ -152,21 +154,21 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
             .target(goal.target_fraction)
             .upper(2000.0)
     };
-    let worker = client
-        .admissible_rate(headroom_query())
+    let worker = worker_service
+        .admissible_rate(&headroom_query())
         .expect("worker answers");
-    let reader = client
-        .read_admissible_rate(&headroom_query())
+    let reader = snapshot
+        .admissible_rate(&headroom_query())
         .expect("reader answers");
     let cold_p = cold.headroom(goal, 2000.0).expect("cold answers");
     assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "headroom");
     assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "headroom");
 
-    let worker = client
-        .device_ranking(Query::new().sla(0.05))
+    let worker = worker_service
+        .device_ranking(&Query::new().sla(0.05))
         .expect("worker answers");
-    let reader = client
-        .read_device_ranking(&Query::new().sla(0.05))
+    let reader = snapshot
+        .device_ranking(&Query::new().sla(0.05))
         .expect("reader answers");
     let cold_b = cold.bottlenecks(0.05).expect("cold answers");
     assert_eq!(worker.len(), reader.len());
@@ -181,8 +183,8 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
 
     // Status agreement on the fields both paths own: epoch and the live
     // event clock travel bit-exactly through the snapshot.
-    let ws = client.status().expect("worker status");
-    let rs = client.read_status().expect("reader status");
+    let ws = worker_service.status();
+    let rs = snapshot.status().expect("reader status");
     assert_eq!(ws.epoch, rs.epoch);
     assert_eq!(ws.event_time.to_bits(), rs.event_time.to_bits());
 }
