@@ -10,13 +10,14 @@
 //! template.
 
 use cos_bench::config_file::{example_config, ModelConfigFile};
+use cos_bench::pretty::to_string_pretty;
 use cos_model::ModelVariant;
 use cos_stats::TextTable;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.iter().any(|a| a == "--example-config") {
-        println!("{}", example_config().to_json().to_string_pretty());
+        println!("{}", to_string_pretty(&example_config().to_json()));
         return;
     }
     let Some(path) = args

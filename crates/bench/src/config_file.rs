@@ -9,7 +9,9 @@
 use cos_model::{DeviceParams, FrontendParams, SystemParams};
 use cos_queueing::from_distribution;
 
-use crate::json::{self, Value};
+use cos_gate::json::{self, Value};
+
+use crate::pretty::object;
 
 /// A Gamma law as `{shape, rate}` (the paper's parameterization; mean is
 /// `shape/rate` seconds).
@@ -72,7 +74,7 @@ pub struct ModelConfigFile {
 
 impl GammaLaw {
     fn to_json(self) -> Value {
-        json::object(vec![
+        object(vec![
             ("shape", Value::Number(self.shape)),
             ("rate", Value::Number(self.rate)),
         ])
@@ -88,7 +90,7 @@ impl GammaLaw {
 
 impl DeviceConfig {
     fn to_json(&self) -> Value {
-        json::object(vec![
+        object(vec![
             ("arrival_rate", Value::Number(self.arrival_rate)),
             ("data_read_rate", Value::Number(self.data_read_rate)),
             (
@@ -134,7 +136,7 @@ impl DeviceConfig {
 impl ModelConfigFile {
     /// JSON form of the configuration.
     pub fn to_json(&self) -> Value {
-        json::object(vec![
+        object(vec![
             ("arrival_rate", Value::Number(self.arrival_rate)),
             (
                 "frontend_processes",
@@ -264,12 +266,13 @@ pub fn example_config() -> ModelConfigFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pretty::to_string_pretty;
     use cos_model::{ModelVariant, SystemModel};
 
     #[test]
     fn example_roundtrips_through_json() {
         let config = example_config();
-        let json = config.to_json().to_string_pretty();
+        let json = to_string_pretty(&config.to_json());
         let back = ModelConfigFile::from_json_str(&json).unwrap();
         let params = back.to_params().unwrap();
         let model = SystemModel::new(&params, ModelVariant::Full).unwrap();

@@ -20,7 +20,7 @@
 #![warn(missing_docs)]
 
 pub mod config_file;
-pub mod json;
+pub mod pretty;
 pub mod report;
 pub mod scenario;
 pub mod summary;

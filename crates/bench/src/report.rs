@@ -1,5 +1,6 @@
 //! Shared output formatting for the figure/table binaries.
 
+use crate::pretty::to_string_pretty;
 use crate::scenario::ScenarioResult;
 use crate::summary::{prediction_points, table1_row, table2_row};
 use cos_model::ModelVariant;
@@ -135,7 +136,7 @@ pub fn maybe_dump_json(result: &ScenarioResult) {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))
     {
-        let json = result.to_json().to_string_pretty();
+        let json = to_string_pretty(&result.to_json());
         std::fs::write(path, json).expect("writable json path");
         eprintln!("# wrote {path}");
     }

@@ -27,7 +27,9 @@ use cos_storesim::{
 };
 use cos_workload::{Catalog, CatalogConfig, PhaseConfig, PhaseSchedule, TraceStream};
 
-use crate::json::{self, Value};
+use cos_gate::json::Value;
+
+use crate::pretty::{object, opt_number};
 
 /// A named experiment scenario.
 #[derive(Debug, Clone)]
@@ -124,12 +126,12 @@ pub struct ScenarioResult {
 impl Cell {
     /// JSON form (one object per SLA cell).
     pub fn to_json(&self) -> Value {
-        json::object(vec![
-            ("observed", json::opt_number(self.observed)),
-            ("full", json::opt_number(self.full)),
-            ("odopr", json::opt_number(self.odopr)),
-            ("nowta", json::opt_number(self.nowta)),
-            ("residual", json::opt_number(self.residual)),
+        object(vec![
+            ("observed", opt_number(self.observed)),
+            ("full", opt_number(self.full)),
+            ("odopr", opt_number(self.odopr)),
+            ("nowta", opt_number(self.nowta)),
+            ("residual", opt_number(self.residual)),
         ])
     }
 }
@@ -137,7 +139,7 @@ impl Cell {
 impl WindowResult {
     /// JSON form.
     pub fn to_json(&self) -> Value {
-        json::object(vec![
+        object(vec![
             ("rate", Value::Number(self.rate)),
             (
                 "cells",
@@ -150,7 +152,7 @@ impl WindowResult {
 impl ScenarioResult {
     /// JSON form (what `--json PATH` writes).
     pub fn to_json(&self) -> Value {
-        json::object(vec![
+        object(vec![
             ("name", Value::String(self.name.clone())),
             (
                 "slas",

@@ -8,7 +8,7 @@
 //!   atomic (the shed fraction) and, only while shedding is active, does
 //!   one `fetch_add` on a per-class error-diffusion accumulator. No locks,
 //!   no allocation, no model evaluation: the budget is well under a
-//!   microsecond (enforced by `perf_baseline --check`).
+//!   microsecond (enforced by `tests/hot_path_budgets.rs`).
 //! * [`Controller::tick`] is the **slow path** — a poller (the
 //!   [`Ticker`] thread, or a test driving event time by hand) calls it
 //!   after telemetry lands. It is generation-gated: work happens only when

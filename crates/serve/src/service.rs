@@ -487,16 +487,7 @@ impl SlaService {
                 .filter(|s| s.dirty && s.slot != 0)
                 .map(|s| s.slot),
         );
-        self.refit_slots(&slots, self.config.refit_workers)
-    }
-
-    /// Forces a re-fit of **every** tenant (dirty or not) over `workers`
-    /// threads — the full-fleet sweep the benches time. Returns the number
-    /// of tenants refitted.
-    pub fn refit_fleet(&mut self, workers: usize) -> usize {
-        let slots: Vec<u32> = (0..self.shards.len() as u32).collect();
-        self.refit_slots(&slots, workers.max(1));
-        slots.len()
+        self.refit_slots(&slots)
     }
 
     /// The batched re-fit: phase 1 fans the pure fit + model build + per-
@@ -504,12 +495,13 @@ impl SlaService {
     /// O(tenants) sequential solves — `try_fit` is `&self`, so shards are
     /// read concurrently); phase 2 serially installs epochs, pre-warms the
     /// cache, and publishes one delta.
-    fn refit_slots(&mut self, slots: &[u32], workers: usize) -> bool {
+    fn refit_slots(&mut self, slots: &[u32]) -> bool {
         self.obs.refits_total.inc();
         let _refit_span = self.obs.refit.start_span();
         self.last_refit = self.now;
         let now = self.now;
         let variant = self.config.variant;
+        let workers = self.config.refit_workers;
         let slas = self.config.slas.clone();
 
         // Phase 1 — parallel, read-only over the shards.

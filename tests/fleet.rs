@@ -16,9 +16,8 @@
 //!    fed the same events — sharding is pure partitioning.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use cosmodel::distr::{Degenerate, Gamma};
 use cosmodel::queueing::from_distribution;
@@ -247,6 +246,35 @@ fn delta_publish_reuses_untouched_tenant_arcs() {
     }
 }
 
+/// A delta after fresh telemetry for 6 of 128 four-device tenants (about
+/// 5% of the fits) republishes those 6 plus the always-swept default slot
+/// and ships at most a quarter of the full-state bytes (measured 0.055).
+#[test]
+fn a_five_percent_delta_ships_under_a_quarter_of_the_full_state() {
+    let scenario = FleetScenario::new(FleetConfig {
+        tenants: 128,
+        devices: 4,
+        rate_per_device: 40.0,
+        duration: 1.5,
+        seed: 0xF1EE,
+    })
+    .unwrap();
+    let mut service = SlaService::new(base(4), manual_config());
+    for (tenant, ev) in scenario.tagged_stream() {
+        service.ingest_for(&tenant, ev);
+    }
+    service.refit_now();
+    for i in 0..6 {
+        for ev in scenario.events_for(i) {
+            service.ingest_for(&scenario.tenant_id(i), ev);
+        }
+    }
+    service.refit_now();
+    let stats = service.last_publish_stats();
+    assert_eq!(stats.republished, 7, "{stats:?}");
+    assert!(stats.delta_ratio() <= 0.25, "{stats:?}");
+}
+
 // ---------------------------------------------------------------------------
 // 2. Concurrent readers mid-delta: monotone generations, stable epochs.
 // ---------------------------------------------------------------------------
@@ -263,51 +291,63 @@ fn concurrent_readers_mid_delta_observe_whole_generations() {
     service.refit_now();
     let handle = service.spawn();
     let stop = Arc::new(AtomicBool::new(false));
+    // Reader `i` polls tenant `i` and reports the last generation it saw.
+    let observed: Arc<Vec<AtomicU64>> = Arc::new(ids.iter().map(|_| AtomicU64::new(0)).collect());
 
-    let readers: Vec<_> = (0..3)
-        .map(|slot: usize| {
+    let readers: Vec<_> = ids
+        .iter()
+        .enumerate()
+        .map(|(i, id)| {
             let reader = handle.client().reader();
             let stop = Arc::clone(&stop);
-            let ids = ids.clone();
+            let observed = Arc::clone(&observed);
+            let id = id.clone();
             std::thread::spawn(move || {
-                // Per (tenant, epoch): the answer bits must never change —
-                // a torn delta would show the new fit under the old epoch.
-                let mut seen: HashMap<(usize, u64), u64> = HashMap::new();
-                let mut last_gen = vec![0u64; ids.len()];
+                // Per epoch: the answer bits must never change — a torn
+                // delta would show the new fit under the old epoch.
+                let mut seen: HashMap<u64, u64> = HashMap::new();
+                let mut last = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    let i = slot % ids.len();
-                    let g = reader.generation_for(&ids[i]).unwrap();
-                    assert!(g >= last_gen[i], "generation went backwards");
-                    last_gen[i] = g;
+                    let g = reader.generation_for(&id).unwrap();
+                    assert!(g >= last, "generation went backwards");
+                    last = g;
                     let p = reader
-                        .attainment(&Query::tenant(ids[i].clone()).sla(0.05))
+                        .attainment(&Query::tenant(id.clone()).sla(0.05))
                         .unwrap();
                     let bits = p.value.to_bits();
-                    let prev = seen.entry((i, p.epoch)).or_insert(bits);
+                    let prev = seen.entry(p.epoch).or_insert(bits);
                     assert_eq!(*prev, bits, "epoch {} changed bits mid-delta", p.epoch);
+                    observed[i].store(g, Ordering::Release);
                 }
                 seen.len()
             })
         })
         .collect();
 
-    // Writer: rounds of single-tenant deltas while readers hammer.
+    // Writer: rounds of single-tenant deltas while readers hammer. Each
+    // round waits until the refitted tenant's reader has read the new
+    // generation, so every reader crosses every delta of its tenant.
     let client = handle.client();
+    let writer_view = client.reader();
     let mut clock = 20.0;
     for round in 0..12 {
-        let id = &ids[round % ids.len()];
+        let i = round % ids.len();
         for ev in events_span(2, clock, clock + 6.0, round as u64) {
-            client.ingest_for(id, ev).unwrap();
+            client.ingest_for(&ids[i], ev).unwrap();
         }
         clock += 6.0;
         client.refit_now().unwrap();
-        std::thread::sleep(Duration::from_millis(5));
+        let published = writer_view.generation_for(&ids[i]).unwrap();
+        while observed[i].load(Ordering::Acquire) < published {
+            assert!(!readers[i].is_finished(), "reader {i} stopped early");
+            std::thread::yield_now();
+        }
     }
 
     stop.store(true, Ordering::Relaxed);
     for r in readers {
         let epochs = r.join().unwrap();
-        assert!(epochs >= 1, "reader must have observed at least one epoch");
+        assert!(epochs >= 5, "each reader crosses its tenant's 4 refits");
     }
     handle.shutdown().unwrap();
 }
@@ -346,7 +386,12 @@ fn fleet_shards_answer_bit_identically_to_standalone_services() {
     for i in 0..scenario.config().tenants {
         fleet.ingest_for(&scenario.tenant_id(i), sync_event);
     }
-    assert_eq!(fleet.refit_fleet(2), 1 + scenario.config().tenants);
+    // Every shard is dirty after the ingest, so one refit sweeps them all.
+    fleet.refit_now();
+    assert_eq!(
+        fleet.last_publish_stats().republished,
+        1 + scenario.config().tenants
+    );
     assert_eq!(fleet.tenants(), 1 + scenario.config().tenants);
     let fleet_reader = fleet.reader();
 

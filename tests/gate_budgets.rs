@@ -1,6 +1,7 @@
-//! The cost of one warm keep-alive request through the gate, counted from
-//! inside the reactors: syscalls from their poller counters, heap
-//! allocations from the counting allocator.
+//! The cost of warm keep-alive requests through the gate, sent one at a
+//! time and in pipelined batches of 32, counted from inside the reactors:
+//! syscalls from their poller counters, heap allocations from the counting
+//! allocator.
 //!
 //! This test binary installs the counting allocator, so it holds exactly
 //! one test: the allocation counter is process-wide, and another gate's
@@ -19,8 +20,13 @@ use cosmodel::serve::{CalibrationBase, OpClass, ServeConfig, SlaService, Telemet
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Requests in the measured window.
+/// Requests in the measured serial window.
 const REQUESTS: u64 = 200;
+
+/// Pipelined batches in the measured pipelined window, and requests per
+/// batch.
+const BATCHES: u64 = 10;
+const BATCH: u64 = 32;
 
 /// Reactor-thread allocations allowed per warm request: the transport
 /// allocates nothing in steady state, and the route's JSON answer was
@@ -69,14 +75,15 @@ fn calibrated_service() -> SlaService {
     service
 }
 
-/// Sends one request and reads exactly its response off the keep-alive
-/// connection, asserting a `200`.
-fn round_trip(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) {
-    stream.write_all(request).expect("write request");
+/// Sends `requests` (one write) and reads exactly `n` responses off the
+/// keep-alive connection, asserting a `200` for each.
+fn round_trip(stream: &mut TcpStream, requests: &[u8], n: u64, buf: &mut Vec<u8>) {
+    stream.write_all(requests).expect("write requests");
     buf.clear();
-    let mut chunk = [0u8; 4096];
+    let mut chunk = [0u8; 16 * 1024];
+    let mut seen = 0;
     loop {
-        if let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        while let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
             let head = std::str::from_utf8(&buf[..head_end]).expect("ASCII head");
             assert!(head.starts_with("HTTP/1.1 200 "), "{head}");
             let body: usize = head
@@ -84,15 +91,62 @@ fn round_trip(stream: &mut TcpStream, request: &[u8], buf: &mut Vec<u8>) {
                 .find_map(|l| l.strip_prefix("Content-Length: "))
                 .map(|v| v.trim().parse().expect("content length"))
                 .expect("content length header");
-            if buf.len() >= head_end + 4 + body {
-                assert_eq!(buf.len(), head_end + 4 + body, "one response per request");
-                return;
+            let total = head_end + 4 + body;
+            if buf.len() < total {
+                break;
             }
+            buf.drain(..total);
+            seen += 1;
         }
-        let n = stream.read(&mut chunk).expect("read response");
-        assert!(n > 0, "gate closed the connection");
-        buf.extend_from_slice(&chunk[..n]);
+        if seen == n {
+            assert!(buf.is_empty(), "one response per request");
+            return;
+        }
+        let got = stream.read(&mut chunk).expect("read response");
+        assert!(got > 0, "gate closed the connection");
+        buf.extend_from_slice(&chunk[..got]);
     }
+}
+
+/// Sends `rounds` writes of `requests`, each answered by `responses`
+/// responses, and asserts what a round may cost the reactors: one `read`,
+/// one `writev`, at most one wait (plus two overall), no interest update,
+/// and fewer than [`ALLOCS_PER_REQUEST`] allocations per request.
+fn assert_round_costs(
+    gate: &Gate,
+    stream: &mut TcpStream,
+    (requests, responses): (&[u8], u64),
+    rounds: u64,
+    window: &str,
+) {
+    let mut buf = Vec::new();
+    let syscalls = gate.syscalls();
+    let allocs = tracked_allocs();
+    for _ in 0..rounds {
+        round_trip(stream, requests, responses, &mut buf);
+    }
+    let allocs = tracked_allocs() - allocs;
+    let spent = gate.syscalls().since(&syscalls);
+
+    assert_eq!(
+        spent.reads, rounds,
+        "{window}: one read per round: {spent:?}"
+    );
+    assert_eq!(
+        spent.writevs, rounds,
+        "{window}: one writev per round: {spent:?}"
+    );
+    assert!(
+        spent.waits <= rounds + 2,
+        "{window}: at most one poller wait per round: {spent:?}"
+    );
+    assert_eq!(spent.ctls, 0, "{window}: no interest updates: {spent:?}");
+    let served = rounds * responses;
+    assert!(
+        allocs < ALLOCS_PER_REQUEST * served,
+        "{window}: {} reactor allocations per request (budget {ALLOCS_PER_REQUEST})",
+        allocs as f64 / served as f64
+    );
 }
 
 #[test]
@@ -102,32 +156,17 @@ fn a_warm_keep_alive_request_costs_one_read_one_writev_and_few_allocations() {
     let mut stream = TcpStream::connect(gate.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let request = b"GET /v1/attainment?sla=0.05 HTTP/1.1\r\nHost: gate\r\n\r\n";
-    let mut buf = Vec::new();
     // Warm-up: the accept, the memoized answer, the pooled buffers.
+    let mut buf = Vec::new();
     for _ in 0..20 {
-        round_trip(&mut stream, request, &mut buf);
+        round_trip(&mut stream, request, 1, &mut buf);
     }
 
-    let syscalls = gate.syscalls();
-    let allocs = tracked_allocs();
-    for _ in 0..REQUESTS {
-        round_trip(&mut stream, request, &mut buf);
-    }
-    let allocs = tracked_allocs() - allocs;
-    let spent = gate.syscalls().since(&syscalls);
-
-    assert_eq!(spent.reads, REQUESTS, "one read per request: {spent:?}");
-    assert_eq!(spent.writevs, REQUESTS, "one writev per request: {spent:?}");
-    assert!(
-        spent.waits <= REQUESTS + 2,
-        "at most one poller wait per request: {spent:?}"
-    );
-    assert_eq!(spent.ctls, 0, "no interest updates: {spent:?}");
-    assert!(
-        allocs < ALLOCS_PER_REQUEST * REQUESTS,
-        "{} reactor allocations per request (budget {ALLOCS_PER_REQUEST})",
-        allocs as f64 / REQUESTS as f64
-    );
+    assert_round_costs(&gate, &mut stream, (request, 1), REQUESTS, "serial");
+    // A batch of 32 requests in one write is read by one `read` and
+    // answered by one `writev`.
+    let batch = request.repeat(BATCH as usize);
+    assert_round_costs(&gate, &mut stream, (&batch, BATCH), BATCHES, "pipelined");
 
     drop(stream);
     gate.shutdown();

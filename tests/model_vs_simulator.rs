@@ -373,6 +373,19 @@ fn run_coded_cell(cell: &CodedCell, logical_rate: f64, duration: f64, seed: u64)
     CodedOutcome { quantiles, samples }
 }
 
+/// Each cell's relative p50 and p95 point errors on this sweep's seeds, as
+/// `CODED_DIAG=1` prints them, in sweep order: (4,2), (6,4), (9,6), each
+/// k-only then eager. A cell fails if its error doubles or reaches the
+/// ±35% band.
+const CODED_ERRORS: [[f64; 2]; 6] = [
+    [0.1698, 0.1764],
+    [0.2312, 0.0442],
+    [0.2271, 0.2420],
+    [0.2926, 0.0587],
+    [0.2326, 0.1656],
+    [0.2910, 0.0343],
+];
+
 /// The Fig. 8-style validation of the coded-read model: for every
 /// `(n, k) × {k-only, eager}` cell the analytic bounds must bracket the
 /// simulated CDF at the observed p50/p95/p99, and the point predictor must
@@ -381,7 +394,9 @@ fn run_coded_cell(cell: &CodedCell, logical_rate: f64, duration: f64, seed: u64)
 /// ground truth, so the pessimistic anchor is an approximation — DESIGN
 /// §13); the point predictions get a ±35% band at p50/p95, in line with
 /// the replica model's worst-case Table-I errors compounded by the
-/// order-statistics combine.
+/// order-statistics combine, and may not double their
+/// [`CODED_ERRORS`]: the sweep is seed-deterministic, so a doubled error
+/// is a model change, not noise.
 #[test]
 fn coded_predictions_bracket_simulation_across_the_nk_sweep() {
     let cells: Vec<CodedCell> = [(4, 2), (6, 4), (9, 6)]
@@ -393,13 +408,14 @@ fn coded_predictions_bracket_simulation_across_the_nk_sweep() {
     let outcomes = cosmodel::par::par_map(cells.len(), &cells, |i, cell| {
         run_coded_cell(cell, 30.0, 150.0, 0xC0DE + i as u64)
     });
-    for (cell, out) in cells.iter().zip(&outcomes) {
+    for ((cell, out), errors) in cells.iter().zip(&outcomes).zip(CODED_ERRORS) {
         let label = cell.label();
         if std::env::var("CODED_DIAG").is_ok() {
             for &(q, observed, predicted, pess, opt) in &out.quantiles {
+                let rel = (predicted - observed).abs() / observed;
                 eprintln!(
                     "{label} q={q}: obs {observed:.5}s pred {predicted:.5}s \
-                     bounds [{pess:.4}, {opt:.4}]"
+                     (rel err {rel:.4}) bounds [{pess:.4}, {opt:.4}]"
                 );
             }
         }
@@ -421,10 +437,12 @@ fn coded_predictions_bracket_simulation_across_the_nk_sweep() {
             );
             if q < 0.99 {
                 let rel = (predicted - observed).abs() / observed;
+                let [p50, p95] = errors;
+                let ceiling = (2.0 * if q == 0.50 { p50 } else { p95 }).min(0.35);
                 assert!(
-                    rel < 0.35,
+                    rel < ceiling,
                     "{label} q={q}: predicted {predicted:.5}s vs observed {observed:.5}s \
-                     (rel err {rel:.3})"
+                     (rel err {rel:.3}, ceiling {ceiling:.3})"
                 );
             }
         }

@@ -7,19 +7,22 @@
 //! benchmark queries: 8 tenants × 4 devices at 40 req/s — plus the corners
 //! of the headroom search: an `N_be = 16` template (M/M/1/K disk), goals
 //! unreachable at any rate, goals met at `upper`, and templates close to
-//! ρ = 1.
+//! ρ = 1. The inversion counts are budgets: at most 6 per device quantile
+//! on the fleet fits, and 3 for a backend p95 on the S1 template.
 
 mod common;
 
 use common::fleet_fits;
+use cosmodel::distr::{Degenerate, Gamma};
 use cosmodel::model::{
-    max_admissible_rate, model_at_rate, CodedReadModel, CodingSpec, ModelVariant, SlaGoal,
-    SystemModel, SystemParams,
+    max_admissible_rate, model_at_rate, CodedReadModel, CodingSpec, DeviceParams, FrontendParams,
+    ModelVariant, SlaGoal, SystemModel, SystemParams,
 };
 use cosmodel::numeric::{
     cdf_from_lst, invert_monotone, quantile_from_lst, Complex64, CountingLaplaceFn,
     InversionConfig, QUANTILE_INVERSION_BUDGET,
 };
+use cosmodel::queueing::from_distribution;
 use cosmodel::serve::DEFAULT_HEADROOM_UPPER;
 
 /// The retired quantile solver: geometric bracket growth, then
@@ -219,6 +222,48 @@ fn device_quantiles_cost_at_most_six_inversions_on_fleet_fits() {
             }
         }
     }
+}
+
+/// The testbed-like S1 template at 120 req/s: 4 devices with one process
+/// each, the cold-cache miss ratios, the benchmarked Gamma disk laws and
+/// parse point masses.
+fn s1_template() -> SystemParams {
+    let per = 120.0 / 4.0;
+    let device = DeviceParams {
+        arrival_rate: per,
+        data_read_rate: per * 1.1,
+        miss_index: 0.3,
+        miss_meta: 0.25,
+        miss_data: 0.4,
+        index_disk: from_distribution(Gamma::new(3.0, 250.0)),
+        meta_disk: from_distribution(Gamma::new(2.5, 312.5)),
+        data_disk: from_distribution(Gamma::new(3.5, 245.0)),
+        parse_be: from_distribution(Degenerate::new(0.0005)),
+        processes: 1,
+    };
+    SystemParams {
+        frontend: FrontendParams {
+            arrival_rate: 120.0,
+            processes: 3,
+            parse_fe: from_distribution(Degenerate::new(0.0003)),
+        },
+        devices: vec![device; 4],
+    }
+}
+
+#[test]
+fn an_s1_backend_p95_costs_at_most_three_inversions() {
+    // From a 50 ms hint the Newton search lands in 3 inversions.
+    let m = SystemModel::new(&s1_template(), ModelVariant::Full).expect("stable template");
+    let backend = m.devices()[0].backend();
+    let lst = |s: Complex64| backend.sojourn_lst(s);
+    let counting = CountingLaplaceFn::new(&lst);
+    quantile_from_lst(&counting, 0.95, 0.05, &InversionConfig::default()).expect("reachable");
+    assert!(
+        counting.batch_calls() <= 3,
+        "{} inversions",
+        counting.batch_calls()
+    );
 }
 
 /// Headroom against the bisection oracle; the goal must hold at the
