@@ -10,7 +10,9 @@ use crate::components::{point_mass, CacheMixed, Mm1kSojournService, ZeroService}
 use crate::params::DeviceParams;
 use crate::variant::ModelVariant;
 use cos_numeric::Complex64;
-use cos_queueing::{DynServiceTime, Mg1, Mm1k, QueueError, ServiceTime, UnionOperation};
+use cos_queueing::{
+    DynServiceTime, Mg1, Mm1k, QueueError, ServiceTime, UnionFactors, UnionOperation,
+};
 use std::sync::Arc;
 
 /// Errors from model construction.
@@ -56,6 +58,9 @@ pub struct BackendModel {
     disk_queue: Option<Mm1k>,
     /// The parse law's location when it is a point mass.
     parse_delay: Option<f64>,
+    /// `N_be > 1`: the disk is an M/M/1/K queue, so the union operation's
+    /// component laws depend on the arrival rate.
+    shared_disk: bool,
 }
 
 impl std::fmt::Debug for BackendModel {
@@ -145,6 +150,7 @@ impl BackendModel {
             union,
             disk_queue,
             parse_delay: point_mass(&*params.parse_be),
+            shared_disk: nbe > 1,
         })
     }
 
@@ -203,37 +209,35 @@ impl BackendModel {
         self.mg1.waiting_lst(s) * tail
     }
 
-    /// Evaluates both transforms a device response needs from the backend
-    /// — [`BackendModel::delay_free_sojourn_lst`] and the waiting time
-    /// `W_be` — for a whole abscissa batch with **one** pass over the
-    /// union-operation components.
-    ///
-    /// The scalar path evaluates every component LST three times per
-    /// abscissa (once inside `W_be`'s full union LST, once for the response
-    /// tail, and — under the Full/ODOPR WTA composition — once more for the
-    /// repeated `W_be` factor); here each is evaluated once and its
-    /// products are shared. Outputs are bit-identical to
-    /// [`BackendModel::delay_free_sojourn_lst`] /
-    /// [`BackendModel::waiting_lst`].
-    pub fn delay_free_sojourn_and_waiting_lst_batch(
+    /// Whether the union operation's law depends on the arrival rate: with
+    /// `N_be > 1` its disk laws are the M/M/1/K sojourn at the disk's
+    /// arrival rate. With `N_be = 1` it does not, so
+    /// [`BackendModel::union_factors`] serve a model of the same device at
+    /// any rate.
+    pub(crate) fn union_depends_on_rate(&self) -> bool {
+        self.shared_disk
+    }
+
+    /// The union operation's component transforms at `s`, each evaluated
+    /// once: the response tail of [`BackendModel::delay_free_sojourn_lst`]
+    /// (without a point-mass parse factor) and the union LST that feeds
+    /// `W_be`, less its extra-reads count.
+    pub(crate) fn union_factors(&self, s: &[Complex64]) -> UnionFactors {
+        self.union.factors_batch(s, self.parse_delay.is_none())
+    }
+
+    /// `W_be` at the `i`-th abscissa `s` of `factors`: P–K over the union
+    /// LST read off them with this model's extra-reads count. Bit-identical
+    /// to [`BackendModel::waiting_lst`] at `s`.
+    #[inline]
+    pub(crate) fn waiting_lst_given_factors(
         &self,
-        s: &[Complex64],
-        sojourn: &mut [Complex64],
-        waiting: &mut [Complex64],
-    ) {
-        // `sojourn` holds the response tail, `waiting` the full union LST…
-        match self.parse_delay {
-            Some(_) => self
-                .union
-                .parse_free_response_and_union_lst_batch(s, sojourn, waiting),
-            None => self.union.response_and_union_lst_batch(s, sojourn, waiting),
-        }
-        // …then both are finished through the P–K transform per point.
-        for i in 0..s.len() {
-            let w = self.mg1.waiting_lst_given_service(s[i], waiting[i]);
-            waiting[i] = w;
-            sojourn[i] = w * sojourn[i];
-        }
+        s: Complex64,
+        factors: &UnionFactors,
+        i: usize,
+    ) -> Complex64 {
+        self.mg1
+            .waiting_lst_given_service(s, self.union.lst_given_factors(factors, i))
     }
 
     /// Mean backend response latency.

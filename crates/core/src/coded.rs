@@ -20,8 +20,13 @@
 //!   `NoWta` / `Odopr` variants per device) — each marginal is
 //!   stochastically faster than the real branch, which pays WTA like any
 //!   other request.
+//!
+//! Serving builds only the point prediction's marginals
+//! ([`CodedReadModel`]); the envelopes are a validation model of their
+//! own ([`CodedEnvelope`]).
 
 use crate::backend::ModelError;
+use crate::frontend::FrontendModel;
 use crate::params::SystemParams;
 use crate::system::SystemModel;
 use crate::variant::ModelVariant;
@@ -95,51 +100,20 @@ pub struct CodedBounds {
 pub struct CodedReadModel {
     spec: CodingSpec,
     full: SystemModel,
-    no_wta: SystemModel,
-    odopr: SystemModel,
-    split_merge: Option<Mg1>,
 }
 
 impl CodedReadModel {
-    /// Builds the coded model from fitted parameters.
+    /// Builds the coded model from fitted parameters: the Full-variant
+    /// marginals, nothing else.
     ///
     /// The per-device arrival rates in `params` must already include the
     /// redundant sub-request load (that is how the simulator fit measures
-    /// them); `params.frontend.arrival_rate` stays the *logical* read rate
-    /// and drives the split-merge bound. Fails like [`SystemModel::new`]
-    /// when any marginal queue is unstable.
+    /// them). Fails like [`SystemModel::new`] when any marginal queue is
+    /// unstable.
     pub fn new(params: &SystemParams, spec: CodingSpec) -> Result<Self, ModelError> {
-        let full = SystemModel::new(params, ModelVariant::Full)?;
-        let no_wta = SystemModel::new(params, ModelVariant::NoWta)?;
-        let odopr = SystemModel::new(params, ModelVariant::Odopr)?;
-        // Split-merge branch service ≈ Exp(1/union mean), rate-weighted
-        // across devices. The M/G/1 can be unstable even when the real
-        // (pipelined) system is fine — the bound then degrades to
-        // Bonferroni alone.
-        let mut weighted = 0.0;
-        let mut total = 0.0;
-        for d in full.devices() {
-            weighted += d.arrival_rate() * d.backend().union_mean();
-            total += d.arrival_rate();
-        }
-        let branch_mean = weighted / total;
-        let split_merge = if branch_mean > 0.0 {
-            split_merge(
-                params.frontend.arrival_rate,
-                branch_mean,
-                spec.launched,
-                spec.needed,
-            )
-            .ok()
-        } else {
-            None
-        };
         Ok(CodedReadModel {
             spec,
-            full,
-            no_wta,
-            odopr,
-            split_merge,
+            full: SystemModel::new(params, ModelVariant::Full)?,
         })
     }
 
@@ -148,36 +122,13 @@ impl CodedReadModel {
         self.spec
     }
 
-    /// Whether the split-merge anchor is available (its M/G/1 is stable).
-    pub fn has_split_merge(&self) -> bool {
-        self.split_merge.is_some()
-    }
-
-    /// Per-branch completion probabilities by `t` under `model`'s
-    /// marginals, computed once per distinct device.
-    fn branch_probs(&self, model: &SystemModel, t: f64) -> Vec<f64> {
-        let nd = model.devices().len();
-        let mut per_device: Vec<Option<f64>> = vec![None; nd];
-        let mut probs = Vec::with_capacity(self.spec.launched);
-        for i in 0..self.spec.launched {
-            let d = i % nd;
-            let p = match per_device[d] {
-                Some(p) => p,
-                None => {
-                    let p = model.device_fraction_meeting(d, t);
-                    per_device[d] = Some(p);
-                    p
-                }
-            };
-            probs.push(p);
-        }
-        probs
-    }
-
     /// Point prediction: P[coded read completes within `sla`] — the
     /// independence combine over the Full-variant marginals.
     pub fn fraction_meeting_sla(&self, sla: f64) -> f64 {
-        k_of_n_tail(&self.branch_probs(&self.full, sla), self.spec.needed)
+        k_of_n_tail(
+            &branch_probs(&self.full, self.spec.launched, sla),
+            self.spec.needed,
+        )
     }
 
     /// The point prediction's CDF at `t` and its density
@@ -186,9 +137,9 @@ impl CodedReadModel {
     /// [`CodedReadModel::fraction_meeting_sla`].
     pub fn fraction_and_density(&self, t: f64) -> (f64, f64) {
         let nd = self.full.devices().len();
-        let per_device: Vec<(f64, f64)> = (0..nd.min(self.spec.launched))
-            .map(|d| self.full.device_fraction_and_density(d, t))
-            .collect();
+        let per_device = self
+            .full
+            .device_cdfs_and_densities(t, 0..nd.min(self.spec.launched));
         let (probs, densities): (Vec<f64>, Vec<f64>) =
             (0..self.spec.launched).map(|i| per_device[i % nd]).unzip();
         let k = self.spec.needed;
@@ -196,41 +147,6 @@ impl CodedReadModel {
             k_of_n_tail(&probs, k),
             k_of_n_tail_density(&probs, &densities, k),
         )
-    }
-
-    /// The split-merge anchor's CDF at `t` (frontend sojourn composed with
-    /// the blocking M/G/1), or `None` when that queue is unstable.
-    pub fn split_merge_fraction(&self, t: f64) -> Option<f64> {
-        let sm = self.split_merge.as_ref()?;
-        let lst = SplitMergeResponseLst { model: self, sm };
-        Some(cos_numeric::cdf_from_lst(&lst, t, &SPLIT_MERGE_INVERSION))
-    }
-
-    /// The bracketing envelope at `t` (see module docs for the bound
-    /// derivations). `pessimistic ≤ fraction_meeting_sla(t) ≤ optimistic`
-    /// up to inversion noise (~1e-9).
-    pub fn bounds(&self, t: f64) -> CodedBounds {
-        let n = self.spec.launched;
-        let k = self.spec.needed;
-        let full_probs = self.branch_probs(&self.full, t);
-        let sum_full: f64 = full_probs.iter().sum();
-        let bonferroni = ((sum_full - (k - 1) as f64) / (n - k + 1) as f64).clamp(0.0, 1.0);
-        let pessimistic = match self.split_merge_fraction(t) {
-            Some(sm) => sm.min(bonferroni),
-            None => bonferroni,
-        };
-        let no_wta = self.branch_probs(&self.no_wta, t);
-        let odopr = self.branch_probs(&self.odopr, t);
-        let optimistic_probs: Vec<f64> = no_wta
-            .iter()
-            .zip(odopr.iter())
-            .map(|(a, b)| a.max(*b))
-            .collect();
-        let optimistic = k_of_n_tail(&optimistic_probs, k);
-        CodedBounds {
-            pessimistic,
-            optimistic,
-        }
     }
 
     /// Mean response of a single branch (Full marginals) — the inversion
@@ -258,6 +174,117 @@ impl CodedReadModel {
             40,
             cos_numeric::QUANTILE_INVERSION_BUDGET,
         )
+    }
+}
+
+/// Per-branch completion probabilities by `t` under `model`'s marginals,
+/// one CDF per distinct device: branch `i` reads from device `i % devices`.
+fn branch_probs(model: &SystemModel, launched: usize, t: f64) -> Vec<f64> {
+    let nd = model.devices().len();
+    let per_device = model.device_cdfs(t, 0..nd.min(launched));
+    (0..launched).map(|i| per_device[i % nd]).collect()
+}
+
+/// A [`CodedReadModel`] with the envelope that brackets its point
+/// prediction (module docs): the `NoWta` and `Odopr` marginals and the
+/// split-merge anchor. It validates the model against simulation and is
+/// never served.
+#[derive(Debug)]
+pub struct CodedEnvelope {
+    point: CodedReadModel,
+    no_wta: SystemModel,
+    odopr: SystemModel,
+    split_merge: Option<Mg1>,
+}
+
+impl CodedEnvelope {
+    /// Builds the point model and its envelope from fitted parameters.
+    /// `params.frontend.arrival_rate` is the *logical* read rate and drives
+    /// the split-merge bound. Fails like [`CodedReadModel::new`] when any
+    /// marginal queue is unstable.
+    pub fn new(params: &SystemParams, spec: CodingSpec) -> Result<Self, ModelError> {
+        let point = CodedReadModel::new(params, spec)?;
+        let no_wta = SystemModel::new(params, ModelVariant::NoWta)?;
+        let odopr = SystemModel::new(params, ModelVariant::Odopr)?;
+        // Split-merge branch service ≈ Exp(1/union mean), rate-weighted
+        // across devices. The M/G/1 can be unstable even when the real
+        // (pipelined) system is fine — the bound then degrades to
+        // Bonferroni alone.
+        let mut weighted = 0.0;
+        let mut total = 0.0;
+        for d in point.full.devices() {
+            weighted += d.arrival_rate() * d.backend().union_mean();
+            total += d.arrival_rate();
+        }
+        let branch_mean = weighted / total;
+        let split_merge = if branch_mean > 0.0 {
+            split_merge(
+                params.frontend.arrival_rate,
+                branch_mean,
+                spec.launched,
+                spec.needed,
+            )
+            .ok()
+        } else {
+            None
+        };
+        Ok(CodedEnvelope {
+            point,
+            no_wta,
+            odopr,
+            split_merge,
+        })
+    }
+
+    /// The point model the envelope brackets.
+    pub fn point(&self) -> &CodedReadModel {
+        &self.point
+    }
+
+    /// Whether the split-merge anchor is available (its M/G/1 is stable).
+    pub fn has_split_merge(&self) -> bool {
+        self.split_merge.is_some()
+    }
+
+    /// The split-merge anchor's CDF at `t` (frontend sojourn composed with
+    /// the blocking M/G/1), or `None` when that queue is unstable.
+    pub fn split_merge_fraction(&self, t: f64) -> Option<f64> {
+        let lst = self.split_merge_lst()?;
+        Some(cos_numeric::cdf_from_lst(&lst, t, &SPLIT_MERGE_INVERSION))
+    }
+
+    fn split_merge_lst(&self) -> Option<SplitMergeResponseLst<'_>> {
+        Some(SplitMergeResponseLst {
+            frontend: self.point.full.frontend(),
+            sm: self.split_merge.as_ref()?,
+        })
+    }
+
+    /// The bracketing envelope at `t` (see module docs for the bound
+    /// derivations). `pessimistic ≤ point().fraction_meeting_sla(t) ≤
+    /// optimistic` up to inversion noise (~1e-9).
+    pub fn bounds(&self, t: f64) -> CodedBounds {
+        let n = self.point.spec.launched;
+        let k = self.point.spec.needed;
+        let full_probs = branch_probs(&self.point.full, n, t);
+        let sum_full: f64 = full_probs.iter().sum();
+        let bonferroni = ((sum_full - (k - 1) as f64) / (n - k + 1) as f64).clamp(0.0, 1.0);
+        let pessimistic = match self.split_merge_fraction(t) {
+            Some(sm) => sm.min(bonferroni),
+            None => bonferroni,
+        };
+        let no_wta = branch_probs(&self.no_wta, n, t);
+        let odopr = branch_probs(&self.odopr, n, t);
+        let optimistic_probs: Vec<f64> = no_wta
+            .iter()
+            .zip(odopr.iter())
+            .map(|(a, b)| a.max(*b))
+            .collect();
+        let optimistic = k_of_n_tail(&optimistic_probs, k);
+        CodedBounds {
+            pessimistic,
+            optimistic,
+        }
     }
 }
 
@@ -292,18 +319,18 @@ fn k_of_n_tail_density(probs: &[f64], densities: &[f64], k: usize) -> f64 {
 /// batches are bit-identical to their scalars, and the final multiply is
 /// the same left-associated pair).
 struct SplitMergeResponseLst<'a> {
-    model: &'a CodedReadModel,
+    frontend: &'a FrontendModel,
     sm: &'a Mg1,
 }
 
 impl LaplaceFn for SplitMergeResponseLst<'_> {
     fn eval(&self, s: Complex64) -> Complex64 {
-        self.model.full.frontend().sojourn_lst(s) * self.sm.sojourn_lst(s)
+        self.frontend.sojourn_lst(s) * self.sm.sojourn_lst(s)
     }
 
     fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
-        self.model.full.frontend().sojourn_lst_batch(s, out);
+        self.frontend.sojourn_lst_batch(s, out);
         let mut sm = vec![Complex64::ZERO; s.len()];
         self.sm.sojourn_lst_batch(s, &mut sm);
         for (o, m) in out.iter_mut().zip(sm.iter()) {
@@ -363,10 +390,10 @@ mod tests {
     fn bounds_bracket_the_point_prediction() {
         let params = system(40.0, 6, 1);
         for &(n, k) in &[(4usize, 2usize), (6, 4), (6, 6), (4, 1)] {
-            let m = CodedReadModel::new(&params, CodingSpec::new(n, k)).unwrap();
+            let m = CodedEnvelope::new(&params, CodingSpec::new(n, k)).unwrap();
             for i in 1..=12 {
                 let t = i as f64 * 0.01;
-                let point = m.fraction_meeting_sla(t);
+                let point = m.point().fraction_meeting_sla(t);
                 let b = m.bounds(t);
                 assert!(
                     b.pessimistic <= point + 1e-7,
@@ -487,15 +514,15 @@ mod tests {
         // Light load: the blocking M/G/1 is stable and its CDF is a valid
         // distribution function below the point prediction at the median.
         let light = system(8.0, 6, 1);
-        let m = CodedReadModel::new(&light, CodingSpec::eager(6, 4)).unwrap();
+        let m = CodedEnvelope::new(&light, CodingSpec::eager(6, 4)).unwrap();
         assert!(m.has_split_merge());
-        let t50 = m.latency_percentile(0.5).unwrap();
+        let t50 = m.point().latency_percentile(0.5).unwrap();
         let sm = m.split_merge_fraction(t50).unwrap();
         assert!((0.0..=1.0).contains(&sm));
         // Heavy (but marginally stable) load: split-merge blocking can
         // push the anchor queue past saturation; bounds still work.
         let heavy = system(55.0, 6, 1);
-        let hm = CodedReadModel::new(&heavy, CodingSpec::eager(6, 6)).unwrap();
+        let hm = CodedEnvelope::new(&heavy, CodingSpec::eager(6, 6)).unwrap();
         if !hm.has_split_merge() {
             assert_eq!(hm.split_merge_fraction(0.05), None);
         }
@@ -506,9 +533,8 @@ mod tests {
     #[test]
     fn split_merge_batch_is_bit_identical_to_scalar() {
         let params = system(8.0, 6, 1);
-        let m = CodedReadModel::new(&params, CodingSpec::eager(6, 4)).unwrap();
-        let sm = m.split_merge.as_ref().expect("stable at light load");
-        let lst = SplitMergeResponseLst { model: &m, sm };
+        let m = CodedEnvelope::new(&params, CodingSpec::eager(6, 4)).unwrap();
+        let lst = m.split_merge_lst().expect("stable at light load");
         let s: Vec<Complex64> = (0..48)
             .map(|i| Complex64::new(1.0 + i as f64 * 5.7, (i as f64 - 24.0) * 11.3))
             .collect();
@@ -526,6 +552,10 @@ mod tests {
         let params = system(80.0, 4, 1);
         assert!(matches!(
             CodedReadModel::new(&params, CodingSpec::new(4, 2)),
+            Err(ModelError::UnstableBackend { .. })
+        ));
+        assert!(matches!(
+            CodedEnvelope::new(&params, CodingSpec::new(4, 2)),
             Err(ModelError::UnstableBackend { .. })
         ));
     }

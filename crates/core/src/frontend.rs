@@ -175,24 +175,46 @@ impl FrontendModel {
         }
     }
 
-    /// Batch [`FrontendModel::delay_free_sojourn_lst`], bit-identical to
-    /// the scalar path.
-    pub fn delay_free_sojourn_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+    /// The rate-free layer of [`FrontendModel::delay_free_sojourn_lst`] at
+    /// `s`: per set, its parse law's LST and the shift beyond the tier's
+    /// delay. Only the P–K queues depend on the arrival rate, so these serve
+    /// a model of the same tier at any rate.
+    pub(crate) fn factors(&self, s: &[Complex64]) -> FrontendFactors {
+        let sets = self
+            .sets
+            .iter()
+            .map(|set| {
+                let mut parse = vec![Complex64::ZERO; s.len()];
+                set.queue.service().lst_batch(s, &mut parse);
+                let shift = set
+                    .excess_delay
+                    .map(|excess| s.iter().map(|&s| shift(s, excess)).collect());
+                SetFactors { parse, shift }
+            })
+            .collect();
+        FrontendFactors { sets }
+    }
+
+    /// Batch [`FrontendModel::delay_free_sojourn_lst`] from its rate-free
+    /// layer at `s` ([`FrontendModel::factors`]): P–K per set, then the
+    /// share-weighted mixture in set order. Bit-identical to the scalar
+    /// path.
+    pub(crate) fn delay_free_sojourn_given(
+        &self,
+        s: &[Complex64],
+        factors: &FrontendFactors,
+        out: &mut [Complex64],
+    ) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         out.fill(Complex64::ZERO);
-        let mut tmp = vec![Complex64::ZERO; s.len()];
-        for set in &self.sets {
-            match set.excess_delay {
-                Some(excess) => {
-                    set.queue.waiting_lst_batch(s, &mut tmp);
-                    for (t, s) in tmp.iter_mut().zip(s.iter()) {
-                        *t *= shift(*s, excess);
-                    }
-                }
-                None => set.queue.sojourn_lst_batch(s, &mut tmp),
-            }
-            for (o, t) in out.iter_mut().zip(tmp.iter()) {
-                *o += *t * set.share;
+        for (set, f) in self.sets.iter().zip(&factors.sets) {
+            for i in 0..s.len() {
+                let waiting = set.queue.waiting_lst_given_service(s[i], f.parse[i]);
+                let sojourn = match &f.shift {
+                    Some(shift) => waiting * shift[i],
+                    None => waiting * f.parse[i],
+                };
+                out[i] += sojourn * set.share;
             }
         }
     }
@@ -204,6 +226,19 @@ impl FrontendModel {
             .map(|set| set.share * set.queue.mean_sojourn())
             .sum()
     }
+}
+
+/// [`FrontendModel::factors`]: per set, at a batch of abscissae.
+pub(crate) struct FrontendFactors {
+    sets: Vec<SetFactors>,
+}
+
+/// One set's parse-law LST, and the factor its waiting time is multiplied
+/// by when that law is a point mass: the shift beyond the tier's delay
+/// (otherwise it is the parse-law LST itself).
+struct SetFactors {
+    parse: Vec<Complex64>,
+    shift: Option<Vec<Complex64>>,
 }
 
 impl FrontendSet {
@@ -336,7 +371,7 @@ mod tests {
             .collect();
         for m in [&homo, &hetero] {
             let mut batch = vec![Complex64::ZERO; s.len()];
-            m.delay_free_sojourn_lst_batch(&s, &mut batch);
+            m.delay_free_sojourn_given(&s, &m.factors(&s), &mut batch);
             for (&si, &b) in s.iter().zip(&batch) {
                 let free = m.delay_free_sojourn_lst(si);
                 assert_eq!(

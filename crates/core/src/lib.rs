@@ -40,7 +40,7 @@ pub mod variant;
 pub mod wta;
 
 pub use backend::{BackendModel, ModelError};
-pub use coded::{CodedBounds, CodedReadModel, CodingSpec};
+pub use coded::{CodedBounds, CodedEnvelope, CodedReadModel, CodingSpec};
 pub use estimate::{
     decompose_disk_service, fit_disk_law, miss_ratio_by_threshold, rescale_to_mean,
     try_decompose_disk_service, DecomposeError, FittedDiskLaw, ThresholdMissEstimator,

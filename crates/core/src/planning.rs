@@ -96,6 +96,19 @@ impl SystemParams {
 /// counts as `F = 0`, the limit of its attainment as the queues saturate.
 /// The answer is the bracket's passing end, so the goal holds at the
 /// returned rate. A typical answer takes 7–12 model evaluations.
+///
+/// Every evaluation is at `goal.sla`, and the rate enters Eq. 2 only
+/// through the queues, so the transforms it does not touch — the inversion
+/// plans, the frontend's parse-law transforms and each `N_be = 1` device's
+/// union-operation factors — are evaluated once, at the first rate whose
+/// queues are stable. Each probe builds the model at its rate, which
+/// evaluates no transform, and applies it on top: the union LST with the
+/// probe's extra-read count (which [`SystemParams::scaled_to_rate`] moves
+/// by rounding), then P–K and the WTA factor. An `N_be > 1` device, whose
+/// M/M/1/K disk law moves with the rate, evaluates its union operation at
+/// every probe. Each probe's `F` is bit-identical to
+/// [`SystemModel::fraction_meeting_sla`] on the model rebuilt at that
+/// rate.
 pub fn max_admissible_rate(
     template: &SystemParams,
     variant: ModelVariant,
@@ -107,9 +120,14 @@ pub fn max_admissible_rate(
         "upper bound must be positive"
     );
     let ln_target = (-goal.target_fraction).ln_1p();
+    let mut layer = None;
     let margin = |rate: f64| -> f64 {
         let f = SystemModel::new(&template.scaled_to_rate(rate), variant)
-            .map(|m| m.fraction_meeting_sla(goal.sla))
+            .map(|m| {
+                let layer =
+                    layer.get_or_insert_with(|| m.rate_free_layer(goal.sla, 0..m.devices().len()));
+                m.fraction_given(layer)
+            })
             .ok()
             .filter(|f| !f.is_nan())
             .unwrap_or(0.0);
@@ -261,8 +279,10 @@ pub fn elastic_plan(
 /// fraction of requests meeting the SLA, worst first. Returns
 /// `(device_index, fraction)` pairs.
 pub fn rank_bottlenecks(model: &SystemModel, sla: f64) -> Vec<(usize, f64)> {
-    let mut out: Vec<(usize, f64)> = (0..model.devices().len())
-        .map(|i| (i, model.device_fraction_meeting(i, sla)))
+    let mut out: Vec<(usize, f64)> = model
+        .device_fractions(sla)
+        .into_iter()
+        .enumerate()
         .collect();
     out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
     out

@@ -4,14 +4,24 @@
 //! independent components (Eq. 2): `S_fe = S_q ∗ W_a ∗ S_be`. The system
 //! CDF is the arrival-rate-weighted mixture over devices (Eq. 3):
 //! `S(t) = Σ r_j S_j(t) / Σ r_j`.
+//!
+//! Every device CDF is evaluated in two layers. The rate-free layer holds
+//! what the component laws fix: one inversion plan per distinct constant
+//! delay `D`, the frontend's parse-law transforms at its abscissae, and
+//! each device's union-operation factors. The rate-dependent layer applies
+//! the P–K queues and the WTA factor on top. Devices that share `D` share
+//! the plan and the frontend's evaluation, and a headroom search reuses
+//! the whole rate-free layer across its probes.
 
 use crate::backend::{BackendModel, ModelError};
 use crate::components::shift;
-use crate::frontend::FrontendModel;
+use crate::frontend::{FrontendFactors, FrontendModel};
 use crate::params::SystemParams;
 use crate::variant::ModelVariant;
-use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, LaplaceFn};
+use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, InversionPlan};
 use cos_numeric::Complex64;
+use cos_queueing::UnionFactors;
+use std::ops::Range;
 
 /// The series every device CDF is inverted with. With the constant parse
 /// delays factored out, 20 Euler burn-in terms (32 transform evaluations)
@@ -154,44 +164,173 @@ impl SystemModel {
         lst
     }
 
-    /// Batch [`SystemModel::device_delay_free_lst`]: the frontend mixture,
-    /// the backend response, and the WTA factor share one pass over the
-    /// component transforms (see
-    /// [`BackendModel::delay_free_sojourn_and_waiting_lst_batch`]) instead
-    /// of re-walking the whole composite tree per abscissa. Bit-identical
-    /// to the scalar path.
+    /// Batch [`SystemModel::device_delay_free_lst`] by the path every
+    /// served device CDF takes: the rate-free layer at `s` — the frontend's
+    /// parse-law transforms and the device's union-operation factors, each
+    /// component evaluated once — then the P–K queues and the WTA factor
+    /// on top. Bit-identical to the scalar path.
     pub fn device_delay_free_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
+        let frontend = self.frontend_factors(s);
+        self.frontend.delay_free_sojourn_given(s, &frontend, out);
+        let union = self.devices[idx].backend.union_factors(s);
+        self.compose_device(idx, s, &union, out);
+    }
+
+    /// The frontend's parse-law transforms at `s` (the rate-free half of
+    /// `S_q`), shared by every device whose plan has these abscissae.
+    fn frontend_factors(&self, s: &[Complex64]) -> FrontendFactors {
+        #[cfg(test)]
+        tests::FRONTEND_EVALS.with(|n| n.set(n.get() + s.len()));
+        self.frontend.factors(s)
+    }
+
+    /// The rate-dependent layer of device `idx`'s delay-free transform at
+    /// `s`: `out` holds the frontend's delay-free sojourn there; multiplies
+    /// in the backend response and the WTA factor — P–K over the union
+    /// LST read off `union`, then Eq. 2 for the variant.
+    fn compose_device(
+        &self,
+        idx: usize,
+        s: &[Complex64],
+        union: &UnionFactors,
+        out: &mut [Complex64],
+    ) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        #[cfg(test)]
+        tests::DEVICE_EVALS.with(|n| n.set(n.get() + s.len()));
         let d = &self.devices[idx];
-        let mut sojourn = vec![Complex64::ZERO; s.len()];
-        let mut waiting = vec![Complex64::ZERO; s.len()];
-        d.backend
-            .delay_free_sojourn_and_waiting_lst_batch(s, &mut sojourn, &mut waiting);
-        self.frontend.delay_free_sojourn_lst_batch(s, out);
-        match d.variant {
-            ModelVariant::Full | ModelVariant::Odopr => {
-                for i in 0..s.len() {
-                    // (S_q · S_be) · W_a — the scalar grouping.
-                    out[i] = out[i] * sojourn[i] * waiting[i];
+        let (mean, rho) = (d.backend.mean_waiting(), d.backend.utilization());
+        let tail = union.tail();
+        for i in 0..s.len() {
+            let waiting = d.backend.waiting_lst_given_factors(s[i], union, i);
+            // (S_q · S_be) · W_a — the scalar grouping.
+            let response = out[i] * (waiting * tail[i]);
+            out[i] = match d.variant {
+                ModelVariant::Full | ModelVariant::Odopr => response * waiting,
+                ModelVariant::NoWta => response,
+                ModelVariant::ResidualWta if mean > 1e-15 => {
+                    let eq = (Complex64::ONE - waiting) / (s[i] * mean);
+                    response * (eq * rho + (1.0 - rho))
                 }
-            }
-            ModelVariant::NoWta => {
-                for i in 0..s.len() {
-                    out[i] *= sojourn[i];
-                }
-            }
-            ModelVariant::ResidualWta => {
-                let mean = d.backend.mean_waiting();
-                let rho = d.backend.utilization();
-                for i in 0..s.len() {
-                    out[i] *= sojourn[i];
-                    if mean > 1e-15 {
-                        let eq = (Complex64::ONE - waiting[i]) / (s[i] * mean);
-                        out[i] *= eq * rho + (1.0 - rho);
-                    }
-                }
-            }
+                ModelVariant::ResidualWta => response,
+            };
         }
+    }
+
+    /// The rate-free layer of devices `devices` at `t`; see
+    /// [`RateFreeLayer`].
+    pub(crate) fn rate_free_layer(&self, t: f64, devices: Range<usize>) -> RateFreeLayer {
+        let mut plans: Vec<DelayPlan> = Vec::new();
+        let first = devices.start;
+        let devices = devices
+            .map(|idx| {
+                let delay = self.device_delay(idx);
+                // By the shift theorem P(S ≤ t) = P(S − D ≤ t − D): every
+                // `t ≤ D` answers exactly 0.
+                if t <= delay {
+                    return DeviceSlot {
+                        plan: None,
+                        union: None,
+                    };
+                }
+                let p = match plans.iter().position(|p| p.delay == delay) {
+                    Some(p) => p,
+                    None => {
+                        let plan = DELAY_FREE_INVERSION.plan(t - delay);
+                        let frontend = self.frontend_factors(plan.abscissae());
+                        plans.push(DelayPlan {
+                            delay,
+                            plan,
+                            frontend,
+                        });
+                        plans.len() - 1
+                    }
+                };
+                let backend = &self.devices[idx].backend;
+                let union = (!backend.union_depends_on_rate())
+                    .then(|| backend.union_factors(plans[p].plan.abscissae()));
+                DeviceSlot {
+                    plan: Some(p),
+                    union,
+                }
+            })
+            .collect();
+        RateFreeLayer {
+            first,
+            plans,
+            devices,
+        }
+    }
+
+    /// The rate-dependent layer over `layer`: each device's delay-free
+    /// transform at its plan's abscissae, with the frontend's P–K mixture
+    /// evaluated once per plan, turned into an answer by `rule`; `None`
+    /// where `t ≤ D`. `layer` may come from a model of the same
+    /// parameters at another rate: only the union factors of a device
+    /// whose union law depends on the rate are taken from this model.
+    fn invert_devices<R>(
+        &self,
+        layer: &RateFreeLayer,
+        rule: impl Fn(&InversionPlan, &mut [Complex64]) -> R,
+    ) -> Vec<Option<R>> {
+        let frontends: Vec<Vec<Complex64>> = layer
+            .plans
+            .iter()
+            .map(|p| {
+                let s = p.plan.abscissae();
+                let mut out = vec![Complex64::ZERO; s.len()];
+                self.frontend
+                    .delay_free_sojourn_given(s, &p.frontend, &mut out);
+                out
+            })
+            .collect();
+        layer
+            .devices
+            .iter()
+            .enumerate()
+            .map(|(k, slot)| {
+                let idx = layer.first + k;
+                let p = slot.plan?;
+                let DelayPlan { delay, plan, .. } = &layer.plans[p];
+                debug_assert_eq!(*delay, self.device_delay(idx), "layer of another system");
+                let s = plan.abscissae();
+                let fresh;
+                let union = match &slot.union {
+                    Some(union) => union,
+                    None => {
+                        fresh = self.devices[idx].backend.union_factors(s);
+                        &fresh
+                    }
+                };
+                let mut values = frontends[p].clone();
+                self.compose_device(idx, s, union, &mut values);
+                Some(rule(plan, &mut values))
+            })
+            .collect()
+    }
+
+    /// CDFs of `devices` at `t`, through one plan and one frontend
+    /// evaluation per distinct device delay.
+    pub(crate) fn device_cdfs(&self, t: f64, devices: Range<usize>) -> Vec<f64> {
+        let layer = self.rate_free_layer(t, devices);
+        self.invert_devices(&layer, InversionPlan::cdf)
+            .into_iter()
+            .map(|f| f.unwrap_or(0.0))
+            .collect()
+    }
+
+    /// [`SystemModel::device_cdfs`] with each device's density, from the
+    /// same transform values.
+    pub(crate) fn device_cdfs_and_densities(
+        &self,
+        t: f64,
+        devices: Range<usize>,
+    ) -> Vec<(f64, f64)> {
+        let layer = self.rate_free_layer(t, devices);
+        self.invert_devices(&layer, InversionPlan::cdf_and_density)
+            .into_iter()
+            .map(|f| f.unwrap_or((0.0, 0.0)))
+            .collect()
     }
 
     /// CDF of the response latency of device `idx` at `t`: by the shift
@@ -199,33 +338,39 @@ impl SystemModel {
     /// is inverted at `t − D` ([`SystemModel::device_delay`]), and every
     /// `t ≤ D` answers exactly 0.
     pub fn device_fraction_meeting(&self, idx: usize, sla: f64) -> f64 {
-        cos_numeric::cdf_from_lst(
-            &DelayFreeLst { model: self, idx },
-            sla - self.device_delay(idx),
-            &DELAY_FREE_INVERSION,
-        )
+        self.device_cdfs(sla, idx..idx + 1)[0]
     }
 
-    /// CDF and density of device `idx`'s response latency at `t`, from one
-    /// inversion batch; the CDF is bit-identical to
-    /// [`SystemModel::device_fraction_meeting`].
-    pub(crate) fn device_fraction_and_density(&self, idx: usize, t: f64) -> (f64, f64) {
-        cos_numeric::cdf_and_density_from_lst(
-            &DelayFreeLst { model: self, idx },
-            t - self.device_delay(idx),
-            &DELAY_FREE_INVERSION,
-        )
+    /// Every device's [`SystemModel::device_fraction_meeting`] at `sla`,
+    /// bit-identical to it, through one plan and one frontend evaluation
+    /// per distinct device delay.
+    pub fn device_fractions(&self, sla: f64) -> Vec<f64> {
+        self.device_cdfs(sla, 0..self.devices.len())
+    }
+
+    /// Eq. 3 over per-device values, in device order.
+    fn rate_weighted<T: Copy>(&self, per_device: &[T], value: impl Fn(T) -> f64) -> f64 {
+        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
+        let mut acc = 0.0;
+        for (d, &v) in self.devices.iter().zip(per_device) {
+            acc += d.arrival_rate * value(v);
+        }
+        acc / total_rate
     }
 
     /// Predicted percentile of requests meeting `sla` for the whole system
     /// (Eq. 3).
     pub fn fraction_meeting_sla(&self, sla: f64) -> f64 {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
-        let mut acc = 0.0;
-        for (i, d) in self.devices.iter().enumerate() {
-            acc += d.arrival_rate * self.device_fraction_meeting(i, sla);
-        }
-        acc / total_rate
+        self.fraction_given(&self.rate_free_layer(sla, 0..self.devices.len()))
+    }
+
+    /// [`SystemModel::fraction_meeting_sla`] at the layer's `t`, given its
+    /// rate-free layer: a layer of this model, or of a model of the same
+    /// parameters at another rate, since the rates enter only through the
+    /// queues this model applies on top.
+    pub(crate) fn fraction_given(&self, layer: &RateFreeLayer) -> f64 {
+        let cdfs = self.invert_devices(layer, InversionPlan::cdf);
+        self.rate_weighted(&cdfs, |f| f.unwrap_or(0.0))
     }
 
     /// The system CDF (Eq. 3) at `t` together with its density — the same
@@ -233,14 +378,11 @@ impl SystemModel {
     /// inversion batch per device. The CDF is bit-identical to
     /// [`SystemModel::fraction_meeting_sla`].
     pub fn fraction_and_density(&self, t: f64) -> (f64, f64) {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
-        let (mut cdf, mut density) = (0.0, 0.0);
-        for (i, d) in self.devices.iter().enumerate() {
-            let (f, dens) = self.device_fraction_and_density(i, t);
-            cdf += d.arrival_rate * f;
-            density += d.arrival_rate * dens;
-        }
-        (cdf / total_rate, density / total_rate)
+        let per_device = self.device_cdfs_and_densities(t, 0..self.devices.len());
+        (
+            self.rate_weighted(&per_device, |(f, _)| f),
+            self.rate_weighted(&per_device, |(_, density)| density),
+        )
     }
 
     /// Mean end-to-end response latency for device `idx`.
@@ -289,24 +431,38 @@ impl SystemModel {
     }
 }
 
-/// [`LaplaceFn`] view of one device's delay-free response transform, so
-/// the inversion routines hit [`SystemModel::device_delay_free_lst_batch`]
-/// instead of re-walking the component tree per abscissa through a scalar
-/// closure. Every device CDF the model answers goes through it.
-struct DelayFreeLst<'a> {
-    model: &'a SystemModel,
-    idx: usize,
+/// The rate-free layer of a range of device CDFs at one `t`. In Eq. 2 the
+/// arrival rates enter only through the P–K queues (and, with `N_be > 1`,
+/// the M/M/1/K disk inside the union operation), so the rest is fixed by
+/// the component laws: one [`InversionPlan`] at `t − D` per distinct
+/// device delay `D < t` — devices sharing `D` share its abscissae — with
+/// the frontend's parse-law transforms there, and the union-operation
+/// factors of each device whose union law does not depend on the rate.
+/// [`crate::planning::max_admissible_rate`] builds it once per search and
+/// applies every probe's queues to it.
+pub(crate) struct RateFreeLayer {
+    /// The first device in the range.
+    first: usize,
+    plans: Vec<DelayPlan>,
+    /// One slot per device in the range.
+    devices: Vec<DeviceSlot>,
 }
 
-impl LaplaceFn for DelayFreeLst<'_> {
-    fn eval(&self, s: Complex64) -> Complex64 {
-        self.model.device_delay_free_lst(self.idx, s)
-    }
-    fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        #[cfg(test)]
-        tests::LST_EVALS.with(|n| n.set(n.get() + s.len()));
-        self.model.device_delay_free_lst_batch(self.idx, s, out)
-    }
+/// An inversion plan shared by the devices with constant delay `delay`,
+/// with the frontend's rate-free transforms at its abscissae.
+struct DelayPlan {
+    delay: f64,
+    plan: InversionPlan,
+    frontend: FrontendFactors,
+}
+
+/// A device's place in a [`RateFreeLayer`]: its plan (`None` when
+/// `t ≤ D`, where its CDF is exactly 0), and its union-operation factors
+/// at that plan's abscissae (`None` when its union law depends on the
+/// rate, so each model evaluates its own).
+struct DeviceSlot {
+    plan: Option<usize>,
+    union: Option<UnionFactors>,
 }
 
 #[cfg(test)]
@@ -343,15 +499,22 @@ mod tests {
     }
 
     thread_local! {
-        /// Transform evaluations [`DelayFreeLst`] made on this thread.
-        pub(super) static LST_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Device-transform evaluations the served path made on this thread.
+        pub(super) static DEVICE_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Frontend parse-law evaluations the served path made on this thread.
+        pub(super) static FRONTEND_EVALS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    /// Transform evaluations `f` makes through the served inversion path.
-    fn lst_evals(f: impl FnOnce()) -> usize {
-        LST_EVALS.with(|n| n.set(0));
+    /// (device, frontend) transform evaluations `f` makes through the
+    /// served path.
+    fn lst_evals(f: impl FnOnce()) -> (usize, usize) {
+        DEVICE_EVALS.with(|n| n.set(0));
+        FRONTEND_EVALS.with(|n| n.set(0));
         f();
-        LST_EVALS.with(|n| n.get())
+        (
+            DEVICE_EVALS.with(|n| n.get()),
+            FRONTEND_EVALS.with(|n| n.get()),
+        )
     }
 
     #[test]
@@ -359,33 +522,64 @@ mod tests {
         // Euler with 20 burn-in terms evaluates 20 + 12 points. Counts
         // repeat exactly, so this pins the series length: the 100-term
         // series the full transform needs costs 112 per device, 448 per
-        // 4-device system.
+        // 4-device system. Devices that share their constant delay share
+        // one plan, so a system CDF evaluates the frontend's transforms
+        // once, 32 points, not once per device (128).
         let m = SystemModel::new(&system(40.0, 4, 1), ModelVariant::Full).unwrap();
         assert_eq!(
             lst_evals(|| {
                 m.device_fraction_meeting(0, 0.05);
             }),
-            32
+            (32, 32)
         );
         assert_eq!(
             lst_evals(|| {
                 m.fraction_meeting_sla(0.05);
             }),
-            128
+            (128, 32)
         );
         assert_eq!(
             lst_evals(|| {
                 m.fraction_and_density(0.05);
             }),
-            128
+            (128, 32)
         );
         // At or below the constant delay the answer is exactly 0, uncomputed.
         let delay = m.device_delay(0);
         assert_eq!(delay, 0.0003 + 0.0005);
         assert_eq!(
             lst_evals(|| assert_eq!(m.fraction_and_density(delay), (0.0, 0.0))),
-            0
+            (0, 0)
         );
+        // Devices with different delays get a plan, and a frontend
+        // evaluation, each.
+        let mut params = system(40.0, 4, 1);
+        params.devices[3].parse_be = from_distribution(Degenerate::new(0.0009));
+        let m = SystemModel::new(&params, ModelVariant::Full).unwrap();
+        assert_eq!(
+            lst_evals(|| {
+                m.fraction_meeting_sla(0.05);
+            }),
+            (128, 64)
+        );
+    }
+
+    #[test]
+    fn device_fractions_match_the_single_device_path() {
+        let mut params = system(15.0, 3, 1);
+        params.devices[1].arrival_rate = 45.0;
+        params.devices[1].data_read_rate = 45.0 * 1.1;
+        params.devices[2].parse_be = from_distribution(Degenerate::new(0.0012));
+        params.frontend.arrival_rate = 75.0;
+        let m = SystemModel::new(&params, ModelVariant::Full).unwrap();
+        // 1 ms lies between the devices' delays: the third answers 0.
+        for &t in &[0.001, 0.005, 0.05] {
+            let shared = m.device_fractions(t);
+            for (i, f) in shared.iter().enumerate() {
+                assert_eq!(f.to_bits(), m.device_fraction_meeting(i, t).to_bits());
+            }
+        }
+        assert_eq!(m.device_fractions(0.001)[2], 0.0);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! must hold at every stable operating point.
 
 use cos_distr::{Degenerate, Gamma};
-use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
+use cos_model::{
+    rescale_to_mean, DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams,
+};
 use cos_queueing::from_distribution;
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 fn device(rate: f64, nbe: usize, mi: f64, mm: f64, md: f64) -> DeviceParams {
@@ -152,5 +155,122 @@ proptest! {
         let above = system(critical * 1.03, 1, 0.3, 0.25, md);
         prop_assert!(SystemModel::new(&below, ModelVariant::Full).is_ok());
         prop_assert!(SystemModel::new(&above, ModelVariant::Full).is_err());
+    }
+}
+
+/// A random S1-style template: one device per weight, each with one
+/// process, the benchmarked Gamma disk laws rescaled by `disk_scale`,
+/// point-mass parse laws, and total rate `Σ weights` (scaled afterwards).
+fn served_template(
+    weights: &[f64],
+    misses: [f64; 3],
+    data_ratio: f64,
+    disk_scale: f64,
+    (parse_fe, parse_be): (f64, f64),
+) -> SystemParams {
+    let disk = |shape: f64, rate: f64, mean: f64| {
+        rescale_to_mean(
+            &from_distribution(Gamma::new(shape, rate)),
+            mean * disk_scale,
+        )
+    };
+    SystemParams {
+        frontend: FrontendParams {
+            arrival_rate: weights.iter().sum(),
+            processes: 16,
+            parse_fe: from_distribution(Degenerate::new(parse_fe)),
+        },
+        devices: weights
+            .iter()
+            .map(|&rate| DeviceParams {
+                arrival_rate: rate,
+                data_read_rate: rate * data_ratio,
+                miss_index: misses[0],
+                miss_meta: misses[1],
+                miss_data: misses[2],
+                index_disk: disk(3.0, 250.0, 0.012),
+                meta_disk: disk(2.5, 312.5, 0.008),
+                data_disk: disk(3.5, 245.0, 0.0143),
+                parse_be: from_distribution(Degenerate::new(parse_be)),
+                processes: 1,
+            })
+            .collect(),
+    }
+}
+
+/// How far the served system CDF may break monotonicity. Every served CDF
+/// carries the Euler series' aliasing error, about `e^{−18.4}` ≈ 1e-8
+/// (its far tail stops that far short of 1), so two of them can cross by
+/// twice that; 600 cases over these ranges found 1.8e-8. 1e-7 is
+/// five times that, and tighter than the served error that check (b) of
+/// `tests/inversion_accuracy.rs` accepts: no further from a long series
+/// than the retired 100-term method, which reaches 1e-2 on its grid
+/// (the served CDFs reach 2.8e-4 there).
+const MONOTONE_TOLERANCE: f64 = 1e-7;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The served system fraction (Eq. 3) on random stable S1-style
+    /// systems up to ρ = 0.999 is a probability, nonincreasing in the total
+    /// rate — the headroom search brackets on that — and nondecreasing in
+    /// the SLA, from 10 µs to 10 minutes and just past the constant delay,
+    /// where the delay-free series is least accurate.
+    #[test]
+    fn served_fraction_is_a_probability_monotone_in_rate_and_sla(
+        devices in 1usize..5,
+        weights in vec(0.5f64..1.5, 4),
+        mi in 0.0f64..0.6,
+        mm in 0.0f64..0.6,
+        md in 0.05f64..0.8,
+        data_ratio in 1.0f64..1.6,
+        disk_scale in 0.5f64..2.0,
+        parse_fe in 0.0001f64..0.001,
+        parse_be in 0.0001f64..0.002,
+        rho in 0.05f64..0.999,
+        lower in 0.0f64..1.0,
+        log_slas in vec(-5.0f64..2.778, 6),
+        past_delay in -6.0f64..-3.0,
+    ) {
+        let weights = &weights[..devices];
+        let template = served_template(
+            weights,
+            [mi, mm, md],
+            data_ratio,
+            disk_scale,
+            (parse_fe, parse_be),
+        );
+        // Scale so that the busiest device runs at utilization ρ.
+        let probe = SystemModel::new(&template, ModelVariant::Full).unwrap();
+        let busiest = probe
+            .devices()
+            .iter()
+            .map(|d| d.backend().utilization())
+            .fold(0.0, f64::max);
+        let rate = weights.iter().sum::<f64>() * rho / busiest;
+        let heavy = SystemModel::new(&template.scaled_to_rate(rate), ModelVariant::Full);
+        prop_assume!(heavy.is_ok());
+        let heavy = heavy.unwrap();
+        let light_rate = rate * (1.0 - lower);
+        prop_assume!(light_rate > 0.0);
+        let light = SystemModel::new(&template.scaled_to_rate(light_rate), ModelVariant::Full)
+            .unwrap();
+        let delay = parse_fe + parse_be;
+        let mut slas: Vec<f64> = log_slas.iter().map(|x| 10f64.powf(*x)).collect();
+        slas.push(delay + 10f64.powf(past_delay));
+        slas.push(delay + 1.01 * 10f64.powf(past_delay));
+        slas.sort_by(f64::total_cmp);
+        let mut prev = 0.0;
+        for sla in slas {
+            let f = heavy.fraction_meeting_sla(sla);
+            prop_assert!((0.0..=1.0).contains(&f), "sla={sla}: {f}");
+            prop_assert!(f >= prev - MONOTONE_TOLERANCE, "sla={sla}: {f} < {prev}");
+            let f_light = light.fraction_meeting_sla(sla);
+            prop_assert!(
+                f_light >= f - MONOTONE_TOLERANCE,
+                "sla={sla}: {f_light} at {light_rate}/s < {f} at {rate}/s"
+            );
+            prev = f;
+        }
     }
 }

@@ -121,23 +121,6 @@ impl<F: LaplaceFn + ?Sized> LaplaceFn for CountingLaplaceFn<'_, F> {
     }
 }
 
-/// `L[f](s)/s` — the CDF transform of a density LST. Forwards batches to
-/// the inner transform so composite hoisting survives the wrapping.
-struct CdfTransform<'a, F: LaplaceFn + ?Sized>(&'a F);
-
-impl<F: LaplaceFn + ?Sized> LaplaceFn for CdfTransform<'_, F> {
-    #[inline]
-    fn eval(&self, s: Complex64) -> Complex64 {
-        self.0.eval(s) / s
-    }
-    fn eval_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        self.0.eval_batch(s, out);
-        for (o, s) in out.iter_mut().zip(s.iter()) {
-            *o /= *s;
-        }
-    }
-}
-
 /// `(1 − L[f](s))/s` — the tail (CCDF) transform.
 struct TailTransform<'a, F: LaplaceFn + ?Sized>(&'a F);
 
@@ -278,11 +261,17 @@ impl InversionConfig {
     /// additionally trips a debug assertion so the misconfiguration is
     /// caught in development instead of silently degrading accuracy.
     pub fn invert<F: LaplaceFn>(&self, transform: &F, t: f64) -> f64 {
-        self.nodes(t).invert(transform)
+        self.plan(t).invert(transform)
     }
 
-    /// The sampling plan of one inversion at `t` under this configuration.
-    fn nodes(&self, t: f64) -> Nodes {
+    /// The plan of one inversion at `t` under this configuration: the
+    /// abscissae to evaluate a transform at, and the rule that turns the
+    /// values there into the inverse (see [`InversionPlan`]). Term counts
+    /// are clamped as in [`InversionConfig::invert`].
+    ///
+    /// # Panics
+    /// Panics unless `t > 0`.
+    pub fn plan(&self, t: f64) -> InversionPlan {
         debug_assert!(
             self.validate().is_ok(),
             "invalid inversion config (clamped): {:?}",
@@ -290,25 +279,33 @@ impl InversionConfig {
         );
         let terms = self.effective_terms();
         match self.algorithm {
-            InversionAlgorithm::Euler => Nodes::euler(t, terms),
-            InversionAlgorithm::Talbot => Nodes::talbot(t, terms),
-            InversionAlgorithm::GaverStehfest => Nodes::gaver_stehfest(t, terms),
+            InversionAlgorithm::Euler => InversionPlan::euler(t, terms),
+            InversionAlgorithm::Talbot => InversionPlan::talbot(t, terms),
+            InversionAlgorithm::GaverStehfest => InversionPlan::gaver_stehfest(t, terms),
         }
     }
 }
 
-/// One inversion's sampling plan at a fixed `t`: the abscissae the
-/// transform is evaluated at, and the linear rule that maps the values
-/// there to the inverse at `t`. Every algorithm is linear in the transform
-/// values, so one batch of `L(s)` yields both the density (the rule over
-/// `L(s)`) and the CDF (the same rule over `L(s)/s`).
-struct Nodes {
+/// One inversion at a fixed `t`: the abscissae a transform is evaluated
+/// at, and the linear rule that maps the values there to the inverse at
+/// `t`. Every algorithm is linear in the transform values, so one batch
+/// of `L[f](s)` yields both the density (the rule over `L[f](s)`) and the
+/// CDF (the same rule over `L[f](s)/s`).
+///
+/// [`cdf_from_lst`] and [`cdf_and_density_from_lst`] are a plan, one
+/// [`LaplaceFn::eval_batch`] at its abscissae, and
+/// [`InversionPlan::cdf`] or [`InversionPlan::cdf_and_density`]. A caller
+/// that composes its transform from factors shared between several
+/// inversions at the same `t` — the latency model's devices share their
+/// frontend factor — evaluates them once at [`InversionPlan::abscissae`]
+/// and applies the rule to each product, with bit-identical results.
+pub struct InversionPlan {
     t: f64,
     abscissae: Vec<Complex64>,
     rule: Rule,
 }
 
-/// The per-algorithm part of [`Nodes`].
+/// The per-algorithm part of [`InversionPlan`].
 enum Rule {
     /// Euler with `n` burn-in terms.
     Euler { n: usize },
@@ -318,7 +315,43 @@ enum Rule {
     GaverStehfest { coefficients: Arc<Vec<f64>> },
 }
 
-impl Nodes {
+impl InversionPlan {
+    /// The points the transform is evaluated at, in the order the rule
+    /// reads their values.
+    pub fn abscissae(&self) -> &[Complex64] {
+        &self.abscissae
+    }
+
+    /// The CDF at `t` from the values of a density's LST `L[f](s)` at
+    /// [`InversionPlan::abscissae`]: the rule over `L[f](s)/s`, clamped to
+    /// `[0, 1]`. Divides `values` by the abscissae in place.
+    pub fn cdf(&self, values: &mut [Complex64]) -> f64 {
+        self.divide_by_s(values);
+        self.apply(values).clamp(0.0, 1.0)
+    }
+
+    /// The CDF and the density at `t` from the values of `L[f](s)` at
+    /// [`InversionPlan::abscissae`]; the CDF is [`InversionPlan::cdf`]'s.
+    /// The density is the raw inverse, so inversion noise can leave it a
+    /// hair below zero where the true density vanishes. Divides `values`
+    /// by the abscissae in place.
+    pub fn cdf_and_density(&self, values: &mut [Complex64]) -> (f64, f64) {
+        let density = self.apply(values);
+        (self.cdf(values), density)
+    }
+
+    /// `values[i] /= s_i`: `L[f](s)` to the CDF's transform `L[f](s)/s`.
+    fn divide_by_s(&self, values: &mut [Complex64]) {
+        assert_eq!(
+            values.len(),
+            self.abscissae.len(),
+            "abscissa/value length mismatch"
+        );
+        for (v, s) in values.iter_mut().zip(&self.abscissae) {
+            *v /= *s;
+        }
+    }
+
     /// Evaluates `transform` at every abscissa in one batch.
     fn values<F: LaplaceFn + ?Sized>(&self, transform: &F) -> Vec<Complex64> {
         let mut values = vec![Complex64::ZERO; self.abscissae.len()];
@@ -423,14 +456,14 @@ const EULER_WEIGHTS: [f64; M_EULER + 1] = [
 /// All `n + 12` abscissae are gathered up front and evaluated through one
 /// [`LaplaceFn::eval_batch`] call.
 pub fn euler_m<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    Nodes::euler(t, n).invert(transform)
+    InversionPlan::euler(t, n).invert(transform)
 }
 
 /// Euler's trapezoid parameter `A`.
 const EULER_A: f64 = 18.4;
 
-impl Nodes {
-    fn euler(t: f64, n: usize) -> Nodes {
+impl InversionPlan {
+    fn euler(t: f64, n: usize) -> InversionPlan {
         assert!(t > 0.0, "euler inversion requires t > 0, got {t}");
         assert!(n >= 1, "euler inversion requires at least 1 burn-in term");
         let x = EULER_A / (2.0 * t);
@@ -440,7 +473,7 @@ impl Nodes {
         for k in 1..=total {
             abscissae.push(Complex64::new(x, k as f64 * std::f64::consts::PI / t));
         }
-        Nodes {
+        InversionPlan {
             t,
             abscissae,
             rule: Rule::Euler { n },
@@ -455,11 +488,11 @@ pub fn talbot<F: LaplaceFn>(transform: &F, t: f64) -> f64 {
 
 /// Fixed Talbot algorithm with `n` contour points (Abate & Valkó).
 pub fn talbot_n<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    Nodes::talbot(t, n).invert(transform)
+    InversionPlan::talbot(t, n).invert(transform)
 }
 
-impl Nodes {
-    fn talbot(t: f64, n: usize) -> Nodes {
+impl InversionPlan {
+    fn talbot(t: f64, n: usize) -> InversionPlan {
         assert!(t > 0.0, "talbot inversion requires t > 0, got {t}");
         assert!(n >= 2, "talbot inversion requires at least 2 points");
         let r = 2.0 * n as f64 / (5.0 * t);
@@ -474,7 +507,7 @@ impl Nodes {
             // dσ/dθ factor: 1 + i θ (1 + cot²) − i cot  (scaled by contour radius)
             sigmas.push(Complex64::new(1.0, theta * (1.0 + cot * cot) - cot));
         }
-        Nodes {
+        InversionPlan {
             t,
             abscissae,
             rule: Rule::Talbot { r, sigmas },
@@ -531,11 +564,11 @@ fn stehfest_coefficients(n: usize) -> Arc<Vec<f64>> {
 
 /// Gaver–Stehfest with `n` terms (`n` even, ≤ 18 in double precision).
 pub fn gaver_stehfest_n<F: LaplaceFn + ?Sized>(transform: &F, t: f64, n: usize) -> f64 {
-    Nodes::gaver_stehfest(t, n).invert(transform)
+    InversionPlan::gaver_stehfest(t, n).invert(transform)
 }
 
-impl Nodes {
-    fn gaver_stehfest(t: f64, n: usize) -> Nodes {
+impl InversionPlan {
+    fn gaver_stehfest(t: f64, n: usize) -> InversionPlan {
         assert!(t > 0.0, "gaver-stehfest inversion requires t > 0, got {t}");
         assert!(
             n >= 2 && n.is_multiple_of(2),
@@ -550,7 +583,7 @@ impl Nodes {
         let abscissae = (1..=n)
             .map(|k| Complex64::from_real(k as f64 * ln2_t))
             .collect();
-        Nodes {
+        InversionPlan {
             t,
             abscissae,
             rule: Rule::GaverStehfest {
@@ -570,7 +603,8 @@ pub fn cdf_from_lst<F: LaplaceFn + ?Sized>(lst: &F, t: f64, config: &InversionCo
     if t <= 0.0 {
         return 0.0;
     }
-    config.invert(&CdfTransform(lst), t).clamp(0.0, 1.0)
+    let plan = config.plan(t);
+    plan.cdf(&mut plan.values(lst))
 }
 
 /// Evaluates the CDF and the density of a nonnegative random variable at
@@ -587,14 +621,8 @@ pub fn cdf_and_density_from_lst<F: LaplaceFn + ?Sized>(
     if t <= 0.0 {
         return (0.0, 0.0);
     }
-    let nodes = config.nodes(t);
-    let mut values = nodes.values(lst);
-    let density = nodes.apply(&values);
-    // The same division `CdfTransform` performs.
-    for (v, s) in values.iter_mut().zip(nodes.abscissae.iter()) {
-        *v /= *s;
-    }
-    (nodes.apply(&values).clamp(0.0, 1.0), density)
+    let plan = config.plan(t);
+    plan.cdf_and_density(&mut plan.values(lst))
 }
 
 /// Evaluates the complementary CDF (tail) at `t`.
@@ -882,6 +910,44 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_inverts_shared_factors_like_the_wrappers() {
+        // Two transforms sharing a factor: each product evaluated at the
+        // plan's abscissae inverts bit-identically to the wrappers over a
+        // closure, under every algorithm.
+        let shared = exp_lst(3.0);
+        let own = [erlang_lst(2, 5.0), erlang_lst(4, 1.5)];
+        for (algorithm, terms) in [
+            (InversionAlgorithm::Euler, 20),
+            (InversionAlgorithm::Talbot, 32),
+            (InversionAlgorithm::GaverStehfest, 14),
+        ] {
+            let cfg = InversionConfig { algorithm, terms };
+            for &t in &[0.2, 1.0, 4.0] {
+                let plan = cfg.plan(t);
+                let factor: Vec<Complex64> = plan.abscissae().iter().map(|&s| shared(s)).collect();
+                for other in &own {
+                    let product = |s: Complex64| shared(s) * other(s);
+                    let values: Vec<Complex64> = plan
+                        .abscissae()
+                        .iter()
+                        .zip(&factor)
+                        .map(|(&s, &f)| f * other(s))
+                        .collect();
+                    let cdf = plan.cdf(&mut values.clone());
+                    assert_eq!(cdf.to_bits(), cdf_from_lst(&product, t, &cfg).to_bits());
+                    let (c, d) = plan.cdf_and_density(&mut values.clone());
+                    let (want_c, want_d) = cdf_and_density_from_lst(&product, t, &cfg);
+                    assert_eq!(
+                        (c.to_bits(), d.to_bits()),
+                        (want_c.to_bits(), want_d.to_bits()),
+                        "{algorithm:?} t={t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn quantile_grows_bracket() {
         // upper_hint far too small still converges.
         let lst = exp_lst(0.001);
@@ -1053,7 +1119,8 @@ mod tests {
             terms: 100,
         };
         let lst = exp_lst(1.0);
-        let got = gaver_stehfest_n(&CdfTransform(&lst), 1.0, cfg.effective_terms());
+        let cdf = |s: Complex64| lst(s) / s;
+        let got = gaver_stehfest_n(&cdf, 1.0, cfg.effective_terms());
         let want = 1.0 - (-1.0f64).exp();
         assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
     }

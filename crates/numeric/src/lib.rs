@@ -35,7 +35,7 @@ pub use complex::Complex64;
 pub use laplace::{
     ccdf_from_lst, cdf_and_density_from_lst, cdf_from_lst, euler, gaver_stehfest,
     quantile_from_lst, talbot, ConfigError, CountingLaplaceFn, InversionAlgorithm, InversionConfig,
-    LaplaceFn, GAVER_STEHFEST_MAX_TERMS, QUANTILE_INVERSION_BUDGET,
+    InversionPlan, LaplaceFn, GAVER_STEHFEST_MAX_TERMS, QUANTILE_INVERSION_BUDGET,
 };
 pub use moments::{mean_from_lst, moments_from_lst, second_moment_from_lst};
 pub use roots::invert_monotone;

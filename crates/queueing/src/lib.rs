@@ -34,4 +34,4 @@ pub use mm1k::Mm1k;
 pub use service::{
     from_distribution, from_dyn_service, DynServiceTime, ServiceTime, TransformServiceTime,
 };
-pub use union_op::UnionOperation;
+pub use union_op::{UnionFactors, UnionOperation};

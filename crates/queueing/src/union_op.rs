@@ -114,60 +114,65 @@ impl UnionOperation {
         }
     }
 
-    /// Evaluates both the response-tail LST and the full union-operation
-    /// LST with one pass over the components. Both transforms appear in
-    /// every device-response abscissa (Eq. 2), and they share the whole
-    /// `parse · index · meta · data` product — only the Poisson extra-reads
-    /// factor differs. Each output is bit-identical to its scalar
-    /// counterpart ([`UnionOperation::response_lst`] /
-    /// [`ServiceTime::lst`]).
-    pub fn response_and_union_lst_batch(
-        &self,
-        s: &[Complex64],
-        response: &mut [Complex64],
-        union: &mut [Complex64],
-    ) {
-        assert_eq!(s.len(), union.len(), "abscissa/output length mismatch");
-        self.partial_product_batch(s, response);
-        let mut ld = vec![Complex64::ZERO; s.len()];
-        self.data.lst_batch(s, &mut ld);
-        for i in 0..s.len() {
-            let d = ld[i];
-            // response = ((parse·index)·meta)·data — the scalar grouping.
-            response[i] *= d;
-            // union = response · e^{p (L_data − 1)}; the scalar path groups
-            // ((((parse·index)·meta)·data)·exp), which is exactly this.
-            union[i] = response[i] * ((d - Complex64::ONE) * self.extra_reads).exp();
+    /// Evaluates each component LST once over `s` and keeps the products
+    /// every response transform needs (Eq. 1 and Eq. 2): the response tail,
+    /// with or without its parse factor (`parse_in_tail`), and the union
+    /// operation's LST split so that the mean extra-read count `p` enters
+    /// last ([`UnionOperation::lst_given_factors`]). No arrival rate enters,
+    /// so one batch serves every union operation over the same component
+    /// laws, whatever its `p`.
+    pub fn factors_batch(&self, s: &[Complex64], parse_in_tail: bool) -> UnionFactors {
+        let n = s.len();
+        let mut product = vec![Complex64::ZERO; n];
+        let mut tail = vec![Complex64::ZERO; n];
+        let mut meta = vec![Complex64::ZERO; n];
+        let mut data_minus_one = vec![Complex64::ZERO; n];
+        self.parse.lst_batch(s, &mut product);
+        self.index.lst_batch(s, &mut tail);
+        self.meta.lst_batch(s, &mut meta);
+        self.data.lst_batch(s, &mut data_minus_one);
+        for i in 0..n {
+            let (index, d) = (tail[i], data_minus_one[i]);
+            // Both products keep the scalar left-to-right grouping.
+            product[i] = product[i] * index * meta[i] * d;
+            tail[i] = if parse_in_tail {
+                product[i]
+            } else {
+                index * meta[i] * d
+            };
+            data_minus_one[i] = d - Complex64::ONE;
+        }
+        UnionFactors {
+            tail,
+            product,
+            data_minus_one,
         }
     }
 
-    /// [`UnionOperation::response_and_union_lst_batch`] with the parse
-    /// factor left out of the response tail (but kept in the union
-    /// operation, whose LST feeds the P–K waiting time). Each output is
-    /// bit-identical to its scalar counterpart
-    /// ([`UnionOperation::parse_free_response_lst`] /
-    /// [`ServiceTime::lst`]).
-    pub fn parse_free_response_and_union_lst_batch(
-        &self,
-        s: &[Complex64],
-        response: &mut [Complex64],
-        union: &mut [Complex64],
-    ) {
-        assert_eq!(s.len(), response.len(), "abscissa/output length mismatch");
-        assert_eq!(s.len(), union.len(), "abscissa/output length mismatch");
-        let mut meta = vec![Complex64::ZERO; s.len()];
-        let mut data = vec![Complex64::ZERO; s.len()];
-        self.parse.lst_batch(s, union);
-        self.index.lst_batch(s, response);
-        self.meta.lst_batch(s, &mut meta);
-        self.data.lst_batch(s, &mut data);
-        for i in 0..s.len() {
-            let (index, d) = (response[i], data[i]);
-            // Both products keep the scalar left-to-right grouping.
-            response[i] = index * meta[i] * d;
-            union[i] =
-                union[i] * index * meta[i] * d * ((d - Complex64::ONE) * self.extra_reads).exp();
-        }
+    /// The union operation's LST at the `i`-th abscissa of `factors`:
+    /// `parse · index · meta · data · e^{p (L_data − 1)}` with this
+    /// operation's `p`. Bit-identical to [`ServiceTime::lst`] there when
+    /// `factors` came from the same component laws.
+    #[inline]
+    pub fn lst_given_factors(&self, factors: &UnionFactors, i: usize) -> Complex64 {
+        factors.product[i] * (factors.data_minus_one[i] * self.extra_reads).exp()
+    }
+}
+
+/// A union operation's component transforms at a batch of abscissae, from
+/// [`UnionOperation::factors_batch`].
+#[derive(Debug, Clone)]
+pub struct UnionFactors {
+    tail: Vec<Complex64>,
+    product: Vec<Complex64>,
+    data_minus_one: Vec<Complex64>,
+}
+
+impl UnionFactors {
+    /// The response tail at each abscissa: `parse · index · meta · data`,
+    /// or `index · meta · data` when the parse factor was left out.
+    pub fn tail(&self) -> &[Complex64] {
+        &self.tail
     }
 }
 

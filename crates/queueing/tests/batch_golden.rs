@@ -53,18 +53,41 @@ fn union_operation_batches_are_bit_identical() {
     let want_resp: Vec<Complex64> = s.iter().map(|&si| u.response_lst(si)).collect();
     assert_bits_equal("union response", &resp, &want_resp);
 
-    // The fused pass must reproduce both at once.
-    let mut resp2 = vec![Complex64::ZERO; s.len()];
-    let mut lst2 = vec![Complex64::ZERO; s.len()];
-    u.response_and_union_lst_batch(&s, &mut resp2, &mut lst2);
-    assert_bits_equal("fused response", &resp2, &want_resp);
-    assert_bits_equal("fused lst", &lst2, &want_lst);
-
-    // So must the pass that leaves the parse factor out of the response.
+    // One factor pass must reproduce the response tail, with or without
+    // its parse factor, and the union LST.
     let want_free: Vec<Complex64> = s.iter().map(|&si| u.parse_free_response_lst(si)).collect();
-    u.parse_free_response_and_union_lst_batch(&s, &mut resp2, &mut lst2);
-    assert_bits_equal("parse-free response", &resp2, &want_free);
-    assert_bits_equal("parse-free pass lst", &lst2, &want_lst);
+    for (parse_in_tail, want_tail) in [(true, &want_resp), (false, &want_free)] {
+        let factors = u.factors_batch(&s, parse_in_tail);
+        assert_bits_equal("factored tail", factors.tail(), want_tail);
+        let lst2: Vec<Complex64> = (0..s.len())
+            .map(|i| u.lst_given_factors(&factors, i))
+            .collect();
+        assert_bits_equal("factored lst", &lst2, &want_lst);
+    }
+}
+
+#[test]
+fn union_factors_serve_every_extra_read_count() {
+    // The factors carry no `p`: a union operation over the same component
+    // laws with another extra-read count reads its LST off them exactly.
+    let u = union();
+    let s = contour();
+    let factors = u.factors_batch(&s, false);
+    let disk = Arc::new(Gamma::new(3.0, 250.0));
+    for p in [0.0, 0.35000000000000003, 1.7] {
+        let other = UnionOperation::new(
+            from_distribution(Degenerate::new(0.0005)),
+            from_distribution(Mixture::cache_miss(0.3, disk.clone())),
+            from_distribution(Mixture::cache_miss(0.25, disk.clone())),
+            from_distribution(Mixture::cache_miss(0.4, disk.clone())),
+            p,
+        );
+        let got: Vec<Complex64> = (0..s.len())
+            .map(|i| other.lst_given_factors(&factors, i))
+            .collect();
+        let want: Vec<Complex64> = s.iter().map(|&si| ServiceTime::lst(&other, si)).collect();
+        assert_bits_equal(&format!("p={p}"), &got, &want);
+    }
 }
 
 #[test]

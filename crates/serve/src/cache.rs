@@ -484,8 +484,8 @@ impl InversionCache {
             return max_admissible_rate(&snapshot.params, variant, goal_s, upper_s)
                 .ok_or(ServeError::GoalUnreachable);
         }
-        // Coded queries build their own multi-variant model from the raw
-        // parameters (like headroom); results are memoized at this cache's
+        // Coded queries build their own model from the raw parameters
+        // (like headroom); results are memoized at this cache's
         // result layer, which is what keeps both read paths bit-identical.
         match kind {
             QueryKind::CodedFraction {

@@ -1439,12 +1439,13 @@ mod tests {
         let mut service = SlaService::new(base(), ServeConfig::default());
         let blue = TenantId::new("blue").unwrap();
         let green = TenantId::new("green").unwrap();
-        // Distinct per-tenant load: blue light, green heavy.
-        let blue_events = events(20.0, 20.0, 2);
-        let green_events = events(120.0, 20.0, 2);
-        for (b, g) in blue_events.into_iter().zip(green_events) {
-            service.ingest_for(&blue, b);
-            service.ingest_for(&green, g);
+        // Distinct per-tenant load: blue at 20 req/s per device, green at
+        // 60, each tenant over its whole 20 s stream.
+        for ev in events(20.0, 20.0, 2) {
+            service.ingest_for(&blue, ev);
+        }
+        for ev in events(60.0, 20.0, 2) {
+            service.ingest_for(&green, ev);
         }
         service.refit_now();
         assert_eq!(service.tenants(), 3, "default + blue + green");

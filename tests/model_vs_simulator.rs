@@ -5,7 +5,7 @@
 
 use cosmodel::distr::Degenerate;
 use cosmodel::model::{
-    CodedReadModel, CodingSpec, DeviceParams, FrontendParams, ModelVariant, SystemModel,
+    CodedEnvelope, CodingSpec, DeviceParams, FrontendParams, ModelVariant, SystemModel,
     SystemParams,
 };
 use cosmodel::queueing::from_distribution;
@@ -343,7 +343,7 @@ fn run_coded_cell(cell: &CodedCell, logical_rate: f64, duration: f64, seed: u64)
     } else {
         CodingSpec::k_only(cell.k)
     };
-    let model = CodedReadModel::new(&params, spec).expect("coded cells run well below saturation");
+    let model = CodedEnvelope::new(&params, spec).expect("coded cells run well below saturation");
 
     // One logical record per coded read (the k-th completion), after warmup.
     let mut latencies: Vec<f64> = metrics
@@ -358,6 +358,7 @@ fn run_coded_cell(cell: &CodedCell, logical_rate: f64, duration: f64, seed: u64)
         .map(|q| {
             let observed = exact_percentile(&mut latencies, q);
             let predicted = model
+                .point()
                 .latency_percentile(q)
                 .expect("percentile inversion within budget");
             let bounds = model.bounds(observed);

@@ -1,14 +1,17 @@
 //! The percentile and headroom searches against the solvers they replaced,
 //! kept here as oracles: the Ridders quantile loop (two CDF probes per
-//! step, no density), run with a budget large enough to converge, and the
-//! 50-step headroom bisection over `[upper·1e-4, upper]`.
+//! step, no density), run with a budget large enough to converge, the
+//! 50-step headroom bisection over `[upper·1e-4, upper]`, and the headroom
+//! search that rebuilt and re-inverted the whole model at every probe.
 //!
 //! Inputs are seeded `FleetScenario` fits — the fleet shape the serving
 //! benchmark queries: 8 tenants × 4 devices at 40 req/s — plus the corners
 //! of the headroom search: an `N_be = 16` template (M/M/1/K disk), goals
 //! unreachable at any rate, goals met at `upper`, and templates close to
 //! ρ = 1. The inversion counts are budgets: at most 6 per device quantile
-//! on the fleet fits, and 3 for a backend p95 on the S1 template.
+//! on the fleet fits, and 3 for a backend p95 on the S1 template. A
+//! headroom search evaluates each `N_be = 1` device's union operation
+//! once, and an `N_be = 16` device's once per probe.
 
 mod common;
 
@@ -22,8 +25,10 @@ use cosmodel::numeric::{
     cdf_from_lst, invert_monotone, quantile_from_lst, Complex64, CountingLaplaceFn,
     InversionConfig, QUANTILE_INVERSION_BUDGET,
 };
-use cosmodel::queueing::from_distribution;
+use cosmodel::queueing::{from_distribution, DynServiceTime, ServiceTime};
 use cosmodel::serve::DEFAULT_HEADROOM_UPPER;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The retired quantile solver: geometric bracket growth, then
 /// interleaved midpoint and Ridders probes on the CDF alone.
@@ -117,6 +122,108 @@ fn bisection_oracle(
         }
     }
     Some(lo)
+}
+
+/// The headroom search as it was before it reused the rate-free
+/// transforms: every probe rebuilds the model at its rate and evaluates
+/// Eq. 3 from scratch. Otherwise the same search as `max_admissible_rate`
+/// (doubling or halving bracket from the template's rate, then
+/// Anderson–Björck false position on the log-survival margin). Returns
+/// the answer and the number of probes whose model built.
+fn rebuild_per_probe_oracle(
+    template: &SystemParams,
+    variant: ModelVariant,
+    goal: SlaGoal,
+    upper: f64,
+) -> (Option<f64>, usize) {
+    let ln_target = (-goal.target_fraction).ln_1p();
+    let mut stable = 0;
+    let mut margin = |rate: f64| -> f64 {
+        let f = SystemModel::new(&template.scaled_to_rate(rate), variant)
+            .map(|m| {
+                stable += 1;
+                m.fraction_meeting_sla(goal.sla)
+            })
+            .ok()
+            .filter(|f| !f.is_nan())
+            .unwrap_or(0.0);
+        let g = ln_target - (-f).ln_1p().max(f64::EPSILON.ln());
+        if f >= goal.target_fraction {
+            g.max(0.0)
+        } else {
+            g.min(-f64::MIN_POSITIVE)
+        }
+    };
+    let own: f64 = template.devices.iter().map(|d| d.arrival_rate).sum();
+    let start = own.min(upper);
+    let answer = (|| {
+        let m_start = margin(start);
+        let (mut lo, mut m_lo, mut hi, mut m_hi);
+        if m_start >= 0.0 {
+            (lo, m_lo) = (start, m_start);
+            loop {
+                if lo == upper {
+                    return Some(upper);
+                }
+                let rate = (2.0 * lo).min(upper);
+                let m = margin(rate);
+                if m < 0.0 {
+                    (hi, m_hi) = (rate, m);
+                    break;
+                }
+                (lo, m_lo) = (rate, m);
+            }
+        } else {
+            (hi, m_hi) = (start, m_start);
+            let floor = start * 1e-4;
+            let m_floor = margin(floor);
+            if m_floor < 0.0 {
+                return None;
+            }
+            loop {
+                let rate = 0.5 * hi;
+                if rate <= floor {
+                    (lo, m_lo) = (floor, m_floor);
+                    break;
+                }
+                let m = margin(rate);
+                if m >= 0.0 {
+                    (lo, m_lo) = (rate, m);
+                    break;
+                }
+                (hi, m_hi) = (rate, m);
+            }
+        }
+        let anderson_bjorck = |new: f64, old: f64| {
+            let g = 1.0 - new / old;
+            if g > 0.0 {
+                g
+            } else {
+                0.5
+            }
+        };
+        let mut lo_moved_last = None;
+        while hi - lo > 1e-9 * lo {
+            let inset = 0.25e-9 * lo;
+            let rate = (lo + (hi - lo) * m_lo / (m_lo - m_hi)).clamp(lo + inset, hi - inset);
+            let m = margin(rate);
+            if m >= 0.0 {
+                if lo_moved_last == Some(true) {
+                    m_hi *= anderson_bjorck(m, m_lo);
+                }
+                (lo, m_lo) = (rate, m);
+                lo_moved_last = Some(true);
+            } else {
+                if lo_moved_last == Some(false) {
+                    m_lo *= anderson_bjorck(m, m_hi);
+                }
+                (hi, m_hi) = (rate, m);
+                lo_moved_last = Some(false);
+            }
+        }
+        Some(lo)
+    })();
+    (answer, stable)
 }
 
 const PERCENTILES: [f64; 6] = [0.5, 0.75, 0.9, 0.95, 0.99, 0.995];
@@ -251,6 +358,149 @@ fn s1_template() -> SystemParams {
     }
 }
 
+/// [`s1_template`] with `N_be = 16` and the warm cache the paper's S16
+/// runs show, at 600 req/s.
+fn s16_template() -> SystemParams {
+    let mut t = s1_template().scaled_to_rate(600.0);
+    for d in &mut t.devices {
+        d.processes = 16;
+        d.miss_index = 0.10;
+        d.miss_meta = 0.08;
+        d.miss_data = 0.18;
+    }
+    t
+}
+
+/// `template` scaled to 99.5% of the largest rate at which `variant`'s
+/// queues are stable, so a loose goal brackets its answer near ρ = 1.
+fn near_saturation(template: &SystemParams, variant: ModelVariant) -> SystemParams {
+    let total: f64 = template.devices.iter().map(|d| d.arrival_rate).sum();
+    let (mut stable, mut unstable) = (total * 1e-3, total * 1e3);
+    for _ in 0..80 {
+        let mid = (stable * unstable).sqrt();
+        if model_at_rate(template, variant, mid).is_ok() {
+            stable = mid;
+        } else {
+            unstable = mid;
+        }
+    }
+    template.scaled_to_rate(0.995 * stable)
+}
+
+#[test]
+fn headroom_is_bit_identical_to_the_rebuild_per_probe_search() {
+    let variants = [
+        ModelVariant::Full,
+        ModelVariant::Odopr,
+        ModelVariant::NoWta,
+        ModelVariant::ResidualWta,
+    ];
+    // From easy to unreachable at any rate.
+    let goals = [
+        (5.0, 0.5),
+        (1.0, 0.9),
+        (0.25, 0.99),
+        (0.1, 0.9),
+        (0.05, 0.95),
+        (0.02, 0.9),
+        (0.001, 0.999),
+    ];
+    let (mut answered, mut unreachable, mut at_upper) = (0, 0, 0);
+    for (shape, template) in [("S1", s1_template()), ("S16", s16_template())] {
+        for variant in variants {
+            let own: f64 = template.devices.iter().map(|d| d.arrival_rate).sum();
+            let saturated = near_saturation(&template, variant);
+            for (which, t, upper) in [
+                ("template", &template, DEFAULT_HEADROOM_UPPER),
+                // Below the template's own rate: the search starts at upper.
+                ("clamped", &template, 0.5 * own),
+                ("near ρ = 1", &saturated, DEFAULT_HEADROOM_UPPER),
+            ] {
+                for (sla, target) in goals {
+                    let goal = SlaGoal::new(sla, target);
+                    let what = format!("{shape} {which} {variant:?} sla={sla} target={target}");
+                    let got = max_admissible_rate(t, variant, goal, upper);
+                    let (want, _) = rebuild_per_probe_oracle(t, variant, goal, upper);
+                    assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{what}");
+                    match got {
+                        None => unreachable += 1,
+                        Some(r) if r == upper => at_upper += 1,
+                        Some(_) => answered += 1,
+                    }
+                }
+            }
+        }
+    }
+    // Every kind of answer is covered.
+    assert!(
+        answered > 40 && unreachable > 10 && at_upper > 10,
+        "{answered} bracketed, {unreachable} unreachable, {at_upper} at upper"
+    );
+}
+
+/// A service law that counts its LST batches: one per evaluation of a
+/// union operation it is the parse law of.
+struct CountingLaw {
+    inner: DynServiceTime,
+    batches: AtomicUsize,
+}
+
+impl ServiceTime for CountingLaw {
+    fn lst(&self, s: Complex64) -> Complex64 {
+        self.inner.lst(s)
+    }
+    fn mean(&self) -> f64 {
+        self.inner.mean()
+    }
+    fn second_moment(&self) -> f64 {
+        self.inner.second_moment()
+    }
+    fn lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.inner.lst_batch(s, out)
+    }
+}
+
+/// `template` with a fresh counting parse law on every device.
+fn counted(template: &SystemParams) -> (SystemParams, Vec<Arc<CountingLaw>>) {
+    let mut t = template.clone();
+    let laws: Vec<Arc<CountingLaw>> = t
+        .devices
+        .iter_mut()
+        .map(|d| {
+            let law = Arc::new(CountingLaw {
+                inner: d.parse_be.clone(),
+                batches: AtomicUsize::new(0),
+            });
+            d.parse_be = law.clone();
+            law
+        })
+        .collect();
+    (t, laws)
+}
+
+#[test]
+fn a_headroom_search_evaluates_each_union_transform_once_per_rate_it_depends_on() {
+    let goal = SlaGoal::new(0.1, 0.9);
+    for (shape, template) in [("S1", s1_template()), ("S16", s16_template())] {
+        let (t, laws) = counted(&template);
+        let limit = max_admissible_rate(&t, ModelVariant::Full, goal, DEFAULT_HEADROOM_UPPER);
+        let per_device: Vec<usize> = laws
+            .iter()
+            .map(|l| l.batches.load(Ordering::Relaxed))
+            .collect();
+        let (want, stable_probes) =
+            rebuild_per_probe_oracle(&template, ModelVariant::Full, goal, DEFAULT_HEADROOM_UPPER);
+        assert!(stable_probes > 4, "{shape}: {stable_probes} stable probes");
+        // N_be = 1: the union law does not depend on the rate, so the
+        // search evaluates it once. N_be = 16: its M/M/1/K disk law does,
+        // so every probe whose queues are stable evaluates it.
+        let once = if shape == "S1" { 1 } else { stable_probes };
+        assert_eq!(per_device, vec![once; laws.len()], "{shape}");
+        assert_eq!(limit, want, "{shape}");
+    }
+}
+
 #[test]
 fn an_s1_backend_p95_costs_at_most_three_inversions() {
     // From a 50 ms hint the Newton search lands in 3 inversions.
@@ -382,18 +632,18 @@ fn the_retired_budget_stopped_short_where_newton_converges() {
     // one side while its midpoint probes only halve the other, and it
     // returned the midpoint. Over the plain and coded (4,2)/(6,4)
     // quantiles p50–p99.5 of `fleet_fits(5)` and `fleet_fits(11)` that
-    // happened for 5 of 288, up to 1.8e-3 relative off; this is one of them.
+    // happens for 3 of 288, up to 1.8e-3 relative off; this is the worst.
     let params = &fleet_fits(5)[1];
-    let m = CodedReadModel::new(params, CodingSpec::eager(4, 2)).expect("stable fit");
+    let m = CodedReadModel::new(params, CodingSpec::eager(6, 4)).expect("stable fit");
     let hint = m.branch_mean_response();
-    let short = ridders_oracle(|t| m.fraction_meeting_sla(t), 0.75, hint, 40, 16).unwrap();
+    let short = ridders_oracle(|t| m.fraction_meeting_sla(t), 0.5, hint, 40, 16).unwrap();
     let converged =
-        ridders_oracle(|t| m.fraction_meeting_sla(t), 0.75, hint, 40, ORACLE_BUDGET).unwrap();
+        ridders_oracle(|t| m.fraction_meeting_sla(t), 0.5, hint, 40, ORACLE_BUDGET).unwrap();
     assert!(
         (short - converged).abs() > 1e-4 * converged,
         "{short} vs {converged}"
     );
-    let got = m.latency_percentile(0.75).unwrap();
-    assert_close(got, converged, 1e-9, "tenant 1 (4,2) p=0.75");
-    assert!((m.fraction_meeting_sla(got) - 0.75).abs() < 1e-10);
+    let got = m.latency_percentile(0.5).unwrap();
+    assert_close(got, converged, 1e-9, "tenant 1 (6,4) p=0.5");
+    assert!((m.fraction_meeting_sla(got) - 0.5).abs() < 1e-10);
 }
