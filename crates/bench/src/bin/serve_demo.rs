@@ -8,8 +8,8 @@
 //! snapshots the service's online predictions; after the run it computes
 //! the offline fig6-style predictions from the same simulation's window
 //! counters and prints both against the observed attainment, plus the
-//! memoized engine's cache hit-rate under a polling workload and a
-//! worker-pool what-if sweep.
+//! inversion cache's hit-rate under a polling workload and a
+//! what-if sweep.
 //!
 //! Usage: `cargo run --release -p cos-bench --bin serve_demo [-- --scale X]`
 //! (default compresses the paper's schedule 120×, ~1 minute).
@@ -279,7 +279,7 @@ fn main() {
         100.0 * hits as f64 / total as f64
     );
 
-    // Worker-pool what-if sweep + overload headroom on the final epoch.
+    // What-if sweep + overload headroom on the final epoch.
     let sweep_rates: Vec<f64> = (1..=7).map(|i| i as f64 * 50.0).collect();
     if let Ok(points) = handle.sweep(sweep_rates, vec![0.050]) {
         let knee = points

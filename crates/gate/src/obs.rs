@@ -4,7 +4,7 @@
 //! All instruments register idempotently against the registry carried in
 //! [`GateConfig::obs`](crate::GateConfig::obs). Pass the *same* registry to
 //! [`ServeConfig::obs`](cos_serve::ServeConfig::obs) and `GET /metrics`
-//! exposes the whole stack — gate, service, and sweep pool — in one
+//! exposes the whole stack — gate, service, and what-if sweeps — in one
 //! Prometheus document.
 
 use cos_obs::{Counter, Hist, HistSnapshot, Registry};

@@ -1,29 +1,27 @@
 //! Std-only parallelism primitives shared by the sweep-heavy layers
 //! (capacity planning, sensitivity analysis, benchmark scenario replay, and
-//! the serve-tier `SweepPool`).
+//! the serve tier's batched re-fits and what-if sweeps).
 //!
-//! Three building blocks:
+//! Two building blocks:
 //!
-//! * [`ParPool`] — a persistent pool of named worker threads consuming boxed
-//!   jobs from a shared channel. This is the long-lived form used by
-//!   `cos-serve`, where sweeps arrive continuously and thread spawn cost
-//!   must be paid once, not per sweep.
 //! * [`par_map`] — a scoped, borrowing parallel map over a slice with
-//!   deterministic output order. This is the fire-and-forget form used by
-//!   planning/sensitivity grids and bench bins: results are returned in
-//!   item order regardless of which worker computed what, so callers that
-//!   fold over the output get **bit-identical** results for any worker
-//!   count (each item's computation is single-threaded and the merge is a
-//!   plain index sort, never a reduction tree).
+//!   deterministic output order, used by planning/sensitivity grids, bench
+//!   bins, and `cos-serve` (fleet re-fits on the service thread, what-if
+//!   sweeps on the caller's thread): results are returned in item order
+//!   regardless of which worker computed what, so callers that fold over
+//!   the output get **bit-identical** results for any worker count (each
+//!   item's computation is single-threaded and the merge is a plain index
+//!   sort, never a reduction tree). Its threads are scoped to the call, so
+//!   nothing idles between sweeps.
 //! * [`ArcCell`] — an atomically swappable `Arc<T>` slot: one writer
 //!   publishes immutable snapshots, any number of readers clone the
 //!   current one without ever blocking on a mutex. This is the publication
 //!   primitive behind the serve-tier lock-free read path.
 //!
-//! No dependencies beyond `std` — the build environment is offline and the
+//! No code dependencies beyond `std` — the build environment is offline and the
 //! rest of the workspace is similarly std-only.
 //!
-//! A fourth block lives in [`poller`]: a readiness [`Poller`] (epoll on
+//! A third block lives in [`poller`]: a readiness [`Poller`] (epoll on
 //! Linux, `poll(2)` elsewhere; level-triggered) plus a pipe-based
 //! [`Waker`], the OS surface under the gate's event-driven reactor. Its
 //! companion [`alloc_probe`] is the bench-only allocation counter that
@@ -36,16 +34,9 @@ pub use poller::{
     Backend, Event, Interest, Poller, SyscallCounters, SyscallSnapshot, WakeReader, Waker,
 };
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
-
-use cos_obs::Hist;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// The machine's available parallelism (1 if it cannot be queried) — the
 /// conventional worker count for batch sweeps. Safe to use with [`par_map`]
@@ -53,89 +44,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// count.
 pub fn default_workers() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// A persistent worker pool: `workers` named threads pull boxed jobs off a
-/// shared channel until the pool is dropped.
-///
-/// Jobs that panic are contained per-job (the worker survives and keeps
-/// serving the queue); the panic payload is dropped, so jobs should report
-/// failure through their own channel (as `SweepPool` does with
-/// `Option`-valued results) rather than by panicking.
-pub struct ParPool {
-    tx: Option<Sender<Job>>,
-    workers: Vec<thread::JoinHandle<()>>,
-}
-
-impl ParPool {
-    /// Creates a pool with `workers` threads (at least 1).
-    pub fn new(workers: usize) -> Self {
-        ParPool::with_timers(workers, &[])
-    }
-
-    /// Creates a pool whose workers time every job they run: worker `i`
-    /// records each job's execution duration into `timers[i % timers.len()]`
-    /// (so one histogram per worker when `timers.len() == workers`, or a
-    /// single shared histogram when one is passed). An empty slice disables
-    /// timing — identical to [`ParPool::new`].
-    pub fn with_timers(workers: usize, timers: &[Hist]) -> Self {
-        let workers = workers.max(1);
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let timer = (!timers.is_empty()).then(|| timers[i % timers.len()].clone());
-                thread::Builder::new()
-                    .name(format!("cos-par-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => {
-                                let start = timer.as_ref().map(|_| Instant::now());
-                                let _ = catch_unwind(AssertUnwindSafe(job));
-                                if let (Some(t), Some(s)) = (&timer, start) {
-                                    t.record_duration(s.elapsed());
-                                }
-                            }
-                            Err(_) => break, // all senders dropped: shut down
-                        }
-                    })
-                    .expect("failed to spawn cos-par worker")
-            })
-            .collect();
-        ParPool {
-            tx: Some(tx),
-            workers: handles,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Enqueues a job. Returns `false` (dropping the job) only if the pool
-    /// is shutting down.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, job: F) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Box::new(job)).is_ok(),
-            None => false,
-        }
-    }
-}
-
-impl Drop for ParPool {
-    fn drop(&mut self) {
-        // Close the channel so workers' recv() errors out, then join.
-        self.tx = None;
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
 }
 
 /// Parallel map over `items` with `workers` scoped threads, returning
@@ -319,81 +227,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for ArcCell<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::mpsc::channel;
-
-    #[test]
-    fn pool_runs_jobs() {
-        let pool = ParPool::new(3);
-        assert_eq!(pool.workers(), 3);
-        let (tx, rx) = channel();
-        for i in 0..20u64 {
-            let tx = tx.clone();
-            assert!(pool.execute(move || tx.send(i * i).unwrap()));
-        }
-        drop(tx);
-        let mut got: Vec<u64> = rx.iter().collect();
-        got.sort_unstable();
-        let want: Vec<u64> = (0..20).map(|i| i * i).collect();
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn pool_survives_panicking_job() {
-        let pool = ParPool::new(1);
-        pool.execute(|| panic!("job failure"));
-        let (tx, rx) = channel();
-        pool.execute(move || tx.send(42u32).unwrap());
-        assert_eq!(rx.recv().unwrap(), 42);
-    }
-
-    #[test]
-    fn pool_with_timers_records_per_worker_job_durations() {
-        let timers = vec![Hist::new(), Hist::new()];
-        {
-            let pool = ParPool::with_timers(2, &timers);
-            let (tx, rx) = channel();
-            for _ in 0..8 {
-                let tx = tx.clone();
-                pool.execute(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    tx.send(()).unwrap();
-                });
-            }
-            drop(tx);
-            for _ in 0..8 {
-                rx.recv().unwrap();
-            }
-        } // drop joins, so all recordings are flushed
-        let total: u64 = timers.iter().map(|t| t.count()).sum();
-        assert_eq!(total, 8, "every job timed exactly once");
-        for t in &timers {
-            if t.count() > 0 {
-                assert!(t.quantile(1.0).unwrap() >= 0.001, "sleep is visible");
-            }
-        }
-    }
-
-    #[test]
-    fn pool_clamps_to_one_worker() {
-        let pool = ParPool::new(0);
-        assert_eq!(pool.workers(), 1);
-    }
-
-    #[test]
-    fn drop_joins_all_workers() {
-        let counter = Arc::new(AtomicU64::new(0));
-        {
-            let pool = ParPool::new(4);
-            for _ in 0..100 {
-                let c = Arc::clone(&counter);
-                pool.execute(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        } // drop waits for queue drain of in-flight jobs and joins
-        assert_eq!(counter.load(Ordering::SeqCst), 100);
-    }
 
     #[test]
     fn par_map_preserves_order() {

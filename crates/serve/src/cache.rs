@@ -1,12 +1,12 @@
-//! The sharded concurrent inversion cache shared by the worker-thread
-//! engine and the lock-free snapshot read path.
+//! The sharded concurrent inversion cache behind every served answer.
 //!
-//! One bounded cache implementation serves both paths, which is what makes
-//! the snapshot path **bit-identical by construction**: every query —
-//! whether the service answers it in-process or a reader evaluates it in
-//! place on a gate reactor thread — collapses to the same quantized
-//! [`QueryKey`] and runs the same [`QueryKind`] evaluation code on the
-//! same snapped inputs, so two paths can never disagree on a value's bits.
+//! One bounded cache answers every query, which is what makes answers
+//! **bit-identical by construction**: every query — whichever
+//! [`SnapshotReader`](crate::SnapshotReader) asks it, on whichever thread,
+//! and the service's own drift predictions — collapses to the same
+//! quantized [`QueryKey`] and runs the same [`QueryKind`] evaluation code
+//! on the same snapped inputs, so two readers can never disagree on a
+//! value's bits.
 //!
 //! Structure:
 //!
@@ -81,8 +81,6 @@ pub enum QueryKind {
         /// SLA bound in [`SLA_QUANTUM`] steps.
         sla_q: i64,
     },
-    /// Mean response time.
-    MeanResponse,
     /// Fraction of (launched, needed) erasure-coded reads meeting a
     /// quantized SLA (fork-join k-of-n over the epoch's fitted marginals).
     CodedFraction {
@@ -264,9 +262,13 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The sharded, bounded, single-flight memo of inversion results and built
 /// models. See the module docs for the design; one instance is shared by
-/// the [`PredictionEngine`](crate::PredictionEngine) (the service's own
-/// queries) and every [`SnapshotReader`](crate::SnapshotReader) (lock-free
-/// read path).
+/// the service (its drift predictions and refit pre-warming) and every
+/// [`SnapshotReader`](crate::SnapshotReader).
+///
+/// The built-model layer keeps each `(tenant, epoch, rate)`'s
+/// [`SystemModel`]: a what-if question at a new SLA on an already-seen rate
+/// pays only its inversion, and a bottleneck ranking builds its model once
+/// for all of its per-device questions.
 pub struct InversionCache {
     shards: Vec<Mutex<ResultShard>>,
     model_shards: Vec<Mutex<ModelShard>>,
@@ -362,8 +364,7 @@ impl InversionCache {
     /// the inversion ran, just not through [`get_or_compute`]). The
     /// batched refit path uses this to publish each tenant's per-SLA
     /// attainment predictions, so the dashboard's hottest keys are
-    /// resident before the first reader asks — exactly as the serial
-    /// publish used to guarantee by querying the engine.
+    /// resident before the first reader asks.
     ///
     /// [`get_or_compute`]: InversionCache::get_or_compute
     pub fn prewarm_result(&self, key: QueryKey, result: Result<f64, ServeError>) {
@@ -391,15 +392,6 @@ impl InversionCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
         }
-    }
-
-    /// Resets the hit/miss/coalesced/eviction counters (e.g. between
-    /// benchmark phases).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.coalesced.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 
     /// Queries that blocked on another thread's identical in-flight
@@ -523,7 +515,6 @@ impl InversionCache {
                 }
                 Ok(m.device_fraction_meeting(device, sla_q as f64 * SLA_QUANTUM))
             }
-            QueryKind::MeanResponse => Ok(m.mean_response()),
             QueryKind::Headroom { .. }
             | QueryKind::CodedFraction { .. }
             | QueryKind::CodedPercentile { .. } => {

@@ -14,24 +14,28 @@
 //!   data-read rates, latency-threshold miss ratios, proportional disk
 //!   service decomposition — re-fitting [`cos_model::SystemParams`] on a
 //!   fixed event-time cadence;
-//! * [`engine`] — the memoized inversion engine: percentile / attainment /
-//!   headroom / bottleneck queries cached on the quantized
-//!   `(epoch, rate, SLA)` key, so a polling dashboard costs one inversion
-//!   per distinct question per epoch;
-//! * [`worker`] — a `std::thread` pool fanning batch what-if sweeps across
-//!   rates;
+//! * [`cache`] — the memoized inversion engine: percentile / attainment /
+//!   headroom / bottleneck questions cached on the quantized
+//!   `(tenant, epoch, rate, SLA)` key, so a polling dashboard costs one
+//!   inversion per distinct question per epoch;
+//! * [`engine`] — the value types around it: the quantization steps, the
+//!   installed [`EpochSnapshot`], the epoch-tagged [`Prediction`], and the
+//!   cache and health counters;
 //! * [`drift`] — observed-vs-predicted attainment monitoring, the signal
 //!   that the fitted distribution family itself has gone bad;
 //! * [`obs`] — the service's instrument bundle ([`ServeObs`]): refit
-//!   duration, cache-hit/miss query latency, ingest lag, and sweep-pool
-//!   timings, recorded into a shared [`cos_obs::Registry`];
+//!   duration, cache-hit/miss query latency, ingest lag, and per-point
+//!   sweep time, recorded into a shared [`cos_obs::Registry`];
 //! * [`tenant`] / [`query`] — the fleet dimension: [`TenantId`]-scoped
 //!   estimator shards and the builder-style [`Query`] every read endpoint
 //!   takes;
-//! * [`snapshot`] — the lock-free read path and the fleet's **delta
-//!   publication** protocol (only changed tenants republish);
+//! * [`snapshot`] — the one read path: [`SnapshotReader`] answers every
+//!   query and what-if sweep on the calling thread from the published
+//!   fleet, which the service updates by **delta publication** (only
+//!   changed tenants republish);
 //! * [`service`] — the assembled [`SlaService`] state machine and its
-//!   spawned, channel-driven form;
+//!   spawned form, one thread that owns ingest and re-fits behind a
+//!   command channel;
 //! * [`error`] — typed failure modes (warming up, unstable ρ ≥ 1,
 //!   unreachable goals, unknown tenants, malformed queries, shutdown).
 //!
@@ -52,14 +56,13 @@ pub mod service;
 pub mod snapshot;
 pub mod telemetry;
 pub mod tenant;
-pub mod worker;
 
 pub use cache::{quantize_rate, InversionCache, QueryKey, QueryKind};
 pub use calibrate::{CalibrationBase, CalibratorConfig, FitError, OnlineCalibrator};
 pub use drift::{DriftConfig, DriftMonitor, DriftReport};
 pub use engine::{
-    CacheStats, EngineHealth, EpochSnapshot, Prediction, PredictionEngine, FRACTION_QUANTUM,
-    RATE_QUANTUM, SLA_QUANTUM,
+    CacheStats, EngineHealth, EpochSnapshot, Prediction, FRACTION_QUANTUM, RATE_QUANTUM,
+    SLA_QUANTUM,
 };
 pub use error::ServeError;
 pub use obs::ServeObs;
@@ -68,7 +71,8 @@ pub use service::{
     InvalidConfig, ServeConfig, ServeConfigBuilder, ServiceClient, ServiceHandle, ServiceStatus,
     SlaService, TelemetrySender,
 };
-pub use snapshot::{FleetState, PublishStats, SnapshotReader, SnapshotState, TenantEntry};
+pub use snapshot::{
+    FleetState, PublishStats, RatePoint, SnapshotReader, SnapshotState, TenantEntry,
+};
 pub use telemetry::{OpClass, TelemetryEvent};
 pub use tenant::{InvalidTenant, TenantId, DEFAULT_TENANT};
-pub use worker::{RatePoint, SweepHandle, SweepPool};

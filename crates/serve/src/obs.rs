@@ -26,11 +26,8 @@ pub struct ServeObs {
     pub ingest_lag: Hist,
     /// Total telemetry events ingested.
     pub ingest_events_total: Counter,
-    /// Delay between a sweep point being submitted to the worker pool and
-    /// a worker picking it up.
-    pub sweep_queue_wait: Hist,
-    /// Execution time of each sweep point on a worker (queue wait
-    /// excluded).
+    /// Evaluation time of each what-if sweep point (one model build plus
+    /// one inversion per SLA).
     pub sweep_task: Hist,
 }
 
@@ -65,10 +62,6 @@ impl ServeObs {
             ingest_events_total: registry.counter(
                 "cos_serve_ingest_events_total",
                 "Total telemetry events ingested",
-            ),
-            sweep_queue_wait: registry.histogram(
-                "cos_sweep_queue_wait_seconds",
-                "Delay between sweep-point submission and worker pickup",
             ),
             sweep_task: registry.histogram(
                 "cos_sweep_task_seconds",

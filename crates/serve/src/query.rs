@@ -1,9 +1,9 @@
 //! The builder-style query surface.
 //!
-//! Every read endpoint used to grow positional arguments (`sla`, `rate`,
-//! `n`, `k`, `upper`, …) in lock-step across [`ServiceClient`],
-//! [`SnapshotReader`], and [`ServiceHandle`]. A [`Query`] packs all of
-//! them — plus the fleet dimension, a [`TenantId`] — into one value:
+//! Every read endpoint of [`SnapshotReader`] and [`ServiceClient`] takes a
+//! [`Query`], which packs every input a question can have (`sla`, `rate`,
+//! `n`, `k`, `upper`, …) — plus the fleet dimension, a [`TenantId`] —
+//! into one value:
 //!
 //! ```
 //! use cos_serve::{Query, TenantId};
@@ -13,13 +13,12 @@
 //! ```
 //!
 //! Resolution to the cache's quantized [`QueryKind`] lives here, in one
-//! place, so the service's in-process queries and the lock-free snapshot
-//! path cannot drift: both call the same `*_question` helper and therefore
-//! produce the same [`QueryKey`](crate::QueryKey) bits.
+//! place, so no two readers can drift: each calls the same `*_question`
+//! helper and therefore produces the same [`QueryKey`](crate::QueryKey)
+//! bits.
 //!
 //! [`ServiceClient`]: crate::ServiceClient
 //! [`SnapshotReader`]: crate::SnapshotReader
-//! [`ServiceHandle`]: crate::ServiceHandle
 
 use cos_model::SlaGoal;
 

@@ -3,31 +3,34 @@
 //! [`SlaService`] is the synchronous state machine. The fleet dimension is
 //! first-class: telemetry arrives tagged with a [`TenantId`]
 //! ([`SlaService::ingest_for`]), and each tenant gets an independent shard —
-//! its own sliding-window calibrator, drift monitor, and memoized engine
-//! keyed under its own slot of the shared [`InversionCache`] (so tenants
-//! never share or evict each other's quantized results). Re-fits are
-//! **batched**: one sweep fans every dirty tenant's fit over the `cos-par`
-//! pool ([`SlaService::refit_now`]), then a single serial pass installs the
-//! epochs and publishes one **delta** through the snapshot path — only
-//! changed tenants' states are republished (see the
+//! its own sliding-window calibrator, drift monitor, and installed epoch,
+//! whose answers are memoized under its own slot of the shared
+//! [`InversionCache`] (so tenants never share or evict each other's
+//! quantized results). Re-fits are **batched**: one sweep fans every dirty
+//! tenant's fit over [`cos_par::par_map`] ([`SlaService::refit_now`]),
+//! then a single serial pass installs the epochs and publishes one
+//! **delta** through the snapshot path — only changed tenants' states are
+//! republished (see the
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
 //!
 //! [`SlaService::spawn`] wraps the service in a dedicated thread that owns
-//! the write path behind a single command channel: ingest, refit, sweep,
-//! flush (`std::sync::mpsc` has no `select`, so each is one `enum`
+//! the write path behind a single command channel: ingest, refit, flush
+//! and shutdown (`std::sync::mpsc` has no `select`, so each is one `enum`
 //! message; FIFO ordering doubles as the flush barrier). Telemetry travels
 //! as batches, one command each: a single event from
 //! [`TelemetrySender::send`] or [`ServiceClient::ingest_for`] is a batch of
 //! one, and [`ServiceClient::ingest_batch_for`] hands over a whole batch
 //! and waits for the service to reply once it is ingested. The returned
-//! [`ServiceHandle`] is the client side; [`TelemetrySender`] is a cheap
-//! cloneable tenant-scoped ingest-only endpoint to hand to a telemetry
-//! source.
+//! [`ServiceHandle`] owns the thread and derefs to its [`ServiceClient`];
+//! [`TelemetrySender`] is a cheap cloneable tenant-scoped ingest-only
+//! endpoint to hand to a telemetry source.
 //!
-//! Queries are [`Query`] values (`service.attainment(&Query::tenant(t)
-//! .sla(0.05))`). The spawned service's clients answer them on the calling
-//! thread from the published snapshot, never through the channel; a caller
-//! that needs its earlier non-blocking ingests to be visible calls
+//! Every read is a snapshot read. Queries are [`Query`] values
+//! (`reader.attainment(&Query::tenant(t).sla(0.05))`), answered by a
+//! [`SnapshotReader`] on the calling thread from the published fleet —
+//! [`SlaService::reader`] in-process, [`ServiceClient`]'s query methods
+//! once spawned — never through the channel, and so are what-if sweeps. A
+//! caller that needs its earlier non-blocking ingests to be visible calls
 //! [`ServiceClient::flush`] first.
 
 use std::collections::HashMap;
@@ -42,14 +45,13 @@ use cos_obs::Registry;
 use crate::cache::{InversionCache, QueryKey, QueryKind};
 use crate::calibrate::{CalibrationBase, CalibratorConfig, OnlineCalibrator};
 use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
-use crate::engine::{snap, EngineHealth, Prediction, PredictionEngine, SLA_QUANTUM};
+use crate::engine::{snap, EngineHealth, EpochSnapshot, Prediction, SLA_QUANTUM};
 use crate::error::ServeError;
 use crate::obs::ServeObs;
 use crate::query::Query;
-use crate::snapshot::{PublishStats, SnapshotReader, SnapshotShared, SnapshotState};
+use crate::snapshot::{PublishStats, RatePoint, SnapshotReader, SnapshotShared, SnapshotState};
 use crate::telemetry::TelemetryEvent;
 use crate::tenant::TenantId;
-use crate::worker::{RatePoint, SweepHandle, SweepPool};
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -64,8 +66,6 @@ pub struct ServeConfig {
     pub drift: DriftConfig,
     /// Event-time seconds between automatic re-fits.
     pub refit_interval: f64,
-    /// Worker threads of the what-if sweep pool.
-    pub sweep_workers: usize,
     /// Worker threads a batched fleet re-fit fans out over (defaults to
     /// the machine's available parallelism). Fit results are
     /// order-preserving and per-tenant independent, so the answer bits
@@ -84,7 +84,6 @@ impl Default for ServeConfig {
             calibrator: CalibratorConfig::default(),
             drift: DriftConfig::default(),
             refit_interval: 5.0,
-            sweep_workers: 2,
             refit_workers: cos_par::default_workers(),
             obs: Registry::new(),
         }
@@ -158,12 +157,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Worker threads of the what-if sweep pool (≥ 1).
-    pub fn sweep_workers(mut self, workers: usize) -> Self {
-        self.config.sweep_workers = workers;
-        self
-    }
-
     /// Worker threads of a batched fleet re-fit (≥ 1).
     pub fn refit_workers(mut self, workers: usize) -> Self {
         self.config.refit_workers = workers;
@@ -194,9 +187,6 @@ impl ServeConfigBuilder {
                 "refit_interval",
                 format!("{} must be finite and positive", c.refit_interval),
             );
-        }
-        if c.sweep_workers == 0 {
-            return err("sweep_workers", "must be at least 1".into());
         }
         if c.refit_workers == 0 {
             return err("refit_workers", "must be at least 1".into());
@@ -236,8 +226,8 @@ pub struct ServiceStatus {
     pub stale: bool,
     /// Why the most recent failed re-fit failed (`None` after a success).
     pub last_fit_error: Option<String>,
-    /// Merged engine counters: inversion-memo hits/misses and failed
-    /// re-fits, snapshotted together so `/metrics` needs one round-trip.
+    /// Merged counters: inversion-memo hits/misses and failed re-fits,
+    /// snapshotted together so `/metrics` reads them in one call.
     pub engine: EngineHealth,
     /// Per-SLA drift verdicts (observed vs predicted attainment).
     pub drift: Vec<DriftReport>,
@@ -252,13 +242,16 @@ impl ServiceStatus {
 }
 
 /// One tenant's independent estimator state: calibrator window, drift
-/// monitor, and memoized engine keyed under the tenant's cache slot.
+/// monitor, and installed epoch, answered under the tenant's cache slot.
 struct TenantShard {
     id: TenantId,
     slot: u32,
     calibrator: OnlineCalibrator,
     drift: DriftMonitor,
-    engine: PredictionEngine,
+    /// The installed epoch (`None` while warming up).
+    snapshot: Option<EpochSnapshot>,
+    /// Re-fits that have failed since startup.
+    failed_refits: u64,
     last_fit_error: Option<String>,
     last_fit_unstable: bool,
     /// Drift verdicts captured at this shard's last re-fit attempt — the
@@ -271,15 +264,53 @@ struct TenantShard {
     events_total: u64,
 }
 
+impl TenantShard {
+    /// A warming-up shard for `id` at `slot`.
+    fn new(id: TenantId, slot: u32, base: &CalibrationBase, config: &ServeConfig) -> Self {
+        let drift = DriftMonitor::new(config.slas.clone(), config.drift.clone());
+        TenantShard {
+            id,
+            slot,
+            calibrator: OnlineCalibrator::new(base.clone(), config.calibrator.clone()),
+            last_drift: drift.report(0.0, &vec![None; config.slas.len()]),
+            drift,
+            snapshot: None,
+            failed_refits: 0,
+            last_fit_error: None,
+            last_fit_unstable: false,
+            dirty: false,
+            events_total: 0,
+        }
+    }
+
+    /// The memo's attainment at each tracked SLA for the installed epoch
+    /// (`None` while warming up, or where the epoch cannot answer): what
+    /// the drift monitor holds the observed attainment against.
+    fn tracked_attainment(
+        &self,
+        cache: &InversionCache,
+        variant: ModelVariant,
+        slas: &[f64],
+    ) -> Vec<Option<f64>> {
+        slas.iter()
+            .map(|&sla| {
+                let snap = self.snapshot.as_ref()?;
+                let kind = QueryKind::fraction(sla);
+                cache.answer(self.slot, snap, variant, None, kind).0.ok()
+            })
+            .collect()
+    }
+}
+
 /// The published [`SnapshotState`] is a pure function of the shard: same
 /// shard state in, same bytes out — rebuilding an unchanged shard's state
 /// reproduces exactly what is already published, which is the invariant
 /// the delta protocol rests on.
 fn build_state(shard: &TenantShard) -> SnapshotState {
     SnapshotState {
-        snapshot: shard.engine.snapshot().cloned(),
+        snapshot: shard.snapshot.clone(),
         last_fit_error: shard.last_fit_error.clone(),
-        failed_refits: shard.engine.failed_refits(),
+        failed_refits: shard.failed_refits,
         unstable_fit: shard.last_fit_unstable,
         drift: shard.last_drift.clone(),
     }
@@ -297,7 +328,6 @@ pub struct SlaService {
     cache: Arc<InversionCache>,
     shards: Vec<TenantShard>,
     index: HashMap<TenantId, u32>,
-    pool: SweepPool,
     obs: ServeObs,
     shared: Arc<SnapshotShared>,
     now: f64,
@@ -312,42 +342,18 @@ impl SlaService {
     pub fn new(base: CalibrationBase, config: ServeConfig) -> Self {
         let obs = ServeObs::register(&config.obs);
         let cache = Arc::new(InversionCache::default());
-        let drift = DriftMonitor::new(config.slas.clone(), config.drift.clone());
-        let last_drift = drift.report(0.0, &vec![None; config.slas.len()]);
+        let default_shard = TenantShard::new(TenantId::default_tenant(), 0, &base, &config);
         let shared = Arc::new(SnapshotShared::new(
             config.variant,
             Arc::clone(&cache),
             obs.clone(),
-            SnapshotState {
-                snapshot: None,
-                last_fit_error: None,
-                failed_refits: 0,
-                unstable_fit: false,
-                drift: last_drift.clone(),
-            },
+            build_state(&default_shard),
         ));
-        let default_shard = TenantShard {
-            id: TenantId::default_tenant(),
-            slot: 0,
-            calibrator: OnlineCalibrator::new(base.clone(), config.calibrator.clone()),
-            drift,
-            engine: PredictionEngine::with_cache_for(config.variant, Arc::clone(&cache), 0),
-            last_fit_error: None,
-            last_fit_unstable: false,
-            last_drift,
-            dirty: false,
-            events_total: 0,
-        };
         SlaService {
             base,
             cache,
             shards: vec![default_shard],
             index: HashMap::from([(TenantId::default_tenant(), 0)]),
-            pool: SweepPool::with_timing(
-                config.sweep_workers,
-                Some(obs.sweep_queue_wait.clone()),
-                Some(obs.sweep_task.clone()),
-            ),
             obs,
             shared,
             now: 0.0,
@@ -400,23 +406,7 @@ impl SlaService {
             return slot;
         }
         let slot = self.shards.len() as u32;
-        let drift = DriftMonitor::new(self.config.slas.clone(), self.config.drift.clone());
-        let shard = TenantShard {
-            id: tenant.clone(),
-            slot,
-            calibrator: OnlineCalibrator::new(self.base.clone(), self.config.calibrator.clone()),
-            last_drift: drift.report(0.0, &vec![None; self.config.slas.len()]),
-            drift,
-            engine: PredictionEngine::with_cache_for(
-                self.config.variant,
-                Arc::clone(&self.cache),
-                slot,
-            ),
-            last_fit_error: None,
-            last_fit_unstable: false,
-            dirty: false,
-            events_total: 0,
-        };
+        let shard = TenantShard::new(tenant.clone(), slot, &self.base, &self.config);
         let registered = self
             .shared
             .register_tenant(tenant.clone(), Arc::new(build_state(&shard)));
@@ -491,7 +481,7 @@ impl SlaService {
     }
 
     /// The batched re-fit: phase 1 fans the pure fit + model build + per-
-    /// SLA predictions over the `cos-par` pool (one parallel sweep, not
+    /// SLA predictions over [`cos_par::par_map`] (one parallel sweep, not
     /// O(tenants) sequential solves — `try_fit` is `&self`, so shards are
     /// read concurrently); phase 2 serially installs epochs, pre-warms the
     /// cache, and publishes one delta.
@@ -545,7 +535,15 @@ impl SlaService {
             match outcome {
                 Ok((params, model, preds)) => {
                     let shard = &mut self.shards[idx];
-                    let epoch = shard.engine.install(Arc::new(params), now, Some(model));
+                    let epoch = shard.snapshot.as_ref().map_or(1, |s| s.epoch + 1);
+                    shard.snapshot = Some(EpochSnapshot {
+                        epoch,
+                        params: Arc::new(params),
+                        fitted_at: now,
+                        stale: false,
+                    });
+                    // Also advances the cache past the tenant's old epoch.
+                    self.cache.prewarm_model(slot, epoch, model);
                     shard.last_fit_error = None;
                     shard.last_fit_unstable = false;
                     shard.last_drift = shard.drift.report(now, &preds);
@@ -570,11 +568,11 @@ impl SlaService {
                     let shard = &mut self.shards[idx];
                     shard.last_fit_error = Some(message);
                     shard.last_fit_unstable = unstable;
-                    shard.engine.mark_stale();
-                    let preds: Vec<Option<f64>> = slas
-                        .iter()
-                        .map(|&sla| shard.engine.fraction_meeting_sla(sla).ok().map(|p| p.value))
-                        .collect();
+                    shard.failed_refits += 1;
+                    if let Some(s) = &mut shard.snapshot {
+                        s.stale = true;
+                    }
+                    let preds = shard.tracked_attainment(&self.cache, variant, &slas);
                     shard.last_drift = shard.drift.report(now, &preds);
                 }
             }
@@ -602,89 +600,35 @@ impl SlaService {
         self.last_publish
     }
 
-    /// A lock-free query endpoint over this service's published fleet.
+    /// A lock-free query endpoint over this service's published fleet:
+    /// the one way to ask the service anything, in-process or spawned.
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader::new(Arc::clone(&self.shared))
     }
 
-    /// Predicted fraction of requests meeting the query's SLA (plain,
-    /// what-if rate, or erasure-coded), for the query's tenant.
-    pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
-        let (rate_q, kind) = query.attainment_question()?;
-        let slot = self.slot_of(query.tenant_id())?;
-        timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
-            e.answer(rate_q, kind)
-        })
-    }
-
-    /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
-        let (rate_q, kind) = query.percentile_question()?;
-        let slot = self.slot_of(query.tenant_id())?;
-        timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
-            e.answer(rate_q, kind)
-        })
-    }
-
-    /// Overload-control headroom (largest admissible rate) for the
-    /// query's tenant.
-    pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
-        let (rate_q, kind) = query.headroom_question()?;
-        let slot = self.slot_of(query.tenant_id())?;
-        timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
-            e.answer(rate_q, kind)
-        })
-    }
-
-    /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        let sla = query.ranking_sla()?;
-        let slot = self.slot_of(query.tenant_id())?;
-        timed_query(&self.obs, &self.shards[slot as usize].engine, |e| {
-            e.bottlenecks(sla)
-        })
-    }
-
-    /// Submits a batch what-if sweep of the `default` tenant to the worker
-    /// pool (non-blocking).
-    pub fn sweep(&self, rates: &[f64], slas: Vec<f64>) -> Result<SweepHandle, ServeError> {
-        let snap = self.shards[0]
-            .engine
-            .snapshot()
-            .ok_or(ServeError::NotCalibrated)?;
-        Ok(self
-            .pool
-            .submit(snap.params.clone(), self.config.variant, rates, slas))
-    }
-
-    /// Direct access to the `default` tenant's memoized engine (e.g. for
-    /// cache statistics — the cache is shared fleet-wide).
-    pub fn engine(&self) -> &PredictionEngine {
-        &self.shards[0].engine
-    }
-
     fn status_slot(&self, slot: u32) -> ServiceStatus {
         let shard = &self.shards[slot as usize];
-        let predictions: Vec<Option<f64>> = self
-            .config
-            .slas
-            .iter()
-            .map(|&sla| shard.engine.fraction_meeting_sla(sla).ok().map(|p| p.value))
-            .collect();
-        let snap = shard.engine.snapshot();
+        let predictions =
+            shard.tracked_attainment(&self.cache, self.config.variant, &self.config.slas);
+        let snap = shard.snapshot.as_ref();
         ServiceStatus {
             event_time: self.now,
             epoch: snap.map(|s| s.epoch),
             fitted_at: snap.map(|s| s.fitted_at),
             stale: snap.map(|s| s.stale).unwrap_or(false),
             last_fit_error: shard.last_fit_error.clone(),
-            engine: shard.engine.health(),
+            engine: EngineHealth {
+                cache: self.cache.stats(),
+                failed_refits: shard.failed_refits,
+            },
             drift: shard.drift.report(self.now, &predictions),
         }
     }
 
     /// Health summary of the `default` tenant: epoch, staleness, cache
-    /// counters, drift verdicts.
+    /// counters, and drift verdicts recomputed at the current event time
+    /// (a reader's [`status`](SnapshotReader::status) returns the verdicts
+    /// published at the last re-fit attempt instead).
     pub fn status(&self) -> ServiceStatus {
         self.status_slot(0)
     }
@@ -709,35 +653,10 @@ impl SlaService {
     }
 }
 
-/// Times one engine query and records its latency into the cache-hit or
-/// cache-miss histogram, classified by whether the shared cache's miss
-/// counter advanced (i.e. a fresh inversion ran) during the call.
-fn timed_query<T>(
-    obs: &ServeObs,
-    engine: &PredictionEngine,
-    query: impl FnOnce(&PredictionEngine) -> T,
-) -> T {
-    let misses_before = engine.stats().misses;
-    let start = Instant::now();
-    let out = query(engine);
-    let elapsed = start.elapsed();
-    if engine.stats().misses > misses_before {
-        obs.query_miss.record_duration(elapsed);
-    } else {
-        obs.query_hit.record_duration(elapsed);
-    }
-    out
-}
-
 enum Command {
     /// A telemetry batch, when it was sent, and who waits for its ingest.
     Ingest(TenantId, Vec<TelemetryEvent>, Instant, Option<Sender<()>>),
     Refit(Sender<bool>),
-    Sweep {
-        rates: Vec<f64>,
-        slas: Vec<f64>,
-        reply: Sender<Result<Vec<RatePoint>, ServeError>>,
-    },
     Flush(Sender<()>),
     Shutdown,
 }
@@ -754,12 +673,6 @@ fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
             }
             Command::Refit(reply) => {
                 let _ = reply.send(service.refit_now());
-            }
-            Command::Sweep { rates, slas, reply } => {
-                // Submit, then collect off-thread work while staying
-                // responsive is not possible without select; the pool does
-                // the evaluation, this thread only blocks on collection.
-                let _ = reply.send(service.sweep(&rates, slas).map(SweepHandle::wait));
             }
             Command::Flush(reply) => {
                 let _ = reply.send(());
@@ -909,9 +822,10 @@ impl ServiceClient {
     }
 
     /// Batch what-if sweep of the `default` tenant, evaluated on the
-    /// worker pool.
+    /// calling thread from the published epoch (see
+    /// [`SnapshotReader::sweep`]).
     pub fn sweep(&self, rates: Vec<f64>, slas: Vec<f64>) -> Result<Vec<RatePoint>, ServeError> {
-        self.ask(|reply| Command::Sweep { rates, slas, reply })?
+        self.reader.sweep(&rates, &slas)
     }
 
     /// Health summary of the `default` tenant, as published (drift
@@ -926,89 +840,28 @@ impl ServiceClient {
     }
 }
 
-/// Owning handle to a spawned [`SlaService`]: a [`ServiceClient`] plus the
-/// join handle. Dropping it shuts the service down.
+/// Owning handle to a spawned [`SlaService`]: its [`ServiceClient`], to
+/// which the handle derefs — so `handle.attainment(..)`,
+/// `handle.flush()` and every other client method work on it directly —
+/// plus the join handle. Dropping it shuts the service down.
 pub struct ServiceHandle {
     client: ServiceClient,
     join: Option<JoinHandle<SlaService>>,
 }
 
+impl std::ops::Deref for ServiceHandle {
+    type Target = ServiceClient;
+
+    fn deref(&self) -> &ServiceClient {
+        &self.client
+    }
+}
+
 impl ServiceHandle {
-    /// A cloneable query endpoint sharing this handle's command channel.
+    /// A cloneable endpoint sharing this handle's command channel and
+    /// published snapshot.
     pub fn client(&self) -> ServiceClient {
         self.client.clone()
-    }
-
-    /// A cloneable ingest-only endpoint for the `default` tenant.
-    pub fn telemetry_sender(&self) -> TelemetrySender {
-        self.client.telemetry_sender()
-    }
-
-    /// A cloneable ingest-only endpoint attributing events to `tenant`.
-    pub fn telemetry_sender_for(&self, tenant: TenantId) -> TelemetrySender {
-        self.client.telemetry_sender_for(tenant)
-    }
-
-    /// The lock-free snapshot endpoint (see [`ServiceClient::reader`]).
-    pub fn reader(&self) -> SnapshotReader {
-        self.client.reader()
-    }
-
-    /// Feeds one telemetry event for the `default` tenant (non-blocking).
-    pub fn ingest(&self, event: TelemetryEvent) -> Result<(), ServeError> {
-        self.client.ingest(event)
-    }
-
-    /// Feeds one telemetry event for `tenant` (non-blocking).
-    pub fn ingest_for(&self, tenant: &TenantId, event: TelemetryEvent) -> Result<(), ServeError> {
-        self.client.ingest_for(tenant, event)
-    }
-
-    /// Waits until every previously sent event has been processed.
-    pub fn flush(&self) -> Result<(), ServeError> {
-        self.client.flush()
-    }
-
-    /// Forces a batched re-fit; `Ok(true)` if a new epoch was installed
-    /// for the `default` tenant.
-    pub fn refit_now(&self) -> Result<bool, ServeError> {
-        self.client.refit_now()
-    }
-
-    /// Predicted fraction of requests meeting the query's SLA, for the
-    /// query's tenant.
-    pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.client.attainment(query)
-    }
-
-    /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.client.latency_percentile(query)
-    }
-
-    /// Overload-control headroom for the query's tenant.
-    pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.client.admissible_rate(query)
-    }
-
-    /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.client.device_ranking(query)
-    }
-
-    /// Batch what-if sweep of the `default` tenant.
-    pub fn sweep(&self, rates: Vec<f64>, slas: Vec<f64>) -> Result<Vec<RatePoint>, ServeError> {
-        self.client.sweep(rates, slas)
-    }
-
-    /// Health summary of the `default` tenant.
-    pub fn status(&self) -> Result<ServiceStatus, ServeError> {
-        self.client.status()
-    }
-
-    /// Health summary of an arbitrary tenant.
-    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        self.client.status_for(tenant)
     }
 
     /// Stops the service and returns its final state. Outstanding
@@ -1036,13 +889,13 @@ impl Drop for ServiceHandle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::telemetry::OpClass;
     use cos_distr::{Degenerate, Gamma};
     use cos_queueing::from_distribution;
 
-    fn base() -> CalibrationBase {
+    pub(crate) fn base() -> CalibrationBase {
         CalibrationBase {
             index_law: from_distribution(Gamma::new(3.0, 250.0)),
             meta_law: from_distribution(Gamma::new(2.5, 312.5)),
@@ -1057,7 +910,7 @@ mod tests {
 
     /// A deterministic steady stream at `rate` req/s per device with ~30%
     /// disk misses and bimodal completion latencies.
-    fn events(rate: f64, duration: f64, devices: usize) -> Vec<TelemetryEvent> {
+    pub(crate) fn events(rate: f64, duration: f64, devices: usize) -> Vec<TelemetryEvent> {
         let dt = 1.0 / rate;
         let mut out = Vec::new();
         let mut i = 0u64;
@@ -1092,12 +945,13 @@ mod tests {
     #[test]
     fn service_calibrates_from_the_stream_and_answers() {
         let mut service = SlaService::new(base(), ServeConfig::default());
+        let reader = service.reader();
         let q = Query::new().sla(0.05);
-        assert_eq!(service.attainment(&q), Err(ServeError::NotCalibrated));
+        assert_eq!(reader.attainment(&q), Err(ServeError::NotCalibrated));
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let p = service.attainment(&q).unwrap();
+        let p = reader.attainment(&q).unwrap();
         assert!(p.value > 0.0 && p.value <= 1.0);
         assert!(!p.stale);
         let status = service.status();
@@ -1116,7 +970,8 @@ mod tests {
             service.ingest(ev);
         }
         let q = Query::new().sla(0.05);
-        let fresh = service.attainment(&q).unwrap();
+        let reader = service.reader();
+        let fresh = reader.attainment(&q).unwrap();
         // One lone event far in the future: the windows have emptied, the
         // forced re-fit fails, and the old epoch serves with the flag set.
         service.ingest(TelemetryEvent::Arrival {
@@ -1124,7 +979,7 @@ mod tests {
             device: 0,
         });
         assert!(!service.refit_now());
-        let stale = service.attainment(&q).unwrap();
+        let stale = reader.attainment(&q).unwrap();
         assert!(stale.stale);
         assert_eq!(stale.epoch, fresh.epoch);
         let status = service.status();
@@ -1138,13 +993,11 @@ mod tests {
         for ev in events(40.0, 20.0, 2) {
             service.ingest(ev);
         }
-        let points = service
-            .sweep(&[40.0, 80.0, 160.0], vec![0.05])
-            .unwrap()
-            .wait();
+        let reader = service.reader();
+        let points = reader.sweep(&[40.0, 80.0, 160.0], &[0.05]).unwrap();
         assert_eq!(points.len(), 3);
         assert!(points[0].fractions.is_some());
-        let head = service.admissible_rate(&Query::new().sla(0.100).target(0.90).upper(2000.0));
+        let head = reader.admissible_rate(&Query::new().sla(0.100).target(0.90).upper(2000.0));
         if let Ok(h) = head {
             assert!(h.value > 0.0);
         }
@@ -1173,6 +1026,40 @@ mod tests {
         assert_eq!(points.len(), 2);
         let final_state = handle.shutdown().unwrap();
         assert!(final_state.event_time() >= 19.0);
+    }
+
+    #[test]
+    fn sweeps_refuse_nonpositive_and_nonfinite_inputs() {
+        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
+        for ev in events(40.0, 20.0, 2) {
+            handle.ingest(ev).unwrap();
+        }
+        handle.flush().unwrap();
+        let client = handle.client();
+        // Evaluated, a bad rate panics in the model build, a NaN SLA in
+        // the inversion, and an SLA of +∞ answers NaN: each is refused.
+        for rates in [
+            [0.0, 100.0],
+            [-5.0, 100.0],
+            [f64::NAN, 100.0],
+            [f64::INFINITY, 100.0],
+        ] {
+            let refusal = client.sweep(rates.to_vec(), vec![0.05]);
+            assert!(
+                matches!(refusal, Err(ServeError::BadQuery { .. })),
+                "rates {rates:?}: {refusal:?}"
+            );
+        }
+        for sla in [f64::NAN, f64::INFINITY, 0.0, -0.05] {
+            let refusal = client.sweep(vec![100.0], vec![0.05, sla]);
+            assert!(
+                matches!(refusal, Err(ServeError::BadQuery { .. })),
+                "sla {sla}: {refusal:?}"
+            );
+        }
+        let points = client.sweep(vec![100.0, 50.0], vec![0.05]).unwrap();
+        assert_eq!(points.len(), 2, "valid inputs still sweep");
+        drop(handle);
     }
 
     #[test]
@@ -1218,20 +1105,20 @@ mod tests {
             service.ingest(ev);
         }
         service.refit_now();
+        let reader = service.reader();
         let q = Query::new().sla(0.05);
-        let first = service.attainment(&q).unwrap();
-        let again = service.attainment(&q).unwrap();
+        let first = reader.attainment(&q).unwrap();
+        let again = reader.attainment(&q).unwrap();
         assert_eq!(first.value.to_bits(), again.value.to_bits());
-        service.sweep(&[40.0, 80.0], vec![0.05]).unwrap().wait();
+        reader.sweep(&[40.0, 80.0], &[0.05]).unwrap();
 
         assert!(registry.merged_histogram("cos_serve_refit_seconds").count() >= 1);
         let miss = registry.merged_histogram("cos_serve_query_seconds");
         assert!(miss.count() >= 2, "both queries timed");
         assert_eq!(
-            registry
-                .merged_histogram("cos_sweep_queue_wait_seconds")
-                .count(),
-            2
+            registry.merged_histogram("cos_sweep_task_seconds").count(),
+            2,
+            "one sample per sweep point"
         );
         let text = registry.render();
         assert!(text.contains("cos_serve_ingest_events_total"));
@@ -1342,12 +1229,10 @@ mod tests {
         let tweaked = ServeConfig::builder()
             .slas(vec![0.020])
             .refit_interval(1.0)
-            .sweep_workers(4)
             .refit_workers(3)
             .build()
             .unwrap();
         assert_eq!(tweaked.slas, vec![0.020]);
-        assert_eq!(tweaked.sweep_workers, 4);
         assert_eq!(tweaked.refit_workers, 3);
 
         let cases: &[(ServeConfigBuilder, &str)] = &[
@@ -1359,7 +1244,6 @@ mod tests {
                 ServeConfig::builder().refit_interval(f64::INFINITY),
                 "refit_interval",
             ),
-            (ServeConfig::builder().sweep_workers(0), "sweep_workers"),
             (ServeConfig::builder().refit_workers(0), "refit_workers"),
             (
                 ServeConfig::builder().calibrator(CalibratorConfig {
@@ -1409,10 +1293,11 @@ mod tests {
             Query::new().p(0.99).n_k(4, 2),
             Query::new().p(0.99).n_k(4, 4),
         ];
+        let reader = service.reader();
         let direct = [
-            service.attainment(&queries[0]).unwrap(),
-            service.latency_percentile(&queries[1]).unwrap(),
-            service.latency_percentile(&queries[2]).unwrap(),
+            reader.attainment(&queries[0]).unwrap(),
+            reader.latency_percentile(&queries[1]).unwrap(),
+            reader.latency_percentile(&queries[2]).unwrap(),
         ];
         assert!(direct[0].value > 0.0 && direct[0].value <= 1.0);
         assert!(direct[1].value > 0.0);
@@ -1450,10 +1335,11 @@ mod tests {
         service.refit_now();
         assert_eq!(service.tenants(), 3, "default + blue + green");
 
-        let pb = service
+        let reader = service.reader();
+        let pb = reader
             .attainment(&Query::tenant(blue.clone()).sla(0.05))
             .unwrap();
-        let pg = service
+        let pg = reader
             .attainment(&Query::tenant(green.clone()).sla(0.05))
             .unwrap();
         assert!(
@@ -1467,7 +1353,7 @@ mod tests {
         // so it is merely uncalibrated.
         let ghost = TenantId::new("ghost").unwrap();
         assert!(matches!(
-            service.attainment(&Query::tenant(ghost.clone()).sla(0.05)),
+            reader.attainment(&Query::tenant(ghost.clone()).sla(0.05)),
             Err(ServeError::UnknownTenant { .. })
         ));
         assert!(matches!(
@@ -1475,16 +1361,18 @@ mod tests {
             Err(ServeError::UnknownTenant { .. })
         ));
         assert_eq!(
-            service.attainment(&Query::new().sla(0.05)),
+            reader.attainment(&Query::new().sla(0.05)),
             Err(ServeError::NotCalibrated)
         );
 
-        // The reader agrees bit-for-bit per tenant.
-        let reader = service.reader();
-        let rb = reader.attainment(&Query::tenant(blue).sla(0.05)).unwrap();
+        // A second reader agrees bit-for-bit per tenant (the memo hit).
+        let rb = service
+            .reader()
+            .attainment(&Query::tenant(blue).sla(0.05))
+            .unwrap();
         assert_eq!(pb.value.to_bits(), rb.value.to_bits());
         assert!(matches!(
-            reader.attainment(&Query::tenant(ghost).sla(0.05)),
+            service.reader().attainment(&Query::tenant(ghost).sla(0.05)),
             Err(ServeError::UnknownTenant { .. })
         ));
     }

@@ -1,21 +1,22 @@
 //! The lock-free snapshot read path and the fleet's delta publication
 //! protocol.
 //!
-//! The worker thread owns the *write* path — telemetry ingest and
+//! The service thread owns the *write* path — telemetry ingest and
 //! calibration re-fits — and after every re-fit attempt publishes an
 //! immutable [`FleetState`] (one [`SnapshotState`] per tenant) through an
-//! atomic `Arc` swap ([`cos_par::ArcCell`]). Any number of
-//! [`SnapshotReader`]s — one per gate connection thread, typically — load
-//! the current state with one atomic operation and evaluate predictions
-//! **in place on the calling thread**, with zero channel round-trips and
-//! zero contention with the worker.
+//! atomic `Arc` swap ([`cos_par::ArcCell`]). Every read is a snapshot
+//! read: any number of [`SnapshotReader`]s — one per gate reactor thread,
+//! typically — load the current state with one atomic operation and
+//! evaluate predictions and what-if sweeps **in place on the calling
+//! thread**, with zero channel round-trips and zero contention with the
+//! service thread.
 //!
 //! ## Delta publication
 //!
 //! A fleet-sized refit rarely changes every tenant: most windows are
 //! quiet, and only the tenants that saw traffic since the last sweep get
 //! a new fit. Republishing the whole fleet per refit would make publish
-//! cost O(fleet) in *rebuilt states*; instead the worker publishes
+//! cost O(fleet) in *rebuilt states*; instead the service publishes
 //! **deltas**: it clones the entry vector (per-entry header copies — the
 //! `Arc`s inside are shared, not deep-copied), replaces only the changed
 //! tenants' `Arc<SnapshotState>`s, bumps those entries' generation
@@ -41,9 +42,8 @@
 //!   (including the bumped per-entry generations) *happens-before* any
 //!   read through the swapped pointer. There is exactly one writer (the
 //!   service thread), so read-modify-write on the cell needs no CAS loop.
-//! * Answers are **bit-identical** to the service's own in-process
-//!   queries ([`SlaService::attainment`](crate::SlaService::attainment)
-//!   and friends) by construction: both funnel through the shared
+//! * Answers are **bit-identical** across readers, and to the service's
+//!   own drift predictions, by construction: all funnel through the shared
 //!   [`InversionCache`], which reconstructs every input from the quantized
 //!   tenant-scoped key and runs one evaluation code path.
 //! * The live event clock is a plain `AtomicU64` holding the `f64` bits
@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use cos_model::ModelVariant;
+use cos_model::{model_at_rate, ModelVariant};
 use cos_par::ArcCell;
 
 use crate::cache::{InversionCache, QueryKind};
@@ -67,7 +67,17 @@ use crate::query::Query;
 use crate::service::ServiceStatus;
 use crate::tenant::TenantId;
 
-/// Everything the worker publishes for one tenant after a re-fit attempt:
+/// One evaluated point of a what-if sweep.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RatePoint {
+    /// Total arrival rate of the hypothetical operating point (req/s).
+    pub rate: f64,
+    /// Fraction meeting each queried SLA, in query order; `None` if the
+    /// point has no steady state (ρ ≥ 1).
+    pub fractions: Option<Vec<f64>>,
+}
+
+/// Everything the service publishes for one tenant after a re-fit attempt:
 /// the installed epoch (if any), the most recent fit failure, and the
 /// drift verdicts as of that tenant's last refit.
 #[derive(Debug, Clone)]
@@ -292,15 +302,14 @@ impl SnapshotShared {
 }
 
 /// A lock-free query endpoint evaluating predictions **on the calling
-/// thread** against the worker's most recently published fleet state.
+/// thread** against the service's most recently published fleet state.
 ///
-/// Obtained from [`ServiceClient::reader`](crate::ServiceClient::reader)
-/// (or [`ServiceHandle::reader`](crate::ServiceHandle::reader)); cloning
-/// is cheap (one `Arc`). Every method is a pure read: one atomic load of
-/// the published state, then evaluation through the shared, sharded
-/// [`InversionCache`] — so answers are bit-identical to the service's
-/// in-process queries and concurrent readers scale without serializing on
-/// the service thread.
+/// Obtained from [`SlaService::reader`](crate::SlaService::reader) or
+/// [`ServiceClient::reader`](crate::ServiceClient::reader); cloning is
+/// cheap (one `Arc`). Every method is a pure read: one atomic load of the
+/// published state, then evaluation through the shared, sharded
+/// [`InversionCache`] — so every reader answers with the same bits and
+/// concurrent readers scale without serializing on the service thread.
 ///
 /// Tenant-unaware methods are scoped to the reserved `default` tenant;
 /// [`Query`]-taking methods reach any tenant.
@@ -421,6 +430,51 @@ impl SnapshotReader {
         Ok(out)
     }
 
+    /// Batch what-if sweep of the `default` tenant: every rate in `rates`
+    /// evaluated against every SLA in `slas` on the published epoch, the
+    /// rates fanned over [`cos_par::par_map`] from the calling thread. The
+    /// inputs are used exactly — neither snapped nor memoized. Returns the
+    /// points sorted by rate; a rate with no steady state (ρ ≥ 1) comes back
+    /// with [`RatePoint::fractions`] `= None` rather than failing the
+    /// sweep, since a sweep that straddles the saturation knee is the
+    /// common case.
+    ///
+    /// A rate or SLA that is not finite and positive is refused with
+    /// [`ServeError::BadQuery`] before anything is evaluated.
+    pub fn sweep(&self, rates: &[f64], slas: &[f64]) -> Result<Vec<RatePoint>, ServeError> {
+        let finite_positive = |xs: &[f64]| xs.iter().all(|x| x.is_finite() && *x > 0.0);
+        if !finite_positive(rates) {
+            return Err(ServeError::BadQuery {
+                reason: "sweep rates must be finite and positive",
+            });
+        }
+        if !finite_positive(slas) {
+            return Err(ServeError::BadQuery {
+                reason: "sweep SLAs must be finite and positive",
+            });
+        }
+        let fleet = self.fleet_checked()?;
+        let snap = fleet
+            .default_entry()
+            .state
+            .snapshot
+            .as_ref()
+            .ok_or(ServeError::NotCalibrated)?;
+        let variant = self.shared.variant;
+        let task = &self.shared.obs.sweep_task;
+        let mut points = cos_par::par_map(cos_par::default_workers(), rates, |_, &rate| {
+            let _span = task.start_span();
+            let fractions = model_at_rate(&snap.params, variant, rate).ok().map(|m| {
+                slas.iter()
+                    .map(|&sla| m.fraction_meeting_sla(sla))
+                    .collect()
+            });
+            RatePoint { rate, fractions }
+        });
+        points.sort_by(|a, b| a.rate.total_cmp(&b.rate));
+        Ok(points)
+    }
+
     fn status_of_entry(&self, entry: &TenantEntry) -> ServiceStatus {
         let state = &entry.state;
         let snap = state.snapshot.as_ref();
@@ -441,7 +495,7 @@ impl SnapshotReader {
     /// Health summary assembled without touching the service thread: the
     /// published epoch / fit-failure / drift state, the live event clock,
     /// and the shared cache's counters. The drift verdicts are as of the
-    /// most recent publication (the worker refreshes them at every re-fit
+    /// most recent publication (the service refreshes them at every re-fit
     /// attempt), not recomputed per call. Scoped to the `default` tenant.
     pub fn status(&self) -> Result<ServiceStatus, ServeError> {
         let fleet = self.fleet_checked()?;
@@ -481,8 +535,8 @@ impl SnapshotReader {
         self.fleet_checked()
     }
 
-    /// The newest event time seen by the worker (bit-exact with the
-    /// worker's own clock — the bits travel through one atomic).
+    /// The newest event time seen by the service (bit-exact with the
+    /// service's own clock — the bits travel through one atomic).
     pub fn event_time(&self) -> f64 {
         f64::from_bits(self.shared.event_time.load(Ordering::Relaxed))
     }
@@ -517,5 +571,63 @@ impl std::fmt::Debug for SnapshotReader {
             .field("generation", &self.generation())
             .field("closed", &self.is_closed())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::tests::{base, events};
+    use crate::service::{ServeConfig, SlaService};
+    use cos_model::SystemModel;
+
+    /// An unspawned service calibrated on the standard stream: no service
+    /// thread exists, so its reader's sweeps run on the test thread alone.
+    fn calibrated() -> SlaService {
+        let mut service = SlaService::new(base(), ServeConfig::default());
+        for ev in events(40.0, 20.0, 2) {
+            service.ingest(ev);
+        }
+        assert!(service.refit_now(), "deterministic stream must fit");
+        service
+    }
+
+    #[test]
+    fn sweep_matches_sequential_evaluation() {
+        let reader = calibrated().reader();
+        let params = reader.state().unwrap().snapshot.clone().unwrap().params;
+        let rates = [50.0, 100.0, 150.0, 200.0, 250.0];
+        let slas = vec![0.05, 0.10];
+        // Out of order on purpose: points come back sorted by rate.
+        let points = reader
+            .sweep(&[150.0, 50.0, 250.0, 100.0, 200.0], &slas)
+            .unwrap();
+        assert_eq!(points.len(), rates.len());
+        for (point, &rate) in points.iter().zip(&rates) {
+            assert_eq!(point.rate, rate);
+            let reference = SystemModel::new(&params.scaled_to_rate(rate), ModelVariant::Full)
+                .ok()
+                .map(|m| {
+                    slas.iter()
+                        .map(|&s| m.fraction_meeting_sla(s))
+                        .collect::<Vec<_>>()
+                });
+            assert_eq!(point.fractions, reference, "rate {rate}");
+        }
+        // Attainment is non-increasing in load wherever both points are
+        // stable.
+        for pair in points.windows(2) {
+            if let (Some(a), Some(b)) = (&pair[0].fractions, &pair[1].fractions) {
+                assert!(b[0] <= a[0] + 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_rates_come_back_as_none() {
+        let reader = calibrated().reader();
+        let points = reader.sweep(&[100.0, 1_000_000.0], &[0.05]).unwrap();
+        assert!(points[0].fractions.is_some());
+        assert_eq!(points[1].fractions, None, "ρ ≥ 1 must not fail the sweep");
     }
 }

@@ -1,13 +1,15 @@
-//! Property-based tests of the memoized prediction engine: caching must be
-//! invisible — a cache hit returns a value bit-identical to an uncached
-//! evaluation at the quantized query point, across random operating points.
+//! Property-based tests of the inversion memo: caching must be invisible —
+//! a cache hit returns a value bit-identical to an uncached evaluation at
+//! the quantized query point, across random operating points.
 
 use std::sync::Arc;
 
 use cos_distr::{Degenerate, Gamma};
 use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
 use cos_queueing::from_distribution;
-use cos_serve::{PredictionEngine, RATE_QUANTUM, SLA_QUANTUM};
+use cos_serve::{
+    quantize_rate, EpochSnapshot, InversionCache, QueryKind, ServeError, RATE_QUANTUM, SLA_QUANTUM,
+};
 use proptest::prelude::*;
 
 fn params(rate: f64, devices: usize, miss: f64) -> SystemParams {
@@ -39,6 +41,29 @@ fn snap(x: f64, quantum: f64) -> f64 {
     (x / quantum).round().max(1.0) * quantum
 }
 
+/// `params` installed as tenant 0's first epoch over a fresh cache.
+fn installed(params: SystemParams) -> (InversionCache, EpochSnapshot) {
+    let snapshot = EpochSnapshot {
+        epoch: 1,
+        params: Arc::new(params),
+        fitted_at: 0.0,
+        stale: false,
+    };
+    (InversionCache::default(), snapshot)
+}
+
+/// One memoized question about tenant 0's `snapshot`.
+fn ask(
+    cache: &InversionCache,
+    snapshot: &EpochSnapshot,
+    rate_q: Option<i64>,
+    kind: QueryKind,
+) -> Result<f64, ServeError> {
+    cache
+        .answer(0, snapshot, ModelVariant::Full, rate_q, kind)
+        .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -52,18 +77,17 @@ proptest! {
         miss in 0.1f64..0.6,
     ) {
         let p = params(rate, devices, miss);
-        let mut engine = PredictionEngine::new(ModelVariant::Full);
-        engine.install(Arc::new(p.clone()), 0.0, None);
+        let (cache, epoch) = installed(p.clone());
 
-        let miss_answer = engine.fraction_meeting_sla(sla);
-        let hit_answer = engine.fraction_meeting_sla(sla);
-        prop_assert_eq!(engine.stats().hits, 1);
+        let miss_answer = ask(&cache, &epoch, None, QueryKind::fraction(sla));
+        let hit_answer = ask(&cache, &epoch, None, QueryKind::fraction(sla));
+        prop_assert_eq!(cache.stats().hits, 1);
 
         match SystemModel::new(&p, ModelVariant::Full) {
             Ok(m) => {
                 let uncached = m.fraction_meeting_sla(snap(sla, SLA_QUANTUM));
-                prop_assert_eq!(miss_answer.unwrap().value.to_bits(), uncached.to_bits());
-                prop_assert_eq!(hit_answer.unwrap().value.to_bits(), uncached.to_bits());
+                prop_assert_eq!(miss_answer.unwrap().to_bits(), uncached.to_bits());
+                prop_assert_eq!(hit_answer.unwrap().to_bits(), uncached.to_bits());
             }
             Err(_) => {
                 // A randomly saturated operating point: the typed error
@@ -83,19 +107,19 @@ proptest! {
         sla in 0.010f64..0.150,
     ) {
         let p = params(rate, 2, 0.3);
-        let mut engine = PredictionEngine::new(ModelVariant::Full);
-        engine.install(Arc::new(p.clone()), 0.0, None);
+        let (cache, epoch) = installed(p.clone());
 
-        let first = engine.fraction_at_rate(what_if, sla);
-        let second = engine.fraction_at_rate(what_if, sla);
-        prop_assert_eq!(engine.stats().hits, 1);
+        let at = Some(quantize_rate(what_if));
+        let first = ask(&cache, &epoch, at, QueryKind::fraction(sla));
+        let second = ask(&cache, &epoch, at, QueryKind::fraction(sla));
+        prop_assert_eq!(cache.stats().hits, 1);
 
         let scaled = p.scaled_to_rate(snap(what_if, RATE_QUANTUM));
         match SystemModel::new(&scaled, ModelVariant::Full) {
             Ok(m) => {
                 let uncached = m.fraction_meeting_sla(snap(sla, SLA_QUANTUM));
-                prop_assert_eq!(first.unwrap().value.to_bits(), uncached.to_bits());
-                prop_assert_eq!(second.unwrap().value.to_bits(), uncached.to_bits());
+                prop_assert_eq!(first.unwrap().to_bits(), uncached.to_bits());
+                prop_assert_eq!(second.unwrap().to_bits(), uncached.to_bits());
             }
             Err(_) => {
                 prop_assert!(first.is_err() && second.is_err(),
@@ -112,20 +136,23 @@ proptest! {
         base_sla in 0.020f64..0.100,
         rounds in 6usize..15,
     ) {
-        let mut engine = PredictionEngine::new(ModelVariant::Full);
-        engine.install(Arc::new(params(rate, 2, 0.3)), 0.0, None);
+        let (cache, epoch) = installed(params(rate, 2, 0.3));
         // A dashboard polling 4 questions `rounds` times with sub-quantum
         // jitter on the SLA. Snap the base SLA to a cell center so the
         // jitter can never straddle a quantization boundary.
         let base_sla = (base_sla / SLA_QUANTUM).round() * SLA_QUANTUM;
         for round in 0..rounds {
             let jitter = (round as f64) * (SLA_QUANTUM / 100.0);
-            engine.fraction_meeting_sla(base_sla + jitter).unwrap();
-            engine.fraction_meeting_sla(2.0 * base_sla + jitter).unwrap();
-            engine.latency_percentile(0.95).unwrap();
-            engine.mean_response().unwrap();
+            for kind in [
+                QueryKind::fraction(base_sla + jitter),
+                QueryKind::fraction(2.0 * base_sla + jitter),
+                QueryKind::percentile(0.95),
+                QueryKind::percentile(0.99),
+            ] {
+                ask(&cache, &epoch, None, kind).unwrap();
+            }
         }
-        let stats = engine.stats();
+        let stats = cache.stats();
         prop_assert_eq!(stats.misses, 4);
         prop_assert!(stats.hit_rate() > 0.8, "hit rate {}", stats.hit_rate());
     }

@@ -183,7 +183,7 @@ mod tests {
         }
         fn serve_cfg() -> Result<(), CosError> {
             Err(cos_serve::ServeConfig::builder()
-                .sweep_workers(0)
+                .refit_workers(0)
                 .build()
                 .unwrap_err())?;
             Ok(())

@@ -22,7 +22,9 @@
 //! * [`simkit`] (`cos-simkit`) — the discrete-event engine;
 //! * [`stats`] (`cos-stats`) — percentiles, SLA meters, error summaries;
 //! * [`serve`] (`cos-serve`) — the online SLA-prediction service: streaming
-//!   calibration, memoized inversion engine, drift detection;
+//!   calibration, drift detection, and one read path — every query and
+//!   what-if sweep answered from the published snapshot through a
+//!   memoized inversion cache;
 //! * [`gate`] (`cos-gate`) — the hand-rolled HTTP/1.1 front door serving
 //!   predictions and `/metrics` over a socket;
 //! * [`ctrl`] (`cos-ctrl`) — the control loop: model-driven admission

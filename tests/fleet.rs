@@ -324,11 +324,23 @@ fn concurrent_readers_mid_delta_observe_whole_generations() {
         })
         .collect();
 
-    // Writer: rounds of single-tenant deltas while readers hammer. Each
-    // round waits until the refitted tenant's reader has read the new
-    // generation, so every reader crosses every delta of its tenant.
+    // Writer: rounds of single-tenant deltas while readers hammer. It
+    // first waits until every reader has read its tenant's initial
+    // generation, and each round waits until the refitted tenant's reader
+    // has read the new one, so every reader crosses every epoch of its
+    // tenant.
     let client = handle.client();
     let writer_view = client.reader();
+    let caught_up = |i: usize| {
+        let published = writer_view.generation_for(&ids[i]).unwrap();
+        while observed[i].load(Ordering::Acquire) < published {
+            assert!(!readers[i].is_finished(), "reader {i} stopped early");
+            std::thread::yield_now();
+        }
+    };
+    for i in 0..ids.len() {
+        caught_up(i);
+    }
     let mut clock = 20.0;
     for round in 0..12 {
         let i = round % ids.len();
@@ -337,11 +349,7 @@ fn concurrent_readers_mid_delta_observe_whole_generations() {
         }
         clock += 6.0;
         client.refit_now().unwrap();
-        let published = writer_view.generation_for(&ids[i]).unwrap();
-        while observed[i].load(Ordering::Acquire) < published {
-            assert!(!readers[i].is_finished(), "reader {i} stopped early");
-            std::thread::yield_now();
-        }
+        caught_up(i);
     }
 
     stop.store(true, Ordering::Relaxed);

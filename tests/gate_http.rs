@@ -15,6 +15,7 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::channel;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use cos_bench::scenario::calibrate;
@@ -250,8 +251,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     // ⇒ identical answers, and the JSON layer is bit-exact on f64.
     let ref_status = reference.status();
     let ref_epoch = ref_status.epoch.expect("reference calibrated") as f64;
+    let ref_reader = reference.reader();
     for &sla in &slas {
-        let expected = reference
+        let expected = ref_reader
             .attainment(&Query::new().sla(sla))
             .expect("reference answers");
         let (status, body) = client.get(&format!("/v1/attainment?sla={sla}"));
@@ -267,7 +269,7 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
         assert_eq!(doc.f64_field("epoch").unwrap(), ref_epoch, "same epoch");
         assert_eq!(doc.f64_field("sla").unwrap().to_bits(), sla.to_bits());
     }
-    let expected_p95 = reference
+    let expected_p95 = ref_reader
         .latency_percentile(&Query::new().p(0.95))
         .expect("reference answers");
     let (status, body) = client.get("/v1/percentile?p=0.95");
@@ -299,14 +301,14 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     drop(handle);
 }
 
-/// Every prediction route over the wire answers bit-for-bit what an
-/// identical in-process [`SlaService`] answers to the same [`Query`]: the
-/// gate's snapshot path and the service's own queries funnel through the
-/// same quantized evaluation code, and the JSON writer round-trips every
-/// `f64`, so nothing may differ.
+/// Every prediction route over the wire answers bit-for-bit what the
+/// reader of an identical unspawned [`SlaService`] answers to the same
+/// [`Query`]: both funnel through the same quantized evaluation code, and
+/// the JSON writer round-trips every `f64`, so nothing may differ.
 #[test]
 fn gate_answers_every_prediction_route_like_the_unspawned_service() {
     let reference = calibrated_bare_service();
+    let ref_reader = reference.reader();
     let handle = calibrated_bare_service().spawn();
     let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
     let mut client = Client::connect(gate.local_addr());
@@ -315,35 +317,35 @@ fn gate_answers_every_prediction_route_like_the_unspawned_service() {
     let predictions = [
         (
             "/v1/attainment?sla=0.05",
-            reference.attainment(&Query::new().sla(0.05)),
+            ref_reader.attainment(&Query::new().sla(0.05)),
         ),
         (
             "/v1/attainment?sla=0.05&rate=120",
-            reference.attainment(&Query::new().sla(0.05).rate(120.0)),
+            ref_reader.attainment(&Query::new().sla(0.05).rate(120.0)),
         ),
         (
             "/v1/attainment?sla=0.01",
-            reference.attainment(&Query::new().sla(0.01)),
+            ref_reader.attainment(&Query::new().sla(0.01)),
         ),
         (
             "/v1/percentile?p=0.95",
-            reference.latency_percentile(&Query::new().p(0.95)),
+            ref_reader.latency_percentile(&Query::new().p(0.95)),
         ),
         (
             "/v1/headroom?sla=0.05&target=0.9",
-            reference.admissible_rate(&Query::new().sla(0.05).target(0.9).upper(upper)),
+            ref_reader.admissible_rate(&Query::new().sla(0.05).target(0.9).upper(upper)),
         ),
         (
             "/v1/attainment?sla=0.05&n=4&k=2",
-            reference.attainment(&Query::new().sla(0.05).n_k(4, 2)),
+            ref_reader.attainment(&Query::new().sla(0.05).n_k(4, 2)),
         ),
         (
             "/v1/percentile?p=0.95&n=6&k=4",
-            reference.latency_percentile(&Query::new().p(0.95).n_k(6, 4)),
+            ref_reader.latency_percentile(&Query::new().p(0.95).n_k(6, 4)),
         ),
         (
             "/v1/percentile?p=0.99&n=9&k=6",
-            reference.latency_percentile(&Query::new().p(0.99).n_k(9, 6)),
+            ref_reader.latency_percentile(&Query::new().p(0.99).n_k(9, 6)),
         ),
     ];
     for (target, expected) in predictions {
@@ -359,7 +361,7 @@ fn gate_answers_every_prediction_route_like_the_unspawned_service() {
         assert_eq!(doc.f64_field("epoch").unwrap(), expected.epoch as f64);
     }
 
-    let ranking = reference
+    let ranking = ref_reader
         .device_ranking(&Query::new().sla(0.05))
         .expect("reference ranks");
     let (status, body) = client.get("/v1/bottlenecks?sla=0.05");
@@ -680,7 +682,6 @@ fn adversarial_inputs_get_exact_statuses_and_the_gate_survives() {
 #[test]
 fn shed_gate_answers_429_with_retry_after_on_the_wire() {
     use cosmodel::ctrl::{AdmissionPolicy, Controller, CtrlConfig};
-    use std::sync::Arc;
 
     let handle = SlaService::new(bare_base(), ServeConfig::default()).spawn();
     let client = handle.client();
@@ -960,8 +961,11 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
     // dribbling well before the deadline and switches to reading, so the
     // 408 is never raced by a write into a closed socket (which would RST
     // the reply away). Five dribbles at 100 ms ≪ the 900 ms deadline.
-    let lorises: Vec<_> = (0..8)
+    const LORISES: usize = 8;
+    let heads_written = Arc::new(Barrier::new(LORISES + 1));
+    let lorises: Vec<_> = (0..LORISES)
         .map(|i| {
+            let heads_written = Arc::clone(&heads_written);
             std::thread::spawn(move || {
                 let mut stream = TcpStream::connect(addr).expect("loris connect");
                 stream
@@ -969,6 +973,7 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
                     .unwrap();
                 let head = format!("GET /v1/status HTTP/1.1\r\nHost: a\r\nX-Slow-{i}: ");
                 stream.write_all(head.as_bytes()).expect("loris head");
+                heads_written.wait();
                 for _ in 0..5 {
                     std::thread::sleep(Duration::from_millis(100));
                     stream.write_all(b"z").expect("loris dribble");
@@ -980,9 +985,10 @@ fn slow_loris_peers_get_408_and_do_not_stall_the_reactor() {
         })
         .collect();
 
-    // While the lorises are mid-dribble, a healthy client must be served
-    // promptly on the same single reactor thread.
-    std::thread::sleep(Duration::from_millis(150));
+    // Once every loris has its partial head in, and while they dribble, a
+    // healthy client must be served promptly on the same single reactor
+    // thread.
+    heads_written.wait();
     let mut healthy = Client::connect(addr);
     for _ in 0..5 {
         let started = std::time::Instant::now();
@@ -1129,19 +1135,11 @@ fn tenant_routes_alias_legacy_byte_identically() {
         let (status, body) = client.post("/v1/tenants/blue/telemetry", &encode_events(batch));
         assert_eq!(status, 200, "{body}");
     }
-    // The write path is asynchronous; poll until blue's shard publishes.
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    let blue_value = loop {
-        let (status, body) = client.get("/v1/tenants/blue/attainment?sla=0.05");
-        if status == 200 {
-            break json::parse(&body).unwrap().f64_field("value").unwrap();
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "blue never calibrated: {status} {body}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
+    // Each POST answers 200 only once its batch is ingested, cadence
+    // refits included, so blue's shard has published by now.
+    let (status, body) = client.get("/v1/tenants/blue/attainment?sla=0.05");
+    assert_eq!(status, 200, "blue calibrated by its own POSTs: {body}");
+    let blue_value = json::parse(&body).unwrap().f64_field("value").unwrap();
     let (status, body) = client.get("/v1/attainment?sla=0.05");
     assert_eq!(status, 200, "{body}");
     let default_value = json::parse(&body).unwrap().f64_field("value").unwrap();

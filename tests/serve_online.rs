@@ -175,8 +175,9 @@ fn online_calibration_matches_offline_pipeline_and_observations() {
         "steady traffic must not leave the epoch stale"
     );
 
+    let reader = service.reader();
     for (si, &sla) in slas.iter().enumerate() {
-        let online = service.attainment(&Query::new().sla(sla)).unwrap().value;
+        let online = reader.attainment(&Query::new().sla(sla)).unwrap().value;
         let offline_p = offline.fraction_meeting_sla(sla);
         let observed = metrics.observed_fraction(0, si).unwrap();
         assert!(
@@ -209,23 +210,23 @@ fn online_calibration_matches_offline_pipeline_and_observations() {
 
     // A polling dashboard re-asking the same questions is served from the
     // memo at > 80% hit rate.
-    let before = service.engine().stats();
+    let cache_stats = || reader.status().unwrap().engine.cache;
+    let before = cache_stats();
     for _ in 0..10 {
         for &sla in &slas {
-            service.attainment(&Query::new().sla(sla)).unwrap();
+            reader.attainment(&Query::new().sla(sla)).unwrap();
         }
-        service.latency_percentile(&Query::new().p(0.95)).unwrap();
+        reader.latency_percentile(&Query::new().p(0.95)).unwrap();
     }
-    let after = service.engine().stats();
+    let after = cache_stats();
     let hits = (after.hits - before.hits) as f64;
     let total = hits + (after.misses - before.misses) as f64;
     assert!(hits / total > 0.8, "hit rate {} below target", hits / total);
 
     // What-if sweep on the live epoch straddles the saturation knee.
-    let points = service
-        .sweep(&[30.0, 60.0, 120.0, 100_000.0], vec![0.050])
-        .unwrap()
-        .wait();
+    let points = reader
+        .sweep(&[30.0, 60.0, 120.0, 100_000.0], &[0.050])
+        .unwrap();
     assert_eq!(points.len(), 4);
     assert!(points[0].fractions.is_some(), "30 req/s must be stable");
     assert_eq!(

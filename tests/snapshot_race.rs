@@ -1,25 +1,26 @@
 //! Race and bit-identity tests for the lock-free snapshot read path.
 //!
 //! The contract under test: any number of [`SnapshotReader`]s answering on
-//! their own threads must return **bit-identical** results to the service
-//! state machine the worker thread runs, queried in-process, and to a
-//! cold, freshly-installed [`PredictionEngine`]; a
-//! reader racing a re-fit must only ever observe whole epochs (monotone,
-//! never torn); and the shared [`InversionCache`] must coalesce identical
-//! concurrent misses into one computation while staying bounded under
-//! high-cardinality query streams.
+//! their own threads must return **bit-identical** results to the reader
+//! of the same service state machine left unspawned, and to `cos-model`
+//! called directly at the snapped inputs; a reader racing a re-fit must
+//! only ever observe whole epochs (monotone, never torn); and the shared
+//! [`InversionCache`] must coalesce identical concurrent misses into one
+//! computation while staying bounded under high-cardinality query streams.
+//!
+//! [`SnapshotReader`]: cosmodel::serve::SnapshotReader
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use cosmodel::distr::{Degenerate, Gamma};
-use cosmodel::model::SlaGoal;
+use cosmodel::model::{max_admissible_rate, rank_bottlenecks, SlaGoal, SystemModel};
 use cosmodel::queueing::from_distribution;
 use cosmodel::serve::{
-    CalibrationBase, InversionCache, OpClass, PredictionEngine, Query, QueryKey, QueryKind,
-    ServeConfig, SlaService, TelemetryEvent,
+    CalibrationBase, InversionCache, OpClass, Query, QueryKey, QueryKind, ServeConfig, SlaService,
+    TelemetryEvent, FRACTION_QUANTUM, RATE_QUANTUM, SLA_QUANTUM,
 };
 
 fn base() -> CalibrationBase {
@@ -75,24 +76,30 @@ fn calibrated_service() -> SlaService {
     service
 }
 
-/// The same question answered three ways — snapshot reader, the worker's
-/// own [`SlaService`] queried in-process (unspawned), and a cold engine
-/// freshly installed with the fitted parameters — must produce the same
-/// `f64` bits, because every path funnels through one quantized
-/// evaluation code path.
+/// `x` snapped to its quantization cell, as the cache snaps every input.
+fn snapped(x: f64, quantum: f64) -> f64 {
+    (x / quantum).round().max(1.0) * quantum
+}
+
+/// The same question answered three ways — the reader of a spawned
+/// service, the reader of the state machine its thread runs (the worker)
+/// left unspawned, and `cos-model` called cold on the fitted parameters at
+/// the snapped inputs — must produce the same `f64` bits, because every
+/// read funnels through one quantized evaluation code path.
 #[test]
 fn reader_worker_and_cold_engine_agree_bit_for_bit() {
-    // Reference: an identical in-process service, its fitted parameters
-    // transplanted into a cold engine with an empty private cache.
+    // Reference: an identical in-process service, and its fitted
+    // parameters handed to cos-model directly.
     let worker_service = calibrated_service();
-    let fitted = worker_service
-        .engine()
-        .snapshot()
-        .expect("reference calibrated")
-        .clone();
-    let config = ServeConfig::default();
-    let mut cold = PredictionEngine::new(config.variant);
-    cold.install(fitted.params.clone(), fitted.fitted_at, None);
+    let worker_reader = worker_service.reader();
+    let fitted = worker_reader
+        .state()
+        .expect("service alive")
+        .snapshot
+        .clone()
+        .expect("reference calibrated");
+    let variant = ServeConfig::default().variant;
+    let cold = SystemModel::new(&fitted.params, variant).expect("fitted point is stable");
 
     // Subject: the same service type spawned, read through its snapshot.
     let handle = calibrated_service().spawn();
@@ -100,13 +107,13 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
     let goal = SlaGoal::new(0.05, 0.90);
 
     for sla in [0.010, 0.050, 0.100] {
-        let worker = worker_service
+        let worker = worker_reader
             .attainment(&Query::new().sla(sla))
             .expect("worker answers");
         let reader = snapshot
             .attainment(&Query::new().sla(sla))
             .expect("reader answers");
-        let cold_p = cold.fraction_meeting_sla(sla).expect("cold engine answers");
+        let cold_p = cold.fraction_meeting_sla(snapped(sla, SLA_QUANTUM));
         assert_eq!(
             worker.value.to_bits(),
             reader.value.to_bits(),
@@ -116,36 +123,40 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
         );
         assert_eq!(
             worker.value.to_bits(),
-            cold_p.value.to_bits(),
-            "sla {sla}: worker {} vs cold engine {}",
+            cold_p.to_bits(),
+            "sla {sla}: worker {} vs cold model {cold_p}",
             worker.value,
-            cold_p.value
         );
         assert_eq!(worker.epoch, reader.epoch, "same epoch on both paths");
     }
 
     for (rate, sla) in [(60.0, 0.05), (120.0, 0.05), (90.0, 0.01)] {
-        let worker = worker_service
+        let worker = worker_reader
             .attainment(&Query::new().sla(sla).rate(rate))
             .expect("worker answers");
         let reader = snapshot
             .attainment(&Query::new().sla(sla).rate(rate))
             .expect("reader answers");
-        let cold_p = cold.fraction_at_rate(rate, sla).expect("cold answers");
+        let scaled = fitted.params.scaled_to_rate(snapped(rate, RATE_QUANTUM));
+        let cold_p = SystemModel::new(&scaled, variant)
+            .expect("what-if point is stable")
+            .fraction_meeting_sla(snapped(sla, SLA_QUANTUM));
         assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "at {rate}");
-        assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "at {rate}");
+        assert_eq!(worker.value.to_bits(), cold_p.to_bits(), "at {rate}");
     }
 
     for p in [0.50, 0.95, 0.99] {
-        let worker = worker_service
+        let worker = worker_reader
             .latency_percentile(&Query::new().p(p))
             .expect("worker answers");
         let reader = snapshot
             .latency_percentile(&Query::new().p(p))
             .expect("reader answers");
-        let cold_p = cold.latency_percentile(p).expect("cold answers");
+        let cold_p = cold
+            .latency_percentile(snapped(p, FRACTION_QUANTUM))
+            .expect("cold answers");
         assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "p{p}");
-        assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "p{p}");
+        assert_eq!(worker.value.to_bits(), cold_p.to_bits(), "p{p}");
     }
 
     let headroom_query = || {
@@ -154,28 +165,39 @@ fn reader_worker_and_cold_engine_agree_bit_for_bit() {
             .target(goal.target_fraction)
             .upper(2000.0)
     };
-    let worker = worker_service
+    let worker = worker_reader
         .admissible_rate(&headroom_query())
         .expect("worker answers");
     let reader = snapshot
         .admissible_rate(&headroom_query())
         .expect("reader answers");
-    let cold_p = cold.headroom(goal, 2000.0).expect("cold answers");
+    let snapped_goal = SlaGoal::new(
+        snapped(goal.sla, SLA_QUANTUM),
+        snapped(goal.target_fraction, FRACTION_QUANTUM),
+    );
+    let cold_p = max_admissible_rate(
+        &fitted.params,
+        variant,
+        snapped_goal,
+        snapped(2000.0, RATE_QUANTUM),
+    )
+    .expect("cold answers");
     assert_eq!(worker.value.to_bits(), reader.value.to_bits(), "headroom");
-    assert_eq!(worker.value.to_bits(), cold_p.value.to_bits(), "headroom");
+    assert_eq!(worker.value.to_bits(), cold_p.to_bits(), "headroom");
 
-    let worker = worker_service
+    let worker = worker_reader
         .device_ranking(&Query::new().sla(0.05))
         .expect("worker answers");
     let reader = snapshot
         .device_ranking(&Query::new().sla(0.05))
         .expect("reader answers");
-    let cold_b = cold.bottlenecks(0.05).expect("cold answers");
+    let cold_b = rank_bottlenecks(&cold, snapped(0.05, SLA_QUANTUM));
     assert_eq!(worker.len(), reader.len());
     for ((wd, wf), (rd, rf)) in worker.iter().zip(reader.iter()) {
         assert_eq!(wd, rd, "same device order");
         assert_eq!(wf.to_bits(), rf.to_bits(), "device {wd}");
     }
+    assert_eq!(worker.len(), cold_b.len());
     for ((wd, wf), (cd, cf)) in worker.iter().zip(cold_b.iter()) {
         assert_eq!(wd, cd);
         assert_eq!(wf.to_bits(), cf.to_bits(), "device {wd} vs cold");
@@ -198,11 +220,16 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
     let handle = calibrated_service().spawn();
     let reader = handle.reader();
     let stop = Arc::new(AtomicBool::new(false));
+    // Reader `i` reports the newest epoch it has answered from. Its
+    // `Release` store follows recording that epoch's bits, and pairs with
+    // the writer's `Acquire` load below.
+    let observed: Arc<Vec<AtomicU64>> = Arc::new((0..4).map(|_| AtomicU64::new(0)).collect());
 
     let threads: Vec<_> = (0..4)
-        .map(|_| {
+        .map(|i| {
             let r = reader.clone();
             let stop = Arc::clone(&stop);
+            let observed = Arc::clone(&observed);
             std::thread::spawn(move || {
                 let mut last_epoch = 0u64;
                 let mut last_gen = 0u64;
@@ -235,6 +262,7 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
                         ranking.windows(2).all(|w| w[0].1 <= w[1].1),
                         "ranking out of order: {ranking:?}"
                     );
+                    observed[i].store(p.epoch, Ordering::Release);
                 }
                 seen
             })
@@ -242,15 +270,26 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
         .collect();
 
     // The write side: keep the clock moving and force six more re-fits
-    // while the readers spin.
+    // while the readers spin. Each round waits until every reader has
+    // answered from the epoch its re-fit installed; nothing publishes
+    // meanwhile, so every reader crosses every installed epoch.
     let client = handle.client();
+    let mut installed = Vec::new();
     for round in 0..6 {
         let t0 = 20.0 + round as f64 * 5.0;
         for ev in events_span(t0, t0 + 5.0) {
             client.ingest(ev).expect("service alive");
         }
         assert!(client.refit_now().expect("service alive"), "round {round}");
-        std::thread::sleep(Duration::from_millis(10));
+        let state = reader.state().expect("service alive");
+        let epoch = state.snapshot.as_ref().expect("calibrated").epoch;
+        for (i, thread) in threads.iter().enumerate() {
+            while observed[i].load(Ordering::Acquire) < epoch {
+                assert!(!thread.is_finished(), "reader {i} stopped early");
+                std::thread::yield_now();
+            }
+        }
+        installed.push(epoch);
     }
     stop.store(true, Ordering::Relaxed);
 
@@ -267,9 +306,19 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
             assert_eq!(first, bits, "threads disagree on epoch {epoch}");
         }
     }
+    for (i, m) in maps.iter().enumerate() {
+        for epoch in &installed {
+            assert!(
+                m.contains_key(epoch),
+                "reader {i} missed installed epoch {epoch}, saw {:?}",
+                m.keys().collect::<Vec<_>>()
+            );
+        }
+    }
     assert!(
-        merged.len() >= 2,
-        "re-fits must have been observed live, saw epochs {:?}",
+        merged.len() >= installed.len(),
+        "all {} re-fits must have been observed live, saw epochs {:?}",
+        installed.len(),
         merged.keys().collect::<Vec<_>>()
     );
 }
