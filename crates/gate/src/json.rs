@@ -1,22 +1,23 @@
 //! Minimal JSON for the gate's query surface (std-only, like everything
 //! else here — the offline build environment forbids serde).
 //!
-//! One depth-limited recursive-descent lexer with two consumers: [`parse`]
-//! builds a [`Value`] tree, and [`decode_telemetry`] reads a telemetry
-//! body straight into [`TelemetryEvent`]s without building one. Every
-//! syntax rule and error text lives in the lexer once, so the two reject
-//! exactly the same documents with exactly the same messages. A compact
-//! writer serializes trees. Numbers are `f64` and are written with Rust's
-//! shortest round-trip `Display`, so **any finite `f64` survives encode →
-//! decode bit-identically** (the property tests assert this); non-finite
-//! floats have no JSON spelling and serialize as `null`.
+//! One depth-limited recursive-descent lexer, which every syntax rule and
+//! error text lives in, and a tree parser on it: [`parse`] builds a
+//! [`Value`]. [`decode_telemetry`] reads a telemetry body with a
+//! byte-level fast path that takes only the wire format as producers
+//! write it and leaves every other body, refusals included, to the tree
+//! parser and [`crate::decode_events`]. A compact writer serializes
+//! trees. Numbers are `f64` and are written with Rust's shortest
+//! round-trip `Display`, so **any finite `f64` survives encode → decode
+//! bit-identically** (the property tests assert this); non-finite floats
+//! have no JSON spelling and serialize as `null`.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use cos_serve::TelemetryEvent;
+use cos_serve::{OpClass, TelemetryEvent};
 
-use crate::routes::{event_from_fields, EVENT_FIELDS, NOT_AN_ARRAY};
+use crate::routes::decode_events;
 
 /// Nesting depth the parser accepts before rejecting the document.
 const MAX_DEPTH: usize = 64;
@@ -26,6 +27,16 @@ const MAX_DEPTH: usize = 64;
 /// body of `n` bytes holds at most `n / MIN_EVENT_BYTES` events, so
 /// [`decode_telemetry`] sizes its output once and never regrows it.
 const MIN_EVENT_BYTES: usize = 37;
+
+/// Significant digits a decimal literal may have for its digits to form
+/// an integer exact in an `f64` (`10^15 < 2^53`).
+const EXACT_DIGITS: usize = 15;
+
+/// `10^k` for every `k` with an exact `f64` (`5^22 < 2^53`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
 
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +91,7 @@ impl Value {
     /// The value as the typed field accessors see it.
     pub(crate) fn as_field(&self) -> Field<'_> {
         match self {
-            Value::String(s) => Field::Str(Cow::Borrowed(s)),
+            Value::String(s) => Field::Str(s),
             Value::Number(n) => Field::Num(*n),
             _ => Field::Other,
         }
@@ -174,12 +185,12 @@ fn missing_field(key: &str) -> String {
     format!("missing field `{key}`")
 }
 
-/// One object field as the typed accessors read it — a string (borrowed
-/// from the document unless it held escapes), a number, or anything else —
-/// with the error texts every accessor and both telemetry decoders share.
+/// One object field as the typed accessors read it — a string, a number,
+/// or anything else — with the error texts every accessor and the
+/// telemetry field rules share.
 pub(crate) enum Field<'a> {
     /// A string.
-    Str(Cow<'a, str>),
+    Str(&'a str),
     /// A number (any `f64` the lexer produced, `1e400` → `inf` included).
     Num(f64),
     /// `null`, a boolean, an array, or an object.
@@ -192,17 +203,8 @@ impl<'a> Field<'a> {
         found.ok_or_else(|| missing_field(key))
     }
 
-    /// A view borrowing this field's string.
-    pub(crate) fn view(&self) -> Field<'_> {
-        match self {
-            Field::Str(s) => Field::Str(Cow::Borrowed(s)),
-            Field::Num(n) => Field::Num(*n),
-            Field::Other => Field::Other,
-        }
-    }
-
     /// The field `key` as a string.
-    pub(crate) fn string(self, key: &str) -> Result<Cow<'a, str>, String> {
+    pub(crate) fn string(self, key: &str) -> Result<&'a str, String> {
         match self {
             Field::Str(s) => Ok(s),
             _ => Err(format!("field `{key}` must be a string")),
@@ -220,12 +222,14 @@ impl<'a> Field<'a> {
     /// The field `key` as a non-negative integer.
     pub(crate) fn index(self, key: &str) -> Result<usize, String> {
         let n = self.finite(key)?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64 {
-            Ok(n as usize)
-        } else {
-            Err(format!("field `{key}` must be a non-negative integer"))
-        }
+        as_index(n).ok_or_else(|| format!("field `{key}` must be a non-negative integer"))
     }
+}
+
+/// `n` as a non-negative integer, if it is one no larger than
+/// `usize::MAX` rounds to (`2^64`, which converts to `usize::MAX`).
+fn as_index(n: f64) -> Option<usize> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64).then_some(n as usize)
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -238,60 +242,257 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(value)
 }
 
-/// Decodes a `POST /v1/telemetry` body in one pass, straight into events:
-/// fields the event rules do not read are checked for syntax and skipped
-/// without being built, escape-free strings are borrowed from `text`, and
-/// the only allocation an escape-free body costs is the returned `Vec`.
+/// Decodes a `POST /v1/telemetry` body into events.
 ///
-/// Exactly equivalent to the reference decoder,
-/// `parse(text).and_then(|doc| decode_events(&doc))`: the same events, or
-/// the same error text ([`crate::decode_events`] is that reference, and the
-/// property tests hold the two to it). Syntax errors therefore win over
-/// field-rule refusals wherever they sit in the document, as the reference
-/// parses the whole tree before it reads a field.
+/// A byte-level fast path takes the wire format as producers write it: a
+/// JSON array of flat objects whose members are escape-free strings and
+/// numbers, with any whitespace and in any member order. It reads the six
+/// event fields by key, converts short decimals exactly, and allocates
+/// only the returned `Vec`. Every body it does not take (a refusal, or
+/// valid JSON outside that shape: escapes, `null`, booleans, nested
+/// values, a repeated event field) gets the reference decoder's verdict,
+/// `parse(text).and_then(|doc| decode_events(&doc))`. So the events, and
+/// every error text, are the reference's ([`crate::decode_events`]); the
+/// property tests hold the fast path to it.
 pub fn decode_telemetry(text: &str) -> Result<Vec<TelemetryEvent>, String> {
-    let mut lexer = Lexer::new(text);
-    lexer.skip_ws();
-    let mut events = Vec::new();
-    // The first refusal waits for the rest of the document's syntax check.
-    let mut refusal = None;
-    if lexer.peek() == Some(b'[') {
-        events.reserve_exact(text.len() / MIN_EVENT_BYTES);
-        let mut index = 0;
-        lexer.array(0, |lexer, depth| {
-            if refusal.is_some() {
-                return lexer.skip(depth);
-            }
-            match lexer.event(index, depth)? {
-                Ok(event) => events.push(event),
-                Err(e) => refusal = Some(e),
-            }
-            index += 1;
-            Ok(())
-        })?;
-    } else {
-        lexer.skip(0)?;
-        refusal = Some(NOT_AN_ARRAY.to_string());
+    match Wire::new(text).events() {
+        Some(events) => Ok(events),
+        None => parse(text).and_then(|doc| decode_events(&doc)),
     }
-    lexer.finish()?;
-    refusal.map_or(Ok(events), Err)
 }
 
-/// A scalar token; strings stay borrowed from the document unless they
-/// held escapes.
-enum Scalar<'a> {
-    Null,
-    Bool(bool),
-    Number(f64),
-    Str(Cow<'a, str>),
+/// The keys of the event fields, in the order of [`Wire::event`]'s slots.
+const EVENT_KEYS: [&[u8]; 6] = [b"type", b"class", b"at", b"arrival", b"latency", b"device"];
+
+/// The event types, in the order of [`Wire::event`]'s match.
+const EVENT_TYPES: [&[u8]; 4] = [b"arrival", b"data_read", b"op", b"completion"];
+
+/// The op classes, in [`OpClass::ALL`] order.
+const OP_CLASSES: [&[u8]; 3] = [b"index", b"meta", b"data"];
+
+/// The telemetry fast path: a byte cursor that takes only the wire
+/// format as producers write it and answers `None` on anything else. It
+/// is stricter than the reference, never looser: where it returns events,
+/// the reference returns the same events, bit for bit.
+struct Wire<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
 }
 
-/// The lexer both consumers share. Containers are walked by [`array`] and
-/// [`object`], which hand each element to the consumer's callback one
-/// level deeper; everything else is a [`Scalar`].
-///
-/// [`array`]: Lexer::array
-/// [`object`]: Lexer::object
+impl<'a> Wire<'a> {
+    fn new(text: &'a str) -> Self {
+        Wire {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+        }
+    }
+
+    /// The events of a whole body: `[`, flat event objects separated by
+    /// commas, `]`, with JSON whitespace around every token.
+    fn events(mut self) -> Option<Vec<TelemetryEvent>> {
+        self.ws();
+        if !self.eat(b'[') {
+            return None;
+        }
+        let mut events = Vec::with_capacity(self.bytes.len() / MIN_EVENT_BYTES);
+        self.ws();
+        if !self.eat(b']') {
+            loop {
+                self.ws();
+                events.push(self.event()?);
+                self.ws();
+                if self.eat(b']') {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return None;
+                }
+            }
+        }
+        self.ws();
+        (self.pos == self.bytes.len()).then_some(events)
+    }
+
+    /// One event object under the reference's field rules, applied more
+    /// strictly: a repeated event field, or one of the wrong JSON type, is
+    /// refused even where the event's type does not read it, and an unknown
+    /// member must hold a string or a number. The keys and the type and
+    /// class names are matched as byte literals.
+    fn event(&mut self) -> Option<TelemetryEvent> {
+        if !self.eat(b'{') {
+            return None;
+        }
+        // Indices into `EVENT_TYPES` and `OP_CLASSES`; `Some(None)` is a
+        // string naming neither.
+        let (mut kind, mut class) = (None, None);
+        // `at`, `arrival`, `latency`, `device`, as `EVENT_KEYS[2..]`.
+        let mut numbers = [None; 4];
+        loop {
+            self.ws();
+            if !self.eat(b'"') {
+                return None;
+            }
+            let key = self.name_of(&EVENT_KEYS);
+            if key.is_none() {
+                self.string_tail()?;
+            }
+            self.ws();
+            if !self.eat(b':') {
+                return None;
+            }
+            self.ws();
+            let first = match key {
+                Some(0) => kind.replace(self.string_of(&EVENT_TYPES)?).is_none(),
+                Some(1) => class.replace(self.string_of(&OP_CLASSES)?).is_none(),
+                Some(i) => numbers[i - 2].replace(self.number()?).is_none(),
+                None if self.eat(b'"') => self.string_tail().is_some(),
+                None => self.number().is_some(),
+            };
+            if !first {
+                return None;
+            }
+            self.ws();
+            if self.eat(b'}') {
+                break;
+            }
+            if !self.eat(b',') {
+                return None;
+            }
+        }
+        let finite = |n: Option<f64>| n.filter(|n| n.is_finite());
+        let [at, arrival, latency, device] = numbers;
+        let device = as_index(device?)?;
+        Some(match kind?? {
+            0 => TelemetryEvent::Arrival {
+                at: finite(at)?,
+                device,
+            },
+            1 => TelemetryEvent::DataRead {
+                at: finite(at)?,
+                device,
+            },
+            2 => TelemetryEvent::Op {
+                at: finite(at)?,
+                device,
+                class: OpClass::ALL[class??],
+                latency: finite(latency)?,
+            },
+            _ => TelemetryEvent::Completion {
+                arrival: finite(arrival)?,
+                latency: finite(latency)?,
+                device,
+            },
+        })
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.bytes.get(self.pos) == Some(&b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// After an opening quote: the index of the entry of `names` the
+    /// string spells, consumed with its closing quote; `None`, with
+    /// nothing consumed, for any other string.
+    fn name_of(&mut self, names: &[&[u8]]) -> Option<usize> {
+        let rest = &self.bytes[self.pos..];
+        let i = names
+            .iter()
+            .position(|name| rest.starts_with(name) && rest.get(name.len()) == Some(&b'"'))?;
+        self.pos += names[i].len() + 1;
+        Some(i)
+    }
+
+    /// A string value: `Some(Some(i))` if it spells `names[i]`,
+    /// `Some(None)` for any other escape-free string.
+    fn string_of(&mut self, names: &[&[u8]]) -> Option<Option<usize>> {
+        if !self.eat(b'"') {
+            return None;
+        }
+        match self.name_of(names) {
+            Some(i) => Some(Some(i)),
+            None => self.string_tail().map(|()| None),
+        }
+    }
+
+    /// The rest of an escape-free string literal after its opening quote.
+    fn string_tail(&mut self) -> Option<()> {
+        loop {
+            match *self.bytes.get(self.pos)? {
+                b'"' => break,
+                b'\\' | 0..=0x1f => return None,
+                _ => self.pos += 1,
+            }
+        }
+        self.pos += 1;
+        Some(())
+    }
+
+    /// Consumes a digit run and returns its length, folding its digits
+    /// into `mantissa` and counting them in `significant` from the first
+    /// nonzero one on. Past 19 significant digits `mantissa` wraps; it is
+    /// then unused.
+    fn digits(&mut self, mantissa: &mut u64, significant: &mut usize) -> usize {
+        let start = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
+            }
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(digit));
+            *significant += usize::from(*mantissa != 0);
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number literal, under the JSON grammar exactly as the lexer
+    /// checks it: no leading zero, no lone `-`, digits after a point and
+    /// after an exponent. A literal of at most [`EXACT_DIGITS`]
+    /// significant digits, at most 22 fraction digits and no exponent is
+    /// `m / 10^k` with both operands exact, which one IEEE division rounds
+    /// correctly (Clinger 1990): the value `str::parse` returns, as that
+    /// is its own first step. Every other literal goes through
+    /// `str::parse`.
+    fn number(&mut self) -> Option<f64> {
+        let start = self.pos;
+        let negative = self.eat(b'-');
+        let (mut mantissa, mut significant) = (0, 0);
+        let int_digits = self.digits(&mut mantissa, &mut significant);
+        if int_digits == 0 || (int_digits > 1 && self.bytes[self.pos - int_digits] == b'0') {
+            return None;
+        }
+        let mut fraction = 0;
+        if self.eat(b'.') {
+            fraction = self.digits(&mut mantissa, &mut significant);
+            if fraction == 0 {
+                return None;
+            }
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if self.digits(&mut 0, &mut 0) == 0 {
+                return None;
+            }
+        } else if significant <= EXACT_DIGITS && fraction < POW10.len() {
+            let n = mantissa as f64 / POW10[fraction];
+            return Some(if negative { -n } else { n });
+        }
+        self.text[start..self.pos].parse().ok()
+    }
+}
+
+/// The lexer, building a [`Value`] as it goes.
 struct Lexer<'a> {
     text: &'a str,
     bytes: &'a [u8],
@@ -349,151 +550,67 @@ impl<'a> Lexer<'a> {
     fn value(&mut self, depth: usize) -> Result<Value, String> {
         Lexer::enter(depth)?;
         match self.peek() {
-            Some(b'[') => {
-                let mut items = Vec::new();
-                self.array(depth, |lexer, depth| {
-                    items.push(lexer.value(depth)?);
-                    Ok(())
-                })?;
-                Ok(Value::Array(items))
-            }
-            Some(b'{') => {
-                let mut pairs = Vec::new();
-                self.object(depth, |lexer, key, depth| {
-                    pairs.push((key.into_owned(), lexer.value(depth)?));
-                    Ok(())
-                })?;
-                Ok(Value::Object(pairs))
-            }
-            _ => Ok(match self.scalar()? {
-                Scalar::Null => Value::Null,
-                Scalar::Bool(b) => Value::Bool(b),
-                Scalar::Number(n) => Value::Number(n),
-                Scalar::Str(s) => Value::String(s.into_owned()),
-            }),
+            Some(b'[') => self.array(depth).map(Value::Array),
+            Some(b'{') => self.object(depth).map(Value::Object),
+            Some(b'n') => self.literal("null").map(|()| Value::Null),
+            Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
+            Some(b'"') => self.string().map(|s| Value::String(s.into_owned())),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Value::Number),
+            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
+            None => Err("unexpected end of document".into()),
         }
     }
 
-    /// Checks one value's syntax without building it.
-    fn skip(&mut self, depth: usize) -> Result<(), String> {
-        Lexer::enter(depth)?;
-        match self.peek() {
-            Some(b'[') => self.array(depth, Lexer::skip),
-            Some(b'{') => self.object(depth, |lexer, _, depth| lexer.skip(depth)),
-            _ => self.scalar().map(drop),
-        }
-    }
-
-    /// One array item as telemetry event `index`: the syntax verdict
-    /// outside, the field rules' verdict inside. Of each field the rules
-    /// read, the first occurrence is kept, as [`Value::get`] finds it.
-    fn event(
-        &mut self,
-        index: usize,
-        depth: usize,
-    ) -> Result<Result<TelemetryEvent, String>, String> {
-        let mut fields: [Option<Field<'a>>; EVENT_FIELDS.len()] = Default::default();
-        let slot = |key: &str| EVENT_FIELDS.iter().position(|&name| name == key);
-        Lexer::enter(depth)?;
-        if self.peek() == Some(b'{') {
-            self.object(depth, |lexer, key, depth| match slot(&key) {
-                Some(i) if fields[i].is_none() => {
-                    fields[i] = Some(lexer.field(depth)?);
-                    Ok(())
-                }
-                _ => lexer.skip(depth),
-            })?;
-        } else {
-            self.skip(depth)?;
-        }
-        Ok(event_from_fields(index, |key| {
-            fields[slot(key)?].as_ref().map(Field::view)
-        }))
-    }
-
-    /// One value in a field position: scalars kept, containers skipped.
-    fn field(&mut self, depth: usize) -> Result<Field<'a>, String> {
-        Lexer::enter(depth)?;
-        if matches!(self.peek(), Some(b'[' | b'{')) {
-            self.skip(depth)?;
-            return Ok(Field::Other);
-        }
-        Ok(match self.scalar()? {
-            Scalar::Str(s) => Field::Str(s),
-            Scalar::Number(n) => Field::Num(n),
-            Scalar::Null | Scalar::Bool(_) => Field::Other,
-        })
-    }
-
-    /// Walks `[ item, ... ]`, calling `item` at each element's first byte
-    /// with the element's depth.
-    fn array(
-        &mut self,
-        depth: usize,
-        mut item: impl FnMut(&mut Self, usize) -> Result<(), String>,
-    ) -> Result<(), String> {
+    /// `[ item, ... ]`, each item one level deeper.
+    fn array(&mut self, depth: usize) -> Result<Vec<Value>, String> {
         self.expect(b'[')?;
+        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(());
+            return Ok(items);
         }
         loop {
             self.skip_ws();
-            item(self, depth + 1)?;
+            items.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(items);
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
 
-    /// Walks `{ "key": value, ... }`, calling `member` with each key at its
-    /// value's first byte, with the value's depth.
-    fn object(
-        &mut self,
-        depth: usize,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>, usize) -> Result<(), String>,
-    ) -> Result<(), String> {
+    /// `{ "key": value, ... }`, each value one level deeper.
+    fn object(&mut self, depth: usize) -> Result<Vec<(String, Value)>, String> {
         self.expect(b'{')?;
+        let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(());
+            return Ok(pairs);
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string()?.into_owned();
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            member(self, key, depth + 1)?;
+            pairs.push((key, self.value(depth + 1)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(());
+                    return Ok(pairs);
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Scalar<'a>, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null").map(|()| Scalar::Null),
-            Some(b't') => self.literal("true").map(|()| Scalar::Bool(true)),
-            Some(b'f') => self.literal("false").map(|()| Scalar::Bool(false)),
-            Some(b'"') => self.string().map(Scalar::Str),
-            Some(b'-' | b'0'..=b'9') => self.number().map(Scalar::Number),
-            Some(c) => Err(format!("unexpected `{}` at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of document".into()),
         }
     }
 
@@ -723,13 +840,16 @@ mod tests {
 
     #[test]
     fn telemetry_decoder_reads_first_fields_and_holds_refusals_for_syntax() {
-        // An escaped key names the same field, the first `at` wins, and an
-        // unknown field is skipped whatever it holds.
+        // Outside the fast path's shape, the reference decides: an escaped
+        // key names the same field, the first `at` wins, and an unknown
+        // field is skipped whatever it holds.
         let body = r#"[{"\u0074ype":"arrival","at":1.5,"at":"x","extra":{"a":[[]]},"device":2}]"#;
         let arrival = TelemetryEvent::Arrival { at: 1.5, device: 2 };
+        assert!(Wire::new(body).events().is_none());
         assert_eq!(decode_telemetry(body), Ok(vec![arrival]));
-        // Event 0's refusal waits for the rest of the syntax check, so a
-        // later syntax error wins, as in the tree reference.
+        // The fast path refuses nothing itself: every error, and the rule
+        // that a later syntax error wins over event 0's refusal, is the
+        // tree reference's.
         for (body, verdict) in [
             (
                 r#"[{"type":"warp"},1]"#,
@@ -738,10 +858,85 @@ mod tests {
             (r#"[{"type":"warp"},1,"#, "unexpected end of document"),
             ("[1]", "event 0: missing field `type`"),
             ("{}", "telemetry body must be a JSON array"),
+            (
+                r#"[{"type":"arrival","at":1,"device":1e300}]"#,
+                "event 0: field `device` must be a non-negative integer",
+            ),
         ] {
+            assert!(Wire::new(body).events().is_none(), "{body}");
             assert_eq!(decode_telemetry(body), Err(verdict.to_string()), "{body}");
             let reference = parse(body).and_then(|doc| crate::decode_events(&doc));
             assert_eq!(reference, Err(verdict.to_string()), "{body}");
+        }
+    }
+
+    /// The fast path's `at` for a one-event body holding `literal` there.
+    fn fast_at(literal: &str) -> Option<f64> {
+        let body = format!(r#"[{{"type":"arrival","at":{literal},"device":0}}]"#);
+        match Wire::new(&body).events()?[..] {
+            [TelemetryEvent::Arrival { at, .. }] => Some(at),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn fast_path_numbers_are_bit_identical_to_str_parse() {
+        let mut literals: Vec<String> = [
+            // 15 against 16 significant digits.
+            "999999999999999",
+            "9999999999999999",
+            "0.000123456789012345",
+            "0.0001234567890123456",
+            "-12345678.9012345",
+            "-12345678.90123456",
+            // 22 against 23 fraction digits.
+            "0.0000000000000000000001",
+            "0.00000000000000000000001",
+            "-1.2300000000000000000000",
+            "-1.23000000000000000000000",
+            // One past 2^53 rounds to even; signed and unsigned zeros.
+            "9007199254740992",
+            "9007199254740993",
+            "-0",
+            "0.0",
+            "-0.000",
+        ]
+        .map(String::from)
+        .into();
+        // Seeded literals over 1–17 significant digits and 0–24 fraction
+        // digits (zeros after the point where they outnumber the digits),
+        // either sign.
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as usize
+        };
+        for _ in 0..20_000 {
+            let significant = 1 + next(17);
+            let fraction = next(25);
+            let digits: String = (0..significant)
+                .map(|i| match i {
+                    0 => char::from(b'1' + next(9) as u8),
+                    _ => char::from(b'0' + next(10) as u8),
+                })
+                .collect();
+            let unsigned = if fraction == 0 {
+                digits
+            } else if fraction >= significant {
+                format!("0.{}{digits}", "0".repeat(fraction - significant))
+            } else {
+                let point = significant - fraction;
+                format!("{}.{}", &digits[..point], &digits[point..])
+            };
+            let sign = if next(2) == 0 { "-" } else { "" };
+            literals.push(format!("{sign}{unsigned}"));
+        }
+        for literal in &literals {
+            let want = literal.parse::<f64>().expect("valid literal");
+            let got = fast_at(literal).unwrap_or_else(|| panic!("fast path refused {literal}"));
+            assert_eq!(got.to_bits(), want.to_bits(), "{literal}");
         }
     }
 

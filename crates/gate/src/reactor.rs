@@ -544,7 +544,10 @@ impl Reactor {
         self.finish_drive(slot, false);
     }
 
-    /// Deregisters, closes, and frees one slab slot.
+    /// Deregisters, closes, and frees one slab slot. The admission slot is
+    /// released before the socket's FIN goes out: a peer that has seen the
+    /// FIN may reconnect at once, and must not be refused for a connection
+    /// that is already gone.
     fn close(&mut self, slot: usize) {
         if let Some(mut conn) = self.conns[slot].take() {
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
@@ -554,6 +557,7 @@ impl Reactor {
             } else {
                 self.lingering -= 1;
             }
+            let _ = conn.stream.shutdown(Shutdown::Both);
             drop(conn);
             self.free.push(slot);
             self.live -= 1;
@@ -756,7 +760,6 @@ impl Reactor {
                 }
                 return;
             }
-            let _ = conn.stream.shutdown(Shutdown::Both);
             self.close(slot);
             return;
         }

@@ -7,7 +7,7 @@
 //! | `GET /v1/percentile?p=P[&n=N&k=K]` | response-latency percentile (seconds), optionally for `(N, K)` erasure-coded reads |
 //! | `GET /v1/headroom?sla=S&target=F[&upper=U]` | largest admissible rate meeting the goal |
 //! | `GET /v1/bottlenecks?sla=S` | devices ranked worst-first |
-//! | `POST /v1/telemetry` | batch event ingest (JSON array), decoded in one pass ([`json::decode_telemetry`]) and handed to the service thread as one command whose reply precedes the `200` |
+//! | `POST /v1/telemetry` | batch event ingest (JSON array), decoded by [`json::decode_telemetry`] (a byte-level fast path, the tree reference for every body it does not take) and handed to the service thread as one command whose reply precedes the `200` |
 //! | `GET /v1/status` | full health summary |
 //! | `GET /v1/selfcheck` | observed gate latency percentiles vs model-predicted percentiles |
 //! | `GET /v1/anomalies` | scored anomalies + controller state (404 without a controller) |
@@ -676,41 +676,33 @@ pub fn encode_events(events: &[TelemetryEvent]) -> String {
 }
 
 /// The reference decoder of the `POST /v1/telemetry` body, over a parsed
-/// tree. The gate decodes bodies in one pass with
-/// [`json::decode_telemetry`], which the property tests hold to exactly
-/// this function's events and error texts; this one stays as that
-/// reference and as the entry point the benchmark's replay times. Errors
-/// name the offending entry.
+/// tree. [`json::decode_telemetry`] answers with this function's verdict,
+/// `parse(text).and_then(|doc| decode_events(&doc))`, on every body its
+/// fast path does not take, refusals included, and the property tests
+/// hold the fast path to exactly this function's events. It is also the
+/// entry point the benchmark's replay times. Errors name the offending
+/// entry.
 pub fn decode_events(doc: &Value) -> Result<Vec<TelemetryEvent>, String> {
-    let items = doc.as_array().ok_or_else(|| NOT_AN_ARRAY.to_string())?;
+    let items = doc
+        .as_array()
+        .ok_or_else(|| "telemetry body must be a JSON array".to_string())?;
     let mut out = Vec::with_capacity(items.len());
     for (i, item) in items.iter().enumerate() {
-        out.push(event_from_fields(i, |key| {
-            item.get(key).map(Value::as_field)
-        })?);
+        out.push(event_from_fields(i, item)?);
     }
     Ok(out)
 }
 
-/// The telemetry body's document-level refusal.
-pub(crate) const NOT_AN_ARRAY: &str = "telemetry body must be a JSON array";
-
-/// Every key [`event_from_fields`] reads.
-pub(crate) const EVENT_FIELDS: [&str; 6] = ["type", "at", "device", "class", "latency", "arrival"];
-
-/// The per-event field rules of the telemetry wire format, shared by both
-/// decoders: which fields each event type reads, in which order, their
-/// types, and the error texts, prefixed with the event's `index`.
-/// `field(key)` is the first value stored under `key` in the event's
-/// object (never any value for a non-object item).
-pub(crate) fn event_from_fields<'f>(
-    index: usize,
-    field: impl Fn(&str) -> Option<Field<'f>>,
-) -> Result<TelemetryEvent, String> {
-    let get = |key: &str| Field::required(key, field(key));
+/// The per-event field rules of the telemetry wire format: which fields
+/// each event type reads, in which order, their types, and the error
+/// texts, prefixed with the event's `index`. A field is the first value
+/// stored under its key in the item's object (never any value for a
+/// non-object item).
+fn event_from_fields(index: usize, item: &Value) -> Result<TelemetryEvent, String> {
+    let get = |key: &str| Field::required(key, item.get(key).map(Value::as_field));
     let number = |key: &str| get(key)?.finite(key);
     let device = || get("device")?.index("device");
-    let event = || match &*get("type")?.string("type")? {
+    let event = || match get("type")?.string("type")? {
         "arrival" => Ok(TelemetryEvent::Arrival {
             at: number("at")?,
             device: device()?,
@@ -720,7 +712,7 @@ pub(crate) fn event_from_fields<'f>(
             device: device()?,
         }),
         "op" => {
-            let class = match &*get("class")?.string("class")? {
+            let class = match get("class")?.string("class")? {
                 "index" => OpClass::Index,
                 "meta" => OpClass::Meta,
                 "data" => OpClass::Data,

@@ -4,7 +4,8 @@
 //! one test: the counter is process-wide, and a second test tracking its
 //! own thread at the same time would add its allocations to this one's.
 
-use cos_gate::{decode_events, encode_events, json};
+use cos_gate::json::{self, Value};
+use cos_gate::{decode_events, encode_events};
 use cos_par::alloc_probe::{track_current_thread, tracked_allocs, CountingAlloc};
 use cos_serve::{OpClass, TelemetryEvent};
 
@@ -56,6 +57,42 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (count, out)
 }
 
+/// The same events as other producers write them: pretty-printed (with
+/// whitespace between every token), with each event's members in reverse
+/// order, and with an unknown `"host":"a"` member in every event.
+fn producer_variants(body: &str) -> [(&'static str, String); 3] {
+    let mut pretty = String::from("\n");
+    for c in body.chars() {
+        if "[]{},:".contains(c) {
+            pretty.push_str(" \r\n");
+            pretty.push(c);
+            pretty.push_str("\t ");
+        } else {
+            pretty.push(c);
+        }
+    }
+    let edit_objects = |edit: fn(&mut Vec<(String, Value)>)| {
+        let Ok(Value::Array(mut items)) = json::parse(body) else {
+            panic!("an encoded batch is an array");
+        };
+        for item in &mut items {
+            let Value::Object(pairs) = item else {
+                panic!("an encoded event is an object");
+            };
+            edit(pairs);
+        }
+        Value::Array(items).encode()
+    };
+    [
+        ("pretty-printed", pretty),
+        ("reordered", edit_objects(|pairs| pairs.reverse())),
+        (
+            "with an unknown member",
+            edit_objects(|pairs| pairs.insert(1, ("host".into(), Value::String("a".into())))),
+        ),
+    ]
+}
+
 #[test]
 fn one_pass_decode_allocates_only_its_output() {
     let events = round_of_telemetry();
@@ -77,4 +114,15 @@ fn one_pass_decode_allocates_only_its_output() {
         tree >= 5 * 480,
         "the reference tree decode made only {tree} allocations"
     );
+
+    // Other producers' formatting stays on the fast path: a body that
+    // fell back to the tree would cost thousands of allocations.
+    for (variant, text) in producer_variants(&body) {
+        let (count, decoded) = allocations(|| json::decode_telemetry(&text));
+        assert_eq!(decoded.as_ref(), Ok(&events), "{variant}");
+        assert!(
+            count <= 2,
+            "decode_telemetry made {count} allocations for the {variant} body"
+        );
+    }
 }

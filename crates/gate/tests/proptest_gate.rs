@@ -7,13 +7,15 @@
 //!   regardless of how the bytes arrive.
 //! * The JSON number encoding round-trips arbitrary finite `f64`s (any
 //!   bit pattern, subnormals and negative zero included) bit-identically.
-//! * The one-pass telemetry decoder is the reference decoder, exactly:
-//!   on encoded event batches put through up to three random mutations
-//!   (deletions, truncation, inserted whitespace and tokens, duplicate,
-//!   unknown and escaped keys, non-object items, `1e400`, nests around
-//!   the depth limit, trailing garbage), `json::decode_telemetry` returns
-//!   the same events bit for bit, or the same error text, as
-//!   `json::parse` followed by `decode_events`.
+//! * The telemetry decoder is the reference decoder, exactly: on encoded
+//!   event batches put through up to three random mutations (deletions,
+//!   truncation, inserted whitespace and tokens, duplicate, unknown and
+//!   escaped keys, non-object items, `1e400`, numbers past `usize::MAX`
+//!   or spelled with an exponent or a fraction in place of a field's
+//!   number, nests around the depth limit, trailing garbage),
+//!   `json::decode_telemetry` (a fast path over the reference) returns the
+//!   same events bit for bit, or the same error text, as `json::parse`
+//!   followed by `decode_events`.
 //! * The reactor's read loop is chunking-invariant on the wire: a
 //!   pipelined burst delivered in chunks cut at any byte boundaries — each
 //!   cut forcing a short read (and, past 8 KiB, a full read followed by
@@ -264,8 +266,26 @@ fn nth_match(text: &str, needle: &str, n: usize) -> Option<usize> {
     (!hits.is_empty()).then(|| hits[n % hits.len()])
 }
 
+/// Number literals at the edges of the field rules and of exact decimal
+/// conversion: past `usize::MAX` (finite, integer-valued, refused as a
+/// device), at `usize::MAX` (2^64 once parsed, accepted as `usize::MAX`),
+/// integers spelled with a fraction or an exponent, a negative, one past
+/// 2^53 (which rounds), and 30 digits.
+const NUMERIC_EDGES: [&str; 10] = [
+    "1e300",
+    "18446744073709551616",
+    "18446744073709551615",
+    "1e2",
+    "100.0",
+    "-1",
+    "1E1",
+    "0.5e1",
+    "9007199254740993",
+    "123456789012345678901234567890",
+];
+
 /// Number of kinds [`mutate`] draws from.
-const MUTATION_KINDS: usize = 11;
+const MUTATION_KINDS: usize = 12;
 
 /// Applies mutation `kind` at a position drawn from `at`, with the variant
 /// drawn from `pick`. Every edit cuts and inserts at char boundaries, so
@@ -318,7 +338,7 @@ fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
         4 => {
             if let Some(head) = object_head {
                 let key = EVENT_KEYS[at % EVENT_KEYS.len()];
-                let value = choose(&[
+                let values = [
                     "\"arrival\"",
                     "\"op\"",
                     "\"completion\"",
@@ -331,7 +351,11 @@ fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
                     "null",
                     "[1]",
                     "{}",
-                ]);
+                ];
+                let value = match pick % (values.len() + NUMERIC_EDGES.len()) {
+                    i if i < values.len() => values[i],
+                    i => NUMERIC_EDGES[i - values.len()],
+                };
                 text.insert_str(head, &format!("\"{key}\":{value},"));
             }
         }
@@ -364,18 +388,24 @@ fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
                 text.insert_str(i, &format!("{item},"));
             }
         }
-        8 => {
-            // Some number in a field position becomes `±1e400` (→ ±inf).
+        8 | 9 => {
+            // Some number in a field position becomes `±1e400` (→ ±inf), or
+            // (kind 9) a numeric edge, so the field's only value is the edge.
             if let Some(i) = nth_match(text, "\":", pick).map(|i| i + 2) {
                 let end = text[i..]
                     .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
                     .map_or(text.len(), |n| i + n);
                 if end > i {
-                    text.replace_range(i..end, choose(&["1e400", "-1e400"]));
+                    let number = if kind == 8 {
+                        choose(&["1e400", "-1e400"])
+                    } else {
+                        NUMERIC_EDGES[at % NUMERIC_EDGES.len()]
+                    };
+                    text.replace_range(i..end, number);
                 }
             }
         }
-        9 => {
+        10 => {
             // A nest around the depth limit inside an unknown field: the
             // field sits at depth 2, so 63 arrays parse and 65 do not.
             if let Some(head) = object_head {
@@ -417,11 +447,11 @@ fn verdict_bits(r: Result<Vec<TelemetryEvent>, String>) -> Result<Vec<[u64; 4]>,
     })
 }
 
-/// The one-pass decoder's verdict on `text` must be the reference's.
+/// The served decoder's verdict on `text` must be the reference's.
 fn assert_decoders_agree(text: &str) -> Result<(), TestCaseError> {
-    let one_pass = verdict_bits(json::decode_telemetry(text));
+    let served = verdict_bits(json::decode_telemetry(text));
     let reference = verdict_bits(json::parse(text).and_then(|doc| cos_gate::decode_events(&doc)));
-    prop_assert_eq!(one_pass, reference, "body {:?}", text);
+    prop_assert_eq!(served, reference, "body {:?}", text);
     Ok(())
 }
 
