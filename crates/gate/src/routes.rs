@@ -24,11 +24,12 @@
 //! with `Allow`; malformed query/body → `400`; a service that cannot answer
 //! *yet* ([`ServeError::NotCalibrated`], [`ServeError::Disconnected`]) →
 //! `503`; a well-formed question with no answer (unstable operating point,
-//! unreachable goal, out-of-range percentile) → `422`; a request the
-//! admission controller sheds → `429` with a `Retry-After` header. The
-//! tenant dimension adds two refusals: a tenant id that could never exist
-//! (empty, too long, bad characters) → `422`, and a well-formed id no
-//! telemetry has ever named → `404`.
+//! unreachable goal, out-of-range percentile) → `422`; a telemetry batch
+//! naming a device outside the calibration base → `422`, with nothing in
+//! it ingested; a request the admission controller sheds → `429` with a
+//! `Retry-After` header. The tenant dimension adds two refusals: a tenant
+//! id that could never exist (empty, too long, bad characters) → `422`,
+//! and a well-formed id no telemetry has ever named → `404`.
 //!
 //! Admission runs *before* routing when a [`cos_ctrl::Controller`] is
 //! configured (see [`handle_ctrl`]): the request is classified by route
@@ -213,7 +214,8 @@ fn service_error(e: ServeError) -> Response {
         ServeError::Unstable { .. }
         | ServeError::PercentileOutOfRange { .. }
         | ServeError::GoalUnreachable
-        | ServeError::BadQuery { .. } => 422,
+        | ServeError::BadQuery { .. }
+        | ServeError::UnknownDevice { .. } => 422,
         // A syntactically valid tenant no telemetry has ever named: the
         // resource does not exist (contrast 422 for an impossible id).
         ServeError::UnknownTenant { .. } => 404,
@@ -415,9 +417,10 @@ fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Respon
     let accepted = events.len();
     // The service replies once it has ingested the whole batch, so this
     // 200 is the client's happens-before edge: every later query on any
-    // connection sees the events.
-    if client.ingest_batch_for(tenant, events).is_err() {
-        return service_error(ServeError::Disconnected);
+    // connection sees the events. A batch naming a device outside the
+    // calibration base is refused whole (422), before any of it lands.
+    if let Err(e) = client.ingest_batch_for(tenant, events) {
+        return service_error(e);
     }
     Response::json(
         200,
@@ -836,6 +839,64 @@ mod tests {
         let value = body.f64_field("value").unwrap();
         let direct = client.attainment(&Query::new().sla(0.05)).unwrap().value;
         assert_eq!(value.to_bits(), direct.to_bits(), "JSON is bit-exact");
+    }
+
+    #[test]
+    fn telemetry_for_devices_outside_the_base_is_422_and_ingests_nothing() {
+        let handle_ = spawn_service();
+        let client = handle_.client();
+        let reader = client.reader();
+        let valid = encode_events(&sample_events()[..240]);
+        assert_eq!(handle(&client, &post("/v1/telemetry", &valid)).status, 200);
+        client.refit_now().unwrap();
+        let default = TenantId::default_tenant();
+        let published = || {
+            let fleet = reader.fleet().unwrap();
+            (
+                reader.generation(),
+                fleet.get(&default).unwrap().events_total,
+            )
+        };
+        let before = published();
+        assert_eq!(before.1, 240);
+
+        // 400 arrivals for device 7 on the 2-device base; one bad event
+        // after valid ones; a device of 2^64, which decodes to usize::MAX.
+        let arrivals: Vec<TelemetryEvent> = (0..400)
+            .map(|i| TelemetryEvent::Arrival {
+                at: 1.0 + i as f64 * 0.01,
+                device: 7,
+            })
+            .collect();
+        let mut mixed = sample_events()[240..300].to_vec();
+        mixed.insert(5, TelemetryEvent::DataRead { at: 7.0, device: 2 });
+        let bodies = [
+            (encode_events(&arrivals), "event 0 names device 7"),
+            (encode_events(&mixed), "event 5 names device 2"),
+            (
+                r#"[{"type":"arrival","at":1.0,"device":18446744073709551616}]"#.to_string(),
+                "event 0 names device 18446744073709551615",
+            ),
+        ];
+        for (body, needle) in &bodies {
+            for target in ["/v1/telemetry", "/v1/tenants/ghost/telemetry"] {
+                let resp = handle(&client, &post(target, body));
+                let text = String::from_utf8_lossy(&resp.body);
+                assert_eq!(resp.status, 422, "{target}: {text}");
+                assert!(text.contains(needle), "{target}: {text}");
+                assert!(text.contains("has 2 devices"), "{target}: {text}");
+            }
+        }
+        client.flush().unwrap();
+        assert_eq!(published(), before, "a refused body publishes nothing");
+        assert_eq!(
+            get(&client, "/v1/tenants/ghost/status").status,
+            404,
+            "a refused body creates no tenant"
+        );
+        client.refit_now().unwrap();
+        assert_eq!(published().1, 240, "a refused body counts no event");
+        assert_eq!(handle(&client, &post("/v1/telemetry", &valid)).status, 200);
     }
 
     #[test]

@@ -389,6 +389,16 @@ mod tests {
         }
     }
 
+    /// Blocks until the gate holds no admitted connection: every reactor
+    /// has read its peer's FIN and released the slot.
+    fn wait_released(gate: &Gate) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while *gate.shared.active.lock().unwrap() > 0 {
+            assert!(Instant::now() < deadline, "gate never released its slots");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn roundtrip(addr: SocketAddr, raw: &[u8]) -> String {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.write_all(raw).expect("write");
@@ -545,7 +555,13 @@ mod tests {
                 );
                 // Release both slots; the accept path must pick up the
                 // freed capacity promptly, not hang on a missed notify.
+                // Both held slots are free before the first retry: a `200`
+                // proves only one of them free, and the next cycle needs
+                // both. The retried connection's own slot is not waited
+                // for, so a reactor that sends its FIN before releasing
+                // the slot still fails the next cycle.
                 drop(held);
+                wait_released(&gate);
                 let deadline = Instant::now() + Duration::from_secs(5);
                 loop {
                     let reply = roundtrip(

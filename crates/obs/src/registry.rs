@@ -12,10 +12,10 @@
 //! coincide with internal bucket edges, so cumulative counts are exact),
 //! plus `_sum` (seconds) and `_count`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::counter::{Counter, Gauge};
-use crate::hist::{Hist, HistSnapshot};
+use crate::hist::{bucket_upper_ns, Hist, HistSnapshot};
 
 /// Exposition edges: one per octave, `2^(e+1) - 1` ns for `e` in this
 /// range — ≈ 1 µs up to ≈ 34 s, then `+Inf`.
@@ -281,11 +281,16 @@ fn render_series(e: &Entry, out: &mut String) {
                 out.push_str(le);
                 let _ = writeln!(out, "\"}} {cum}");
             };
-            for exp in EDGE_EXP_MIN..=EDGE_EXP_MAX {
-                let edge_ns = (1u64 << (exp + 1)) - 1;
-                let mut le = String::new();
-                fmt_f64(edge_ns as f64 * 1e-9, &mut le);
-                bucket_line(out, &le, snap.cumulative_le_ns(edge_ns));
+            // One pass over the buckets: each edge takes the running
+            // count of the buckets whose upper edge is at or below it.
+            let counts = snap.bucket_counts();
+            let (mut cum, mut next) = (0u64, 0usize);
+            for (edge_ns, le) in exposition_labels() {
+                while next < counts.len() && bucket_upper_ns(next) <= *edge_ns {
+                    cum += counts[next];
+                    next += 1;
+                }
+                bucket_line(out, le, cum);
             }
             bucket_line(out, "+Inf", snap.count());
             out.push_str(&e.name);
@@ -304,6 +309,22 @@ fn render_series(e: &Entry, out: &mut String) {
             let _ = writeln!(out, " {}", snap.count());
         }
     }
+}
+
+/// Each exposition edge in nanoseconds with its `le` label text,
+/// formatted once per process.
+fn exposition_labels() -> &'static [(u64, String)] {
+    static LABELS: OnceLock<Vec<(u64, String)>> = OnceLock::new();
+    LABELS.get_or_init(|| {
+        exposition_edges_ns()
+            .into_iter()
+            .map(|edge_ns| {
+                let mut le = String::new();
+                fmt_f64(edge_ns as f64 * 1e-9, &mut le);
+                (edge_ns, le)
+            })
+            .collect()
+    })
 }
 
 /// The exposition edge values in nanoseconds (useful for tests asserting

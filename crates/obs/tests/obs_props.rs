@@ -1,7 +1,7 @@
 //! Property tests: merged histograms preserve counts exactly and keep the
 //! quantile error bound, for arbitrary sample streams.
 
-use cos_obs::{Hist, HistSnapshot};
+use cos_obs::{exposition_edges_ns, Hist, HistSnapshot, Registry};
 use proptest::prelude::*;
 
 /// One nanosecond sample from a band covering the whole interesting range
@@ -85,5 +85,39 @@ proptest! {
         let mut ba = sb.clone();
         ba.merge_from(&sa);
         prop_assert_eq!(ab, ba);
+    }
+
+    #[test]
+    fn every_rendered_bucket_is_the_cumulative_count_at_its_edge(
+        spread in samples(),
+        // Values one below, at and one above an exposition edge.
+        hugging in proptest::collection::vec((0usize..26, 0u64..3), 0..60),
+        labeled in proptest::bool::ANY,
+    ) {
+        let edges = exposition_edges_ns();
+        let r = Registry::new();
+        let h = if labeled {
+            r.histogram_with_label("cos_p_seconds", "route", "/a", "p")
+        } else {
+            r.histogram("cos_p_seconds", "p")
+        };
+        for &v in &spread {
+            h.record_ns(v);
+        }
+        for &(edge, k) in &hugging {
+            h.record_ns(edges[edge] - 1 + k);
+        }
+        let snap = h.snapshot();
+        let text = r.render();
+        let rendered: Vec<u64> = text
+            .lines()
+            .filter(|line| line.starts_with("cos_p_seconds_bucket"))
+            .map(|line| line.rsplit_once(' ').unwrap().1.parse().unwrap())
+            .collect();
+        prop_assert_eq!(rendered.len(), edges.len() + 1);
+        for (got, &edge) in rendered.iter().zip(&edges) {
+            prop_assert_eq!(*got, snap.cumulative_le_ns(edge), "edge {}", edge);
+        }
+        prop_assert_eq!(rendered[edges.len()], snap.count());
     }
 }

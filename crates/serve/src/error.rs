@@ -38,6 +38,18 @@ pub enum ServeError {
         /// What is malformed.
         reason: &'static str,
     },
+    /// A telemetry batch names a device outside the tenant's calibration
+    /// base. The whole batch is refused: none of it is ingested, and no
+    /// tenant is created. Network frontends map this to 422.
+    UnknownDevice {
+        /// Position of the first offending event in the batch.
+        event: usize,
+        /// The device that event names.
+        device: usize,
+        /// Devices the calibration base has (valid indices are
+        /// `0..devices`).
+        devices: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -56,6 +68,15 @@ impl std::fmt::Display for ServeError {
             ServeError::Disconnected => f.write_str("prediction service has shut down"),
             ServeError::UnknownTenant { tenant } => write!(f, "unknown tenant `{tenant}`"),
             ServeError::BadQuery { reason } => write!(f, "malformed query: {reason}"),
+            ServeError::UnknownDevice {
+                event,
+                device,
+                devices,
+            } => write!(
+                f,
+                "telemetry event {event} names device {device}, but the calibration base has \
+                 {devices} devices"
+            ),
         }
     }
 }

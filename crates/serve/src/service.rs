@@ -20,7 +20,9 @@
 //! as batches, one command each: a single event from
 //! [`TelemetrySender::send`] or [`ServiceClient::ingest_for`] is a batch of
 //! one, and [`ServiceClient::ingest_batch_for`] hands over a whole batch
-//! and waits for the service to reply once it is ingested. The returned
+//! and waits for the service to reply once it is ingested (a batch naming
+//! a device the base does not have is refused whole before it is sent,
+//! see [`ServeError::UnknownDevice`]). The returned
 //! [`ServiceHandle`] owns the thread and derefs to its [`ServiceClient`];
 //! [`TelemetrySender`] is a cheap cloneable tenant-scoped ingest-only
 //! endpoint to hand to a telemetry source.
@@ -328,6 +330,11 @@ pub struct SlaService {
     cache: Arc<InversionCache>,
     shards: Vec<TenantShard>,
     index: HashMap<TenantId, u32>,
+    /// The tenant `slot_or_create` resolved last, and its slot: per-event
+    /// ingest compares one id while the tenant repeats instead of hashing
+    /// it into `index`. Exact because slots are append-only: nothing
+    /// removes a shard or reassigns a slot.
+    last: (TenantId, u32),
     obs: ServeObs,
     shared: Arc<SnapshotShared>,
     now: f64,
@@ -354,6 +361,7 @@ impl SlaService {
             cache,
             shards: vec![default_shard],
             index: HashMap::from([(TenantId::default_tenant(), 0)]),
+            last: (TenantId::default_tenant(), 0),
             obs,
             shared,
             now: 0.0,
@@ -400,19 +408,30 @@ impl SlaService {
     }
 
     /// The tenant's slot, materializing a fresh shard (and registering it
-    /// with the snapshot path) on first sight.
+    /// with the snapshot path) on first sight. While the tenant repeats,
+    /// the last resolved slot answers after one id compare; a switch pays
+    /// one `index` lookup.
     fn slot_or_create(&mut self, tenant: &TenantId) -> u32 {
-        if let Some(&slot) = self.index.get(tenant) {
-            return slot;
+        if self.last.0 == *tenant {
+            return self.last.1;
         }
-        let slot = self.shards.len() as u32;
-        let shard = TenantShard::new(tenant.clone(), slot, &self.base, &self.config);
-        let registered = self
-            .shared
-            .register_tenant(tenant.clone(), Arc::new(build_state(&shard)));
-        debug_assert_eq!(registered, slot);
-        self.index.insert(tenant.clone(), slot);
-        self.shards.push(shard);
+        #[cfg(test)]
+        tests::INDEX_LOOKUPS.with(|n| n.set(n.get() + 1));
+        let slot = match self.index.get(tenant) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.shards.len() as u32;
+                let shard = TenantShard::new(tenant.clone(), slot, &self.base, &self.config);
+                let registered = self
+                    .shared
+                    .register_tenant(tenant.clone(), Arc::new(build_state(&shard)));
+                debug_assert_eq!(registered, slot);
+                self.index.insert(tenant.clone(), slot);
+                self.shards.push(shard);
+                slot
+            }
+        };
+        self.last = (tenant.clone(), slot);
         slot
     }
 
@@ -642,12 +661,17 @@ impl SlaService {
     pub fn spawn(self) -> ServiceHandle {
         let (tx, rx) = channel();
         let reader = self.reader();
+        let devices = self.base.devices;
         let join = std::thread::Builder::new()
             .name("cos-serve".into())
             .spawn(move || run_service(self, rx))
             .expect("spawn service thread");
         ServiceHandle {
-            client: ServiceClient { tx, reader },
+            client: ServiceClient {
+                tx,
+                reader,
+                devices,
+            },
             join: Some(join),
         }
     }
@@ -720,11 +744,17 @@ impl TelemetrySender {
 /// [`SnapshotReader`]), so they see every refit published before the call
 /// and never wait for the service thread. Once the owning
 /// [`ServiceHandle`] shuts the service down, every call returns
-/// [`ServeError::Disconnected`].
+/// [`ServeError::Disconnected`], except that
+/// [`ingest_batch_for`](ServiceClient::ingest_batch_for) checks a batch's
+/// devices first and still refuses one naming a device outside the base
+/// with [`ServeError::UnknownDevice`].
 #[derive(Clone)]
 pub struct ServiceClient {
     tx: Sender<Command>,
     reader: SnapshotReader,
+    /// The calibration base's device count: a batch naming a device at or
+    /// past it is refused before it is sent.
+    devices: usize,
 }
 
 impl ServiceClient {
@@ -780,11 +810,29 @@ impl ServiceClient {
     /// [`flush`](ServiceClient::flush), the return is a happens-before
     /// edge for every later query on any client. The tenant's shard
     /// materializes with its first event; an empty batch creates nothing.
+    /// A batch with an event naming a device outside the calibration base
+    /// is refused whole with [`ServeError::UnknownDevice`], on the calling
+    /// thread before anything is sent: nothing in it is ingested, and no
+    /// tenant is created. The per-event paths send without this check, and
+    /// the calibrator drops such an event.
     pub fn ingest_batch_for(
         &self,
         tenant: &TenantId,
         events: Vec<TelemetryEvent>,
     ) -> Result<(), ServeError> {
+        let devices = self.devices;
+        if let Some((event, device)) = events
+            .iter()
+            .map(TelemetryEvent::device)
+            .enumerate()
+            .find(|&(_, device)| device >= devices)
+        {
+            return Err(ServeError::UnknownDevice {
+                event,
+                device,
+                devices,
+            });
+        }
         self.ask(|reply| Command::Ingest(tenant.clone(), events, Instant::now(), Some(reply)))
     }
 
@@ -894,6 +942,11 @@ pub(crate) mod tests {
     use crate::telemetry::OpClass;
     use cos_distr::{Degenerate, Gamma};
     use cos_queueing::from_distribution;
+
+    thread_local! {
+        /// `index` lookups `slot_or_create` made on this thread.
+        pub(super) static INDEX_LOOKUPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     pub(crate) fn base() -> CalibrationBase {
         CalibrationBase {
@@ -1171,37 +1224,111 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// `stream` in runs of 24 events, each run fed in turn to every
+    /// tenant that has joined by then: tenants interleaved the way a
+    /// tick-ordered fleet history is. A tenant whose flag is set joins at
+    /// the middle of the stream.
+    fn interleaved_runs(
+        stream: &[TelemetryEvent],
+        tenants: &[(&TenantId, bool)],
+    ) -> Vec<(TenantId, Vec<TelemetryEvent>)> {
+        let runs: Vec<&[TelemetryEvent]> = stream.chunks(24).collect();
+        let mut out = Vec::new();
+        for (i, run) in runs.iter().enumerate() {
+            for &(tenant, mid_stream) in tenants {
+                if !mid_stream || i >= runs.len() / 2 {
+                    out.push((tenant.clone(), run.to_vec()));
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn a_batch_refits_where_per_event_ingest_does() {
         // 12 s of event time crosses the 5 s refit cadence twice inside
         // the one batch.
         let stream = events(40.0, 12.0, 2);
         let blue = TenantId::new("blue").unwrap();
+        let green = TenantId::new("green").unwrap();
+        // Each input with the tenants it names: blue alone in one batch,
+        // then blue and green interleaved in runs, green first seen
+        // mid-stream.
+        let inputs = [
+            (vec![&blue], vec![(blue.clone(), stream.clone())]),
+            (
+                vec![&blue, &green],
+                interleaved_runs(&stream, &[(&blue, false), (&green, true)]),
+            ),
+        ];
+        for (tenants, batches) in inputs {
+            let batched = SlaService::new(base(), ServeConfig::default()).spawn();
+            let per_event = SlaService::new(base(), ServeConfig::default()).spawn();
+            for (tenant, batch) in &batches {
+                batched
+                    .client()
+                    .ingest_batch_for(tenant, batch.clone())
+                    .unwrap();
+                for &ev in batch {
+                    per_event.ingest_for(tenant, ev).unwrap();
+                }
+            }
+            per_event.flush().unwrap();
 
-        let batched = SlaService::new(base(), ServeConfig::default()).spawn();
-        batched
-            .client()
-            .ingest_batch_for(&blue, stream.clone())
-            .unwrap();
-        let per_event = SlaService::new(base(), ServeConfig::default()).spawn();
-        for &ev in &stream {
-            per_event.ingest_for(&blue, ev).unwrap();
+            let (a, b) = (batched.reader(), per_event.reader());
+            assert_eq!(a.generation(), b.generation(), "same publishes");
+            assert!(a.generation() >= 2, "the cadence fired inside a batch");
+            let fleet = fleet_fingerprint(&a);
+            assert_eq!(fleet, fleet_fingerprint(&b));
+            assert_eq!(fleet.len(), 1 + tenants.len(), "{fleet:?}");
+            for (i, tenant) in tenants.into_iter().enumerate() {
+                assert!(fleet[1 + i].1.is_some(), "{tenant} calibrated: {fleet:?}");
+                let query = Query::tenant(tenant.clone()).sla(0.05);
+                assert_eq!(
+                    a.attainment(&query).unwrap().value.to_bits(),
+                    b.attainment(&query).unwrap().value.to_bits()
+                );
+            }
+            let (a, b) = (batched.shutdown().unwrap(), per_event.shutdown().unwrap());
+            assert_eq!(a.event_time().to_bits(), b.event_time().to_bits());
+            assert_eq!(a.tenants(), b.tenants());
         }
-        per_event.flush().unwrap();
+    }
 
-        let (a, b) = (batched.reader(), per_event.reader());
-        assert_eq!(a.generation(), b.generation(), "same publishes");
-        assert!(a.generation() >= 2, "the cadence fired inside the batch");
-        let fleet = fleet_fingerprint(&a);
-        assert_eq!(fleet, fleet_fingerprint(&b));
-        assert!(fleet[1].1.is_some(), "blue calibrated: {fleet:?}");
-        let query = Query::tenant(blue).sla(0.05);
-        assert_eq!(
-            a.attainment(&query).unwrap().value.to_bits(),
-            b.attainment(&query).unwrap().value.to_bits()
-        );
-        let (a, b) = (batched.shutdown().unwrap(), per_event.shutdown().unwrap());
-        assert_eq!(a.event_time().to_bits(), b.event_time().to_bits());
+    #[test]
+    fn per_event_ingest_looks_a_tenant_up_once_per_switch() {
+        // Three tenants tick-interleaved in runs of 24 events, the second
+        // first seen mid-stream, each event its own `ingest_for`.
+        let stream = events(40.0, 12.0, 2);
+        let [blue, red, green] = ["blue", "red", "green"].map(|id| TenantId::new(id).unwrap());
+        let runs = interleaved_runs(&stream, &[(&blue, false), (&red, true), (&green, false)]);
+        let mut service = SlaService::new(base(), ServeConfig::default());
+        INDEX_LOOKUPS.with(|n| n.set(0));
+        for (tenant, run) in &runs {
+            for &ev in run {
+                service.ingest_for(tenant, ev);
+            }
+        }
+        let lookups = INDEX_LOOKUPS.with(|n| n.get());
+        // `default` is the tenant resolved before the first call.
+        let switches = 1 + runs.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert_eq!(switches, runs.len(), "every run is one switch");
+        assert_eq!(lookups, switches, "one lookup per tenant switch");
+        assert_eq!(service.tenants(), 4);
+        service.refit_now();
+        let fleet = service.reader().fleet().unwrap();
+        for tenant in [&blue, &red, &green] {
+            let fed: usize = runs
+                .iter()
+                .filter(|r| r.0 == *tenant)
+                .map(|r| r.1.len())
+                .sum();
+            assert_eq!(
+                fleet.get(tenant).unwrap().events_total,
+                fed as u64,
+                "{tenant}"
+            );
+        }
     }
 
     #[test]

@@ -95,6 +95,16 @@ impl TelemetryEvent {
             } => arrival + latency,
         }
     }
+
+    /// The device the event names.
+    pub(crate) fn device(&self) -> usize {
+        match *self {
+            TelemetryEvent::Arrival { device, .. }
+            | TelemetryEvent::DataRead { device, .. }
+            | TelemetryEvent::Op { device, .. }
+            | TelemetryEvent::Completion { device, .. } => device,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -234,6 +234,14 @@ mod tests {
             ),
             (CosError::Serve(ServeError::GoalUnreachable), Some(422)),
             (
+                CosError::Serve(ServeError::UnknownDevice {
+                    event: 0,
+                    device: 7,
+                    devices: 2,
+                }),
+                Some(422),
+            ),
+            (
                 CosError::Model(ModelError::UnstableBackend { utilization: 2.0 }),
                 Some(422),
             ),
