@@ -226,18 +226,20 @@ impl BackendModel {
         self.union.factors_batch(s, self.parse_delay.is_none())
     }
 
-    /// `W_be` at the `i`-th abscissa `s` of `factors`: P–K over the union
-    /// LST read off them with this model's extra-reads count. Bit-identical
-    /// to [`BackendModel::waiting_lst`] at `s`.
-    #[inline]
+    /// `W_be` at every abscissa `s` of `factors`: P–K over the union LST
+    /// read off them with this model's extra-reads count, whose
+    /// exponential is one lane-kernel batch. Bit-identical to
+    /// [`BackendModel::waiting_lst`] at each `s`.
     pub(crate) fn waiting_lst_given_factors(
         &self,
-        s: Complex64,
+        s: &[Complex64],
         factors: &UnionFactors,
-        i: usize,
-    ) -> Complex64 {
-        self.mg1
-            .waiting_lst_given_service(s, self.union.lst_given_factors(factors, i))
+        out: &mut [Complex64],
+    ) {
+        self.union.lst_given_factors(factors, out);
+        for (o, s) in out.iter_mut().zip(s) {
+            *o = self.mg1.waiting_lst_given_service(*s, *o);
+        }
     }
 
     /// Mean backend response latency.

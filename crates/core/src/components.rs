@@ -119,8 +119,8 @@ pub(crate) fn shift(s: Complex64, d: f64) -> Complex64 {
 /// The M/M/1/K disk sojourn lifted to a [`ServiceTime`] with precomputed
 /// moments — the per-process "disk service time" `S_diskN` of §III-B.
 ///
-/// Replaces the previous closure-based `TransformServiceTime` wrapper so
-/// the batch path can reach [`Mm1k::sojourn_lst_batch`](cos_queueing::Mm1k::sojourn_lst_batch) (which hoists the
+/// A named law rather than a closure, so the batch path reaches
+/// [`Mm1k::sojourn_lst_batch`](cos_queueing::Mm1k::sojourn_lst_batch) (which hoists the
 /// state probabilities out of the per-abscissa loop) instead of falling
 /// back to scalar evaluation through an opaque `Fn`.
 #[derive(Debug, Clone, Copy)]

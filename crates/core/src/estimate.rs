@@ -10,7 +10,9 @@
 //!   constraint.
 
 use cos_distr::{Empirical, Family, FitReport, Fitted};
+use cos_numeric::Complex64;
 use cos_queueing::{from_distribution, DynServiceTime};
+use std::sync::Arc;
 
 /// The paper's hit/miss latency threshold (0.015 ms).
 pub const LATENCY_THRESHOLD: f64 = 0.000_015;
@@ -226,14 +228,47 @@ pub fn rescale_to_mean(law: &DynServiceTime, target_mean: f64) -> DynServiceTime
     assert!(target_mean > 0.0, "target mean must be positive");
     let current = law.mean();
     assert!(current > 0.0, "cannot rescale a zero-mean law");
-    let k = target_mean / current;
-    let inner = law.clone();
-    let second = law.second_moment() * k * k;
-    std::sync::Arc::new(cos_queueing::TransformServiceTime::new(
-        move |s| inner.lst(s * k),
-        target_mean,
-        second,
-    ))
+    let factor = target_mean / current;
+    Arc::new(Scaled {
+        inner: law.clone(),
+        factor,
+        mean: target_mean,
+        second_moment: law.second_moment() * factor * factor,
+    })
+}
+
+/// A law with time scaled by `factor`: `L[X·c](s) = L[X](c·s)`. Its batch
+/// scales the abscissae once and hands them to the inner law's batch, so
+/// a fitted Gamma reaches the lane kernel a whole contour at a time.
+struct Scaled {
+    inner: DynServiceTime,
+    factor: f64,
+    mean: f64,
+    second_moment: f64,
+}
+
+impl cos_queueing::ServiceTime for Scaled {
+    fn lst(&self, s: Complex64) -> Complex64 {
+        self.inner.lst(s * self.factor)
+    }
+    fn mean(&self) -> f64 {
+        self.mean
+    }
+    fn second_moment(&self) -> f64 {
+        self.second_moment
+    }
+    fn lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
+        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        // Scaled on the stack, a served contour (32 points) at a time.
+        let mut scaled = [Complex64::ZERO; 32];
+        for (s, out) in s.chunks(scaled.len()).zip(out.chunks_mut(scaled.len())) {
+            let scaled = &mut scaled[..s.len()];
+            for (t, s) in scaled.iter_mut().zip(s) {
+                *t = *s * self.factor;
+            }
+            self.inner.lst_batch(scaled, out);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -317,6 +352,28 @@ mod tests {
         let g2 = Gamma::new(3.0, 125.0);
         let s = cos_numeric::Complex64::new(3.0, 7.0);
         assert!((scaled.lst(s) - cos_distr::Lst::lst(&g2, s)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_rescaled_batch_is_the_scalar_closure_bit_for_bit() {
+        let law = from_distribution(Gamma::new(3.0, 250.0));
+        let scaled = rescale_to_mean(&law, 0.0173);
+        let k = 0.0173 / law.mean();
+        // Past one 32-point chunk of the batch's stack buffer.
+        let s: Vec<cos_numeric::Complex64> = (0..70)
+            .map(|j| cos_numeric::Complex64::new(920.0, j as f64 * 314.159))
+            .collect();
+        let mut got = vec![cos_numeric::Complex64::ZERO; s.len()];
+        scaled.lst_batch(&s, &mut got);
+        for (z, g) in s.iter().zip(&got) {
+            // Time scaling in transform space: L[X](k·s).
+            let want = law.lst(*z * k);
+            assert_eq!(
+                (g.re.to_bits(), g.im.to_bits()),
+                (want.re.to_bits(), want.im.to_bits())
+            );
+            assert_eq!(*g, scaled.lst(*z));
+        }
     }
 
     #[test]

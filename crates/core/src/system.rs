@@ -201,8 +201,18 @@ impl SystemModel {
         let d = &self.devices[idx];
         let (mean, rho) = (d.backend.mean_waiting(), d.backend.utilization());
         let tail = union.tail();
+        // On the stack for a served contour (32 points).
+        let (mut stack, mut heap) = ([Complex64::ZERO; 32], Vec::new());
+        let waitings = match stack.get_mut(..s.len()) {
+            Some(waitings) => waitings,
+            None => {
+                heap.resize(s.len(), Complex64::ZERO);
+                &mut heap[..]
+            }
+        };
+        d.backend.waiting_lst_given_factors(s, union, waitings);
         for i in 0..s.len() {
-            let waiting = d.backend.waiting_lst_given_factors(s[i], union, i);
+            let waiting = waitings[i];
             // (S_q · S_be) · W_a — the scalar grouping.
             let response = out[i] * (waiting * tail[i]);
             out[i] = match d.variant {

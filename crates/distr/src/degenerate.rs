@@ -5,7 +5,7 @@
 //! modeled as a unit atom at zero (the Dirac delta in the cache-miss mixture).
 
 use crate::traits::{Distribution, Lst};
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 use rand::RngCore;
 
 /// A point mass at `value ≥ 0`.
@@ -70,7 +70,7 @@ impl Lst for Degenerate {
         if self.value == 0.0 {
             Complex64::ONE
         } else {
-            (s * (-self.value)).exp()
+            lanes::exp_scaled(-self.value, s)
         }
     }
 
@@ -78,11 +78,8 @@ impl Lst for Degenerate {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         if self.value == 0.0 {
             out.fill(Complex64::ONE);
-            return;
-        }
-        let neg = -self.value;
-        for (s, o) in s.iter().zip(out.iter_mut()) {
-            *o = (*s * neg).exp();
+        } else {
+            lanes::exp_scaled_batch(-self.value, s, out);
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::traits::{open_unit, standard_normal, Distribution, Lst};
 use cos_numeric::special::{gamma_p, ln_gamma};
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 use rand::RngCore;
 
 /// Gamma distribution with shape `k` and **rate** `l` (the paper's
@@ -126,35 +126,15 @@ impl Distribution for Gamma {
 }
 
 impl Lst for Gamma {
+    /// `(1 + s/l)^{−k}` through the lane kernel
+    /// ([`cos_numeric::lanes::gamma_lst`]).
     fn lst(&self, s: Complex64) -> Complex64 {
-        gamma_lst(self.shape, self.rate, s)
+        lanes::gamma_lst(self.shape, self.rate, s)
     }
 
     fn lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
-        for (s, o) in s.iter().zip(out.iter_mut()) {
-            *o = gamma_lst(self.shape, self.rate, *s);
-        }
+        lanes::gamma_lst_batch(self.shape, self.rate, s, out)
     }
-}
-
-/// `l^k (s + l)^{−k} = (1 + s/l)^{−k}` on the principal branch, the one
-/// kernel behind [`Gamma`]'s scalar and batch LSTs. With `w = 1 + s/l`
-/// it is `e^{−k ln w}` and `ln w = ½ ln |w|² + i arg w`: one `ln`, one
-/// `atan`, one `exp` and one `sin`/`cos` pair, with no complex division,
-/// `hypot` or `atan2`. `arg w = atan(Im w / Re w)` while `Re w > 0`,
-/// which holds whenever `Re s > −l` (every inversion contour); `atan2`
-/// covers the rest of the plane.
-#[inline]
-fn gamma_lst(shape: f64, rate: f64, s: Complex64) -> Complex64 {
-    let (re, im) = (1.0 + s.re / rate, s.im / rate);
-    let arg = if re > 0.0 {
-        (im / re).atan()
-    } else {
-        im.atan2(re)
-    };
-    let modulus = (-0.5 * shape * (re * re + im * im).ln()).exp();
-    Complex64::from_polar(modulus, -shape * arg)
 }
 
 #[cfg(test)]

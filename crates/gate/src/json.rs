@@ -226,10 +226,12 @@ impl<'a> Field<'a> {
     }
 }
 
-/// `n` as a non-negative integer, if it is one no larger than
-/// `usize::MAX` rounds to (`2^64`, which converts to `usize::MAX`).
+/// `n` as a non-negative integer, if it is one that `usize` holds
+/// exactly: strictly below `usize::MAX as f64`, which is `2^64` on 64-bit
+/// targets and would saturate to `usize::MAX`, a number the sender never
+/// wrote.
 fn as_index(n: f64) -> Option<usize> {
-    (n >= 0.0 && n.fract() == 0.0 && n <= usize::MAX as f64).then_some(n as usize)
+    (n >= 0.0 && n.fract() == 0.0 && n < usize::MAX as f64).then_some(n as usize)
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing

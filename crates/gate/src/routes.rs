@@ -861,7 +861,7 @@ mod tests {
         assert_eq!(before.1, 240);
 
         // 400 arrivals for device 7 on the 2-device base; one bad event
-        // after valid ones; a device of 2^64, which decodes to usize::MAX.
+        // after valid ones; the largest device number below 2^64.
         let arrivals: Vec<TelemetryEvent> = (0..400)
             .map(|i| TelemetryEvent::Arrival {
                 at: 1.0 + i as f64 * 0.01,
@@ -874,8 +874,8 @@ mod tests {
             (encode_events(&arrivals), "event 0 names device 7"),
             (encode_events(&mixed), "event 5 names device 2"),
             (
-                r#"[{"type":"arrival","at":1.0,"device":18446744073709551616}]"#.to_string(),
-                "event 0 names device 18446744073709551615",
+                r#"[{"type":"arrival","at":1.0,"device":18446744073709549568}]"#.to_string(),
+                "event 0 names device 18446744073709549568",
             ),
         ];
         for (body, needle) in &bodies {
@@ -885,6 +885,20 @@ mod tests {
                 assert_eq!(resp.status, 422, "{target}: {text}");
                 assert!(text.contains(needle), "{target}: {text}");
                 assert!(text.contains("has 2 devices"), "{target}: {text}");
+            }
+        }
+        // 2^64, and 2^64 − 1 which parses to it, are no device number
+        // `usize` holds: refused like any other non-integer device.
+        for device in ["18446744073709551616", "18446744073709551615"] {
+            let body = format!(r#"[{{"type":"arrival","at":1.0,"device":{device}}}]"#);
+            for target in ["/v1/telemetry", "/v1/tenants/ghost/telemetry"] {
+                let resp = handle(&client, &post(target, &body));
+                let text = String::from_utf8_lossy(&resp.body);
+                assert_eq!(resp.status, 400, "{target}: {text}");
+                assert!(
+                    text.contains("must be a non-negative integer"),
+                    "{target}: {text}"
+                );
             }
         }
         client.flush().unwrap();

@@ -268,13 +268,15 @@ fn nth_match(text: &str, needle: &str, n: usize) -> Option<usize> {
 
 /// Number literals at the edges of the field rules and of exact decimal
 /// conversion: past `usize::MAX` (finite, integer-valued, refused as a
-/// device), at `usize::MAX` (2^64 once parsed, accepted as `usize::MAX`),
-/// integers spelled with a fraction or an exponent, a negative, one past
-/// 2^53 (which rounds), and 30 digits.
-const NUMERIC_EDGES: [&str; 10] = [
+/// device), 2^64 and `usize::MAX` (both 2^64 once parsed, refused as a
+/// device), the largest double below 2^64 (accepted), integers spelled
+/// with a fraction or an exponent, a negative, one past 2^53 (which
+/// rounds), and 30 digits.
+const NUMERIC_EDGES: [&str; 11] = [
     "1e300",
     "18446744073709551616",
     "18446744073709551615",
+    "18446744073709549568",
     "1e2",
     "100.0",
     "-1",

@@ -39,12 +39,6 @@ impl Complex64 {
         Complex64 { re, im: 0.0 }
     }
 
-    /// Creates a complex number from polar coordinates `r * e^{i theta}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -85,10 +79,12 @@ impl Complex64 {
         }
     }
 
-    /// Complex exponential `e^z`.
+    /// Complex exponential `e^z`, through the lane kernel's scalar rule
+    /// ([`crate::lanes`]), so it equals every batch exponential bit for
+    /// bit.
     #[inline]
     pub fn exp(self) -> Self {
-        Complex64::from_polar(self.re.exp(), self.im)
+        crate::lanes::cexp(self)
     }
 
     /// Principal natural logarithm.

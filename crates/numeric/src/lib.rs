@@ -8,6 +8,9 @@
 //!   (the offline crate set has no `num-complex`),
 //! * [`special`] — log-gamma, digamma/trigamma, regularized incomplete gamma,
 //!   `erf`, inverse normal CDF,
+//! * [`lanes`] — the lane kernel: polynomial `exp`/`ln`/`atan`/`sin_cos`
+//!   with a fixed per-lane fallback to `std`, and batch Gamma and
+//!   point-mass transforms compiled for baseline x86-64 and AVX-512,
 //! * [`laplace`] — numerical Laplace-transform inversion (Abate–Whitt Euler,
 //!   fixed Talbot, Gaver–Stehfest) and CDF/quantile helpers,
 //! * [`moments`] — moments from LSTs by numerical differentiation,
@@ -24,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod complex;
+pub mod lanes;
 pub mod laplace;
 pub mod moments;
 pub mod quad;

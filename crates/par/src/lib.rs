@@ -46,15 +46,17 @@ pub fn default_workers() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Parallel map over `items` with `workers` scoped threads, returning
-/// results **in item order**.
+/// Parallel map over `items` with `workers` threads — the caller and
+/// `workers − 1` scoped helpers — returning results **in item order**.
 ///
 /// Work is distributed by an atomic next-index counter, so load balances
-/// across uneven per-item costs; each worker accumulates `(index, result)`
+/// across uneven per-item costs; each thread accumulates `(index, result)`
 /// pairs which are merged into a dense, item-ordered `Vec` at the end.
 /// Because each item is computed by exactly one thread with no shared
 /// state, the output is bit-identical to the serial map for every worker
-/// count — determinism is positional, not scheduling-dependent.
+/// count — determinism is positional, not scheduling-dependent. The caller
+/// takes items from the start instead of sleeping in `join`, so a helper
+/// that starts late (or never, on a busy machine) costs only its share.
 ///
 /// Falls back to a plain serial map when `workers <= 1` or there is at most
 /// one item. Panics in `f` propagate (the scope unwinds).
@@ -68,27 +70,27 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     let next = AtomicUsize::new(0);
-    let threads = workers.min(items.len());
+    let drain = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            local.push((i, f(i, &items[i])));
+        }
+        local
+    };
+    let helpers = workers.min(items.len()) - 1;
     let mut shards: Vec<Vec<(usize, R)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        local.push((i, f(i, &items[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cos-par worker panicked"))
-            .collect()
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+        let mut shards = vec![drain()];
+        shards.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("cos-par worker panicked")),
+        );
+        shards
     });
     let mut indexed: Vec<(usize, R)> = Vec::with_capacity(items.len());
     for shard in shards.drain(..) {
@@ -258,6 +260,20 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "workers={workers}");
             }
         }
+    }
+
+    #[test]
+    fn the_caller_works_a_share_of_the_fan_out() {
+        // Each item waits for the other, so two threads must run them at
+        // once, and one of the two must be the caller.
+        let barrier = std::sync::Barrier::new(2);
+        let caller = thread::current().id();
+        let ran_on = par_map(2, &[0u8, 1], |_, _| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&caller), "{ran_on:?} vs caller {caller:?}");
     }
 
     #[test]

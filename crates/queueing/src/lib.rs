@@ -31,7 +31,5 @@ pub use md1::Md1;
 pub use mg1::{Mg1, QueueError};
 pub use mm1::Mm1;
 pub use mm1k::Mm1k;
-pub use service::{
-    from_distribution, from_dyn_service, DynServiceTime, ServiceTime, TransformServiceTime,
-};
+pub use service::{from_distribution, from_dyn_service, DynServiceTime, ServiceTime};
 pub use union_op::{UnionFactors, UnionOperation};

@@ -81,59 +81,10 @@ pub fn from_dyn_service(d: cos_distr::DynService) -> DynServiceTime {
     Arc::new(Adapter(d))
 }
 
-/// A service time given by explicit closures/moments; used when a law is
-/// only available in transform space (e.g. the M/M/1/K "disk service time"
-/// of §III-B).
-pub struct TransformServiceTime {
-    lst: Box<dyn Fn(Complex64) -> Complex64 + Send + Sync>,
-    mean: f64,
-    second_moment: f64,
-}
-
-impl TransformServiceTime {
-    /// Wraps an LST closure with its first two moments.
-    pub fn new(
-        lst: impl Fn(Complex64) -> Complex64 + Send + Sync + 'static,
-        mean: f64,
-        second_moment: f64,
-    ) -> Self {
-        assert!(
-            mean >= 0.0 && second_moment >= 0.0,
-            "moments must be nonnegative"
-        );
-        TransformServiceTime {
-            lst: Box::new(lst),
-            mean,
-            second_moment,
-        }
-    }
-}
-
-impl std::fmt::Debug for TransformServiceTime {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TransformServiceTime")
-            .field("mean", &self.mean)
-            .field("second_moment", &self.second_moment)
-            .finish()
-    }
-}
-
-impl ServiceTime for TransformServiceTime {
-    fn lst(&self, s: Complex64) -> Complex64 {
-        (self.lst)(s)
-    }
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-    fn second_moment(&self) -> f64 {
-        self.second_moment
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cos_distr::{Exponential, Gamma};
+    use cos_distr::Exponential;
 
     #[test]
     fn distribution_adapts_to_service_time() {
@@ -142,24 +93,5 @@ mod tests {
         assert_eq!(svc.second_moment(), 0.5);
         let s = Complex64::from_real(1.0);
         assert!((svc.lst(s).re - 2.0 / 3.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn transform_service_time_passthrough() {
-        let g = Gamma::new(2.0, 4.0);
-        let t = TransformServiceTime::new(
-            move |s| cos_distr::Lst::lst(&g, s),
-            cos_distr::Distribution::mean(&g),
-            cos_distr::Distribution::second_moment(&g),
-        );
-        assert_eq!(t.mean(), 0.5);
-        let s = Complex64::new(0.3, 0.4);
-        assert!((t.lst(s) - cos_distr::Lst::lst(&g, s)).abs() < 1e-15);
-    }
-
-    #[test]
-    #[should_panic]
-    fn transform_rejects_negative_moments() {
-        TransformServiceTime::new(|_| Complex64::ONE, -1.0, 1.0);
     }
 }

@@ -13,7 +13,7 @@
 //! `L[B](s) = L[parse]·L[index]·L[meta]·L[data] · exp(p (L[data](s) − 1))`.
 
 use crate::service::{DynServiceTime, ServiceTime};
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 
 /// The union operation service-time law.
 pub struct UnionOperation {
@@ -149,13 +149,16 @@ impl UnionOperation {
         }
     }
 
-    /// The union operation's LST at the `i`-th abscissa of `factors`:
+    /// The union operation's LST at every abscissa of `factors`:
     /// `parse · index · meta · data · e^{p (L_data − 1)}` with this
-    /// operation's `p`. Bit-identical to [`ServiceTime::lst`] there when
+    /// operation's `p`, the exponential as one lane-kernel batch.
+    /// Bit-identical to [`ServiceTime::lst`] at each abscissa when
     /// `factors` came from the same component laws.
-    #[inline]
-    pub fn lst_given_factors(&self, factors: &UnionFactors, i: usize) -> Complex64 {
-        factors.product[i] * (factors.data_minus_one[i] * self.extra_reads).exp()
+    pub fn lst_given_factors(&self, factors: &UnionFactors, out: &mut [Complex64]) {
+        lanes::exp_scaled_batch(self.extra_reads, &factors.data_minus_one, out);
+        for (o, product) in out.iter_mut().zip(&factors.product) {
+            *o = *product * *o;
+        }
     }
 }
 

@@ -59,9 +59,8 @@ fn union_operation_batches_are_bit_identical() {
     for (parse_in_tail, want_tail) in [(true, &want_resp), (false, &want_free)] {
         let factors = u.factors_batch(&s, parse_in_tail);
         assert_bits_equal("factored tail", factors.tail(), want_tail);
-        let lst2: Vec<Complex64> = (0..s.len())
-            .map(|i| u.lst_given_factors(&factors, i))
-            .collect();
+        let mut lst2 = vec![Complex64::ZERO; s.len()];
+        u.lst_given_factors(&factors, &mut lst2);
         assert_bits_equal("factored lst", &lst2, &want_lst);
     }
 }
@@ -82,9 +81,8 @@ fn union_factors_serve_every_extra_read_count() {
             from_distribution(Mixture::cache_miss(0.4, disk.clone())),
             p,
         );
-        let got: Vec<Complex64> = (0..s.len())
-            .map(|i| other.lst_given_factors(&factors, i))
-            .collect();
+        let mut got = vec![Complex64::ZERO; s.len()];
+        other.lst_given_factors(&factors, &mut got);
         let want: Vec<Complex64> = s.iter().map(|&si| ServiceTime::lst(&other, si)).collect();
         assert_bits_equal(&format!("p={p}"), &got, &want);
     }

@@ -35,7 +35,9 @@
 //! caller that needs its earlier non-blocking ingests to be visible calls
 //! [`ServiceClient::flush`] first.
 
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -323,6 +325,40 @@ fn build_state(shard: &TenantShard) -> SnapshotState {
 /// message plus whether it was an instability.
 type FitOutcome = Result<(SystemParams, Arc<SystemModel>, Vec<Option<f64>>), (String, bool)>;
 
+/// One tenant's refit job: the fit, the model build and the predictions
+/// at the configured SLAs.
+fn fit_tenant(
+    calibrator: &OnlineCalibrator,
+    now: f64,
+    variant: ModelVariant,
+    slas: &[f64],
+) -> FitOutcome {
+    let params = calibrator
+        .try_fit(now)
+        .map_err(|e| (e.to_string(), false))?;
+    // Every ModelError is an instability (ρ ≥ 1 in some queue): the live
+    // load exceeds what the last good epoch can describe.
+    let model = SystemModel::new(&params, variant).map_err(|e| (e.to_string(), true))?;
+    // Predictions at the snapped SLA — the same value the cache's
+    // evaluation path would produce, so pre-warming with them is
+    // bit-lossless.
+    let preds = slas
+        .iter()
+        .map(|&sla| Some(model.fraction_meeting_sla(snap(sla, SLA_QUANTUM).1)))
+        .collect();
+    Ok((params, Arc::new(model), preds))
+}
+
+/// The text of a panic payload: `panic!`'s message, or a placeholder for
+/// a payload that is not a string.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
+}
+
 /// The synchronous prediction service.
 pub struct SlaService {
     config: ServeConfig,
@@ -520,27 +556,15 @@ impl SlaService {
             .collect();
         let outcomes: Vec<(u32, FitOutcome)> =
             cos_par::par_map(workers, &jobs, |_, &(slot, cal)| {
-                let outcome = match cal.try_fit(now) {
-                    Err(e) => Err((e.to_string(), false)),
-                    Ok(params) => match SystemModel::new(&params, variant) {
-                        Ok(model) => {
-                            // Predictions at the snapped SLA — the same value
-                            // the cache's evaluation path would produce, so
-                            // pre-warming with them is bit-lossless.
-                            let preds: Vec<Option<f64>> = slas
-                                .iter()
-                                .map(|&sla| {
-                                    Some(model.fraction_meeting_sla(snap(sla, SLA_QUANTUM).1))
-                                })
-                                .collect();
-                            Ok((params, Arc::new(model), preds))
-                        }
-                        // Every ModelError is an instability (ρ ≥ 1 in some
-                        // queue): the live load exceeds what the last good
-                        // epoch can describe.
-                        Err(e) => Err((e.to_string(), true)),
-                    },
-                };
+                // A panic anywhere in the job (a law's transform, a model
+                // assertion) is a failed refit like a typed error; the
+                // last good epoch keeps serving. It says nothing about
+                // load, so it is not flagged unstable.
+                let outcome =
+                    catch_unwind(AssertUnwindSafe(|| fit_tenant(cal, now, variant, &slas)))
+                        .unwrap_or_else(|panic| {
+                            Err((format!("refit panicked: {}", panic_message(&*panic)), false))
+                        });
                 (slot, outcome)
             });
 
@@ -1038,6 +1062,72 @@ pub(crate) mod tests {
         let status = service.status();
         assert!(status.stale);
         assert!(status.last_fit_error.is_some());
+    }
+
+    /// A disk law whose transform panics while `armed` is set.
+    struct Tripwire {
+        law: Gamma,
+        armed: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl cos_queueing::ServiceTime for Tripwire {
+        fn lst(&self, s: cos_numeric::Complex64) -> cos_numeric::Complex64 {
+            let armed = self.armed.load(std::sync::atomic::Ordering::SeqCst);
+            assert!(!armed, "tripwire law evaluated");
+            cos_distr::Lst::lst(&self.law, s)
+        }
+        fn mean(&self) -> f64 {
+            cos_distr::Distribution::mean(&self.law)
+        }
+        fn second_moment(&self) -> f64 {
+            cos_distr::Distribution::second_moment(&self.law)
+        }
+    }
+
+    #[test]
+    fn a_refit_panic_is_a_failed_refit_and_the_service_keeps_answering() {
+        let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let mut base = base();
+        base.data_law = Arc::new(Tripwire {
+            law: Gamma::new(3.5, 245.0),
+            armed: Arc::clone(&armed),
+        });
+        let handle = SlaService::new(base, ServeConfig::default()).spawn();
+        handle
+            .ingest_batch_for(&TenantId::default(), events(40.0, 20.0, 2))
+            .unwrap();
+        assert!(handle.refit_now().unwrap());
+        let q = Query::new().sla(0.05);
+        let fresh = handle.attainment(&q).unwrap();
+
+        armed.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            !handle.refit_now().unwrap(),
+            "a panicking refit installs nothing"
+        );
+        let status = handle.status().unwrap();
+        let error = status.last_fit_error.expect("the panic is the fit error");
+        assert!(
+            error.contains("panicked") && error.contains("tripwire"),
+            "{error}"
+        );
+        assert_eq!(status.engine.failed_refits, 1);
+        assert!(status.stale);
+        let state = handle.reader().state().unwrap();
+        assert!(!state.unstable_fit, "a panic is not an overload verdict");
+        // The last good epoch keeps answering, flagged stale.
+        let stale = handle.attainment(&q).unwrap();
+        assert!(stale.stale);
+        assert_eq!(stale.epoch, fresh.epoch);
+        assert_eq!(stale.value.to_bits(), fresh.value.to_bits());
+
+        armed.store(false, std::sync::atomic::Ordering::SeqCst);
+        assert!(handle.refit_now().unwrap());
+        let recovered = handle.attainment(&q).unwrap();
+        assert_eq!(recovered.epoch, fresh.epoch + 1);
+        assert!(!recovered.stale);
+        assert_eq!(handle.status().unwrap().last_fit_error, None);
+        handle.shutdown().unwrap();
     }
 
     #[test]

@@ -111,7 +111,8 @@ impl BucketRing {
     pub fn totals(&self, now: f64) -> WindowTotals {
         let now_b = self.bucket_of(now);
         let len = self.slots.len() as i64;
-        let lo = now_b - len + 1;
+        // Saturating: a `now` of −∞ is bucket `i64::MIN`.
+        let lo = now_b.saturating_sub(len - 1);
         let mut out = WindowTotals {
             sum: 0.0,
             count: 0,
@@ -339,6 +340,17 @@ impl RotatingQuantile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn totals_at_minus_infinity_are_empty() {
+        let mut ring = BucketRing::new(10.0, 20);
+        for i in 0..100 {
+            ring.record(i as f64 * 0.1, 1.0, i % 2 == 0);
+        }
+        let totals = ring.totals(f64::NEG_INFINITY);
+        assert_eq!((totals.sum, totals.count, totals.flagged), (0.0, 0, 0));
+        assert_eq!(totals.covered, 0.0);
+    }
 
     #[test]
     fn rate_window_tracks_uniform_arrivals() {

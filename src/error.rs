@@ -46,12 +46,14 @@ impl CosError {
     /// configuration, re-fit starvation).
     ///
     /// The mapping is the gate's own: a service that cannot answer *yet*
-    /// → `503`; a well-formed question with no answer → `422`; a request
-    /// that never parsed → its parser status (`400`/`413`/`431`); a
-    /// request the admission controller refused → `429`.
+    /// → `503`; a tenant no telemetry has named → `404`; a well-formed
+    /// question with no answer → `422`; a request that never parsed → its
+    /// parser status (`400`/`413`/`431`); a request the admission
+    /// controller refused → `429`.
     pub fn http_status(&self) -> Option<u16> {
         match self {
             CosError::Serve(ServeError::NotCalibrated | ServeError::Disconnected) => Some(503),
+            CosError::Serve(ServeError::UnknownTenant { .. }) => Some(404),
             CosError::Serve(_) => Some(422),
             // A bare model error surfaces over the wire wrapped as
             // `ServeError::Unstable`, hence the same class.
@@ -240,6 +242,12 @@ mod tests {
                     devices: 2,
                 }),
                 Some(422),
+            ),
+            (
+                CosError::Serve(ServeError::UnknownTenant {
+                    tenant: "ghost".into(),
+                }),
+                Some(404),
             ),
             (
                 CosError::Model(ModelError::UnstableBackend { utilization: 2.0 }),

@@ -632,7 +632,8 @@ fn the_retired_budget_stopped_short_where_newton_converges() {
     // one side while its midpoint probes only halve the other, and it
     // returned the midpoint. Over the plain and coded (4,2)/(6,4)
     // quantiles p50–p99.5 of `fleet_fits(5)` and `fleet_fits(11)` that
-    // happens for 3 of 288, up to 1.8e-3 relative off; this is the worst.
+    // happens for 5 of 288, four of them 1.8e-3 relative off, this one
+    // among them.
     let params = &fleet_fits(5)[1];
     let m = CodedReadModel::new(params, CodingSpec::eager(6, 4)).expect("stable fit");
     let hint = m.branch_mean_response();
