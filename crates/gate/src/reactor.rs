@@ -81,6 +81,10 @@
 //! plus a flush), which is accepted — writes are rare and the reply is
 //! the consistency contract.
 //!
+//! A handler runs under `catch_unwind`: one that panics (a cold read
+//! evaluates the model on this thread) answers its request `500`, and the
+//! reactor keeps serving every other connection.
+//!
 //! # Deadlines without timers
 //!
 //! There is no timer wheel: each poll wait's timeout is the nearest
@@ -108,6 +112,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -636,12 +641,19 @@ impl Reactor {
                     // rode in on an earlier read starts at its own parse.
                     let started = conn.request_started.take().unwrap_or(parse_begin);
                     let dispatch_span = self.obs.dispatch.start_span();
-                    let response = routes::handle_ctrl(
-                        &self.client,
-                        Some(&self.obs),
-                        self.config.controller.as_deref(),
-                        &request,
-                    );
+                    // A panicking handler costs its request a `500`, not
+                    // the reactor. Handlers only read shared state, and an
+                    // unwound cold read's memo flight is released by its
+                    // guard, so nothing is left half-written.
+                    let response = catch_unwind(AssertUnwindSafe(|| {
+                        routes::handle_ctrl(
+                            &self.client,
+                            Some(&self.obs),
+                            self.config.controller.as_deref(),
+                            &request,
+                        )
+                    }))
+                    .unwrap_or_else(|_| Response::error(500, "the request handler panicked"));
                     dispatch_span.stop();
                     let keep = request.keep_alive() && !response.close && !draining;
                     queue_response(&mut conn.out, &mut self.buf_pool, response, keep);

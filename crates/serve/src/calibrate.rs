@@ -5,14 +5,18 @@
 //! rolling windows over the telemetry stream and can re-fit a parameter set
 //! at any event time:
 //!
-//! * per-device arrival and data-read rates from [`RateWindow`]s;
+//! * per-device arrival and data-read rates;
 //! * per-class cache miss ratios from the latency-threshold estimator
-//!   (`latency > threshold` ⇒ the operation visited the disk), as
-//!   [`WindowedRatio`]s;
-//! * the aggregate mean disk service time from a [`WindowedMean`] over the
-//!   same over-threshold operations, decomposed into per-operation means by
-//!   the proportionality rule `b_i/p_i = b_m/p_m = b_d/p_d` and applied by
+//!   (`latency > threshold` ⇒ the operation visited the disk);
+//! * the aggregate mean disk service time over the same over-threshold
+//!   operations, decomposed into per-operation means by the
+//!   proportionality rule `b_i/p_i = b_m/p_m = b_d/p_d` and applied by
 //!   rescaling the benchmarked laws (holding the fitted Gamma shape, §IV-A).
+//!
+//! All of them are counters in one [`WindowBank`]: a slot per time bucket
+//! holding every device's counters of that bucket, so an event resolves its
+//! bucket once, and a request's events (which share its arrival time) once
+//! between them.
 //!
 //! Devices with too little traffic in the window are left out of the fit
 //! (matching the offline pipeline's skip), and a window with no disk
@@ -23,7 +27,7 @@ use cos_model::{
     LATENCY_THRESHOLD,
 };
 use cos_queueing::DynServiceTime;
-use cos_stats::{RateWindow, WindowedMean, WindowedRatio};
+use cos_stats::WindowBank;
 
 use crate::telemetry::TelemetryEvent;
 
@@ -90,25 +94,28 @@ impl std::fmt::Display for FitError {
 
 impl std::error::Error for FitError {}
 
-#[derive(Debug, Clone)]
-struct DeviceWindows {
-    arrivals: RateWindow,
-    data_reads: RateWindow,
-    /// Per-class threshold miss ratios, `[index, meta, data]`.
-    miss: [WindowedRatio; 3],
-    /// Mean latency of over-threshold (disk-visiting) operations.
-    disk_service: WindowedMean,
+/// One device's counters in one bucket of the calibrator's bank.
+#[derive(Debug, Clone, Copy, Default)]
+struct DeviceCells {
+    arrivals: u64,
+    data_reads: u64,
+    /// Operations per class, `[index, meta, data]`.
+    ops: [u64; 3],
+    /// Over-threshold (disk-visiting) operations per class.
+    missed: [u64; 3],
+    /// Summed latency of the over-threshold operations.
+    disk_sum: f64,
 }
 
-impl DeviceWindows {
-    fn new(cfg: &CalibratorConfig) -> Self {
-        let ratio = || WindowedRatio::new(cfg.window, cfg.buckets);
-        DeviceWindows {
-            arrivals: RateWindow::new(cfg.window, cfg.buckets),
-            data_reads: RateWindow::new(cfg.window, cfg.buckets),
-            miss: [ratio(), ratio(), ratio()],
-            disk_service: WindowedMean::new(cfg.window, cfg.buckets),
+impl DeviceCells {
+    fn add(&mut self, other: &DeviceCells) {
+        self.arrivals += other.arrivals;
+        self.data_reads += other.data_reads;
+        for c in 0..3 {
+            self.ops[c] += other.ops[c];
+            self.missed[c] += other.missed[c];
         }
+        self.disk_sum += other.disk_sum;
     }
 }
 
@@ -116,8 +123,10 @@ impl DeviceWindows {
 pub struct OnlineCalibrator {
     base: CalibrationBase,
     config: CalibratorConfig,
-    devices: Vec<DeviceWindows>,
-    total_arrivals: RateWindow,
+    /// One row of [`DeviceCells`] per device in every slot. Rate columns:
+    /// device `d`'s arrivals are column `d`, its data reads column
+    /// `devices + d`; the frontend's arrivals are columns `0..devices`.
+    bank: WindowBank<DeviceCells>,
 }
 
 impl OnlineCalibrator {
@@ -127,12 +136,13 @@ impl OnlineCalibrator {
     /// Panics if `base.devices == 0`.
     pub fn new(base: CalibrationBase, config: CalibratorConfig) -> Self {
         assert!(base.devices >= 1, "need at least one device");
-        let devices = (0..base.devices)
-            .map(|_| DeviceWindows::new(&config))
-            .collect();
         OnlineCalibrator {
-            total_arrivals: RateWindow::new(config.window, config.buckets),
-            devices,
+            bank: WindowBank::new(
+                config.window,
+                config.buckets,
+                base.devices,
+                2 * base.devices,
+            ),
             base,
             config,
         }
@@ -152,16 +162,16 @@ impl OnlineCalibrator {
     /// unknown device index are dropped (a live bus may race a topology
     /// change).
     pub fn ingest(&mut self, event: &TelemetryEvent) {
+        let devices = self.base.devices;
         match *event {
-            TelemetryEvent::Arrival { at, device } => {
-                if let Some(w) = self.devices.get_mut(device) {
-                    w.arrivals.record(at);
-                    self.total_arrivals.record(at);
+            TelemetryEvent::Arrival { at, device } if device < devices => {
+                if let Some(row) = self.bank.record_rate(at, device) {
+                    row[device].arrivals += 1;
                 }
             }
-            TelemetryEvent::DataRead { at, device } => {
-                if let Some(w) = self.devices.get_mut(device) {
-                    w.data_reads.record(at);
+            TelemetryEvent::DataRead { at, device } if device < devices => {
+                if let Some(row) = self.bank.record_rate(at, devices + device) {
+                    row[device].data_reads += 1;
                 }
             }
             TelemetryEvent::Op {
@@ -169,23 +179,40 @@ impl OnlineCalibrator {
                 device,
                 class,
                 latency,
-            } => {
-                if let Some(w) = self.devices.get_mut(device) {
-                    let missed = latency > self.config.miss_threshold;
-                    w.miss[class.index()].record(at, missed);
-                    if missed {
-                        w.disk_service.record(at, latency);
+            } if device < devices => {
+                if let Some(row) = self.bank.record(at) {
+                    let cells = &mut row[device];
+                    let c = class.index();
+                    cells.ops[c] += 1;
+                    if latency > self.config.miss_threshold {
+                        cells.missed[c] += 1;
+                        cells.disk_sum += latency;
                     }
                 }
             }
-            // Completions feed the drift monitor, not the parameter fit.
-            TelemetryEvent::Completion { .. } => {}
+            // Completions feed the drift monitor, not the parameter fit;
+            // events for a device outside the base are dropped.
+            _ => {}
         }
+    }
+
+    /// Every device's counters summed over the window ending at `now`.
+    fn totals(&self, now: f64) -> Vec<DeviceCells> {
+        let mut totals = vec![DeviceCells::default(); self.base.devices];
+        for row in self.bank.live(now) {
+            for (total, cells) in totals.iter_mut().zip(row) {
+                total.add(cells);
+            }
+        }
+        totals
     }
 
     /// Requests currently inside device `idx`'s arrival window.
     pub fn device_request_count(&self, idx: usize, now: f64) -> u64 {
-        self.devices.get(idx).map_or(0, |w| w.arrivals.count(now))
+        if idx >= self.base.devices {
+            return 0;
+        }
+        self.bank.live(now).map(|row| row[idx].arrivals).sum()
     }
 
     /// Fits a fresh [`SystemParams`] from the windows ending at `now`.
@@ -201,26 +228,31 @@ impl OnlineCalibrator {
             self.base.meta_law.mean(),
             self.base.data_law.mean(),
         ];
+        let n = self.base.devices;
+        let totals = self.totals(now);
         let mut devices = Vec::new();
-        for w in &self.devices {
-            if w.arrivals.count(now) < self.config.min_device_requests.max(1) {
+        for (d, w) in totals.iter().enumerate() {
+            if w.arrivals < self.config.min_device_requests.max(1) {
                 continue;
             }
-            let r = match w.arrivals.rate(now) {
+            let r = match self.bank.rate(now, d..d + 1, w.arrivals) {
                 Some(r) if r > 0.0 => r,
                 _ => continue,
             };
             // Every request reads at least one chunk; clamp against window
             // jitter between the two independent estimators.
-            let r_data = w.data_reads.rate(now).unwrap_or(r).max(r);
-            let misses = [
-                w.miss[0].ratio(now).unwrap_or(0.0),
-                w.miss[1].ratio(now).unwrap_or(0.0),
-                w.miss[2].ratio(now).unwrap_or(0.0),
-            ];
-            let laws = w
-                .disk_service
-                .mean(now)
+            let r_data = self
+                .bank
+                .rate(now, n + d..n + d + 1, w.data_reads)
+                .unwrap_or(r)
+                .max(r);
+            let misses = [0, 1, 2].map(|c| match w.ops[c] {
+                0 => 0.0,
+                ops => w.missed[c] as f64 / ops as f64,
+            });
+            let disk_ops: u64 = w.missed.iter().sum();
+            let laws = (disk_ops > 0)
+                .then(|| w.disk_sum / disk_ops as f64)
                 .and_then(|b| try_decompose_disk_service(b, proportions, misses, r, r_data).ok())
                 .map(|[bi, bm, bd]| {
                     (
@@ -255,9 +287,10 @@ impl OnlineCalibrator {
         let device_total: f64 = devices.iter().map(|d| d.arrival_rate).sum();
         // The frontend sees every request, including those routed to
         // below-floor devices; never report less than the fitted devices.
+        let arrivals = totals.iter().map(|w| w.arrivals).sum();
         let frontend_rate = self
-            .total_arrivals
-            .rate(now)
+            .bank
+            .rate(now, 0..n, arrivals)
             .unwrap_or(device_total)
             .max(device_total);
         Ok(SystemParams {

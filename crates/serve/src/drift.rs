@@ -8,8 +8,11 @@
 //! compares it with the model's memoized prediction; a sustained gap above
 //! the tolerance flags the SLA as drifted, the signal to re-benchmark the
 //! device laws (§IV-A) rather than just re-fit the online metrics.
+//!
+//! The counters live in one [`WindowBank`]: a slot per time bucket holding
+//! the bucket's completions and, per SLA, how many of them met it.
 
-use cos_stats::WindowedRatio;
+use cos_stats::WindowBank;
 
 /// Drift detection knobs.
 #[derive(Debug, Clone)]
@@ -56,20 +59,17 @@ pub struct DriftReport {
 /// Sliding-window observed-attainment tracker for a fixed SLA list.
 pub struct DriftMonitor {
     slas: Vec<f64>,
-    windows: Vec<WindowedRatio>,
+    /// Per slot: completions, then the completions meeting each SLA.
+    bank: WindowBank<u64>,
     config: DriftConfig,
 }
 
 impl DriftMonitor {
     /// Creates a monitor for `slas`.
     pub fn new(slas: Vec<f64>, config: DriftConfig) -> Self {
-        let windows = slas
-            .iter()
-            .map(|_| WindowedRatio::new(config.window, config.buckets))
-            .collect();
         DriftMonitor {
+            bank: WindowBank::new(config.window, config.buckets, 1 + slas.len(), 0),
             slas,
-            windows,
             config,
         }
     }
@@ -81,28 +81,48 @@ impl DriftMonitor {
 
     /// Records one completed request's end-to-end latency.
     pub fn record(&mut self, t: f64, latency: f64) {
-        for (sla, w) in self.slas.iter().zip(&mut self.windows) {
-            w.record(t, latency <= *sla);
+        if let Some(row) = self.bank.record(t) {
+            row[0] += 1;
+            for (met, sla) in row[1..].iter_mut().zip(&self.slas) {
+                *met += u64::from(latency <= *sla);
+            }
         }
+    }
+
+    /// Completions, then completions meeting each SLA, in the window ending
+    /// at `now`.
+    fn totals(&self, now: f64) -> Vec<u64> {
+        let mut totals = vec![0; 1 + self.slas.len()];
+        for row in self.bank.live(now) {
+            for (total, n) in totals.iter_mut().zip(row) {
+                *total += n;
+            }
+        }
+        totals
     }
 
     /// Observed attainment of SLA `idx` in the window ending at `now`.
     pub fn observed(&self, idx: usize, now: f64) -> Option<f64> {
-        self.windows.get(idx).and_then(|w| w.ratio(now))
+        if idx >= self.slas.len() {
+            return None;
+        }
+        let totals = self.totals(now);
+        attainment(totals[1 + idx], totals[0])
     }
 
     /// Compares observations with `predictions` (one entry per SLA, in
     /// order; `None` where the model had no answer) and returns one report
     /// per SLA.
     pub fn report(&self, now: f64, predictions: &[Option<f64>]) -> Vec<DriftReport> {
+        let totals = self.totals(now);
+        let samples = totals[0];
         self.slas
             .iter()
-            .zip(&self.windows)
+            .zip(&totals[1..])
             .enumerate()
-            .map(|(i, (&sla, w))| {
-                let observed = w.ratio(now);
+            .map(|(i, (&sla, &met))| {
+                let observed = attainment(met, samples);
                 let predicted = predictions.get(i).copied().flatten();
-                let samples = w.count(now);
                 let drifted = match (observed, predicted) {
                     (Some(o), Some(p)) => {
                         samples >= self.config.min_samples && (o - p).abs() > self.config.tolerance
@@ -119,6 +139,12 @@ impl DriftMonitor {
             })
             .collect()
     }
+}
+
+/// The share of `samples` completions that `met` the SLA (`None` with no
+/// completions: an empty window has no ratio, not ratio 0).
+fn attainment(met: u64, samples: u64) -> Option<f64> {
+    (samples > 0).then(|| met as f64 / samples as f64)
 }
 
 #[cfg(test)]

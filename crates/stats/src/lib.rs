@@ -24,6 +24,4 @@ pub use percentile::{exact_percentile, fraction_within, P2Quantile};
 pub use sla::SlaMeter;
 pub use table::{ms, pct, TextTable};
 pub use welford::{BatchMeans, Welford};
-pub use window::{
-    BucketRing, RateWindow, RotatingQuantile, WindowTotals, WindowedMean, WindowedRatio,
-};
+pub use window::{RotatingQuantile, WindowBank};

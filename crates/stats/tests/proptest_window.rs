@@ -1,9 +1,26 @@
 //! Property-based tests for the sliding-window estimators.
 
-use cos_stats::{exact_percentile, P2Quantile, RateWindow, RotatingQuantile};
+use cos_stats::{exact_percentile, P2Quantile, RotatingQuantile, WindowBank};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// A one-column rate bank of `window` seconds over `buckets` slots.
+fn rate_bank(window: f64, buckets: usize) -> WindowBank<u64> {
+    WindowBank::new(window, buckets, 1, 1)
+}
+
+fn arrive(bank: &mut WindowBank<u64>, t: f64) {
+    if let Some(row) = bank.record_rate(t, 0) {
+        row[0] += 1;
+    }
+}
+
+/// The bank's rate reader over its in-window count.
+fn rate_of(bank: &WindowBank<u64>, now: f64) -> Option<f64> {
+    let count = bank.live(now).map(|row| row[0]).sum();
+    bank.rate(now, 0..1, count)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -19,16 +36,16 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut w = RateWindow::new(window, 25);
+        let mut w = rate_bank(window, 25);
         let duration = 3.0 * window;
         let mut t = 0.0;
         while t < duration {
             t += -(1.0 - rng.gen::<f64>()).ln() / rate;
             if t < duration {
-                w.record(t);
+                arrive(&mut w, t);
             }
         }
-        let est = w.rate(duration).unwrap();
+        let est = rate_of(&w, duration).unwrap();
         let sigma = (rate / window).sqrt();
         prop_assert!(
             (est - rate).abs() < 6.0 * sigma + 2.0,
@@ -46,19 +63,19 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (short_len, long_len) = (4.0, 16.0);
-        let mut short = RateWindow::new(short_len, 16);
-        let mut long = RateWindow::new(long_len, 16);
+        let mut short = rate_bank(short_len, 16);
+        let mut long = rate_bank(long_len, 16);
         let duration = 2.0 * long_len;
         let mut t = 0.0;
         while t < duration {
             t += -(1.0 - rng.gen::<f64>()).ln() / rate;
             if t < duration {
-                short.record(t);
-                long.record(t);
+                arrive(&mut short, t);
+                arrive(&mut long, t);
             }
         }
         for (w, len) in [(&short, short_len), (&long, long_len)] {
-            let est = w.rate(duration).unwrap();
+            let est = rate_of(w, duration).unwrap();
             let sigma = (rate / len).sqrt();
             prop_assert!((est - rate).abs() < 6.0 * sigma + 2.0, "len {len}: {est} vs {rate}");
         }

@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -307,9 +308,9 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
 /// the JSON writer round-trips every `f64`, so nothing may differ.
 #[test]
 fn gate_answers_every_prediction_route_like_the_unspawned_service() {
-    let reference = calibrated_bare_service();
+    let reference = calibrated_service(bare_base());
     let ref_reader = reference.reader();
-    let handle = calibrated_bare_service().spawn();
+    let handle = calibrated_service(bare_base()).spawn();
     let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
     let mut client = Client::connect(gate.local_addr());
 
@@ -409,7 +410,7 @@ fn gate_answers_every_prediction_route_like_the_unspawned_service() {
 /// refused `400`.
 #[test]
 fn coded_queries_answer_on_the_wire_like_the_client() {
-    let handle = calibrated_bare_service().spawn();
+    let handle = calibrated_service(bare_base()).spawn();
     let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
     let mut client = Client::connect(gate.local_addr());
 
@@ -465,7 +466,7 @@ fn coded_queries_answer_on_the_wire_like_the_client() {
 #[test]
 fn percentiles_that_snap_to_one_are_400_and_every_reactor_survives() {
     const REACTORS: usize = 2;
-    let handle = calibrated_bare_service().spawn();
+    let handle = calibrated_service(bare_base()).spawn();
     let config = GateConfig {
         reactor_threads: REACTORS,
         ..GateConfig::default()
@@ -489,6 +490,77 @@ fn percentiles_that_snap_to_one_are_400_and_every_reactor_survives() {
     drop(handle);
 }
 
+/// A data law whose transform panics while `armed` is set.
+struct Tripwire {
+    law: cosmodel::distr::Gamma,
+    armed: Arc<AtomicBool>,
+}
+
+impl cosmodel::queueing::ServiceTime for Tripwire {
+    fn lst(&self, s: cosmodel::numeric::Complex64) -> cosmodel::numeric::Complex64 {
+        assert!(!self.armed.load(Ordering::SeqCst), "tripwire law evaluated");
+        cosmodel::distr::Lst::lst(&self.law, s)
+    }
+    fn mean(&self) -> f64 {
+        cosmodel::distr::Distribution::mean(&self.law)
+    }
+    fn second_moment(&self) -> f64 {
+        cosmodel::distr::Distribution::second_moment(&self.law)
+    }
+}
+
+/// A cold read evaluates the model on the reactor thread that parsed it.
+/// While the data law panics, each cold read is answered `500` — more of
+/// them than there are reactors, each on its own connection — and memo
+/// hits keep answering `200`. Once the law is sound again, the same cold
+/// questions and new ones answer `200`: no reactor died, and no
+/// connection is refused.
+#[test]
+fn a_panicking_cold_read_is_a_500_and_every_reactor_keeps_serving() {
+    const REACTORS: usize = 2;
+    let armed = Arc::new(AtomicBool::new(false));
+    let mut base = bare_base();
+    base.data_law = Arc::new(Tripwire {
+        law: cosmodel::distr::Gamma::new(3.5, 245.0),
+        armed: Arc::clone(&armed),
+    });
+    let handle = calibrated_service(base).spawn();
+    let config = GateConfig {
+        reactor_threads: REACTORS,
+        ..GateConfig::default()
+    };
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), config).expect("bind");
+    let addr = gate.local_addr();
+    // Configured SLAs are pre-warmed at the refit: memo hits.
+    let warm = "/v1/attainment?sla=0.05";
+    let cold = |i: usize| format!("/v1/attainment?sla=0.0{}", 11 + i);
+    let (status, body) = Client::connect(addr).get(warm);
+    assert_eq!(status, 200, "{body}");
+
+    armed.store(true, Ordering::SeqCst);
+    let mut kept = Client::connect(addr);
+    for i in 0..3 * REACTORS {
+        let (status, body) = Client::connect(addr).get(&cold(i));
+        assert_eq!(status, 500, "{}: {body}", cold(i));
+        assert!(body.contains("panicked"), "{body}");
+        let (status, body) = Client::connect(addr).get(warm);
+        assert_eq!(status, 200, "warm read while armed: {body}");
+    }
+    // A connection that saw a 500 stays open for its next request.
+    assert_eq!(kept.get(&cold(0)).0, 500);
+
+    armed.store(false, Ordering::SeqCst);
+    assert_eq!(kept.get(&cold(0)).0, 200);
+    for i in 0..4 * REACTORS {
+        for target in [warm.to_string(), cold(i)] {
+            let (status, body) = Client::connect(addr).get(&target);
+            assert_eq!(status, 200, "{target} after the law recovered: {body}");
+        }
+    }
+    gate.shutdown();
+    drop(handle);
+}
+
 /// The synthetic calibration base used by the protocol-level tests.
 fn bare_base() -> CalibrationBase {
     use cosmodel::distr::{Degenerate, Gamma};
@@ -505,10 +577,11 @@ fn bare_base() -> CalibrationBase {
     }
 }
 
-/// A service over [`bare_base`] calibrated in-process from a deterministic
-/// 20 s stream at 40 req/s per device, with one epoch installed.
-fn calibrated_bare_service() -> SlaService {
-    let mut service = SlaService::new(bare_base(), ServeConfig::default());
+/// A service over `base` (usually [`bare_base`]) calibrated in-process
+/// from a deterministic 20 s stream at 40 req/s per device, with one epoch
+/// installed.
+fn calibrated_service(base: CalibrationBase) -> SlaService {
+    let mut service = SlaService::new(base, ServeConfig::default());
     let mut i = 0u64;
     let mut t = 0.0;
     while t < 20.0 {
