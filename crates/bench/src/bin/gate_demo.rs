@@ -22,50 +22,10 @@ use cos_bench::report::parse_scale;
 use cos_bench::scenario::calibrate;
 use cos_gate::{encode_events, Gate, GateConfig};
 use cos_serve::{CalibrationBase, CalibratorConfig, ServeConfig, SlaService, TelemetryEvent};
-use cos_storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
+use cos_storesim::{ClusterConfig, MetricsConfig, Simulation};
 use cos_workload::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-fn convert(event: SimTelemetry) -> TelemetryEvent {
-    let class = |kind: DiskOpKind| match kind {
-        DiskOpKind::Index => cos_serve::OpClass::Index,
-        DiskOpKind::Meta => cos_serve::OpClass::Meta,
-        DiskOpKind::Data => cos_serve::OpClass::Data,
-    };
-    match event {
-        SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::Op {
-            at,
-            device,
-            kind,
-            latency,
-            ..
-        } => TelemetryEvent::Op {
-            at,
-            device: device as usize,
-            class: class(kind),
-            latency,
-        },
-        SimTelemetry::Completed {
-            arrival,
-            latency,
-            device,
-            ..
-        } => TelemetryEvent::Completion {
-            arrival,
-            latency,
-            device: device as usize,
-        },
-    }
-}
 
 /// Reads one response; returns its status code.
 fn read_response(stream: &mut TcpStream) -> u16 {
@@ -174,7 +134,7 @@ fn main() {
     )
     .with_telemetry(Box::new(tx))
     .run(trace);
-    let events: Vec<TelemetryEvent> = rx.iter().map(convert).collect();
+    let events: Vec<TelemetryEvent> = rx.iter().map(TelemetryEvent::from).collect();
 
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");

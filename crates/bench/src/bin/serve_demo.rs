@@ -19,53 +19,10 @@ use std::sync::Arc;
 use cos_bench::report::parse_scale;
 use cos_bench::scenario::{calibrate, estimate_miss_ratios, Scenario};
 use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
-use cos_serve::{
-    CalibrationBase, CalibratorConfig, Query, ServeConfig, SlaService, TelemetryEvent,
-};
+use cos_serve::{CalibrationBase, CalibratorConfig, Query, ServeConfig, SlaService};
 use cos_simkit::RngStreams;
-use cos_storesim::{DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
+use cos_storesim::{MetricsConfig, SimTelemetry, Simulation};
 use cos_workload::{Catalog, PhaseSchedule, TraceStream};
-
-/// Maps a simulator telemetry record to the service's input format.
-fn convert(event: SimTelemetry) -> TelemetryEvent {
-    let class = |kind: DiskOpKind| match kind {
-        DiskOpKind::Index => cos_serve::OpClass::Index,
-        DiskOpKind::Meta => cos_serve::OpClass::Meta,
-        DiskOpKind::Data => cos_serve::OpClass::Data,
-    };
-    match event {
-        SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::Op {
-            at,
-            device,
-            kind,
-            latency,
-            ..
-        } => TelemetryEvent::Op {
-            at,
-            device: device as usize,
-            class: class(kind),
-            latency,
-        },
-        SimTelemetry::Completed {
-            arrival,
-            latency,
-            device,
-            ..
-        } => TelemetryEvent::Completion {
-            arrival,
-            latency,
-            device: device as usize,
-        },
-    }
-}
 
 fn fmt(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.3}"))
@@ -141,7 +98,7 @@ fn main() {
     let mut next_window = 0usize;
     let sink = move |event: SimTelemetry| {
         let at = event.at();
-        sender.send(convert(event));
+        sender.send(event.into());
         while next_window < boundary_windows.len() && at >= boundary_windows[next_window].1 {
             let _ = boundary_handle.flush();
             let _ = boundary_handle.refit_now();

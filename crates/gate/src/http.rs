@@ -166,6 +166,9 @@ struct PendingBody {
 pub struct RequestParser {
     limits: ParserLimits,
     buf: Vec<u8>,
+    /// Bytes of blank lines skipped before the next request line; they
+    /// count toward its head's budget.
+    blank: usize,
     pending: Option<PendingBody>,
     failed: bool,
 }
@@ -176,6 +179,7 @@ impl RequestParser {
         RequestParser {
             limits,
             buf: Vec::new(),
+            blank: 0,
             pending: None,
             failed: false,
         }
@@ -213,23 +217,21 @@ impl RequestParser {
     fn try_next(&mut self) -> Result<Option<Request>, ParseError> {
         if self.pending.is_none() {
             // RFC 7230 §3.5: ignore blank line(s) received before the
-            // request line (e.g. a client's stray CRLF after a POST body).
-            loop {
-                if self.buf.first() == Some(&b'\n') {
-                    self.buf.drain(..1);
-                } else if self.buf.len() >= 2 && self.buf[0] == b'\r' && self.buf[1] == b'\n' {
-                    self.buf.drain(..2);
-                } else {
-                    break;
-                }
+            // request line (e.g. a client's stray CRLF after a POST body),
+            // in one pass, counting them toward the head's budget so that
+            // an endless run of them is refused like an endless head.
+            let blank = blank_lines(&self.buf);
+            if blank > 0 {
+                self.buf.drain(..blank);
+                self.blank += blank;
             }
             let Some(head_end) = find_head_end(&self.buf) else {
-                if self.buf.len() > self.limits.max_head_bytes {
+                if self.blank + self.buf.len() > self.limits.max_head_bytes {
                     return Err(ParseError::HeadTooLarge);
                 }
                 return Ok(None);
             };
-            if head_end > self.limits.max_head_bytes {
+            if self.blank + head_end > self.limits.max_head_bytes {
                 return Err(ParseError::HeadTooLarge);
             }
             let (request, content_length) = parse_head(&self.buf[..head_end])?;
@@ -237,6 +239,7 @@ impl RequestParser {
                 return Err(ParseError::BodyTooLarge);
             }
             self.buf.drain(..head_end);
+            self.blank = 0;
             self.pending = Some(PendingBody {
                 request,
                 content_length,
@@ -258,6 +261,18 @@ pub fn parse_one(bytes: &[u8]) -> Result<Option<Request>, ParseError> {
     let mut parser = RequestParser::new(ParserLimits::default());
     parser.feed(bytes);
     parser.next_request()
+}
+
+/// Length of the blank lines (`\r\n` or bare `\n`) that `buf` starts with.
+fn blank_lines(buf: &[u8]) -> usize {
+    let mut i = 0;
+    loop {
+        match buf[i..] {
+            [b'\n', ..] => i += 1,
+            [b'\r', b'\n', ..] => i += 2,
+            _ => return i,
+        }
+    }
 }
 
 /// Index one past the blank line ending the head: the first `\n` followed

@@ -248,11 +248,16 @@ pub fn parse(text: &str) -> Result<Value, String> {
 ///
 /// A byte-level fast path takes the wire format as producers write it: a
 /// JSON array of flat objects whose members are escape-free strings and
-/// numbers, with any whitespace and in any member order. It reads the six
-/// event fields by key, converts short decimals exactly, and allocates
-/// only the returned `Vec`. Every body it does not take (a refusal, or
-/// valid JSON outside that shape: escapes, `null`, booleans, nested
-/// values, a repeated event field) gets the reference decoder's verdict,
+/// numbers, with any whitespace and in any member order. It reads each
+/// event first as the member sequence [`crate::encode_events`] writes for
+/// the event's type, matching keys and names as byte literals, and from
+/// the first member that departs from that sequence (whitespace, another
+/// order, an unknown or repeated member) with a general member loop that
+/// reads the six event fields by key and keeps those already read. It
+/// converts short decimals exactly and allocates only the returned `Vec`.
+/// Every body it does not take (a refusal, or valid JSON outside that
+/// shape: escapes, `null`, booleans, nested values, a repeated event
+/// field) gets the reference decoder's verdict,
 /// `parse(text).and_then(|doc| decode_events(&doc))`. So the events, and
 /// every error text, are the reference's ([`crate::decode_events`]); the
 /// property tests hold the fast path to it.
@@ -263,14 +268,84 @@ pub fn decode_telemetry(text: &str) -> Result<Vec<TelemetryEvent>, String> {
     }
 }
 
-/// The keys of the event fields, in the order of [`Wire::event`]'s slots.
-const EVENT_KEYS: [&[u8]; 6] = [b"type", b"class", b"at", b"arrival", b"latency", b"device"];
+/// Slots of [`EventFields::numbers`].
+const AT: usize = 0;
+const ARRIVAL: usize = 1;
+const LATENCY: usize = 2;
+const DEVICE: usize = 3;
 
-/// The event types, in the order of [`Wire::event`]'s match.
-const EVENT_TYPES: [&[u8]; 4] = [b"arrival", b"data_read", b"op", b"completion"];
+/// An event field's key.
+#[derive(Clone, Copy)]
+enum Key {
+    Type,
+    Class,
+    /// A number field, by its slot in [`EventFields::numbers`].
+    Number(usize),
+}
 
-/// The op classes, in [`OpClass::ALL`] order.
-const OP_CLASSES: [&[u8]; 3] = [b"index", b"meta", b"data"];
+/// An event type.
+#[derive(Clone, Copy)]
+enum Kind {
+    Arrival,
+    DataRead,
+    Op,
+    Completion,
+}
+
+#[cfg(any(test, feature = "member-loop-count"))]
+thread_local! {
+    static MEMBER_LOOP_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Events that [`decode_telemetry`] has read, on this thread, with the
+/// general member loop rather than wholly as their type's member
+/// sequence. Test-only: compiled under the `member-loop-count` feature,
+/// which nothing but tests enables.
+#[cfg(any(test, feature = "member-loop-count"))]
+pub fn member_loop_events() -> u64 {
+    MEMBER_LOOP_EVENTS.with(|n| n.get())
+}
+
+/// The event fields an object has named so far; `Some(None)` is a string
+/// naming no event type or op class.
+#[derive(Default)]
+struct EventFields {
+    kind: Option<Option<Kind>>,
+    class: Option<Option<OpClass>>,
+    /// `at`, `arrival`, `latency`, `device`.
+    numbers: [Option<f64>; 4],
+}
+
+impl EventFields {
+    /// The event these fields make under the reference's field rules, if
+    /// they make one.
+    fn event(self) -> Option<TelemetryEvent> {
+        let finite = |n: Option<f64>| n.filter(|n| n.is_finite());
+        let [at, arrival, latency, device] = self.numbers;
+        let device = as_index(device?)?;
+        Some(match self.kind?? {
+            Kind::Arrival => TelemetryEvent::Arrival {
+                at: finite(at)?,
+                device,
+            },
+            Kind::DataRead => TelemetryEvent::DataRead {
+                at: finite(at)?,
+                device,
+            },
+            Kind::Op => TelemetryEvent::Op {
+                at: finite(at)?,
+                device,
+                class: self.class??,
+                latency: finite(latency)?,
+            },
+            Kind::Completion => TelemetryEvent::Completion {
+                arrival: finite(arrival)?,
+                latency: finite(latency)?,
+                device,
+            },
+        })
+    }
+}
 
 /// The telemetry fast path: a byte cursor that takes only the wire
 /// format as producers write it and answers `None` on anything else. It
@@ -320,23 +395,97 @@ impl<'a> Wire<'a> {
     /// One event object under the reference's field rules, applied more
     /// strictly: a repeated event field, or one of the wrong JSON type, is
     /// refused even where the event's type does not read it, and an unknown
-    /// member must hold a string or a number. The keys and the type and
-    /// class names are matched as byte literals.
+    /// member must hold a string or a number. The object is read first as
+    /// the member sequence [`crate::encode_events`] writes for its type,
+    /// then, from the first member that departs from it, by the member
+    /// loop, which keeps the fields already read.
     fn event(&mut self) -> Option<TelemetryEvent> {
         if !self.eat(b'{') {
             return None;
         }
-        // Indices into `EVENT_TYPES` and `OP_CLASSES`; `Some(None)` is a
-        // string naming neither.
-        let (mut kind, mut class) = (None, None);
-        // `at`, `arrival`, `latency`, `device`, as `EVENT_KEYS[2..]`.
-        let mut numbers = [None; 4];
+        let mut fields = EventFields::default();
+        if !self.sequence(&mut fields)? {
+            self.members(&mut fields)?;
+        }
+        fields.event()
+    }
+
+    /// After an event's `{`: its members as [`crate::encode_events`]
+    /// writes them for its type, in that order and with no whitespace,
+    /// up to the first member that departs from that. Answers whether the
+    /// object closed there; `Some(false)` leaves the cursor before a
+    /// member, after the `{` or a comma.
+    fn sequence(&mut self, fields: &mut EventFields) -> Option<bool> {
+        let Some(kind) = self.member(b"\"type\":\"", Self::type_name) else {
+            return Some(false);
+        };
+        fields.kind = Some(Some(kind));
+        // `&&` stops at the first member that departs.
+        let _ = match kind {
+            Kind::Arrival | Kind::DataRead => {
+                self.number_member(b",\"at\":", AT, fields)
+                    && self.number_member(b",\"device\":", DEVICE, fields)
+            }
+            Kind::Op => {
+                self.number_member(b",\"at\":", AT, fields)
+                    && self.number_member(b",\"device\":", DEVICE, fields)
+                    && self
+                        .member(b",\"class\":\"", Self::class_name)
+                        .map(|class| fields.class = Some(Some(class)))
+                        .is_some()
+                    && self.number_member(b",\"latency\":", LATENCY, fields)
+            }
+            Kind::Completion => {
+                self.number_member(b",\"arrival\":", ARRIVAL, fields)
+                    && self.number_member(b",\"latency\":", LATENCY, fields)
+                    && self.number_member(b",\"device\":", DEVICE, fields)
+            }
+        };
+        self.close_or_comma()
+    }
+
+    /// `literal` (a separator and a key) directly followed by a number,
+    /// stored in `fields.numbers[slot]`.
+    fn number_member<const N: usize>(
+        &mut self,
+        literal: &[u8; N],
+        slot: usize,
+        fields: &mut EventFields,
+    ) -> bool {
+        let Some(n) = self.member(literal, Self::number) else {
+            return false;
+        };
+        fields.numbers[slot] = Some(n);
+        true
+    }
+
+    /// `literal` directly followed by what `value` reads; `None`, with
+    /// nothing consumed, if the body departs from either.
+    fn member<const N: usize, T>(
+        &mut self,
+        literal: &[u8; N],
+        value: fn(&mut Self) -> Option<T>,
+    ) -> Option<T> {
+        let start = self.pos;
+        let found = self.literal(literal).then(|| value(self)).flatten();
+        if found.is_none() {
+            self.pos = start;
+        }
+        found
+    }
+
+    /// The members of an event object from the cursor, which stands
+    /// before one, through its `}`: in any order, with whitespace around
+    /// every token, and with unknown members.
+    fn members(&mut self, fields: &mut EventFields) -> Option<()> {
+        #[cfg(any(test, feature = "member-loop-count"))]
+        MEMBER_LOOP_EVENTS.with(|n| n.set(n.get() + 1));
         loop {
             self.ws();
             if !self.eat(b'"') {
                 return None;
             }
-            let key = self.name_of(&EVENT_KEYS);
+            let key = self.key();
             if key.is_none() {
                 self.string_tail()?;
             }
@@ -346,47 +495,35 @@ impl<'a> Wire<'a> {
             }
             self.ws();
             let first = match key {
-                Some(0) => kind.replace(self.string_of(&EVENT_TYPES)?).is_none(),
-                Some(1) => class.replace(self.string_of(&OP_CLASSES)?).is_none(),
-                Some(i) => numbers[i - 2].replace(self.number()?).is_none(),
+                Some(Key::Type) => fields
+                    .kind
+                    .replace(self.string_of(Self::type_name)?)
+                    .is_none(),
+                Some(Key::Class) => fields
+                    .class
+                    .replace(self.string_of(Self::class_name)?)
+                    .is_none(),
+                Some(Key::Number(slot)) => fields.numbers[slot].replace(self.number()?).is_none(),
                 None if self.eat(b'"') => self.string_tail().is_some(),
                 None => self.number().is_some(),
             };
             if !first {
                 return None;
             }
-            self.ws();
-            if self.eat(b'}') {
-                break;
-            }
-            if !self.eat(b',') {
-                return None;
+            if self.close_or_comma()? {
+                return Some(());
             }
         }
-        let finite = |n: Option<f64>| n.filter(|n| n.is_finite());
-        let [at, arrival, latency, device] = numbers;
-        let device = as_index(device?)?;
-        Some(match kind?? {
-            0 => TelemetryEvent::Arrival {
-                at: finite(at)?,
-                device,
-            },
-            1 => TelemetryEvent::DataRead {
-                at: finite(at)?,
-                device,
-            },
-            2 => TelemetryEvent::Op {
-                at: finite(at)?,
-                device,
-                class: OpClass::ALL[class??],
-                latency: finite(latency)?,
-            },
-            _ => TelemetryEvent::Completion {
-                arrival: finite(arrival)?,
-                latency: finite(latency)?,
-                device,
-            },
-        })
+    }
+
+    /// After a member's value: `Some(true)` past the object's `}`,
+    /// `Some(false)` past a comma, with the whitespace before either.
+    fn close_or_comma(&mut self) -> Option<bool> {
+        self.ws();
+        if self.eat(b'}') {
+            return Some(true);
+        }
+        self.eat(b',').then_some(false)
     }
 
     fn ws(&mut self) {
@@ -401,26 +538,63 @@ impl<'a> Wire<'a> {
         hit
     }
 
-    /// After an opening quote: the index of the entry of `names` the
-    /// string spells, consumed with its closing quote; `None`, with
-    /// nothing consumed, for any other string.
-    fn name_of(&mut self, names: &[&[u8]]) -> Option<usize> {
-        let rest = &self.bytes[self.pos..];
-        let i = names
-            .iter()
-            .position(|name| rest.starts_with(name) && rest.get(name.len()) == Some(&b'"'))?;
-        self.pos += names[i].len() + 1;
-        Some(i)
+    /// Whether the body continues with `literal`, consumed if so. Its
+    /// length is a constant, so the comparison compiles to a few integer
+    /// compares rather than a `memcmp` call.
+    fn literal<const N: usize>(&mut self, literal: &[u8; N]) -> bool {
+        let hit = self.bytes[self.pos..].first_chunk::<N>() == Some(literal);
+        self.pos += if hit { N } else { 0 };
+        hit
     }
 
-    /// A string value: `Some(Some(i))` if it spells `names[i]`,
+    /// After a key's opening quote: the event field it names, consumed
+    /// with its closing quote; `None`, with nothing consumed, for any
+    /// other key.
+    fn key(&mut self) -> Option<Key> {
+        match *self.bytes.get(self.pos)? {
+            b't' => self.literal(b"type\"").then_some(Key::Type),
+            b'c' => self.literal(b"class\"").then_some(Key::Class),
+            b'a' if self.literal(b"at\"") => Some(Key::Number(AT)),
+            b'a' => self.literal(b"arrival\"").then_some(Key::Number(ARRIVAL)),
+            b'l' => self.literal(b"latency\"").then_some(Key::Number(LATENCY)),
+            b'd' => self.literal(b"device\"").then_some(Key::Number(DEVICE)),
+            _ => None,
+        }
+    }
+
+    /// After a string's opening quote: the event type it names, consumed
+    /// with its closing quote; `None`, with nothing consumed, for any
+    /// other string.
+    fn type_name(&mut self) -> Option<Kind> {
+        match *self.bytes.get(self.pos)? {
+            b'a' => self.literal(b"arrival\"").then_some(Kind::Arrival),
+            b'd' => self.literal(b"data_read\"").then_some(Kind::DataRead),
+            b'o' => self.literal(b"op\"").then_some(Kind::Op),
+            b'c' => self.literal(b"completion\"").then_some(Kind::Completion),
+            _ => None,
+        }
+    }
+
+    /// After a string's opening quote: the op class it names, consumed
+    /// with its closing quote; `None`, with nothing consumed, for any
+    /// other string.
+    fn class_name(&mut self) -> Option<OpClass> {
+        match *self.bytes.get(self.pos)? {
+            b'i' => self.literal(b"index\"").then_some(OpClass::Index),
+            b'm' => self.literal(b"meta\"").then_some(OpClass::Meta),
+            b'd' => self.literal(b"data\"").then_some(OpClass::Data),
+            _ => None,
+        }
+    }
+
+    /// A string value: `Some(Some(name))` if `name_of` reads a name in it,
     /// `Some(None)` for any other escape-free string.
-    fn string_of(&mut self, names: &[&[u8]]) -> Option<Option<usize>> {
+    fn string_of<T>(&mut self, name_of: fn(&mut Self) -> Option<T>) -> Option<Option<T>> {
         if !self.eat(b'"') {
             return None;
         }
-        match self.name_of(names) {
-            Some(i) => Some(Some(i)),
+        match name_of(self) {
+            Some(name) => Some(Some(name)),
             None => self.string_tail().map(|()| None),
         }
     }

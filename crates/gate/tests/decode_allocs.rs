@@ -1,4 +1,6 @@
-//! Allocation count of the telemetry decoders, from inside the allocator.
+//! Allocation count of the telemetry decoders, from inside the allocator,
+//! and the path the fast path takes for each producer's layout, from its
+//! test-only member-loop counter.
 //!
 //! This test binary installs the counting allocator, so it holds exactly
 //! one test: the counter is process-wide, and a second test tracking its
@@ -59,8 +61,9 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// The same events as other producers write them: pretty-printed (with
 /// whitespace between every token), with each event's members in reverse
-/// order, and with an unknown `"host":"a"` member in every event.
-fn producer_variants(body: &str) -> [(&'static str, String); 3] {
+/// order, and with an unknown `"host":"a"` member in every event, after
+/// its `type` or at its end.
+fn producer_variants(body: &str) -> [(&'static str, String); 4] {
     let mut pretty = String::from("\n");
     for c in body.chars() {
         if "[]{},:".contains(c) {
@@ -90,6 +93,10 @@ fn producer_variants(body: &str) -> [(&'static str, String); 3] {
             "with an unknown member",
             edit_objects(|pairs| pairs.insert(1, ("host".into(), Value::String("a".into())))),
         ),
+        (
+            "with an unknown member appended",
+            edit_objects(|pairs| pairs.push(("host".into(), Value::String("a".into())))),
+        ),
     ]
 }
 
@@ -99,7 +106,11 @@ fn one_pass_decode_allocates_only_its_output() {
     assert_eq!(events.len(), 480);
     let body = encode_events(&events);
 
+    let loop_events = json::member_loop_events();
     let (one_pass, decoded) = allocations(|| json::decode_telemetry(&body));
+    // Every event as `encode_events` writes it is read as its type's
+    // member sequence, without the general member loop.
+    assert_eq!(json::member_loop_events() - loop_events, 0);
     let (tree, reference) = allocations(|| json::parse(&body).and_then(|doc| decode_events(&doc)));
     assert_eq!(decoded.as_ref(), Ok(&events));
     assert_eq!(reference.as_ref(), Ok(&events));
@@ -115,11 +126,19 @@ fn one_pass_decode_allocates_only_its_output() {
         "the reference tree decode made only {tree} allocations"
     );
 
-    // Other producers' formatting stays on the fast path: a body that
-    // fell back to the tree would cost thousands of allocations.
+    // Other producers' formatting stays on the fast path: each of their
+    // events departs from its member sequence and is read by the member
+    // loop, and a body that fell back to the tree would cost thousands of
+    // allocations.
     for (variant, text) in producer_variants(&body) {
+        let loop_events = json::member_loop_events();
         let (count, decoded) = allocations(|| json::decode_telemetry(&text));
         assert_eq!(decoded.as_ref(), Ok(&events), "{variant}");
+        assert_eq!(
+            json::member_loop_events() - loop_events,
+            480,
+            "events of the {variant} body read by the member loop"
+        );
         assert!(
             count <= 2,
             "decode_telemetry made {count} allocations for the {variant} body"

@@ -134,15 +134,29 @@ proptest! {
     }
 
     /// A head that outgrows the budget is 431 no matter how it trickles
-    /// in, even though it never terminates.
+    /// in, even though it never terminates. So is a run of blank lines
+    /// before the request line that outgrows it: the run counts toward
+    /// the head.
     #[test]
     fn oversized_heads_are_431_at_any_chunking(
         chunk in 1usize..97,
         max_head in 128usize..512,
+        blank_run in 0usize..3,
     ) {
         let limits = ParserLimits { max_head_bytes: max_head, max_body_bytes: 4096 };
-        let mut raw = b"GET / HTTP/1.1\r\nHost: x\r\nX-Pad: ".to_vec();
-        raw.extend(std::iter::repeat_n(b'a', max_head * 2));
+        let mut raw = match blank_run {
+            0 => {
+                let mut head = b"GET / HTTP/1.1\r\nHost: x\r\nX-Pad: ".to_vec();
+                head.extend(std::iter::repeat_n(b'a', max_head * 2));
+                head
+            }
+            // One byte over the budget before a valid request line.
+            1 => b"\n".repeat(max_head + 1),
+            _ => b"\r\n".repeat(max_head),
+        };
+        if blank_run > 0 {
+            raw.extend_from_slice(b"GET / HTTP/1.1\r\nHost: x\r\n\r\n");
+        }
         let mut parser = RequestParser::new(limits);
         let mut outcome = None;
         for piece in raw.chunks(chunk) {
@@ -150,7 +164,7 @@ proptest! {
             match parser.next_request() {
                 Ok(None) => {}
                 Ok(Some(_)) => {
-                    prop_assert!(false, "unterminated head cannot complete");
+                    prop_assert!(false, "a head over budget cannot complete");
                 }
                 Err(e) => { outcome = Some(e); break; }
             }
@@ -287,7 +301,32 @@ const NUMERIC_EDGES: [&str; 11] = [
 ];
 
 /// Number of kinds [`mutate`] draws from.
-const MUTATION_KINDS: usize = 12;
+const MUTATION_KINDS: usize = 13;
+
+/// A member naming an event field (drawn from `at`) with a value of the
+/// right or a wrong JSON type, or a numeric edge (drawn from `pick`).
+fn event_member(at: usize, pick: usize) -> String {
+    let key = EVENT_KEYS[at % EVENT_KEYS.len()];
+    let values = [
+        "\"arrival\"",
+        "\"op\"",
+        "\"completion\"",
+        "\"data\"",
+        "\"warp\"",
+        "1",
+        "-0",
+        "2.5",
+        "1e400",
+        "null",
+        "[1]",
+        "{}",
+    ];
+    let value = match pick % (values.len() + NUMERIC_EDGES.len()) {
+        i if i < values.len() => values[i],
+        i => NUMERIC_EDGES[i - values.len()],
+    };
+    format!("\"{key}\":{value}")
+}
 
 /// Applies mutation `kind` at a position drawn from `at`, with the variant
 /// drawn from `pick`. Every edit cuts and inserts at char boundaries, so
@@ -339,26 +378,7 @@ fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
         ),
         4 => {
             if let Some(head) = object_head {
-                let key = EVENT_KEYS[at % EVENT_KEYS.len()];
-                let values = [
-                    "\"arrival\"",
-                    "\"op\"",
-                    "\"completion\"",
-                    "\"data\"",
-                    "\"warp\"",
-                    "1",
-                    "-0",
-                    "2.5",
-                    "1e400",
-                    "null",
-                    "[1]",
-                    "{}",
-                ];
-                let value = match pick % (values.len() + NUMERIC_EDGES.len()) {
-                    i if i < values.len() => values[i],
-                    i => NUMERIC_EDGES[i - values.len()],
-                };
-                text.insert_str(head, &format!("\"{key}\":{value},"));
+                text.insert_str(head, &format!("{},", event_member(at, pick)));
             }
         }
         5 => {
@@ -414,6 +434,15 @@ fn mutate(text: &mut String, kind: usize, at: usize, pick: usize) {
                 let depth = 60 + pick % 7;
                 let nest = format!("\"deep\":{}{},", "[".repeat(depth), "]".repeat(depth));
                 text.insert_str(head, &nest);
+            }
+        }
+        11 => {
+            // Kind 4's member, just before the `pick`-th `}` instead:
+            // after an event's complete member sequence, it repeats a
+            // field, adds an unknown one, or gives one a wrong type or a
+            // numeric edge.
+            if let Some(i) = nth_match(text, "}", pick) {
+                text.insert_str(i, &format!(",{}", event_member(at, pick)));
             }
         }
         _ => text.push_str(choose(&["x", "]", ",", "{}", "null", "  ", "\n"])),

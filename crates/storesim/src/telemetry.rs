@@ -81,6 +81,51 @@ impl SimTelemetry {
     }
 }
 
+impl From<SimTelemetry> for cos_serve::TelemetryEvent {
+    /// The record as the online service ingests it, without the fields its
+    /// events do not carry: an operation's ground-truth `was_miss` and a
+    /// completion's `completed_at`.
+    fn from(event: SimTelemetry) -> Self {
+        use cos_serve::{OpClass, TelemetryEvent};
+        match event {
+            SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
+                at,
+                device: usize::from(device),
+            },
+            SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
+                at,
+                device: usize::from(device),
+            },
+            SimTelemetry::Op {
+                at,
+                device,
+                kind,
+                latency,
+                ..
+            } => TelemetryEvent::Op {
+                at,
+                device: usize::from(device),
+                class: match kind {
+                    DiskOpKind::Index => OpClass::Index,
+                    DiskOpKind::Meta => OpClass::Meta,
+                    DiskOpKind::Data => OpClass::Data,
+                },
+                latency,
+            },
+            SimTelemetry::Completed {
+                arrival,
+                latency,
+                device,
+                ..
+            } => TelemetryEvent::Completion {
+                arrival,
+                latency,
+                device: usize::from(device),
+            },
+        }
+    }
+}
+
 /// A consumer of the telemetry stream.
 ///
 /// Implemented for closures, `Vec<SimTelemetry>` (buffering), and

@@ -20,12 +20,9 @@
 use cos_bench::scenario::calibrate;
 use cosmodel::ctrl::{AdmissionPolicy, Controller, CtrlConfig, SlaClass};
 use cosmodel::model::SlaGoal;
-use cosmodel::serve::{
-    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, ServeConfig, SlaService,
-    TelemetryEvent,
-};
+use cosmodel::serve::{CalibrationBase, CalibratorConfig, DriftConfig, ServeConfig, SlaService};
 use cosmodel::storesim::{
-    ChaosSchedule, ClusterConfig, DiskOpKind, Fault, MetricsConfig, SimTelemetry, Simulation,
+    ChaosSchedule, ClusterConfig, Fault, MetricsConfig, SimTelemetry, Simulation,
 };
 use cosmodel::workload::TraceEvent;
 use rand::rngs::SmallRng;
@@ -55,46 +52,6 @@ fn poisson_trace(rate: f64, duration: f64, chunk: u32, seed: u64) -> Vec<TraceEv
         });
     }
     out
-}
-
-fn convert(event: SimTelemetry) -> TelemetryEvent {
-    let class = |kind: DiskOpKind| match kind {
-        DiskOpKind::Index => OpClass::Index,
-        DiskOpKind::Meta => OpClass::Meta,
-        DiskOpKind::Data => OpClass::Data,
-    };
-    match event {
-        SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::Op {
-            at,
-            device,
-            kind,
-            latency,
-            ..
-        } => TelemetryEvent::Op {
-            at,
-            device: device as usize,
-            class: class(kind),
-            latency,
-        },
-        SimTelemetry::Completed {
-            arrival,
-            latency,
-            device,
-            ..
-        } => TelemetryEvent::Completion {
-            arrival,
-            latency,
-            device: device as usize,
-        },
-    }
 }
 
 /// The event-time key used to deliver telemetry in chunks: completions are
@@ -195,7 +152,7 @@ fn run_scenario(name: &str, rate: f64, schedule: ChaosSchedule) {
     for chunk in 0..chunks {
         let t_end = (chunk + 1) as f64 * CHUNK;
         while next_event < events.len() && event_time(&events[next_event]) < t_end {
-            service.ingest(convert(events[next_event]));
+            service.ingest(events[next_event].into());
             next_event += 1;
         }
         // Drift is checked before the re-fit: the verdict compares live

@@ -25,7 +25,7 @@ use cosmodel::serve::{
     CalibrationBase, CalibratorConfig, DriftConfig, OpClass, Query, ServeConfig, SlaService,
     TelemetryEvent,
 };
-use cosmodel::storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
+use cosmodel::storesim::{ClusterConfig, MetricsConfig, Simulation};
 use cosmodel::workload::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -50,46 +50,6 @@ fn poisson_trace(rate: f64, duration: f64, chunk: u32, seed: u64) -> Vec<TraceEv
     out
 }
 
-fn convert(event: SimTelemetry) -> TelemetryEvent {
-    let class = |kind: DiskOpKind| match kind {
-        DiskOpKind::Index => OpClass::Index,
-        DiskOpKind::Meta => OpClass::Meta,
-        DiskOpKind::Data => OpClass::Data,
-    };
-    match event {
-        SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::Op {
-            at,
-            device,
-            kind,
-            latency,
-            ..
-        } => TelemetryEvent::Op {
-            at,
-            device: device as usize,
-            class: class(kind),
-            latency,
-        },
-        SimTelemetry::Completed {
-            arrival,
-            latency,
-            device,
-            ..
-        } => TelemetryEvent::Completion {
-            arrival,
-            latency,
-            device: device as usize,
-        },
-    }
-}
-
 /// One storesim run's telemetry, in arrival order.
 fn simulated_events(cluster: &ClusterConfig, rate: f64, duration: f64) -> Vec<TelemetryEvent> {
     let (tx, rx) = channel();
@@ -105,7 +65,7 @@ fn simulated_events(cluster: &ClusterConfig, rate: f64, duration: f64) -> Vec<Te
     )
     .with_telemetry(Box::new(tx))
     .run(trace);
-    rx.iter().map(convert).collect()
+    rx.iter().map(TelemetryEvent::from).collect()
 }
 
 /// A minimal keep-alive HTTP/1.1 client for one connection.

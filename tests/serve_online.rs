@@ -9,10 +9,9 @@ use std::sync::mpsc::channel;
 use cos_bench::scenario::{calibrate, estimate_miss_ratios};
 use cosmodel::model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
 use cosmodel::serve::{
-    CalibrationBase, CalibratorConfig, DriftConfig, OpClass, Query, ServeConfig, SlaService,
-    TelemetryEvent,
+    CalibrationBase, CalibratorConfig, DriftConfig, Query, ServeConfig, SlaService,
 };
-use cosmodel::storesim::{ClusterConfig, DiskOpKind, MetricsConfig, SimTelemetry, Simulation};
+use cosmodel::storesim::{ClusterConfig, MetricsConfig, Simulation};
 use cosmodel::workload::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -35,46 +34,6 @@ fn poisson_trace(rate: f64, duration: f64, chunk: u32, seed: u64) -> Vec<TraceEv
         });
     }
     out
-}
-
-fn convert(event: SimTelemetry) -> TelemetryEvent {
-    let class = |kind: DiskOpKind| match kind {
-        DiskOpKind::Index => OpClass::Index,
-        DiskOpKind::Meta => OpClass::Meta,
-        DiskOpKind::Data => OpClass::Data,
-    };
-    match event {
-        SimTelemetry::Routed { at, device } => TelemetryEvent::Arrival {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::DataRead { at, device } => TelemetryEvent::DataRead {
-            at,
-            device: device as usize,
-        },
-        SimTelemetry::Op {
-            at,
-            device,
-            kind,
-            latency,
-            ..
-        } => TelemetryEvent::Op {
-            at,
-            device: device as usize,
-            class: class(kind),
-            latency,
-        },
-        SimTelemetry::Completed {
-            arrival,
-            latency,
-            device,
-            ..
-        } => TelemetryEvent::Completion {
-            arrival,
-            latency,
-            device: device as usize,
-        },
-    }
 }
 
 #[test]
@@ -133,7 +92,7 @@ fn online_calibration_matches_offline_pipeline_and_observations() {
     .with_telemetry(Box::new(tx))
     .run(trace);
     for ev in rx.iter() {
-        service.ingest(convert(ev));
+        service.ingest(ev.into());
     }
     assert!(service.refit_now(), "steady stream must fit");
 
