@@ -12,7 +12,7 @@ use cos_bench::calibrate;
 use cos_model::wta::{
     equilibrium_wta_mean, exact_wta_ccdf, exact_wta_mean, paper_wta_ccdf, paper_wta_mean,
 };
-use cos_model::{BackendModel, DeviceParams, ModelVariant};
+use cos_model::{BackendModel, DeviceParams, ModelError, ModelVariant};
 use cos_numeric::InversionConfig;
 use cos_stats::TextTable;
 use cos_storesim::{ClusterConfig, MetricsConfig};
@@ -81,18 +81,35 @@ fn main() {
         "P(Wa>10ms)_exact",
     ]);
     for rate in [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 65.0] {
-        let be = BackendModel::new(&device(&calib, rate), ModelVariant::Full)
-            .expect("stable operating point");
         let sim = simulated_mean_wta(&cluster, rate, 400.0);
+        let (utilization, model) =
+            match BackendModel::new(&device(&calib, rate), ModelVariant::Full) {
+                Ok(be) => (
+                    be.utilization(),
+                    Some([
+                        format!("{:.3}", 1000.0 * paper_wta_mean(&be)),
+                        format!("{:.3}", 1000.0 * exact_wta_mean(&be)),
+                        format!("{:.3}", 1000.0 * equilibrium_wta_mean(&be)),
+                        format!("{:.4}", paper_wta_ccdf(&be, 0.010, &inv)),
+                        format!("{:.4}", exact_wta_ccdf(&be, 0.010, &inv)),
+                    ]),
+                ),
+                Err(
+                    ModelError::UnstableBackend { utilization }
+                    | ModelError::UnstableFrontend { utilization },
+                ) => (utilization, None),
+            };
+        let [approx, exact, equilibrium, ccdf_approx, ccdf_exact] =
+            model.unwrap_or_else(|| std::array::from_fn(|_| "-".into()));
         t.push_row(vec![
             format!("{rate:.0}"),
-            format!("{:.3}", be.utilization()),
-            format!("{:.3}", 1000.0 * paper_wta_mean(&be)),
-            format!("{:.3}", 1000.0 * exact_wta_mean(&be)),
-            format!("{:.3}", 1000.0 * equilibrium_wta_mean(&be)),
+            format!("{utilization:.3}"),
+            approx,
+            exact,
+            equilibrium,
             format!("{:.3}", 1000.0 * sim),
-            format!("{:.4}", paper_wta_ccdf(&be, 0.010, &inv)),
-            format!("{:.4}", exact_wta_ccdf(&be, 0.010, &inv)),
+            ccdf_approx,
+            ccdf_exact,
         ]);
     }
     println!("{}", t.render());

@@ -226,20 +226,32 @@ impl BackendModel {
         self.union.factors_batch(s, self.parse_delay.is_none())
     }
 
-    /// `W_be` at every abscissa `s` of `factors`: P–K over the union LST
-    /// read off them with this model's extra-reads count, whose
-    /// exponential is one lane-kernel batch. Bit-identical to
-    /// [`BackendModel::waiting_lst`] at each `s`.
-    pub(crate) fn waiting_lst_given_factors(
+    /// [`BackendModel::union_factors`] into the caller's buffers.
+    pub(crate) fn union_factors_into(
         &self,
         s: &[Complex64],
-        factors: &UnionFactors,
+        tail: &mut [Complex64],
+        product: &mut [Complex64],
+        data_minus_one: &mut [Complex64],
+    ) {
+        self.union
+            .factors_into(s, self.parse_delay.is_none(), tail, product, data_minus_one)
+    }
+
+    /// `W_be` at every abscissa `s` of the union factors `product` and
+    /// `data_minus_one`: P–K over the union LST read off them with this
+    /// model's extra-reads count, the exponential one lane-kernel batch
+    /// and P–K one lane-width pass. Bit-identical to
+    /// [`BackendModel::waiting_lst`] at each `s`.
+    pub(crate) fn waiting_given(
+        &self,
+        s: &[Complex64],
+        product: &[Complex64],
+        data_minus_one: &[Complex64],
         out: &mut [Complex64],
     ) {
-        self.union.lst_given_factors(factors, out);
-        for (o, s) in out.iter_mut().zip(s) {
-            *o = self.mg1.waiting_lst_given_service(*s, *o);
-        }
+        self.union.lst_given(product, data_minus_one, out);
+        self.mg1.waiting_lst_given_service_batch(s, out);
     }
 
     /// Mean backend response latency.

@@ -30,17 +30,14 @@ use crate::frontend::FrontendModel;
 use crate::params::SystemParams;
 use crate::system::SystemModel;
 use crate::variant::ModelVariant;
-use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, LaplaceFn};
+use cos_numeric::laplace::{InversionConfig, LaplaceFn};
 use cos_numeric::Complex64;
 use cos_queueing::fork_join::{k_of_n_tail, split_merge};
 use cos_queueing::Mg1;
 
 /// The series the split-merge anchor is inverted with: its transform keeps
 /// the frontend parse shift, which only a long Euler series resolves.
-const SPLIT_MERGE_INVERSION: InversionConfig = InversionConfig {
-    algorithm: InversionAlgorithm::Euler,
-    terms: 100,
-};
+const SPLIT_MERGE_INVERSION: InversionConfig = InversionConfig { terms: 100 };
 
 /// How a coded read fans out: `launched` sub-requests in flight, `needed`
 /// completions to respond. Eager (n,k) redundancy launches `n`; a plain

@@ -5,7 +5,7 @@
 //! interface, so it also works when the underlying "disk" law is only
 //! available in transform space (the M/M/1/K sojourn of §III-B).
 
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 use cos_queueing::{DynServiceTime, ServiceTime};
 use std::sync::Arc;
 
@@ -61,13 +61,18 @@ impl ServiceTime for CacheMixed {
         self.miss * self.disk.second_moment()
     }
     fn lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        // One disk batch, then the affine cache mix per point — the same
-        // expression the scalar path evaluates.
+        // One disk batch, then the affine cache mix at lane width — the
+        // same expression the scalar path evaluates.
         self.disk.lst_batch(s, out);
-        let hit = 1.0 - self.miss;
-        for o in out.iter_mut() {
-            *o = *o * self.miss + hit;
-        }
+        let (miss, hit) = (self.miss, 1.0 - self.miss);
+        lanes::at_lane_width(
+            #[inline(always)]
+            move || {
+                for o in out.iter_mut() {
+                    *o = *o * miss + hit;
+                }
+            },
+        );
     }
 }
 

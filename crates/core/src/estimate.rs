@@ -10,7 +10,7 @@
 //!   constraint.
 
 use cos_distr::{Empirical, Family, FitReport, Fitted};
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 use cos_queueing::{from_distribution, DynServiceTime};
 use std::sync::Arc;
 
@@ -261,11 +261,18 @@ impl cos_queueing::ServiceTime for Scaled {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         // Scaled on the stack, a served contour (32 points) at a time.
         let mut scaled = [Complex64::ZERO; 32];
+        let factor = self.factor;
         for (s, out) in s.chunks(scaled.len()).zip(out.chunks_mut(scaled.len())) {
             let scaled = &mut scaled[..s.len()];
-            for (t, s) in scaled.iter_mut().zip(s) {
-                *t = *s * self.factor;
-            }
+            let points = &mut *scaled;
+            lanes::at_lane_width(
+                #[inline(always)]
+                move || {
+                    for (t, s) in points.iter_mut().zip(s) {
+                        *t = *s * factor;
+                    }
+                },
+            );
             self.inner.lst_batch(scaled, out);
         }
     }

@@ -8,7 +8,7 @@
 use crate::backend::ModelError;
 use crate::components::{point_mass, shift};
 use crate::params::FrontendParams;
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 use cos_queueing::{Mg1, QueueError};
 
 /// One homogeneous set of a (possibly heterogeneous) frontend tier.
@@ -180,41 +180,55 @@ impl FrontendModel {
     /// delay. Only the P–K queues depend on the arrival rate, so these serve
     /// a model of the same tier at any rate.
     pub(crate) fn factors(&self, s: &[Complex64]) -> FrontendFactors {
-        let sets = self
-            .sets
-            .iter()
-            .map(|set| {
-                let mut parse = vec![Complex64::ZERO; s.len()];
-                set.queue.service().lst_batch(s, &mut parse);
-                let shift = set
-                    .excess_delay
-                    .map(|excess| s.iter().map(|&s| shift(s, excess)).collect());
-                SetFactors { parse, shift }
-            })
-            .collect();
-        FrontendFactors { sets }
+        let n = s.len();
+        let mut values = vec![Complex64::ZERO; 2 * n * self.sets.len()];
+        for (j, set) in self.sets.iter().enumerate() {
+            let (parse, factor) = values[2 * j * n..2 * (j + 1) * n].split_at_mut(n);
+            set.queue.service().lst_batch(s, parse);
+            match set.excess_delay {
+                // `shift`: exactly 1 at no excess, else `e^{−s·excess}`.
+                Some(0.0) => factor.fill(Complex64::ONE),
+                Some(excess) => lanes::exp_scaled_batch(-excess, s, factor),
+                None => factor.copy_from_slice(parse),
+            }
+        }
+        FrontendFactors { n, values }
     }
 
     /// Batch [`FrontendModel::delay_free_sojourn_lst`] from its rate-free
-    /// layer at `s` ([`FrontendModel::factors`]): P–K per set, then the
-    /// share-weighted mixture in set order. Bit-identical to the scalar
-    /// path.
+    /// layer at `s` ([`FrontendModel::factors`]): P–K per set at lane width,
+    /// 32 points at a time on the stack, then the share-weighted mixture in
+    /// set order. Bit-identical to the scalar path.
     pub(crate) fn delay_free_sojourn_given(
         &self,
         s: &[Complex64],
         factors: &FrontendFactors,
         out: &mut [Complex64],
     ) {
-        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        assert!(
+            s.len() == out.len() && s.len() == factors.n,
+            "abscissa/output length mismatch"
+        );
         out.fill(Complex64::ZERO);
-        for (set, f) in self.sets.iter().zip(&factors.sets) {
-            for i in 0..s.len() {
-                let waiting = set.queue.waiting_lst_given_service(s[i], f.parse[i]);
-                let sojourn = match &f.shift {
-                    Some(shift) => waiting * shift[i],
-                    None => waiting * f.parse[i],
-                };
-                out[i] += sojourn * set.share;
+        let mut waiting = [Complex64::ZERO; 32];
+        for (j, set) in self.sets.iter().enumerate() {
+            let (parse, factor) = factors.set(j);
+            let share = set.share;
+            for start in (0..s.len()).step_by(waiting.len()) {
+                let end = (start + waiting.len()).min(s.len());
+                let waiting = &mut waiting[..end - start];
+                waiting.copy_from_slice(&parse[start..end]);
+                set.queue
+                    .waiting_lst_given_service_batch(&s[start..end], waiting);
+                let (factor, out, waiting) = (&factor[start..end], &mut out[start..end], &*waiting);
+                lanes::at_lane_width(
+                    #[inline(always)]
+                    move || {
+                        for ((o, w), f) in out.iter_mut().zip(waiting).zip(factor) {
+                            *o += *w * *f * share;
+                        }
+                    },
+                );
             }
         }
     }
@@ -228,17 +242,21 @@ impl FrontendModel {
     }
 }
 
-/// [`FrontendModel::factors`]: per set, at a batch of abscissae.
+/// [`FrontendModel::factors`] at a batch of `n` abscissae, in one
+/// buffer: set `j`'s parse-law LST at `2jn..2jn + n`, and the factor its
+/// waiting time is multiplied by at `2jn + n..2(j + 1)n` — the shift
+/// beyond the tier's delay when that law is a point mass, else the
+/// parse-law LST again.
 pub(crate) struct FrontendFactors {
-    sets: Vec<SetFactors>,
+    n: usize,
+    values: Vec<Complex64>,
 }
 
-/// One set's parse-law LST, and the factor its waiting time is multiplied
-/// by when that law is a point mass: the shift beyond the tier's delay
-/// (otherwise it is the parse-law LST itself).
-struct SetFactors {
-    parse: Vec<Complex64>,
-    shift: Option<Vec<Complex64>>,
+impl FrontendFactors {
+    /// Set `j`'s parse-law LST and waiting-time factor.
+    fn set(&self, j: usize) -> (&[Complex64], &[Complex64]) {
+        self.values[2 * j * self.n..2 * (j + 1) * self.n].split_at(self.n)
+    }
 }
 
 impl FrontendSet {

@@ -124,8 +124,8 @@ pub fn max_admissible_rate(
     let margin = |rate: f64| -> f64 {
         let f = SystemModel::new(&template.scaled_to_rate(rate), variant)
             .map(|m| {
-                let layer =
-                    layer.get_or_insert_with(|| m.rate_free_layer(goal.sla, 0..m.devices().len()));
+                let layer = layer
+                    .get_or_insert_with(|| m.rate_free_layer(goal.sla, 0..m.devices().len(), true));
                 m.fraction_given(layer)
             })
             .ok()

@@ -12,14 +12,20 @@
 //! the P–K queues and the WTA factor on top. Devices that share `D` share
 //! the plan and the frontend's evaluation, and a headroom search reuses
 //! the whole rate-free layer across its probes.
+//!
+//! A device's share of the work is one pass over its plan's abscissae, 32
+//! at a time in stack buffers: its union factors (unless a headroom search
+//! holds them), the extra-reads exponential, P–K, the WTA factor, then the
+//! plan's Euler sum over `Re(v/s)`. Every step is a lane-width loop
+//! ([`cos_numeric::lanes`]), so a served CDF allocates nothing per device.
 
 use crate::backend::{BackendModel, ModelError};
 use crate::components::shift;
 use crate::frontend::{FrontendFactors, FrontendModel};
 use crate::params::SystemParams;
 use crate::variant::ModelVariant;
-use cos_numeric::laplace::{InversionAlgorithm, InversionConfig, InversionPlan};
-use cos_numeric::Complex64;
+use cos_numeric::laplace::{InversionConfig, InversionPlan};
+use cos_numeric::{lanes, Complex64};
 use cos_queueing::UnionFactors;
 use std::ops::Range;
 
@@ -27,10 +33,11 @@ use std::ops::Range;
 /// delays factored out, 20 Euler burn-in terms (32 transform evaluations)
 /// are as accurate as the 100 the full transform needs; 15 are not, at
 /// large `t`.
-pub const DELAY_FREE_INVERSION: InversionConfig = InversionConfig {
-    algorithm: InversionAlgorithm::Euler,
-    terms: 20,
-};
+pub const DELAY_FREE_INVERSION: InversionConfig = InversionConfig { terms: 20 };
+
+/// The abscissae of a [`DELAY_FREE_INVERSION`] plan, 20 + 12: the points a
+/// device pass holds on the stack at a time.
+const CONTOUR: usize = 32;
 
 /// One device's end-to-end model.
 #[derive(Debug)]
@@ -41,6 +48,28 @@ pub struct DeviceModel {
 }
 
 impl DeviceModel {
+    /// Multiplies the backend response and the WTA factor into `out`, given
+    /// the backend's waiting time and response tail at `s`: Eq. 2 for this
+    /// device's variant, one lane-width loop.
+    fn apply_wta(
+        &self,
+        s: &[Complex64],
+        tail: &[Complex64],
+        waiting: &[Complex64],
+        out: &mut [Complex64],
+    ) {
+        let (mean, rho) = (self.backend.mean_waiting(), self.backend.utilization());
+        let wta = match self.variant {
+            ModelVariant::Full | ModelVariant::Odopr => Wta::Waiting,
+            ModelVariant::ResidualWta if mean > 1e-15 => Wta::Residual { mean, rho },
+            ModelVariant::NoWta | ModelVariant::ResidualWta => Wta::None,
+        };
+        lanes::at_lane_width(
+            #[inline(always)]
+            move || wta.apply(s, tail, waiting, out),
+        );
+    }
+
     /// The backend part.
     pub fn backend(&self) -> &BackendModel {
         &self.backend
@@ -168,12 +197,11 @@ impl SystemModel {
     /// served device CDF takes: the rate-free layer at `s` — the frontend's
     /// parse-law transforms and the device's union-operation factors, each
     /// component evaluated once — then the P–K queues and the WTA factor
-    /// on top. Bit-identical to the scalar path.
+    /// on top, 32 points at a time. Bit-identical to the scalar path.
     pub fn device_delay_free_lst_batch(&self, idx: usize, s: &[Complex64], out: &mut [Complex64]) {
         let frontend = self.frontend_factors(s);
         self.frontend.delay_free_sojourn_given(s, &frontend, out);
-        let union = self.devices[idx].backend.union_factors(s);
-        self.compose_device(idx, s, &union, out);
+        self.compose_device(idx, s, None, out);
     }
 
     /// The frontend's parse-law transforms at `s` (the rate-free half of
@@ -184,52 +212,58 @@ impl SystemModel {
         self.frontend.factors(s)
     }
 
-    /// The rate-dependent layer of device `idx`'s delay-free transform at
-    /// `s`: `out` holds the frontend's delay-free sojourn there; multiplies
-    /// in the backend response and the WTA factor — P–K over the union
-    /// LST read off `union`, then Eq. 2 for the variant.
+    /// Device `idx`'s pass over `s`: `out` holds the frontend's delay-free
+    /// sojourn there; multiplies in the backend response and the WTA factor
+    /// — the union factors (`union`, or evaluated here), P–K over the union
+    /// LST read off them, then Eq. 2 for the variant. Runs 32 points at a
+    /// time in stack buffers, each step a lane-width loop.
     fn compose_device(
         &self,
         idx: usize,
         s: &[Complex64],
-        union: &UnionFactors,
+        union: Option<&UnionFactors>,
         out: &mut [Complex64],
     ) {
         assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
         #[cfg(test)]
         tests::DEVICE_EVALS.with(|n| n.set(n.get() + s.len()));
         let d = &self.devices[idx];
-        let (mean, rho) = (d.backend.mean_waiting(), d.backend.utilization());
-        let tail = union.tail();
-        // On the stack for a served contour (32 points).
-        let (mut stack, mut heap) = ([Complex64::ZERO; 32], Vec::new());
-        let waitings = match stack.get_mut(..s.len()) {
-            Some(waitings) => waitings,
-            None => {
-                heap.resize(s.len(), Complex64::ZERO);
-                &mut heap[..]
-            }
-        };
-        d.backend.waiting_lst_given_factors(s, union, waitings);
-        for i in 0..s.len() {
-            let waiting = waitings[i];
-            // (S_q · S_be) · W_a — the scalar grouping.
-            let response = out[i] * (waiting * tail[i]);
-            out[i] = match d.variant {
-                ModelVariant::Full | ModelVariant::Odopr => response * waiting,
-                ModelVariant::NoWta => response,
-                ModelVariant::ResidualWta if mean > 1e-15 => {
-                    let eq = (Complex64::ONE - waiting) / (s[i] * mean);
-                    response * (eq * rho + (1.0 - rho))
-                }
-                ModelVariant::ResidualWta => response,
-            };
+        let mut buffers = [[Complex64::ZERO; CONTOUR]; 4];
+        let [tail, product, data_minus_one, waiting] = &mut buffers;
+        for start in (0..s.len()).step_by(CONTOUR) {
+            let end = (start + CONTOUR).min(s.len());
+            let (s, out, n) = (&s[start..end], &mut out[start..end], end - start);
+            let (tail, product, data_minus_one): (&[Complex64], &[Complex64], &[Complex64]) =
+                match union {
+                    Some(u) => (
+                        &u.tail()[start..end],
+                        &u.product()[start..end],
+                        &u.data_minus_one()[start..end],
+                    ),
+                    None => {
+                        let (t, p, m) =
+                            (&mut tail[..n], &mut product[..n], &mut data_minus_one[..n]);
+                        d.backend.union_factors_into(s, t, p, m);
+                        (t, p, m)
+                    }
+                };
+            let waiting = &mut waiting[..n];
+            d.backend.waiting_given(s, product, data_minus_one, waiting);
+            d.apply_wta(s, tail, waiting, out);
         }
     }
 
     /// The rate-free layer of devices `devices` at `t`; see
-    /// [`RateFreeLayer`].
-    pub(crate) fn rate_free_layer(&self, t: f64, devices: Range<usize>) -> RateFreeLayer {
+    /// [`RateFreeLayer`]. `keep_union` keeps the union factors of each
+    /// device whose union law does not depend on the rate, for a caller
+    /// that applies several models' queues to the layer; otherwise each
+    /// device pass evaluates them on the stack.
+    pub(crate) fn rate_free_layer(
+        &self,
+        t: f64,
+        devices: Range<usize>,
+        keep_union: bool,
+    ) -> RateFreeLayer {
         let mut plans: Vec<DelayPlan> = Vec::new();
         let first = devices.start;
         let devices = devices
@@ -257,7 +291,7 @@ impl SystemModel {
                     }
                 };
                 let backend = &self.devices[idx].backend;
-                let union = (!backend.union_depends_on_rate())
+                let union = (keep_union && !backend.union_depends_on_rate())
                     .then(|| backend.union_factors(plans[p].plan.abscissae()));
                 DeviceSlot {
                     plan: Some(p),
@@ -274,59 +308,53 @@ impl SystemModel {
 
     /// The rate-dependent layer over `layer`: each device's delay-free
     /// transform at its plan's abscissae, with the frontend's P–K mixture
-    /// evaluated once per plan, turned into an answer by `rule`; `None`
-    /// where `t ≤ D`. `layer` may come from a model of the same
-    /// parameters at another rate: only the union factors of a device
-    /// whose union law depends on the rate are taken from this model.
+    /// evaluated once per plan, turned into an answer by `rule` and handed
+    /// to `each` in device order; `None` where `t ≤ D`. `layer` may come
+    /// from a model of the same parameters at another rate: only the union
+    /// factors of a device whose union law depends on the rate are taken
+    /// from this model. A layer of one served plan runs on the stack.
     fn invert_devices<R>(
         &self,
         layer: &RateFreeLayer,
-        rule: impl Fn(&InversionPlan, &mut [Complex64]) -> R,
-    ) -> Vec<Option<R>> {
-        let frontends: Vec<Vec<Complex64>> = layer
-            .plans
-            .iter()
-            .map(|p| {
-                let s = p.plan.abscissae();
-                let mut out = vec![Complex64::ZERO; s.len()];
-                self.frontend
-                    .delay_free_sojourn_given(s, &p.frontend, &mut out);
-                out
-            })
-            .collect();
-        layer
-            .devices
-            .iter()
-            .enumerate()
-            .map(|(k, slot)| {
-                let idx = layer.first + k;
-                let p = slot.plan?;
-                let DelayPlan { delay, plan, .. } = &layer.plans[p];
-                debug_assert_eq!(*delay, self.device_delay(idx), "layer of another system");
-                let s = plan.abscissae();
-                let fresh;
-                let union = match &slot.union {
-                    Some(union) => union,
-                    None => {
-                        fresh = self.devices[idx].backend.union_factors(s);
-                        &fresh
-                    }
-                };
-                let mut values = frontends[p].clone();
-                self.compose_device(idx, s, union, &mut values);
-                Some(rule(plan, &mut values))
-            })
-            .collect()
+        rule: impl Fn(&InversionPlan, &[Complex64]) -> R,
+        mut each: impl FnMut(Option<R>),
+    ) {
+        let lengths = || layer.plans.iter().map(|p| p.plan.abscissae().len());
+        let mut frontends = Buffer::new(lengths().sum());
+        let frontends = frontends.as_mut();
+        let mut start = 0;
+        for p in &layer.plans {
+            let s = p.plan.abscissae();
+            let out = &mut frontends[start..start + s.len()];
+            self.frontend.delay_free_sojourn_given(s, &p.frontend, out);
+            start += s.len();
+        }
+        let mut values = Buffer::new(lengths().max().unwrap_or(0));
+        let values = values.as_mut();
+        for (k, slot) in layer.devices.iter().enumerate() {
+            let idx = layer.first + k;
+            let Some(p) = slot.plan else {
+                each(None);
+                continue;
+            };
+            let DelayPlan { delay, plan, .. } = &layer.plans[p];
+            debug_assert_eq!(*delay, self.device_delay(idx), "layer of another system");
+            let s = plan.abscissae();
+            let start: usize = lengths().take(p).sum();
+            let values = &mut values[..s.len()];
+            values.copy_from_slice(&frontends[start..start + s.len()]);
+            self.compose_device(idx, s, slot.union.as_ref(), values);
+            each(Some(rule(plan, values)));
+        }
     }
 
     /// CDFs of `devices` at `t`, through one plan and one frontend
     /// evaluation per distinct device delay.
     pub(crate) fn device_cdfs(&self, t: f64, devices: Range<usize>) -> Vec<f64> {
-        let layer = self.rate_free_layer(t, devices);
-        self.invert_devices(&layer, InversionPlan::cdf)
-            .into_iter()
-            .map(|f| f.unwrap_or(0.0))
-            .collect()
+        let mut cdfs = Vec::with_capacity(devices.len());
+        let layer = self.rate_free_layer(t, devices, false);
+        self.invert_devices(&layer, InversionPlan::cdf, |f| cdfs.push(f.unwrap_or(0.0)));
+        cdfs
     }
 
     /// [`SystemModel::device_cdfs`] with each device's density, from the
@@ -336,11 +364,12 @@ impl SystemModel {
         t: f64,
         devices: Range<usize>,
     ) -> Vec<(f64, f64)> {
-        let layer = self.rate_free_layer(t, devices);
-        self.invert_devices(&layer, InversionPlan::cdf_and_density)
-            .into_iter()
-            .map(|f| f.unwrap_or((0.0, 0.0)))
-            .collect()
+        let mut both = Vec::with_capacity(devices.len());
+        let layer = self.rate_free_layer(t, devices, false);
+        self.invert_devices(&layer, InversionPlan::cdf_and_density, |f| {
+            both.push(f.unwrap_or((0.0, 0.0)))
+        });
+        both
     }
 
     /// CDF of the response latency of device `idx` at `t`: by the shift
@@ -358,20 +387,15 @@ impl SystemModel {
         self.device_cdfs(sla, 0..self.devices.len())
     }
 
-    /// Eq. 3 over per-device values, in device order.
-    fn rate_weighted<T: Copy>(&self, per_device: &[T], value: impl Fn(T) -> f64) -> f64 {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
-        let mut acc = 0.0;
-        for (d, &v) in self.devices.iter().zip(per_device) {
-            acc += d.arrival_rate * value(v);
-        }
-        acc / total_rate
+    /// The sum of the devices' arrival rates: Eq. 3's denominator.
+    fn total_rate(&self) -> f64 {
+        self.devices.iter().map(|d| d.arrival_rate).sum()
     }
 
     /// Predicted percentile of requests meeting `sla` for the whole system
     /// (Eq. 3).
     pub fn fraction_meeting_sla(&self, sla: f64) -> f64 {
-        self.fraction_given(&self.rate_free_layer(sla, 0..self.devices.len()))
+        self.fraction_given(&self.rate_free_layer(sla, 0..self.devices.len(), false))
     }
 
     /// [`SystemModel::fraction_meeting_sla`] at the layer's `t`, given its
@@ -379,8 +403,12 @@ impl SystemModel {
     /// parameters at another rate, since the rates enter only through the
     /// queues this model applies on top.
     pub(crate) fn fraction_given(&self, layer: &RateFreeLayer) -> f64 {
-        let cdfs = self.invert_devices(layer, InversionPlan::cdf);
-        self.rate_weighted(&cdfs, |f| f.unwrap_or(0.0))
+        // Eq. 3 in device order.
+        let (mut acc, mut rates) = (0.0, self.devices.iter().map(|d| d.arrival_rate));
+        self.invert_devices(layer, InversionPlan::cdf, |f| {
+            acc += rates.next().expect("one answer per device") * f.unwrap_or(0.0)
+        });
+        acc / self.total_rate()
     }
 
     /// The system CDF (Eq. 3) at `t` together with its density — the same
@@ -388,11 +416,17 @@ impl SystemModel {
     /// inversion batch per device. The CDF is bit-identical to
     /// [`SystemModel::fraction_meeting_sla`].
     pub fn fraction_and_density(&self, t: f64) -> (f64, f64) {
-        let per_device = self.device_cdfs_and_densities(t, 0..self.devices.len());
-        (
-            self.rate_weighted(&per_device, |(f, _)| f),
-            self.rate_weighted(&per_device, |(_, density)| density),
-        )
+        let layer = self.rate_free_layer(t, 0..self.devices.len(), false);
+        let (mut cdf, mut density) = (0.0, 0.0);
+        let mut rates = self.devices.iter().map(|d| d.arrival_rate);
+        self.invert_devices(&layer, InversionPlan::cdf_and_density, |f| {
+            let (f, d) = f.unwrap_or((0.0, 0.0));
+            let rate = rates.next().expect("one answer per device");
+            cdf += rate * f;
+            density += rate * d;
+        });
+        let total = self.total_rate();
+        (cdf / total, density / total)
     }
 
     /// Mean end-to-end response latency for device `idx`.
@@ -410,13 +444,12 @@ impl SystemModel {
 
     /// Mean system response latency (rate-weighted over devices).
     pub fn mean_response(&self) -> f64 {
-        let total_rate: f64 = self.devices.iter().map(|d| d.arrival_rate).sum();
         self.devices
             .iter()
             .enumerate()
             .map(|(i, d)| d.arrival_rate * self.device_mean_response(i))
             .sum::<f64>()
-            / total_rate
+            / self.total_rate()
     }
 
     /// Latency bound met by fraction `p` of requests (inverse of Eq. 3),
@@ -468,11 +501,83 @@ struct DelayPlan {
 
 /// A device's place in a [`RateFreeLayer`]: its plan (`None` when
 /// `t ≤ D`, where its CDF is exactly 0), and its union-operation factors
-/// at that plan's abscissae (`None` when its union law depends on the
-/// rate, so each model evaluates its own).
+/// at that plan's abscissae (`None` when the layer keeps none, or when the
+/// device's union law depends on the rate, so each model evaluates its
+/// own).
 struct DeviceSlot {
     plan: Option<usize>,
     union: Option<UnionFactors>,
+}
+
+/// The WTA factor `W_a` of Eq. 2, per variant: `W_be` (`Full`, `Odopr`),
+/// `(1 − ρ) + ρ·(1 − L[W](s))/(s·E[W])` (`ResidualWta` with a mean wait),
+/// or none.
+#[derive(Clone, Copy)]
+enum Wta {
+    Waiting,
+    Residual { mean: f64, rho: f64 },
+    None,
+}
+
+impl Wta {
+    /// `out · (W_be · tail) · W_a` at every lane — the scalar grouping.
+    #[inline(always)]
+    fn apply(
+        self,
+        s: &[Complex64],
+        tail: &[Complex64],
+        waiting: &[Complex64],
+        out: &mut [Complex64],
+    ) {
+        let points = out.iter_mut().zip(waiting).zip(tail).zip(s);
+        match self {
+            Wta::Waiting => {
+                for (((o, w), t), _) in points {
+                    *o = *o * (*w * *t) * *w;
+                }
+            }
+            Wta::Residual { mean, rho } => {
+                for (((o, w), t), s) in points {
+                    let eq = lanes::div(Complex64::ONE - *w, *s * mean);
+                    *o = *o * (*w * *t) * (eq * rho + (1.0 - rho));
+                }
+            }
+            Wta::None => {
+                for (((o, w), t), _) in points {
+                    *o *= *w * *t;
+                }
+            }
+        }
+    }
+}
+
+/// `len` complex values: on the stack up to a served contour's
+/// [`CONTOUR`] points, else on the heap.
+struct Buffer {
+    stack: [Complex64; CONTOUR],
+    heap: Vec<Complex64>,
+    len: usize,
+}
+
+impl Buffer {
+    fn new(len: usize) -> Buffer {
+        let heap = match len > CONTOUR {
+            true => vec![Complex64::ZERO; len],
+            false => Vec::new(),
+        };
+        Buffer {
+            stack: [Complex64::ZERO; CONTOUR],
+            heap,
+            len,
+        }
+    }
+
+    fn as_mut(&mut self) -> &mut [Complex64] {
+        match self.len > CONTOUR {
+            true => &mut self.heap,
+            false => &mut self.stack[..self.len],
+        }
+    }
 }
 
 #[cfg(test)]

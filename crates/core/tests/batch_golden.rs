@@ -2,7 +2,7 @@
 //! full and delay-free — must reproduce the scalar paths exactly
 //! (`f64::to_bits` equality), for every model variant and for both the
 //! S1-like and S16-like system shapes, on a contour covering the Euler
-//! vertical line and Gaver–Stehfest real points. The served CDFs, which
+//! vertical line and real points off it. The served CDFs, which
 //! share one inversion plan and one frontend evaluation among the devices
 //! of equal delay, must equal per-device inversions of the scalar
 //! transform just as exactly.
@@ -63,8 +63,9 @@ fn spread_parse_params(rate: f64) -> SystemParams {
     p
 }
 
-/// Abscissae representative of both inversion algorithms: the Euler
-/// vertical line `(a/2t, kπ/t)` and real Gaver–Stehfest points `k ln2 / t`.
+/// Abscissae on and off the inversion contour: the Euler vertical line
+/// `(a/2t, kπ/t)`, and real points `k ln2 / t`, where the transforms take
+/// real values and every imaginary part is a signed zero.
 fn contour() -> Vec<Complex64> {
     let mut s = Vec::new();
     for &t in &[0.005, 0.05, 0.4] {

@@ -11,8 +11,7 @@ use std::sync::Arc;
 use cos_distr::{Degenerate, Exponential, Gamma, Lst, Mixture, Normal, Shifted, Uniform};
 use cos_numeric::Complex64;
 
-/// Euler-style contour (vertical line) plus some real-axis points, covering
-/// the abscissae every inversion algorithm produces.
+/// Euler-style contour (vertical line) plus some real-axis points off it.
 fn contour() -> Vec<Complex64> {
     let mut s = Vec::new();
     let x = 18.4 / (2.0 * 0.05);

@@ -24,13 +24,19 @@
 //! The batch entry points, [`gamma_lst_batch`] (`(1 + s/β)^−α`) and
 //! [`exp_scaled_batch`] (`e^{c·s}`), run every lane through the
 //! polynomials and fall back to the scalar rule for the whole batch if
-//! any lane left a fast range. They are compiled twice — baseline x86-64
-//! (SSE2) and AVX-512 — from the same source, and AVX-512 is chosen once,
-//! on first use, when `is_x86_feature_detected!` finds it. Rust never
-//! contracts a multiply and an add into an FMA, and the polynomials use
-//! only IEEE-exact operations (`+`, `−`, `×`, `÷`, `sqrt`, selects and
-//! bit moves), so both variants return the same bits as the scalar
-//! [`gamma_lst`] and [`exp_scaled`] lane by lane.
+//! any lane left a fast range. Beside them run the complex arithmetic of
+//! a device transform: [`inv_batch`] (Smith's reciprocal with its branch
+//! turned into operand selects, [`inv`], and [`div`] on it) and
+//! [`pk_waiting_batch`] (the Pollaczek–Khinchin waiting-time transform).
+//!
+//! Every batch loop — these and the model's own, through
+//! [`at_lane_width`] — is compiled twice, baseline x86-64 (SSE2) and AVX-512, from the same
+//! source, and AVX-512 is chosen once, on first use, when
+//! `is_x86_feature_detected!` finds it. Rust never contracts a multiply
+//! and an add into an FMA, and the loops use only IEEE-exact operations
+//! (`+`, `−`, `×`, `÷`, `sqrt`, selects and bit moves), so both variants
+//! return the same bits as the scalar rules ([`gamma_lst`],
+//! [`exp_scaled`], `Complex64`'s `/`) lane by lane.
 
 use crate::Complex64;
 use std::f64::consts::{FRAC_2_PI, FRAC_PI_2, LOG2_E, SQRT_2};
@@ -337,13 +343,163 @@ pub fn gamma_lst(shape: f64, rate: f64, s: Complex64) -> Complex64 {
 /// [`gamma_lst`] at every abscissa of `s`, bit-identical to it lane by
 /// lane, through the widest instruction set the CPU has.
 pub fn gamma_lst_batch(shape: f64, rate: f64, s: &[Complex64], out: &mut [Complex64]) {
-    Isa::detected().gamma_lst_batch(shape, rate, s, out)
+    at_lane_width(
+        #[inline(always)]
+        || gamma_batch(shape, rate, s, out),
+    )
 }
 
 /// [`exp_scaled`] at every abscissa of `s`, bit-identical to it lane by
 /// lane, through the widest instruction set the CPU has.
 pub fn exp_scaled_batch(c: f64, s: &[Complex64], out: &mut [Complex64]) {
-    Isa::detected().exp_scaled_batch(c, s, out)
+    at_lane_width(
+        #[inline(always)]
+        || exp_batch(c, s, out),
+    )
+}
+
+/// `1 / w` by Smith's rule, bit-identical to [`Complex64::inv`], without
+/// its branch. With `x` the component of `w` larger in magnitude and `y`
+/// the other, both of Smith's branches are `r = y/x`, `d = x + y·r` (the
+/// branch for `|Re w| < |Im w|` writes it `Re w · r + Im w`, the same
+/// sum), then `1/d` and `−r/d`, or `r/d` and `−1/d`: so the operands are
+/// selected and each quotient is taken once, three divisions where
+/// computing both branches would take six.
+#[inline(always)]
+pub fn inv(w: Complex64) -> Complex64 {
+    let wide = w.re.abs() >= w.im.abs();
+    let (x, y) = (select(wide, w.re, w.im), select(wide, w.im, w.re));
+    let r = y / x;
+    let d = x + y * r;
+    Complex64::new(select(wide, 1.0, r) / d, select(wide, -r, -1.0) / d)
+}
+
+/// `z / w`, bit-identical to `Complex64`'s `/` (`z * w.inv()`), without a
+/// branch: `z` times [`inv`].
+#[inline(always)]
+pub fn div(z: Complex64, w: Complex64) -> Complex64 {
+    z * inv(w)
+}
+
+/// `out[i] = 1 / w[i]` by [`inv`] at every lane.
+pub fn inv_batch(w: &[Complex64], out: &mut [Complex64]) {
+    assert_eq!(w.len(), out.len(), "value/output length mismatch");
+    at_lane_width(
+        #[inline(always)]
+        move || {
+            for (o, w) in out.iter_mut().zip(w) {
+                *o = inv(*w);
+            }
+        },
+    )
+}
+
+/// The modulus below which [`pk_waiting_batch`] answers the P–K limit 1.
+const PK_TINY: f64 = 1e-300;
+
+/// The P–K waiting-time transform `(1 − ρ)·s / (s − λ(1 − L_B(s)))` at
+/// every abscissa, in place over `values`, which hold `L_B(s)`: `rate` is
+/// `λ` and `idle` is `1 − ρ`. Where the denominator's modulus is below
+/// 1e-300 the answer is the limit 1, as in the scalar rule
+/// (`Mg1::waiting_lst_given_service`), bit for bit.
+///
+/// That test is decided first by `max(|Re|, |Im|) < 1e-300`, and only a
+/// batch with a lane that passes it pays for `hypot`, on those lanes. The
+/// decision is the scalar rule's: a faithful `hypot` is never below the
+/// larger component, so a lane that fails the pre-check fails the `hypot`
+/// test too, and a NaN component fails both (`hypot` of it is NaN or
+/// `+∞`).
+pub fn pk_waiting_batch(rate: f64, idle: f64, s: &[Complex64], values: &mut [Complex64]) {
+    assert_eq!(s.len(), values.len(), "abscissa/value length mismatch");
+    // 32 lanes at a time, each piece's service transforms kept on the
+    // stack for the lanes the pre-check sends to `hypot`.
+    let mut service = [Complex64::ZERO; 32];
+    for (s, values) in s
+        .chunks(service.len())
+        .zip(values.chunks_mut(service.len()))
+    {
+        let service = &mut service[..s.len()];
+        service.copy_from_slice(values);
+        let points = &mut *values;
+        let maybe_tiny = at_lane_width(
+            #[inline(always)]
+            move || pk_lanes(rate, idle, s, points),
+        );
+        if maybe_tiny {
+            for ((s, lb), v) in s.iter().zip(service.iter()).zip(values.iter_mut()) {
+                if pk_denominator(rate, *s, *lb).abs() < PK_TINY {
+                    *v = Complex64::ONE;
+                }
+            }
+        }
+    }
+}
+
+/// `s − λ(1 − L_B(s))`, the scalar rule's grouping.
+#[inline(always)]
+fn pk_denominator(rate: f64, s: Complex64, lb: Complex64) -> Complex64 {
+    s - (Complex64::ONE - lb) * rate
+}
+
+/// The P–K quotient at every lane, and whether any lane's denominator
+/// passed the `max(|Re|, |Im|) < 1e-300` pre-check. A function of its
+/// slices rather than a closure over them, so that the compiler knows
+/// they do not alias and keeps `rate` and `idle` in registers.
+#[inline(always)]
+fn pk_lanes(rate: f64, idle: f64, s: &[Complex64], values: &mut [Complex64]) -> bool {
+    let mut any = false;
+    for (s, v) in s.iter().zip(values.iter_mut()) {
+        let d = pk_denominator(rate, *s, *v);
+        // `&`, not `&&`: no branch in a lane.
+        any |= (d.re.abs() < PK_TINY) & (d.im.abs() < PK_TINY);
+        *v = div(*s * idle, d);
+    }
+    any
+}
+
+/// Runs `lanes` compiled for the widest instruction set the CPU has:
+/// AVX-512 where it is found, detected once per process, else the
+/// baseline. Its loops must use IEEE-exact operations only, so that every
+/// variant returns the same bits.
+///
+/// Mark the closure `#[inline(always)]`. Without it, a closure that
+/// inlines a large loop may stay a call of its own, compiled for the
+/// baseline: the same bits, at the baseline's speed. And let it call a
+/// `#[inline(always)]` function of the slices it loops over, or loop over
+/// slices it took by `move`: a loop through references captured from the
+/// caller's frame may not vectorize, since the compiler cannot tell that
+/// its stores leave the captured values alone.
+#[inline]
+pub fn at_lane_width<R>(lanes: impl FnOnce() -> R) -> R {
+    #[cfg(feature = "isa-override")]
+    if let Some(isa) = FORCED.with(|forced| forced.get()) {
+        assert!(isa.supported(), "{isa:?} is not supported by this CPU");
+        // SAFETY: checked just above.
+        return unsafe { isa.run(lanes) };
+    }
+    // SAFETY: `detected` picks AVX-512 only where the CPU has it, so no
+    // call pays for a feature test.
+    unsafe { Isa::detected().run(lanes) }
+}
+
+#[cfg(feature = "isa-override")]
+thread_local! {
+    static FORCED: std::cell::Cell<Option<Isa>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `f` with every lane loop it enters on this thread compiled for
+/// `isa` instead of the detected one, so that a test can compare the
+/// variants of loops it cannot call directly. Only the `isa-override`
+/// feature compiles it, and only dev-dependencies enable that.
+///
+/// # Panics
+/// Panics inside `f` if the CPU does not support `isa`.
+#[cfg(feature = "isa-override")]
+pub fn with_isa<R>(isa: Isa, f: impl FnOnce() -> R) -> R {
+    let before = FORCED.with(|forced| forced.replace(Some(isa)));
+    let out = f();
+    FORCED.with(|forced| forced.set(before));
+    out
 }
 
 /// One lane of [`gamma_lst`] through the polynomials alone, and whether
@@ -413,24 +569,22 @@ fn exp_batch(c: f64, s: &[Complex64], out: &mut [Complex64]) {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::*;
-
+    /// `lanes` compiled for AVX-512: an `#[inline(always)]` closure is
+    /// inlined here, and with it every `#[inline]` loop and helper it
+    /// calls.
     #[target_feature(enable = "avx512f")]
-    pub(super) fn gamma_avx512(shape: f64, rate: f64, s: &[Complex64], out: &mut [Complex64]) {
-        gamma_batch(shape, rate, s, out)
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) fn exp_avx512(c: f64, s: &[Complex64], out: &mut [Complex64]) {
-        exp_batch(c, s, out)
+    #[inline]
+    pub(super) fn run_avx512<R>(lanes: impl FnOnce() -> R) -> R {
+        lanes()
     }
 }
 
 /// The instruction sets the batch loops are compiled for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub enum Isa {
     /// Baseline x86-64 (SSE2), or whatever the target guarantees elsewhere.
     Baseline,
+    /// AVX-512F.
     Avx512,
 }
 
@@ -448,7 +602,7 @@ impl Isa {
     }
 
     /// Whether this CPU can run the variant.
-    fn supported(self) -> bool {
+    pub fn supported(self) -> bool {
         match self {
             Isa::Baseline => true,
             #[cfg(target_arch = "x86_64")]
@@ -458,23 +612,18 @@ impl Isa {
         }
     }
 
-    fn gamma_lst_batch(self, shape: f64, rate: f64, s: &[Complex64], out: &mut [Complex64]) {
-        assert!(self.supported(), "{self:?} is not supported by this CPU");
+    /// Runs `lanes` compiled for this instruction set (see
+    /// [`at_lane_width`]).
+    ///
+    /// # Safety
+    /// The CPU must support the variant ([`Isa::supported`]).
+    #[inline]
+    unsafe fn run<R>(self, lanes: impl FnOnce() -> R) -> R {
         match self {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `supported` confirmed the CPU has AVX-512F.
-            Isa::Avx512 => unsafe { x86::gamma_avx512(shape, rate, s, out) },
-            _ => gamma_batch(shape, rate, s, out),
-        }
-    }
-
-    fn exp_scaled_batch(self, c: f64, s: &[Complex64], out: &mut [Complex64]) {
-        assert!(self.supported(), "{self:?} is not supported by this CPU");
-        match self {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `supported` confirmed the CPU has AVX-512F.
-            Isa::Avx512 => unsafe { x86::exp_avx512(c, s, out) },
-            _ => exp_batch(c, s, out),
+            // SAFETY: the caller guarantees the CPU has AVX-512F.
+            Isa::Avx512 => unsafe { x86::run_avx512(lanes) },
+            _ => lanes(),
         }
     }
 }
@@ -719,19 +868,162 @@ mod tests {
             let (shape, rate) = (rng.uniform(0.2, 40.0), rng.uniform(1.0, 2000.0));
             let c = -rng.uniform(0.0, 0.05);
             let (mut want, mut got) = (vec![Complex64::ZERO; n], vec![Complex64::ZERO; n]);
-            Isa::Baseline.gamma_lst_batch(shape, rate, &s, &mut want);
-            isa.gamma_lst_batch(shape, rate, &s, &mut got);
+            with_isa(Isa::Baseline, || {
+                gamma_lst_batch(shape, rate, &s, &mut want)
+            });
+            with_isa(isa, || gamma_lst_batch(shape, rate, &s, &mut got));
             for (g, w) in got.iter().zip(&want) {
                 assert_bits(*g, *w, "AVX-512 gamma");
             }
-            Isa::Baseline.exp_scaled_batch(c, &s, &mut want);
-            isa.exp_scaled_batch(c, &s, &mut got);
+            with_isa(Isa::Baseline, || exp_scaled_batch(c, &s, &mut want));
+            with_isa(isa, || exp_scaled_batch(c, &s, &mut got));
             for (g, w) in got.iter().zip(&want) {
                 assert_bits(*g, *w, "AVX-512 exp");
             }
             slow_batches += usize::from(s.iter().any(|z| !gamma_lane(shape, rate, *z).1));
         }
         assert!(slow_batches > 100, "the batches must exercise the fallback");
+    }
+
+    /// Complex values across the magnitudes and signs a division meets,
+    /// with zeros, subnormals, infinities and NaNs mixed in when `special`.
+    fn operands(rng: &mut Rng, n: usize, special: bool) -> Vec<Complex64> {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            1e-310,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+        ];
+        let part = |rng: &mut Rng| match rng.next() % 12 {
+            0 if special => specials[(rng.next() % specials.len() as u64) as usize],
+            1 | 2 => rng.log_uniform(-1000.0, 1000.0),
+            _ => rng.log_uniform(-30.0, 30.0),
+        };
+        (0..n)
+            .map(|_| Complex64::new(part(rng), part(rng)))
+            .collect()
+    }
+
+    #[test]
+    fn div_and_inv_are_complex_division_bit_for_bit() {
+        let mut rng = Rng(0xd17);
+        for round in 0..400 {
+            let z = operands(&mut rng, 64, round % 2 == 1);
+            let w = operands(&mut rng, 64, round % 4 == 1);
+            for (z, w) in z.iter().zip(&w) {
+                assert_same(div(*z, *w), *z / *w, &format!("{z:?} / {w:?}"));
+            }
+            let mut got = z.clone();
+            inv_batch(&w, &mut got);
+            for (w, g) in w.iter().zip(&got) {
+                assert_same(*g, w.inv(), &format!("1 / {w:?}"));
+            }
+        }
+    }
+
+    /// The scalar P–K rule, as `Mg1::waiting_lst_given_service` states it.
+    fn pk_scalar(rate: f64, idle: f64, s: Complex64, lb: Complex64) -> Complex64 {
+        let denom = s - rate * (Complex64::ONE - lb);
+        if denom.abs() < 1e-300 {
+            return Complex64::ONE;
+        }
+        s * idle / denom
+    }
+
+    /// Abscissae and service transforms whose P–K denominators are below
+    /// 1e-300, just above it with both components below, NaN or infinite,
+    /// mixed into ordinary lanes when `special`.
+    fn pk_inputs(rng: &mut Rng, n: usize, special: bool, rate: f64) -> Vec<(Complex64, Complex64)> {
+        (0..n)
+            .map(|k| {
+                let s = Complex64::new(rng.uniform(1.0, 1e4), k as f64 * rng.uniform(1.0, 3e3));
+                let lb = Complex64::new(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+                match rng.next() % 8 {
+                    0 if special => (Complex64::ZERO, Complex64::ONE),
+                    1 if special => (Complex64::new(3e-301, -2e-301), Complex64::ONE),
+                    // |denom| = 0.9e-300·√2: both parts below, modulus above.
+                    2 if special => (Complex64::new(9e-301, 9e-301), Complex64::ONE),
+                    3 if special => (s, Complex64::new(f64::NAN, lb.im)),
+                    4 if special => (s, Complex64::new(lb.re, f64::INFINITY)),
+                    5 if special => (Complex64::new(f64::NEG_INFINITY, 0.0), lb),
+                    6 if special => {
+                        // s − λ(1 − lb) = 0 up to rounding: a subnormal or zero denominator.
+                        let lb = Complex64::new(1.0 - s.re / rate, -s.im / rate);
+                        (s, lb)
+                    }
+                    _ => (s, lb),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pk_waiting_batch_is_the_scalar_rule_bit_for_bit() {
+        let mut rng = Rng(0x9c);
+        let mut tiny_batches = 0;
+        for round in 0..400 {
+            let n = 1 + (rng.next() % 40) as usize;
+            let (rate, idle) = (rng.uniform(0.5, 500.0), rng.uniform(0.01, 1.0));
+            let inputs = pk_inputs(&mut rng, n, round % 2 == 1, rate);
+            let s: Vec<Complex64> = inputs.iter().map(|p| p.0).collect();
+            let mut got: Vec<Complex64> = inputs.iter().map(|p| p.1).collect();
+            pk_waiting_batch(rate, idle, &s, &mut got);
+            for ((s, lb), g) in inputs.iter().zip(&got) {
+                let want = pk_scalar(rate, idle, *s, *lb);
+                assert_same(*g, want, &format!("s={s:?} lb={lb:?}"));
+            }
+            tiny_batches += usize::from(got.contains(&Complex64::ONE));
+        }
+        assert!(tiny_batches > 50, "the batches must exercise the limit");
+    }
+
+    #[test]
+    fn the_avx512_arithmetic_loops_equal_the_baseline_bit_for_bit() {
+        let isa = Isa::Avx512;
+        if !isa.supported() {
+            eprintln!("skipped {isa:?}: this CPU does not support it");
+            return;
+        }
+        let mut rng = Rng(0xa512);
+        for round in 0..200 {
+            let n = 1 + (rng.next() % 40) as usize;
+            let z = operands(&mut rng, n, round % 2 == 1);
+            let w = operands(&mut rng, n, round % 3 == 1);
+            let (mut want, mut got) = (z.clone(), z);
+            with_isa(Isa::Baseline, || inv_batch(&w, &mut want));
+            with_isa(isa, || inv_batch(&w, &mut got));
+            for (g, w) in got.iter().zip(&want) {
+                assert_same(*g, *w, "AVX-512 inv");
+            }
+            let (rate, idle) = (rng.uniform(0.5, 500.0), rng.uniform(0.01, 1.0));
+            let (s, lb): (Vec<Complex64>, Vec<Complex64>) =
+                pk_inputs(&mut rng, n, round % 2 == 1, rate)
+                    .into_iter()
+                    .unzip();
+            let (mut want, mut got) = (lb.clone(), lb);
+            with_isa(Isa::Baseline, || {
+                pk_waiting_batch(rate, idle, &s, &mut want)
+            });
+            with_isa(isa, || pk_waiting_batch(rate, idle, &s, &mut got));
+            for (g, w) in got.iter().zip(&want) {
+                assert_same(*g, *w, "AVX-512 P–K");
+            }
+        }
+    }
+
+    /// Equal bits, or NaN in both: which NaN payload an operation passes
+    /// on depends on its operand order, which the compiler may swap.
+    #[track_caller]
+    fn assert_same(got: Complex64, want: Complex64, what: &str) {
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        assert!(
+            same(got.re, want.re) && same(got.im, want.im),
+            "{what}: {got:?} vs {want:?}"
+        );
     }
 
     /// Best-of-7 cost of one 32-point batch per variant, against `std`.
@@ -782,10 +1074,16 @@ mod tests {
                 eprintln!("skipped {isa:?}: this CPU does not support it");
                 continue;
             }
-            let gamma =
-                time(&mut || isa.gamma_lst_batch(black_box(3.0), 250.0, black_box(&s), &mut out));
-            let exp =
-                time(&mut || isa.exp_scaled_batch(black_box(-0.0005), black_box(&s), &mut out));
+            let gamma = time(&mut || {
+                with_isa(isa, || {
+                    gamma_lst_batch(black_box(3.0), 250.0, black_box(&s), &mut out)
+                })
+            });
+            let exp = time(&mut || {
+                with_isa(isa, || {
+                    exp_scaled_batch(black_box(-0.0005), black_box(&s), &mut out)
+                })
+            });
             eprintln!("{isa:?}: gamma {gamma:.0} ns, exp {exp:.0} ns per 32-point batch");
         }
     }

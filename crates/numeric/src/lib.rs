@@ -9,10 +9,11 @@
 //! * [`special`] — log-gamma, digamma/trigamma, regularized incomplete gamma,
 //!   `erf`, inverse normal CDF,
 //! * [`lanes`] — the lane kernel: polynomial `exp`/`ln`/`atan`/`sin_cos`
-//!   with a fixed per-lane fallback to `std`, and batch Gamma and
-//!   point-mass transforms compiled for baseline x86-64 and AVX-512,
-//! * [`laplace`] — numerical Laplace-transform inversion (Abate–Whitt Euler,
-//!   fixed Talbot, Gaver–Stehfest) and CDF/quantile helpers,
+//!   with a fixed per-lane fallback to `std`, batch Gamma and point-mass
+//!   transforms, branch-free complex division and the P–K step, all
+//!   compiled for baseline x86-64 and AVX-512,
+//! * [`laplace`] — numerical Laplace-transform inversion (Abate–Whitt
+//!   Euler) and CDF/quantile helpers,
 //! * [`moments`] — moments from LSTs by numerical differentiation,
 //! * [`roots`] — bisection / Brent / Ridders / damped Newton, and the
 //!   log-survival Newton search that inverts CDFs,
@@ -37,9 +38,8 @@ pub mod sum;
 
 pub use complex::Complex64;
 pub use laplace::{
-    ccdf_from_lst, cdf_and_density_from_lst, cdf_from_lst, euler, gaver_stehfest,
-    quantile_from_lst, talbot, ConfigError, CountingLaplaceFn, InversionAlgorithm, InversionConfig,
-    InversionPlan, LaplaceFn, GAVER_STEHFEST_MAX_TERMS, QUANTILE_INVERSION_BUDGET,
+    ccdf_from_lst, cdf_and_density_from_lst, cdf_from_lst, euler, quantile_from_lst, ConfigError,
+    CountingLaplaceFn, InversionConfig, InversionPlan, LaplaceFn, QUANTILE_INVERSION_BUDGET,
 };
 pub use moments::{mean_from_lst, moments_from_lst, second_moment_from_lst};
 pub use roots::invert_monotone;

@@ -11,7 +11,7 @@
 
 use crate::service::DynServiceTime;
 use cos_numeric::laplace::{cdf_from_lst, InversionConfig};
-use cos_numeric::Complex64;
+use cos_numeric::{lanes, Complex64};
 
 /// Errors constructing queueing models.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,7 +114,8 @@ impl Mg1 {
     /// value `lb = L_B(s)`. Lets callers that have the service transform in
     /// hand (fused composite batches) avoid re-evaluating it; must be fed
     /// exactly `self.service().lst(s)` for the result to equal
-    /// [`Mg1::waiting_lst`].
+    /// [`Mg1::waiting_lst`]. The scalar oracle of
+    /// [`Mg1::waiting_lst_given_service_batch`].
     #[inline]
     pub fn waiting_lst_given_service(&self, s: Complex64, lb: Complex64) -> Complex64 {
         // (1 − ρ) s / (s − λ(1 − L_B(s))); the numerator and denominator both
@@ -124,6 +125,14 @@ impl Mg1 {
             return Complex64::ONE;
         }
         s * (1.0 - self.utilization) / denom
+    }
+
+    /// [`Mg1::waiting_lst_given_service`] at every abscissa, in place over
+    /// `values`, which hold the service LST there: one lane-width pass
+    /// ([`lanes::pk_waiting_batch`]) with no `hypot` unless a denominator
+    /// is within 1e-300 of 0. Bit-identical to the scalar path.
+    pub fn waiting_lst_given_service_batch(&self, s: &[Complex64], values: &mut [Complex64]) {
+        lanes::pk_waiting_batch(self.arrival_rate, 1.0 - self.utilization, s, values)
     }
 
     /// LST of the waiting-time distribution (P–K transform).
@@ -137,24 +146,28 @@ impl Mg1 {
     }
 
     /// Batch [`Mg1::waiting_lst`]: one service-LST batch, then the P–K
-    /// transform per point. Bit-identical to the scalar path.
+    /// transform at lane width. Bit-identical to the scalar path.
     pub fn waiting_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
         self.service.lst_batch(s, out);
-        for (s, o) in s.iter().zip(out.iter_mut()) {
-            *o = self.waiting_lst_given_service(*s, *o);
-        }
+        self.waiting_lst_given_service_batch(s, out);
     }
 
     /// Batch [`Mg1::sojourn_lst`]: evaluates the service LST **once** per
     /// abscissa (the scalar path evaluates it twice — once inside the
     /// waiting transform and once for the convolution factor) and reuses
-    /// the value for both factors. Bit-identical because the service LST is
-    /// deterministic in `s`.
+    /// the value for both factors, the waiting time in 32-point pieces on
+    /// the stack. Bit-identical because the service LST is deterministic
+    /// in `s`.
     pub fn sojourn_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
         self.service.lst_batch(s, out);
-        for (s, o) in s.iter().zip(out.iter_mut()) {
-            let lb = *o;
-            *o = self.waiting_lst_given_service(*s, lb) * lb;
+        let mut waiting = [Complex64::ZERO; 32];
+        for (s, out) in s.chunks(waiting.len()).zip(out.chunks_mut(waiting.len())) {
+            let waiting = &mut waiting[..s.len()];
+            waiting.copy_from_slice(out);
+            self.waiting_lst_given_service_batch(s, waiting);
+            for (o, w) in out.iter_mut().zip(waiting.iter()) {
+                *o = *w * *o;
+            }
         }
     }
 
@@ -245,6 +258,50 @@ mod tests {
         let q = mm1(1.0, 3.0);
         let near = q.waiting_lst(Complex64::from_real(1e-8));
         assert!((near - Complex64::ONE).abs() < 1e-6, "got {near}");
+    }
+
+    #[test]
+    fn the_lane_pk_step_is_the_scalar_rule_on_inputs_the_served_path_never_makes() {
+        // λ = 1.5, ρ = 0.6. Each pair is an abscissa and a service LST:
+        // denominators of exactly 0, below 1e-300, with both parts below
+        // 1e-300 but a modulus above it, and NaN or infinite parts, among
+        // ordinary lanes on both sides.
+        let q = Mg1::new(1.5, from_distribution(Degenerate::new(0.4))).unwrap();
+        let ordinary = Complex64::new(920.0, 3.0e4);
+        let pairs = [
+            (ordinary, q.service().lst(ordinary)),
+            (Complex64::ZERO, Complex64::ONE),
+            (Complex64::new(2e-301, -5e-302), Complex64::ONE),
+            (Complex64::new(9e-301, 9e-301), Complex64::ONE),
+            (
+                Complex64::new(f64::from_bits(1), -f64::from_bits(3)),
+                Complex64::ONE,
+            ),
+            (ordinary, Complex64::new(f64::NAN, 0.25)),
+            (ordinary, Complex64::new(0.5, f64::INFINITY)),
+            (
+                Complex64::new(f64::NEG_INFINITY, 1.0),
+                Complex64::new(0.1, 0.2),
+            ),
+            (Complex64::new(f64::NAN, f64::NAN), Complex64::ONE),
+            (Complex64::new(1e-310, 0.0), Complex64::new(1.0, 0.0)),
+            (Complex64::new(4.0, -7.0), Complex64::new(0.3, 0.1)),
+        ];
+        let s: Vec<Complex64> = pairs.iter().map(|p| p.0).collect();
+        let mut got: Vec<Complex64> = pairs.iter().map(|p| p.1).collect();
+        q.waiting_lst_given_service_batch(&s, &mut got);
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        for ((s, lb), g) in pairs.iter().zip(&got) {
+            let want = q.waiting_lst_given_service(*s, *lb);
+            assert!(
+                same(g.re, want.re) && same(g.im, want.im),
+                "s={s:?} lb={lb:?}: {g:?} vs {want:?}"
+            );
+        }
+        // The limit answers where the modulus is below 1e-300, and only there.
+        for (i, limit) in got.iter().map(|&g| g == Complex64::ONE).enumerate() {
+            assert_eq!(limit, [1, 2, 4, 9].contains(&i), "lane {i}: {:?}", got[i]);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! M/M/1 closed forms, used to pin the generic M/G/1 machinery in tests and
-//! in the inversion-algorithm ablation (A4): every quantity here has an
-//! elementary formula, so any disagreement is a bug in the generic path.
+//! M/M/1 closed forms, used to pin the generic M/G/1 machinery in tests:
+//! every quantity here has an elementary formula, so any disagreement is a
+//! bug in the generic path.
 
 /// An M/M/1 queue (`λ < μ`).
 #[derive(Debug, Clone, Copy, PartialEq)]

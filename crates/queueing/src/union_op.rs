@@ -87,78 +87,128 @@ impl UnionOperation {
         self.parse.mean() + self.index.mean() + self.meta.mean() + self.data.mean()
     }
 
-    /// Fills `out` with the partial product `L_parse · L_index · L_meta`
-    /// (left-associated, matching the scalar paths) using one batch per
-    /// component.
-    fn partial_product_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
-        let mut tmp = vec![Complex64::ZERO; s.len()];
-        self.parse.lst_batch(s, out);
-        self.index.lst_batch(s, &mut tmp);
-        for (o, t) in out.iter_mut().zip(tmp.iter()) {
-            *o *= *t;
-        }
-        self.meta.lst_batch(s, &mut tmp);
-        for (o, t) in out.iter_mut().zip(tmp.iter()) {
-            *o *= *t;
-        }
-    }
-
-    /// Batch [`UnionOperation::response_lst`].
+    /// Batch [`UnionOperation::response_lst`], in 32-point pieces on the
+    /// stack.
     pub fn response_lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        self.partial_product_batch(s, out);
-        let mut ld = vec![Complex64::ZERO; s.len()];
-        self.data.lst_batch(s, &mut ld);
-        for (o, d) in out.iter_mut().zip(ld.iter()) {
-            *o *= *d;
+        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        let (mut product, mut data_minus_one) = ([Complex64::ZERO; 32], [Complex64::ZERO; 32]);
+        for (s, out) in s.chunks(32).zip(out.chunks_mut(32)) {
+            let n = s.len();
+            self.factors_into(s, true, out, &mut product[..n], &mut data_minus_one[..n]);
         }
     }
 
-    /// Evaluates each component LST once over `s` and keeps the products
-    /// every response transform needs (Eq. 1 and Eq. 2): the response tail,
-    /// with or without its parse factor (`parse_in_tail`), and the union
-    /// operation's LST split so that the mean extra-read count `p` enters
-    /// last ([`UnionOperation::lst_given_factors`]). No arrival rate enters,
-    /// so one batch serves every union operation over the same component
-    /// laws, whatever its `p`.
+    /// Evaluates each component LST once over `s` and writes the products
+    /// every response transform needs (Eq. 1 and Eq. 2) into the caller's
+    /// buffers: the response tail, with or without its parse factor
+    /// (`parse_in_tail`), and the union operation's LST split so that the
+    /// mean extra-read count `p` enters last
+    /// ([`UnionOperation::lst_given`]): `product` = `parse · index · meta ·
+    /// data` and `data_minus_one` = `L_data − 1`. No arrival rate enters,
+    /// so one pass serves every union operation over the same component
+    /// laws, whatever its `p`. The products are lane-width loops that keep
+    /// the scalar left-to-right grouping.
+    pub fn factors_into(
+        &self,
+        s: &[Complex64],
+        parse_in_tail: bool,
+        tail: &mut [Complex64],
+        product: &mut [Complex64],
+        data_minus_one: &mut [Complex64],
+    ) {
+        let n = s.len();
+        assert!(
+            tail.len() == n && product.len() == n && data_minus_one.len() == n,
+            "abscissa/output length mismatch"
+        );
+        // `data_minus_one` holds L_meta, then L_data, before its own value.
+        self.parse.lst_batch(s, product);
+        self.index.lst_batch(s, tail);
+        self.meta.lst_batch(s, data_minus_one);
+        let (p, t, m) = (&mut *product, &mut *tail, &*data_minus_one);
+        lanes::at_lane_width(
+            #[inline(always)]
+            move || times_meta(p, t, m),
+        );
+        self.data.lst_batch(s, data_minus_one);
+        lanes::at_lane_width(
+            #[inline(always)]
+            move || times_data(parse_in_tail, product, tail, data_minus_one),
+        );
+    }
+
+    /// [`UnionOperation::factors_into`] into buffers of its own.
     pub fn factors_batch(&self, s: &[Complex64], parse_in_tail: bool) -> UnionFactors {
         let n = s.len();
-        let mut product = vec![Complex64::ZERO; n];
-        let mut tail = vec![Complex64::ZERO; n];
-        let mut meta = vec![Complex64::ZERO; n];
-        let mut data_minus_one = vec![Complex64::ZERO; n];
-        self.parse.lst_batch(s, &mut product);
-        self.index.lst_batch(s, &mut tail);
-        self.meta.lst_batch(s, &mut meta);
-        self.data.lst_batch(s, &mut data_minus_one);
-        for i in 0..n {
-            let (index, d) = (tail[i], data_minus_one[i]);
-            // Both products keep the scalar left-to-right grouping.
-            product[i] = product[i] * index * meta[i] * d;
-            tail[i] = if parse_in_tail {
-                product[i]
-            } else {
-                index * meta[i] * d
-            };
-            data_minus_one[i] = d - Complex64::ONE;
-        }
-        UnionFactors {
-            tail,
-            product,
-            data_minus_one,
-        }
+        let mut factors = UnionFactors {
+            tail: vec![Complex64::ZERO; n],
+            product: vec![Complex64::ZERO; n],
+            data_minus_one: vec![Complex64::ZERO; n],
+        };
+        self.factors_into(
+            s,
+            parse_in_tail,
+            &mut factors.tail,
+            &mut factors.product,
+            &mut factors.data_minus_one,
+        );
+        factors
     }
 
-    /// The union operation's LST at every abscissa of `factors`:
+    /// The union operation's LST at every abscissa of `product` and
+    /// `data_minus_one` ([`UnionOperation::factors_into`]):
     /// `parse · index · meta · data · e^{p (L_data − 1)}` with this
     /// operation's `p`, the exponential as one lane-kernel batch.
-    /// Bit-identical to [`ServiceTime::lst`] at each abscissa when
-    /// `factors` came from the same component laws.
+    /// Bit-identical to [`ServiceTime::lst`] at each abscissa when the
+    /// factors came from the same component laws.
+    pub fn lst_given(
+        &self,
+        product: &[Complex64],
+        data_minus_one: &[Complex64],
+        out: &mut [Complex64],
+    ) {
+        assert_eq!(product.len(), out.len(), "factor/output length mismatch");
+        lanes::exp_scaled_batch(self.extra_reads, data_minus_one, out);
+        lanes::at_lane_width(
+            #[inline(always)]
+            move || {
+                for (o, product) in out.iter_mut().zip(product) {
+                    *o = *product * *o;
+                }
+            },
+        );
+    }
+
+    /// [`UnionOperation::lst_given`] over [`UnionOperation::factors_batch`].
     pub fn lst_given_factors(&self, factors: &UnionFactors, out: &mut [Complex64]) {
-        lanes::exp_scaled_batch(self.extra_reads, &factors.data_minus_one, out);
-        for (o, product) in out.iter_mut().zip(&factors.product) {
-            *o = *product * *o;
-        }
+        self.lst_given(&factors.product, &factors.data_minus_one, out)
+    }
+}
+
+/// `product · meta` and `tail · meta` at every lane: the second of the
+/// four factors of [`UnionOperation::factors_into`].
+#[inline(always)]
+fn times_meta(product: &mut [Complex64], tail: &mut [Complex64], meta: &[Complex64]) {
+    for ((p, t), meta) in product.iter_mut().zip(tail.iter_mut()).zip(meta) {
+        *p = *p * *t * *meta;
+        *t *= *meta;
+    }
+}
+
+/// The last factor, `L_data`, at every lane: into the product, into the
+/// tail (or the tail is the product, parse factor and all), and `L_data − 1`
+/// in place of `data`.
+#[inline(always)]
+fn times_data(
+    parse_in_tail: bool,
+    product: &mut [Complex64],
+    tail: &mut [Complex64],
+    data: &mut [Complex64],
+) {
+    for ((p, t), d) in product.iter_mut().zip(tail.iter_mut()).zip(data.iter_mut()) {
+        *p *= *d;
+        *t = if parse_in_tail { *p } else { *t * *d };
+        *d -= Complex64::ONE;
     }
 }
 
@@ -177,6 +227,16 @@ impl UnionFactors {
     pub fn tail(&self) -> &[Complex64] {
         &self.tail
     }
+
+    /// `parse · index · meta · data` at each abscissa.
+    pub fn product(&self) -> &[Complex64] {
+        &self.product
+    }
+
+    /// `L_data − 1` at each abscissa.
+    pub fn data_minus_one(&self) -> &[Complex64] {
+        &self.data_minus_one
+    }
 }
 
 impl ServiceTime for UnionOperation {
@@ -192,11 +252,14 @@ impl ServiceTime for UnionOperation {
     }
 
     fn lst_batch(&self, s: &[Complex64], out: &mut [Complex64]) {
-        self.partial_product_batch(s, out);
-        let mut ld = vec![Complex64::ZERO; s.len()];
-        self.data.lst_batch(s, &mut ld);
-        for (o, d) in out.iter_mut().zip(ld.iter()) {
-            *o = *o * *d * ((*d - Complex64::ONE) * self.extra_reads).exp();
+        assert_eq!(s.len(), out.len(), "abscissa/output length mismatch");
+        let mut tail = [Complex64::ZERO; 32];
+        let (mut product, mut data_minus_one) = (tail, tail);
+        for (s, out) in s.chunks(32).zip(out.chunks_mut(32)) {
+            let n = s.len();
+            let (product, data_minus_one) = (&mut product[..n], &mut data_minus_one[..n]);
+            self.factors_into(s, true, &mut tail[..n], product, data_minus_one);
+            self.lst_given(product, data_minus_one, out);
         }
     }
 

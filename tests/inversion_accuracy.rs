@@ -31,7 +31,7 @@ use cosmodel::model::{
     rescale_to_mean, CodedReadModel, CodingSpec, ModelVariant, SystemModel, SystemParams,
 };
 use cosmodel::numeric::roots::brent;
-use cosmodel::numeric::{cdf_from_lst, Complex64, InversionAlgorithm, InversionConfig, LaplaceFn};
+use cosmodel::numeric::{cdf_from_lst, Complex64, InversionConfig, LaplaceFn};
 use cosmodel::queueing::fork_join::k_of_n_tail;
 use cosmodel::queueing::{from_distribution, DynServiceTime};
 
@@ -44,10 +44,7 @@ const VARIANTS: [ModelVariant; 4] = [
 
 /// Euler with `terms` burn-in terms.
 fn euler(terms: usize) -> InversionConfig {
-    InversionConfig {
-        algorithm: InversionAlgorithm::Euler,
-        terms,
-    }
+    InversionConfig { terms }
 }
 
 fn rescaled_gamma(shape: f64, rate: f64, mean: f64) -> DynServiceTime {
