@@ -113,18 +113,40 @@ pub fn print_reductions(result: &ScenarioResult) {
     }
 }
 
-/// Parses `--scale X` and `--quick` command-line options: returns the time
+/// Reads the process's `--scale X` and `--quick` options: returns the time
 /// compression factor (default `default_scale`; `--quick` forces 600×).
+/// A `--scale` without a finite positive value is refused: its message goes
+/// to stderr and the process exits with status 2.
 pub fn parse_scale(default_scale: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--quick") {
-        return 600.0;
-    }
-    args.iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default_scale)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    scale_from_args(&args, default_scale).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// The rule behind [`parse_scale`], over the arguments after the program
+/// name. `--scale` must be followed by a finite positive number; a missing
+/// or unparsable value, zero, a negative or a non-finite value is refused
+/// with a message naming the flag and the value, even beside `--quick`.
+fn scale_from_args(args: &[String], default_scale: f64) -> Result<f64, String> {
+    let scale = match args.iter().position(|a| a == "--scale") {
+        None => default_scale,
+        Some(i) => {
+            let value = args
+                .get(i + 1)
+                .ok_or("--scale needs a value (a finite positive number)")?;
+            match value.parse::<f64>() {
+                Ok(x) if x.is_finite() && x > 0.0 => x,
+                _ => return Err(format!("--scale {value:?}: not a finite positive number")),
+            }
+        }
+    };
+    Ok(if args.iter().any(|a| a == "--quick") {
+        600.0
+    } else {
+        scale
+    })
 }
 
 /// Writes a JSON dump of the result next to the console output when
@@ -139,5 +161,41 @@ pub fn maybe_dump_json(result: &ScenarioResult) {
         let json = to_string_pretty(&result.to_json());
         std::fs::write(path, json).expect("writable json path");
         eprintln!("# wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::scale_from_args;
+
+    fn scale(args: &[&str]) -> Result<f64, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        scale_from_args(&args, 60.0)
+    }
+
+    #[test]
+    fn a_valid_scale_or_none_is_read() {
+        assert_eq!(scale(&[]), Ok(60.0));
+        assert_eq!(scale(&["--scale", "240"]), Ok(240.0));
+        assert_eq!(scale(&["--json", "out.json", "--scale", "0.5"]), Ok(0.5));
+        assert_eq!(scale(&["--quick"]), Ok(600.0));
+        assert_eq!(scale(&["--scale", "30", "--quick"]), Ok(600.0));
+    }
+
+    #[test]
+    fn a_bad_scale_is_refused_with_the_flag_and_its_value() {
+        for bad in ["abc", "0", "-5", "-0", "inf", "NaN", "", "--quick"] {
+            let err = scale(&["--scale", bad]).unwrap_err();
+            assert!(
+                err.contains("--scale") && err.contains(&format!("{bad:?}")),
+                "{bad:?}: {err}"
+            );
+        }
+        let err = scale(&["--scale"]).unwrap_err();
+        assert!(
+            err.contains("--scale") && err.contains("needs a value"),
+            "{err}"
+        );
+        assert!(scale(&["--quick", "--scale", "abc"]).is_err());
     }
 }

@@ -30,55 +30,6 @@ pub fn miss_ratio_by_threshold(latencies: &[f64], threshold: f64) -> f64 {
     latencies.iter().filter(|&&l| l > threshold).count() as f64 / latencies.len() as f64
 }
 
-/// Incremental form of [`miss_ratio_by_threshold`] for streaming telemetry:
-/// feeds one operation latency at a time and keeps only two counters, so a
-/// long-running service never buffers samples.
-#[derive(Debug, Clone, Copy)]
-pub struct ThresholdMissEstimator {
-    threshold: f64,
-    over: u64,
-    total: u64,
-}
-
-impl ThresholdMissEstimator {
-    /// Creates an estimator with the given hit/miss latency threshold
-    /// (use [`LATENCY_THRESHOLD`] for the paper's 0.015 ms).
-    pub fn new(threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold > 0.0,
-            "threshold must be positive"
-        );
-        ThresholdMissEstimator {
-            threshold,
-            over: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one operation latency.
-    pub fn observe(&mut self, latency: f64) {
-        self.total += 1;
-        if latency > self.threshold {
-            self.over += 1;
-        }
-    }
-
-    /// Estimated miss ratio (`None` before any observation — unlike the
-    /// batch form, streaming callers must handle the empty case).
-    pub fn ratio(&self) -> Option<f64> {
-        if self.total == 0 {
-            None
-        } else {
-            Some(self.over as f64 / self.total as f64)
-        }
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-}
-
 /// Why an online decomposition could not be performed this refit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DecomposeError {
@@ -387,20 +338,6 @@ mod tests {
     #[should_panic]
     fn decompose_rejects_all_hit_system() {
         decompose_disk_service(0.01, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], 10.0, 11.0);
-    }
-
-    #[test]
-    fn incremental_threshold_matches_batch() {
-        let mut lat = vec![0.000_003; 700];
-        lat.extend(vec![0.012; 300]);
-        let mut inc = ThresholdMissEstimator::new(LATENCY_THRESHOLD);
-        for &l in &lat {
-            inc.observe(l);
-        }
-        let batch = miss_ratio_by_threshold(&lat, LATENCY_THRESHOLD);
-        assert_eq!(inc.ratio(), Some(batch));
-        assert_eq!(inc.count(), 1000);
-        assert_eq!(ThresholdMissEstimator::new(1.0).ratio(), None);
     }
 
     #[test]

@@ -43,8 +43,7 @@ pub use backend::{BackendModel, ModelError};
 pub use coded::{CodedBounds, CodedEnvelope, CodedReadModel, CodingSpec};
 pub use estimate::{
     decompose_disk_service, fit_disk_law, miss_ratio_by_threshold, rescale_to_mean,
-    try_decompose_disk_service, DecomposeError, FittedDiskLaw, ThresholdMissEstimator,
-    LATENCY_THRESHOLD,
+    try_decompose_disk_service, DecomposeError, FittedDiskLaw, LATENCY_THRESHOLD,
 };
 pub use frontend::{FrontendModel, FrontendSetParams};
 pub use params::{DeviceParams, FrontendParams, SystemParams};

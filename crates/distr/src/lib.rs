@@ -9,11 +9,10 @@
 //!
 //! * [`degenerate`], [`exponential`], [`gamma`], [`normal`], [`uniform`] —
 //!   the paper's four fitting candidates (§IV-A) plus Uniform;
-//! * [`lognormal`], [`weibull`], [`pareto`] — workload-side laws (object
-//!   sizes) without closed-form LSTs;
+//! * [`lognormal`], [`pareto`] — workload-side laws (object sizes)
+//!   without closed-form LSTs;
 //! * [`mixture`] — cache-miss mixtures (`m·disk + (1−m)·δ`) and device
 //!   mixtures (Eq. 3);
-//! * [`shifted`] — constant offset wrapper;
 //! * [`empirical`] — recorded samples, empirical CDF, KS statistic;
 //! * [`fit`] — the §IV-A fitting/model-selection pass (Fig. 5).
 
@@ -28,10 +27,8 @@ pub mod lognormal;
 pub mod mixture;
 pub mod normal;
 pub mod pareto;
-pub mod shifted;
 pub mod traits;
 pub mod uniform;
-pub mod weibull;
 
 pub use degenerate::Degenerate;
 pub use empirical::Empirical;
@@ -42,7 +39,5 @@ pub use lognormal::LogNormal;
 pub use mixture::Mixture;
 pub use normal::Normal;
 pub use pareto::Pareto;
-pub use shifted::Shifted;
 pub use traits::{Distribution, DynService, Lst, ServiceDistribution};
 pub use uniform::Uniform;
-pub use weibull::Weibull;

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use cos_distr::{Degenerate, Exponential, Gamma, Lst, Mixture, Normal, Shifted, Uniform};
+use cos_distr::{Degenerate, Exponential, Gamma, Lst, Mixture, Normal, Uniform};
 use cos_numeric::Complex64;
 
 /// Euler-style contour (vertical line) plus some real-axis points off it.
@@ -59,10 +59,6 @@ fn batch_bit_identical_for_every_family() {
     assert_batch_matches_scalar("degenerate-zero", &Degenerate::new(0.0));
     assert_batch_matches_scalar("normal", &Normal::new(0.004, 0.0011));
     assert_batch_matches_scalar("uniform", &Uniform::new(0.001, 0.009));
-    assert_batch_matches_scalar(
-        "shifted",
-        &Shifted::new(0.0004, Arc::new(Exponential::new(900.0))),
-    );
 }
 
 #[test]
@@ -76,10 +72,7 @@ fn batch_bit_identical_for_nested_mixture() {
     assert_batch_matches_scalar("cache-mixture", &cache);
     let nested = Mixture::new(vec![
         (0.6, Arc::new(cache) as _),
-        (
-            0.4,
-            Arc::new(Shifted::new(0.001, Arc::new(Exponential::new(400.0)))) as _,
-        ),
+        (0.4, Arc::new(Exponential::new(400.0)) as _),
     ]);
     assert_batch_matches_scalar("nested-mixture", &nested);
 }

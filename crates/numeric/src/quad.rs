@@ -1,4 +1,5 @@
-//! Numerical quadrature: adaptive Simpson and Gauss–Legendre.
+//! Numerical quadrature: adaptive Simpson, on finite intervals and mapped
+//! onto `[a, ∞)`.
 //!
 //! The exact waiting-time-for-accept law (ablation A1) is an integral over the
 //! accept-lifetime density, and several model validation tests integrate
@@ -50,61 +51,6 @@ fn simpson_recurse<F: Fn(f64) -> f64>(
     }
 }
 
-/// Nodes and weights for `n`-point Gauss–Legendre quadrature on `[-1, 1]`.
-///
-/// Computed by Newton iteration on the Legendre polynomial; accurate to
-/// machine precision for `n ≤ 256`.
-pub fn gauss_legendre_nodes(n: usize) -> (Vec<f64>, Vec<f64>) {
-    assert!(n >= 1, "need at least one node");
-    let mut nodes = vec![0.0; n];
-    let mut weights = vec![0.0; n];
-    let m = n.div_ceil(2);
-    for i in 0..m {
-        // Initial guess (Chebyshev-like).
-        let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
-        let mut dp = 0.0;
-        for _ in 0..100 {
-            // Evaluate P_n(x) and P'_n(x) by recurrence.
-            let mut p0 = 1.0;
-            let mut p1 = x;
-            for k in 2..=n {
-                let kf = k as f64;
-                let p2 = ((2.0 * kf - 1.0) * x * p1 - (kf - 1.0) * p0) / kf;
-                p0 = p1;
-                p1 = p2;
-            }
-            let p = if n == 1 { x } else { p1 };
-            dp = n as f64 * (x * p - p0) / (x * x - 1.0);
-            let dx = p / dp;
-            x -= dx;
-            if dx.abs() < 1e-15 {
-                break;
-            }
-        }
-        nodes[i] = -x;
-        nodes[n - 1 - i] = x;
-        let w = 2.0 / ((1.0 - x * x) * dp * dp);
-        weights[i] = w;
-        weights[n - 1 - i] = w;
-    }
-    if n % 2 == 1 {
-        nodes[n / 2] = 0.0;
-    }
-    (nodes, weights)
-}
-
-/// `n`-point Gauss–Legendre integration of `f` on `[a, b]`.
-pub fn gauss_legendre<F: Fn(f64) -> f64>(f: &F, a: f64, b: f64, n: usize) -> f64 {
-    let (nodes, weights) = gauss_legendre_nodes(n);
-    let half = 0.5 * (b - a);
-    let mid = 0.5 * (a + b);
-    let mut sum = 0.0;
-    for (x, w) in nodes.iter().zip(weights.iter()) {
-        sum += w * f(mid + half * x);
-    }
-    half * sum
-}
-
 /// Integrates `f` over `[a, ∞)` by mapping through `x = a + u/(1-u)`.
 ///
 /// Suitable for integrable tails (densities, tail expectations).
@@ -141,36 +87,6 @@ mod tests {
     #[test]
     fn simpson_zero_width() {
         assert_eq!(adaptive_simpson(&|x| x, 1.0, 1.0, 1e-12), 0.0);
-    }
-
-    #[test]
-    fn gauss_legendre_nodes_symmetric() {
-        for &n in &[1usize, 2, 5, 16, 33] {
-            let (nodes, weights) = gauss_legendre_nodes(n);
-            let wsum: f64 = weights.iter().sum();
-            assert!((wsum - 2.0).abs() < 1e-12, "n={n} weight sum {wsum}");
-            for i in 0..n {
-                assert!(
-                    (nodes[i] + nodes[n - 1 - i]).abs() < 1e-12,
-                    "n={n} asymmetric"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gauss_legendre_high_degree_exactness() {
-        // n-point GL is exact for degree 2n−1: check x^9 with n = 5.
-        let got = gauss_legendre(&|x| x.powi(9), 0.0, 1.0, 5);
-        assert!((got - 0.1).abs() < 1e-13);
-    }
-
-    #[test]
-    fn gauss_legendre_matches_simpson() {
-        let f = |x: f64| (-x * x).exp();
-        let a = gauss_legendre(&f, 0.0, 3.0, 40);
-        let b = adaptive_simpson(&f, 0.0, 3.0, 1e-12);
-        assert!((a - b).abs() < 1e-9);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Scalar root finding: bisection, Brent's method, Ridders' method, damped
-//! Newton, and the log-survival Newton search that inverts CDFs.
+//! Scalar root finding: Brent's method, damped Newton, and the log-survival
+//! Newton search that inverts CDFs.
 //!
 //! Used by the calibration layer (Gamma MLE shape equation, service-time
 //! decomposition) and by quantile searches.
@@ -46,50 +46,6 @@ impl std::fmt::Display for RootError {
 }
 
 impl std::error::Error for RootError {}
-
-/// Simple bisection on `[a, b]`. Requires a sign change.
-pub fn bisect<F: Fn(f64) -> f64>(
-    f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, RootError> {
-    let mut fa = f(a);
-    let fb = f(b);
-    if !fa.is_finite() {
-        return Err(RootError::NonFinite { at: a });
-    }
-    if !fb.is_finite() {
-        return Err(RootError::NonFinite { at: b });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NoBracket { fa, fb });
-    }
-    for _ in 0..max_iter {
-        let mid = 0.5 * (a + b);
-        let fm = f(mid);
-        if !fm.is_finite() {
-            return Err(RootError::NonFinite { at: mid });
-        }
-        if fm == 0.0 || (b - a).abs() <= tol {
-            return Ok(mid);
-        }
-        if fm.signum() == fa.signum() {
-            a = mid;
-            fa = fm;
-        } else {
-            b = mid;
-        }
-    }
-    Ok(0.5 * (a + b))
-}
 
 /// Brent's method: inverse quadratic interpolation with bisection fallback.
 pub fn brent<F: Fn(f64) -> f64>(
@@ -176,89 +132,6 @@ pub fn brent<F: Fn(f64) -> f64>(
     Err(RootError::MaxIterations {
         best: b,
         residual: fb,
-    })
-}
-
-/// Ridders' method: exponential-fit false position on a sign-changing
-/// bracket. Superlinear (order √2 per function evaluation) and, unlike the
-/// secant method, never leaves the bracket.
-pub fn ridders<F: FnMut(f64) -> f64>(
-    mut f: F,
-    mut a: f64,
-    mut b: f64,
-    tol: f64,
-    max_iter: usize,
-) -> Result<f64, RootError> {
-    let mut fa = f(a);
-    let mut fb = f(b);
-    if !fa.is_finite() {
-        return Err(RootError::NonFinite { at: a });
-    }
-    if !fb.is_finite() {
-        return Err(RootError::NonFinite { at: b });
-    }
-    if fa == 0.0 {
-        return Ok(a);
-    }
-    if fb == 0.0 {
-        return Ok(b);
-    }
-    if fa.signum() == fb.signum() {
-        return Err(RootError::NoBracket { fa, fb });
-    }
-    for _ in 0..max_iter {
-        let m = 0.5 * (a + b);
-        let fm = f(m);
-        if !fm.is_finite() {
-            return Err(RootError::NonFinite { at: m });
-        }
-        if fm == 0.0 {
-            return Ok(m);
-        }
-        // Ridders update: fit f(x) ≈ g(x) e^{cx} through (a, m, b) and take
-        // the root of the fitted linear factor.
-        let s = (fm * fm - fa * fb).sqrt();
-        if s == 0.0 || !s.is_finite() {
-            return Err(RootError::NonFinite { at: m });
-        }
-        let sign = if fa < fb { -1.0 } else { 1.0 };
-        let x = m + (m - a) * sign * fm / s;
-        let fx = f(x);
-        if !fx.is_finite() {
-            return Err(RootError::NonFinite { at: x });
-        }
-        if fx == 0.0 {
-            return Ok(x);
-        }
-        // Rebuild the tightest sign-changing bracket from {a, m, x, b}.
-        if fm.signum() != fx.signum() {
-            if m < x {
-                (a, fa, b, fb) = (m, fm, x, fx);
-            } else {
-                (a, fa, b, fb) = (x, fx, m, fm);
-            }
-        } else if fx.signum() == fa.signum() {
-            // m and x both carry fa's sign: advance the left edge.
-            if x > m {
-                (a, fa) = (x, fx);
-            } else {
-                (a, fa) = (m, fm);
-            }
-        } else {
-            // Both carry fb's sign: pull in the right edge.
-            if x < m {
-                (b, fb) = (x, fx);
-            } else {
-                (b, fb) = (m, fm);
-            }
-        }
-        if (b - a).abs() <= tol {
-            return Ok(0.5 * (a + b));
-        }
-    }
-    Err(RootError::MaxIterations {
-        best: 0.5 * (a + b),
-        residual: f(0.5 * (a + b)),
     })
 }
 
@@ -420,26 +293,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12, 200).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_exact_endpoint() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-12, 100).unwrap(), 0.0);
-        assert_eq!(bisect(|x| x - 1.0, 0.0, 1.0, 1e-12, 100).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn bisect_requires_bracket() {
-        assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 100),
-            Err(RootError::NoBracket { .. })
-        ));
-    }
-
-    #[test]
     fn brent_finds_cos_root() {
         let r = brent(|x| x.cos(), 0.0, 3.0, 1e-14, 100).unwrap();
         assert!((r - std::f64::consts::FRAC_PI_2).abs() < 1e-10, "r={r}");
@@ -471,47 +324,6 @@ mod tests {
         // A function whose naive Newton step overshoots negative: 1/x − 10.
         let r = newton_positive(|x| 1.0 / x - 10.0, |x| -1.0 / (x * x), 5.0, 1e-13, 200).unwrap();
         assert!((r - 0.1).abs() < 1e-9, "r={r}");
-    }
-
-    #[test]
-    fn ridders_finds_sqrt2() {
-        let r = ridders(|x| x * x - 2.0, 0.0, 2.0, 1e-14, 60).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-12, "r={r}");
-    }
-
-    #[test]
-    fn ridders_handles_steep_function() {
-        let r = ridders(|x| x.exp() - 1e6, 0.0, 30.0, 1e-12, 60).unwrap();
-        assert!((r - 1e6f64.ln()).abs() < 1e-8, "r={r}");
-    }
-
-    #[test]
-    fn ridders_requires_bracket() {
-        assert!(matches!(
-            ridders(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 60),
-            Err(RootError::NoBracket { .. })
-        ));
-    }
-
-    #[test]
-    fn ridders_converges_faster_than_bisection() {
-        // Count evaluations to the same tolerance on a smooth CDF-like curve.
-        let count = std::cell::Cell::new(0usize);
-        let f = |x: f64| {
-            count.set(count.get() + 1);
-            1.0 - (-0.7 * x).exp() - 0.95
-        };
-        let r = ridders(f, 0.0, 40.0, 1e-12, 200).unwrap();
-        let ridders_evals = count.get();
-        assert!((r - (-(0.05f64).ln()) / 0.7).abs() < 1e-9);
-        count.set(0);
-        let b = bisect(f, 0.0, 40.0, 1e-12, 200).unwrap();
-        let bisect_evals = count.get();
-        assert!((b - r).abs() < 1e-9);
-        assert!(
-            ridders_evals * 2 < bisect_evals,
-            "ridders {ridders_evals} vs bisect {bisect_evals}"
-        );
     }
 
     /// `(F, f)` of Exp(λ).
@@ -622,16 +434,16 @@ mod tests {
     }
 
     #[test]
-    fn nonfinite_detected() {
-        assert!(matches!(
-            bisect(
-                |x| if x > 0.5 { f64::NAN } else { x - 1.0 },
-                0.0,
-                1.0,
-                1e-9,
-                50
-            ),
-            Err(RootError::NonFinite { .. })
-        ));
+    fn newton_reports_a_nan_function_value() {
+        // The Gamma MLE solves its shape equation here: a NaN residual after
+        // a step must come back as an error, not as a root.
+        let r = newton_positive(
+            |x| if x < 1.5 { f64::NAN } else { x - 1.0 },
+            |_| 1.0,
+            2.0,
+            1e-12,
+            50,
+        );
+        assert_eq!(r, Err(RootError::NonFinite { at: 1.0 }));
     }
 }

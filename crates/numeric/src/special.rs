@@ -43,24 +43,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + acc.ln()
 }
 
-/// The gamma function for `x > 0` (overflows to `inf` for x ≳ 171).
-pub fn gamma(x: f64) -> f64 {
-    ln_gamma(x).exp()
-}
-
-/// `ln(n!)` as an `f64`.
-pub fn ln_factorial(n: u64) -> f64 {
-    // Small values from a table for exactness; the rest via ln_gamma.
-    const TABLE: [f64; 11] = [
-        0.0, 0.0, 2.0, 6.0, 24.0, 120.0, 720.0, 5040.0, 40320.0, 362880.0, 3628800.0,
-    ];
-    if n < TABLE.len() as u64 {
-        TABLE[n as usize].max(1.0).ln()
-    } else {
-        ln_gamma(n as f64 + 1.0)
-    }
-}
-
 /// Binomial coefficient `C(n, k)` as `f64` (exact for all values that fit).
 pub fn binomial(n: u32, k: u32) -> f64 {
     if k > n {
@@ -208,75 +190,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Inverse of the standard normal CDF (Acklam's rational approximation with a
-/// single Newton polish step; accurate to ~1e-12).
-pub fn inverse_normal_cdf(p: f64) -> f64 {
-    assert!(
-        p > 0.0 && p < 1.0,
-        "inverse_normal_cdf requires p in (0,1), got {p}"
-    );
-    // Acklam coefficients.
-    #[allow(clippy::excessive_precision)]
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    #[allow(clippy::excessive_precision)]
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    #[allow(clippy::excessive_precision)]
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    #[allow(clippy::excessive_precision)]
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Newton step against the high-accuracy erfc-based CDF.
-    let sqrt2 = std::f64::consts::SQRT_2;
-    let cdf = 0.5 * erfc(-x / sqrt2);
-    let pdf = (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
-    if pdf > 0.0 {
-        x - (cdf - p) / pdf
-    } else {
-        x
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,13 +211,6 @@ mod tests {
             let rhs = x.ln() + ln_gamma(x);
             assert!((lhs - rhs).abs() < 1e-11, "x={x}: {lhs} vs {rhs}");
         }
-    }
-
-    #[test]
-    fn ln_factorial_matches_direct() {
-        assert!((ln_factorial(0)).abs() < 1e-15);
-        assert!((ln_factorial(5) - 120.0f64.ln()).abs() < 1e-13);
-        assert!((ln_factorial(20) - 2.432_902_008_176_64e18_f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -395,16 +301,6 @@ mod tests {
         assert!((erf(3.0) - 0.999_977_909_503_001_4).abs() < 1e-12);
         assert!((erfc(1.0) - 0.157_299_207_050_285_13).abs() < 1e-12);
         assert!((erfc(-2.0) - (1.0 + erf(2.0))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inverse_normal_cdf_roundtrip() {
-        for &p in &[0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
-            let x = inverse_normal_cdf(p);
-            let back = 0.5 * erfc(-x / std::f64::consts::SQRT_2);
-            assert!((back - p).abs() < 1e-10, "p={p} x={x} back={back}");
-        }
-        assert_eq!(inverse_normal_cdf(0.5), 0.0);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   request-processing queue and the frontend parse queue);
 //! * [`mm1k`] — M/M/1/K (the paper's approximation of the shared disk when
 //!   `N_be > 1`);
-//! * [`mm1`] / [`md1`] — M/M/1 and M/D/1 closed forms for validation
-//!   (high- and zero-variability ends of the service spectrum);
 //! * [`union_op`] — the union operation (§III-B), packing parse / index
 //!   lookup / metadata read / chunked data reads into one M/G/1-friendly
 //!   service unit;
@@ -19,17 +17,13 @@
 #![warn(missing_docs)]
 
 pub mod fork_join;
-pub mod md1;
 pub mod mg1;
-pub mod mm1;
 pub mod mm1k;
 pub mod service;
 pub mod union_op;
 
 pub use fork_join::{k_of_n_tail, split_merge, KOfNExponential};
-pub use md1::Md1;
 pub use mg1::{Mg1, QueueError};
-pub use mm1::Mm1;
 pub use mm1k::Mm1k;
 pub use service::{from_distribution, from_dyn_service, DynServiceTime, ServiceTime};
 pub use union_op::{UnionFactors, UnionOperation};

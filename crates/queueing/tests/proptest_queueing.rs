@@ -2,7 +2,7 @@
 
 use cos_distr::{Degenerate, Exponential, Gamma};
 use cos_numeric::Complex64;
-use cos_queueing::{from_distribution, Mg1, Mm1, Mm1k, ServiceTime, UnionOperation};
+use cos_queueing::{from_distribution, Mg1, Mm1k, ServiceTime, UnionOperation};
 use proptest::prelude::*;
 
 proptest! {
@@ -15,10 +15,11 @@ proptest! {
     ) {
         let mu = lambda * mu_factor;
         let mg1 = Mg1::new(lambda, from_distribution(Exponential::new(mu))).unwrap();
-        let mm1 = Mm1::new(lambda, mu);
-        prop_assert!((mg1.mean_waiting() - mm1.mean_waiting()).abs() < 1e-10);
-        prop_assert!((mg1.mean_sojourn() - mm1.mean_sojourn()).abs() < 1e-10);
-        prop_assert!((mg1.utilization() - mm1.utilization()).abs() < 1e-12);
+        // M/M/1 closed forms: ρ = λ/μ, W̄ = ρ/(μ − λ), T̄ = 1/(μ − λ).
+        let rho = lambda / mu;
+        prop_assert!((mg1.mean_waiting() - rho / (mu - lambda)).abs() < 1e-10);
+        prop_assert!((mg1.mean_sojourn() - 1.0 / (mu - lambda)).abs() < 1e-10);
+        prop_assert!((mg1.utilization() - rho).abs() < 1e-12);
     }
 
     #[test]

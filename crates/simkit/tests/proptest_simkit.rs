@@ -1,6 +1,6 @@
 //! Property-based tests for the discrete-event engine.
 
-use cos_simkit::{Calendar, FcfsQueue, RngStreams, SimTime};
+use cos_simkit::{Calendar, RngStreams, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -31,33 +31,6 @@ proptest! {
         }
         let order: Vec<usize> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fcfs_preserves_order(items in proptest::collection::vec(0u32..1000, 0..200)) {
-        let mut q = FcfsQueue::new();
-        for (i, &x) in items.iter().enumerate() {
-            q.push(i as f64, x);
-        }
-        let drained: Vec<u32> =
-            std::iter::from_fn(|| q.pop(items.len() as f64)).collect();
-        prop_assert_eq!(drained, items);
-    }
-
-    #[test]
-    fn fcfs_max_depth_bounds_len(ops in proptest::collection::vec(proptest::bool::ANY, 1..300)) {
-        let mut q = FcfsQueue::new();
-        let mut t = 0.0;
-        for &push in &ops {
-            t += 1.0;
-            if push {
-                q.push(t, ());
-            } else {
-                q.pop(t);
-            }
-            prop_assert!(q.len() <= q.max_depth());
-        }
-        prop_assert!(q.total_enqueued() as usize <= ops.len());
     }
 
     #[test]

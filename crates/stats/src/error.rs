@@ -80,14 +80,6 @@ impl ErrorSummary {
     }
 }
 
-/// Pools several series into one overall summary (the paper's "the
-/// prediction error of our model is 4.44% on average" aggregates all
-/// scenarios and SLAs).
-pub fn pooled_summary(series: &[&[PredictionPoint]]) -> ErrorSummary {
-    let all: Vec<PredictionPoint> = series.iter().flat_map(|s| s.iter().copied()).collect();
-    ErrorSummary::from_points(&all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,15 +126,6 @@ mod tests {
         let base = ErrorSummary::from_points(&[pt(0.5, 0.58)]);
         // 0.02 vs 0.08: 75% reduction.
         assert!((ours.relative_reduction_vs(&base) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pooled_combines_series() {
-        let a = [pt(0.5, 0.52)];
-        let b = [pt(0.9, 0.80), pt(0.7, 0.70)];
-        let s = pooled_summary(&[&a, &b]);
-        assert_eq!(s.count, 3);
-        assert!((s.mean - (0.02 + 0.10 + 0.0) / 3.0).abs() < 1e-15);
     }
 
     #[test]

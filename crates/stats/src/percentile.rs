@@ -1,8 +1,4 @@
-//! Percentile estimation: exact (sorted-sample) and streaming (P²).
-//!
-//! The evaluation counts "percentile of requests meeting SLA" per time bin
-//! (§V-B); exact percentiles are used offline while the P² estimator lets
-//! long simulator runs track quantiles in O(1) memory.
+//! Exact percentiles of a recorded sample (sorted, linearly interpolated).
 
 /// Exact percentile of a sample with linear interpolation.
 ///
@@ -23,141 +19,6 @@ pub fn exact_percentile(values: &mut [f64], p: f64) -> f64 {
     values[lo] * (1.0 - frac) + values[hi] * frac
 }
 
-/// Fraction of values `<= threshold` (the "percentile of requests meeting
-/// SLA" in the paper's sense).
-pub fn fraction_within(values: &[f64], threshold: f64) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    values.iter().filter(|&&v| v <= threshold).count() as f64 / values.len() as f64
-}
-
-/// Jain & Chlamtac's P² streaming quantile estimator.
-///
-/// Tracks a single quantile with five markers and no sample storage.
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    p: f64,
-    heights: [f64; 5],
-    positions: [f64; 5],
-    desired: [f64; 5],
-    increments: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `p`-quantile.
-    ///
-    /// # Panics
-    /// Panics unless `p` is in `(0, 1)`.
-    pub fn new(p: f64) -> Self {
-        assert!(p > 0.0 && p < 1.0, "P2 requires p in (0,1), got {p}");
-        P2Quantile {
-            p,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
-            increments: [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of observations seen.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one observation.
-    ///
-    /// # Panics
-    /// Panics on a non-finite observation — a NaN would silently poison
-    /// every marker from then on.
-    pub fn observe(&mut self, x: f64) {
-        assert!(x.is_finite(), "P2 observation must be finite, got {x}");
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                self.heights.copy_from_slice(&self.initial);
-            }
-            return;
-        }
-        // Find cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for pos in self.positions.iter_mut().skip(k + 1) {
-            *pos += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments.iter()) {
-            *d += inc;
-        }
-        // Adjust interior markers with the parabolic formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let below = self.positions[i] - self.positions[i - 1];
-            let above = self.positions[i + 1] - self.positions[i];
-            if (d >= 1.0 && above > 1.0) || (d <= -1.0 && below > 1.0) {
-                let sign = d.signum();
-                let candidate = self.parabolic(i, sign);
-                let new_h = if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                    candidate
-                } else {
-                    self.linear(i, sign)
-                };
-                self.heights[i] = new_h;
-                self.positions[i] += sign;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, sign: f64) -> f64 {
-        let q = &self.heights;
-        let n = &self.positions;
-        q[i] + sign / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, sign: f64) -> f64 {
-        let j = (i as f64 + sign) as usize;
-        self.heights[i]
-            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// Current quantile estimate. With 5 or fewer observations the exact
-    /// percentile of the buffered sample is served (the middle marker is
-    /// the sample *median* at that point, wrong for tail quantiles);
-    /// completely empty returns `None`.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count <= 5 {
-            let mut buf = self.initial.clone();
-            return Some(exact_percentile(&mut buf, self.p));
-        }
-        Some(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,124 +32,8 @@ mod tests {
     }
 
     #[test]
-    fn fraction_within_counts_inclusive() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(fraction_within(&v, 2.0), 0.5);
-        assert_eq!(fraction_within(&v, 0.5), 0.0);
-        assert_eq!(fraction_within(&v, 10.0), 1.0);
-        assert_eq!(fraction_within(&[], 1.0), 0.0);
-    }
-
-    #[test]
-    fn p2_matches_exact_on_uniform_stream() {
-        let mut est = P2Quantile::new(0.95);
-        let mut vals = Vec::new();
-        // Deterministic pseudo-random stream (LCG).
-        let mut state = 12345u64;
-        for _ in 0..50_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (state >> 11) as f64 / (1u64 << 53) as f64;
-            est.observe(x);
-            vals.push(x);
-        }
-        let exact = exact_percentile(&mut vals, 0.95);
-        let got = est.estimate().unwrap();
-        assert!((got - exact).abs() < 0.01, "p2 {got} exact {exact}");
-    }
-
-    #[test]
-    fn p2_with_few_samples_falls_back() {
-        let mut est = P2Quantile::new(0.5);
-        assert_eq!(est.estimate(), None);
-        est.observe(3.0);
-        est.observe(1.0);
-        assert_eq!(est.estimate(), Some(2.0));
-        assert_eq!(est.count(), 2);
-    }
-
-    #[test]
-    fn p2_skewed_distribution() {
-        // Exponential-ish data via inverse transform of the LCG stream.
-        let mut est = P2Quantile::new(0.9);
-        let mut vals = Vec::new();
-        let mut state = 999u64;
-        for _ in 0..100_000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = ((state >> 11) as f64 + 0.5) / (1u64 << 53) as f64;
-            let x = -u.ln();
-            est.observe(x);
-            vals.push(x);
-        }
-        let exact = exact_percentile(&mut vals, 0.9);
-        let got = est.estimate().unwrap();
-        assert!((got - exact).abs() / exact < 0.03, "p2 {got} exact {exact}");
-    }
-
-    #[test]
     #[should_panic]
     fn exact_percentile_rejects_empty() {
         exact_percentile(&mut [], 0.5);
-    }
-
-    #[test]
-    fn p2_exactly_five_samples_respects_tail_quantile() {
-        // At exactly 5 observations the middle marker is the sample median;
-        // a 0.99-quantile estimate must not collapse to it.
-        let mut est = P2Quantile::new(0.99);
-        for x in [1.0, 2.0, 3.0, 4.0, 100.0] {
-            est.observe(x);
-        }
-        let got = est.estimate().unwrap();
-        assert!(
-            got > 90.0,
-            "p99 of 5 samples should be near the max, got {got}"
-        );
-    }
-
-    #[test]
-    fn p2_all_equal_samples_stay_exact() {
-        for &p in &[0.1, 0.5, 0.9, 0.99] {
-            let mut est = P2Quantile::new(p);
-            for _ in 0..1000 {
-                est.observe(7.25);
-            }
-            assert_eq!(est.estimate(), Some(7.25), "p = {p}");
-        }
-    }
-
-    #[test]
-    fn p2_nearly_equal_samples_stay_bounded() {
-        // Duplicates in the initial 5 plus near-equal data must not produce
-        // NaN (division hazards in the marker adjustment) or escape the
-        // data range.
-        let mut est = P2Quantile::new(0.9);
-        for i in 0..10_000u32 {
-            let x = if i % 3 == 0 {
-                5.0
-            } else {
-                5.0 + 1e-12 * f64::from(i % 7)
-            };
-            est.observe(x);
-        }
-        let got = est.estimate().unwrap();
-        assert!(got.is_finite());
-        assert!((5.0..=5.0 + 1e-9).contains(&got), "estimate {got}");
-    }
-
-    #[test]
-    fn p2_single_observation() {
-        let mut est = P2Quantile::new(0.95);
-        est.observe(12.0);
-        assert_eq!(est.estimate(), Some(12.0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn p2_rejects_nan() {
-        P2Quantile::new(0.5).observe(f64::NAN);
     }
 }

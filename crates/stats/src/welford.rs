@@ -1,9 +1,5 @@
-//! Streaming moments and batch-means confidence intervals.
-//!
-//! Welford's algorithm accumulates mean/variance in one pass without
-//! catastrophic cancellation; the batch-means method gives confidence
-//! intervals for steady-state simulation output, where consecutive
-//! latencies are autocorrelated and the naive standard error is wrong.
+//! Streaming moments: Welford's algorithm accumulates mean/variance in one
+//! pass without catastrophic cancellation.
 
 /// One-pass mean/variance accumulator (Welford).
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,58 +70,6 @@ impl Welford {
     }
 }
 
-/// Batch-means estimator for autocorrelated steady-state output: groups
-/// observations into fixed-size batches and treats batch means as
-/// approximately independent.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current: Welford,
-    batches: Welford,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current: Welford::new(),
-            batches: Welford::new(),
-        }
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.current.push(x);
-        if self.current.count() == self.batch_size {
-            self.batches
-                .push(self.current.mean().expect("nonempty batch"));
-            self.current = Welford::new();
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Grand mean over completed batches (`None` before the first batch).
-    pub fn mean(&self) -> Option<f64> {
-        self.batches.mean()
-    }
-
-    /// Half-width of an approximate confidence interval with normal
-    /// critical value `z` (e.g. 1.96 for 95%); `None` with fewer than 2
-    /// completed batches.
-    pub fn ci_halfwidth(&self, z: f64) -> Option<f64> {
-        self.batches.stderr().map(|se| z * se)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,33 +132,6 @@ mod tests {
             "{:?}",
             w.variance()
         );
-    }
-
-    #[test]
-    fn batch_means_basics() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..95 {
-            bm.push(i as f64);
-        }
-        // 9 complete batches (the last 5 observations are pending).
-        assert_eq!(bm.batches(), 9);
-        // Batch means are 4.5, 14.5, ..., 84.5 → grand mean 44.5.
-        assert!((bm.mean().unwrap() - 44.5).abs() < 1e-12);
-        assert!(bm.ci_halfwidth(1.96).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_more_batches() {
-        let mk = |n: usize| {
-            let mut bm = BatchMeans::new(5);
-            let mut state = 42u64;
-            for _ in 0..n {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                bm.push((state >> 11) as f64 / (1u64 << 53) as f64);
-            }
-            bm.ci_halfwidth(1.96).unwrap()
-        };
-        assert!(mk(10_000) < mk(100));
     }
 
     #[test]

@@ -17,8 +17,6 @@
 
 use std::ops::Range;
 
-use crate::percentile::P2Quantile;
-
 #[cfg(any(test, feature = "resolution-count"))]
 thread_local! {
     static RESOLUTIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -178,100 +176,6 @@ impl<C: Copy + Default> WindowBank<C> {
     }
 }
 
-/// A windowed quantile built from rotating [`P2Quantile`] epochs.
-///
-/// P² cannot forget, so a sliding quantile keeps one estimator per epoch of
-/// `window` seconds and reads the **previous completed** epoch once the
-/// current one is still warming up. Rotation across empty epochs (no
-/// observations for one or more whole windows) is guarded: the last
-/// completed estimate is retained and flagged stale rather than panicking
-/// or reporting `NaN`.
-#[derive(Debug, Clone)]
-pub struct RotatingQuantile {
-    p: f64,
-    window: f64,
-    min_samples: usize,
-    epoch_start: f64,
-    current: P2Quantile,
-    /// Last completed epoch's estimate and sample count.
-    last: Option<(f64, usize)>,
-    /// Whole empty epochs skipped since the last completed estimate.
-    skipped: u64,
-}
-
-impl RotatingQuantile {
-    /// Creates a rotating `p`-quantile with epoch length `window` seconds.
-    /// The current epoch's estimate is used once it has `min_samples`
-    /// observations; before that the previous epoch's estimate is served.
-    ///
-    /// # Panics
-    /// Panics unless `p` is in `(0, 1)` and `window > 0`.
-    pub fn new(p: f64, window: f64, min_samples: usize) -> Self {
-        assert!(
-            window.is_finite() && window > 0.0,
-            "window must be positive, got {window}"
-        );
-        RotatingQuantile {
-            p,
-            window,
-            min_samples: min_samples.max(5),
-            epoch_start: 0.0,
-            current: P2Quantile::new(p),
-            last: None,
-            skipped: 0,
-        }
-    }
-
-    /// Records one observation at event time `t`, rotating epochs as
-    /// needed.
-    pub fn observe(&mut self, t: f64, x: f64) {
-        self.rotate_to(t);
-        self.current.observe(x);
-    }
-
-    /// Rotates epochs so the epoch containing `t` is current. Empty epochs
-    /// in between are skipped without disturbing the last-good estimate.
-    pub fn rotate_to(&mut self, t: f64) {
-        if t < self.epoch_start + self.window {
-            return;
-        }
-        let elapsed = ((t - self.epoch_start) / self.window).floor().max(1.0);
-        // Close out the current epoch if it saw data; otherwise it counts
-        // toward the stale-epoch tally.
-        if let Some(est) = self.current.estimate() {
-            self.last = Some((est, self.current.count()));
-            self.skipped = elapsed as u64 - 1;
-        } else {
-            self.skipped += elapsed as u64;
-        }
-        self.epoch_start += elapsed * self.window;
-        self.current = P2Quantile::new(self.p);
-    }
-
-    /// Current quantile estimate: the live epoch once warmed up, else the
-    /// last completed epoch, else whatever the live epoch has.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.current.count() >= self.min_samples {
-            return self.current.estimate();
-        }
-        if let Some((est, _)) = self.last {
-            return Some(est);
-        }
-        self.current.estimate()
-    }
-
-    /// Whole empty epochs since the newest completed estimate — nonzero
-    /// means [`Self::estimate`] may be serving stale data.
-    pub fn stale_epochs(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Observations in the live epoch.
-    pub fn live_count(&self) -> usize {
-        self.current.count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,56 +302,5 @@ mod tests {
         assert_eq!(bank.rate(now, 1..2, b), Some(10.0));
         // The union of both columns starts with the earlier one.
         assert_eq!(bank.rate(now, 0..2, a + b), Some(12.0));
-    }
-
-    #[test]
-    fn rotating_quantile_converges_then_rotates() {
-        let mut q = RotatingQuantile::new(0.9, 10.0, 20);
-        let mut state = 7u64;
-        for i in 0..5000 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let x = (state >> 11) as f64 / (1u64 << 53) as f64;
-            q.observe(i as f64 * 0.01, x); // 50 s of uniform [0,1) data
-        }
-        let est = q.estimate().unwrap();
-        assert!((est - 0.9).abs() < 0.05, "estimate {est}");
-        assert_eq!(q.stale_epochs(), 0);
-    }
-
-    #[test]
-    fn rotating_quantile_survives_empty_epochs() {
-        let mut q = RotatingQuantile::new(0.5, 1.0, 5);
-        for i in 0..100 {
-            q.observe(i as f64 * 0.01, 42.0); // one busy epoch of constant 42
-        }
-        // A long silence, then a single late observation.
-        q.observe(50.0, 1.0);
-        let est = q.estimate().unwrap();
-        assert!(est.is_finite());
-        assert_eq!(est, 42.0, "last-good estimate served while warming");
-        assert!(q.stale_epochs() > 10, "stale epochs {}", q.stale_epochs());
-    }
-
-    #[test]
-    fn rotating_quantile_tracks_regime_change() {
-        let mut q = RotatingQuantile::new(0.5, 5.0, 10);
-        for i in 0..1000 {
-            q.observe(i as f64 * 0.01, 1.0); // median 1 until t=10
-        }
-        for i in 0..1000 {
-            q.observe(10.0 + i as f64 * 0.01, 9.0); // median 9 after
-        }
-        assert_eq!(q.estimate(), Some(9.0));
-    }
-
-    #[test]
-    fn rotating_quantile_all_equal_is_exact() {
-        let mut q = RotatingQuantile::new(0.99, 10.0, 5);
-        for i in 0..100 {
-            q.observe(i as f64 * 0.001, 3.5);
-        }
-        assert_eq!(q.estimate(), Some(3.5));
     }
 }

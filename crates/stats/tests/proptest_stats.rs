@@ -1,9 +1,6 @@
 //! Property-based tests for the statistics utilities.
 
-use cos_stats::{
-    exact_percentile, fraction_within, ErrorSummary, Histogram, P2Quantile, PredictionPoint,
-    SlaMeter,
-};
+use cos_stats::{exact_percentile, ErrorSummary, PredictionPoint};
 use proptest::prelude::*;
 
 proptest! {
@@ -18,71 +15,6 @@ proptest! {
         let max = values.iter().cloned().fold(0.0f64, f64::max);
         let q = exact_percentile(&mut values, p);
         prop_assert!(q >= min - 1e-9 && q <= max + 1e-9);
-    }
-
-    #[test]
-    fn fraction_within_monotone(
-        values in proptest::collection::vec(0.0f64..100.0, 1..200),
-        t in 0.0f64..100.0,
-        dt in 0.0f64..50.0,
-    ) {
-        prop_assert!(fraction_within(&values, t + dt) >= fraction_within(&values, t));
-    }
-
-    #[test]
-    fn histogram_fraction_consistent_with_exact(
-        values in proptest::collection::vec(0.0f64..10.0, 10..500),
-        t in 0.0f64..10.0,
-    ) {
-        let mut h = Histogram::new(10.0, 1000);
-        for &v in &values {
-            h.record(v);
-        }
-        let exact = fraction_within(&values, t);
-        // Sub-bin interpolation bounds the error by one bin's mass.
-        prop_assert!((h.fraction_within(t) - exact).abs() <= 0.1 + 2.0 / values.len() as f64);
-    }
-
-    #[test]
-    fn histogram_quantile_and_fraction_are_inverses(
-        values in proptest::collection::vec(0.0f64..10.0, 50..500),
-        p in 0.05f64..0.95,
-    ) {
-        let mut h = Histogram::new(20.0, 2000);
-        for &v in &values {
-            h.record(v);
-        }
-        let q = h.quantile(p).unwrap();
-        let back = h.fraction_within(q);
-        prop_assert!((back - p).abs() < 0.05, "p={p} q={q} back={back}");
-    }
-
-    #[test]
-    fn p2_tracks_exact_median(values in proptest::collection::vec(0.0f64..1.0, 200..2000)) {
-        let mut est = P2Quantile::new(0.5);
-        for &v in &values {
-            est.observe(v);
-        }
-        let mut sorted = values.clone();
-        let exact = exact_percentile(&mut sorted, 0.5);
-        let got = est.estimate().unwrap();
-        prop_assert!((got - exact).abs() < 0.12, "p2 {got} exact {exact}");
-    }
-
-    #[test]
-    fn sla_meter_overall_is_weighted_bin_average(
-        latencies in proptest::collection::vec((0.0f64..100.0, 0.0f64..0.2), 1..300),
-    ) {
-        let mut m = SlaMeter::new(0.1, 10.0);
-        let mut met = 0u64;
-        for &(at, lat) in &latencies {
-            m.record(at, lat);
-            if lat <= 0.1 {
-                met += 1;
-            }
-        }
-        let want = met as f64 / latencies.len() as f64;
-        prop_assert!((m.overall_fraction().unwrap() - want).abs() < 1e-12);
     }
 
     #[test]

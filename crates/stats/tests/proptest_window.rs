@@ -1,6 +1,6 @@
-//! Property-based tests for the sliding-window estimators.
+//! Property-based tests for the sliding-window banks.
 
-use cos_stats::{exact_percentile, P2Quantile, RotatingQuantile, WindowBank};
+use cos_stats::WindowBank;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -79,61 +79,5 @@ proptest! {
             let sigma = (rate / len).sqrt();
             prop_assert!((est - rate).abs() < 6.0 * sigma + 2.0, "len {len}: {est} vs {rate}");
         }
-    }
-
-    /// Within one epoch the rotating quantile is exactly P², which must
-    /// agree with the exact sample percentile to within the usual P²
-    /// tolerance on uniform data.
-    #[test]
-    fn rotating_quantile_tracks_exact_percentile(
-        p in 0.10f64..0.90,
-        n in 500usize..2000,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let window = 1e6; // no rotation: pure P² over the whole sample
-        let mut q = RotatingQuantile::new(p, window, 5);
-        let mut reference = P2Quantile::new(p);
-        let mut values = Vec::with_capacity(n);
-        for i in 0..n {
-            let x = rng.gen::<f64>();
-            q.observe(i as f64, x);
-            reference.observe(x);
-            values.push(x);
-        }
-        let est = q.estimate().unwrap();
-        prop_assert_eq!(est.to_bits(), reference.estimate().unwrap().to_bits(),
-            "single-epoch rotating quantile must BE P²");
-        let exact = exact_percentile(&mut values, p);
-        prop_assert!((est - exact).abs() < 0.05, "P² {est} vs exact {exact} at p={p}");
-    }
-
-    /// After a regime change and a full epoch of new data, the estimate
-    /// reflects the new regime's exact percentile, not the old one's.
-    #[test]
-    fn rotating_quantile_follows_regime_to_new_exact_percentile(
-        p in 0.20f64..0.80,
-        offset in 5.0f64..20.0,
-        seed in 0u64..1_000,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let window = 10.0;
-        let mut q = RotatingQuantile::new(p, window, 20);
-        // Epoch A: uniform [0,1). Epochs B…: uniform [offset, offset+1).
-        for i in 0..1000 {
-            q.observe(i as f64 * 0.01, rng.gen::<f64>());
-        }
-        let mut late = Vec::new();
-        for i in 0..3000 {
-            let x = offset + rng.gen::<f64>();
-            q.observe(10.0 + i as f64 * 0.01, x);
-            late.push(x);
-        }
-        let est = q.estimate().unwrap();
-        // Compare against the exact percentile of the last full epoch's
-        // worth of samples — generous tolerance, the point is regime
-        // attachment (old regime was ≥ 4 units away).
-        let exact = exact_percentile(&mut late, p);
-        prop_assert!((est - exact).abs() < 0.2, "estimate {est} vs late-regime exact {exact}");
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! The model assumes Poisson arrivals (§III-A, assumption 1), and the
 //! paper's modified ssbench issues requests in an open loop; we generate
-//! arrivals the same way. A deterministic process is included for
-//! closed-loop-style calibration runs and for testing.
+//! arrivals the same way.
 
 use rand::RngCore;
 
@@ -40,42 +39,6 @@ impl PoissonArrivals {
 impl ArrivalProcess for PoissonArrivals {
     fn next_gap(&mut self, rng: &mut dyn RngCore) -> f64 {
         -cos_distr::traits::open_unit(rng).ln() / self.rate
-    }
-    fn rate(&self) -> f64 {
-        self.rate
-    }
-    fn set_rate(&mut self, rate: f64) {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "arrival rate must be positive, got {rate}"
-        );
-        self.rate = rate;
-    }
-}
-
-/// Deterministic (evenly spaced) arrivals.
-#[derive(Debug, Clone, Copy)]
-pub struct DeterministicArrivals {
-    rate: f64,
-}
-
-impl DeterministicArrivals {
-    /// Creates a deterministic arrival process.
-    ///
-    /// # Panics
-    /// Panics unless `rate` is finite and positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "arrival rate must be positive, got {rate}"
-        );
-        DeterministicArrivals { rate }
-    }
-}
-
-impl ArrivalProcess for DeterministicArrivals {
-    fn next_gap(&mut self, _rng: &mut dyn RngCore) -> f64 {
-        1.0 / self.rate
     }
     fn rate(&self) -> f64 {
         self.rate
@@ -139,15 +102,6 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let mean: f64 = (0..10_000).map(|_| p.next_gap(&mut rng)).sum::<f64>() / 10_000.0;
         assert!(mean < 0.002);
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let mut d = DeterministicArrivals::new(4.0);
-        let mut rng = SmallRng::seed_from_u64(4);
-        for _ in 0..10 {
-            assert_eq!(d.next_gap(&mut rng), 0.25);
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod phases;
 pub mod trace;
 pub mod trace_io;
 
-pub use arrivals::{ArrivalProcess, DeterministicArrivals, PoissonArrivals};
+pub use arrivals::{ArrivalProcess, PoissonArrivals};
 pub use catalog::{Catalog, CatalogConfig, ObjectId};
 pub use phases::{PhaseConfig, PhaseSchedule, Segment};
 pub use trace::{synthesize_trace, TraceEvent, TraceStream};

@@ -20,7 +20,7 @@
 //! * [`distr`] (`cos-distr`) — distributions, LSTs, fitting;
 //! * [`numeric`] (`cos-numeric`) — complex arithmetic + Laplace inversion;
 //! * [`simkit`] (`cos-simkit`) — the discrete-event engine;
-//! * [`stats`] (`cos-stats`) — percentiles, SLA meters, error summaries;
+//! * [`stats`] (`cos-stats`) — percentiles, error summaries, window banks;
 //! * [`serve`] (`cos-serve`) — the online SLA-prediction service: streaming
 //!   calibration, drift detection, and one read path — every query and
 //!   what-if sweep answered from the published snapshot through a
