@@ -227,6 +227,47 @@ mod tests {
         assert!((q.mean_waiting() - want).abs() < 1e-12);
     }
 
+    /// Erlang's exact M/D/1 waiting-time CDF, the alternating series
+    /// `P(W ≤ t) = (1 − ρ) Σ_{k=0}^{⌊t/b⌋} [λ(kb − t)]^k e^{−λ(kb−t)} / k!`,
+    /// each term taken in logs.
+    fn erlang_md1_waiting_cdf(lambda: f64, b: f64, t: f64) -> f64 {
+        let mut sum = 0.0;
+        for k in 0..=(t / b).floor() as u64 {
+            let x = lambda * (k as f64 * b - t); // ≤ 0
+            let term = if k == 0 {
+                (-x).exp()
+            } else {
+                let kf = k as f64;
+                let ln_mag = kf * x.abs().ln() - x - cos_numeric::special::ln_gamma(kf + 1.0);
+                if k % 2 == 0 {
+                    ln_mag.exp()
+                } else {
+                    -ln_mag.exp()
+                }
+            };
+            sum += term;
+        }
+        ((1.0 - lambda * b) * sum).clamp(0.0, 1.0)
+    }
+
+    #[test]
+    fn md1_waiting_cdf_matches_erlang_series() {
+        // The frontend parse queue: a Degenerate service, whose CDF has
+        // kinks at every multiple of b, inverted through P–K.
+        let lambda = 1.5;
+        let b = 0.4;
+        let q = Mg1::new(lambda, from_distribution(Degenerate::new(b))).unwrap();
+        let cfg = InversionConfig::default();
+        for &t in &[0.1, 0.3, 0.6, 1.0, 2.0] {
+            let want = erlang_md1_waiting_cdf(lambda, b, t);
+            let got = q.waiting_cdf(t, &cfg);
+            assert!(
+                (got - want).abs() < 5e-4,
+                "t={t}: inversion {got} vs series {want}"
+            );
+        }
+    }
+
     #[test]
     fn mm1_waiting_cdf_closed_form() {
         // M/M/1 waiting CDF: W(t) = 1 − ρ e^{−(μ−λ)t}.
