@@ -1,9 +1,13 @@
 //! Diagnostic: decompose simulated vs modeled latency into components
 //! (frontend sojourn, WTA, backend queue + service) at one operating point.
 //!
-//! Usage: `cargo run --release -p cos-bench --bin diagnose [-- --rate R]`
+//! Usage: `cargo run --release -p cos-bench --bin diagnose [-- --rate R]
+//! [--accept-cost C]` (default 240 req/s and the S1 accept cost). Each
+//! value must be a finite positive number; anything else exits 2 with a
+//! message naming the flag.
 
 use cos_bench::calibrate;
+use cos_bench::report::parse_positive;
 use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
 use cos_storesim::{ClusterConfig, MetricsConfig};
 use cos_workload::TraceEvent;
@@ -11,17 +15,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let rate: f64 = std::env::args()
-        .skip_while(|a| a != "--rate")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(240.0);
+    let rate = parse_positive("--rate").unwrap_or(240.0);
     let mut cfg = ClusterConfig::paper_s1();
-    if let Some(ac) = std::env::args()
-        .skip_while(|a| a != "--accept-cost")
-        .nth(1)
-        .and_then(|v| v.parse::<f64>().ok())
-    {
+    if let Some(ac) = parse_positive("--accept-cost") {
         cfg.accept_cost = ac;
     }
     let duration = 500.0;

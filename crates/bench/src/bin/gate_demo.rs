@@ -7,11 +7,13 @@
 //! connection. On a warm epoch every query is a memoized lookup, so the
 //! whole round trip is parse + dispatch + JSON + two socket hops; the demo
 //! prints the latency percentiles of both the POSTs (one-pass decode plus
-//! one batched ingest command each, refits included where the event-time
-//! cadence falls) and the GETs, and fails if the GET p95 exceeds 5 ms.
+//! one batched ingest each on the reactor thread, refits included where
+//! the event-time cadence falls) and the GETs, and fails if the GET p95
+//! exceeds 5 ms.
 //!
 //! Usage: `cargo run --release -p cos-bench --bin gate_demo [-- --scale X]`
-//! (scale multiplies the query count; default 2000 queries).
+//! (as in the other binaries, a larger scale is a shorter run: X divides
+//! the default 2000 queries, so `--quick`, scale 600, runs 4).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -69,7 +71,7 @@ fn percentile(sorted: &[Duration], q: f64) -> Duration {
 }
 
 fn main() {
-    let queries = (2000.0 * parse_scale(1.0)) as usize;
+    let queries = (2000.0 / parse_scale(1.0)).ceil() as usize;
     eprintln!("# gate_demo: loopback latency smoke, {queries} queries");
 
     // Calibrate and spawn the service behind the gate.

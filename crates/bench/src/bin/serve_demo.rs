@@ -1,10 +1,11 @@
 //! serve_demo — soak test of the online SLA-prediction service.
 //!
 //! Runs the S1 simulator as a **live telemetry source**: every routed
-//! request, data read, backend operation, and completion streams over an
-//! mpsc channel into a spawned [`cos_serve::SlaService`], which calibrates
-//! itself on sliding windows and answers SLA queries while the stepped
-//! rate sweep is still running. At each measured-window boundary the demo
+//! request, data read, backend operation, and completion streams through
+//! a telemetry sender into a spawned [`cos_serve::SlaService`], which
+//! ingests it on the simulation's thread, calibrates itself on sliding
+//! windows and answers SLA queries while the stepped rate sweep is still
+//! running. At each measured-window boundary the demo
 //! snapshots the service's online predictions; after the run it computes
 //! the offline fig6-style predictions from the same simulation's window
 //! counters and prints both against the observed attainment, plus the
@@ -86,8 +87,8 @@ fn main() {
     };
 
     // The telemetry sink: stream every record to the service; at each
-    // measured-window boundary, flush the channel, force a re-fit, and
-    // snapshot the online predictions for that window's rate step.
+    // measured-window boundary, force a re-fit and snapshot the online
+    // predictions for that window's rate step.
     let sender = handle.telemetry_sender();
     let boundary_handle = handle.clone();
     let boundary_windows = windows.clone();
@@ -100,7 +101,6 @@ fn main() {
         let at = event.at();
         sender.send(event.into());
         while next_window < boundary_windows.len() && at >= boundary_windows[next_window].1 {
-            let _ = boundary_handle.flush();
             let _ = boundary_handle.refit_now();
             let row: Vec<Option<f64>> = boundary_slas
                 .iter()

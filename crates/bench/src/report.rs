@@ -118,30 +118,51 @@ pub fn print_reductions(result: &ScenarioResult) {
 /// A `--scale` without a finite positive value is refused: its message goes
 /// to stderr and the process exits with status 2.
 pub fn parse_scale(default_scale: f64) -> f64 {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    scale_from_args(&args, default_scale).unwrap_or_else(|message| {
+    or_exit(scale_from_args(&args(), default_scale))
+}
+
+/// Reads the process's `flag X` option, `None` when the flag is absent. A
+/// value that is missing or not a finite positive number is refused as
+/// [`parse_scale`] refuses a bad `--scale`: its message goes to stderr and
+/// the process exits with status 2.
+pub fn parse_positive(flag: &str) -> Option<f64> {
+    or_exit(positive_from_args(&args(), flag))
+}
+
+/// The arguments after the program name.
+fn args() -> Vec<String> {
+    std::env::args().skip(1).collect()
+}
+
+/// The value, or the message on stderr and exit status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|message| {
         eprintln!("error: {message}");
         std::process::exit(2)
     })
 }
 
-/// The rule behind [`parse_scale`], over the arguments after the program
-/// name. `--scale` must be followed by a finite positive number; a missing
-/// or unparsable value, zero, a negative or a non-finite value is refused
-/// with a message naming the flag and the value, even beside `--quick`.
-fn scale_from_args(args: &[String], default_scale: f64) -> Result<f64, String> {
-    let scale = match args.iter().position(|a| a == "--scale") {
-        None => default_scale,
-        Some(i) => {
-            let value = args
-                .get(i + 1)
-                .ok_or("--scale needs a value (a finite positive number)")?;
-            match value.parse::<f64>() {
-                Ok(x) if x.is_finite() && x > 0.0 => x,
-                _ => return Err(format!("--scale {value:?}: not a finite positive number")),
-            }
-        }
+/// The rule behind [`parse_positive`], over the arguments after the
+/// program name: `flag` must be followed by a finite positive number; a
+/// missing or unparsable value, zero, a negative or a non-finite value is
+/// refused with a message naming the flag and the value.
+fn positive_from_args(args: &[String], flag: &str) -> Result<Option<f64>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
     };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag} needs a value (a finite positive number)"))?;
+    match value.parse::<f64>() {
+        Ok(x) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+        _ => Err(format!("{flag} {value:?}: not a finite positive number")),
+    }
+}
+
+/// The rule behind [`parse_scale`]: `--scale` as [`positive_from_args`]
+/// reads it, refused even beside `--quick`.
+fn scale_from_args(args: &[String], default_scale: f64) -> Result<f64, String> {
+    let scale = positive_from_args(args, "--scale")?.unwrap_or(default_scale);
     Ok(if args.iter().any(|a| a == "--quick") {
         600.0
     } else {
@@ -166,11 +187,14 @@ pub fn maybe_dump_json(result: &ScenarioResult) {
 
 #[cfg(test)]
 mod tests {
-    use super::scale_from_args;
+    use super::{positive_from_args, scale_from_args};
+
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
 
     fn scale(args: &[&str]) -> Result<f64, String> {
-        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        scale_from_args(&args, 60.0)
+        scale_from_args(&owned(args), 60.0)
     }
 
     #[test]
@@ -197,5 +221,24 @@ mod tests {
             "{err}"
         );
         assert!(scale(&["--quick", "--scale", "abc"]).is_err());
+    }
+
+    #[test]
+    fn diagnose_flags_take_a_finite_positive_number_or_are_refused() {
+        for flag in ["--rate", "--accept-cost"] {
+            let read = |args: &[&str]| positive_from_args(&owned(args), flag);
+            assert_eq!(read(&[]), Ok(None));
+            assert_eq!(read(&[flag, "150"]), Ok(Some(150.0)));
+            assert_eq!(read(&["--other", "1", flag, "2.5e-4"]), Ok(Some(2.5e-4)));
+            for bad in ["abc", "-5", "inf"] {
+                let err = read(&[flag, bad]).unwrap_err();
+                assert!(
+                    err.contains(flag) && err.contains(&format!("{bad:?}")),
+                    "{flag} {bad:?}: {err}"
+                );
+            }
+            let err = read(&[flag]).unwrap_err();
+            assert!(err.contains(flag) && err.contains("needs a value"), "{err}");
+        }
     }
 }

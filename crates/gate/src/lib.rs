@@ -39,8 +39,9 @@
 //!   over a level-triggered readiness poller ([`cos_par::poller`]: epoll
 //!   on Linux, `poll(2)` on other Unix targets), with single-`writev`
 //!   response flushes, pooled buffers, and per-thread syscall counters
-//!   ([`Gate::syscalls`]), dispatching GETs inline through the lock-free
-//!   snapshot read path.
+//!   ([`Gate::syscalls`]), dispatching every route inline: GETs through
+//!   the lock-free snapshot read path, telemetry POSTs under the
+//!   service's writer lock.
 //!
 //! ```no_run
 //! use cos_gate::{Gate, GateConfig};

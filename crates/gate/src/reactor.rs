@@ -16,6 +16,11 @@
 //!   A connection is registered read-only and gains write interest only
 //!   while it has output queued, so an idle writable socket never wakes
 //!   its reactor.
+//! * **One read buffer per reactor.** Every connection of a reactor is
+//!   read into the same 64 KiB buffer, allocated once when the reactor
+//!   starts and reused by every `drive`; the parser keeps only the bytes
+//!   that arrived. A 480-event telemetry POST (about 32.6 KB) fits in one
+//!   `read`, as a GET does.
 //! * **Short-read exit.** A stream `read` returns everything queued up to
 //!   the buffer size, so a read shorter than the buffer proves the kernel
 //!   queue empty and the trailing always-`WouldBlock` read is skipped. If
@@ -73,17 +78,20 @@
 //! atomic `Arc` load plus pure computation, no locks, no channel. So the
 //! reactor thread evaluates it in place — the response lands in the
 //! connection's output queue microseconds after the request parses,
-//! with zero handoff. The one blocking exception is `POST
-//! /v1/telemetry`: the route decodes the body in one pass and waits for
-//! the service thread's reply to the batch's one ingest command. A
-//! 480-event POST holds its reactor thread for about 0.3 ms this way
-//! (about 0.8 ms when the body went through a JSON tree and 480 sends
-//! plus a flush), which is accepted — writes are rare and the reply is
-//! the consistency contract.
+//! with zero handoff. Writes run inline too: `POST /v1/telemetry` decodes
+//! the body in one pass and ingests the batch on this thread under the
+//! service's writer lock, refitting in place where the event-time cadence
+//! falls inside it, so the `200` leaves once every event has landed (the
+//! consistency contract). A POST waits only for another write in progress
+//! on some other reactor, never for a GET. A 480-event POST holds its
+//! reactor for about 0.1 ms this way, which is accepted: writes are rare
+//! (DESIGN §12 has the measurements).
 //!
 //! A handler runs under `catch_unwind`: one that panics (a cold read
 //! evaluates the model on this thread) answers its request `500`, and the
-//! reactor keeps serving every other connection.
+//! reactor keeps serving every other connection. A POST whose ingest
+//! panics also poisons the service's writer lock: later POSTs answer
+//! `503` (`Disconnected`), while GETs keep answering.
 //!
 //! # Deadlines without timers
 //!
@@ -132,6 +140,10 @@ const LISTENER: u64 = 0;
 const WAKER: u64 = 1;
 /// Connection tokens are `slab slot + CONN_BASE`.
 const CONN_BASE: u64 = 2;
+
+/// Size of each reactor's one read buffer: a 480-event telemetry POST
+/// (about 32.6 KB) arrives in one `read`.
+const READ_BUF_BYTES: usize = 64 * 1024;
 
 /// Byte ceiling read per connection per event before yielding back to the
 /// event loop: the level-triggered poller reports a firehose peer again on
@@ -198,6 +210,7 @@ pub(crate) fn spawn(
             live: 0,
             lingering: 0,
             buf_pool: Vec::new(),
+            read_buf: vec![0; READ_BUF_BYTES].into_boxed_slice(),
         };
         let join = std::thread::Builder::new()
             .name(format!("cos-gate-reactor-{i}"))
@@ -397,6 +410,9 @@ struct Reactor {
     lingering: usize,
     /// Recycled head/segment buffers (per-reactor, so no locking).
     buf_pool: Vec<Vec<u8>>,
+    /// Every connection's reads land here first (allocated once; the
+    /// parser copies out what arrived).
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -592,11 +608,11 @@ impl Reactor {
         // so a flooding peer cannot grow the parser buffer.
         let mut dead = false;
         if !conn.saw_eof && (!conn.closing || conn.linger_until.is_some()) {
-            let mut chunk = [0u8; 8 * 1024];
+            let chunk = &mut self.read_buf[..];
             let mut taken = 0usize;
             loop {
                 SyscallCounters::bump(&self.counters.reads);
-                match conn.stream.read(&mut chunk) {
+                match conn.stream.read(chunk) {
                     Ok(0) => {
                         conn.saw_eof = true;
                         break;

@@ -7,7 +7,7 @@
 //! | `GET /v1/percentile?p=P[&n=N&k=K]` | response-latency percentile (seconds), optionally for `(N, K)` erasure-coded reads |
 //! | `GET /v1/headroom?sla=S&target=F[&upper=U]` | largest admissible rate meeting the goal |
 //! | `GET /v1/bottlenecks?sla=S` | devices ranked worst-first |
-//! | `POST /v1/telemetry` | batch event ingest (JSON array), decoded by [`json::decode_telemetry`] (a byte-level fast path, the tree reference for every body it does not take) and handed to the service thread as one command whose reply precedes the `200` |
+//! | `POST /v1/telemetry` | batch event ingest (JSON array), decoded by [`json::decode_telemetry`] (a byte-level fast path, the tree reference for every body it does not take) and ingested on the calling thread under the service's writer lock, in one hold, before the `200` |
 //! | `GET /v1/status` | full health summary |
 //! | `GET /v1/selfcheck` | observed gate latency percentiles vs model-predicted percentiles |
 //! | `GET /v1/anomalies` | scored anomalies + controller state (404 without a controller) |
@@ -41,7 +41,8 @@
 //!
 //! Every GET route answers from the lock-free snapshot path, evaluated on
 //! the calling thread (see [`cos_serve::SnapshotReader`]). The telemetry
-//! POST goes through the service's command channel: it is a write.
+//! POST is the one write: it ingests on the calling thread too, under the
+//! service's writer lock.
 
 use cos_ctrl::{Controller, SlaClass};
 use cos_serve::{
@@ -415,8 +416,8 @@ fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Respon
         Err(e) => return Response::error(400, &e),
     };
     let accepted = events.len();
-    // The service replies once it has ingested the whole batch, so this
-    // 200 is the client's happens-before edge: every later query on any
+    // The call returns once the whole batch is ingested, so this 200 is
+    // the client's happens-before edge: every later query on any
     // connection sees the events. A batch naming a device outside the
     // calibration base is refused whole (422), before any of it lands.
     if let Err(e) = client.ingest_batch_for(tenant, events) {
@@ -901,7 +902,6 @@ mod tests {
                 );
             }
         }
-        client.flush().unwrap();
         assert_eq!(published(), before, "a refused body publishes nothing");
         assert_eq!(
             get(&client, "/v1/tenants/ghost/status").status,
@@ -970,7 +970,6 @@ mod tests {
         for ev in sample_events() {
             client.ingest(ev).unwrap();
         }
-        client.flush().unwrap();
         client.refit_now().unwrap();
 
         let resp = get(&client, "/v1/percentile?p=0.99&n=4&k=2");
@@ -1010,7 +1009,6 @@ mod tests {
         for ev in sample_events() {
             client.ingest(ev).unwrap();
         }
-        client.flush().unwrap();
         client.refit_now().unwrap();
         let rate = |upper: &str| {
             let resp = get(
@@ -1112,7 +1110,6 @@ mod tests {
         for ev in sample_events() {
             client.ingest(ev).unwrap();
         }
-        client.flush().unwrap();
         client.refit_now().unwrap();
         for ns in [200_000u64, 400_000, 800_000] {
             obs.request_hist("/v1/attainment").record_ns(ns);
@@ -1292,7 +1289,6 @@ mod tests {
         for ev in sample_events() {
             client.ingest(ev).unwrap();
         }
-        client.flush().unwrap();
         client.refit_now().unwrap();
         client.attainment(&Query::new().sla(0.05)).unwrap();
         client.attainment(&Query::new().sla(0.05)).unwrap();

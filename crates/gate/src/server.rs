@@ -4,14 +4,15 @@
 //! A small fixed pool of reactor threads takes connections from one
 //! shared listener and runs a nonblocking, level-triggered readiness loop
 //! over many multiplexed connections (DESIGN §12). Connection capacity is
-//! bounded by memory, not threads, and GET routes dispatch inline on the
-//! reactor thread through the lock-free snapshot read path.
+//! bounded by memory, not threads, and every route dispatches inline on
+//! the reactor thread: GETs through the lock-free snapshot read path,
+//! telemetry POSTs under the service's writer lock.
 //!
 //! Policies: excess accepts beyond [`GateConfig::max_connections`] are
 //! answered `503` and closed, a per-request deadline runs from the first
-//! byte of a request head to its response (`408` past it), and writes
-//! (telemetry) go through the service's FIFO channel as one batch command
-//! each, whose reply comes before the HTTP reply.
+//! byte of a request head to its response (`408` past it), and a write
+//! (a telemetry POST) ingests its whole batch under one hold of the
+//! service's writer lock before the HTTP reply goes out.
 //!
 //! Graceful shutdown: [`Gate::shutdown`] flips a flag and fires every
 //! reactor's pipe-based waker; the gate stops taking connections,

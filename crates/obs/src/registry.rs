@@ -3,7 +3,7 @@
 //! A [`Registry`] is a cheap-clone handle (an `Arc` internally) to a set of
 //! named instruments. Registration is **idempotent** on `(name, label)`:
 //! asking twice returns handles to the same atomics, so independent layers
-//! (the gate, the service thread, the readers) can share one registry
+//! (the gate, the service, the readers) can share one registry
 //! without coordinating who creates what.
 //!
 //! [`Registry::render`] produces the Prometheus text format. Histograms

@@ -6,8 +6,8 @@
 //!
 //! * [`par_map`] — a scoped, borrowing parallel map over a slice with
 //!   deterministic output order, used by planning/sensitivity grids, bench
-//!   bins, and `cos-serve` (fleet re-fits on the service thread, what-if
-//!   sweeps on the caller's thread): results are returned in item order
+//!   bins, and `cos-serve` (fleet re-fits and what-if sweeps, each from
+//!   its caller's thread): results are returned in item order
 //!   regardless of which worker computed what, so callers that fold over
 //!   the output get **bit-identical** results for any worker count (each
 //!   item's computation is single-threaded and the merge is a plain index

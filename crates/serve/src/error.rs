@@ -23,7 +23,10 @@ pub enum ServeError {
     /// No admissible rate exists for the requested SLA goal: it fails even
     /// as the arrival rate approaches zero.
     GoalUnreachable,
-    /// The service thread has shut down (its command channel is closed).
+    /// The spawned service is gone: its handle shut it down (every call is
+    /// refused from then on), or a write panicked while holding the
+    /// service's writer lock, which poisons it (writes are refused from
+    /// then on; reads keep answering from the last published fleet).
     Disconnected,
     /// The query names a tenant the service has never seen telemetry for.
     /// Network frontends map this to 404.

@@ -24,8 +24,9 @@
 //! * [`drift`] — observed-vs-predicted attainment monitoring, the signal
 //!   that the fitted distribution family itself has gone bad;
 //! * [`obs`] — the service's instrument bundle ([`ServeObs`]): refit
-//!   duration, cache-hit/miss query latency, ingest lag, and per-point
-//!   sweep time, recorded into a shared [`cos_obs::Registry`];
+//!   duration and count, cache-hit/miss query latency, ingested events,
+//!   and per-point sweep time, recorded into a shared
+//!   [`cos_obs::Registry`];
 //! * [`tenant`] / [`query`] — the fleet dimension: [`TenantId`]-scoped
 //!   estimator shards and the builder-style [`Query`] every read endpoint
 //!   takes;
@@ -34,8 +35,10 @@
 //!   fleet, which the service updates by **delta publication** (only
 //!   changed tenants republish);
 //! * [`service`] — the assembled [`SlaService`] state machine and its
-//!   spawned form, one thread that owns ingest and re-fits behind a
-//!   command channel;
+//!   spawned form: the service behind one writer lock that its handle,
+//!   clients and telemetry senders share, so ingest and re-fits run on
+//!   the calling thread, one writer at a time, with no thread of the
+//!   service's own;
 //! * [`error`] — typed failure modes (warming up, unstable ρ ≥ 1,
 //!   unreachable goals, unknown tenants, malformed queries, shutdown).
 //!

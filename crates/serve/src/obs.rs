@@ -19,11 +19,6 @@ pub struct ServeObs {
     pub query_hit: Hist,
     /// Latency of queries that had to run a fresh inversion.
     pub query_miss: Hist,
-    /// Queue delay between an ingest command being sent to the service
-    /// thread and the moment its ingest starts (command-channel lag): one
-    /// sample per command, whether it carries one event or a whole POST's
-    /// batch.
-    pub ingest_lag: Hist,
     /// Total telemetry events ingested.
     pub ingest_events_total: Counter,
     /// Evaluation time of each what-if sweep point (one model build plus
@@ -54,10 +49,6 @@ impl ServeObs {
                 "cache",
                 "miss",
                 "Prediction query latency by inversion-memo outcome",
-            ),
-            ingest_lag: registry.histogram(
-                "cos_serve_ingest_lag_seconds",
-                "Command-channel delay between sending an ingest command (one event or a batch) and its ingest",
             ),
             ingest_events_total: registry.counter(
                 "cos_serve_ingest_events_total",

@@ -13,17 +13,21 @@
 //! republished (see the
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
 //!
-//! [`SlaService::spawn`] wraps the service in a dedicated thread that owns
-//! the write path behind a single command channel: ingest, refit, flush
-//! and shutdown (`std::sync::mpsc` has no `select`, so each is one `enum`
-//! message; FIFO ordering doubles as the flush barrier). Telemetry travels
-//! as batches, one command each: a single event from
-//! [`TelemetrySender::send`] or [`ServiceClient::ingest_for`] is a batch of
-//! one, and [`ServiceClient::ingest_batch_for`] hands over a whole batch
-//! and waits for the service to reply once it is ingested (a batch naming
-//! a device the base does not have is refused whole before it is sent,
-//! see [`ServeError::UnknownDevice`]). The returned
-//! [`ServiceHandle`] owns the thread and derefs to its [`ServiceClient`];
+//! [`SlaService::spawn`] puts the service behind one **writer lock** (a
+//! `Mutex`) shared by the returned [`ServiceHandle`], every
+//! [`ServiceClient`] cloned from it and every [`TelemetrySender`] they
+//! hand out. It starts no thread: a write — ingest or refit — runs on the
+//! calling thread while it holds the lock, so writes land one at a time,
+//! a refit the event-time cadence calls for runs inside the ingest that
+//! crossed it, and every write has landed when its call returns. A single
+//! event from [`TelemetrySender::send`] or [`ServiceClient::ingest_for`]
+//! takes the lock once; [`ServiceClient::ingest_batch_for`] takes it once
+//! for a whole batch (a batch naming a device the base does not have is
+//! refused whole before the lock is taken, see
+//! [`ServeError::UnknownDevice`]). A write that panics while holding the
+//! lock poisons it, and every later write answers
+//! [`ServeError::Disconnected`], as after a shutdown. The
+//! [`ServiceHandle`] owns the service and derefs to its [`ServiceClient`];
 //! [`TelemetrySender`] is a cheap cloneable tenant-scoped ingest-only
 //! endpoint to hand to a telemetry source.
 //!
@@ -31,17 +35,13 @@
 //! (`reader.attainment(&Query::tenant(t).sla(0.05))`), answered by a
 //! [`SnapshotReader`] on the calling thread from the published fleet —
 //! [`SlaService::reader`] in-process, [`ServiceClient`]'s query methods
-//! once spawned — never through the channel, and so are what-if sweeps. A
-//! caller that needs its earlier non-blocking ingests to be visible calls
-//! [`ServiceClient::flush`] first.
+//! once spawned — without the writer lock, and so are what-if sweeps. A
+//! read sees every refit published by a write that returned before it.
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 use cos_model::{ModelVariant, SystemModel, SystemParams};
 use cos_obs::Registry;
@@ -685,77 +685,50 @@ impl SlaService {
         Ok(self.status_slot(self.slot_of(tenant)?))
     }
 
-    /// Moves the service onto its own thread behind a command channel.
+    /// Puts the service behind its writer lock and returns the owning
+    /// handle; every [`ServiceClient`] and [`TelemetrySender`] made from
+    /// it shares the lock. No thread is started: each write runs on the
+    /// thread that calls it.
     pub fn spawn(self) -> ServiceHandle {
-        let (tx, rx) = channel();
         let reader = self.reader();
         let devices = self.base.devices;
-        let join = std::thread::Builder::new()
-            .name("cos-serve".into())
-            .spawn(move || run_service(self, rx))
-            .expect("spawn service thread");
         ServiceHandle {
             client: ServiceClient {
-                tx,
+                writer: Arc::new(Mutex::new(Some(self))),
                 reader,
                 devices,
             },
-            join: Some(join),
         }
     }
 }
 
-enum Command {
-    /// A telemetry batch, when it was sent, and who waits for its ingest.
-    Ingest(TenantId, Vec<TelemetryEvent>, Instant, Option<Sender<()>>),
-    Refit(Sender<bool>),
-    Flush(Sender<()>),
-    Shutdown,
+/// A spawned service behind its writer lock, shared by its handle, its
+/// clients and their senders; `None` once the handle has shut it down.
+type Writer = Arc<Mutex<Option<SlaService>>>;
+
+/// Runs `f` on the service under its writer lock, on the calling thread.
+/// [`ServeError::Disconnected`] once the service has shut down, or once a
+/// write panicked while holding the lock (the lock is poisoned).
+fn write<T>(writer: &Writer, f: impl FnOnce(&mut SlaService) -> T) -> Result<T, ServeError> {
+    let mut service = writer.lock().map_err(|_| ServeError::Disconnected)?;
+    service.as_mut().map(f).ok_or(ServeError::Disconnected)
 }
 
-fn run_service(mut service: SlaService, rx: Receiver<Command>) -> SlaService {
-    while let Ok(command) = rx.recv() {
-        match command {
-            Command::Ingest(tenant, events, sent_at, reply) => {
-                service.obs.ingest_lag.record_duration(sent_at.elapsed());
-                service.ingest_batch(&tenant, events);
-                if let Some(reply) = reply {
-                    let _ = reply.send(());
-                }
-            }
-            Command::Refit(reply) => {
-                let _ = reply.send(service.refit_now());
-            }
-            Command::Flush(reply) => {
-                let _ = reply.send(());
-            }
-            Command::Shutdown => break,
-        }
-    }
-    // Snapshot readers outlive the thread; flip them to `Disconnected` so
-    // they agree with the now-dead command channel.
-    service.shared.close();
-    service
-}
-
-/// Tenant-scoped ingest-only endpoint for telemetry producers. Sends never
-/// fail: once the service is gone, records are dropped (a dead consumer
-/// must not crash the producer).
+/// Tenant-scoped ingest-only endpoint for telemetry producers. A send
+/// ingests on the producer's thread, after any write in progress. Sends
+/// never fail: once the service is gone, records are dropped (a dead
+/// consumer must not crash the producer).
 #[derive(Clone)]
 pub struct TelemetrySender {
-    tx: Sender<Command>,
+    writer: Writer,
     tenant: TenantId,
 }
 
 impl TelemetrySender {
-    /// Feeds one event to the service, tagged with this sender's tenant.
+    /// Ingests one event on the calling thread, tagged with this sender's
+    /// tenant, and re-fits if the event-time cadence falls due.
     pub fn send(&self, event: TelemetryEvent) {
-        let _ = self.tx.send(Command::Ingest(
-            self.tenant.clone(),
-            vec![event],
-            Instant::now(),
-            None,
-        ));
+        let _ = write(&self.writer, |s| s.ingest_for(&self.tenant, event));
     }
 
     /// The tenant this sender's events are attributed to.
@@ -766,34 +739,29 @@ impl TelemetrySender {
 
 /// Cloneable endpoint to a spawned [`SlaService`]: everything a concurrent
 /// consumer (e.g. a `cos-gate` reactor thread) needs — ingest, queries,
-/// status — without ownership of the service thread. Writes share the one
-/// command channel, FIFO-ordered per sender; queries and status answer on
-/// the calling thread from the published snapshot (see
-/// [`SnapshotReader`]), so they see every refit published before the call
-/// and never wait for the service thread. Once the owning
+/// status — without ownership of the service. Writes take the service's
+/// one writer lock and run on the calling thread, one at a time, so each
+/// has landed, with any refit it triggered, when it returns. Queries and
+/// status answer on the calling thread from the published snapshot (see
+/// [`SnapshotReader`]) without the lock, so they see every refit
+/// published before the call and never wait for a write. Once the owning
 /// [`ServiceHandle`] shuts the service down, every call returns
 /// [`ServeError::Disconnected`], except that
 /// [`ingest_batch_for`](ServiceClient::ingest_batch_for) checks a batch's
 /// devices first and still refuses one naming a device outside the base
-/// with [`ServeError::UnknownDevice`].
+/// with [`ServeError::UnknownDevice`]. After a write panicked while
+/// holding the lock, writes return `Disconnected` and reads keep
+/// answering from the last published fleet.
 #[derive(Clone)]
 pub struct ServiceClient {
-    tx: Sender<Command>,
+    writer: Writer,
     reader: SnapshotReader,
     /// The calibration base's device count: a batch naming a device at or
-    /// past it is refused before it is sent.
+    /// past it is refused before the writer lock is taken.
     devices: usize,
 }
 
 impl ServiceClient {
-    fn ask<T>(&self, build: impl FnOnce(Sender<T>) -> Command) -> Result<T, ServeError> {
-        let (reply, rx) = channel();
-        self.tx
-            .send(build(reply))
-            .map_err(|_| ServeError::Disconnected)?;
-        rx.recv().map_err(|_| ServeError::Disconnected)
-    }
-
     /// The lock-free snapshot endpoint the query methods below answer
     /// from, with the published fleet's raw state and generation counters
     /// besides.
@@ -809,40 +777,32 @@ impl ServiceClient {
     /// A cloneable ingest-only endpoint attributing events to `tenant`.
     pub fn telemetry_sender_for(&self, tenant: TenantId) -> TelemetrySender {
         TelemetrySender {
-            tx: self.tx.clone(),
+            writer: Arc::clone(&self.writer),
             tenant,
         }
     }
 
-    /// Feeds one telemetry event for the `default` tenant (non-blocking).
+    /// Ingests one telemetry event for the `default` tenant.
     pub fn ingest(&self, event: TelemetryEvent) -> Result<(), ServeError> {
-        self.ingest_for(&TenantId::default_tenant(), event)
+        write(&self.writer, |s| s.ingest(event))
     }
 
-    /// Feeds one telemetry event for `tenant` (non-blocking). The tenant's
-    /// shard materializes on first sight.
+    /// Ingests one telemetry event for `tenant`. The tenant's shard
+    /// materializes on first sight.
     pub fn ingest_for(&self, tenant: &TenantId, event: TelemetryEvent) -> Result<(), ServeError> {
-        self.tx
-            .send(Command::Ingest(
-                tenant.clone(),
-                vec![event],
-                Instant::now(),
-                None,
-            ))
-            .map_err(|_| ServeError::Disconnected)
+        write(&self.writer, |s| s.ingest_for(tenant, event))
     }
 
-    /// Feeds a batch of events for `tenant` as one command and returns
-    /// once the service has ingested all of them (re-fitting wherever the
-    /// event-time cadence falls inside the batch). Like
-    /// [`flush`](ServiceClient::flush), the return is a happens-before
-    /// edge for every later query on any client. The tenant's shard
-    /// materializes with its first event; an empty batch creates nothing.
-    /// A batch with an event naming a device outside the calibration base
-    /// is refused whole with [`ServeError::UnknownDevice`], on the calling
-    /// thread before anything is sent: nothing in it is ingested, and no
-    /// tenant is created. The per-event paths send without this check, and
-    /// the calibrator drops such an event.
+    /// Ingests a batch of events for `tenant` under one hold of the writer
+    /// lock, re-fitting wherever the event-time cadence falls inside the
+    /// batch, exactly as per-event ingest would. The return is a
+    /// happens-before edge for every later query on any client. The
+    /// tenant's shard materializes with its first event; an empty batch
+    /// creates nothing. A batch with an event naming a device outside the
+    /// calibration base is refused whole with
+    /// [`ServeError::UnknownDevice`] before the lock is taken: nothing in
+    /// it is ingested, and no tenant is created. The per-event paths skip
+    /// this check, and the calibrator drops such an event.
     pub fn ingest_batch_for(
         &self,
         tenant: &TenantId,
@@ -861,18 +821,13 @@ impl ServiceClient {
                 devices,
             });
         }
-        self.ask(|reply| Command::Ingest(tenant.clone(), events, Instant::now(), Some(reply)))
+        write(&self.writer, |s| s.ingest_batch(tenant, events))
     }
 
-    /// Waits until every previously sent event has been processed.
-    pub fn flush(&self) -> Result<(), ServeError> {
-        self.ask(Command::Flush)
-    }
-
-    /// Forces a batched re-fit; `Ok(true)` if a new epoch was installed
-    /// for the `default` tenant.
+    /// Forces a batched re-fit on the calling thread; `Ok(true)` if a new
+    /// epoch was installed for the `default` tenant.
     pub fn refit_now(&self) -> Result<bool, ServeError> {
-        self.ask(Command::Refit)
+        write(&self.writer, SlaService::refit_now)
     }
 
     /// Predicted fraction of requests meeting the query's SLA (plain,
@@ -918,11 +873,10 @@ impl ServiceClient {
 
 /// Owning handle to a spawned [`SlaService`]: its [`ServiceClient`], to
 /// which the handle derefs — so `handle.attainment(..)`,
-/// `handle.flush()` and every other client method work on it directly —
-/// plus the join handle. Dropping it shuts the service down.
+/// `handle.ingest(..)` and every other client method work on it directly.
+/// Dropping it shuts the service down.
 pub struct ServiceHandle {
     client: ServiceClient,
-    join: Option<JoinHandle<SlaService>>,
 }
 
 impl std::ops::Deref for ServiceHandle {
@@ -934,33 +888,37 @@ impl std::ops::Deref for ServiceHandle {
 }
 
 impl ServiceHandle {
-    /// A cloneable endpoint sharing this handle's command channel and
+    /// A cloneable endpoint sharing this handle's writer lock and
     /// published snapshot.
     pub fn client(&self) -> ServiceClient {
         self.client.clone()
     }
 
-    /// Stops the service and returns its final state. Outstanding
-    /// [`ServiceClient`]s observe [`ServeError::Disconnected`] afterwards.
-    pub fn shutdown(mut self) -> Result<SlaService, ServeError> {
-        self.client
-            .tx
-            .send(Command::Shutdown)
+    /// Stops the service, once any write in progress has landed, and
+    /// returns its final state. Outstanding [`ServiceClient`]s observe
+    /// [`ServeError::Disconnected`] afterwards. `Disconnected` if a write
+    /// panicked while holding the writer lock.
+    pub fn shutdown(self) -> Result<SlaService, ServeError> {
+        self.close()
+    }
+
+    /// Takes the service out from behind its lock and closes its snapshot
+    /// readers, so reads answer `Disconnected` as writes now do.
+    fn close(&self) -> Result<SlaService, ServeError> {
+        let mut writer = self
+            .client
+            .writer
+            .lock()
             .map_err(|_| ServeError::Disconnected)?;
-        self.join
-            .take()
-            .ok_or(ServeError::Disconnected)?
-            .join()
-            .map_err(|_| ServeError::Disconnected)
+        let service = writer.take().ok_or(ServeError::Disconnected)?;
+        service.shared.close();
+        Ok(service)
     }
 }
 
 impl Drop for ServiceHandle {
     fn drop(&mut self) {
-        let _ = self.client.tx.send(Command::Shutdown);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
+        let _ = self.close();
     }
 }
 
@@ -1151,7 +1109,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn spawned_service_round_trips_over_the_channel() {
+    fn spawned_service_round_trips_through_its_handle() {
         let service = SlaService::new(base(), ServeConfig::default());
         let handle = service.spawn();
         let sender = handle.telemetry_sender();
@@ -1161,7 +1119,6 @@ pub(crate) mod tests {
             }
         });
         feeder.join().unwrap();
-        handle.flush().unwrap();
         handle.refit_now().unwrap();
         let p = handle.attainment(&Query::new().sla(0.05)).unwrap();
         assert!(p.value > 0.0);
@@ -1181,7 +1138,6 @@ pub(crate) mod tests {
         for ev in events(40.0, 20.0, 2) {
             handle.ingest(ev).unwrap();
         }
-        handle.flush().unwrap();
         let client = handle.client();
         // Evaluated, a bad rate panics in the model build, a NaN SLA in
         // the inversion, and an SLA of +∞ answers NaN: each is refused.
@@ -1216,7 +1172,6 @@ pub(crate) mod tests {
         for ev in events(40.0, 20.0, 2) {
             client.ingest(ev).unwrap();
         }
-        client.flush().unwrap();
         let answers: Vec<u64> = (0..4)
             .map(|_| {
                 let c = client.clone();
@@ -1272,29 +1227,6 @@ pub(crate) mod tests {
         assert!(text.contains(&format!("cos_serve_ingest_events_total {n_events}")));
         assert!(text.contains("cos_serve_query_seconds_bucket{cache=\"hit\",le="));
         assert!(text.contains("cos_serve_query_seconds_bucket{cache=\"miss\",le="));
-    }
-
-    #[test]
-    fn spawned_service_records_ingest_lag() {
-        let config = ServeConfig::default();
-        let registry = config.obs.clone();
-        let handle = SlaService::new(base(), config).spawn();
-        let client = handle.client();
-        let singles = events(40.0, 5.0, 2);
-        for &ev in &singles {
-            handle.ingest(ev).unwrap();
-        }
-        handle.telemetry_sender().send(singles[0]);
-        client
-            .ingest_batch_for(&TenantId::default_tenant(), singles.clone())
-            .unwrap();
-        let lag = registry.merged_histogram("cos_serve_ingest_lag_seconds");
-        assert_eq!(
-            lag.count(),
-            singles.len() as u64 + 2,
-            "one lag sample per ingest command, however many events it carries"
-        );
-        drop(handle);
     }
 
     /// What a published fleet says about each tenant, every `f64` as bits.
@@ -1367,7 +1299,6 @@ pub(crate) mod tests {
                     per_event.ingest_for(tenant, ev).unwrap();
                 }
             }
-            per_event.flush().unwrap();
 
             let (a, b) = (batched.reader(), per_event.reader());
             assert_eq!(a.generation(), b.generation(), "same publishes");
@@ -1718,7 +1649,6 @@ pub(crate) mod tests {
         for ev in events(40.0, 20.0, 2) {
             sender.send(ev);
         }
-        handle.flush().unwrap();
         handle.refit_now().unwrap();
         let p = handle
             .attainment(&Query::tenant(blue.clone()).sla(0.05))
@@ -1735,11 +1665,49 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dropped_handle_shuts_the_thread_down() {
+    fn dropped_handle_shuts_the_service_down() {
         let handle = SlaService::new(base(), ServeConfig::default()).spawn();
         let sender = handle.telemetry_sender();
+        let client = handle.client();
         drop(handle);
         // The ingest endpoint must not panic after shutdown.
         sender.send(TelemetryEvent::Arrival { at: 0.0, device: 0 });
+        let event = TelemetryEvent::Arrival { at: 1.0, device: 0 };
+        assert_eq!(client.ingest(event), Err(ServeError::Disconnected));
+        assert_eq!(client.refit_now(), Err(ServeError::Disconnected));
+        assert!(matches!(client.status(), Err(ServeError::Disconnected)));
+    }
+
+    #[test]
+    fn a_poisoned_writer_lock_refuses_writes_and_reads_keep_answering() {
+        let handle = SlaService::new(base(), ServeConfig::default()).spawn();
+        handle
+            .ingest_batch_for(&TenantId::default(), events(40.0, 20.0, 2))
+            .unwrap();
+        let q = Query::new().sla(0.05);
+        let before = handle.attainment(&q).unwrap();
+        // A write that panics while holding the lock.
+        let client = handle.client();
+        let panicked =
+            std::thread::spawn(move || write(&client.writer, |_| panic!("a write panicked")))
+                .join();
+        assert!(panicked.is_err());
+
+        let event = TelemetryEvent::Arrival {
+            at: 21.0,
+            device: 0,
+        };
+        assert_eq!(handle.ingest(event), Err(ServeError::Disconnected));
+        assert_eq!(
+            handle.ingest_batch_for(&TenantId::default(), vec![event]),
+            Err(ServeError::Disconnected)
+        );
+        assert_eq!(handle.refit_now(), Err(ServeError::Disconnected));
+        handle.telemetry_sender().send(event);
+        // Reads answer from the last published fleet, with the same bits.
+        let after = handle.attainment(&q).unwrap();
+        assert_eq!(after.value.to_bits(), before.value.to_bits());
+        assert_eq!(after.epoch, before.epoch);
+        assert!(matches!(handle.shutdown(), Err(ServeError::Disconnected)));
     }
 }

@@ -1,15 +1,16 @@
 //! The lock-free snapshot read path and the fleet's delta publication
 //! protocol.
 //!
-//! The service thread owns the *write* path — telemetry ingest and
-//! calibration re-fits — and after every re-fit attempt publishes an
-//! immutable [`FleetState`] (one [`SnapshotState`] per tenant) through an
-//! atomic `Arc` swap ([`cos_par::ArcCell`]). Every read is a snapshot
-//! read: any number of [`SnapshotReader`]s — one per gate reactor thread,
-//! typically — load the current state with one atomic operation and
-//! evaluate predictions and what-if sweeps **in place on the calling
-//! thread**, with zero channel round-trips and zero contention with the
-//! service thread.
+//! The *write* path — telemetry ingest and calibration re-fits — is the
+//! `SlaService`'s `&mut self` methods; a spawned service runs them under
+//! its writer lock on whichever thread calls them. After every re-fit
+//! attempt the writer publishes an immutable [`FleetState`] (one
+//! [`SnapshotState`] per tenant) through an atomic `Arc` swap
+//! ([`cos_par::ArcCell`]). Every read is a snapshot read: any number of
+//! [`SnapshotReader`]s — one per gate reactor thread, typically — load
+//! the current state with one atomic operation and evaluate predictions
+//! and what-if sweeps **in place on the calling thread**, without taking
+//! the writer lock and so without waiting for a write in progress.
 //!
 //! ## Delta publication
 //!
@@ -40,8 +41,11 @@
 //!   the new pointer with `Release` ordering and `ArcCell::get` loads it
 //!   with `Acquire`, so everything written while building the delta
 //!   (including the bumped per-entry generations) *happens-before* any
-//!   read through the swapped pointer. There is exactly one writer (the
-//!   service thread), so read-modify-write on the cell needs no CAS loop.
+//!   read through the swapped pointer. There is one writer at a time (the
+//!   `SlaService`, whose writes `&mut self` or the writer lock serialize,
+//!   and the lock's release and acquire order one writer's swap before the
+//!   next writer's load), so read-modify-write on the cell needs no CAS
+//!   loop.
 //! * Answers are **bit-identical** across readers, and to the service's
 //!   own drift predictions, by construction: all funnel through the shared
 //!   [`InversionCache`], which reconstructs every input from the quantized
@@ -213,8 +217,8 @@ fn state_bytes(state: &SnapshotState) -> usize {
 /// Readers hold it behind an `Arc` via [`SnapshotReader`].
 pub(crate) struct SnapshotShared {
     cell: ArcCell<FleetState>,
-    /// Set when the service thread exits; readers then answer
-    /// [`ServeError::Disconnected`], matching the dead command channel.
+    /// Set when the spawned service shuts down; readers then answer
+    /// [`ServeError::Disconnected`], as its writes do.
     closed: AtomicBool,
     /// `f64` bits of the newest event time, updated on every ingest.
     event_time: AtomicU64,
@@ -240,7 +244,7 @@ impl SnapshotShared {
         }
     }
 
-    /// Adds a tenant to the fleet (single writer: the service thread), in
+    /// Adds a tenant to the fleet (one writer at a time: the service), in
     /// its warming-up state. Returns the assigned slot.
     pub(crate) fn register_tenant(&self, tenant: TenantId, initial: Arc<SnapshotState>) -> u32 {
         let current = self.cell.get();
@@ -262,7 +266,8 @@ impl SnapshotShared {
     /// Atomically publishes a delta: only the given `(slot, state,
     /// events_total)` entries are replaced (with their generations
     /// bumped); every other tenant keeps its exact current `Arc`. Safe
-    /// without a CAS loop because the service thread is the only writer.
+    /// without a CAS loop because the service publishes from one writer at
+    /// a time.
     pub(crate) fn publish_delta(&self, changes: &[(u32, Arc<SnapshotState>, u64)]) -> PublishStats {
         let current = self.cell.get();
         let mut entries = current.entries.clone();
@@ -309,7 +314,7 @@ impl SnapshotShared {
 /// cheap (one `Arc`). Every method is a pure read: one atomic load of the
 /// published state, then evaluation through the shared, sharded
 /// [`InversionCache`] — so every reader answers with the same bits and
-/// concurrent readers scale without serializing on the service thread.
+/// concurrent readers scale without serializing on the writer lock.
 ///
 /// Tenant-unaware methods are scoped to the reserved `default` tenant;
 /// [`Query`]-taking methods reach any tenant.
@@ -492,7 +497,7 @@ impl SnapshotReader {
         }
     }
 
-    /// Health summary assembled without touching the service thread: the
+    /// Health summary assembled without the service's writer lock: the
     /// published epoch / fit-failure / drift state, the live event clock,
     /// and the shared cache's counters. The drift verdicts are as of the
     /// most recent publication (the service refreshes them at every re-fit

@@ -1,7 +1,7 @@
 //! The cost of warm keep-alive requests through the gate, sent one at a
-//! time and in pipelined batches of 32, counted from inside the reactors:
-//! syscalls from their poller counters, heap allocations from the counting
-//! allocator.
+//! time and in pipelined batches of 32, and of 480-event telemetry POSTs,
+//! counted from inside the reactors: syscalls from their poller counters,
+//! heap allocations from the counting allocator.
 //!
 //! This test binary installs the counting allocator, so it holds exactly
 //! one test: the allocation counter is process-wide, and another gate's
@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 
 use cosmodel::distr::{Degenerate, Gamma};
-use cosmodel::gate::{Gate, GateConfig};
+use cosmodel::gate::{encode_events, Gate, GateConfig};
 use cosmodel::par::alloc_probe::{tracked_allocs, CountingAlloc};
 use cosmodel::queueing::from_distribution;
 use cosmodel::serve::{CalibrationBase, OpClass, ServeConfig, SlaService, TelemetryEvent};
@@ -33,8 +33,42 @@ const BATCH: u64 = 32;
 /// measured at 18.
 const ALLOCS_PER_REQUEST: u64 = 64;
 
-/// A service calibrated in-process from a deterministic 20 s stream at
-/// 40 req/s per device.
+/// Telemetry POSTs in the measured POST window, one second of the stream
+/// (480 events) each, so the 5 s refit cadence falls inside some of them.
+const POSTS: u32 = 10;
+
+/// A deterministic stream at 40 req/s per device over two devices, from
+/// second `from` to second `to` of event time: 12 events per 25 ms tick,
+/// 480 a second.
+fn telemetry(from: u32, to: u32) -> Vec<TelemetryEvent> {
+    let mut events = Vec::new();
+    let mut i = 0u64;
+    for tick in 40 * from..40 * to {
+        let t = f64::from(tick) / 40.0;
+        for device in 0..2 {
+            events.push(TelemetryEvent::Arrival { at: t, device });
+            events.push(TelemetryEvent::DataRead { at: t, device });
+            for class in OpClass::ALL {
+                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
+                events.push(TelemetryEvent::Op {
+                    at: t,
+                    device,
+                    class,
+                    latency,
+                });
+                i += 1;
+            }
+            events.push(TelemetryEvent::Completion {
+                arrival: t,
+                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
+                device,
+            });
+        }
+    }
+    events
+}
+
+/// A service calibrated in-process from the stream's first 20 s.
 fn calibrated_service() -> SlaService {
     let base = CalibrationBase {
         index_law: from_distribution(Gamma::new(3.0, 250.0)),
@@ -47,29 +81,8 @@ fn calibrated_service() -> SlaService {
         frontend_processes: 3,
     };
     let mut service = SlaService::new(base, ServeConfig::default());
-    let mut i = 0u64;
-    let mut t = 0.0;
-    while t < 20.0 {
-        for device in 0..2 {
-            service.ingest(TelemetryEvent::Arrival { at: t, device });
-            service.ingest(TelemetryEvent::DataRead { at: t, device });
-            for class in OpClass::ALL {
-                let latency = if i % 10 < 3 { 0.010 } else { 0.000_002 };
-                service.ingest(TelemetryEvent::Op {
-                    at: t,
-                    device,
-                    class,
-                    latency,
-                });
-                i += 1;
-            }
-            service.ingest(TelemetryEvent::Completion {
-                arrival: t,
-                latency: if i % 10 < 3 { 0.030 } else { 0.004 },
-                device,
-            });
-        }
-        t += 1.0 / 40.0;
+    for event in telemetry(0, 20) {
+        service.ingest(event);
     }
     assert!(service.refit_now(), "deterministic stream must fit");
     service
@@ -167,6 +180,36 @@ fn a_warm_keep_alive_request_costs_one_read_one_writev_and_few_allocations() {
     // answered by one `writev`.
     let batch = request.repeat(BATCH as usize);
     assert_round_costs(&gate, &mut stream, (&batch, BATCH), BATCHES, "pipelined");
+
+    // Each POST of the next second of telemetry, about 29 KB, is read in
+    // one `read`, or two if the reactor wakes before all of it has landed,
+    // and answered by one `writev`. Its ingest, and the refit where the
+    // cadence falls, run on the reactor thread and add no `read` or `writev`.
+    let epoch = || {
+        let published = handle.reader().state().expect("service alive");
+        published.snapshot.as_ref().map(|s| s.epoch)
+    };
+    let before = epoch();
+    for post in 0..POSTS {
+        let second = 20 + post;
+        let events = telemetry(second, second + 1);
+        assert_eq!(events.len(), 480);
+        let body = encode_events(&events);
+        assert!((24_000..40_000).contains(&body.len()), "{}", body.len());
+        let raw = format!(
+            "POST /v1/telemetry HTTP/1.1\r\nHost: gate\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let syscalls = gate.syscalls();
+        round_trip(&mut stream, raw.as_bytes(), 1, &mut buf);
+        let spent = gate.syscalls().since(&syscalls);
+        assert!(
+            spent.reads <= 2,
+            "POST {post}: at most two reads: {spent:?}"
+        );
+        assert_eq!(spent.writevs, 1, "POST {post}: one writev: {spent:?}");
+    }
+    assert!(epoch() > before, "a cadence refit ran inside a POST");
 
     drop(stream);
     gate.shutdown();

@@ -576,7 +576,7 @@ fn spawn_bare_gate() -> Gate {
     let handle = SlaService::new(bare_base(), ServeConfig::default()).spawn();
     let client = handle.client();
     // Leak the handle: the gate owns the only reference we keep, and the
-    // service thread dies with the process. Keeps this helper simple.
+    // service lives until the process ends. Keeps this helper simple.
     std::mem::forget(handle);
     Gate::bind("127.0.0.1:0", client, GateConfig::default()).expect("bind")
 }
@@ -928,7 +928,7 @@ fn selfcheck_and_metrics_reflect_real_traffic_end_to_end() {
         "cos_gate_parse_seconds",
         "cos_gate_dispatch_seconds",
         "cos_serve_query_seconds",
-        "cos_serve_ingest_lag_seconds",
+        "cos_serve_refit_seconds",
     ];
     for name in expected {
         assert!(histograms.contains(&name.to_string()), "missing {name}");
