@@ -1,54 +1,60 @@
-//! The sharded concurrent inversion cache behind every served answer.
+//! Each installed epoch's memo: the evaluation funnel behind every served
+//! answer.
 //!
-//! One bounded cache answers every query, which is what makes answers
-//! **bit-identical by construction**: every query — whichever
-//! [`SnapshotReader`](crate::SnapshotReader) asks it, on whichever thread,
-//! and the service's own drift predictions — collapses to the same
-//! quantized [`QueryKey`] and runs the same [`QueryKind`] evaluation code
-//! on the same snapped inputs, so two readers can never disagree on a
-//! value's bits.
+//! Every served answer is Eq. 2/3 evaluated on one fitted parameter set,
+//! so a memoized answer is valid exactly as long as its epoch is
+//! installed. Each [`EpochSnapshot`](crate::EpochSnapshot) therefore owns one [`EpochMemo`] of
+//! answers, built models and in-flight computations. The memo is created
+//! and pre-warmed when a refit installs the epoch, and every clone of the
+//! snapshot shares it, so a failed refit or a stale flip, which keep the
+//! epoch, keep its answers. It is retired when the tenant's next epoch
+//! replaces it. No code decides an answer's validity from an epoch
+//! number: a key is only (what-if rate cell, question).
 //!
-//! Structure:
+//! * **Bit-identical by construction** — every query, whichever
+//!   [`SnapshotReader`](crate::SnapshotReader) asks it, on whichever
+//!   thread, and the service's own drift predictions, collapses to the
+//!   same quantized [`QueryKey`] and runs the same [`QueryKind`]
+//!   evaluation code on the same snapped inputs, so two readers can never
+//!   disagree on a value's bits.
+//! * **Bounded per epoch** — a memo holds at most [`RESULTS_PER_EPOCH`]
+//!   answers and [`MODELS_PER_EPOCH`] built models; a table at its bound
+//!   is cleared wholesale and refills. One tenant's questions fill only
+//!   its own epoch's tables, so they never evict another tenant's
+//!   answers.
+//! * **Retirement** — a retired memo frees its tables and refuses
+//!   inserts, and every read on it is answered uncached and counted as a
+//!   miss: a reader still holding the superseded epoch mid-request gets
+//!   that epoch's bits.
+//! * **Single-flight** — the first thread to miss a key registers an
+//!   in-flight marker and computes outside the memo's lock; concurrent
+//!   requests for the same key block on the flight's condvar and receive
+//!   the leader's bits. A leader that panics marks the flight abandoned
+//!   (via a drop guard), waking the followers to retry instead of
+//!   deadlocking them.
 //!
-//! * **Shards** — results and built models live in `N` mutex-guarded
-//!   shards selected by the key's hash, so concurrent readers on distinct
-//!   keys rarely contend on the same lock, and no lock is ever held while
-//!   an inversion runs.
-//! * **Tenant-scoped keys and epochs** — every [`QueryKey`] carries the
-//!   owning tenant's slot, and each shard tracks the newest epoch **per
-//!   tenant**: tenants calibrate independently, so tenant A installing
-//!   epoch 9 must not discard tenant B's still-valid epoch-3 answers, and
-//!   two tenants can never share (or collide on) a memoized result.
-//! * **Epoch-generational eviction** — a key from a newer epoch of its
-//!   tenant drops that tenant's entries from the shard (the old epoch's
-//!   answers are unreachable anyway); a key from an *older* epoch — a
-//!   reader still holding yesterday's snapshot mid-request — is answered
-//!   uncached rather than poisoning the new epoch's entries.
-//! * **Bounded capacity** — a shard at capacity first drops the inserting
-//!   tenant's own entries, and only clears wholesale if that was not
-//!   enough (so one tenant's key sweep cannot evict the whole fleet's hot
-//!   set; with a single tenant this degenerates to the old full clear).
-//!   This bounds the old engine memo, which grew without limit within an
-//!   epoch.
-//! * **Single-flight coalescing** — the first thread to miss a key
-//!   registers an in-flight marker and computes outside the shard lock;
-//!   concurrent requests for the same key block on the flight's condvar
-//!   and receive the leader's bits. A leader that panics marks the flight
-//!   abandoned (via a drop guard), waking the followers to retry instead
-//!   of deadlocking them.
+//! Hits and misses count into one [`CacheCounters`] that every epoch of a
+//! service shares: the fleet-wide figures of status and `/metrics`.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use cos_model::{
     max_admissible_rate, CodedReadModel, CodingSpec, ModelVariant, SlaGoal, SystemModel,
+    SystemParams,
 };
 
-use crate::engine::{snap, CacheStats, EpochSnapshot, FRACTION_QUANTUM, RATE_QUANTUM, SLA_QUANTUM};
+use crate::engine::{snap, CacheStats, FRACTION_QUANTUM, RATE_QUANTUM, SLA_QUANTUM};
 use crate::error::ServeError;
+
+/// Answers one epoch memoizes before its table is cleared: the room one
+/// of the eight shards of the fleet-shared cache this memo replaced had,
+/// so an 8-tenant fleet keeps that cache's total.
+pub const RESULTS_PER_EPOCH: usize = 512;
+
+/// Built models one epoch memoizes before its table is cleared.
+pub const MODELS_PER_EPOCH: usize = 64;
 
 /// The quantized question of a memoized query: which scalar is being asked
 /// for, with every real-valued input snapped to its quantum so queries in
@@ -161,40 +167,56 @@ pub fn quantize_rate(rate: f64) -> i64 {
 }
 
 /// Builds the coded-read model for an epoch's parameters at an optional
-/// what-if rate. Unlike [`InversionCache::model_for`] the build itself is
-/// not cached — constructing a [`CodedReadModel`] runs no inversions, and
-/// the expensive part (the query answer) memoizes at the result layer.
+/// what-if rate. Unlike a [`SystemModel`] the build itself is not
+/// memoized — constructing a [`CodedReadModel`] runs no inversions, and
+/// the expensive part (the query answer) memoizes as an answer.
 fn coded_model(
-    snapshot: &EpochSnapshot,
+    params: &SystemParams,
     rate_q: Option<i64>,
     launched: u16,
     needed: u16,
 ) -> Result<CodedReadModel, ServeError> {
     let spec = CodingSpec::new(launched as usize, needed as usize);
     let built = match rate_q {
-        None => CodedReadModel::new(&snapshot.params, spec),
-        Some(q) => CodedReadModel::new(
-            &snapshot.params.scaled_to_rate(q as f64 * RATE_QUANTUM),
-            spec,
-        ),
+        None => CodedReadModel::new(params, spec),
+        Some(q) => CodedReadModel::new(&params.scaled_to_rate(q as f64 * RATE_QUANTUM), spec),
     };
     Ok(built?)
 }
 
-/// The full memo key: tenant, epoch, optional what-if rate cell, and the
+/// The memo key within one epoch: the optional what-if rate cell and the
 /// question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryKey {
-    /// Slot of the tenant whose calibration the answer belongs to
-    /// (0 = the reserved `default` tenant).
-    pub tenant: u32,
-    /// Calibration epoch (of that tenant) the answer is valid for.
-    pub epoch: u64,
     /// What-if rate in [`RATE_QUANTUM`] steps; `None` for the calibrated
     /// operating point.
     pub rate_q: Option<i64>,
     /// The quantized question.
     pub kind: QueryKind,
+}
+
+/// Hit/miss counters shared by every epoch's memo of one service.
+#[derive(Debug, Default)]
+pub struct CacheCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl CacheCounters {
+    /// The counts so far. Single-flight waiters count as hits (they ran
+    /// no inversion); pre-warmed answers and the uncached reads of a
+    /// retired epoch count as misses.
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    fn count(&self, miss: bool) {
+        let counter = if miss { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// State of one in-flight computation.
@@ -226,137 +248,71 @@ impl Flight {
     }
 }
 
-struct ResultShard {
-    /// Newest epoch seen per tenant slot.
-    epochs: HashMap<u32, u64>,
-    entries: HashMap<QueryKey, Result<f64, ServeError>>,
+/// A live epoch's tables.
+#[derive(Default)]
+struct Tables {
+    results: HashMap<QueryKey, Result<f64, ServeError>>,
+    models: HashMap<Option<i64>, Arc<SystemModel>>,
     inflight: HashMap<QueryKey, Arc<Flight>>,
 }
 
-struct ModelShard {
-    /// Newest epoch seen per tenant slot.
-    epochs: HashMap<u32, u64>,
-    entries: HashMap<(u32, u64, Option<i64>), Arc<SystemModel>>,
-}
-
-/// Capacity-bound eviction: drop the inserting tenant's own entries
-/// first, and only clear the shard wholesale if that was not enough.
-/// A single-tenant cache degenerates to the old full clear.
-fn evict_for(
-    entries: &mut HashMap<QueryKey, Result<f64, ServeError>>,
-    tenant: u32,
-    capacity: usize,
-) {
-    entries.retain(|k, _| k.tenant != tenant);
-    if entries.len() >= capacity {
-        entries.clear();
-    }
-}
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A panicking job never holds a shard lock (computation runs outside
+    // A panicking job never holds a memo lock (computation runs outside
     // it), so poisoning only means some *other* thread panicked while
     // touching plain map state — the data is still structurally sound.
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The sharded, bounded, single-flight memo of inversion results and built
-/// models. See the module docs for the design; one instance is shared by
-/// the service (its drift predictions and refit pre-warming) and every
-/// [`SnapshotReader`](crate::SnapshotReader).
+/// One installed epoch's bounded, single-flight memo of answers and
+/// built models. See the module docs for the design.
 ///
-/// The built-model layer keeps each `(tenant, epoch, rate)`'s
-/// [`SystemModel`]: a what-if question at a new SLA on an already-seen rate
-/// pays only its inversion, and a bottleneck ranking builds its model once
-/// for all of its per-device questions.
-pub struct InversionCache {
-    shards: Vec<Mutex<ResultShard>>,
-    model_shards: Vec<Mutex<ModelShard>>,
-    results_per_shard: usize,
-    models_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+/// The built-model table keeps each what-if rate cell's [`SystemModel`]:
+/// a what-if question at a new SLA on an already-seen rate pays only its
+/// inversion, and a bottleneck ranking builds its model once for all of
+/// its per-device questions.
+pub struct EpochMemo {
+    /// `None` once retired.
+    tables: Mutex<Option<Tables>>,
+    counters: Arc<CacheCounters>,
+    /// Result-table clears forced by [`RESULTS_PER_EPOCH`].
     evictions: AtomicU64,
 }
 
-impl Default for InversionCache {
-    /// 8 shards × 512 results (4096 total — the old engine memo's bound)
-    /// and 8 × 64 built models.
-    fn default() -> Self {
-        InversionCache::new(8, 512, 64)
-    }
-}
-
-impl InversionCache {
-    /// Creates a cache with `shards` mutex shards holding at most
-    /// `results_per_shard` memoized answers and `models_per_shard` built
-    /// models each (every bound is clamped to at least 1).
-    pub fn new(shards: usize, results_per_shard: usize, models_per_shard: usize) -> Self {
-        let shards = shards.max(1);
-        InversionCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ResultShard {
-                        epochs: HashMap::new(),
-                        entries: HashMap::new(),
-                        inflight: HashMap::new(),
-                    })
-                })
-                .collect(),
-            model_shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(ModelShard {
-                        epochs: HashMap::new(),
-                        entries: HashMap::new(),
-                    })
-                })
-                .collect(),
-            results_per_shard: results_per_shard.max(1),
-            models_per_shard: models_per_shard.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+impl EpochMemo {
+    /// An empty memo that counts its hits and misses into `counters`.
+    pub fn new(counters: Arc<CacheCounters>) -> EpochMemo {
+        EpochMemo {
+            tables: Mutex::new(Some(Tables::default())),
+            counters,
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard_index<K: Hash>(&self, key: &K) -> usize {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+    /// Frees the tables: from now on every insert is refused and every
+    /// read computes uncached. The service calls it once the tenant's
+    /// next epoch has been published in this one's place.
+    pub(crate) fn retire(&self) {
+        *lock(&self.tables) = None;
     }
 
-    /// Eagerly drops every entry of `tenant` older than `epoch` (called at
-    /// install time so the old epoch's memory is released immediately
-    /// rather than on first touch). Other tenants' entries are untouched —
-    /// tenants calibrate on independent epoch counters.
-    pub fn advance_epoch(&self, tenant: u32, epoch: u64) {
-        for shard in &self.shards {
-            let mut s = lock(shard);
-            if s.epochs.get(&tenant).copied().unwrap_or(0) < epoch {
-                s.epochs.insert(tenant, epoch);
-                s.entries.retain(|k, _| k.tenant != tenant);
-            }
+    /// Inserts `result` into live `tables`, clearing a full result table
+    /// first.
+    fn insert_result(&self, tables: &mut Tables, key: QueryKey, result: Result<f64, ServeError>) {
+        if tables.results.len() >= RESULTS_PER_EPOCH {
+            tables.results.clear();
+            self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        for shard in &self.model_shards {
-            let mut s = lock(shard);
-            if s.epochs.get(&tenant).copied().unwrap_or(0) < epoch {
-                s.epochs.insert(tenant, epoch);
-                s.entries.retain(|k, _| k.0 != tenant);
-            }
-        }
+        tables.results.insert(key, result);
     }
 
-    /// Installs an already-built model for `tenant`'s `epoch` at the
-    /// native rate (the model validated during the fit pre-warms the
-    /// cache).
-    pub fn prewarm_model(&self, tenant: u32, epoch: u64, model: Arc<SystemModel>) {
-        self.advance_epoch(tenant, epoch);
-        let mkey = (tenant, epoch, None);
-        let mut s = lock(&self.model_shards[self.shard_index(&mkey)]);
-        if s.epochs.get(&tenant).copied().unwrap_or(0) == epoch {
-            s.entries.insert(mkey, model);
+    /// Memoizes `model` for `rate_q`, clearing a full model table first.
+    /// A refit pre-warms the native rate's model, validated by the fit.
+    pub(crate) fn insert_model(&self, rate_q: Option<i64>, model: Arc<SystemModel>) {
+        if let Some(tables) = lock(&self.tables).as_mut() {
+            if tables.models.len() >= MODELS_PER_EPOCH {
+                tables.models.clear();
+            }
+            tables.models.insert(rate_q, model);
         }
     }
 
@@ -366,49 +322,22 @@ impl InversionCache {
     /// attainment predictions, so the dashboard's hottest keys are
     /// resident before the first reader asks.
     ///
-    /// [`get_or_compute`]: InversionCache::get_or_compute
-    pub fn prewarm_result(&self, key: QueryKey, result: Result<f64, ServeError>) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let idx = self.shard_index(&key);
-        let mut shard = lock(&self.shards[idx]);
-        let current = shard.epochs.get(&key.tenant).copied().unwrap_or(0);
-        if key.epoch > current {
-            shard.epochs.insert(key.tenant, key.epoch);
-            shard.entries.retain(|k, _| k.tenant != key.tenant);
-        } else if key.epoch < current {
-            return; // an older epoch's answer must not enter the memo
-        }
-        if shard.entries.len() >= self.results_per_shard {
-            evict_for(&mut shard.entries, key.tenant, self.results_per_shard);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.entries.insert(key, result);
-    }
-
-    /// Hit/miss counters (single-flight waiters count as hits — they did
-    /// not run an inversion).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+    /// [`get_or_compute`]: EpochMemo::get_or_compute
+    pub(crate) fn prewarm_result(&self, key: QueryKey, result: Result<f64, ServeError>) {
+        self.counters.count(true);
+        if let Some(tables) = lock(&self.tables).as_mut() {
+            self.insert_result(tables, key, result);
         }
     }
 
-    /// Queries that blocked on another thread's identical in-flight
-    /// computation and received its bits (a subset of the hits).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Wholesale shard clears forced by the capacity bound (epoch
-    /// invalidations are not counted).
+    /// Result-table clears forced by the [`RESULTS_PER_EPOCH`] bound.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Memoized results currently resident across all shards.
+    /// Memoized results currently resident (0 once retired).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).entries.len()).sum()
+        lock(&self.tables).as_ref().map_or(0, |t| t.results.len())
     }
 
     /// Whether no results are resident.
@@ -416,47 +345,20 @@ impl InversionCache {
         self.len() == 0
     }
 
-    /// Built models currently resident across all shards.
+    /// Built models currently resident (0 once retired).
     pub fn model_count(&self) -> usize {
-        self.model_shards
-            .iter()
-            .map(|s| lock(s).entries.len())
-            .sum()
+        lock(&self.tables).as_ref().map_or(0, |t| t.models.len())
     }
 
-    /// Answers `kind` for `tenant` against `snapshot` under `variant`,
-    /// memoized on the quantized key. Returns the outcome and whether
-    /// *this call* ran the computation (`true` = miss; cached answers and
-    /// coalesced waiters are hits).
-    ///
-    /// This is the single evaluation funnel for every query path — the
-    /// inputs are reconstructed from the quantized key, so any two callers
-    /// that collapse to the same key run (or reuse) the exact same
-    /// floating-point expressions.
-    pub fn answer(
+    /// The uncached evaluation of `kind` at the key's snapped inputs on
+    /// `params` under `variant`: the inputs are reconstructed from the
+    /// quantized key, so any two callers that collapse to the same key run
+    /// the exact same floating-point expressions. Only
+    /// [`EpochSnapshot::answer`](crate::EpochSnapshot::answer) calls it,
+    /// with the parameters of the epoch that owns this memo.
+    pub(crate) fn evaluate(
         &self,
-        tenant: u32,
-        snapshot: &EpochSnapshot,
-        variant: ModelVariant,
-        rate_q: Option<i64>,
-        kind: QueryKind,
-    ) -> (Result<f64, ServeError>, bool) {
-        let key = QueryKey {
-            tenant,
-            epoch: snapshot.epoch,
-            rate_q,
-            kind,
-        };
-        self.get_or_compute(key, || {
-            self.evaluate(tenant, snapshot, variant, rate_q, kind)
-        })
-    }
-
-    /// The uncached evaluation of `kind` at the key's snapped inputs.
-    fn evaluate(
-        &self,
-        tenant: u32,
-        snapshot: &EpochSnapshot,
+        params: &SystemParams,
         variant: ModelVariant,
         rate_q: Option<i64>,
         kind: QueryKind,
@@ -473,19 +375,19 @@ impl InversionCache {
             let frac_s = frac_q as f64 * FRACTION_QUANTUM;
             let upper_s = upper_q as f64 * RATE_QUANTUM;
             let goal_s = SlaGoal::new(sla_s, frac_s.min(1.0 - FRACTION_QUANTUM));
-            return max_admissible_rate(&snapshot.params, variant, goal_s, upper_s)
+            return max_admissible_rate(params, variant, goal_s, upper_s)
                 .ok_or(ServeError::GoalUnreachable);
         }
         // Coded queries build their own model from the raw parameters
-        // (like headroom); results are memoized at this cache's
-        // result layer, which is what keeps both read paths bit-identical.
+        // (like headroom); their answers memoize like any other, which is
+        // what keeps both read paths bit-identical.
         match kind {
             QueryKind::CodedFraction {
                 launched,
                 needed,
                 sla_q,
             } => {
-                let m = coded_model(snapshot, rate_q, launched, needed)?;
+                let m = coded_model(params, rate_q, launched, needed)?;
                 return Ok(m.fraction_meeting_sla(sla_q as f64 * SLA_QUANTUM));
             }
             QueryKind::CodedPercentile {
@@ -493,7 +395,7 @@ impl InversionCache {
                 needed,
                 p_q,
             } => {
-                let m = coded_model(snapshot, rate_q, launched, needed)?;
+                let m = coded_model(params, rate_q, launched, needed)?;
                 let p_s = p_q as f64 * FRACTION_QUANTUM;
                 return m
                     .latency_percentile(p_s)
@@ -501,7 +403,7 @@ impl InversionCache {
             }
             _ => {}
         }
-        let m = self.model_for(tenant, snapshot, variant, rate_q)?;
+        let m = self.model_for(params, variant, rate_q)?;
         match kind {
             QueryKind::Fraction { sla_q } => Ok(m.fraction_meeting_sla(sla_q as f64 * SLA_QUANTUM)),
             QueryKind::Percentile { p_q } => {
@@ -523,55 +425,37 @@ impl InversionCache {
         }
     }
 
-    /// The (possibly rate-scaled) model of a tenant's epoch, building and
-    /// caching it on first use. The build runs outside the shard lock, so
-    /// two threads may briefly build the same model concurrently — the
-    /// builds are bit-identical, so last-write-wins is harmless and
-    /// cheaper than serializing all model construction behind one flight.
-    pub fn model_for(
+    /// The (possibly rate-scaled) model of the epoch, building and
+    /// memoizing it on first use. The build runs outside the lock, so two
+    /// threads may briefly build the same model concurrently — the builds
+    /// are bit-identical, so last-write-wins is harmless and cheaper than
+    /// serializing all model construction behind one flight.
+    fn model_for(
         &self,
-        tenant: u32,
-        snapshot: &EpochSnapshot,
+        params: &SystemParams,
         variant: ModelVariant,
         rate_q: Option<i64>,
     ) -> Result<Arc<SystemModel>, ServeError> {
-        let mkey = (tenant, snapshot.epoch, rate_q);
-        let idx = self.shard_index(&mkey);
-        {
-            let mut s = lock(&self.model_shards[idx]);
-            if s.epochs.get(&tenant).copied().unwrap_or(0) < snapshot.epoch {
-                s.epochs.insert(tenant, snapshot.epoch);
-                s.entries.retain(|k, _| k.0 != tenant);
-            }
-            if let Some(m) = s.entries.get(&mkey) {
-                return Ok(m.clone());
-            }
+        let cached = lock(&self.tables)
+            .as_ref()
+            .and_then(|t| t.models.get(&rate_q).cloned());
+        if let Some(model) = cached {
+            return Ok(model);
         }
         let built = match rate_q {
-            None => SystemModel::new(&snapshot.params, variant),
-            Some(q) => SystemModel::new(
-                &snapshot.params.scaled_to_rate(q as f64 * RATE_QUANTUM),
-                variant,
-            ),
+            None => SystemModel::new(params, variant),
+            Some(q) => SystemModel::new(&params.scaled_to_rate(q as f64 * RATE_QUANTUM), variant),
         };
         let model = Arc::new(built?);
-        let mut s = lock(&self.model_shards[idx]);
-        if s.epochs.get(&tenant).copied().unwrap_or(0) == snapshot.epoch {
-            if s.entries.len() >= self.models_per_shard {
-                s.entries.retain(|k, _| k.0 != tenant);
-                if s.entries.len() >= self.models_per_shard {
-                    s.entries.clear();
-                }
-            }
-            s.entries.insert(mkey, model.clone());
-        }
+        self.insert_model(rate_q, Arc::clone(&model));
         Ok(model)
     }
 
-    /// The single-flight memo core: returns the cached result for `key`,
-    /// or elects this call the leader to run `compute` (outside the shard
-    /// lock) while identical concurrent calls wait for its bits. The
-    /// second return value is `true` iff this call ran `compute`.
+    /// The single-flight memo core: returns the memoized result for
+    /// `key`, or elects this call the leader to run `compute` (outside the
+    /// lock) while identical concurrent calls wait for its bits; a retired
+    /// memo runs `compute` uncached. The second return value is `true` iff
+    /// this call ran `compute`.
     pub fn get_or_compute(
         &self,
         key: QueryKey,
@@ -583,47 +467,39 @@ impl InversionCache {
             Lead(Arc<Flight>),
             Bypass,
         }
-        let idx = self.shard_index(&key);
         let mut compute = Some(compute);
         loop {
-            let role = {
-                let mut shard = lock(&self.shards[idx]);
-                let current = shard.epochs.get(&key.tenant).copied().unwrap_or(0);
-                if key.epoch > current {
-                    shard.epochs.insert(key.tenant, key.epoch);
-                    shard.entries.retain(|k, _| k.tenant != key.tenant);
-                }
-                if key.epoch < current {
-                    Role::Bypass
-                } else if let Some(hit) = shard.entries.get(&key) {
-                    Role::Ready(hit.clone())
-                } else if let Some(flight) = shard.inflight.get(&key) {
-                    Role::Wait(flight.clone())
-                } else {
-                    let flight = Arc::new(Flight::new());
-                    shard.inflight.insert(key, flight.clone());
-                    Role::Lead(flight)
+            let role = match lock(&self.tables).as_mut() {
+                None => Role::Bypass,
+                Some(tables) => {
+                    if let Some(hit) = tables.results.get(&key) {
+                        Role::Ready(hit.clone())
+                    } else if let Some(flight) = tables.inflight.get(&key) {
+                        Role::Wait(flight.clone())
+                    } else {
+                        let flight = Arc::new(Flight::new());
+                        tables.inflight.insert(key, flight.clone());
+                        Role::Lead(flight)
+                    }
                 }
             };
             match role {
                 Role::Ready(r) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.count(false);
                     return (r, false);
                 }
                 Role::Bypass => {
-                    // The cache has moved past this key's epoch (a reader
-                    // still holding an old snapshot mid-request): answer
-                    // uncached rather than poison the new epoch's entries.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    // A reader still holding this superseded epoch: its
+                    // bits, uncached.
+                    self.counters.count(true);
                     let f = compute.take().expect("compute consumed only once");
                     return (f(), true);
                 }
                 Role::Lead(flight) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.counters.count(true);
                     let guard = FlightGuard {
-                        cache: self,
+                        memo: self,
                         key,
-                        shard: idx,
                         flight: &flight,
                         completed: false,
                     };
@@ -634,21 +510,18 @@ impl InversionCache {
                 }
                 Role::Wait(flight) => {
                     let mut state = lock(&flight.state);
-                    let retry = loop {
+                    loop {
                         match &*state {
                             FlightState::Pending => {
                                 state = flight.ready.wait(state).unwrap_or_else(|e| e.into_inner());
                             }
                             FlightState::Done(r) => {
-                                self.hits.fetch_add(1, Ordering::Relaxed);
-                                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                                self.counters.count(false);
                                 return (r.clone(), false);
                             }
-                            FlightState::Abandoned => break true,
+                            // The leader panicked: re-enter from the top.
+                            FlightState::Abandoned => break,
                         }
-                    };
-                    if retry {
-                        continue; // leader panicked: re-enter from the top
                     }
                 }
             }
@@ -656,14 +529,9 @@ impl InversionCache {
     }
 }
 
-impl std::fmt::Debug for InversionCache {
+impl std::fmt::Debug for EpochMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InversionCache")
-            .field("shards", &self.shards.len())
-            .field("results_per_shard", &self.results_per_shard)
-            .field("models_per_shard", &self.models_per_shard)
-            .field("stats", &self.stats())
-            .finish()
+        f.debug_struct("EpochMemo").finish_non_exhaustive()
     }
 }
 
@@ -672,30 +540,19 @@ impl std::fmt::Debug for InversionCache {
 /// waiters; if the computation panics, `Drop` marks the flight abandoned
 /// so waiters retry instead of blocking forever.
 struct FlightGuard<'a> {
-    cache: &'a InversionCache,
+    memo: &'a EpochMemo,
     key: QueryKey,
-    shard: usize,
-    flight: &'a Arc<Flight>,
+    flight: &'a Flight,
     completed: bool,
 }
 
 impl FlightGuard<'_> {
     fn complete(mut self, result: Result<f64, ServeError>) {
         self.completed = true;
-        let mut shard = lock(&self.cache.shards[self.shard]);
-        shard.inflight.remove(&self.key);
-        if shard.epochs.get(&self.key.tenant).copied().unwrap_or(0) == self.key.epoch {
-            if shard.entries.len() >= self.cache.results_per_shard {
-                evict_for(
-                    &mut shard.entries,
-                    self.key.tenant,
-                    self.cache.results_per_shard,
-                );
-                self.cache.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.entries.insert(self.key, result.clone());
+        if let Some(tables) = lock(&self.memo.tables).as_mut() {
+            tables.inflight.remove(&self.key);
+            self.memo.insert_result(tables, self.key, result.clone());
         }
-        drop(shard);
         self.flight.resolve(FlightState::Done(result));
     }
 }
@@ -705,9 +562,9 @@ impl Drop for FlightGuard<'_> {
         if self.completed {
             return;
         }
-        let mut shard = lock(&self.cache.shards[self.shard]);
-        shard.inflight.remove(&self.key);
-        drop(shard);
+        if let Some(tables) = lock(&self.memo.tables).as_mut() {
+            tables.inflight.remove(&self.key);
+        }
         self.flight.resolve(FlightState::Abandoned);
     }
 }
@@ -715,153 +572,66 @@ impl Drop for FlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::Query;
+    use crate::service::tests::{base, events};
+    use crate::service::{ServeConfig, SlaService};
+    use crate::tenant::TenantId;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
     use std::time::Duration;
 
-    fn key(epoch: u64, sla_q: i64) -> QueryKey {
-        tenant_key(0, epoch, sla_q)
-    }
-
-    fn tenant_key(tenant: u32, epoch: u64, sla_q: i64) -> QueryKey {
+    fn key(sla_q: i64) -> QueryKey {
         QueryKey {
-            tenant,
-            epoch,
             rate_q: None,
             kind: QueryKind::Fraction { sla_q },
         }
     }
 
+    fn memo() -> (Arc<CacheCounters>, EpochMemo) {
+        let counters = Arc::new(CacheCounters::default());
+        (Arc::clone(&counters), EpochMemo::new(counters))
+    }
+
     #[test]
     fn miss_then_hit_and_counters() {
-        let cache = InversionCache::default();
-        let (r, miss) = cache.get_or_compute(key(1, 500), || Ok(0.75));
+        let (counters, cache) = memo();
+        let (r, miss) = cache.get_or_compute(key(500), || Ok(0.75));
         assert_eq!(r, Ok(0.75));
         assert!(miss);
-        let (r, miss) = cache.get_or_compute(key(1, 500), || panic!("must not recompute"));
+        let (r, miss) = cache.get_or_compute(key(500), || panic!("must not recompute"));
         assert_eq!(r, Ok(0.75));
         assert!(!miss);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(counters.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn errors_are_memoized_too() {
-        let cache = InversionCache::default();
-        let (r, _) = cache.get_or_compute(key(1, 500), || Err(ServeError::GoalUnreachable));
+        let (_, cache) = memo();
+        let (r, _) = cache.get_or_compute(key(500), || Err(ServeError::GoalUnreachable));
         assert_eq!(r, Err(ServeError::GoalUnreachable));
-        let (r, miss) = cache.get_or_compute(key(1, 500), || panic!("memoized failure"));
+        let (r, miss) = cache.get_or_compute(key(500), || panic!("memoized failure"));
         assert_eq!(r, Err(ServeError::GoalUnreachable));
         assert!(!miss);
-    }
-
-    #[test]
-    fn newer_epoch_clears_older_epoch_bypasses() {
-        let cache = InversionCache::default();
-        cache.get_or_compute(key(1, 500), || Ok(1.0)).0.unwrap();
-        assert_eq!(cache.len(), 1);
-        // Epoch 2 installs (advancing every shard), then caches an answer.
-        cache.advance_epoch(0, 2);
-        let (r, miss) = cache.get_or_compute(key(2, 500), || Ok(2.0));
-        assert_eq!(r, Ok(2.0));
-        assert!(miss);
-        // A stale reader still on epoch 1 computes uncached.
-        let calls = AtomicUsize::new(0);
-        for _ in 0..2 {
-            let (r, miss) = cache.get_or_compute(key(1, 500), || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Ok(1.0)
-            });
-            assert_eq!(r, Ok(1.0));
-            assert!(miss, "old-epoch reads never cache");
-        }
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
-        // And the new epoch's entry survived.
-        let (r, miss) = cache.get_or_compute(key(2, 500), || panic!("cached"));
-        assert_eq!(r, Ok(2.0));
-        assert!(!miss);
-    }
-
-    #[test]
-    fn advance_epoch_eagerly_empties_everything() {
-        let cache = InversionCache::default();
-        for i in 0..20 {
-            cache.get_or_compute(key(1, i), || Ok(i as f64)).0.unwrap();
-        }
-        assert_eq!(cache.len(), 20);
-        cache.advance_epoch(0, 2);
-        assert_eq!(cache.len(), 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn tenants_have_independent_epochs_and_results() {
-        let cache = InversionCache::default();
-        // Tenant 0 at epoch 5, tenant 1 at epoch 2, same quantized question.
-        cache
-            .get_or_compute(tenant_key(0, 5, 500), || Ok(0.1))
-            .0
-            .unwrap();
-        cache
-            .get_or_compute(tenant_key(1, 2, 500), || Ok(0.9))
-            .0
-            .unwrap();
-        // Same kind, different tenant: distinct answers, no sharing.
-        let (r0, miss0) = cache.get_or_compute(tenant_key(0, 5, 500), || panic!("cached"));
-        let (r1, miss1) = cache.get_or_compute(tenant_key(1, 2, 500), || panic!("cached"));
-        assert_eq!((r0, miss0), (Ok(0.1), false));
-        assert_eq!((r1, miss1), (Ok(0.9), false));
-        // Tenant 0 advancing does not touch tenant 1's entries.
-        cache.advance_epoch(0, 6);
-        let (r1, miss1) = cache.get_or_compute(tenant_key(1, 2, 500), || panic!("survived"));
-        assert_eq!((r1, miss1), (Ok(0.9), false));
-        let (_, miss0) = cache.get_or_compute(tenant_key(0, 6, 500), || Ok(0.2));
-        assert!(miss0, "tenant 0's old epoch was dropped");
-    }
-
-    #[test]
-    fn capacity_eviction_spares_other_tenants() {
-        // One shard so every key contends on the same capacity bound.
-        let cache = InversionCache::new(1, 8, 4);
-        cache
-            .get_or_compute(tenant_key(1, 1, 999), || Ok(42.0))
-            .0
-            .unwrap();
-        // Tenant 0 sweeps far past capacity.
-        for i in 0..100 {
-            cache
-                .get_or_compute(tenant_key(0, 1, i), || Ok(0.0))
-                .0
-                .unwrap();
-        }
-        assert!(cache.evictions() > 0);
-        // Tenant 1's lone entry was never the eviction victim.
-        let (r, miss) = cache.get_or_compute(tenant_key(1, 1, 999), || panic!("evicted"));
-        assert_eq!((r, miss), (Ok(42.0), false));
     }
 
     #[test]
     fn prewarm_result_is_a_hit_for_the_first_reader() {
-        let cache = InversionCache::default();
-        cache.prewarm_result(key(3, 500), Ok(0.75));
-        let (r, miss) = cache.get_or_compute(key(3, 500), || panic!("prewarmed"));
+        let (counters, cache) = memo();
+        cache.prewarm_result(key(500), Ok(0.75));
+        let (r, miss) = cache.get_or_compute(key(500), || panic!("prewarmed"));
         assert_eq!((r, miss), (Ok(0.75), false));
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        // A stale prewarm (older than the tenant's current epoch) is a no-op.
-        cache.advance_epoch(0, 4);
-        cache.prewarm_result(key(3, 400), Ok(0.5));
-        let (_, miss) = cache.get_or_compute(key(3, 400), || Ok(0.0));
-        assert!(miss, "old-epoch prewarm must not be served");
+        assert_eq!(counters.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     #[test]
     fn capacity_bound_holds_under_high_cardinality() {
-        let cache = InversionCache::new(4, 8, 4);
+        let (_, cache) = memo();
         for i in 0..10_000 {
-            cache.get_or_compute(key(1, i), || Ok(0.0)).0.unwrap();
+            cache.get_or_compute(key(i), || Ok(0.0)).0.unwrap();
         }
         assert!(
-            cache.len() <= 4 * 8,
+            cache.len() <= RESULTS_PER_EPOCH,
             "resident {} exceeds the bound",
             cache.len()
         );
@@ -870,7 +640,8 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_identical_concurrent_misses() {
-        let cache = Arc::new(InversionCache::default());
+        let (counters, cache) = memo();
+        let cache = Arc::new(cache);
         let calls = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(4));
         let handles: Vec<_> = (0..4)
@@ -880,7 +651,7 @@ mod tests {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     barrier.wait();
-                    let (r, _) = cache.get_or_compute(key(1, 42), || {
+                    let (r, _) = cache.get_or_compute(key(42), || {
                         calls.fetch_add(1, Ordering::SeqCst);
                         // Hold the flight open long enough for the others
                         // to pile onto it.
@@ -898,22 +669,100 @@ mod tests {
             1,
             "exactly one computation ran"
         );
-        let stats = cache.stats();
+        let stats = counters.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits + stats.misses, 4);
-        assert_eq!(cache.coalesced(), stats.hits);
+    }
+
+    /// A service calibrated on the standard stream for each of `tenants`
+    /// that refits only when told to.
+    fn manual_fleet(tenants: &[&TenantId]) -> SlaService {
+        let config = ServeConfig {
+            refit_interval: f64::MAX,
+            ..ServeConfig::default()
+        };
+        let mut service = SlaService::new(base(), config);
+        for tenant in tenants {
+            for ev in events(40.0, 20.0, 2) {
+                service.ingest_for(tenant, ev);
+            }
+        }
+        service.refit_now();
+        service
+    }
+
+    #[test]
+    fn a_superseded_epoch_answers_its_own_bits_uncached_from_an_emptied_memo() {
+        let tenant = TenantId::default_tenant();
+        let mut service = manual_fleet(&[&tenant]);
+        let reader = service.reader();
+        // A reader mid-request holds epoch 1 across the next refit.
+        let old = reader.state().unwrap().snapshot.clone().unwrap();
+        let ask = |rate_q| old.answer(ModelVariant::Full, rate_q, QueryKind::fraction(0.05));
+        let (fresh, miss) = ask(None);
+        let fresh = fresh.unwrap();
+        assert!(!miss, "the refit pre-warmed the tracked SLA");
+        ask(Some(quantize_rate(60.0))).0.unwrap();
+        // Three pre-warmed SLAs and the what-if; the native and 60 req/s
+        // models.
+        assert_eq!((old.memo().len(), old.memo().model_count()), (4, 2));
+
+        assert!(service.refit_now(), "the same windows fit again");
+        let new = reader.attainment(&Query::new().sla(0.05)).unwrap();
+        assert_eq!(new.epoch, old.epoch + 1);
+        assert_eq!((old.memo().len(), old.memo().model_count()), (0, 0));
+        for _ in 0..2 {
+            let before = reader.status().unwrap().engine.cache;
+            let (again, miss) = ask(None);
+            assert_eq!(again.unwrap().to_bits(), fresh.to_bits());
+            assert!(miss, "a retired epoch answers uncached");
+            let after = reader.status().unwrap().engine.cache;
+            assert_eq!(after.misses, before.misses + 1);
+            assert_eq!(after.hits, before.hits);
+        }
+        assert_eq!((old.memo().len(), old.memo().model_count()), (0, 0));
+    }
+
+    #[test]
+    fn one_tenant_past_its_bound_never_evicts_another_tenants_answers() {
+        let (blue, green) = (
+            TenantId::new("blue").unwrap(),
+            TenantId::new("green").unwrap(),
+        );
+        let service = manual_fleet(&[&blue, &green]);
+        let reader = service.reader();
+        let epoch_of = |t: &TenantId| reader.state_for(t).unwrap().snapshot.clone().unwrap();
+        let green_resident = epoch_of(&green).memo().len();
+        // Blue asks more distinct questions than its epoch can hold.
+        for i in 0..RESULTS_PER_EPOCH + 100 {
+            let sla = 0.001 + i as f64 * SLA_QUANTUM;
+            reader
+                .attainment(&Query::tenant(blue.clone()).sla(sla))
+                .unwrap();
+        }
+        assert!(epoch_of(&blue).memo().evictions() > 0, "blue overflowed");
+        assert!(epoch_of(&blue).memo().len() <= RESULTS_PER_EPOCH);
+        assert_eq!(epoch_of(&green).memo().len(), green_resident);
+        // Green's pre-warmed answer is still a hit.
+        let before = reader.status().unwrap().engine.cache;
+        reader
+            .attainment(&Query::tenant(green.clone()).sla(0.05))
+            .unwrap();
+        let after = reader.status().unwrap().engine.cache;
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses));
     }
 
     #[test]
     fn abandoned_leader_wakes_waiters_to_retry() {
-        let cache = Arc::new(InversionCache::default());
+        let (_, cache) = memo();
+        let cache = Arc::new(cache);
         let barrier = Arc::new(Barrier::new(2));
         // Leader: registers the flight, signals, then panics mid-compute.
         let leader = {
             let cache = Arc::clone(&cache);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                let _ = cache.get_or_compute(key(1, 7), || {
+                let _ = cache.get_or_compute(key(7), || {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     panic!("leader dies mid-flight");
@@ -927,14 +776,14 @@ mod tests {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                let (r, _) = cache.get_or_compute(key(1, 7), || Ok(9.5));
+                let (r, _) = cache.get_or_compute(key(7), || Ok(9.5));
                 r.unwrap()
             })
         };
         assert!(leader.join().is_err(), "leader panicked as scripted");
         assert_eq!(follower.join().unwrap(), 9.5);
         // The key is not wedged for later callers either.
-        let (r, _) = cache.get_or_compute(key(1, 7), || Ok(9.5));
+        let (r, _) = cache.get_or_compute(key(7), || Ok(9.5));
         assert_eq!(r, Ok(9.5));
     }
 }

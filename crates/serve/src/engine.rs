@@ -2,31 +2,35 @@
 //!
 //! Answering a percentile query costs a handful of numeric Laplace
 //! inversions. A dashboard polling the same SLAs every second would redo
-//! identical transforms indefinitely, so the shared
-//! [`InversionCache`](crate::InversionCache) memoizes **inversion
-//! results** keyed on the tenant, the calibration epoch and the quantized
-//! query: `(epoch, rate, SLA)` → fraction, `(epoch, p)` → percentile, and
-//! so on. Quantization is applied to the *computation inputs*, not just
-//! the key — two queries that collapse to the same key are answered from
-//! the same inversion, bit-identical to an uncached evaluation at the
-//! snapped point. The quanta live here: [`RATE_QUANTUM`], [`SLA_QUANTUM`]
-//! and [`FRACTION_QUANTUM`].
+//! identical transforms indefinitely, so each installed [`EpochSnapshot`]
+//! memoizes its **inversion results** in its own
+//! [`EpochMemo`], keyed on the quantized query:
+//! `(rate, SLA)` → fraction, `p` → percentile, and so on. Quantization is
+//! applied to the *computation inputs*, not just the key — two queries
+//! that collapse to the same key are answered from the same inversion,
+//! bit-identical to an uncached evaluation at the snapped point. The
+//! quanta live here: [`RATE_QUANTUM`], [`SLA_QUANTUM`] and
+//! [`FRACTION_QUANTUM`].
 //!
 //! Each tenant shard of the service holds one installed [`EpochSnapshot`]
 //! and publishes it; every [`SnapshotReader`](crate::SnapshotReader)
-//! answers against the published epoch through the one cache and tags the
-//! answer with it ([`Prediction`]).
+//! answers against the published epoch through that epoch's memo
+//! ([`EpochSnapshot::answer`]) and tags the answer with it
+//! ([`Prediction`]).
 //!
 //! Epoch handling degrades gracefully: when a re-fit fails (no traffic, or
 //! the fitted point is unstable), the shard keeps serving the last good
-//! epoch with [`Prediction::stale`] set, and queries at unstable operating
-//! points return the typed [`ServeError::Unstable`](crate::ServeError) —
-//! which is memoized too, so a flapping dashboard does not re-derive the
-//! failure.
+//! epoch, and its memo, with [`Prediction::stale`] set, and queries at
+//! unstable operating points return the typed
+//! [`ServeError::Unstable`](crate::ServeError) — which is memoized too, so
+//! a flapping dashboard does not re-derive the failure.
 
 use std::sync::Arc;
 
-use cos_model::SystemParams;
+use cos_model::{ModelVariant, SystemParams};
+
+use crate::cache::{CacheCounters, EpochMemo, QueryKey, QueryKind};
+use crate::error::ServeError;
 
 /// Rate quantization step (req/s) for what-if queries.
 pub const RATE_QUANTUM: f64 = 0.1;
@@ -40,7 +44,7 @@ pub(crate) fn snap(x: f64, quantum: f64) -> (i64, f64) {
     (q, q as f64 * quantum)
 }
 
-/// One installed calibration epoch.
+/// One installed calibration epoch and its memo of answers.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     /// Monotone epoch number (1 = first successful fit).
@@ -52,6 +56,48 @@ pub struct EpochSnapshot {
     /// Whether at least one re-fit has failed since this epoch was
     /// installed (the snapshot is being served past its refresh due date).
     pub stale: bool,
+    /// The answers on `params`, shared by every clone of the snapshot.
+    memo: Arc<EpochMemo>,
+}
+
+impl EpochSnapshot {
+    /// Epoch `epoch` of `params`, fitted at event time `fitted_at`, with an
+    /// empty memo counting its hits and misses into `counters`.
+    pub fn new(
+        epoch: u64,
+        params: Arc<SystemParams>,
+        fitted_at: f64,
+        counters: Arc<CacheCounters>,
+    ) -> EpochSnapshot {
+        EpochSnapshot {
+            epoch,
+            params,
+            fitted_at,
+            stale: false,
+            memo: Arc::new(EpochMemo::new(counters)),
+        }
+    }
+
+    /// This epoch's memo.
+    pub(crate) fn memo(&self) -> &EpochMemo {
+        &self.memo
+    }
+
+    /// Answers `kind` on this epoch at the optional what-if rate cell
+    /// under `variant`, from its memo: the one evaluation funnel of every
+    /// query path. Returns the outcome and whether *this call* ran the
+    /// computation (`true` = miss; memoized answers and single-flight
+    /// waiters are hits).
+    pub fn answer(
+        &self,
+        variant: ModelVariant,
+        rate_q: Option<i64>,
+        kind: QueryKind,
+    ) -> (Result<f64, ServeError>, bool) {
+        self.memo.get_or_compute(QueryKey { rate_q, kind }, || {
+            self.memo.evaluate(&self.params, variant, rate_q, kind)
+        })
+    }
 }
 
 /// Hit/miss counters of the result memo.
@@ -107,14 +153,13 @@ pub struct Prediction {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cache::{quantize_rate, InversionCache, QueryKind};
-    use crate::error::ServeError;
+    use crate::cache::quantize_rate;
     use crate::query::Query;
     use crate::service::tests::{base, events};
     use crate::service::{ServeConfig, SlaService};
     use crate::telemetry::TelemetryEvent;
     use cos_distr::{Degenerate, Gamma};
-    use cos_model::{DeviceParams, FrontendParams, ModelVariant, SlaGoal, SystemModel};
+    use cos_model::{DeviceParams, FrontendParams, SlaGoal, SystemModel};
     use cos_queueing::from_distribution;
 
     pub(crate) fn sample_params(rate: f64, devices: usize) -> SystemParams {
@@ -142,24 +187,21 @@ pub(crate) mod tests {
         }
     }
 
-    /// Epoch `epoch` of `params`, as a tenant shard installs it.
-    fn epoch_of(params: SystemParams, epoch: u64) -> EpochSnapshot {
-        EpochSnapshot {
-            epoch,
-            params: Arc::new(params),
-            fitted_at: 0.0,
-            stale: false,
-        }
+    /// Epoch `epoch` of `params`, as a tenant shard installs it, and the
+    /// counters its memo counts into.
+    fn epoch_of(params: SystemParams, epoch: u64) -> (Arc<CacheCounters>, EpochSnapshot) {
+        let counters = Arc::new(CacheCounters::default());
+        let snap = EpochSnapshot::new(epoch, Arc::new(params), 0.0, Arc::clone(&counters));
+        (counters, snap)
     }
 
-    /// Asks `cache` about tenant 0's `snap`, tagged as a reader tags it.
+    /// Asks `snap`, tagged as a reader tags it.
     fn ask(
-        cache: &InversionCache,
         snap: &EpochSnapshot,
         rate_q: Option<i64>,
         kind: QueryKind,
     ) -> Result<Prediction, ServeError> {
-        let (outcome, _miss) = cache.answer(0, snap, ModelVariant::Full, rate_q, kind);
+        let (outcome, _miss) = snap.answer(ModelVariant::Full, rate_q, kind);
         outcome.map(|value| Prediction {
             value,
             epoch: snap.epoch,
@@ -169,15 +211,11 @@ pub(crate) mod tests {
 
     /// The bottleneck ranking a reader assembles: every device's memoized
     /// fraction, worst first.
-    fn bottlenecks(
-        cache: &InversionCache,
-        snap: &EpochSnapshot,
-        sla: f64,
-    ) -> Result<Vec<(usize, f64)>, ServeError> {
+    fn bottlenecks(snap: &EpochSnapshot, sla: f64) -> Result<Vec<(usize, f64)>, ServeError> {
         let mut out = Vec::new();
         for device in 0..snap.params.devices.len() {
             let kind = QueryKind::device_fraction(device, sla);
-            out.push((device, ask(cache, snap, None, kind)?.value));
+            out.push((device, ask(snap, None, kind)?.value));
         }
         out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite fractions"));
         Ok(out)
@@ -220,10 +258,9 @@ pub(crate) mod tests {
 
     #[test]
     fn repeat_queries_hit_and_are_bit_identical() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
-        let first = ask(&cache, &e, None, QueryKind::fraction(0.05)).unwrap();
-        let again = ask(&cache, &e, None, QueryKind::fraction(0.05)).unwrap();
+        let (cache, e) = epoch_of(sample_params(100.0, 4), 1);
+        let first = ask(&e, None, QueryKind::fraction(0.05)).unwrap();
+        let again = ask(&e, None, QueryKind::fraction(0.05)).unwrap();
         assert_eq!(first.value.to_bits(), again.value.to_bits());
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         // Uncached reference at the snapped SLA.
@@ -236,38 +273,34 @@ pub(crate) mod tests {
 
     #[test]
     fn queries_within_a_quantum_share_the_inversion() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
-        let a = ask(&cache, &e, None, QueryKind::fraction(0.0500)).unwrap();
+        let (cache, e) = epoch_of(sample_params(100.0, 4), 1);
+        let a = ask(&e, None, QueryKind::fraction(0.0500)).unwrap();
         // Same 0.1 ms cell.
-        let b = ask(&cache, &e, None, QueryKind::fraction(0.050_004)).unwrap();
+        let b = ask(&e, None, QueryKind::fraction(0.050_004)).unwrap();
         assert_eq!(a.value.to_bits(), b.value.to_bits());
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn what_if_rates_reuse_built_models_across_slas() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
+        let (cache, e) = epoch_of(sample_params(100.0, 4), 1);
         let at_150 = Some(quantize_rate(150.0));
-        ask(&cache, &e, at_150, QueryKind::fraction(0.05)).unwrap();
+        ask(&e, at_150, QueryKind::fraction(0.05)).unwrap();
         // Same model, new inversion.
-        ask(&cache, &e, at_150, QueryKind::fraction(0.10)).unwrap();
-        assert_eq!(cache.model_count(), 1);
+        ask(&e, at_150, QueryKind::fraction(0.10)).unwrap();
+        assert_eq!(e.memo().model_count(), 1);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 2 });
-        let again = ask(&cache, &e, at_150, QueryKind::fraction(0.05)).unwrap();
+        let again = ask(&e, at_150, QueryKind::fraction(0.05)).unwrap();
         assert!(again.value > 0.0);
         assert_eq!(cache.stats().hits, 1);
     }
 
     #[test]
     fn new_epoch_invalidates_old_answers() {
-        let cache = InversionCache::default();
-        let e1 = epoch_of(sample_params(100.0, 4), 1);
-        let slow = ask(&cache, &e1, None, QueryKind::fraction(0.05)).unwrap();
-        let e2 = epoch_of(sample_params(40.0, 4), 2);
-        cache.advance_epoch(0, e2.epoch);
-        let fast = ask(&cache, &e2, None, QueryKind::fraction(0.05)).unwrap();
+        let (cache, e1) = epoch_of(sample_params(100.0, 4), 1);
+        let slow = ask(&e1, None, QueryKind::fraction(0.05)).unwrap();
+        let e2 = EpochSnapshot::new(2, Arc::new(sample_params(40.0, 4)), 0.0, Arc::clone(&cache));
+        let fast = ask(&e2, None, QueryKind::fraction(0.05)).unwrap();
         assert_eq!(fast.epoch, 2);
         assert!(fast.value > slow.value, "lighter load must meet more SLAs");
         assert_eq!(
@@ -279,12 +312,11 @@ pub(crate) mod tests {
 
     #[test]
     fn unstable_what_if_is_typed_and_memoized() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
+        let (cache, e) = epoch_of(sample_params(100.0, 4), 1);
         let at = Some(quantize_rate(100_000.0));
-        let err = ask(&cache, &e, at, QueryKind::fraction(0.05)).unwrap_err();
+        let err = ask(&e, at, QueryKind::fraction(0.05)).unwrap_err();
         assert!(matches!(err, ServeError::Unstable { .. }));
-        let again = ask(&cache, &e, at, QueryKind::fraction(0.05)).unwrap_err();
+        let again = ask(&e, at, QueryKind::fraction(0.05)).unwrap_err();
         assert_eq!(err, again);
         assert_eq!(cache.stats().hits, 1, "the failure itself must be memoized");
     }
@@ -323,39 +355,31 @@ pub(crate) mod tests {
 
     #[test]
     fn percentile_and_mean_are_consistent() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
-        let p50 = ask(&cache, &e, None, QueryKind::percentile(0.50))
-            .unwrap()
-            .value;
-        let p95 = ask(&cache, &e, None, QueryKind::percentile(0.95))
-            .unwrap()
-            .value;
+        let (_, e) = epoch_of(sample_params(100.0, 4), 1);
+        let p50 = ask(&e, None, QueryKind::percentile(0.50)).unwrap().value;
+        let p95 = ask(&e, None, QueryKind::percentile(0.95)).unwrap().value;
         assert!(p50 < p95, "p50 {p50} vs p95 {p95}");
     }
 
     #[test]
     fn headroom_brackets_the_goal() {
-        let cache = InversionCache::default();
-        let e = epoch_of(sample_params(100.0, 4), 1);
+        let (cache, e) = epoch_of(sample_params(100.0, 4), 1);
         let goal = SlaGoal::new(0.100, 0.90);
         let kind = QueryKind::headroom(goal, 1000.0);
-        let head = ask(&cache, &e, None, kind).unwrap().value;
+        let head = ask(&e, None, kind).unwrap().value;
         assert!(
             head > 100.0,
             "calibrated point meets the goal, headroom {head}"
         );
         let below = Some(quantize_rate(head * 0.98));
-        let at_head = ask(&cache, &e, below, QueryKind::fraction(0.100))
-            .unwrap()
-            .value;
+        let at_head = ask(&e, below, QueryKind::fraction(0.100)).unwrap().value;
         assert!(
             at_head >= 0.90 - 0.01,
             "fraction {at_head} just below headroom"
         );
         // Second ask is a hit.
         let s0 = cache.stats();
-        ask(&cache, &e, None, kind).unwrap();
+        ask(&e, None, kind).unwrap();
         assert_eq!(cache.stats().hits, s0.hits + 1);
     }
 
@@ -364,9 +388,8 @@ pub(crate) mod tests {
         let mut params = sample_params(120.0, 4);
         params.devices[2].miss_index = 0.6;
         params.devices[2].miss_data = 0.7;
-        let cache = InversionCache::default();
-        let e = epoch_of(params.clone(), 1);
-        let ranked = bottlenecks(&cache, &e, 0.05).unwrap();
+        let (cache, e) = epoch_of(params.clone(), 1);
+        let ranked = bottlenecks(&e, 0.05).unwrap();
         assert_eq!(ranked[0].0, 2, "hot device must rank worst: {ranked:?}");
         let reference = cos_model::rank_bottlenecks(
             &SystemModel::new(&params, ModelVariant::Full).unwrap(),
@@ -375,7 +398,7 @@ pub(crate) mod tests {
         assert_eq!(ranked, reference);
         // Re-ranking is all hits.
         let s0 = cache.stats();
-        bottlenecks(&cache, &e, 0.05).unwrap();
+        bottlenecks(&e, 0.05).unwrap();
         assert_eq!(cache.stats().misses, s0.misses);
     }
 }

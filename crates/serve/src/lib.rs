@@ -14,13 +14,13 @@
 //!   data-read rates, latency-threshold miss ratios, proportional disk
 //!   service decomposition — re-fitting [`cos_model::SystemParams`] on a
 //!   fixed event-time cadence;
-//! * [`cache`] — the memoized inversion engine: percentile / attainment /
-//!   headroom / bottleneck questions cached on the quantized
-//!   `(tenant, epoch, rate, SLA)` key, so a polling dashboard costs one
-//!   inversion per distinct question per epoch;
+//! * [`cache`] — each installed epoch's memo: percentile / attainment /
+//!   headroom / bottleneck questions memoized on the quantized
+//!   `(rate, question)` key in the epoch that answers them, so a polling
+//!   dashboard costs one inversion per distinct question per epoch;
 //! * [`engine`] — the value types around it: the quantization steps, the
-//!   installed [`EpochSnapshot`], the epoch-tagged [`Prediction`], and the
-//!   cache and health counters;
+//!   installed [`EpochSnapshot`] that owns the memo, the epoch-tagged
+//!   [`Prediction`], and the cache and health counters;
 //! * [`drift`] — observed-vs-predicted attainment monitoring, the signal
 //!   that the fitted distribution family itself has gone bad;
 //! * [`obs`] — the service's instrument bundle ([`ServeObs`]): refit
@@ -60,7 +60,10 @@ pub mod snapshot;
 pub mod telemetry;
 pub mod tenant;
 
-pub use cache::{quantize_rate, InversionCache, QueryKey, QueryKind};
+pub use cache::{
+    quantize_rate, CacheCounters, EpochMemo, QueryKey, QueryKind, MODELS_PER_EPOCH,
+    RESULTS_PER_EPOCH,
+};
 pub use calibrate::{CalibrationBase, CalibratorConfig, FitError, OnlineCalibrator};
 pub use drift::{DriftConfig, DriftMonitor, DriftReport};
 pub use engine::{

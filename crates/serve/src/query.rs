@@ -12,10 +12,13 @@
 //! # let _ = q;
 //! ```
 //!
-//! Resolution to the cache's quantized [`QueryKind`] lives here, in one
-//! place, so no two readers can drift: each calls the same `*_question`
-//! helper and therefore produces the same [`QueryKey`](crate::QueryKey)
-//! bits.
+//! Resolution to the memo's quantized [`QueryKind`] and what-if rate cell
+//! lives here, in one place, so no two readers can drift: each calls the
+//! same `*_question` helper and therefore produces the same
+//! [`QueryKey`](crate::QueryKey) bits. It is also where a malformed input
+//! is refused with [`ServeError::BadQuery`] before it is snapped: an SLA
+//! or what-if rate that is not finite and positive would otherwise land
+//! in the lowest or the highest cell.
 //!
 //! [`ServiceClient`]: crate::ServiceClient
 //! [`SnapshotReader`]: crate::SnapshotReader
@@ -131,6 +134,17 @@ impl Query {
         }
     }
 
+    /// The what-if rate's cell, if the query has a rate. A rate that is
+    /// not finite and positive has none: snapping would put 0, a negative
+    /// rate or NaN in the lowest cell and +∞ in the highest.
+    fn rate_checked(&self) -> Result<Option<i64>, ServeError> {
+        match self.rate {
+            Some(rate) if rate.is_finite() && rate > 0.0 => Ok(Some(quantize_rate(rate))),
+            Some(_) => Err(Query::bad("what-if `rate` must be finite and positive")),
+            None => Ok(None),
+        }
+    }
+
     fn coding_checked(&self) -> Result<Option<(u16, u16)>, ServeError> {
         match self.coding {
             Some((n, k)) if k >= 1 && k <= n => Ok(Some((n, k))),
@@ -146,7 +160,7 @@ impl Query {
         if sla <= 0.0 {
             return Err(Query::bad("`sla` must be positive"));
         }
-        let rate_q = self.rate.map(quantize_rate);
+        let rate_q = self.rate_checked()?;
         let kind = match self.coding_checked()? {
             Some((n, k)) => QueryKind::coded_fraction(n, k, sla),
             None => QueryKind::fraction(sla),
@@ -162,7 +176,7 @@ impl Query {
                 "`p` must lie in (0, 1) and below 0.99995, which the 1e-4 grid rounds to 1",
             ));
         }
-        let rate_q = self.rate.map(quantize_rate);
+        let rate_q = self.rate_checked()?;
         let kind = match self.coding_checked()? {
             Some((n, k)) => QueryKind::coded_percentile(n, k, p),
             None => QueryKind::percentile(p),
@@ -292,6 +306,12 @@ mod tests {
             .headroom_question());
         assert!(Query::new().ranking_sla().is_err());
         assert!(Query::new().sla(0.05).n_k(4, 2).ranking_sla().is_err());
+        // What-if rates that snapping would put in the lowest or highest
+        // rate cell.
+        for rate in [0.0, -100.0, f64::NAN, f64::NEG_INFINITY, f64::INFINITY] {
+            bad(Query::new().sla(0.05).rate(rate).attainment_question());
+            bad(Query::new().p(0.95).rate(rate).percentile_question());
+        }
     }
 
     #[test]

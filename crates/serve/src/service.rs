@@ -4,11 +4,11 @@
 //! first-class: telemetry arrives tagged with a [`TenantId`]
 //! ([`SlaService::ingest_for`]), and each tenant gets an independent shard —
 //! its own sliding-window calibrator, drift monitor, and installed epoch,
-//! whose answers are memoized under its own slot of the shared
-//! [`InversionCache`] (so tenants never share or evict each other's
-//! quantized results). Re-fits are **batched**: one sweep fans every dirty
-//! tenant's fit over [`cos_par::par_map`] ([`SlaService::refit_now`]),
-//! then a single serial pass installs the epochs and publishes one
+//! which memoizes its own answers (so tenants never share or evict each
+//! other's quantized results). Re-fits are **batched**: one sweep fans
+//! every dirty tenant's fit over [`cos_par::par_map`]
+//! ([`SlaService::refit_now`]), then a single serial pass installs the
+//! epochs and publishes one
 //! **delta** through the snapshot path — only changed tenants' states are
 //! republished (see the
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex};
 use cos_model::{ModelVariant, SystemModel, SystemParams};
 use cos_obs::Registry;
 
-use crate::cache::{InversionCache, QueryKey, QueryKind};
+use crate::cache::{CacheCounters, QueryKey, QueryKind};
 use crate::calibrate::{CalibrationBase, CalibratorConfig, OnlineCalibrator};
 use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
 use crate::engine::{snap, EngineHealth, EpochSnapshot, Prediction, SLA_QUANTUM};
@@ -246,7 +246,7 @@ impl ServiceStatus {
 }
 
 /// One tenant's independent estimator state: calibrator window, drift
-/// monitor, and installed epoch, answered under the tenant's cache slot.
+/// monitor, and installed epoch.
 struct TenantShard {
     id: TenantId,
     slot: u32,
@@ -290,17 +290,11 @@ impl TenantShard {
     /// The memo's attainment at each tracked SLA for the installed epoch
     /// (`None` while warming up, or where the epoch cannot answer): what
     /// the drift monitor holds the observed attainment against.
-    fn tracked_attainment(
-        &self,
-        cache: &InversionCache,
-        variant: ModelVariant,
-        slas: &[f64],
-    ) -> Vec<Option<f64>> {
+    fn tracked_attainment(&self, variant: ModelVariant, slas: &[f64]) -> Vec<Option<f64>> {
         slas.iter()
             .map(|&sla| {
                 let snap = self.snapshot.as_ref()?;
-                let kind = QueryKind::fraction(sla);
-                cache.answer(self.slot, snap, variant, None, kind).0.ok()
+                snap.answer(variant, None, QueryKind::fraction(sla)).0.ok()
             })
             .collect()
     }
@@ -339,7 +333,7 @@ fn fit_tenant(
     // Every ModelError is an instability (ρ ≥ 1 in some queue): the live
     // load exceeds what the last good epoch can describe.
     let model = SystemModel::new(&params, variant).map_err(|e| (e.to_string(), true))?;
-    // Predictions at the snapped SLA — the same value the cache's
+    // Predictions at the snapped SLA — the same value the memo's
     // evaluation path would produce, so pre-warming with them is
     // bit-lossless.
     let preds = slas
@@ -363,7 +357,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 pub struct SlaService {
     config: ServeConfig,
     base: CalibrationBase,
-    cache: Arc<InversionCache>,
+    /// The hit/miss counters every installed epoch's memo counts into.
+    counters: Arc<CacheCounters>,
     shards: Vec<TenantShard>,
     index: HashMap<TenantId, u32>,
     /// The tenant `slot_or_create` resolved last, and its slot: per-event
@@ -384,17 +379,17 @@ impl SlaService {
     /// on their first [`ingest_for`](SlaService::ingest_for).
     pub fn new(base: CalibrationBase, config: ServeConfig) -> Self {
         let obs = ServeObs::register(&config.obs);
-        let cache = Arc::new(InversionCache::default());
+        let counters = Arc::new(CacheCounters::default());
         let default_shard = TenantShard::new(TenantId::default_tenant(), 0, &base, &config);
         let shared = Arc::new(SnapshotShared::new(
             config.variant,
-            Arc::clone(&cache),
+            Arc::clone(&counters),
             obs.clone(),
             build_state(&default_shard),
         ));
         SlaService {
             base,
-            cache,
+            counters,
             shards: vec![default_shard],
             index: HashMap::from([(TenantId::default_tenant(), 0)]),
             last: (TenantId::default_tenant(), 0),
@@ -542,8 +537,9 @@ impl SlaService {
     /// The batched re-fit: phase 1 fans the pure fit + model build + per-
     /// SLA predictions over [`cos_par::par_map`] (one parallel sweep, not
     /// O(tenants) sequential solves — `try_fit` is `&self`, so shards are
-    /// read concurrently); phase 2 serially installs epochs, pre-warms the
-    /// cache, and publishes one delta.
+    /// read concurrently); phase 2 serially installs epochs, each with a
+    /// pre-warmed memo, publishes one delta, then retires the memos of the
+    /// epochs it replaced.
     fn refit_slots(&mut self, slots: &[u32]) -> bool {
         self.obs.refits_total.inc();
         let _refit_span = self.obs.refit.start_span();
@@ -577,36 +573,31 @@ impl SlaService {
         // changed states, publish one delta.
         let mut installed_default = false;
         let mut changes: Vec<(u32, Arc<SnapshotState>, u64)> = Vec::with_capacity(outcomes.len());
+        let mut replaced = Vec::new();
         for (slot, outcome) in outcomes {
             let idx = slot as usize;
             match outcome {
                 Ok((params, model, preds)) => {
                     let shard = &mut self.shards[idx];
                     let epoch = shard.snapshot.as_ref().map_or(1, |s| s.epoch + 1);
-                    shard.snapshot = Some(EpochSnapshot {
+                    let snapshot = EpochSnapshot::new(
                         epoch,
-                        params: Arc::new(params),
-                        fitted_at: now,
-                        stale: false,
-                    });
-                    // Also advances the cache past the tenant's old epoch.
-                    self.cache.prewarm_model(slot, epoch, model);
+                        Arc::new(params),
+                        now,
+                        Arc::clone(&self.counters),
+                    );
+                    let memo = snapshot.memo();
+                    memo.insert_model(None, model);
+                    for (&sla, pred) in slas.iter().zip(&preds) {
+                        if let Some(v) = pred {
+                            let kind = QueryKind::fraction(sla);
+                            memo.prewarm_result(QueryKey { rate_q: None, kind }, Ok(*v));
+                        }
+                    }
+                    replaced.extend(shard.snapshot.replace(snapshot));
                     shard.last_fit_error = None;
                     shard.last_fit_unstable = false;
                     shard.last_drift = shard.drift.report(now, &preds);
-                    for (&sla, pred) in slas.iter().zip(&preds) {
-                        if let Some(v) = pred {
-                            self.cache.prewarm_result(
-                                QueryKey {
-                                    tenant: slot,
-                                    epoch,
-                                    rate_q: None,
-                                    kind: QueryKind::fraction(sla),
-                                },
-                                Ok(*v),
-                            );
-                        }
-                    }
                     if slot == 0 {
                         installed_default = true;
                     }
@@ -619,7 +610,7 @@ impl SlaService {
                     if let Some(s) = &mut shard.snapshot {
                         s.stale = true;
                     }
-                    let preds = shard.tracked_attainment(&self.cache, variant, &slas);
+                    let preds = shard.tracked_attainment(variant, &slas);
                     shard.last_drift = shard.drift.report(now, &preds);
                 }
             }
@@ -630,6 +621,11 @@ impl SlaService {
         // Publish on every attempt — success or failure — so snapshot
         // readers observe staleness and fit errors at once.
         self.last_publish = self.shared.publish_delta(&changes);
+        // Only now is no replaced epoch published: free its answers. A
+        // reader still holding one gets its bits uncached.
+        for old in &replaced {
+            old.memo().retire();
+        }
         installed_default
     }
 
@@ -655,8 +651,7 @@ impl SlaService {
 
     fn status_slot(&self, slot: u32) -> ServiceStatus {
         let shard = &self.shards[slot as usize];
-        let predictions =
-            shard.tracked_attainment(&self.cache, self.config.variant, &self.config.slas);
+        let predictions = shard.tracked_attainment(self.config.variant, &self.config.slas);
         let snap = shard.snapshot.as_ref();
         ServiceStatus {
             event_time: self.now,
@@ -665,7 +660,7 @@ impl SlaService {
             stale: snap.map(|s| s.stale).unwrap_or(false),
             last_fit_error: shard.last_fit_error.clone(),
             engine: EngineHealth {
-                cache: self.cache.stats(),
+                cache: self.counters.stats(),
                 failed_refits: shard.failed_refits,
             },
             drift: shard.drift.report(self.now, &predictions),

@@ -47,9 +47,10 @@
 //!   next writer's load), so read-modify-write on the cell needs no CAS
 //!   loop.
 //! * Answers are **bit-identical** across readers, and to the service's
-//!   own drift predictions, by construction: all funnel through the shared
-//!   [`InversionCache`], which reconstructs every input from the quantized
-//!   tenant-scoped key and runs one evaluation code path.
+//!   own drift predictions, by construction: all funnel through the
+//!   published epoch's memo ([`EpochSnapshot::answer`]), which
+//!   reconstructs every input from the quantized key and runs one
+//!   evaluation code path.
 //! * The live event clock is a plain `AtomicU64` holding the `f64` bits
 //!   of the newest event time (`Relaxed` — it is an independent
 //!   monotone scalar, not a synchronization edge).
@@ -62,7 +63,7 @@ use std::time::Instant;
 use cos_model::{model_at_rate, ModelVariant};
 use cos_par::ArcCell;
 
-use crate::cache::{InversionCache, QueryKind};
+use crate::cache::{CacheCounters, QueryKind};
 use crate::drift::DriftReport;
 use crate::engine::{EngineHealth, EpochSnapshot, Prediction};
 use crate::error::ServeError;
@@ -108,8 +109,8 @@ pub struct SnapshotState {
 pub struct TenantEntry {
     /// The tenant this entry belongs to.
     pub tenant: TenantId,
-    /// The tenant's stable slot (0 = the reserved `default` tenant) —
-    /// also the tenant dimension of the shared cache's keys.
+    /// The tenant's stable slot (0 = the reserved `default` tenant): its
+    /// index in the fleet's entries.
     pub slot: u32,
     /// The tenant's published state (shared, immutable).
     pub state: Arc<SnapshotState>,
@@ -222,7 +223,8 @@ pub(crate) struct SnapshotShared {
     closed: AtomicBool,
     /// `f64` bits of the newest event time, updated on every ingest.
     event_time: AtomicU64,
-    cache: Arc<InversionCache>,
+    /// The hit/miss counters every epoch's memo counts into.
+    counters: Arc<CacheCounters>,
     variant: ModelVariant,
     obs: ServeObs,
 }
@@ -230,7 +232,7 @@ pub(crate) struct SnapshotShared {
 impl SnapshotShared {
     pub(crate) fn new(
         variant: ModelVariant,
-        cache: Arc<InversionCache>,
+        counters: Arc<CacheCounters>,
         obs: ServeObs,
         initial: SnapshotState,
     ) -> SnapshotShared {
@@ -238,7 +240,7 @@ impl SnapshotShared {
             cell: ArcCell::new(Arc::new(FleetState::new(Arc::new(initial)))),
             closed: AtomicBool::new(false),
             event_time: AtomicU64::new(0f64.to_bits()),
-            cache,
+            counters,
             variant,
             obs,
         }
@@ -312,9 +314,10 @@ impl SnapshotShared {
 /// Obtained from [`SlaService::reader`](crate::SlaService::reader) or
 /// [`ServiceClient::reader`](crate::ServiceClient::reader); cloning is
 /// cheap (one `Arc`). Every method is a pure read: one atomic load of the
-/// published state, then evaluation through the shared, sharded
-/// [`InversionCache`] — so every reader answers with the same bits and
-/// concurrent readers scale without serializing on the writer lock.
+/// published state, then evaluation through the published epoch's memo
+/// ([`EpochSnapshot::answer`]) — so every reader answers with the same
+/// bits and concurrent readers scale without serializing on the writer
+/// lock.
 ///
 /// Tenant-unaware methods are scoped to the reserved `default` tenant;
 /// [`Query`]-taking methods reach any tenant.
@@ -335,38 +338,29 @@ impl SnapshotReader {
         Ok(self.shared.cell.get())
     }
 
-    /// One consistent view of a tenant: its published state, installed
-    /// epoch, and cache slot — or the typed refusal (`Disconnected` after
-    /// shutdown, `UnknownTenant` for a tenant the fleet has never seen,
-    /// `NotCalibrated` while warming up).
-    fn current_for(
-        &self,
-        tenant: &TenantId,
-    ) -> Result<(Arc<SnapshotState>, EpochSnapshot, u32), ServeError> {
+    /// A tenant's installed epoch — or the typed refusal (`Disconnected`
+    /// after shutdown, `UnknownTenant` for a tenant the fleet has never
+    /// seen, `NotCalibrated` while warming up).
+    fn current_for(&self, tenant: &TenantId) -> Result<EpochSnapshot, ServeError> {
         let fleet = self.fleet_checked()?;
         let entry = fleet.get(tenant).ok_or_else(|| ServeError::UnknownTenant {
             tenant: tenant.to_string(),
         })?;
-        let snap = entry
+        entry
             .state
             .snapshot
             .clone()
-            .ok_or(ServeError::NotCalibrated)?;
-        Ok((Arc::clone(&entry.state), snap, entry.slot))
+            .ok_or(ServeError::NotCalibrated)
     }
 
-    fn answer_slot(
+    fn answer(
         &self,
-        slot: u32,
         snap: &EpochSnapshot,
         rate_q: Option<i64>,
         kind: QueryKind,
     ) -> Result<Prediction, ServeError> {
         let start = Instant::now();
-        let (outcome, miss) =
-            self.shared
-                .cache
-                .answer(slot, snap, self.shared.variant, rate_q, kind);
+        let (outcome, miss) = snap.answer(self.shared.variant, rate_q, kind);
         self.record(start, miss);
         outcome.map(|value| Prediction {
             value,
@@ -389,23 +383,20 @@ impl SnapshotReader {
     /// for the query's tenant.
     pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
         let (rate_q, kind) = query.attainment_question()?;
-        let (_state, snap, slot) = self.current_for(query.tenant_id())?;
-        self.answer_slot(slot, &snap, rate_q, kind)
+        self.answer(&self.current_for(query.tenant_id())?, rate_q, kind)
     }
 
     /// Predicted response-latency percentile for the query's tenant.
     pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
         let (rate_q, kind) = query.percentile_question()?;
-        let (_state, snap, slot) = self.current_for(query.tenant_id())?;
-        self.answer_slot(slot, &snap, rate_q, kind)
+        self.answer(&self.current_for(query.tenant_id())?, rate_q, kind)
     }
 
     /// Overload-control headroom (largest admissible rate) for the
     /// query's tenant.
     pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
         let (rate_q, kind) = query.headroom_question()?;
-        let (_state, snap, slot) = self.current_for(query.tenant_id())?;
-        self.answer_slot(slot, &snap, rate_q, kind)
+        self.answer(&self.current_for(query.tenant_id())?, rate_q, kind)
     }
 
     /// Bottleneck ranking for the query's tenant, worst device first. All
@@ -414,15 +405,13 @@ impl SnapshotReader {
     /// mid-call.
     pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
         let sla = query.ranking_sla()?;
-        let (_state, snap, slot) = self.current_for(query.tenant_id())?;
+        let snap = self.current_for(query.tenant_id())?;
         let start = Instant::now();
         let n = snap.params.devices.len();
         let mut any_miss = false;
         let mut out = Vec::with_capacity(n);
         for device in 0..n {
-            let (r, miss) = self.shared.cache.answer(
-                slot,
-                &snap,
+            let (r, miss) = snap.answer(
                 self.shared.variant,
                 None,
                 QueryKind::device_fraction(device, sla),
@@ -490,7 +479,7 @@ impl SnapshotReader {
             stale: snap.map(|s| s.stale).unwrap_or(false),
             last_fit_error: state.last_fit_error.clone(),
             engine: EngineHealth {
-                cache: self.shared.cache.stats(),
+                cache: self.shared.counters.stats(),
                 failed_refits: state.failed_refits,
             },
             drift: state.drift.clone(),
@@ -499,7 +488,7 @@ impl SnapshotReader {
 
     /// Health summary assembled without the service's writer lock: the
     /// published epoch / fit-failure / drift state, the live event clock,
-    /// and the shared cache's counters. The drift verdicts are as of the
+    /// and the fleet-wide memo counters. The drift verdicts are as of the
     /// most recent publication (the service refreshes them at every re-fit
     /// attempt), not recomputed per call. Scoped to the `default` tenant.
     pub fn status(&self) -> Result<ServiceStatus, ServeError> {

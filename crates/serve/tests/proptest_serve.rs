@@ -8,7 +8,7 @@ use cos_distr::{Degenerate, Gamma};
 use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
 use cos_queueing::from_distribution;
 use cos_serve::{
-    quantize_rate, EpochSnapshot, InversionCache, QueryKind, ServeError, RATE_QUANTUM, SLA_QUANTUM,
+    quantize_rate, CacheCounters, EpochSnapshot, QueryKind, ServeError, RATE_QUANTUM, SLA_QUANTUM,
 };
 use proptest::prelude::*;
 
@@ -41,27 +41,17 @@ fn snap(x: f64, quantum: f64) -> f64 {
     (x / quantum).round().max(1.0) * quantum
 }
 
-/// `params` installed as tenant 0's first epoch over a fresh cache.
-fn installed(params: SystemParams) -> (InversionCache, EpochSnapshot) {
-    let snapshot = EpochSnapshot {
-        epoch: 1,
-        params: Arc::new(params),
-        fitted_at: 0.0,
-        stale: false,
-    };
-    (InversionCache::default(), snapshot)
+/// `params` installed as a first epoch, with the counters its fresh memo
+/// counts into.
+fn installed(params: SystemParams) -> (Arc<CacheCounters>, EpochSnapshot) {
+    let counters = Arc::new(CacheCounters::default());
+    let snapshot = EpochSnapshot::new(1, Arc::new(params), 0.0, Arc::clone(&counters));
+    (counters, snapshot)
 }
 
-/// One memoized question about tenant 0's `snapshot`.
-fn ask(
-    cache: &InversionCache,
-    snapshot: &EpochSnapshot,
-    rate_q: Option<i64>,
-    kind: QueryKind,
-) -> Result<f64, ServeError> {
-    cache
-        .answer(0, snapshot, ModelVariant::Full, rate_q, kind)
-        .0
+/// One memoized question about `snapshot`.
+fn ask(snapshot: &EpochSnapshot, rate_q: Option<i64>, kind: QueryKind) -> Result<f64, ServeError> {
+    snapshot.answer(ModelVariant::Full, rate_q, kind).0
 }
 
 proptest! {
@@ -79,8 +69,8 @@ proptest! {
         let p = params(rate, devices, miss);
         let (cache, epoch) = installed(p.clone());
 
-        let miss_answer = ask(&cache, &epoch, None, QueryKind::fraction(sla));
-        let hit_answer = ask(&cache, &epoch, None, QueryKind::fraction(sla));
+        let miss_answer = ask(&epoch, None, QueryKind::fraction(sla));
+        let hit_answer = ask(&epoch, None, QueryKind::fraction(sla));
         prop_assert_eq!(cache.stats().hits, 1);
 
         match SystemModel::new(&p, ModelVariant::Full) {
@@ -110,8 +100,8 @@ proptest! {
         let (cache, epoch) = installed(p.clone());
 
         let at = Some(quantize_rate(what_if));
-        let first = ask(&cache, &epoch, at, QueryKind::fraction(sla));
-        let second = ask(&cache, &epoch, at, QueryKind::fraction(sla));
+        let first = ask(&epoch, at, QueryKind::fraction(sla));
+        let second = ask(&epoch, at, QueryKind::fraction(sla));
         prop_assert_eq!(cache.stats().hits, 1);
 
         let scaled = p.scaled_to_rate(snap(what_if, RATE_QUANTUM));
@@ -149,7 +139,7 @@ proptest! {
                 QueryKind::percentile(0.95),
                 QueryKind::percentile(0.99),
             ] {
-                ask(&cache, &epoch, None, kind).unwrap();
+                ask(&epoch, None, kind).unwrap();
             }
         }
         let stats = cache.stats();

@@ -4,11 +4,12 @@
 //! their own threads must return **bit-identical** results to the reader
 //! of the same service state machine left unspawned, and to `cos-model`
 //! called directly at the snapped inputs; a reader racing a re-fit must
-//! only ever observe whole epochs (monotone, never torn); and the shared
-//! [`InversionCache`] must coalesce identical concurrent misses into one
+//! only ever observe whole epochs (monotone, never torn); and an epoch's
+//! [`EpochMemo`] must coalesce identical concurrent misses into one
 //! computation while staying bounded under high-cardinality query streams.
 //!
 //! [`SnapshotReader`]: cosmodel::serve::SnapshotReader
+//! [`EpochMemo`]: cosmodel::serve::EpochMemo
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -19,8 +20,8 @@ use cosmodel::distr::{Degenerate, Gamma};
 use cosmodel::model::{max_admissible_rate, rank_bottlenecks, SlaGoal, SystemModel};
 use cosmodel::queueing::from_distribution;
 use cosmodel::serve::{
-    CalibrationBase, InversionCache, OpClass, Query, QueryKey, QueryKind, ServeConfig, SlaService,
-    TelemetryEvent, FRACTION_QUANTUM, RATE_QUANTUM, SLA_QUANTUM,
+    CacheCounters, CalibrationBase, EpochMemo, OpClass, Query, QueryKey, QueryKind, ServeConfig,
+    SlaService, TelemetryEvent, FRACTION_QUANTUM, RATE_QUANTUM, RESULTS_PER_EPOCH, SLA_QUANTUM,
 };
 
 fn base() -> CalibrationBase {
@@ -327,10 +328,9 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
 /// leader's exact bits and the computation runs once.
 #[test]
 fn single_flight_hands_every_waiter_the_same_bits() {
-    let cache = Arc::new(InversionCache::new(4, 64, 8));
+    let counters = Arc::new(CacheCounters::default());
+    let cache = Arc::new(EpochMemo::new(Arc::clone(&counters)));
     let key = QueryKey {
-        tenant: 0,
-        epoch: 1,
         rate_q: None,
         kind: QueryKind::fraction(0.05),
     };
@@ -366,22 +366,18 @@ fn single_flight_hands_every_waiter_the_same_bits() {
     for &(got, _) in &results {
         assert_eq!(got, bits, "every caller got the leader's bits");
     }
-    let stats = cache.stats();
+    let stats = counters.stats();
     assert_eq!(stats.misses, 1, "the leader is the only miss");
     assert_eq!(stats.hits, 7, "waiters and late arrivals count as hits");
 }
 
 /// A high-cardinality query stream (every what-if rate distinct) must not
-/// grow the memo past its configured per-shard bound.
+/// grow an epoch's memo past its bound.
 #[test]
 fn cache_stays_bounded_under_high_cardinality() {
-    let shards = 4;
-    let per_shard = 32;
-    let cache = InversionCache::new(shards, per_shard, 8);
+    let cache = EpochMemo::new(Arc::new(CacheCounters::default()));
     for i in 0..2_000i64 {
         let key = QueryKey {
-            tenant: 0,
-            epoch: 1,
             rate_q: Some(i),
             kind: QueryKind::fraction(0.05),
         };
@@ -389,10 +385,10 @@ fn cache_stays_bounded_under_high_cardinality() {
         assert_eq!(result.expect("compute is infallible"), i as f64);
     }
     assert!(
-        cache.len() <= shards * per_shard,
+        cache.len() <= RESULTS_PER_EPOCH,
         "memo holds {} entries, bound is {}",
         cache.len(),
-        shards * per_shard
+        RESULTS_PER_EPOCH
     );
     assert!(cache.evictions() > 0, "overflow must have evicted");
 }
