@@ -20,7 +20,7 @@ use cos_workload::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn device(calib: &cos_bench::Calibration, rate: f64) -> DeviceParams {
+fn device(calib: &cos_serve::CalibrationBase, rate: f64) -> DeviceParams {
     DeviceParams {
         arrival_rate: rate,
         data_read_rate: rate * 1.05,

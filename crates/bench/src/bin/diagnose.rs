@@ -4,15 +4,22 @@
 //! Usage: `cargo run --release -p cos-bench --bin diagnose [-- --rate R]
 //! [--accept-cost C]` (default 240 req/s and the S1 accept cost). Each
 //! value must be a finite positive number; anything else exits 2 with a
-//! message naming the flag.
+//! message naming the flag. A value that cannot be computed at a sparse
+//! rate (no completed request, no in-window request on any device) prints
+//! as `-`.
 
 use cos_bench::calibrate;
 use cos_bench::report::parse_positive;
 use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
-use cos_storesim::{ClusterConfig, MetricsConfig};
+use cos_storesim::{ClusterConfig, DiskOpKind, MetricsConfig};
 use cos_workload::TraceEvent;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// `1000·x` to three decimals, or `-` when `x` cannot be computed.
+fn ms(x: Option<f64>) -> String {
+    x.map_or_else(|| "-".into(), |v| format!("{:.3}", 1000.0 * v))
+}
 
 fn main() {
     let rate = parse_positive("--rate").unwrap_or(240.0);
@@ -55,29 +62,39 @@ fn main() {
     let n = raw.len() as f64;
     let mean =
         |f: &dyn Fn(&&cos_storesim::CompletedRequest) -> f64| raw.iter().map(f).sum::<f64>() / n;
-    let sim_latency = mean(&|r| r.latency);
-    let sim_be = mean(&|r| r.be_latency);
-    let sim_wta = mean(&|r| r.wta);
+    // `[latency, wta, backend]`; none without a completed request.
+    let sim = (!raw.is_empty()).then(|| {
+        [
+            mean(&|r| r.latency),
+            mean(&|r| r.wta),
+            mean(&|r| r.be_latency),
+        ]
+    });
     println!("SIMULATED @ rate {rate} (per-request means, ms):");
-    println!("  total latency      {:.3}", 1000.0 * sim_latency);
-    println!("  wta                {:.3}", 1000.0 * sim_wta);
-    println!("  backend (queue+svc){:.3}", 1000.0 * sim_be);
+    println!("  total latency      {}", ms(sim.map(|[l, _, _]| l)));
+    println!("  wta                {}", ms(sim.map(|[_, w, _]| w)));
+    println!("  backend (queue+svc){}", ms(sim.map(|[_, _, b]| b)));
     println!(
-        "  frontend share     {:.3}",
-        1000.0 * (sim_latency - sim_wta - sim_be)
+        "  frontend share     {}",
+        ms(sim.map(|[l, w, b]| l - w - b))
     );
     for (i, sla) in [0.01, 0.05, 0.1].iter().enumerate() {
         println!(
-            "  P(<= {:>3.0}ms)       {:.4}",
+            "  P(<= {:>3.0}ms)       {}",
             sla * 1000.0,
-            metrics.observed_fraction(0, i).unwrap()
+            metrics
+                .observed_fraction(0, i)
+                .map_or_else(|| "-".into(), |p| format!("{p:.4}"))
         );
     }
 
-    // Model with measured parameters.
+    // Model with measured parameters, by the calibrator's rules: a device
+    // with no in-window request stays out, and a kind with no operations
+    // has miss ratio 0.
     let calib = calibrate(&cfg, 20_000);
     let span = duration * 0.8;
     let devices: Vec<DeviceParams> = (0..cfg.devices)
+        .filter(|&d| metrics.window_device_requests(0, d) > 0)
         .map(|d| {
             let r = metrics.window_device_requests(0, d) as f64 / span;
             let rd = metrics.window_device_data_ops(0, d) as f64 / span;
@@ -85,9 +102,9 @@ fn main() {
             DeviceParams {
                 arrival_rate: r,
                 data_read_rate: rd.max(r),
-                miss_index: c.miss_ratio(cos_storesim::DiskOpKind::Index).unwrap(),
-                miss_meta: c.miss_ratio(cos_storesim::DiskOpKind::Meta).unwrap(),
-                miss_data: c.miss_ratio(cos_storesim::DiskOpKind::Data).unwrap(),
+                miss_index: c.miss_ratio(DiskOpKind::Index).unwrap_or(0.0),
+                miss_meta: c.miss_ratio(DiskOpKind::Meta).unwrap_or(0.0),
+                miss_data: c.miss_ratio(DiskOpKind::Data).unwrap_or(0.0),
                 index_disk: calib.index_law.clone(),
                 meta_disk: calib.meta_law.clone(),
                 data_disk: calib.data_law.clone(),
@@ -96,6 +113,10 @@ fn main() {
             }
         })
         .collect();
+    if devices.is_empty() {
+        println!("\nMODEL: - (no device served an in-window request)");
+        return;
+    }
     let params = SystemParams {
         frontend: FrontendParams {
             arrival_rate: rate,

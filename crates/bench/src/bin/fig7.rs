@@ -15,7 +15,7 @@ fn main() {
         Scenario::s16().quick(scale)
     };
     let slas = [0.010, 0.050, 0.100];
-    let result = run_scenario(&scenario, &slas, false);
+    let result = run_scenario(&scenario, &slas);
     for i in 0..slas.len() {
         print_figure_series(&result, i);
     }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use cos_bench::report::parse_scale;
 use cos_bench::scenario::calibrate;
 use cos_gate::{encode_events, Gate, GateConfig};
-use cos_serve::{CalibrationBase, CalibratorConfig, ServeConfig, SlaService, TelemetryEvent};
+use cos_serve::{CalibratorConfig, ServeConfig, SlaService, TelemetryEvent};
 use cos_storesim::{ClusterConfig, MetricsConfig, Simulation};
 use cos_workload::TraceEvent;
 use rand::rngs::SmallRng;
@@ -76,17 +76,7 @@ fn main() {
 
     // Calibrate and spawn the service behind the gate.
     let cluster = ClusterConfig::paper_s1();
-    let calibration = calibrate(&cluster, 10_000);
-    let base = CalibrationBase {
-        index_law: calibration.index_law.clone(),
-        meta_law: calibration.meta_law.clone(),
-        data_law: calibration.data_law.clone(),
-        parse_be: calibration.parse_be.clone(),
-        parse_fe: calibration.parse_fe.clone(),
-        devices: cluster.devices,
-        processes_per_device: cluster.processes_per_device,
-        frontend_processes: cluster.frontend_processes,
-    };
+    let base = calibrate(&cluster, 10_000);
     // One registry shared by the service and the gate: /metrics and the
     // final self-observation below see the whole stack.
     let registry = cos_obs::Registry::new();
@@ -130,8 +120,7 @@ fn main() {
         MetricsConfig {
             slas: vec![0.050],
             windows: vec![(duration * 0.2, duration, rate)],
-            collect_raw: false,
-            op_sample_stride: 37,
+            ..MetricsConfig::default()
         },
     )
     .with_telemetry(Box::new(tx))

@@ -6,11 +6,9 @@
 //! ingests it on the simulation's thread, calibrates itself on sliding
 //! windows and answers SLA queries while the stepped rate sweep is still
 //! running. At each measured-window boundary the demo
-//! snapshots the service's online predictions; after the run it computes
-//! the offline fig6-style predictions from the same simulation's window
-//! counters and prints both against the observed attainment, plus the
-//! inversion cache's hit-rate under a polling workload and a
-//! what-if sweep.
+//! snapshots the service's online predictions; after the run it prints
+//! them against the observed attainment, plus the inversion cache's
+//! hit-rate under a polling workload and a what-if sweep.
 //!
 //! Usage: `cargo run --release -p cos-bench --bin serve_demo [-- --scale X]`
 //! (default compresses the paper's schedule 120×, ~1 minute).
@@ -18,12 +16,11 @@
 use std::sync::Arc;
 
 use cos_bench::report::parse_scale;
-use cos_bench::scenario::{calibrate, estimate_miss_ratios, Scenario};
-use cos_model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
-use cos_serve::{CalibrationBase, CalibratorConfig, Query, ServeConfig, SlaService};
-use cos_simkit::RngStreams;
-use cos_storesim::{MetricsConfig, SimTelemetry, Simulation};
-use cos_workload::{Catalog, PhaseSchedule, TraceStream};
+use cos_bench::scenario::{calibrate, simulate, Scenario};
+use cos_model::ModelVariant;
+use cos_serve::{CalibratorConfig, Query, ServeConfig, SlaService};
+use cos_storesim::SimTelemetry;
+use cos_workload::PhaseSchedule;
 
 fn fmt(x: Option<f64>) -> String {
     x.map(|v| format!("{v:.3}"))
@@ -40,26 +37,14 @@ fn main() {
     };
     let slas = vec![0.010, 0.050, 0.100];
 
-    let schedule = PhaseSchedule::new(&scenario.phases);
-    let windows = schedule.measured_windows();
+    let windows = PhaseSchedule::new(&scenario.phases).measured_windows();
     let window_len = windows
         .first()
         .map(|&(s, e, _)| e - s)
         .expect("nonempty schedule");
 
-    // §IV-A calibration, shared by the online service and the offline
-    // reference pipeline.
-    let calibration = calibrate(&scenario.cluster, 20_000);
-    let base = CalibrationBase {
-        index_law: calibration.index_law.clone(),
-        meta_law: calibration.meta_law.clone(),
-        data_law: calibration.data_law.clone(),
-        parse_be: calibration.parse_be.clone(),
-        parse_fe: calibration.parse_fe.clone(),
-        devices: scenario.cluster.devices,
-        processes_per_device: scenario.cluster.processes_per_device,
-        frontend_processes: scenario.cluster.frontend_processes,
-    };
+    // §IV-A calibration.
+    let base = calibrate(&scenario.cluster, 20_000);
     let config = ServeConfig {
         slas: slas.clone(),
         variant: ModelVariant::Full,
@@ -73,18 +58,6 @@ fn main() {
         ..ServeConfig::default()
     };
     let handle = Arc::new(SlaService::new(base, config).spawn());
-
-    // Workload synthesis (same streams as the offline pipeline).
-    let streams = RngStreams::new(scenario.cluster.seed ^ 0x5EED);
-    let mut catalog_rng = streams.stream("catalog", 0);
-    let catalog = Catalog::synthesize(&scenario.catalog, &mut catalog_rng);
-    let trace = TraceStream::new(&catalog, &schedule, streams.stream("trace", 0));
-    let metrics_config = MetricsConfig {
-        slas: slas.clone(),
-        windows: windows.clone(),
-        collect_raw: false,
-        op_sample_stride: 37,
-    };
 
     // The telemetry sink: stream every record to the service; at each
     // measured-window boundary, force a re-fit and snapshot the online
@@ -117,89 +90,28 @@ fn main() {
     };
 
     eprintln!("# streaming {} measured windows ...", windows.len());
-    let metrics = Simulation::new(scenario.cluster.clone(), metrics_config)
-        .with_telemetry(Box::new(sink))
-        .run(trace);
+    let metrics = simulate(&scenario, &slas, Box::new(sink));
     online.extend(online_rows.lock().expect("rows lock").iter().cloned());
     // Windows whose boundary never arrived (tail truncation): no snapshot.
     while online.len() < windows.len() {
         online.push(vec![None; slas.len()]);
     }
 
-    // Offline fig6-style reference predictions from the same run's window
-    // counters.
-    let devices = scenario.cluster.devices;
-    let mut offline: Vec<Vec<Option<f64>>> = Vec::new();
-    for (w, &(start, end, rate)) in windows.iter().enumerate() {
-        let duration = end - start;
-        let mut device_params = Vec::new();
-        for dev in 0..devices {
-            let r = metrics.window_device_requests(w, dev) as f64 / duration;
-            if r <= 0.0 {
-                continue;
-            }
-            let misses = estimate_miss_ratios(&metrics, dev);
-            device_params.push(DeviceParams {
-                arrival_rate: r,
-                data_read_rate: (metrics.window_device_data_ops(w, dev) as f64 / duration).max(r),
-                miss_index: misses[0],
-                miss_meta: misses[1],
-                miss_data: misses[2],
-                index_disk: calibration.index_law.clone(),
-                meta_disk: calibration.meta_law.clone(),
-                data_disk: calibration.data_law.clone(),
-                parse_be: calibration.parse_be.clone(),
-                processes: scenario.cluster.processes_per_device,
-            });
-        }
-        let row = if device_params.is_empty() {
-            vec![None; slas.len()]
-        } else {
-            let params = SystemParams {
-                frontend: FrontendParams {
-                    arrival_rate: rate
-                        .max(device_params.iter().map(|d| d.arrival_rate).sum::<f64>()),
-                    processes: scenario.cluster.frontend_processes,
-                    parse_fe: calibration.parse_fe.clone(),
-                },
-                devices: device_params,
-            };
-            match SystemModel::new(&params, ModelVariant::Full) {
-                Ok(m) => slas
-                    .iter()
-                    .map(|&s| Some(m.fraction_meeting_sla(s)))
-                    .collect(),
-                Err(_) => vec![None; slas.len()],
-            }
-        };
-        offline.push(row);
-    }
-
-    // Report: per window per SLA, observed vs online vs offline.
-    println!("rate_req_s sla_ms observed online offline");
+    // Report: per window per SLA, observed vs online.
+    println!("rate_req_s sla_ms observed online");
     let mut mae_online = Vec::new();
-    let mut mae_offline = Vec::new();
-    let mut gap_online_offline = Vec::new();
     for (w, &(_, _, rate)) in windows.iter().enumerate() {
         for (si, &sla) in slas.iter().enumerate() {
             let obs = metrics.observed_fraction(w, si);
             let onl = online[w][si];
-            let ofl = offline[w][si];
             println!(
-                "{rate:>9.1} {:>6.0} {:>8} {:>6} {:>7}",
+                "{rate:>9.1} {:>6.0} {:>8} {:>6}",
                 sla * 1000.0,
                 fmt(obs),
-                fmt(onl),
-                fmt(ofl)
+                fmt(onl)
             );
             if let (Some(o), Some(p)) = (obs, onl) {
                 mae_online.push((o - p).abs());
-            }
-            if let (Some(o), Some(p)) = (obs, ofl) {
-                mae_offline.push((o - p).abs());
-            }
-            if let (Some(a), Some(b)) = (onl, ofl) {
-                gap_online_offline.push((a - b).abs());
             }
         }
     }
@@ -208,15 +120,6 @@ fn main() {
         "# MAE online  vs observed: {:.4} ({} cells)",
         mean(&mae_online),
         mae_online.len()
-    );
-    println!(
-        "# MAE offline vs observed: {:.4} ({} cells)",
-        mean(&mae_offline),
-        mae_offline.len()
-    );
-    println!(
-        "# mean |online - offline|: {:.4}",
-        mean(&gap_online_offline)
     );
 
     // Memoization under a polling dashboard: repeat the same question mix.

@@ -12,8 +12,8 @@ fn main() {
     let scale = parse_scale(60.0);
     eprintln!("# table1: scenarios S1 + S16, time scale {scale}x");
     let slas = [0.010, 0.050, 0.100];
-    let s1 = run_scenario(&Scenario::s1().quick(scale), &slas, false);
-    let s16 = run_scenario(&Scenario::s16().quick(scale), &slas, false);
+    let s1 = run_scenario(&Scenario::s1().quick(scale), &slas);
+    let s16 = run_scenario(&Scenario::s16().quick(scale), &slas);
     println!("## Table I — prediction errors of our model");
     print_table1(&s1);
     print_table1(&s16);

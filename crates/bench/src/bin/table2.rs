@@ -10,8 +10,8 @@ fn main() {
     let scale = parse_scale(60.0);
     eprintln!("# table2: scenarios S1 + S16, time scale {scale}x");
     let slas = [0.010, 0.050, 0.100];
-    let s1 = run_scenario(&Scenario::s1().quick(scale), &slas, false);
-    let s16 = run_scenario(&Scenario::s16().quick(scale), &slas, false);
+    let s1 = run_scenario(&Scenario::s1().quick(scale), &slas);
+    let s16 = run_scenario(&Scenario::s16().quick(scale), &slas);
     println!("## Table II — mean prediction errors of different models");
     print_table2(&s1);
     print_table2(&s16);

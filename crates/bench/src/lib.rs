@@ -26,7 +26,6 @@ pub mod scenario;
 pub mod summary;
 
 pub use scenario::{
-    calibrate, estimate_miss_ratios, run_scenario, Calibration, Cell, Scenario, ScenarioResult,
-    WindowResult,
+    calibrate, fit_windows, run_scenario, simulate, Cell, Scenario, ScenarioResult, WindowResult,
 };
 pub use summary::{overall_mean_error, prediction_points, table1_row, table2_row};

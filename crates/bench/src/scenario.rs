@@ -7,23 +7,26 @@
 //!    parsing against a cached object;
 //! 2. synthesize the Wikipedia-like workload with the three-phase rate
 //!    schedule and replay it against the simulated cluster (the testbed
-//!    substitute);
-//! 3. for every measured 5-minute window (one arrival rate each), read the
-//!    online metrics (§IV-B: per-device arrival and data-read rates, cache
-//!    miss ratios via the 0.015 ms latency threshold) and predict the
-//!    percentile of requests meeting each SLA with the full model and both
+//!    substitute), streaming its telemetry;
+//! 3. fit every measured 5-minute window (one arrival rate each) with the
+//!    served [`OnlineCalibrator`] (§IV-B: per-device arrival and data-read
+//!    rates, cache miss ratios via the 0.015 ms latency threshold, and the
+//!    in-window disk time split into per-operation means), and predict the
+//!    percentile of requests meeting each SLA with the full model and the
 //!    baselines;
 //! 4. emit `(rate, observed, predictions…)` rows — the series plotted in
 //!    Fig. 6/7 and summarized in Tables I/II.
 
-use cos_model::{
-    fit_disk_law, miss_ratio_by_threshold, DeviceParams, FrontendParams, ModelVariant, SystemModel,
-    SystemParams, LATENCY_THRESHOLD,
-};
-use cos_queueing::{from_distribution, DynServiceTime};
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use cos_model::{fit_disk_law, ModelVariant, SystemModel, SystemParams};
+use cos_queueing::from_distribution;
+use cos_serve::{CalibrationBase, CalibratorConfig, OnlineCalibrator, TelemetryEvent};
 use cos_simkit::RngStreams;
 use cos_storesim::{
-    benchmark_disk, benchmark_parse, ClusterConfig, DiskOpKind, Metrics, MetricsConfig,
+    benchmark_disk, benchmark_parse, ClusterConfig, Metrics, MetricsConfig, SimTelemetry,
+    Simulation, TelemetrySink,
 };
 use cos_workload::{Catalog, CatalogConfig, PhaseConfig, PhaseSchedule, TraceStream};
 
@@ -166,149 +169,128 @@ impl ScenarioResult {
     }
 }
 
-/// Calibrated device performance properties (§IV-A outputs), shared by all
-/// devices (the testbed's disks are homogeneous).
-pub struct Calibration {
-    /// Fitted index-lookup law.
-    pub index_law: DynServiceTime,
-    /// Fitted metadata-read law.
-    pub meta_law: DynServiceTime,
-    /// Fitted data-read law.
-    pub data_law: DynServiceTime,
-    /// Backend parse law.
-    pub parse_be: DynServiceTime,
-    /// Frontend parse law.
-    pub parse_fe: DynServiceTime,
-}
-
-/// Runs the §IV-A calibration against a cluster configuration.
-pub fn calibrate(cluster: &ClusterConfig, disk_ops: usize) -> Calibration {
+/// Runs the §IV-A calibration against a cluster configuration: the
+/// benchmarked disk and parse laws, with the cluster's process topology.
+pub fn calibrate(cluster: &ClusterConfig, disk_ops: usize) -> CalibrationBase {
     let disk = benchmark_disk(cluster, disk_ops);
     let parse = benchmark_parse(cluster, 200);
-    Calibration {
+    CalibrationBase {
         index_law: fit_disk_law(&disk.index).law,
         meta_law: fit_disk_law(&disk.meta).law,
         data_law: fit_disk_law(&disk.data).law,
         parse_be: from_distribution(cos_distr::Degenerate::new(parse.parse_be_estimate)),
         parse_fe: from_distribution(cos_distr::Degenerate::new(parse.parse_fe_estimate)),
+        devices: cluster.devices,
+        processes_per_device: cluster.processes_per_device,
+        frontend_processes: cluster.frontend_processes,
     }
 }
 
-/// Estimates per-kind miss ratios from the run's sampled operation
-/// latencies using the 0.015 ms threshold (§IV-B). Falls back to the
-/// simulator's ground-truth counters when no samples were kept.
-pub fn estimate_miss_ratios(metrics: &Metrics, device: usize) -> [f64; 3] {
-    let mut per_kind: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for s in metrics.op_samples() {
-        let idx = match s.kind {
-            DiskOpKind::Index => 0,
-            DiskOpKind::Meta => 1,
-            DiskOpKind::Data => 2,
-        };
-        per_kind[idx].push(s.latency);
-    }
-    let counters = &metrics.devices[device];
-    let fallback = [
-        counters.miss_ratio(DiskOpKind::Index).unwrap_or(0.0),
-        counters.miss_ratio(DiskOpKind::Meta).unwrap_or(0.0),
-        counters.miss_ratio(DiskOpKind::Data).unwrap_or(0.0),
-    ];
-    let mut out = fallback;
-    for (i, lats) in per_kind.iter().enumerate() {
-        if lats.len() >= 100 {
-            out[i] = miss_ratio_by_threshold(lats, LATENCY_THRESHOLD);
-        }
-    }
-    out
-}
-
-/// Runs a full scenario: calibrate, simulate, predict. `collect_raw`
-/// retains per-request records (needed only by special ablations).
-pub fn run_scenario(scenario: &Scenario, slas: &[f64], collect_raw: bool) -> ScenarioResult {
+/// Synthesizes the scenario's workload from its seed and replays it
+/// against its cluster, streaming every telemetry record into `sink`. The
+/// returned metrics count each SLA's attainment per measured window.
+pub fn simulate(scenario: &Scenario, slas: &[f64], sink: Box<dyn TelemetrySink>) -> Metrics {
     let schedule = PhaseSchedule::new(&scenario.phases);
-    let windows = schedule.measured_windows();
-
-    // §IV-A calibration (workload-independent).
-    let calibration = calibrate(&scenario.cluster, 20_000);
-
-    // Workload synthesis + replay.
     let streams = RngStreams::new(scenario.cluster.seed ^ 0x5EED);
-    let mut catalog_rng = streams.stream("catalog", 0);
-    let catalog = Catalog::synthesize(&scenario.catalog, &mut catalog_rng);
-    let trace_rng = streams.stream("trace", 0);
-    let trace = TraceStream::new(&catalog, &schedule, trace_rng);
-    let metrics_config = MetricsConfig {
+    let catalog = Catalog::synthesize(&scenario.catalog, &mut streams.stream("catalog", 0));
+    let trace = TraceStream::new(&catalog, &schedule, streams.stream("trace", 0));
+    let config = MetricsConfig {
         slas: slas.to_vec(),
-        windows: windows.clone(),
-        collect_raw,
-        op_sample_stride: 37,
+        windows: schedule.measured_windows(),
+        ..MetricsConfig::default()
     };
-    let metrics = cos_storesim::run_simulation(scenario.cluster.clone(), metrics_config, trace);
+    Simulation::new(scenario.cluster.clone(), config)
+        .with_telemetry(sink)
+        .run(trace)
+}
 
-    // Predict per window. Windows are independent (the metrics and
-    // calibrated laws are read-only), so they fan out across threads;
-    // `par_map` merges positionally, keeping the output bit-identical to a
-    // serial loop for any worker count.
-    let devices = scenario.cluster.devices;
-    let nbe = scenario.cluster.processes_per_device;
-    let nfe = scenario.cluster.frontend_processes;
-    let out_windows = cos_par::par_map(
-        cos_par::default_workers(),
-        &windows,
-        |w, &(start, end, rate)| {
-            let duration = end - start;
-            let mut device_params = Vec::with_capacity(devices);
-            for dev in 0..devices {
-                let r = metrics.window_device_requests(w, dev) as f64 / duration;
-                let r_data = metrics.window_device_data_ops(w, dev) as f64 / duration;
-                if r <= 0.0 {
-                    continue;
+/// Simulates the scenario and fits each measured window with its own
+/// [`OnlineCalibrator`], the estimator the service runs (§IV-B: per-device
+/// rates, threshold miss ratios, and the in-window disk time split into
+/// per-operation means). Returns the run's metrics and one fit per window,
+/// `None` where no device saw a request.
+///
+/// A calibrator's window is its measured phase as one bucket, and one
+/// request admits a device. Each event goes to the window holding its
+/// attribution time, timed from that window's start, so the phase is
+/// exactly the bucket wherever its edges fall on the float grid.
+/// Completions and events outside every window feed no fit. Each window is
+/// fitted at the last instant of its bucket: at the window's end the
+/// calibrator would read the next, empty one.
+pub fn fit_windows(scenario: &Scenario, slas: &[f64]) -> (Metrics, Vec<Option<SystemParams>>) {
+    let windows = PhaseSchedule::new(&scenario.phases).measured_windows();
+    let base = calibrate(&scenario.cluster, 20_000);
+    let calibrators: Vec<OnlineCalibrator> = windows
+        .iter()
+        .map(|&(start, end, _)| {
+            let config = CalibratorConfig {
+                window: end - start,
+                buckets: 1,
+                min_device_requests: 1,
+                ..CalibratorConfig::default()
+            };
+            OnlineCalibrator::new(base.clone(), config)
+        })
+        .collect();
+    let calibrators = Rc::new(RefCell::new(calibrators));
+    let fitting = calibrators.clone();
+    let sink = move |event: SimTelemetry| {
+        let mut event = TelemetryEvent::from(event);
+        let (TelemetryEvent::Arrival { at, .. }
+        | TelemetryEvent::DataRead { at, .. }
+        | TelemetryEvent::Op { at, .. }) = &mut event
+        else {
+            return;
+        };
+        let w = windows.partition_point(|&(_, end, _)| end <= *at);
+        let Some(&(start, _, _)) = windows.get(w).filter(|&&(start, _, _)| *at >= start) else {
+            return;
+        };
+        *at -= start;
+        fitting.borrow_mut()[w].ingest(&event);
+    };
+    let metrics = simulate(scenario, slas, Box::new(sink));
+    let fits = calibrators
+        .borrow()
+        .iter()
+        .map(|calibrator| {
+            let now = calibrator.config().window.next_down();
+            calibrator.try_fit(now).ok()
+        })
+        .collect();
+    (metrics, fits)
+}
+
+/// Runs a full scenario: calibrate, simulate, fit each window, predict.
+pub fn run_scenario(scenario: &Scenario, slas: &[f64]) -> ScenarioResult {
+    let (metrics, fits) = fit_windows(scenario, slas);
+    let windows = &metrics.config().windows;
+    // Windows are independent (the fits and metrics are read-only), so they
+    // fan out across threads; `par_map` merges positionally, keeping the
+    // output bit-identical to a serial loop for any worker count.
+    let out_windows = cos_par::par_map(cos_par::default_workers(), &fits, |w, fit| {
+        let [full, odopr, nowta, residual] = ModelVariant::ALL_EXTENDED
+            .map(|variant| fit.as_ref().and_then(|p| SystemModel::new(p, variant).ok()));
+        let cells = slas
+            .iter()
+            .enumerate()
+            .map(|(si, &sla)| {
+                let predict =
+                    |m: &Option<SystemModel>| m.as_ref().map(|m| m.fraction_meeting_sla(sla));
+                Cell {
+                    observed: metrics.observed_fraction(w, si),
+                    full: predict(&full),
+                    odopr: predict(&odopr),
+                    nowta: predict(&nowta),
+                    residual: predict(&residual),
                 }
-                let misses = estimate_miss_ratios(&metrics, dev);
-                device_params.push(DeviceParams {
-                    arrival_rate: r,
-                    data_read_rate: r_data.max(r),
-                    miss_index: misses[0],
-                    miss_meta: misses[1],
-                    miss_data: misses[2],
-                    index_disk: calibration.index_law.clone(),
-                    meta_disk: calibration.meta_law.clone(),
-                    data_disk: calibration.data_law.clone(),
-                    parse_be: calibration.parse_be.clone(),
-                    processes: nbe,
-                });
-            }
-            let mut cells = Vec::with_capacity(slas.len());
-            for (si, &sla) in slas.iter().enumerate() {
-                let observed = metrics.observed_fraction(w, si);
-                let predict = |variant: ModelVariant| -> Option<f64> {
-                    if device_params.is_empty() {
-                        return None;
-                    }
-                    let params = SystemParams {
-                        frontend: FrontendParams {
-                            arrival_rate: rate
-                                .max(device_params.iter().map(|d| d.arrival_rate).sum::<f64>()),
-                            processes: nfe,
-                            parse_fe: calibration.parse_fe.clone(),
-                        },
-                        devices: device_params.clone(),
-                    };
-                    SystemModel::new(&params, variant)
-                        .ok()
-                        .map(|m| m.fraction_meeting_sla(sla))
-                };
-                cells.push(Cell {
-                    observed,
-                    full: predict(ModelVariant::Full),
-                    odopr: predict(ModelVariant::Odopr),
-                    nowta: predict(ModelVariant::NoWta),
-                    residual: predict(ModelVariant::ResidualWta),
-                });
-            }
-            WindowResult { rate, cells }
-        },
-    );
+            })
+            .collect();
+        WindowResult {
+            rate: windows[w].2,
+            cells,
+        }
+    });
     ScenarioResult {
         name: scenario.name.to_string(),
         slas: slas.to_vec(),

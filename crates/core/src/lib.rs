@@ -50,6 +50,6 @@ pub use params::{DeviceParams, FrontendParams, SystemParams};
 pub use planning::{
     elastic_plan, max_admissible_rate, min_devices, model_at_rate, rank_bottlenecks, SlaGoal,
 };
-pub use sensitivity::{sla_sensitivities, sla_sensitivities_par, Parameter, Sensitivity};
+pub use sensitivity::{sla_sensitivities, Parameter, Sensitivity};
 pub use system::{DeviceModel, SystemModel, DELAY_FREE_INVERSION};
 pub use variant::ModelVariant;

@@ -123,63 +123,6 @@ pub fn sla_sensitivities(
     Ok(out)
 }
 
-/// Parallel [`sla_sensitivities`]: the `8 × devices` finite-difference
-/// probes (one up, one down per input) are independent model builds, so
-/// they fan out over `workers` threads via [`cos_par::par_map`]. Each probe
-/// is computed single-threaded and results are merged positionally, so the
-/// output is **bit-identical** to the serial version for any worker count.
-pub fn sla_sensitivities_par(
-    params: &SystemParams,
-    variant: ModelVariant,
-    sla: f64,
-    relative_step: f64,
-    workers: usize,
-) -> Result<Vec<Sensitivity>, ModelError> {
-    assert!(
-        relative_step > 0.0 && relative_step < 0.5,
-        "relative step must be in (0, 0.5), got {relative_step}"
-    );
-    SystemModel::new(params, variant)?;
-    let parameters: Vec<Parameter> = (0..params.devices.len())
-        .flat_map(|device| {
-            [
-                Parameter::ArrivalRate { device },
-                Parameter::MissIndex { device },
-                Parameter::MissMeta { device },
-                Parameter::MissData { device },
-            ]
-        })
-        .collect();
-    let probes: Vec<(Parameter, f64)> = parameters
-        .iter()
-        .flat_map(|&p| [(p, 1.0 + relative_step), (p, 1.0 - relative_step)])
-        .collect();
-    let evals = cos_par::par_map(workers, &probes, |_, &(p, factor)| {
-        SystemModel::new(&perturbed(params, p, factor), variant)
-            .ok()
-            .map(|m| m.fraction_meeting_sla(sla))
-    });
-    let mut out = Vec::with_capacity(parameters.len());
-    for (i, &parameter) in parameters.iter().enumerate() {
-        let (up, down) = (evals[2 * i], evals[2 * i + 1]);
-        let derivative = match (up, down) {
-            (Some(u), Some(d)) => (u - d) / (2.0 * relative_step),
-            _ => f64::NEG_INFINITY,
-        };
-        out.push(Sensitivity {
-            parameter,
-            derivative,
-        });
-    }
-    out.sort_by(|a, b| {
-        b.derivative
-            .abs()
-            .partial_cmp(&a.derivative.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,26 +207,5 @@ mod tests {
     #[test]
     fn baseline_instability_is_an_error() {
         assert!(sla_sensitivities(&params(400.0), ModelVariant::Full, 0.05, 0.05).is_err());
-    }
-
-    #[test]
-    fn parallel_sensitivities_bit_identical_to_serial() {
-        let p = params(120.0);
-        let serial = sla_sensitivities(&p, ModelVariant::Full, 0.05, 0.05).unwrap();
-        for workers in [1, 2, 4, 7] {
-            let par = sla_sensitivities_par(&p, ModelVariant::Full, 0.05, 0.05, workers).unwrap();
-            assert_eq!(serial.len(), par.len());
-            for (a, b) in serial.iter().zip(par.iter()) {
-                assert_eq!(a.parameter, b.parameter, "workers={workers}");
-                assert_eq!(
-                    a.derivative.to_bits(),
-                    b.derivative.to_bits(),
-                    "workers={workers}: {:?} {} vs {}",
-                    a.parameter,
-                    a.derivative,
-                    b.derivative
-                );
-            }
-        }
     }
 }

@@ -38,6 +38,6 @@ mod cos_bench_shim {
     }
 
     pub fn run(scenario: &Scenario, slas: &[f64]) -> ScenarioResult {
-        run_scenario(scenario, slas, false)
+        run_scenario(scenario, slas)
     }
 }

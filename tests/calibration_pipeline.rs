@@ -2,6 +2,7 @@
 //! ground-truth device properties well enough that a model built purely from
 //! calibrated parameters matches one built from ground truth.
 
+use cos_bench::{fit_windows, Scenario};
 use cosmodel::distr::{fit_best, Family};
 use cosmodel::model::{
     decompose_disk_service, fit_disk_law, miss_ratio_by_threshold, LATENCY_THRESHOLD,
@@ -198,4 +199,53 @@ fn service_decomposition_recovers_per_kind_means() {
             decomposed[i]
         );
     }
+}
+
+/// The experiments fit each measured window with the served calibrator
+/// (`fit_windows`: the window as its one bucket). On every window of a
+/// compressed S1 run the fitted devices are exactly those the simulator
+/// routed an in-window request to, and their arrival and data-read rates
+/// are its window counters over the window length (a request reads at
+/// least one chunk).
+#[test]
+fn scenario_window_fits_read_the_simulators_window_counters() {
+    let scenario = Scenario::s1().quick(1200.0);
+    let (metrics, fits) = fit_windows(&scenario, &[0.05]);
+    let windows = &metrics.config().windows;
+    assert_eq!(fits.len(), windows.len());
+    let close = |fitted: f64, counted: f64| (fitted - counted).abs() <= 1e-12 * counted;
+    let mut fitted_devices = 0;
+    for (w, (&(start, end, _), fit)) in windows.iter().zip(&fits).enumerate() {
+        let span = end - start;
+        let counted: Vec<(usize, f64, f64)> = (0..scenario.cluster.devices)
+            .filter_map(|d| {
+                let requests = metrics.window_device_requests(w, d);
+                let reads = metrics.window_device_data_ops(w, d).max(requests);
+                (requests > 0).then(|| (d, requests as f64 / span, reads as f64 / span))
+            })
+            .collect();
+        let fitted = fit.as_ref().map_or(&[][..], |params| &params.devices[..]);
+        assert_eq!(
+            fitted.len(),
+            counted.len(),
+            "window {w}: fitted device count"
+        );
+        for (device, &(d, r, r_data)) in fitted.iter().zip(&counted) {
+            assert!(
+                close(device.arrival_rate, r),
+                "window {w}, device {d}: arrival rate {} vs {r}",
+                device.arrival_rate
+            );
+            assert!(
+                close(device.data_read_rate, r_data),
+                "window {w}, device {d}: data-read rate {} vs {r_data}",
+                device.data_read_rate
+            );
+        }
+        fitted_devices += fitted.len();
+    }
+    assert!(
+        fitted_devices > windows.len(),
+        "{fitted_devices} device fits"
+    );
 }

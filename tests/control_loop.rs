@@ -20,7 +20,7 @@
 use cos_bench::scenario::calibrate;
 use cosmodel::ctrl::{AdmissionPolicy, Controller, CtrlConfig, SlaClass};
 use cosmodel::model::SlaGoal;
-use cosmodel::serve::{CalibrationBase, CalibratorConfig, DriftConfig, ServeConfig, SlaService};
+use cosmodel::serve::{CalibratorConfig, DriftConfig, ServeConfig, SlaService};
 use cosmodel::storesim::{
     ChaosSchedule, ClusterConfig, Fault, MetricsConfig, SimTelemetry, Simulation,
 };
@@ -91,17 +91,7 @@ fn run_scenario(name: &str, rate: f64, schedule: ChaosSchedule) {
     let events: Vec<SimTelemetry> = rx.try_iter().collect();
 
     // --- online service + controller ------------------------------------
-    let calibration = calibrate(&cluster, 20_000);
-    let base = CalibrationBase {
-        index_law: calibration.index_law.clone(),
-        meta_law: calibration.meta_law.clone(),
-        data_law: calibration.data_law.clone(),
-        parse_be: calibration.parse_be.clone(),
-        parse_fe: calibration.parse_fe.clone(),
-        devices: cluster.devices,
-        processes_per_device: cluster.processes_per_device,
-        frontend_processes: cluster.frontend_processes,
-    };
+    let base = calibrate(&cluster, 20_000);
     let mut service = SlaService::new(
         base,
         ServeConfig {

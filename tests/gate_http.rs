@@ -59,8 +59,7 @@ fn simulated_events(cluster: &ClusterConfig, rate: f64, duration: f64) -> Vec<Te
         MetricsConfig {
             slas: vec![0.050],
             windows: vec![(duration * 0.2, duration, rate)],
-            collect_raw: false,
-            op_sample_stride: 37,
+            ..MetricsConfig::default()
         },
     )
     .with_telemetry(Box::new(tx))
@@ -161,17 +160,7 @@ fn gate_answers_bit_for_bit_with_the_in_process_service() {
     let cluster = ClusterConfig::paper_s1();
     let rate = 60.0;
     let slas = vec![0.010, 0.050, 0.100];
-    let calibration = calibrate(&cluster, 10_000);
-    let base = CalibrationBase {
-        index_law: calibration.index_law.clone(),
-        meta_law: calibration.meta_law.clone(),
-        data_law: calibration.data_law.clone(),
-        parse_be: calibration.parse_be.clone(),
-        parse_fe: calibration.parse_fe.clone(),
-        devices: cluster.devices,
-        processes_per_device: cluster.processes_per_device,
-        frontend_processes: cluster.frontend_processes,
-    };
+    let base = calibrate(&cluster, 10_000);
     let config = ServeConfig {
         slas: slas.clone(),
         calibrator: CalibratorConfig {
@@ -831,17 +820,7 @@ fn prometheus_types(text: &str) -> Vec<(String, String)> {
 #[test]
 fn selfcheck_and_metrics_reflect_real_traffic_end_to_end() {
     let cluster = ClusterConfig::paper_s1();
-    let calibration = calibrate(&cluster, 6_000);
-    let base = CalibrationBase {
-        index_law: calibration.index_law.clone(),
-        meta_law: calibration.meta_law.clone(),
-        data_law: calibration.data_law.clone(),
-        parse_be: calibration.parse_be.clone(),
-        parse_fe: calibration.parse_fe.clone(),
-        devices: cluster.devices,
-        processes_per_device: cluster.processes_per_device,
-        frontend_processes: cluster.frontend_processes,
-    };
+    let base = calibrate(&cluster, 6_000);
     // One registry shared by service and gate — /metrics shows both.
     let registry = cosmodel::obs::Registry::new();
     let config = ServeConfig {

@@ -237,7 +237,7 @@ fn full_model_beats_odopr_across_a_small_sweep() {
 /// ODOPR's.
 #[test]
 fn full_model_beats_odopr_through_the_scenario_pipeline() {
-    let result = run_scenario(&Scenario::s1().quick(1200.0), &[0.05], false);
+    let result = run_scenario(&Scenario::s1().quick(1200.0), &[0.05]);
     let [full, odopr] = [ModelVariant::Full, ModelVariant::Odopr]
         .map(|variant| ErrorSummary::from_points(&prediction_points(&result, 0, variant)).mean);
     assert!(
