@@ -54,10 +54,14 @@ fn main() {
         },
         trace,
     );
+    // The measured window `[0.2·duration, duration)`, which the
+    // `P(<= …)` lines count too: the trace's last arrival lands past
+    // `duration` and stays out of both.
+    let window = duration * 0.2..duration;
     let raw: Vec<_> = metrics
         .raw()
         .iter()
-        .filter(|r| r.arrival > duration * 0.2)
+        .filter(|r| window.contains(&r.arrival))
         .collect();
     let n = raw.len() as f64;
     let mean =

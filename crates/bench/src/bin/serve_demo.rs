@@ -2,8 +2,8 @@
 //!
 //! Runs the S1 simulator as a **live telemetry source**: every routed
 //! request, data read, backend operation, and completion streams through
-//! a telemetry sender into a spawned [`cos_serve::SlaService`], which
-//! ingests it on the simulation's thread, calibrates itself on sliding
+//! the handle of a spawned [`cos_serve::SlaService`], which ingests it on
+//! the simulation's thread, calibrates itself on sliding
 //! windows and answers SLA queries while the stepped rate sweep is still
 //! running. At each measured-window boundary the demo
 //! snapshots the service's online predictions; after the run it prints
@@ -58,12 +58,13 @@ fn main() {
         ..ServeConfig::default()
     };
     let handle = Arc::new(SlaService::new(base, config).spawn());
+    let reader = handle.reader();
 
     // The telemetry sink: stream every record to the service; at each
     // measured-window boundary, force a re-fit and snapshot the online
     // predictions for that window's rate step.
-    let sender = handle.telemetry_sender();
     let boundary_handle = handle.clone();
+    let boundary_reader = reader.clone();
     let boundary_windows = windows.clone();
     let boundary_slas = slas.clone();
     let mut online: Vec<Vec<Option<f64>>> = Vec::new();
@@ -72,13 +73,13 @@ fn main() {
     let mut next_window = 0usize;
     let sink = move |event: SimTelemetry| {
         let at = event.at();
-        sender.send(event.into());
+        let _ = boundary_handle.ingest(event.into());
         while next_window < boundary_windows.len() && at >= boundary_windows[next_window].1 {
             let _ = boundary_handle.refit_now();
             let row: Vec<Option<f64>> = boundary_slas
                 .iter()
                 .map(|&sla| {
-                    boundary_handle
+                    boundary_reader
                         .attainment(&Query::new().sla(sla))
                         .ok()
                         .map(|p| p.value)
@@ -124,14 +125,14 @@ fn main() {
 
     // Memoization under a polling dashboard: repeat the same question mix.
     let _ = handle.refit_now();
-    let status_before = handle.status().expect("service alive");
+    let status_before = reader.status().expect("service alive");
     for _ in 0..25 {
         for &sla in &slas {
-            let _ = handle.attainment(&Query::new().sla(sla));
+            let _ = reader.attainment(&Query::new().sla(sla));
         }
-        let _ = handle.latency_percentile(&Query::new().p(0.95));
+        let _ = reader.latency_percentile(&Query::new().p(0.95));
     }
-    let status = handle.status().expect("service alive");
+    let status = reader.status().expect("service alive");
     let hits = status.engine.cache.hits - status_before.engine.cache.hits;
     let total = hits + (status.engine.cache.misses - status_before.engine.cache.misses);
     println!(
@@ -141,7 +142,7 @@ fn main() {
 
     // What-if sweep + overload headroom on the final epoch.
     let sweep_rates: Vec<f64> = (1..=7).map(|i| i as f64 * 50.0).collect();
-    if let Ok(points) = handle.sweep(sweep_rates, vec![0.050]) {
+    if let Ok(points) = reader.sweep(&sweep_rates, &[0.050]) {
         let knee = points
             .iter()
             .filter(|p| p.fractions.as_ref().is_some_and(|f| f[0] >= 0.90))
@@ -149,7 +150,7 @@ fn main() {
             .fold(f64::NAN, f64::max);
         println!("# what-if sweep (50 ms SLA): stable ≥90% up to ~{knee:.0} req/s");
     }
-    if let Ok(head) = handle.admissible_rate(&Query::new().sla(0.050).target(0.90).upper(2000.0)) {
+    if let Ok(head) = reader.admissible_rate(&Query::new().sla(0.050).target(0.90).upper(2000.0)) {
         println!(
             "# overload headroom (90% under 50 ms): {:.1} req/s",
             head.value

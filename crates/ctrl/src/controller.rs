@@ -17,12 +17,11 @@
 //!   no matter how often it is polled — which also makes control-loop
 //!   tests deterministic.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use cos_serve::{Query, ServeError, SnapshotReader, TenantId};
+use cos_serve::{Query, ServeError, SnapshotReader};
 
 use crate::admission::{AdmissionPolicy, InvalidPolicy, Shed, SlaClass};
 use crate::anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
@@ -103,79 +102,6 @@ struct Inner {
     ticks: u64,
 }
 
-/// Per-tenant shed-budget registry, consulted by
-/// [`Controller::decide_for`]: a tenant's budget *caps* the shed fraction
-/// applied to that tenant's requests (`effective = min(fleet shed,
-/// budget)`). A budget of `0.0` exempts the tenant from shedding entirely;
-/// `1.0` (or no recorded budget) leaves the fleet-wide fraction untouched.
-///
-/// The registry is written rarely (operator/dashboard actions) and read on
-/// the admission hot path, so the common case — no budgets recorded at
-/// all — is kept off the mutex with a population counter: an empty
-/// registry costs one relaxed atomic load per decision.
-#[derive(Debug, Default)]
-pub struct TenantShedBudgets {
-    budgets: Mutex<HashMap<TenantId, f64>>,
-    /// Number of recorded budgets, maintained alongside the map so the
-    /// hot path can skip the lock when nothing is registered.
-    population: AtomicUsize,
-}
-
-impl TenantShedBudgets {
-    /// Sets `tenant`'s shed budget, clamped to `[0, 1]` (the fraction of
-    /// that tenant's traffic the controller may refuse under pressure).
-    pub fn set(&self, tenant: TenantId, fraction: f64) {
-        let fraction = fraction.clamp(0.0, 1.0);
-        let mut budgets = self.budgets.lock().expect("tenant budgets lock");
-        if budgets.insert(tenant, fraction).is_none() {
-            self.population.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// The budget recorded for `tenant`, if any.
-    pub fn get(&self, tenant: &TenantId) -> Option<f64> {
-        self.budgets
-            .lock()
-            .expect("tenant budgets lock")
-            .get(tenant)
-            .copied()
-    }
-
-    /// The shed cap to apply to `tenant`'s requests: the recorded budget,
-    /// or `None` when the tenant is uncapped. One relaxed load (no lock)
-    /// when the registry is empty — the steady state of a fleet that has
-    /// never configured budgets.
-    pub fn cap_for(&self, tenant: &TenantId) -> Option<f64> {
-        if self.population.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        self.get(tenant)
-    }
-
-    /// Removes `tenant`'s budget, returning it.
-    pub fn remove(&self, tenant: &TenantId) -> Option<f64> {
-        let removed = self
-            .budgets
-            .lock()
-            .expect("tenant budgets lock")
-            .remove(tenant);
-        if removed.is_some() {
-            self.population.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    /// How many tenants have a recorded budget.
-    pub fn len(&self) -> usize {
-        self.budgets.lock().expect("tenant budgets lock").len()
-    }
-
-    /// Whether no tenant has a recorded budget.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Fixed-point denominator of the error-diffusion accumulators.
 const ACC_ONE: u64 = 1_000_000;
 
@@ -194,7 +120,6 @@ pub struct Controller {
     acc: [AtomicU64; 3],
     admitted_total: AtomicU64,
     shed_total: [AtomicU64; 3],
-    tenant_budgets: TenantShedBudgets,
     inner: Mutex<Inner>,
 }
 
@@ -210,7 +135,6 @@ impl Controller {
             acc: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             admitted_total: AtomicU64::new(0),
             shed_total: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
-            tenant_budgets: TenantShedBudgets::default(),
             inner: Mutex::new(Inner {
                 detector,
                 last_generation: None,
@@ -223,12 +147,6 @@ impl Controller {
     /// The policy this controller runs.
     pub fn policy(&self) -> &AdmissionPolicy {
         &self.policy
-    }
-
-    /// The per-tenant shed-budget registry (see [`TenantShedBudgets`] for
-    /// its current stub status).
-    pub fn tenant_budgets(&self) -> &TenantShedBudgets {
-        &self.tenant_budgets
     }
 
     /// Current total shed fraction.
@@ -244,36 +162,19 @@ impl Controller {
         self.shed_bits.store(f.to_bits(), Ordering::Relaxed);
     }
 
-    /// Per-request admission decision with no tenant attribution: the
-    /// fleet-wide shed fraction applies uncapped. `Ok` admits; `Err`
-    /// carries the `Retry-After` the gate answers with the 429.
+    /// Per-request admission decision: the fleet-wide shed fraction, as
+    /// the class's rung of the shed ladder sees it, applies to every
+    /// tenant alike. `Ok` admits; `Err` carries the `Retry-After` the gate
+    /// answers with the 429.
     #[inline]
     pub fn decide(&self, class: SlaClass) -> Result<(), Shed> {
-        self.decide_capped(class, None)
-    }
-
-    /// Tenant-attributed admission decision: `tenant`'s recorded shed
-    /// budget (see [`TenantShedBudgets`]) caps the shed fraction applied
-    /// to this request. With no budget recorded — in particular with an
-    /// empty registry, which costs one extra relaxed load — the decision
-    /// is identical to [`decide`](Self::decide).
-    #[inline]
-    pub fn decide_for(&self, tenant: &TenantId, class: SlaClass) -> Result<(), Shed> {
-        self.decide_capped(class, self.tenant_budgets.cap_for(tenant))
-    }
-
-    #[inline]
-    fn decide_capped(&self, class: SlaClass, cap: Option<f64>) -> Result<(), Shed> {
         let Some(slot) = class.slot() else {
             // Control-plane traffic is never shed.
             self.admitted_total.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         };
         let f = f64::from_bits(self.shed_bits.load(Ordering::Relaxed));
-        let mut eff = class.effective_shed(f);
-        if let Some(cap) = cap {
-            eff = eff.min(cap);
-        }
+        let eff = class.effective_shed(f);
         let drop = if eff <= 0.0 {
             false
         } else if eff >= 1.0 {
@@ -668,74 +569,6 @@ mod tests {
         assert_eq!(r.shed, 0.0);
         assert!(r.attainment.is_none());
         assert!(ctrl.decide(SlaClass::Batch).is_ok());
-    }
-
-    #[test]
-    fn tenant_shed_budgets_record_clamp_and_remove() {
-        let (_service, ctrl) = rig(AdmissionPolicy::default());
-        let blue = TenantId::new("blue").unwrap();
-        assert!(ctrl.tenant_budgets().is_empty());
-        assert_eq!(ctrl.tenant_budgets().cap_for(&blue), None);
-        ctrl.tenant_budgets().set(blue.clone(), 1.5);
-        assert_eq!(ctrl.tenant_budgets().get(&blue), Some(1.0), "clamped");
-        ctrl.tenant_budgets().set(blue.clone(), 0.25);
-        assert_eq!(ctrl.tenant_budgets().len(), 1);
-        assert_eq!(ctrl.tenant_budgets().cap_for(&blue), Some(0.25));
-        // At zero shed a budget changes nothing: min(0, 0.25) = 0.
-        for _ in 0..100 {
-            assert!(ctrl.decide_for(&blue, SlaClass::Standard).is_ok());
-        }
-        assert_eq!(ctrl.tenant_budgets().remove(&blue), Some(0.25));
-        assert_eq!(ctrl.tenant_budgets().remove(&blue), None, "idempotent");
-        assert!(ctrl.tenant_budgets().is_empty());
-        assert_eq!(ctrl.tenant_budgets().cap_for(&blue), None);
-    }
-
-    /// The satellite contract: under one violating epoch, two tenants
-    /// with different budgets shed differently — an exempt tenant
-    /// (budget 0) loses nothing while an uncapped tenant sheds the
-    /// fleet-wide batch fraction, and a fractional budget lands between.
-    #[test]
-    fn tenant_budgets_cap_shedding_under_a_violating_epoch() {
-        // Same impossible goal as `violating_epochs_shed_and_report_it`:
-        // 30 ms completions against a 10 ms bound at 99.9%.
-        let (mut service, ctrl) = rig(AdmissionPolicy {
-            goal: cos_model::SlaGoal::new(0.010, 0.999),
-            ..AdmissionPolicy::default()
-        });
-        feed(&mut service, 0.0, 20.0, 0.030);
-        service.refit_now();
-        let report = ctrl.tick();
-        assert!(report.violating);
-        assert!(report.shed > 0.0);
-
-        let gold = TenantId::new("gold").unwrap();
-        let bulk = TenantId::new("bulk").unwrap();
-        let half = TenantId::new("half").unwrap();
-        ctrl.tenant_budgets().set(gold.clone(), 0.0);
-        ctrl.tenant_budgets().set(half.clone(), report.shed / 2.0);
-        // `bulk` records no budget: uncapped.
-
-        let shed_count = |tenant: &TenantId| {
-            (0..1000)
-                .filter(|_| ctrl.decide_for(tenant, SlaClass::Batch).is_err())
-                .count()
-        };
-        let gold_shed = shed_count(&gold);
-        let half_shed = shed_count(&half);
-        let bulk_shed = shed_count(&bulk);
-        assert_eq!(gold_shed, 0, "budget 0 exempts the tenant entirely");
-        assert!(
-            bulk_shed > 0,
-            "uncapped tenant must shed under a violating epoch"
-        );
-        assert!(
-            half_shed > 0 && half_shed < bulk_shed,
-            "a fractional budget must land between exempt and uncapped \
-             (half {half_shed}, bulk {bulk_shed})"
-        );
-        // Control-plane traffic stays unsheddable regardless of tenant.
-        assert!(ctrl.decide_for(&bulk, SlaClass::Control).is_ok());
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub mod controller;
 
 pub use admission::{AdmissionPolicy, InvalidPolicy, Shed, SlaClass};
 pub use anomaly::{Anomaly, AnomalyConfig, AnomalyDetector};
-pub use controller::{Controller, CtrlConfig, CtrlStats, TenantShedBudgets, TickReport, Ticker};
+pub use controller::{Controller, CtrlConfig, CtrlStats, TickReport, Ticker};

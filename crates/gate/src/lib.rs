@@ -23,17 +23,20 @@
 //! * [`query`] — query-string parsing with percent-decoding and typed
 //!   parameter accessors;
 //! * [`routes`] — the `/v1/*` query surface over a cloned
-//!   [`cos_serve::ServiceClient`], answered from its lock-free snapshot,
-//!   plus the telemetry wire format and the per-request admission check
-//!   (`429` + `Retry-After`) when the gate runs with a
-//!   [`cos_ctrl::Controller`];
+//!   [`cos_serve::ServiceClient`], answered from its lock-free snapshot
+//!   reader, plus the telemetry wire format and the per-request admission
+//!   check (`429` + `Retry-After`) when the gate runs with a
+//!   [`cos_ctrl::Controller`]. A route checks a question's wire syntax
+//!   only; [`cos_serve::Query`] judges its values;
 //! * [`metrics`] — `GET /metrics` Prometheus-style text exposition;
 //! * [`obs`] — the gate's self-measuring instruments ([`GateObs`]):
 //!   per-route request latency, parse/dispatch sub-spans, and counters,
 //!   recorded into the [`cos_obs::Registry`] carried by [`GateConfig`];
 //! * [`server`] — the socket front door: keep-alive, pipelining, write
 //!   timeouts, per-request deadlines, connection caps, and a graceful
-//!   shutdown that drains in-flight responses;
+//!   shutdown that drains in-flight responses. Its [`GateConfig`] is a
+//!   struct literal, checked by [`Gate::bind`] and [`Gate::serve`] before
+//!   they start;
 //! * [`reactor`] — the event-driven core: a fixed pool of reactor threads
 //!   taking connections from one shared listener and multiplexing them
 //!   over a level-triggered readiness poller ([`cos_par::poller`]: epoll
@@ -69,4 +72,4 @@ pub use json::Value;
 pub use metrics::{render_ctrl_metrics, render_metrics};
 pub use obs::{GateObs, TRACKED_ROUTES};
 pub use routes::{classify, decode_events, encode_events, handle, handle_ctrl, status_body};
-pub use server::{Gate, GateConfig, GateConfigBuilder, InvalidConfig};
+pub use server::{Gate, GateConfig};

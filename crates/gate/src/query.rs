@@ -1,7 +1,8 @@
 //! Query-string parsing for the `/v1/*` endpoints: `a=b&c=d` pairs with
 //! percent-decoding and `+`-as-space, plus typed parameter accessors whose
 //! error strings name the offending parameter (they become the `400`
-//! response body).
+//! response body). The accessors check syntax only; the values are
+//! judged by the [`cos_serve::Query`] they feed.
 
 /// Decoded `key=value` pairs, in query order.
 pub type Params = Vec<(String, String)>;
@@ -60,20 +61,16 @@ pub fn get<'a>(params: &'a Params, name: &str) -> Option<&'a str> {
         .map(|(_, v)| v.as_str())
 }
 
-/// Required finite-`f64` parameter.
-pub fn require_f64(params: &Params, name: &str) -> Result<f64, String> {
-    let raw = get(params, name).ok_or_else(|| format!("missing query parameter `{name}`"))?;
-    raw.parse::<f64>()
-        .ok()
-        .filter(|v| v.is_finite())
-        .ok_or_else(|| format!("query parameter `{name}` must be a finite number"))
-}
-
-/// Optional finite-`f64` parameter with a default.
-pub fn optional_f64(params: &Params, name: &str, default: f64) -> Result<f64, String> {
+/// Optional number parameter (`None` when absent). Only the syntax is
+/// checked: whether the value is finite, positive or in range is for the
+/// question it feeds to judge.
+pub fn optional_f64(params: &Params, name: &str) -> Result<Option<f64>, String> {
     match get(params, name) {
-        None => Ok(default),
-        Some(_) => require_f64(params, name),
+        None => Ok(None),
+        Some(raw) => raw
+            .parse::<f64>()
+            .map(Some)
+            .map_err(|_| format!("query parameter `{name}` must be a number")),
     }
 }
 
@@ -115,13 +112,15 @@ mod tests {
     }
 
     #[test]
-    fn typed_accessors_name_the_parameter() {
-        let p = parse_query("sla=0.05&bad=nan").unwrap();
-        assert_eq!(require_f64(&p, "sla").unwrap(), 0.05);
-        assert!(require_f64(&p, "missing").unwrap_err().contains("missing"));
-        assert!(require_f64(&p, "bad").unwrap_err().contains("finite"));
-        assert_eq!(optional_f64(&p, "upper", 10.0).unwrap(), 10.0);
-        assert!(optional_f64(&p, "bad", 1.0).is_err());
+    fn optional_f64_checks_syntax_only_and_names_the_parameter() {
+        let p = parse_query("sla=0.05&neg=-1&inf=inf&bad=abc").unwrap();
+        assert_eq!(optional_f64(&p, "sla").unwrap(), Some(0.05));
+        assert_eq!(optional_f64(&p, "missing").unwrap(), None);
+        // Values are the question's to judge, not the parser's.
+        assert_eq!(optional_f64(&p, "neg").unwrap(), Some(-1.0));
+        assert_eq!(optional_f64(&p, "inf").unwrap(), Some(f64::INFINITY));
+        let e = optional_f64(&p, "bad").unwrap_err();
+        assert!(e.contains("`bad`") && e.contains("number"), "{e}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The query surface: maps parsed [`Request`]s onto [`ServiceClient`]
-//! calls and renders JSON answers.
+//! The query surface: maps parsed [`Request`]s onto the service's
+//! [`SnapshotReader`] and [`ServiceClient`] writes, and renders JSON
+//! answers.
 //!
 //! | Route | Answer |
 //! |---|---|
@@ -19,6 +20,13 @@
 //! tenant: `/v1/attainment` and `/v1/tenants/default/attainment` answer
 //! with byte-identical bodies (and likewise for every aliased route) —
 //! both dispatch through the same tenant-parameterized handler.
+//!
+//! The gate checks only a question's wire syntax: percent-decoding, number
+//! and integer syntax, which parameters each route reads, and `n`/`k`
+//! given both or neither. Every rule on the values (present, finite,
+//! positive, in range, which combine) is [`Query`]'s, the same for a
+//! library caller as on the wire; its refusal,
+//! [`ServeError::BadQuery`], is a `400` like a syntax error.
 //!
 //! Status mapping: unknown path → `404`; known path, wrong method → `405`
 //! with `Allow`; malformed query/body → `400`; a service that cannot answer
@@ -46,7 +54,8 @@
 
 use cos_ctrl::{Controller, SlaClass};
 use cos_serve::{
-    OpClass, Prediction, Query, ServeError, ServiceClient, ServiceStatus, TelemetryEvent, TenantId,
+    OpClass, Prediction, Query, ServeError, ServiceClient, ServiceStatus, SnapshotReader,
+    TelemetryEvent, TenantId,
 };
 
 use crate::http::{Method, Request, Response};
@@ -55,21 +64,27 @@ use crate::metrics::{render_ctrl_metrics, render_metrics, render_tenant_metrics}
 use crate::obs::GateObs;
 use crate::query;
 
-/// Default `upper` bound (req/s) of the headroom search.
-pub const DEFAULT_HEADROOM_UPPER: f64 = cos_serve::DEFAULT_HEADROOM_UPPER;
-
 /// The GET routes' view of the service, scoped to one tenant's estimator
 /// shard. Legacy `/v1/*` routes run through the same struct with the
 /// reserved `default` tenant, which is what makes the alias byte-exact.
 struct Reader<'a> {
-    client: &'a ServiceClient,
-    tenant: TenantId,
+    snapshot: SnapshotReader,
+    tenant: &'a TenantId,
 }
 
+/// A [`Query`] setter, such as [`Query::sla`].
+type Setter = fn(Query, f64) -> Query;
+
 impl Reader<'_> {
-    /// A fresh [`Query`] scoped to this reader's tenant.
-    fn query(&self) -> Query {
-        Query::tenant(self.tenant.clone())
+    /// A [`Query`] scoped to this reader's tenant, with each value the
+    /// request carried handed to its setter. A value the request did not
+    /// carry stays unset, for [`Query`] to refuse if the question needs it.
+    fn query(&self, fields: &[(Option<f64>, Setter)]) -> Query {
+        let query = Query::tenant(self.tenant.clone());
+        fields.iter().fold(query, |q, &(value, set)| match value {
+            Some(v) => set(q, v),
+            None => q,
+        })
     }
 }
 
@@ -149,12 +164,11 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
 /// appends every registered instrument and `/v1/selfcheck` reports
 /// observed request percentiles.
 ///
-/// Tenant resolution runs *before* the admission decision so the
-/// controller can apply the tenant's shed budget
-/// ([`Controller::decide_for`]). Consequently a request with a malformed
-/// or unroutable tenant path is refused `422`/`404` even while shedding:
-/// the refusal is cheaper than admitting the request would have been, and
-/// a request that could never route should not consume shed-ladder budget.
+/// Tenant resolution runs *before* the admission decision, so a request
+/// with a malformed or unroutable tenant path is refused `422`/`404` even
+/// while shedding: the refusal is cheaper than admitting the request
+/// would have been, and a request that could never route should not
+/// consume shed-ladder budget.
 pub fn handle_ctrl(
     client: &ServiceClient,
     obs: Option<&GateObs>,
@@ -166,7 +180,7 @@ pub fn handle_ctrl(
         Err(refusal) => return refusal,
     };
     if let Some(ctrl) = ctrl {
-        if let Err(shed) = ctrl.decide_for(&tenant, classify(req)) {
+        if let Err(shed) = ctrl.decide(classify(req)) {
             if let Some(obs) = obs {
                 obs.sheds_total.inc();
             }
@@ -174,29 +188,29 @@ pub fn handle_ctrl(
                 .with_header("Retry-After", shed.retry_after.to_string());
         }
     }
-    let reader = Reader {
-        client,
-        tenant: tenant.clone(),
-    };
-    let get = |handler: &dyn Fn() -> Response| -> Response {
-        if req.method == Method::Get {
-            handler()
-        } else {
-            Response::error(405, "method not allowed").with_header("Allow", "GET".into())
+    // A GET route's handler answers `Err` with its refusal, rendered.
+    let get = |handler: &dyn Fn(&Reader<'_>) -> Result<Response, Response>| -> Response {
+        if req.method != Method::Get {
+            return Response::error(405, "method not allowed").with_header("Allow", "GET".into());
         }
+        let reader = Reader {
+            snapshot: client.reader(),
+            tenant: &tenant,
+        };
+        handler(&reader).unwrap_or_else(|refusal| refusal)
     };
     match route {
-        "/v1/attainment" => get(&|| attainment(&reader, req)),
-        "/v1/percentile" => get(&|| percentile(&reader, req)),
-        "/v1/headroom" => get(&|| headroom(&reader, req)),
-        "/v1/bottlenecks" => get(&|| bottlenecks(&reader, req)),
-        "/v1/status" => get(&|| status(&reader, req)),
-        "/v1/selfcheck" => get(&|| selfcheck(&reader, obs)),
+        "/v1/attainment" => get(&|r| attainment(r, req)),
+        "/v1/percentile" => get(&|r| percentile(r, req)),
+        "/v1/headroom" => get(&|r| headroom(r, req)),
+        "/v1/bottlenecks" => get(&|r| bottlenecks(r, req)),
+        "/v1/status" => get(&status),
+        "/v1/selfcheck" => get(&|r| Ok(selfcheck(r, obs))),
         "/v1/anomalies" => match ctrl {
-            Some(ctrl) => get(&|| anomalies(ctrl)),
+            Some(ctrl) => get(&|_| Ok(anomalies(ctrl))),
             None => Response::error(404, "no such route"),
         },
-        "/metrics" => get(&|| metrics(&reader, obs, ctrl)),
+        "/metrics" => get(&|r| metrics(r, obs, ctrl)),
         "/v1/telemetry" => {
             if req.method == Method::Post {
                 telemetry(client, &tenant, req)
@@ -212,10 +226,11 @@ pub fn handle_ctrl(
 fn service_error(e: ServeError) -> Response {
     let status = match e {
         ServeError::NotCalibrated | ServeError::Disconnected => 503,
+        // A question `Query` refuses is malformed, like a syntax error.
+        ServeError::BadQuery { .. } => 400,
         ServeError::Unstable { .. }
         | ServeError::PercentileOutOfRange { .. }
         | ServeError::GoalUnreachable
-        | ServeError::BadQuery { .. }
         | ServeError::UnknownDevice { .. } => 422,
         // A syntactically valid tenant no telemetry has ever named: the
         // resource does not exist (contrast 422 for an impossible id).
@@ -224,12 +239,19 @@ fn service_error(e: ServeError) -> Response {
     Response::error(status, &e.to_string())
 }
 
-/// One prediction as a JSON object, echoing the snapped inputs.
-fn prediction_body(inputs: &[(&str, f64)], p: Prediction) -> Response {
-    let mut pairs: Vec<(String, Value)> = inputs
+/// The inputs an answer echoes, in order. An input the request did not
+/// carry is left out (a question answered `200` carried every input it
+/// echoes).
+fn echo(inputs: &[(&str, Option<f64>)]) -> Vec<(String, Value)> {
+    inputs
         .iter()
-        .map(|&(k, v)| (k.to_string(), Value::Number(v)))
-        .collect();
+        .filter_map(|&(k, v)| Some((k.to_string(), Value::Number(v?))))
+        .collect()
+}
+
+/// One prediction as a JSON object, echoing the inputs.
+fn prediction_body(inputs: &[(&str, Option<f64>)], p: Prediction) -> Response {
+    let mut pairs = echo(inputs);
     pairs.push(("value".into(), Value::Number(p.value)));
     pairs.push(("epoch".into(), Value::Number(p.epoch as f64)));
     pairs.push(("stale".into(), Value::Bool(p.stale)));
@@ -240,169 +262,104 @@ fn parsed_query(req: &Request) -> Result<query::Params, Response> {
     query::parse_query(req.query()).map_err(|e| Response::error(400, &e))
 }
 
-/// Widest stripe accepted on the wire: the Poisson-binomial combine is
-/// O(n²) per CDF point, so an unbounded `n` would be a free CPU amplifier.
-const MAX_STRIPE_WIDTH: u32 = 64;
+/// The number parameter `name`, if the request carried it; one that is
+/// not a number is `400`.
+fn number(params: &query::Params, name: &str) -> Result<Option<f64>, Response> {
+    query::optional_f64(params, name).map_err(|e| Response::error(400, &e))
+}
 
 /// Parses the optional erasure-coding pair `n` (chunks launched) and `k`
-/// (chunks needed): both or neither, `1 <= k <= n <= 64`. Errors become
-/// the `400` response.
+/// (chunks needed): non-negative integers, both or neither. Errors become
+/// the `400` response. Their range is [`Query`]'s to judge; a value past
+/// `u16` saturates, so it reaches [`Query`] out of range instead of
+/// wrapping onto a valid stripe.
 fn parse_coding(params: &query::Params) -> Result<Option<(u16, u16)>, Response> {
-    let n = query::optional_u32(params, "n").map_err(|e| Response::error(400, &e))?;
-    let k = query::optional_u32(params, "k").map_err(|e| Response::error(400, &e))?;
-    match (n, k) {
+    let integer = |name| query::optional_u32(params, name).map_err(|e| Response::error(400, &e));
+    let narrow = |v: u32| u16::try_from(v).unwrap_or(u16::MAX);
+    match (integer("n")?, integer("k")?) {
         (None, None) => Ok(None),
-        (Some(_), None) | (None, Some(_)) => Err(Response::error(
+        (Some(n), Some(k)) => Ok(Some((narrow(n), narrow(k)))),
+        _ => Err(Response::error(
             400,
             "query parameters `n` and `k` must be supplied together",
         )),
-        (Some(n), Some(k)) => {
-            if k < 1 || k > n || n > MAX_STRIPE_WIDTH {
-                return Err(Response::error(
-                    400,
-                    "query parameters `n` and `k` must satisfy 1 <= k <= n <= 64",
-                ));
-            }
-            Ok(Some((n as u16, k as u16)))
-        }
     }
 }
 
-fn attainment(reader: &Reader<'_>, req: &Request) -> Response {
-    let params = match parsed_query(req) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let sla = match query::require_f64(&params, "sla") {
-        Ok(v) if v > 0.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `sla` must be positive"),
-        Err(e) => return Response::error(400, &e),
-    };
-    let coding = match parse_coding(&params) {
-        Ok(c) => c,
-        Err(r) => return r,
-    };
-    if let Some((n, k)) = coding {
-        if query::get(&params, "rate").is_some() {
-            return Response::error(
-                400,
-                "query parameter `rate` cannot be combined with `n`/`k`",
-            );
-        }
-        return match reader.client.attainment(&reader.query().sla(sla).n_k(n, k)) {
-            Ok(p) => prediction_body(&[("sla", sla), ("n", n as f64), ("k", k as f64)], p),
-            Err(e) => service_error(e),
-        };
-    }
-    let answer = match query::get(&params, "rate") {
-        None => reader.client.attainment(&reader.query().sla(sla)),
-        Some(_) => match query::require_f64(&params, "rate") {
-            Ok(rate) if rate > 0.0 => reader
-                .client
-                .attainment(&reader.query().sla(sla).rate(rate)),
-            Ok(_) => return Response::error(400, "query parameter `rate` must be positive"),
-            Err(e) => return Response::error(400, &e),
-        },
-    };
-    match answer {
-        Ok(p) => prediction_body(&[("sla", sla)], p),
-        Err(e) => service_error(e),
+/// `query` as the coded read `coding` names, if any.
+fn coded(query: Query, coding: Option<(u16, u16)>) -> Query {
+    match coding {
+        Some((n, k)) => query.n_k(n, k),
+        None => query,
     }
 }
 
-fn percentile(reader: &Reader<'_>, req: &Request) -> Response {
-    let params = match parsed_query(req) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let p = match query::require_f64(&params, "p") {
-        Ok(v) if cos_serve::percentile_in_range(v) => v,
-        Ok(_) => {
-            return Response::error(
-                400,
-                "query parameter `p` must lie in (0, 1) and below 0.99995, \
-                 which the 1e-4 percentile grid rounds to 1",
-            )
-        }
-        Err(e) => return Response::error(400, &e),
-    };
-    let coding = match parse_coding(&params) {
-        Ok(c) => c,
-        Err(r) => return r,
-    };
-    if let Some((n, k)) = coding {
-        return match reader
-            .client
-            .latency_percentile(&reader.query().p(p).n_k(n, k))
-        {
-            Ok(answer) => prediction_body(&[("p", p), ("n", n as f64), ("k", k as f64)], answer),
-            Err(e) => service_error(e),
-        };
-    }
-    match reader.client.latency_percentile(&reader.query().p(p)) {
-        Ok(answer) => prediction_body(&[("p", p)], answer),
-        Err(e) => service_error(e),
-    }
+/// The `n` and `k` a coded answer echoes.
+fn coding_echo(coding: Option<(u16, u16)>) -> (Option<f64>, Option<f64>) {
+    coding.map(|(n, k)| (f64::from(n), f64::from(k))).unzip()
 }
 
-fn headroom(reader: &Reader<'_>, req: &Request) -> Response {
-    let params = match parsed_query(req) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let sla = match query::require_f64(&params, "sla") {
-        Ok(v) if v > 0.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `sla` must be positive"),
-        Err(e) => return Response::error(400, &e),
-    };
-    let target = match query::require_f64(&params, "target") {
-        Ok(v) if v > 0.0 && v < 1.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `target` must lie in (0, 1)"),
-        Err(e) => return Response::error(400, &e),
-    };
-    let upper = match query::optional_f64(&params, "upper", DEFAULT_HEADROOM_UPPER) {
-        Ok(v) if v > 0.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `upper` must be positive"),
-        Err(e) => return Response::error(400, &e),
-    };
-    match reader
-        .client
-        .admissible_rate(&reader.query().sla(sla).target(target).upper(upper))
-    {
-        Ok(answer) => prediction_body(&[("sla", sla), ("target", target)], answer),
-        Err(e) => service_error(e),
-    }
+fn attainment(reader: &Reader<'_>, req: &Request) -> Result<Response, Response> {
+    let params = parsed_query(req)?;
+    let (sla, rate) = (number(&params, "sla")?, number(&params, "rate")?);
+    let coding = parse_coding(&params)?;
+    let query = coded(
+        reader.query(&[(sla, Query::sla), (rate, Query::rate)]),
+        coding,
+    );
+    let answer = reader.snapshot.attainment(&query).map_err(service_error)?;
+    let (n, k) = coding_echo(coding);
+    Ok(prediction_body(&[("sla", sla), ("n", n), ("k", k)], answer))
 }
 
-fn bottlenecks(reader: &Reader<'_>, req: &Request) -> Response {
-    let params = match parsed_query(req) {
-        Ok(p) => p,
-        Err(r) => return r,
-    };
-    let sla = match query::require_f64(&params, "sla") {
-        Ok(v) if v > 0.0 => v,
-        Ok(_) => return Response::error(400, "query parameter `sla` must be positive"),
-        Err(e) => return Response::error(400, &e),
-    };
-    match reader.client.device_ranking(&reader.query().sla(sla)) {
-        Ok(ranked) => {
-            let items = ranked
-                .into_iter()
-                .map(|(device, fraction)| {
-                    Value::Object(vec![
-                        ("device".into(), Value::Number(device as f64)),
-                        ("fraction".into(), Value::Number(fraction)),
-                    ])
-                })
-                .collect();
-            let body = Value::Object(vec![
-                ("sla".into(), Value::Number(sla)),
-                ("devices".into(), Value::Array(items)),
-            ]);
-            Response::json(200, body.encode())
-        }
-        Err(e) => service_error(e),
-    }
+fn percentile(reader: &Reader<'_>, req: &Request) -> Result<Response, Response> {
+    let params = parsed_query(req)?;
+    let p = number(&params, "p")?;
+    let coding = parse_coding(&params)?;
+    let query = coded(reader.query(&[(p, Query::p)]), coding);
+    let answer = reader
+        .snapshot
+        .latency_percentile(&query)
+        .map_err(service_error)?;
+    let (n, k) = coding_echo(coding);
+    Ok(prediction_body(&[("p", p), ("n", n), ("k", k)], answer))
+}
+
+fn headroom(reader: &Reader<'_>, req: &Request) -> Result<Response, Response> {
+    let params = parsed_query(req)?;
+    let (sla, target) = (number(&params, "sla")?, number(&params, "target")?);
+    let upper = number(&params, "upper")?;
+    let query = reader.query(&[
+        (sla, Query::sla),
+        (target, Query::target),
+        (upper, Query::upper),
+    ]);
+    let answer = reader
+        .snapshot
+        .admissible_rate(&query)
+        .map_err(service_error)?;
+    Ok(prediction_body(&[("sla", sla), ("target", target)], answer))
+}
+
+fn bottlenecks(reader: &Reader<'_>, req: &Request) -> Result<Response, Response> {
+    let params = parsed_query(req)?;
+    let sla = number(&params, "sla")?;
+    let ranked = reader
+        .snapshot
+        .device_ranking(&reader.query(&[(sla, Query::sla)]))
+        .map_err(service_error)?;
+    let items = ranked
+        .into_iter()
+        .map(|(device, fraction)| {
+            Value::Object(vec![
+                ("device".into(), Value::Number(device as f64)),
+                ("fraction".into(), Value::Number(fraction)),
+            ])
+        })
+        .collect();
+    let mut pairs = echo(&[("sla", sla)]);
+    pairs.push(("devices".into(), Value::Array(items)));
+    Ok(Response::json(200, Value::Object(pairs).encode()))
 }
 
 fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Response {
@@ -429,30 +386,34 @@ fn telemetry(client: &ServiceClient, tenant: &TenantId, req: &Request) -> Respon
     )
 }
 
-fn status(reader: &Reader<'_>, _req: &Request) -> Response {
-    match reader.client.status_for(&reader.tenant) {
-        Ok(s) => Response::json(200, status_body(&s).encode()),
-        Err(e) => service_error(e),
-    }
+fn status(reader: &Reader<'_>) -> Result<Response, Response> {
+    let s = reader
+        .snapshot
+        .status_for(reader.tenant)
+        .map_err(service_error)?;
+    Ok(Response::json(200, status_body(&s).encode()))
 }
 
-fn metrics(reader: &Reader<'_>, obs: Option<&GateObs>, ctrl: Option<&Controller>) -> Response {
-    match reader.client.status_for(&reader.tenant) {
-        Ok(s) => {
-            let mut text = render_metrics(&s);
-            if let Ok(fleet) = reader.client.reader().fleet() {
-                text.push_str(&render_tenant_metrics(&fleet));
-            }
-            if let Some(ctrl) = ctrl {
-                text.push_str(&render_ctrl_metrics(&ctrl.stats()));
-            }
-            if let Some(obs) = obs {
-                text.push_str(&obs.registry().render());
-            }
-            Response::text(200, text)
-        }
-        Err(e) => service_error(e),
+fn metrics(
+    reader: &Reader<'_>,
+    obs: Option<&GateObs>,
+    ctrl: Option<&Controller>,
+) -> Result<Response, Response> {
+    let s = reader
+        .snapshot
+        .status_for(reader.tenant)
+        .map_err(service_error)?;
+    let mut text = render_metrics(&s);
+    if let Ok(fleet) = reader.snapshot.fleet() {
+        text.push_str(&render_tenant_metrics(&fleet));
     }
+    if let Some(ctrl) = ctrl {
+        text.push_str(&render_ctrl_metrics(&ctrl.stats()));
+    }
+    if let Some(obs) = obs {
+        text.push_str(&obs.registry().render());
+    }
+    Ok(Response::text(200, text))
 }
 
 /// `GET /v1/anomalies`: the retained scored anomalies (oldest first) plus
@@ -555,7 +516,10 @@ fn selfcheck(reader: &Reader<'_>, obs: Option<&GateObs>) -> Response {
     let mut stale = Value::Null;
     let mut unavailable = Value::Null;
     for (name, q) in QUANTILES {
-        match reader.client.latency_percentile(&reader.query().p(q)) {
+        match reader
+            .snapshot
+            .latency_percentile(&reader.query(&[(Some(q), Query::p)]))
+        {
             Ok(p) => {
                 epoch = Value::Number(p.epoch as f64);
                 stale = Value::Bool(p.stale);
@@ -838,7 +802,11 @@ mod tests {
         assert_eq!(resp.status, 200);
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         let value = body.f64_field("value").unwrap();
-        let direct = client.attainment(&Query::new().sla(0.05)).unwrap().value;
+        let direct = client
+            .reader()
+            .attainment(&Query::new().sla(0.05))
+            .unwrap()
+            .value;
         assert_eq!(value.to_bits(), direct.to_bits(), "JSON is bit-exact");
     }
 
@@ -948,6 +916,9 @@ mod tests {
             ("/v1/attainment?sla=0.05&n=4&k=0", "1 <= k <= n"),
             ("/v1/attainment?sla=0.05&n=4&k=5", "1 <= k <= n"),
             ("/v1/attainment?sla=0.05&n=65&k=4", "1 <= k <= n"),
+            // Past `u16`: out of range, never wrapped onto a valid stripe.
+            ("/v1/attainment?sla=0.05&n=65537&k=1", "1 <= k <= n"),
+            ("/v1/attainment?sla=0.05&n=4&k=65537", "1 <= k <= n"),
             ("/v1/attainment?sla=0.05&n=4.5&k=2", "integer"),
             ("/v1/attainment?sla=0.05&n=4&k=2&rate=50", "rate"),
             ("/v1/percentile?p=0.95&n=4", "together"),
@@ -959,6 +930,41 @@ mod tests {
                 String::from_utf8_lossy(&resp.body).contains(needle),
                 "{target}: {:?}",
                 String::from_utf8_lossy(&resp.body)
+            );
+        }
+    }
+
+    #[test]
+    fn every_service_error_maps_to_its_status() {
+        let unstable = cos_model::ModelError::UnstableBackend { utilization: 1.2 };
+        for (error, status) in [
+            (ServeError::NotCalibrated, 503),
+            (ServeError::Disconnected, 503),
+            (ServeError::BadQuery { reason: "bad" }, 400),
+            (ServeError::Unstable { cause: unstable }, 422),
+            (ServeError::PercentileOutOfRange { p: 0.999 }, 422),
+            (ServeError::GoalUnreachable, 422),
+            (
+                ServeError::UnknownDevice {
+                    event: 0,
+                    device: 7,
+                    devices: 2,
+                },
+                422,
+            ),
+            (
+                ServeError::UnknownTenant {
+                    tenant: "ghost".into(),
+                },
+                404,
+            ),
+        ] {
+            let text = error.to_string();
+            let resp = service_error(error);
+            assert_eq!(resp.status, status, "{text}");
+            assert!(
+                String::from_utf8_lossy(&resp.body).contains(&text),
+                "{text}"
             );
         }
     }
@@ -985,6 +991,7 @@ mod tests {
         let snapshot_value = body.f64_field("value").unwrap();
         assert!(snapshot_value > 0.0);
         let direct = client
+            .reader()
             .latency_percentile(&Query::new().p(0.99).n_k(4, 2))
             .unwrap()
             .value;
@@ -1290,8 +1297,9 @@ mod tests {
             client.ingest(ev).unwrap();
         }
         client.refit_now().unwrap();
-        client.attainment(&Query::new().sla(0.05)).unwrap();
-        client.attainment(&Query::new().sla(0.05)).unwrap();
+        let reader = client.reader();
+        reader.attainment(&Query::new().sla(0.05)).unwrap();
+        reader.attainment(&Query::new().sla(0.05)).unwrap();
         let resp = get(&client, "/v1/status");
         let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert!(body.f64_field("epoch").unwrap() >= 1.0);

@@ -23,7 +23,7 @@
 //! Readiness comes from epoll on Linux and from `poll(2)` on other Unix
 //! targets, chosen by `cfg` ([`Backend::default_for_platform`]).
 
-use std::io::Write;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,7 +39,9 @@ use crate::http::{ParserLimits, Response};
 use crate::obs::GateObs;
 use crate::reactor;
 
-/// Front-door knobs.
+/// Front-door knobs, built as a struct literal over [`Default`].
+/// [`Gate::bind`] and [`Gate::serve`] refuse a value that would wedge the
+/// front door before they start (see [`Gate::bind`]'s `# Errors`).
 #[derive(Debug, Clone)]
 pub struct GateConfig {
     /// Maximum concurrent connections; excess accepts get an immediate
@@ -82,108 +84,38 @@ impl Default for GateConfig {
     }
 }
 
-impl GateConfig {
-    /// Starts a validating builder seeded with the defaults.
-    pub fn builder() -> GateConfigBuilder {
-        GateConfigBuilder {
-            config: GateConfig::default(),
-        }
+/// Refuses a config that would wedge the front door, as
+/// [`io::ErrorKind::InvalidInput`] naming the field: no connection slot,
+/// a zero write timeout or request deadline (a zero deadline answers every
+/// request `408`), or a head budget that cannot fit the smallest request
+/// line.
+fn check(config: &GateConfig) -> io::Result<()> {
+    let invalid = |field: &str, reason: String| {
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("GateConfig.{field}: {reason}"),
+        ))
+    };
+    if config.max_connections == 0 {
+        return invalid("max_connections", "must be at least 1".into());
     }
-}
-
-/// A [`GateConfig`] value the builder refused to produce, with the field
-/// and the reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidConfig {
-    /// The offending field, as named on [`GateConfig`].
-    pub field: &'static str,
-    /// Why the value is nonsensical.
-    pub reason: String,
-}
-
-impl std::fmt::Display for InvalidConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid GateConfig.{}: {}", self.field, self.reason)
+    if config.write_timeout.is_zero() {
+        return invalid("write_timeout", "must be non-zero".into());
     }
-}
-
-impl std::error::Error for InvalidConfig {}
-
-/// Builder for [`GateConfig`] that rejects nonsensical values at
-/// [`build`](GateConfigBuilder::build) time instead of letting them
-/// wedge the front door (a zero request deadline would answer every
-/// request `408`; zero parser budgets would reject every request before
-/// its first byte).
-#[derive(Debug, Clone)]
-pub struct GateConfigBuilder {
-    config: GateConfig,
-}
-
-impl GateConfigBuilder {
-    /// Maximum concurrent connections (must be ≥ 1).
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.config.max_connections = n;
-        self
+    if config.request_deadline.is_zero() {
+        return invalid("request_deadline", "must be non-zero".into());
     }
-
-    /// Socket write timeout (must be non-zero).
-    pub fn write_timeout(mut self, d: Duration) -> Self {
-        self.config.write_timeout = d;
-        self
+    // "GET / HTTP/1.1\r\n\r\n" is 18 bytes — the smallest routable head.
+    if config.limits.max_head_bytes < 18 {
+        return invalid(
+            "limits.max_head_bytes",
+            format!(
+                "{} cannot fit any request line",
+                config.limits.max_head_bytes
+            ),
+        );
     }
-
-    /// Per-request deadline (must be non-zero).
-    pub fn request_deadline(mut self, d: Duration) -> Self {
-        self.config.request_deadline = d;
-        self
-    }
-
-    /// Parser byte budgets (head budget must fit a minimal request line).
-    pub fn limits(mut self, limits: ParserLimits) -> Self {
-        self.config.limits = limits;
-        self
-    }
-
-    /// Instrument registry the gate records into.
-    pub fn obs(mut self, registry: Registry) -> Self {
-        self.config.obs = registry;
-        self
-    }
-
-    /// Admission controller consulted before routing (none by default).
-    pub fn controller(mut self, ctrl: Arc<Controller>) -> Self {
-        self.config.controller = Some(ctrl);
-        self
-    }
-
-    /// Reactor thread count (`0` = available parallelism).
-    pub fn reactor_threads(mut self, n: usize) -> Self {
-        self.config.reactor_threads = n;
-        self
-    }
-
-    /// Validates and produces the config.
-    pub fn build(self) -> Result<GateConfig, InvalidConfig> {
-        let err = |field: &'static str, reason: String| Err(InvalidConfig { field, reason });
-        let c = &self.config;
-        if c.max_connections == 0 {
-            return err("max_connections", "must be at least 1".into());
-        }
-        if c.write_timeout.is_zero() {
-            return err("write_timeout", "must be non-zero".into());
-        }
-        if c.request_deadline.is_zero() {
-            return err("request_deadline", "must be non-zero".into());
-        }
-        // "GET / HTTP/1.1\r\n\r\n" is 18 bytes — the smallest routable head.
-        if c.limits.max_head_bytes < 18 {
-            return err(
-                "limits.max_head_bytes",
-                format!("{} cannot fit any request line", c.limits.max_head_bytes),
-            );
-        }
-        Ok(self.config)
-    }
+    Ok(())
 }
 
 /// Live-connection accounting shared by the reactors' accept paths and
@@ -224,16 +156,34 @@ pub struct Gate {
 impl Gate {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
     /// serving `client`'s service.
-    pub fn bind(addr: &str, client: ServiceClient, config: GateConfig) -> std::io::Result<Gate> {
-        Gate::serve(TcpListener::bind(addr)?, client, config)
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`], naming the [`GateConfig`] field,
+    /// before anything is bound, for a `max_connections` of 0, a zero
+    /// `write_timeout` or `request_deadline`, or a `limits.max_head_bytes`
+    /// below the 18 bytes of the smallest request; otherwise any error
+    /// binding `addr`.
+    pub fn bind(addr: &str, client: ServiceClient, config: GateConfig) -> io::Result<Gate> {
+        check(&config)?;
+        Gate::serve_on(
+            TcpListener::bind(addr)?,
+            client,
+            config,
+            Backend::default_for_platform(),
+        )
     }
 
     /// Starts serving on an already-bound listener.
+    ///
+    /// # Errors
+    /// As [`bind`](Gate::bind): a nonsensical config is refused before
+    /// any reactor starts.
     pub fn serve(
         listener: TcpListener,
         client: ServiceClient,
         config: GateConfig,
-    ) -> std::io::Result<Gate> {
+    ) -> io::Result<Gate> {
+        check(&config)?;
         Gate::serve_on(listener, client, config, Backend::default_for_platform())
     }
 
@@ -244,7 +194,7 @@ impl Gate {
         client: ServiceClient,
         config: GateConfig,
         backend: Backend,
-    ) -> std::io::Result<Gate> {
+    ) -> io::Result<Gate> {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let threads = match config.reactor_threads {
@@ -665,53 +615,49 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_defaults_and_rejects_nonsense() {
-        let built = GateConfig::builder().build().unwrap();
-        assert_eq!(built.max_connections, GateConfig::default().max_connections);
-
-        let tweaked = GateConfig::builder()
-            .max_connections(8)
-            .request_deadline(Duration::from_secs(1))
-            .build()
-            .unwrap();
-        assert_eq!(tweaked.max_connections, 8);
-        assert_eq!(tweaked.request_deadline, Duration::from_secs(1));
-
-        let no_conns = GateConfig::builder()
-            .max_connections(0)
-            .build()
-            .unwrap_err();
-        assert_eq!(no_conns.field, "max_connections");
-        assert!(no_conns.to_string().contains("GateConfig.max_connections"));
-
-        let zero_write = GateConfig::builder()
-            .write_timeout(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert_eq!(zero_write.field, "write_timeout");
-
-        let zero_deadline = GateConfig::builder()
-            .request_deadline(Duration::ZERO)
-            .build()
-            .unwrap_err();
-        assert_eq!(zero_deadline.field, "request_deadline");
-
-        let tiny_head = GateConfig::builder()
-            .limits(ParserLimits {
-                max_head_bytes: 4,
-                max_body_bytes: 1024,
-            })
-            .build()
-            .unwrap_err();
-        assert_eq!(tiny_head.field, "limits.max_head_bytes");
-    }
-
-    #[test]
-    fn builder_sets_reactor_threads() {
-        let built = GateConfig::builder().reactor_threads(3).build().unwrap();
-        assert_eq!(built.reactor_threads, 3);
-        // reactor_threads = 0 means "auto" and is valid.
-        assert_eq!(GateConfig::default().reactor_threads, 0);
+    fn a_nonsensical_config_is_invalid_input_naming_the_field_before_binding() {
+        let service = spawn_service();
+        // The defaults with one field changed.
+        let with = |change: fn(&mut GateConfig)| {
+            let mut config = GateConfig::default();
+            change(&mut config);
+            config
+        };
+        let cases: [(GateConfig, &str); 4] = [
+            (with(|c| c.max_connections = 0), "max_connections"),
+            (with(|c| c.write_timeout = Duration::ZERO), "write_timeout"),
+            (
+                with(|c| c.request_deadline = Duration::ZERO),
+                "request_deadline",
+            ),
+            (
+                with(|c| c.limits.max_head_bytes = 4),
+                "limits.max_head_bytes",
+            ),
+        ];
+        // An address already taken: a check after binding would answer
+        // `AddrInUse`.
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = taken.local_addr().unwrap().to_string();
+        for (config, field) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            for refusal in [
+                Gate::bind(&addr, service.client(), config.clone()).err(),
+                Gate::serve(listener, service.client(), config).err(),
+            ] {
+                let e =
+                    refusal.unwrap_or_else(|| panic!("{field}: a nonsensical value was accepted"));
+                assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{field}: {e}");
+                assert!(
+                    e.to_string().starts_with(&format!("GateConfig.{field}: ")),
+                    "{field}: {e}"
+                );
+            }
+        }
+        // The defaults serve.
+        Gate::bind("127.0.0.1:0", service.client(), GateConfig::default())
+            .unwrap()
+            .shutdown();
     }
 
     /// Reactors sharing one externally bound listener serve every

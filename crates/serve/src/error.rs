@@ -34,9 +34,9 @@ pub enum ServeError {
         /// The unknown tenant id.
         tenant: String,
     },
-    /// A [`Query`](crate::Query) is missing a required field or carries a
-    /// nonsensical value for the endpoint it was handed to. Network
-    /// frontends map this to 422.
+    /// A [`Query`](crate::Query) is missing a required field, carries a
+    /// value out of range, or combines fields the endpoint it was handed
+    /// to does not take together. Network frontends map this to 400.
     BadQuery {
         /// What is malformed.
         reason: &'static str,

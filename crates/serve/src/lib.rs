@@ -29,16 +29,17 @@
 //!   [`cos_obs::Registry`];
 //! * [`tenant`] / [`query`] — the fleet dimension: [`TenantId`]-scoped
 //!   estimator shards and the builder-style [`Query`] every read endpoint
-//!   takes;
+//!   takes, which alone judges whether a question is valid;
 //! * [`snapshot`] — the one read path: [`SnapshotReader`] answers every
 //!   query and what-if sweep on the calling thread from the published
 //!   fleet, which the service updates by **delta publication** (only
 //!   changed tenants republish);
 //! * [`service`] — the assembled [`SlaService`] state machine and its
-//!   spawned form: the service behind one writer lock that its handle,
-//!   clients and telemetry senders share, so ingest and re-fits run on
-//!   the calling thread, one writer at a time, with no thread of the
-//!   service's own;
+//!   spawned form: the service behind one writer lock that its handle and
+//!   clients share, so ingest and re-fits run on the calling thread, one
+//!   writer at a time, with no thread of the service's own. Its
+//!   [`ServeConfig`] is a struct literal, checked once by
+//!   [`SlaService::new`];
 //! * [`error`] — typed failure modes (warming up, unstable ρ ≥ 1,
 //!   unreachable goals, unknown tenants, malformed queries, shutdown).
 //!
@@ -72,11 +73,8 @@ pub use engine::{
 };
 pub use error::ServeError;
 pub use obs::ServeObs;
-pub use query::{percentile_in_range, Query, DEFAULT_HEADROOM_UPPER};
-pub use service::{
-    InvalidConfig, ServeConfig, ServeConfigBuilder, ServiceClient, ServiceHandle, ServiceStatus,
-    SlaService, TelemetrySender,
-};
+pub use query::{Query, DEFAULT_HEADROOM_UPPER};
+pub use service::{ServeConfig, ServiceClient, ServiceHandle, ServiceStatus, SlaService};
 pub use snapshot::{
     FleetState, PublishStats, RatePoint, SnapshotReader, SnapshotState, TenantEntry,
 };

@@ -1,9 +1,9 @@
 //! The builder-style query surface.
 //!
-//! Every read endpoint of [`SnapshotReader`] and [`ServiceClient`] takes a
-//! [`Query`], which packs every input a question can have (`sla`, `rate`,
-//! `n`, `k`, `upper`, …) — plus the fleet dimension, a [`TenantId`] —
-//! into one value:
+//! Every read endpoint of [`SnapshotReader`] takes a [`Query`], which
+//! packs every input a question can have (`sla`, `rate`, `n`, `k`,
+//! `upper`, …) — plus the fleet dimension, a [`TenantId`] — into one
+//! value:
 //!
 //! ```
 //! use cos_serve::{Query, TenantId};
@@ -15,12 +15,13 @@
 //! Resolution to the memo's quantized [`QueryKind`] and what-if rate cell
 //! lives here, in one place, so no two readers can drift: each calls the
 //! same `*_question` helper and therefore produces the same
-//! [`QueryKey`](crate::QueryKey) bits. It is also where a malformed input
-//! is refused with [`ServeError::BadQuery`] before it is snapped: an SLA
-//! or what-if rate that is not finite and positive would otherwise land
-//! in the lowest or the highest cell.
+//! [`QueryKey`](crate::QueryKey) bits. It is also the one place a question
+//! is judged: every rule on its values (present, finite, positive, in
+//! range, which fields combine) refuses with [`ServeError::BadQuery`]
+//! here, before anything is snapped, so a library caller and the HTTP gate
+//! get the same refusals. An SLA or what-if rate that is not finite and
+//! positive would otherwise land in the lowest or the highest cell.
 //!
-//! [`ServiceClient`]: crate::ServiceClient
 //! [`SnapshotReader`]: crate::SnapshotReader
 
 use cos_model::SlaGoal;
@@ -33,30 +34,39 @@ use crate::tenant::TenantId;
 /// Default headroom search ceiling (req/s) when [`Query::upper`] is unset.
 pub const DEFAULT_HEADROOM_UPPER: f64 = 10_000.0;
 
+/// Widest erasure-coded stripe a query may name: the Poisson-binomial
+/// combine is O(n²) per CDF point, so an unbounded `n` would be a free CPU
+/// amplifier.
+const MAX_STRIPE_WIDTH: u16 = 64;
+
+/// An erasure-coded read's `(n, k)`: chunks launched, chunks needed.
+type Coding = (u16, u16);
+
 /// Whether the service can answer percentile `p`: `p` lies in `(0, 1)`
 /// and stays below 1 once snapped to the [`FRACTION_QUANTUM`] grid, which
 /// rounds every `p ≥ 0.99995` up to exactly 1, where no latency exists.
-pub fn percentile_in_range(p: f64) -> bool {
+fn percentile_in_range(p: f64) -> bool {
     p > 0.0 && snap(p, FRACTION_QUANTUM).1 < 1.0
 }
 
 /// One prediction question, built fluently. Which fields are required
 /// depends on the endpoint the query is handed to:
 ///
-/// * attainment — `sla` (plus optional `rate` or `n_k`);
-/// * percentile — `p` (plus optional `n_k`);
+/// * attainment — `sla` (plus optional `rate` or `n_k`, not both);
+/// * percentile — `p` (plus optional `rate` or `n_k`, not both);
 /// * headroom — `sla` and `target` (plus optional `upper`);
 /// * bottleneck ranking — `sla`.
 ///
-/// A missing required field is a typed [`ServeError::BadQuery`], not a
-/// panic, so network frontends can map it to a 4xx.
+/// A missing required field, a value out of range, or fields that do not
+/// combine is a typed [`ServeError::BadQuery`], not a panic, so network
+/// frontends can map it to a 4xx.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     tenant: TenantId,
     sla: Option<f64>,
     p: Option<f64>,
     rate: Option<f64>,
-    coding: Option<(u16, u16)>,
+    coding: Option<Coding>,
     target: Option<f64>,
     upper: Option<f64>,
 }
@@ -98,7 +108,8 @@ impl Query {
         self
     }
 
-    /// Erasure-coding fan-out: `n` sub-requests launched, `k` needed.
+    /// Erasure-coding fan-out: `n` sub-requests launched, `k` needed
+    /// (`1 <= k <= n <= 64`).
     pub fn n_k(mut self, n: u16, k: u16) -> Query {
         self.coding = Some((n, k));
         self
@@ -134,23 +145,28 @@ impl Query {
         }
     }
 
-    /// The what-if rate's cell, if the query has a rate. A rate that is
-    /// not finite and positive has none: snapping would put 0, a negative
-    /// rate or NaN in the lowest cell and +∞ in the highest.
-    fn rate_checked(&self) -> Result<Option<i64>, ServeError> {
-        match self.rate {
-            Some(rate) if rate.is_finite() && rate > 0.0 => Ok(Some(quantize_rate(rate))),
-            Some(_) => Err(Query::bad("what-if `rate` must be finite and positive")),
-            None => Ok(None),
+    /// The what-if rate's cell and the coding pair, if the query has
+    /// them. A rate that is not finite and positive has no cell: snapping
+    /// would put 0, a negative rate or NaN in the lowest cell and +∞ in the
+    /// highest. A coded read at a what-if rate is refused: the coded model
+    /// has no what-if replan path (DESIGN §13).
+    fn what_if(&self) -> Result<(Option<i64>, Option<Coding>), ServeError> {
+        let rate_q = match self.rate {
+            Some(rate) if rate.is_finite() && rate > 0.0 => Some(quantize_rate(rate)),
+            Some(_) => return Err(Query::bad("what-if `rate` must be finite and positive")),
+            None => None,
+        };
+        let coding = match self.coding {
+            Some((n, k)) if k >= 1 && k <= n && n <= MAX_STRIPE_WIDTH => Some((n, k)),
+            Some(_) => return Err(Query::bad("coding requires 1 <= k <= n <= 64")),
+            None => None,
+        };
+        if rate_q.is_some() && coding.is_some() {
+            return Err(Query::bad(
+                "a what-if `rate` cannot be combined with `n`/`k` coding",
+            ));
         }
-    }
-
-    fn coding_checked(&self) -> Result<Option<(u16, u16)>, ServeError> {
-        match self.coding {
-            Some((n, k)) if k >= 1 && k <= n => Ok(Some((n, k))),
-            Some(_) => Err(Query::bad("coding requires 1 <= k <= n")),
-            None => Ok(None),
-        }
+        Ok((rate_q, coding))
     }
 
     /// Resolves this query as an attainment (fraction-meeting-SLA)
@@ -160,8 +176,8 @@ impl Query {
         if sla <= 0.0 {
             return Err(Query::bad("`sla` must be positive"));
         }
-        let rate_q = self.rate_checked()?;
-        let kind = match self.coding_checked()? {
+        let (rate_q, coding) = self.what_if()?;
+        let kind = match coding {
             Some((n, k)) => QueryKind::coded_fraction(n, k, sla),
             None => QueryKind::fraction(sla),
         };
@@ -176,8 +192,8 @@ impl Query {
                 "`p` must lie in (0, 1) and below 0.99995, which the 1e-4 grid rounds to 1",
             ));
         }
-        let rate_q = self.rate_checked()?;
-        let kind = match self.coding_checked()? {
+        let (rate_q, coding) = self.what_if()?;
+        let kind = match coding {
             Some((n, k)) => QueryKind::coded_percentile(n, k, p),
             None => QueryKind::percentile(p),
         };
@@ -312,6 +328,46 @@ mod tests {
             bad(Query::new().sla(0.05).rate(rate).attainment_question());
             bad(Query::new().p(0.95).rate(rate).percentile_question());
         }
+    }
+
+    #[test]
+    fn stripes_past_64_and_coded_what_ifs_are_refused() {
+        let bad = |r: Result<(Option<i64>, QueryKind), ServeError>, needle: &str| {
+            assert!(
+                matches!(r, Err(ServeError::BadQuery { reason }) if reason.contains(needle)),
+                "{r:?}"
+            )
+        };
+        bad(
+            Query::new().sla(0.05).n_k(65, 4).attainment_question(),
+            "<= 64",
+        );
+        bad(
+            Query::new().p(0.95).n_k(65, 4).percentile_question(),
+            "<= 64",
+        );
+        let coded_what_if = |q: Query| q.rate(50.0).n_k(4, 2);
+        bad(
+            coded_what_if(Query::new().sla(0.05)).attainment_question(),
+            "`rate`",
+        );
+        bad(
+            coded_what_if(Query::new().p(0.95)).percentile_question(),
+            "`rate`",
+        );
+        // The widest stripe resolves.
+        let (rq, kind) = Query::new()
+            .sla(0.05)
+            .n_k(64, 64)
+            .attainment_question()
+            .unwrap();
+        assert_eq!((rq, kind), (None, QueryKind::coded_fraction(64, 64, 0.05)));
+        let (_, kind) = Query::new()
+            .p(0.95)
+            .n_k(64, 64)
+            .percentile_question()
+            .unwrap();
+        assert_eq!(kind, QueryKind::coded_percentile(64, 64, 0.95));
     }
 
     #[test]

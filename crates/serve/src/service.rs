@@ -14,29 +14,26 @@
 //! [`snapshot`](crate::snapshot) module docs for the protocol).
 //!
 //! [`SlaService::spawn`] puts the service behind one **writer lock** (a
-//! `Mutex`) shared by the returned [`ServiceHandle`], every
-//! [`ServiceClient`] cloned from it and every [`TelemetrySender`] they
-//! hand out. It starts no thread: a write — ingest or refit — runs on the
-//! calling thread while it holds the lock, so writes land one at a time,
-//! a refit the event-time cadence calls for runs inside the ingest that
-//! crossed it, and every write has landed when its call returns. A single
-//! event from [`TelemetrySender::send`] or [`ServiceClient::ingest_for`]
+//! `Mutex`) shared by the returned [`ServiceHandle`] and every
+//! [`ServiceClient`] cloned from it. It starts no thread: a write — ingest
+//! or refit — runs on the calling thread while it holds the lock, so
+//! writes land one at a time, a refit the event-time cadence calls for
+//! runs inside the ingest that crossed it, and every write has landed when
+//! its call returns. A single event from [`ServiceClient::ingest_for`]
 //! takes the lock once; [`ServiceClient::ingest_batch_for`] takes it once
 //! for a whole batch (a batch naming a device the base does not have is
 //! refused whole before the lock is taken, see
 //! [`ServeError::UnknownDevice`]). A write that panics while holding the
 //! lock poisons it, and every later write answers
 //! [`ServeError::Disconnected`], as after a shutdown. The
-//! [`ServiceHandle`] owns the service and derefs to its [`ServiceClient`];
-//! [`TelemetrySender`] is a cheap cloneable tenant-scoped ingest-only
-//! endpoint to hand to a telemetry source.
+//! [`ServiceHandle`] owns the service and derefs to its [`ServiceClient`].
 //!
-//! Every read is a snapshot read. Queries are [`Query`] values
+//! Every read is a snapshot read. Queries are [`Query`](crate::Query) values
 //! (`reader.attainment(&Query::tenant(t).sla(0.05))`), answered by a
 //! [`SnapshotReader`] on the calling thread from the published fleet —
-//! [`SlaService::reader`] in-process, [`ServiceClient`]'s query methods
-//! once spawned — without the writer lock, and so are what-if sweeps. A
-//! read sees every refit published by a write that returned before it.
+//! [`SlaService::reader`] in-process, [`ServiceClient::reader`] once
+//! spawned — without the writer lock, and so are what-if sweeps. A read
+//! sees every refit published by a write that returned before it.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -49,15 +46,16 @@ use cos_obs::Registry;
 use crate::cache::{CacheCounters, QueryKey, QueryKind};
 use crate::calibrate::{CalibrationBase, CalibratorConfig, OnlineCalibrator};
 use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
-use crate::engine::{snap, EngineHealth, EpochSnapshot, Prediction, SLA_QUANTUM};
+use crate::engine::{snap, EngineHealth, EpochSnapshot, SLA_QUANTUM};
 use crate::error::ServeError;
 use crate::obs::ServeObs;
-use crate::query::Query;
-use crate::snapshot::{PublishStats, RatePoint, SnapshotReader, SnapshotShared, SnapshotState};
+use crate::snapshot::{PublishStats, SnapshotReader, SnapshotShared, SnapshotState};
 use crate::telemetry::TelemetryEvent;
 use crate::tenant::TenantId;
 
-/// Service configuration.
+/// Service configuration, built as a struct literal over
+/// [`Default`]. [`SlaService::new`] refuses a nonsensical value (see its
+/// `# Panics`).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// SLA bounds (seconds) tracked for drift detection and dashboards.
@@ -70,11 +68,6 @@ pub struct ServeConfig {
     pub drift: DriftConfig,
     /// Event-time seconds between automatic re-fits.
     pub refit_interval: f64,
-    /// Worker threads a batched fleet re-fit fans out over (defaults to
-    /// the machine's available parallelism). Fit results are
-    /// order-preserving and per-tenant independent, so the answer bits
-    /// never depend on this knob.
-    pub refit_workers: usize,
     /// Instrument registry the service records into (share one registry
     /// between the service and a gate to get a single `/metrics` view).
     pub obs: Registry,
@@ -88,132 +81,8 @@ impl Default for ServeConfig {
             calibrator: CalibratorConfig::default(),
             drift: DriftConfig::default(),
             refit_interval: 5.0,
-            refit_workers: cos_par::default_workers(),
             obs: Registry::new(),
         }
-    }
-}
-
-impl ServeConfig {
-    /// Starts a validating builder seeded with the defaults.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            config: ServeConfig::default(),
-        }
-    }
-}
-
-/// A [`ServeConfig`] value the builder refused to produce, with the field
-/// and the reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvalidConfig {
-    /// The offending field, as named on [`ServeConfig`].
-    pub field: &'static str,
-    /// Why the value is nonsensical.
-    pub reason: String,
-}
-
-impl std::fmt::Display for InvalidConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid ServeConfig.{}: {}", self.field, self.reason)
-    }
-}
-
-impl std::error::Error for InvalidConfig {}
-
-/// Builder for [`ServeConfig`] that rejects nonsensical values at
-/// [`build`](ServeConfigBuilder::build) time: a non-positive SLA or refit
-/// interval would silently disable re-fitting; a zero-bucket window would
-/// divide by zero deep inside the calibrator.
-#[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    config: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// SLA bounds in seconds (each must be finite and positive).
-    pub fn slas(mut self, slas: Vec<f64>) -> Self {
-        self.config.slas = slas;
-        self
-    }
-
-    /// Model variant used for every prediction.
-    pub fn variant(mut self, variant: ModelVariant) -> Self {
-        self.config.variant = variant;
-        self
-    }
-
-    /// Sliding-window estimator knobs (window > 0, buckets ≥ 1).
-    pub fn calibrator(mut self, calibrator: CalibratorConfig) -> Self {
-        self.config.calibrator = calibrator;
-        self
-    }
-
-    /// Drift detection knobs (window > 0, buckets ≥ 1).
-    pub fn drift(mut self, drift: DriftConfig) -> Self {
-        self.config.drift = drift;
-        self
-    }
-
-    /// Event-time seconds between automatic re-fits (finite, > 0).
-    pub fn refit_interval(mut self, seconds: f64) -> Self {
-        self.config.refit_interval = seconds;
-        self
-    }
-
-    /// Worker threads of a batched fleet re-fit (≥ 1).
-    pub fn refit_workers(mut self, workers: usize) -> Self {
-        self.config.refit_workers = workers;
-        self
-    }
-
-    /// Instrument registry the service records into.
-    pub fn obs(mut self, registry: Registry) -> Self {
-        self.config.obs = registry;
-        self
-    }
-
-    /// Validates and produces the config.
-    pub fn build(self) -> Result<ServeConfig, InvalidConfig> {
-        let err = |field: &'static str, reason: String| Err(InvalidConfig { field, reason });
-        let c = &self.config;
-        if c.slas.is_empty() {
-            return err("slas", "at least one SLA bound is required".into());
-        }
-        if let Some(bad) = c.slas.iter().find(|s| !s.is_finite() || **s <= 0.0) {
-            return err(
-                "slas",
-                format!("SLA bound {bad} is not finite and positive"),
-            );
-        }
-        if !c.refit_interval.is_finite() || c.refit_interval <= 0.0 {
-            return err(
-                "refit_interval",
-                format!("{} must be finite and positive", c.refit_interval),
-            );
-        }
-        if c.refit_workers == 0 {
-            return err("refit_workers", "must be at least 1".into());
-        }
-        if !c.calibrator.window.is_finite() || c.calibrator.window <= 0.0 {
-            return err(
-                "calibrator.window",
-                format!("{} must be finite and positive", c.calibrator.window),
-            );
-        }
-        if c.calibrator.buckets == 0 {
-            return err("calibrator.buckets", "must be at least 1".into());
-        }
-        if !c.drift.window.is_finite() || c.drift.window <= 0.0 {
-            return err(
-                "drift.window",
-                format!("{} must be finite and positive", c.drift.window),
-            );
-        }
-        if c.drift.buckets == 0 {
-            return err("drift.buckets", "must be at least 1".into());
-        }
-        Ok(self.config)
     }
 }
 
@@ -371,13 +240,55 @@ pub struct SlaService {
     now: f64,
     last_refit: f64,
     last_publish: PublishStats,
+    /// Threads a batched re-fit fans out over: the machine's available
+    /// parallelism, read once here, since on Linux each read parses cgroup
+    /// files (about 20 µs on a 2-vCPU VM, against a 0.5 ms refit). Fits
+    /// are order-preserving and per-tenant independent, so no answer bit
+    /// depends on it.
+    workers: usize,
+}
+
+/// Whether `x` is finite and positive.
+fn finite_positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 impl SlaService {
     /// Creates a service over `base`'s topology. The reserved `default`
     /// tenant exists from the start (slot 0); further tenants materialize
     /// on their first [`ingest_for`](SlaService::ingest_for).
+    ///
+    /// # Panics
+    /// Panics, naming the [`ServeConfig`] field, on a config that would
+    /// silently disable re-fitting or divide by zero inside an estimator:
+    /// an empty `slas` list, an SLA bound that is not finite and positive,
+    /// a `refit_interval`, `calibrator.window` or `drift.window` that is
+    /// not finite and positive, or a `calibrator.buckets` or
+    /// `drift.buckets` of 0.
     pub fn new(base: CalibrationBase, config: ServeConfig) -> Self {
+        assert!(
+            !config.slas.is_empty(),
+            "ServeConfig.slas: at least one SLA bound is required"
+        );
+        if let Some(bad) = config.slas.iter().find(|&&s| !finite_positive(s)) {
+            panic!("ServeConfig.slas: SLA bound {bad} is not finite and positive");
+        }
+        for (field, value) in [
+            ("refit_interval", config.refit_interval),
+            ("calibrator.window", config.calibrator.window),
+            ("drift.window", config.drift.window),
+        ] {
+            assert!(
+                finite_positive(value),
+                "ServeConfig.{field}: {value} must be finite and positive"
+            );
+        }
+        for (field, buckets) in [
+            ("calibrator.buckets", config.calibrator.buckets),
+            ("drift.buckets", config.drift.buckets),
+        ] {
+            assert!(buckets >= 1, "ServeConfig.{field}: must be at least 1");
+        }
         let obs = ServeObs::register(&config.obs);
         let counters = Arc::new(CacheCounters::default());
         let default_shard = TenantShard::new(TenantId::default_tenant(), 0, &base, &config);
@@ -398,6 +309,7 @@ impl SlaService {
             now: 0.0,
             last_refit: 0.0,
             last_publish: PublishStats::default(),
+            workers: cos_par::default_workers(),
             config,
         }
     }
@@ -519,8 +431,9 @@ impl SlaService {
 
     /// Forces a batched re-fit at the current event time, covering the
     /// `default` tenant plus every tenant that ingested telemetry since
-    /// its last re-fit. Fits fan out over [`ServeConfig::refit_workers`]
-    /// threads; one delta publish follows. Returns `true` if a new epoch
+    /// its last re-fit. Fits fan out over the machine's available
+    /// parallelism ([`cos_par::default_workers`]); one delta publish
+    /// follows. Returns `true` if a new epoch
     /// was installed for the `default` tenant; on failure the previous
     /// epoch (if any) keeps serving, flagged stale.
     pub fn refit_now(&mut self) -> bool {
@@ -546,7 +459,7 @@ impl SlaService {
         self.last_refit = self.now;
         let now = self.now;
         let variant = self.config.variant;
-        let workers = self.config.refit_workers;
+        let workers = self.workers;
         let slas = self.config.slas.clone();
 
         // Phase 1 — parallel, read-only over the shards.
@@ -681,8 +594,7 @@ impl SlaService {
     }
 
     /// Puts the service behind its writer lock and returns the owning
-    /// handle; every [`ServiceClient`] and [`TelemetrySender`] made from
-    /// it shares the lock. No thread is started: each write runs on the
+    /// handle; every [`ServiceClient`] cloned from it shares the lock. No thread is started: each write runs on the
     /// thread that calls it.
     pub fn spawn(self) -> ServiceHandle {
         let reader = self.reader();
@@ -697,8 +609,8 @@ impl SlaService {
     }
 }
 
-/// A spawned service behind its writer lock, shared by its handle, its
-/// clients and their senders; `None` once the handle has shut it down.
+/// A spawned service behind its writer lock, shared by its handle and its
+/// clients; `None` once the handle has shut it down.
 type Writer = Arc<Mutex<Option<SlaService>>>;
 
 /// Runs `f` on the service under its writer lock, on the calling thread.
@@ -709,38 +621,16 @@ fn write<T>(writer: &Writer, f: impl FnOnce(&mut SlaService) -> T) -> Result<T, 
     service.as_mut().map(f).ok_or(ServeError::Disconnected)
 }
 
-/// Tenant-scoped ingest-only endpoint for telemetry producers. A send
-/// ingests on the producer's thread, after any write in progress. Sends
-/// never fail: once the service is gone, records are dropped (a dead
-/// consumer must not crash the producer).
-#[derive(Clone)]
-pub struct TelemetrySender {
-    writer: Writer,
-    tenant: TenantId,
-}
-
-impl TelemetrySender {
-    /// Ingests one event on the calling thread, tagged with this sender's
-    /// tenant, and re-fits if the event-time cadence falls due.
-    pub fn send(&self, event: TelemetryEvent) {
-        let _ = write(&self.writer, |s| s.ingest_for(&self.tenant, event));
-    }
-
-    /// The tenant this sender's events are attributed to.
-    pub fn tenant(&self) -> &TenantId {
-        &self.tenant
-    }
-}
-
 /// Cloneable endpoint to a spawned [`SlaService`]: everything a concurrent
-/// consumer (e.g. a `cos-gate` reactor thread) needs — ingest, queries,
-/// status — without ownership of the service. Writes take the service's
-/// one writer lock and run on the calling thread, one at a time, so each
-/// has landed, with any refit it triggered, when it returns. Queries and
-/// status answer on the calling thread from the published snapshot (see
-/// [`SnapshotReader`]) without the lock, so they see every refit
-/// published before the call and never wait for a write. Once the owning
-/// [`ServiceHandle`] shuts the service down, every call returns
+/// consumer (e.g. a `cos-gate` reactor thread) needs — ingest, refits and
+/// its [`reader`](ServiceClient::reader) — without ownership of the
+/// service. Writes take the service's one writer lock and run on the
+/// calling thread, one at a time, so each has landed, with any refit it
+/// triggered, when it returns. Queries and status go through the
+/// [`SnapshotReader`], which answers on the calling thread from the
+/// published snapshot without the lock, so it sees every refit published
+/// before the call and never waits for a write. Once the owning
+/// [`ServiceHandle`] shuts the service down, every write and read returns
 /// [`ServeError::Disconnected`], except that
 /// [`ingest_batch_for`](ServiceClient::ingest_batch_for) checks a batch's
 /// devices first and still refuses one naming a device outside the base
@@ -757,24 +647,11 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// The lock-free snapshot endpoint the query methods below answer
-    /// from, with the published fleet's raw state and generation counters
-    /// besides.
+    /// The lock-free snapshot endpoint every query, sweep and status read
+    /// answers from, with the published fleet's raw state and generation
+    /// counters besides.
     pub fn reader(&self) -> SnapshotReader {
         self.reader.clone()
-    }
-
-    /// A cloneable ingest-only endpoint for the `default` tenant.
-    pub fn telemetry_sender(&self) -> TelemetrySender {
-        self.telemetry_sender_for(TenantId::default_tenant())
-    }
-
-    /// A cloneable ingest-only endpoint attributing events to `tenant`.
-    pub fn telemetry_sender_for(&self, tenant: TenantId) -> TelemetrySender {
-        TelemetrySender {
-            writer: Arc::clone(&self.writer),
-            tenant,
-        }
     }
 
     /// Ingests one telemetry event for the `default` tenant.
@@ -824,51 +701,11 @@ impl ServiceClient {
     pub fn refit_now(&self) -> Result<bool, ServeError> {
         write(&self.writer, SlaService::refit_now)
     }
-
-    /// Predicted fraction of requests meeting the query's SLA (plain,
-    /// what-if rate, or erasure-coded), for the query's tenant.
-    pub fn attainment(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.attainment(query)
-    }
-
-    /// Predicted response-latency percentile for the query's tenant.
-    pub fn latency_percentile(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.latency_percentile(query)
-    }
-
-    /// Overload-control headroom (largest admissible rate) for the
-    /// query's tenant.
-    pub fn admissible_rate(&self, query: &Query) -> Result<Prediction, ServeError> {
-        self.reader.admissible_rate(query)
-    }
-
-    /// Bottleneck ranking for the query's tenant, worst device first.
-    pub fn device_ranking(&self, query: &Query) -> Result<Vec<(usize, f64)>, ServeError> {
-        self.reader.device_ranking(query)
-    }
-
-    /// Batch what-if sweep of the `default` tenant, evaluated on the
-    /// calling thread from the published epoch (see
-    /// [`SnapshotReader::sweep`]).
-    pub fn sweep(&self, rates: Vec<f64>, slas: Vec<f64>) -> Result<Vec<RatePoint>, ServeError> {
-        self.reader.sweep(&rates, &slas)
-    }
-
-    /// Health summary of the `default` tenant, as published (drift
-    /// verdicts are as of the last re-fit attempt).
-    pub fn status(&self) -> Result<ServiceStatus, ServeError> {
-        self.reader.status()
-    }
-
-    /// Health summary of an arbitrary tenant, as published.
-    pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        self.reader.status_for(tenant)
-    }
 }
 
 /// Owning handle to a spawned [`SlaService`]: its [`ServiceClient`], to
-/// which the handle derefs — so `handle.attainment(..)`,
-/// `handle.ingest(..)` and every other client method work on it directly.
+/// which the handle derefs — so `handle.reader()`, `handle.ingest(..)`
+/// and every other client method work on it directly.
 /// Dropping it shuts the service down.
 pub struct ServiceHandle {
     client: ServiceClient,
@@ -920,6 +757,7 @@ impl Drop for ServiceHandle {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::query::Query;
     use crate::telemetry::OpClass;
     use cos_distr::{Degenerate, Gamma};
     use cos_queueing::from_distribution;
@@ -1054,15 +892,16 @@ pub(crate) mod tests {
             .ingest_batch_for(&TenantId::default(), events(40.0, 20.0, 2))
             .unwrap();
         assert!(handle.refit_now().unwrap());
+        let reader = handle.reader();
         let q = Query::new().sla(0.05);
-        let fresh = handle.attainment(&q).unwrap();
+        let fresh = reader.attainment(&q).unwrap();
 
         armed.store(true, std::sync::atomic::Ordering::SeqCst);
         assert!(
             !handle.refit_now().unwrap(),
             "a panicking refit installs nothing"
         );
-        let status = handle.status().unwrap();
+        let status = reader.status().unwrap();
         let error = status.last_fit_error.expect("the panic is the fit error");
         assert!(
             error.contains("panicked") && error.contains("tripwire"),
@@ -1070,20 +909,20 @@ pub(crate) mod tests {
         );
         assert_eq!(status.engine.failed_refits, 1);
         assert!(status.stale);
-        let state = handle.reader().state().unwrap();
+        let state = reader.state().unwrap();
         assert!(!state.unstable_fit, "a panic is not an overload verdict");
         // The last good epoch keeps answering, flagged stale.
-        let stale = handle.attainment(&q).unwrap();
+        let stale = reader.attainment(&q).unwrap();
         assert!(stale.stale);
         assert_eq!(stale.epoch, fresh.epoch);
         assert_eq!(stale.value.to_bits(), fresh.value.to_bits());
 
         armed.store(false, std::sync::atomic::Ordering::SeqCst);
         assert!(handle.refit_now().unwrap());
-        let recovered = handle.attainment(&q).unwrap();
+        let recovered = reader.attainment(&q).unwrap();
         assert_eq!(recovered.epoch, fresh.epoch + 1);
         assert!(!recovered.stale);
-        assert_eq!(handle.status().unwrap().last_fit_error, None);
+        assert_eq!(reader.status().unwrap().last_fit_error, None);
         handle.shutdown().unwrap();
     }
 
@@ -1107,21 +946,22 @@ pub(crate) mod tests {
     fn spawned_service_round_trips_through_its_handle() {
         let service = SlaService::new(base(), ServeConfig::default());
         let handle = service.spawn();
-        let sender = handle.telemetry_sender();
+        let client = handle.client();
         let feeder = std::thread::spawn(move || {
             for ev in events(40.0, 20.0, 2) {
-                sender.send(ev);
+                client.ingest(ev).unwrap();
             }
         });
         feeder.join().unwrap();
         handle.refit_now().unwrap();
-        let p = handle.attainment(&Query::new().sla(0.05)).unwrap();
+        let reader = handle.reader();
+        let p = reader.attainment(&Query::new().sla(0.05)).unwrap();
         assert!(p.value > 0.0);
-        let again = handle.attainment(&Query::new().sla(0.05)).unwrap();
+        let again = reader.attainment(&Query::new().sla(0.05)).unwrap();
         assert_eq!(p.value.to_bits(), again.value.to_bits());
-        let status = handle.status().unwrap();
+        let status = reader.status().unwrap();
         assert!(status.engine.cache.hits >= 1);
-        let points = handle.sweep(vec![40.0, 80.0], vec![0.05, 0.10]).unwrap();
+        let points = reader.sweep(&[40.0, 80.0], &[0.05, 0.10]).unwrap();
         assert_eq!(points.len(), 2);
         let final_state = handle.shutdown().unwrap();
         assert!(final_state.event_time() >= 19.0);
@@ -1133,7 +973,7 @@ pub(crate) mod tests {
         for ev in events(40.0, 20.0, 2) {
             handle.ingest(ev).unwrap();
         }
-        let client = handle.client();
+        let reader = handle.reader();
         // Evaluated, a bad rate panics in the model build, a NaN SLA in
         // the inversion, and an SLA of +∞ answers NaN: each is refused.
         for rates in [
@@ -1142,20 +982,20 @@ pub(crate) mod tests {
             [f64::NAN, 100.0],
             [f64::INFINITY, 100.0],
         ] {
-            let refusal = client.sweep(rates.to_vec(), vec![0.05]);
+            let refusal = reader.sweep(&rates, &[0.05]);
             assert!(
                 matches!(refusal, Err(ServeError::BadQuery { .. })),
                 "rates {rates:?}: {refusal:?}"
             );
         }
         for sla in [f64::NAN, f64::INFINITY, 0.0, -0.05] {
-            let refusal = client.sweep(vec![100.0], vec![0.05, sla]);
+            let refusal = reader.sweep(&[100.0], &[0.05, sla]);
             assert!(
                 matches!(refusal, Err(ServeError::BadQuery { .. })),
                 "sla {sla}: {refusal:?}"
             );
         }
-        let points = client.sweep(vec![100.0, 50.0], vec![0.05]).unwrap();
+        let points = reader.sweep(&[100.0, 50.0], &[0.05]).unwrap();
         assert_eq!(points.len(), 2, "valid inputs still sweep");
         drop(handle);
     }
@@ -1171,7 +1011,8 @@ pub(crate) mod tests {
             .map(|_| {
                 let c = client.clone();
                 std::thread::spawn(move || {
-                    c.attainment(&Query::new().sla(0.05))
+                    c.reader()
+                        .attainment(&Query::new().sla(0.05))
                         .unwrap()
                         .value
                         .to_bits()
@@ -1180,15 +1021,16 @@ pub(crate) mod tests {
             .map(|j| j.join().unwrap())
             .collect();
         assert!(answers.windows(2).all(|w| w[0] == w[1]));
-        let ranked = client.device_ranking(&Query::new().sla(0.05)).unwrap();
+        let reader = client.reader();
+        let ranked = reader.device_ranking(&Query::new().sla(0.05)).unwrap();
         assert_eq!(ranked.len(), 2, "one entry per device");
         assert!(ranked[0].1 <= ranked[1].1, "worst device first");
         drop(handle);
         assert_eq!(
-            client.attainment(&Query::new().sla(0.05)),
+            reader.attainment(&Query::new().sla(0.05)),
             Err(ServeError::Disconnected)
         );
-        assert!(matches!(client.status(), Err(ServeError::Disconnected)));
+        assert!(matches!(reader.status(), Err(ServeError::Disconnected)));
     }
 
     #[test]
@@ -1399,71 +1241,45 @@ pub(crate) mod tests {
             .unwrap();
         assert!(handle.reader().fleet().unwrap().get(&ghost).is_none());
         assert!(matches!(
-            handle.status_for(&ghost),
+            handle.reader().status_for(&ghost),
             Err(ServeError::UnknownTenant { .. })
         ));
         assert_eq!(handle.shutdown().unwrap().tenants(), 1, "default only");
     }
 
     #[test]
-    fn builder_accepts_defaults_and_rejects_nonsense() {
-        let built = ServeConfig::builder().build().unwrap();
-        assert_eq!(built.slas, ServeConfig::default().slas);
-        assert!(built.refit_workers >= 1);
-
-        let tweaked = ServeConfig::builder()
-            .slas(vec![0.020])
-            .refit_interval(1.0)
-            .refit_workers(3)
-            .build()
-            .unwrap();
-        assert_eq!(tweaked.slas, vec![0.020]);
-        assert_eq!(tweaked.refit_workers, 3);
-
-        let cases: &[(ServeConfigBuilder, &str)] = &[
-            (ServeConfig::builder().slas(vec![]), "slas"),
-            (ServeConfig::builder().slas(vec![0.05, -0.01]), "slas"),
-            (ServeConfig::builder().slas(vec![f64::NAN]), "slas"),
-            (ServeConfig::builder().refit_interval(0.0), "refit_interval"),
-            (
-                ServeConfig::builder().refit_interval(f64::INFINITY),
-                "refit_interval",
-            ),
-            (ServeConfig::builder().refit_workers(0), "refit_workers"),
-            (
-                ServeConfig::builder().calibrator(CalibratorConfig {
-                    window: 0.0,
-                    ..CalibratorConfig::default()
-                }),
-                "calibrator.window",
-            ),
-            (
-                ServeConfig::builder().calibrator(CalibratorConfig {
-                    buckets: 0,
-                    ..CalibratorConfig::default()
-                }),
-                "calibrator.buckets",
-            ),
-            (
-                ServeConfig::builder().drift(DriftConfig {
-                    window: -1.0,
-                    ..DriftConfig::default()
-                }),
-                "drift.window",
-            ),
-            (
-                ServeConfig::builder().drift(DriftConfig {
-                    buckets: 0,
-                    ..DriftConfig::default()
-                }),
-                "drift.buckets",
-            ),
+    fn a_nonsensical_config_panics_naming_the_field() {
+        // The defaults with one field changed.
+        let with = |change: fn(&mut ServeConfig)| {
+            let mut config = ServeConfig::default();
+            change(&mut config);
+            config
+        };
+        let cases: [(ServeConfig, &str); 9] = [
+            (with(|c| c.slas = vec![]), "slas"),
+            (with(|c| c.slas = vec![0.05, -0.01]), "slas"),
+            (with(|c| c.slas = vec![f64::NAN]), "slas"),
+            (with(|c| c.refit_interval = 0.0), "refit_interval"),
+            (with(|c| c.refit_interval = f64::INFINITY), "refit_interval"),
+            (with(|c| c.calibrator.window = 0.0), "calibrator.window"),
+            (with(|c| c.calibrator.buckets = 0), "calibrator.buckets"),
+            (with(|c| c.drift.window = -1.0), "drift.window"),
+            (with(|c| c.drift.buckets = 0), "drift.buckets"),
         ];
-        for (builder, field) in cases {
-            let e = builder.clone().build().unwrap_err();
-            assert_eq!(e.field, *field);
-            assert!(e.to_string().contains("ServeConfig."), "{e}");
+        for (config, field) in cases {
+            let panic = catch_unwind(AssertUnwindSafe(|| SlaService::new(base(), config)))
+                .err()
+                .unwrap_or_else(|| panic!("{field}: a nonsensical value was accepted"));
+            let message = panic_message(&*panic);
+            assert!(
+                message.starts_with(&format!("ServeConfig.{field}: ")),
+                "{field}: {message}"
+            );
         }
+        // The defaults and a tweaked literal are accepted.
+        SlaService::new(base(), ServeConfig::default());
+        let tweaked = with(|c| c.slas = vec![0.020]);
+        assert_eq!(SlaService::new(base(), tweaked).config().slas, vec![0.020]);
     }
 
     #[test]
@@ -1491,7 +1307,7 @@ pub(crate) mod tests {
         assert!(direct[2].value >= direct[1].value);
 
         let handle = service.spawn();
-        let client = handle.client();
+        let client = handle.client().reader();
         let via_client = [
             client.attainment(&queries[0]).unwrap(),
             client.latency_percentile(&queries[1]).unwrap(),
@@ -1636,24 +1452,23 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn tenant_scoped_telemetry_senders_route_to_their_shard() {
+    fn client_ingest_for_routes_to_the_tenants_shard() {
         let handle = SlaService::new(base(), ServeConfig::default()).spawn();
         let blue = TenantId::new("blue").unwrap();
-        let sender = handle.telemetry_sender_for(blue.clone());
-        assert_eq!(sender.tenant(), &blue);
         for ev in events(40.0, 20.0, 2) {
-            sender.send(ev);
+            handle.ingest_for(&blue, ev).unwrap();
         }
         handle.refit_now().unwrap();
-        let p = handle
+        let reader = handle.reader();
+        let p = reader
             .attainment(&Query::tenant(blue.clone()).sla(0.05))
             .unwrap();
         assert!(p.value > 0.0);
-        let status = handle.status_for(&blue).unwrap();
+        let status = reader.status_for(&blue).unwrap();
         assert!(status.epoch.is_some());
         // The default tenant saw nothing.
         assert_eq!(
-            handle.attainment(&Query::new().sla(0.05)),
+            reader.attainment(&Query::new().sla(0.05)),
             Err(ServeError::NotCalibrated)
         );
         drop(handle);
@@ -1662,15 +1477,15 @@ pub(crate) mod tests {
     #[test]
     fn dropped_handle_shuts_the_service_down() {
         let handle = SlaService::new(base(), ServeConfig::default()).spawn();
-        let sender = handle.telemetry_sender();
         let client = handle.client();
         drop(handle);
-        // The ingest endpoint must not panic after shutdown.
-        sender.send(TelemetryEvent::Arrival { at: 0.0, device: 0 });
         let event = TelemetryEvent::Arrival { at: 1.0, device: 0 };
         assert_eq!(client.ingest(event), Err(ServeError::Disconnected));
         assert_eq!(client.refit_now(), Err(ServeError::Disconnected));
-        assert!(matches!(client.status(), Err(ServeError::Disconnected)));
+        assert!(matches!(
+            client.reader().status(),
+            Err(ServeError::Disconnected)
+        ));
     }
 
     #[test]
@@ -1680,7 +1495,8 @@ pub(crate) mod tests {
             .ingest_batch_for(&TenantId::default(), events(40.0, 20.0, 2))
             .unwrap();
         let q = Query::new().sla(0.05);
-        let before = handle.attainment(&q).unwrap();
+        let reader = handle.reader();
+        let before = reader.attainment(&q).unwrap();
         // A write that panics while holding the lock.
         let client = handle.client();
         let panicked =
@@ -1698,9 +1514,8 @@ pub(crate) mod tests {
             Err(ServeError::Disconnected)
         );
         assert_eq!(handle.refit_now(), Err(ServeError::Disconnected));
-        handle.telemetry_sender().send(event);
         // Reads answer from the last published fleet, with the same bits.
-        let after = handle.attainment(&q).unwrap();
+        let after = reader.attainment(&q).unwrap();
         assert_eq!(after.value.to_bits(), before.value.to_bits());
         assert_eq!(after.epoch, before.epoch);
         assert!(matches!(handle.shutdown(), Err(ServeError::Disconnected)));

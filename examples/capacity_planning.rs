@@ -8,14 +8,22 @@
 //! Run with: `cargo run --release --example capacity_planning`
 
 use cosmodel::distr::{Degenerate, Gamma};
-use cosmodel::model::{DeviceParams, FrontendParams, ModelVariant, SystemModel, SystemParams};
+use cosmodel::model::{
+    elastic_plan, min_devices, DeviceParams, FrontendParams, ModelVariant, SlaGoal, SystemModel,
+    SystemParams,
+};
 use cosmodel::queueing::from_distribution;
 
-fn build(total_rate: f64, devices: usize, processes: usize) -> Option<SystemModel> {
-    let per_device = total_rate / devices as f64;
-    let device = DeviceParams {
-        arrival_rate: per_device,
-        data_read_rate: per_device * 1.1,
+/// Candidate cluster sizes run from 1 to this many devices.
+const MAX_DEVICES: usize = 64;
+
+/// One device at 1 req/s with 1.1 data reads per request and benchmarked
+/// Gamma disk laws; the planner scales it to each cluster size's share of
+/// the rate.
+fn device(processes: usize) -> DeviceParams {
+    DeviceParams {
+        arrival_rate: 1.0,
+        data_read_rate: 1.1,
         miss_index: 0.3,
         miss_meta: 0.3,
         miss_data: 0.5,
@@ -24,41 +32,45 @@ fn build(total_rate: f64, devices: usize, processes: usize) -> Option<SystemMode
         data_disk: from_distribution(Gamma::new(3.5, 245.0)),
         parse_be: from_distribution(Degenerate::new(0.0005)),
         processes,
-    };
-    let params = SystemParams {
-        frontend: FrontendParams {
-            arrival_rate: total_rate,
-            processes: 3,
-            parse_fe: from_distribution(Degenerate::new(0.0003)),
-        },
-        devices: vec![device; devices],
-    };
-    SystemModel::new(&params, ModelVariant::Full).ok()
+    }
 }
 
-fn plan(total_rate: f64, sla: f64, target: f64) -> Option<(usize, f64)> {
-    for devices in 1..=64 {
-        if let Some(model) = build(total_rate, devices, 1) {
-            let p = model.fraction_meeting_sla(sla);
-            if p >= target {
-                return Some((devices, p));
-            }
-        }
+fn frontend() -> FrontendParams {
+    FrontendParams {
+        arrival_rate: 1.0,
+        processes: 3,
+        parse_fe: from_distribution(Degenerate::new(0.0003)),
     }
-    None
+}
+
+/// P(latency <= `sla`) of the cluster the planner found: `devices` copies
+/// of the device, sharing `rate` evenly, as `min_devices` builds it.
+fn attainment(rate: f64, devices: usize, processes: usize, sla: f64) -> f64 {
+    let params = SystemParams {
+        frontend: frontend(),
+        devices: vec![device(processes); devices],
+    };
+    SystemModel::new(&params.scaled_to_rate(rate), ModelVariant::Full)
+        .expect("the planner's answer is stable")
+        .fraction_meeting_sla(sla)
 }
 
 fn main() {
-    let sla = 0.050;
-    let target = 0.95;
+    let goal = SlaGoal::new(0.050, 0.95);
+    let variant = ModelVariant::Full;
     println!("Capacity planning: smallest device count with P(latency <= 50ms) >= 95%\n");
     println!(
         "{:>12} {:>10} {:>16}",
         "rate (req/s)", "devices", "P(<=50ms)"
     );
-    for rate in [150.0, 300.0, 450.0, 600.0, 900.0, 1200.0] {
-        match plan(rate, sla, target) {
-            Some((devices, p)) => println!("{rate:>12.0} {devices:>10} {p:>16.4}"),
+    let rates = [150.0, 300.0, 450.0, 600.0, 900.0, 1200.0];
+    let plan = elastic_plan(&device(1), &frontend(), variant, goal, &rates, MAX_DEVICES);
+    for (rate, devices) in rates.into_iter().zip(plan) {
+        match devices {
+            Some(devices) => {
+                let p = attainment(rate, devices, 1, goal.sla);
+                println!("{rate:>12.0} {devices:>10} {p:>16.4}")
+            }
             None => println!("{rate:>12.0} {:>10} {:>16}", ">64", "-"),
         }
     }
@@ -74,18 +86,12 @@ fn main() {
     );
     for rate in [300.0, 600.0] {
         for processes in [1usize, 4, 16] {
-            let mut answer = None;
-            for devices in 1..=64 {
-                if let Some(m) = build(rate, devices, processes) {
-                    let p = m.fraction_meeting_sla(sla);
-                    if p >= target {
-                        answer = Some((devices, p));
-                        break;
-                    }
+            let template = device(processes);
+            match min_devices(&template, &frontend(), variant, goal, rate, MAX_DEVICES) {
+                Some(d) => {
+                    let p = attainment(rate, d, processes, goal.sla);
+                    println!("{rate:>12.0} {processes:>10} {d:>10} {p:>16.4}")
                 }
-            }
-            match answer {
-                Some((d, p)) => println!("{rate:>12.0} {processes:>10} {d:>10} {p:>16.4}"),
                 None => println!("{rate:>12.0} {processes:>10} {:>10} {:>16}", ">64", "-"),
             }
         }

@@ -33,9 +33,27 @@
 //! * [`obs`] (`cos-obs`) — lock-free latency histograms, counters, and
 //!   span timers the service and gate record themselves into.
 //!
-//! Applications should start from [`prelude`] (the tier-1 stable surface)
-//! and [`CosError`] (the unified error umbrella); the per-crate facades
-//! above are the deeper, semi-stable layer.
+//! Each layer keeps its own error type: the model's [`model::ModelError`],
+//! the service's [`serve::ServeError`] (which the gate maps to an HTTP
+//! status in one place), the gate parser's [`gate::ParseError`] and the
+//! controller's [`ctrl::Shed`].
+//!
+//! ## Stability tiers
+//!
+//! * **Stable.** The serving stack's one way in: the model
+//!   ([`model::SystemModel`] over [`model::SystemParams`]), the service
+//!   ([`serve::SlaService`] with its [`serve::ServeConfig`] literal, its
+//!   [`serve::ServiceHandle`] and [`serve::ServiceClient`] writes, and
+//!   every question as a [`serve::Query`] to a [`serve::SnapshotReader`]),
+//!   the front door ([`gate::Gate`] with its [`gate::GateConfig`] literal),
+//!   the controller ([`ctrl::Controller`]) and the instruments
+//!   ([`obs::Registry`]). Changes go through a deprecation cycle.
+//! * **Semi-stable.** Everything else reachable through the per-crate
+//!   facades: public and documented, but may be reshaped between minor
+//!   versions as the reproduction grows.
+//! * **Internal.** The numeric/simulation plumbing crates ([`numeric`],
+//!   [`simkit`], [`queueing`], [`par`]): exported for the benchmark
+//!   harness and tests; no stability promise at all.
 //!
 //! ## Quickstart
 //!
@@ -83,55 +101,3 @@ pub use cos_simkit as simkit;
 pub use cos_stats as stats;
 pub use cos_storesim as storesim;
 pub use cos_workload as workload;
-
-pub mod error;
-
-pub use error::CosError;
-
-/// The stable, application-facing surface in one import.
-///
-/// `use cosmodel::prelude::*;` brings in everything needed to calibrate a
-/// model, run the online prediction service, put the HTTP gate in front of
-/// it, and observe the whole stack — without reaching into the individual
-/// workspace crates.
-///
-/// ## Stability tiers
-///
-/// * **Tier 1 — stable.** The names re-exported here. They form the query
-///   surface the README and DESIGN document; changes go through a
-///   deprecation cycle.
-/// * **Tier 2 — semi-stable.** Everything else reachable through the
-///   per-crate facades ([`crate::model`], [`crate::serve`],
-///   [`crate::gate`], [`crate::obs`], …): public and documented, but may
-///   be reshaped between minor versions as the reproduction grows.
-/// * **Tier 3 — internal.** The numeric/simulation plumbing crates
-///   ([`crate::numeric`], [`crate::simkit`], [`crate::queueing`],
-///   [`crate::par`]): exported for the benchmark harness and tests; no
-///   stability promise at all.
-pub mod prelude {
-    // Tier 1: the analytic model — parameters in, percentile out.
-    pub use cos_model::{
-        DeviceParams, FrontendParams, ModelError, ModelVariant, SlaGoal, SystemModel, SystemParams,
-    };
-
-    // Tier 1: the online service — telemetry in, predictions out.
-    pub use cos_serve::{
-        CalibrationBase, CalibratorConfig, InvalidTenant, Prediction, Query, ServeConfig,
-        ServeConfigBuilder, ServeError, ServiceClient, ServiceHandle, ServiceStatus, SlaService,
-        SnapshotReader, TelemetryEvent, TelemetrySender, TenantId, DEFAULT_TENANT,
-    };
-
-    // Tier 1: the HTTP front door.
-    pub use cos_gate::{Gate, GateConfig, GateConfigBuilder};
-
-    // Tier 1: the admission controller + anomaly detector.
-    pub use cos_ctrl::{
-        AdmissionPolicy, Anomaly, AnomalyConfig, Controller, CtrlConfig, Shed, SlaClass, Ticker,
-    };
-
-    // Tier 1: the self-measuring instruments shared across the stack.
-    pub use cos_obs::{Counter, Gauge, Hist, HistSnapshot, Registry};
-
-    // Tier 1: the unified error umbrella.
-    pub use crate::error::CosError;
-}

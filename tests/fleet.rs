@@ -45,10 +45,10 @@ fn base(devices: usize) -> CalibrationBase {
 /// exactly which shards fit and when (fleet cadence would otherwise let
 /// one tenant's event trigger a sweep mid-tick).
 fn manual_config() -> ServeConfig {
-    ServeConfig::builder()
-        .refit_interval(1e9)
-        .build()
-        .expect("manual-cadence config is valid")
+    ServeConfig {
+        refit_interval: 1e9,
+        ..ServeConfig::default()
+    }
 }
 
 /// Deterministic telemetry for `devices` devices over `[t0, t1)` at

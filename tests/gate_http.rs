@@ -363,7 +363,7 @@ fn coded_queries_answer_on_the_wire_like_the_client() {
     let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
     let mut client = Client::connect(gate.local_addr());
 
-    let in_process = handle.client();
+    let in_process = handle.reader();
     let targets = [
         (
             "/v1/percentile?p=0.99&n=4&k=2",
