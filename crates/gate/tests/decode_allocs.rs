@@ -1,6 +1,7 @@
 //! Allocation count of the telemetry decoders, from inside the allocator,
 //! and the path the fast path takes for each producer's layout, from its
-//! test-only member-loop counter.
+//! test-only counters: events read by the member loop, and number
+//! literals handed to `str::parse`.
 //!
 //! This test binary installs the counting allocator, so it holds exactly
 //! one test: the counter is process-wide, and a second test tracking its
@@ -107,10 +108,14 @@ fn one_pass_decode_allocates_only_its_output() {
     let body = encode_events(&events);
 
     let loop_events = json::member_loop_events();
+    let parses = json::str_parse_literals();
     let (one_pass, decoded) = allocations(|| json::decode_telemetry(&body));
     // Every event as `encode_events` writes it is read as its type's
-    // member sequence, without the general member loop.
+    // member sequence, without the general member loop, and every number
+    // literal in it (768 of its 1,280 have more than 15 significant
+    // digits) is converted without `str::parse`.
     assert_eq!(json::member_loop_events() - loop_events, 0);
+    assert_eq!(json::str_parse_literals() - parses, 0);
     let (tree, reference) = allocations(|| json::parse(&body).and_then(|doc| decode_events(&doc)));
     assert_eq!(decoded.as_ref(), Ok(&events));
     assert_eq!(reference.as_ref(), Ok(&events));
@@ -132,6 +137,7 @@ fn one_pass_decode_allocates_only_its_output() {
     // allocations.
     for (variant, text) in producer_variants(&body) {
         let loop_events = json::member_loop_events();
+        let parses = json::str_parse_literals();
         let (count, decoded) = allocations(|| json::decode_telemetry(&text));
         assert_eq!(decoded.as_ref(), Ok(&events), "{variant}");
         assert_eq!(
@@ -139,9 +145,31 @@ fn one_pass_decode_allocates_only_its_output() {
             480,
             "events of the {variant} body read by the member loop"
         );
+        assert_eq!(
+            json::str_parse_literals() - parses,
+            0,
+            "literals of the {variant} body handed to str::parse"
+        );
         assert!(
             count <= 2,
             "decode_telemetry made {count} allocations for the {variant} body"
+        );
+    }
+
+    // A literal past 19 significant digits, or written with an exponent,
+    // is the one the fast path hands to `str::parse`.
+    for at in ["180.01234567890123456", "1.8e2"] {
+        let body = format!(r#"[{{"type":"arrival","at":{at},"device":1}}]"#);
+        let parses = json::str_parse_literals();
+        let decoded = json::decode_telemetry(&body);
+        assert_eq!(json::str_parse_literals() - parses, 1, "{body}");
+        let want = at.parse().expect("a valid literal");
+        assert_eq!(
+            decoded,
+            Ok(vec![TelemetryEvent::Arrival {
+                at: want,
+                device: 1
+            }])
         );
     }
 }

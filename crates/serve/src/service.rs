@@ -240,12 +240,6 @@ pub struct SlaService {
     now: f64,
     last_refit: f64,
     last_publish: PublishStats,
-    /// Threads a batched re-fit fans out over: the machine's available
-    /// parallelism, read once here, since on Linux each read parses cgroup
-    /// files (about 20 µs on a 2-vCPU VM, against a 0.5 ms refit). Fits
-    /// are order-preserving and per-tenant independent, so no answer bit
-    /// depends on it.
-    workers: usize,
 }
 
 /// Whether `x` is finite and positive.
@@ -294,6 +288,7 @@ impl SlaService {
         let default_shard = TenantShard::new(TenantId::default_tenant(), 0, &base, &config);
         let shared = Arc::new(SnapshotShared::new(
             config.variant,
+            cos_par::default_workers(),
             Arc::clone(&counters),
             obs.clone(),
             build_state(&default_shard),
@@ -309,7 +304,6 @@ impl SlaService {
             now: 0.0,
             last_refit: 0.0,
             last_publish: PublishStats::default(),
-            workers: cos_par::default_workers(),
             config,
         }
     }
@@ -432,7 +426,8 @@ impl SlaService {
     /// Forces a batched re-fit at the current event time, covering the
     /// `default` tenant plus every tenant that ingested telemetry since
     /// its last re-fit. Fits fan out over the machine's available
-    /// parallelism ([`cos_par::default_workers`]); one delta publish
+    /// parallelism ([`cos_par::default_workers`], read once when the
+    /// service is built, for refits and sweeps alike); one delta publish
     /// follows. Returns `true` if a new epoch
     /// was installed for the `default` tenant; on failure the previous
     /// epoch (if any) keeps serving, flagged stale.
@@ -459,7 +454,7 @@ impl SlaService {
         self.last_refit = self.now;
         let now = self.now;
         let variant = self.config.variant;
-        let workers = self.workers;
+        let workers = self.shared.workers;
         let slas = self.config.slas.clone();
 
         // Phase 1 — parallel, read-only over the shards.

@@ -226,12 +226,19 @@ pub(crate) struct SnapshotShared {
     /// The hit/miss counters every epoch's memo counts into.
     counters: Arc<CacheCounters>,
     variant: ModelVariant,
+    /// Threads a batched re-fit and a what-if sweep fan out over: the
+    /// machine's available parallelism, read once when the service is
+    /// built, since on Linux each read parses cgroup files (about 20 µs on
+    /// a 2-vCPU VM). Both fan-outs are order-preserving, so no answer bit
+    /// depends on it.
+    pub(crate) workers: usize,
     obs: ServeObs,
 }
 
 impl SnapshotShared {
     pub(crate) fn new(
         variant: ModelVariant,
+        workers: usize,
         counters: Arc<CacheCounters>,
         obs: ServeObs,
         initial: SnapshotState,
@@ -242,6 +249,7 @@ impl SnapshotShared {
             event_time: AtomicU64::new(0f64.to_bits()),
             counters,
             variant,
+            workers,
             obs,
         }
     }
@@ -426,8 +434,8 @@ impl SnapshotReader {
 
     /// Batch what-if sweep of the `default` tenant: every rate in `rates`
     /// evaluated against every SLA in `slas` on the published epoch, the
-    /// rates fanned over [`cos_par::par_map`] from the calling thread. The
-    /// inputs are used exactly — neither snapped nor memoized. Returns the
+    /// rates fanned over [`cos_par::par_map`] from the calling thread, on
+    /// as many workers as the service's refits. The inputs are used exactly — neither snapped nor memoized. Returns the
     /// points sorted by rate; a rate with no steady state (ρ ≥ 1) comes back
     /// with [`RatePoint::fractions`] `= None` rather than failing the
     /// sweep, since a sweep that straddles the saturation knee is the
@@ -456,7 +464,7 @@ impl SnapshotReader {
             .ok_or(ServeError::NotCalibrated)?;
         let variant = self.shared.variant;
         let task = &self.shared.obs.sweep_task;
-        let mut points = cos_par::par_map(cos_par::default_workers(), rates, |_, &rate| {
+        let mut points = cos_par::par_map(self.shared.workers, rates, |_, &rate| {
             let _span = task.start_span();
             let fractions = model_at_rate(&snap.params, variant, rate).ok().map(|m| {
                 slas.iter()
