@@ -9,8 +9,11 @@
 
 use cos_obs::{Counter, Hist, HistSnapshot, Registry};
 
-/// The route set with dedicated per-route latency series; anything else
-/// lands in the `other` series.
+use crate::routes::resolve;
+
+/// The gate's routes, each named by its legacy path: each has its own
+/// latency series, which its tenant-scoped form counts into too. Anything
+/// else lands in the `other` series.
 pub const TRACKED_ROUTES: [&str; 9] = [
     "/v1/attainment",
     "/v1/percentile",
@@ -94,14 +97,14 @@ impl GateObs {
         &self.registry
     }
 
-    /// The request-latency series for `path` (the `other` series for
-    /// untracked paths).
+    /// The request-latency series of the route `path` resolves to (the
+    /// `other` series for a path that names no route, or a tenant id that
+    /// could never exist).
     pub fn request_hist(&self, path: &str) -> &Hist {
-        TRACKED_ROUTES
-            .iter()
-            .position(|&r| r == path)
-            .map(|i| &self.routes[i])
-            .unwrap_or(&self.other)
+        resolve(path)
+            .route()
+            .and_then(|route| TRACKED_ROUTES.iter().position(|&r| r == route))
+            .map_or(&self.other, |i| &self.routes[i])
     }
 
     /// Merged snapshot of request latency across every route — the
@@ -122,14 +125,16 @@ mod tests {
         let obs = GateObs::register(&registry);
         obs.request_hist("/v1/status").record_ns(1_000);
         obs.request_hist("/v1/status").record_ns(2_000);
+        obs.request_hist("/v1/tenants/blue/status").record_ns(2_500);
         obs.request_hist("/nope").record_ns(3_000);
-        assert_eq!(obs.request_hist("/v1/status").count(), 2);
+        obs.request_hist("/v1/tenants/BLUE/status").record_ns(3_500);
+        assert_eq!(obs.request_hist("/v1/status").count(), 3);
         assert_eq!(
             obs.request_hist("/definitely/not").count(),
-            1,
+            2,
             "shared other"
         );
-        assert_eq!(obs.observed_request_latency().count(), 3);
+        assert_eq!(obs.observed_request_latency().count(), 5);
     }
 
     #[test]

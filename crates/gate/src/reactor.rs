@@ -659,9 +659,9 @@ impl Reactor {
                     let started = conn.request_started.take().unwrap_or(parse_begin);
                     let dispatch_span = self.obs.dispatch.start_span();
                     // A panicking handler costs its request a `500`, not
-                    // the reactor. Handlers only read shared state, and an
-                    // unwound cold read's memo flight is released by its
-                    // guard, so nothing is left half-written.
+                    // the reactor. Handlers only read shared state, and a
+                    // cold read memoizes its answer only once computed, so
+                    // an unwound one leaves nothing half-written.
                     let response = catch_unwind(AssertUnwindSafe(|| {
                         routes::handle_ctrl(
                             &self.client,
@@ -715,8 +715,9 @@ impl Reactor {
         self.finish_drive(slot, draining);
     }
 
-    /// The write/close/interest tail of [`drive`], shared with the
-    /// deadline sweep (which queues a 408 and then only needs this part).
+    /// The write/close/interest tail of [`drive`](Self::drive), shared
+    /// with the deadline sweep (which queues a 408 and then only needs
+    /// this part).
     fn finish_drive(&mut self, slot: usize, draining: bool) {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;

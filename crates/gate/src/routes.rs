@@ -54,14 +54,14 @@
 
 use cos_ctrl::{Controller, SlaClass};
 use cos_serve::{
-    OpClass, Prediction, Query, ServeError, ServiceClient, ServiceStatus, SnapshotReader,
-    TelemetryEvent, TenantId,
+    InvalidTenant, OpClass, Prediction, Query, ServeError, ServiceClient, ServiceStatus,
+    SnapshotReader, TelemetryEvent, TenantId,
 };
 
 use crate::http::{Method, Request, Response};
 use crate::json::{self, Field, Value};
 use crate::metrics::{render_ctrl_metrics, render_metrics, render_tenant_metrics};
-use crate::obs::GateObs;
+use crate::obs::{GateObs, TRACKED_ROUTES};
 use crate::query;
 
 /// The GET routes' view of the service, scoped to one tenant's estimator
@@ -103,18 +103,10 @@ pub fn handle(client: &ServiceClient, req: &Request) -> Response {
 /// `x-sla-class: batch|standard|premium` header. `control` is not
 /// nameable from the wire.
 pub fn classify(req: &Request) -> SlaClass {
-    let path = req.path();
-    // Tenant-scoped ingest and status feed the same loop as their legacy
-    // aliases: starving either would wedge the controller identically.
-    if let Some(rest) = path.strip_prefix("/v1/tenants/") {
-        if let Some((_, tail)) = rest.split_once('/') {
-            if matches!(tail, "telemetry" | "status") {
-                return SlaClass::Control;
-            }
-        }
-    }
-    match path {
-        "/v1/telemetry" | "/v1/status" | "/v1/selfcheck" | "/v1/anomalies" | "/metrics" => {
+    // Tenant-scoped ingest and status resolve to their legacy routes: they
+    // feed the same loop, and starving either would wedge the controller.
+    match resolve(req.path()).route() {
+        Some("/v1/telemetry" | "/v1/status" | "/v1/selfcheck" | "/v1/anomalies" | "/metrics") => {
             SlaClass::Control
         }
         _ => req
@@ -124,26 +116,50 @@ pub fn classify(req: &Request) -> SlaClass {
     }
 }
 
-/// Resolves a request path to `(tenant, canonical route)`: a
-/// `/v1/tenants/{tenant}/{tail}` path maps onto the legacy route the tail
-/// aliases, and every other path belongs to the reserved `default` tenant
-/// unchanged. Refusals become the response directly: a tenant id that
-/// could never exist (checked before the tail — the id is unusable no
-/// matter what follows it) → `422`; an unrecognized tail → `404`. Only
-/// the five read routes and telemetry have tenant-scoped forms —
-/// `selfcheck`, `anomalies`, and `metrics` describe the whole gate, not
-/// one tenant.
-fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
+/// Where a request path leads.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Target<'a> {
+    /// A route, named by its legacy path, for the tenant a
+    /// `/v1/tenants/{tenant}/…` path names (`None`: a legacy path, which
+    /// belongs to the reserved `default` tenant).
+    Route(&'static str, Option<&'a str>),
+    /// A `/v1/tenants/{tenant}/…` path whose id could never exist, and why.
+    BadTenant(&'a str, &'static str),
+    /// A path that names no route.
+    Nowhere,
+}
+
+impl Target<'_> {
+    /// The route, if the path names one for a possible tenant.
+    pub(crate) fn route(self) -> Option<&'static str> {
+        match self {
+            Target::Route(route, _) => Some(route),
+            Target::BadTenant(..) | Target::Nowhere => None,
+        }
+    }
+}
+
+/// Maps a request path to its canonical route: the one map dispatch,
+/// [`classify`] and the per-route latency series share. A legacy path is
+/// its own route; a `/v1/tenants/{tenant}/{tail}` path maps onto the
+/// legacy route its tail aliases, once its id has passed
+/// [`TenantId::check`] (checked before the tail — the id is unusable no
+/// matter what follows it). Only the five read routes and telemetry have
+/// tenant-scoped forms — `selfcheck`, `anomalies`, and `metrics` describe
+/// the whole gate, not one tenant. Allocates nothing.
+pub(crate) fn resolve(path: &str) -> Target<'_> {
     let Some(rest) = path.strip_prefix("/v1/tenants/") else {
-        return Ok((TenantId::default_tenant(), path));
+        return match TRACKED_ROUTES.iter().find(|&&route| route == path) {
+            Some(route) => Target::Route(route, None),
+            None => Target::Nowhere,
+        };
     };
     let Some((id, tail)) = rest.split_once('/') else {
-        return Err(Response::error(404, "no such route"));
+        return Target::Nowhere;
     };
-    let tenant = match TenantId::new(id) {
-        Ok(t) => t,
-        Err(e) => return Err(Response::error(422, &e.to_string())),
-    };
+    if let Err(reason) = TenantId::check(id) {
+        return Target::BadTenant(id, reason);
+    }
     let route = match tail {
         "attainment" => "/v1/attainment",
         "percentile" => "/v1/percentile",
@@ -151,12 +167,12 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
         "bottlenecks" => "/v1/bottlenecks",
         "status" => "/v1/status",
         "telemetry" => "/v1/telemetry",
-        _ => return Err(Response::error(404, "no such route")),
+        _ => return Target::Nowhere,
     };
-    Ok((tenant, route))
+    Target::Route(route, Some(id))
 }
 
-/// The full dispatcher: tenant resolution, then admission control (when a
+/// The full dispatcher: path resolution, then admission control (when a
 /// controller is configured), then routing. A shed request is answered
 /// `429 Too Many Requests` with a `Retry-After` header and never reaches
 /// the service; `GET /v1/anomalies` exists only when a controller is
@@ -164,20 +180,28 @@ fn tenant_route(path: &str) -> Result<(TenantId, &str), Response> {
 /// appends every registered instrument and `/v1/selfcheck` reports
 /// observed request percentiles.
 ///
-/// Tenant resolution runs *before* the admission decision, so a request
-/// with a malformed or unroutable tenant path is refused `422`/`404` even
-/// while shedding: the refusal is cheaper than admitting the request
-/// would have been, and a request that could never route should not
-/// consume shed-ladder budget.
+/// Path resolution runs *before* the admission decision, so a request
+/// whose path names no route, or a tenant id that could never exist, is
+/// refused `404`/`422` even while shedding: the refusal is cheaper than
+/// admitting the request would have been, and a request that could never
+/// route should not consume shed-ladder budget.
 pub fn handle_ctrl(
     client: &ServiceClient,
     obs: Option<&GateObs>,
     ctrl: Option<&Controller>,
     req: &Request,
 ) -> Response {
-    let (tenant, route) = match tenant_route(req.path()) {
-        Ok(pair) => pair,
-        Err(refusal) => return refusal,
+    let (route, tenant) = match resolve(req.path()) {
+        Target::Route(route, None) => (route, TenantId::default_tenant()),
+        Target::Route(route, Some(id)) => (route, TenantId::new(id).expect("resolve checked it")),
+        Target::BadTenant(id, reason) => {
+            let refusal = InvalidTenant {
+                id: id.to_string(),
+                reason,
+            };
+            return Response::error(422, &refusal.to_string());
+        }
+        Target::Nowhere => return Response::error(404, "no such route"),
     };
     if let Some(ctrl) = ctrl {
         if let Err(shed) = ctrl.decide(classify(req)) {
@@ -1228,6 +1252,14 @@ mod tests {
             String::from_utf8_lossy(&resp.body).contains("standard"),
             "error names the class"
         );
+        // A path that names no route is refused before admission.
+        let nowhere = req("GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
+        for _ in 0..3 {
+            assert_eq!(
+                handle_ctrl(&client, None, Some(&ctrl), &nowhere).status,
+                404
+            );
+        }
         // Back to zero shed, everything flows again (503: still warming).
         ctrl.force_shed(0.0);
         let resp = handle_ctrl(&client, None, Some(&ctrl), &request);

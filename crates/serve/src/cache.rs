@@ -3,8 +3,8 @@
 //!
 //! Every served answer is Eq. 2/3 evaluated on one fitted parameter set,
 //! so a memoized answer is valid exactly as long as its epoch is
-//! installed. Each [`EpochSnapshot`](crate::EpochSnapshot) therefore owns one [`EpochMemo`] of
-//! answers, built models and in-flight computations. The memo is created
+//! installed. Each [`EpochSnapshot`](crate::EpochSnapshot) therefore owns
+//! one [`EpochMemo`] of answers and built models. The memo is created
 //! and pre-warmed when a refit installs the epoch, and every clone of the
 //! snapshot shares it, so a failed refit or a stale flip, which keep the
 //! epoch, keep its answers. It is retired when the tenant's next epoch
@@ -26,19 +26,18 @@
 //!   inserts, and every read on it is answered uncached and counted as a
 //!   miss: a reader still holding the superseded epoch mid-request gets
 //!   that epoch's bits.
-//! * **Single-flight** — the first thread to miss a key registers an
-//!   in-flight marker and computes outside the memo's lock; concurrent
-//!   requests for the same key block on the flight's condvar and receive
-//!   the leader's bits. A leader that panics marks the flight abandoned
-//!   (via a drop guard), waking the followers to retry instead of
-//!   deadlocking them.
+//! * **One rule for answers and built models** — a miss computes outside
+//!   the memo's lock, then inserts. An answer is a pure function of its
+//!   key, so threads that miss one key at once each compute the same bits
+//!   and the last insert wins. A computation that panics inserts nothing,
+//!   and the next caller computes.
 //!
 //! Hits and misses count into one [`CacheCounters`] that every epoch of a
 //! service shares: the fleet-wide figures of status and `/metrics`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use cos_model::{
     max_admissible_rate, CodedReadModel, CodingSpec, ModelVariant, SlaGoal, SystemModel,
@@ -203,9 +202,9 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// The counts so far. Single-flight waiters count as hits (they ran
-    /// no inversion); pre-warmed answers and the uncached reads of a
-    /// retired epoch count as misses.
+    /// The counts so far: a miss per computation, pre-warmed answers and
+    /// the uncached reads of a retired epoch included, and a hit per
+    /// memoized answer.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -219,41 +218,11 @@ impl CacheCounters {
     }
 }
 
-/// State of one in-flight computation.
-enum FlightState {
-    /// The leader is still computing.
-    Pending,
-    /// The leader finished; every waiter receives these bits.
-    Done(Result<f64, ServeError>),
-    /// The leader panicked mid-compute; waiters must retry.
-    Abandoned,
-}
-
-struct Flight {
-    state: Mutex<FlightState>,
-    ready: Condvar,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight {
-            state: Mutex::new(FlightState::Pending),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, state: FlightState) {
-        *lock(&self.state) = state;
-        self.ready.notify_all();
-    }
-}
-
 /// A live epoch's tables.
 #[derive(Default)]
 struct Tables {
     results: HashMap<QueryKey, Result<f64, ServeError>>,
     models: HashMap<Option<i64>, Arc<SystemModel>>,
-    inflight: HashMap<QueryKey, Arc<Flight>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -263,8 +232,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One installed epoch's bounded, single-flight memo of answers and
-/// built models. See the module docs for the design.
+/// One installed epoch's bounded memo of answers and built models. See
+/// the module docs for the design.
 ///
 /// The built-model table keeps each what-if rate cell's [`SystemModel`]:
 /// a what-if question at a new SLA on an already-seen rate pays only its
@@ -295,14 +264,16 @@ impl EpochMemo {
         *lock(&self.tables) = None;
     }
 
-    /// Inserts `result` into live `tables`, clearing a full result table
-    /// first.
-    fn insert_result(&self, tables: &mut Tables, key: QueryKey, result: Result<f64, ServeError>) {
-        if tables.results.len() >= RESULTS_PER_EPOCH {
-            tables.results.clear();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+    /// Memoizes `result` for `key`, clearing a full result table first; a
+    /// retired memo keeps nothing.
+    fn insert_result(&self, key: QueryKey, result: Result<f64, ServeError>) {
+        if let Some(tables) = lock(&self.tables).as_mut() {
+            if tables.results.len() >= RESULTS_PER_EPOCH {
+                tables.results.clear();
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            tables.results.insert(key, result);
         }
-        tables.results.insert(key, result);
     }
 
     /// Memoizes `model` for `rate_q`, clearing a full model table first.
@@ -325,9 +296,7 @@ impl EpochMemo {
     /// [`get_or_compute`]: EpochMemo::get_or_compute
     pub(crate) fn prewarm_result(&self, key: QueryKey, result: Result<f64, ServeError>) {
         self.counters.count(true);
-        if let Some(tables) = lock(&self.tables).as_mut() {
-            self.insert_result(tables, key, result);
-        }
+        self.insert_result(key, result);
     }
 
     /// Result-table clears forced by the [`RESULTS_PER_EPOCH`] bound.
@@ -427,9 +396,8 @@ impl EpochMemo {
 
     /// The (possibly rate-scaled) model of the epoch, building and
     /// memoizing it on first use. The build runs outside the lock, so two
-    /// threads may briefly build the same model concurrently — the builds
-    /// are bit-identical, so last-write-wins is harmless and cheaper than
-    /// serializing all model construction behind one flight.
+    /// threads may build the same model at once; the builds are
+    /// bit-identical, so the last insert wins, as for answers.
     fn model_for(
         &self,
         params: &SystemParams,
@@ -451,121 +419,32 @@ impl EpochMemo {
         Ok(model)
     }
 
-    /// The single-flight memo core: returns the memoized result for
-    /// `key`, or elects this call the leader to run `compute` (outside the
-    /// lock) while identical concurrent calls wait for its bits; a retired
-    /// memo runs `compute` uncached. The second return value is `true` iff
-    /// this call ran `compute`.
+    /// The memo core: returns the memoized result for `key`, or runs
+    /// `compute` outside the lock and memoizes its result; a retired memo
+    /// runs `compute` uncached. The second return value is `true` iff this
+    /// call ran `compute`.
     pub fn get_or_compute(
         &self,
         key: QueryKey,
         compute: impl FnOnce() -> Result<f64, ServeError>,
     ) -> (Result<f64, ServeError>, bool) {
-        enum Role {
-            Ready(Result<f64, ServeError>),
-            Wait(Arc<Flight>),
-            Lead(Arc<Flight>),
-            Bypass,
+        let memoized = lock(&self.tables)
+            .as_ref()
+            .and_then(|t| t.results.get(&key).cloned());
+        if let Some(result) = memoized {
+            self.counters.count(false);
+            return (result, false);
         }
-        let mut compute = Some(compute);
-        loop {
-            let role = match lock(&self.tables).as_mut() {
-                None => Role::Bypass,
-                Some(tables) => {
-                    if let Some(hit) = tables.results.get(&key) {
-                        Role::Ready(hit.clone())
-                    } else if let Some(flight) = tables.inflight.get(&key) {
-                        Role::Wait(flight.clone())
-                    } else {
-                        let flight = Arc::new(Flight::new());
-                        tables.inflight.insert(key, flight.clone());
-                        Role::Lead(flight)
-                    }
-                }
-            };
-            match role {
-                Role::Ready(r) => {
-                    self.counters.count(false);
-                    return (r, false);
-                }
-                Role::Bypass => {
-                    // A reader still holding this superseded epoch: its
-                    // bits, uncached.
-                    self.counters.count(true);
-                    let f = compute.take().expect("compute consumed only once");
-                    return (f(), true);
-                }
-                Role::Lead(flight) => {
-                    self.counters.count(true);
-                    let guard = FlightGuard {
-                        memo: self,
-                        key,
-                        flight: &flight,
-                        completed: false,
-                    };
-                    let f = compute.take().expect("compute consumed only once");
-                    let result = f();
-                    guard.complete(result.clone());
-                    return (result, true);
-                }
-                Role::Wait(flight) => {
-                    let mut state = lock(&flight.state);
-                    loop {
-                        match &*state {
-                            FlightState::Pending => {
-                                state = flight.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-                            }
-                            FlightState::Done(r) => {
-                                self.counters.count(false);
-                                return (r.clone(), false);
-                            }
-                            // The leader panicked: re-enter from the top.
-                            FlightState::Abandoned => break,
-                        }
-                    }
-                }
-            }
-        }
+        self.counters.count(true);
+        let result = compute();
+        self.insert_result(key, result.clone());
+        (result, true)
     }
 }
 
 impl std::fmt::Debug for EpochMemo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochMemo").finish_non_exhaustive()
-    }
-}
-
-/// Unregisters a leader's flight on every exit path. On the normal path
-/// [`complete`](FlightGuard::complete) stores the result and wakes the
-/// waiters; if the computation panics, `Drop` marks the flight abandoned
-/// so waiters retry instead of blocking forever.
-struct FlightGuard<'a> {
-    memo: &'a EpochMemo,
-    key: QueryKey,
-    flight: &'a Flight,
-    completed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn complete(mut self, result: Result<f64, ServeError>) {
-        self.completed = true;
-        if let Some(tables) = lock(&self.memo.tables).as_mut() {
-            tables.inflight.remove(&self.key);
-            self.memo.insert_result(tables, self.key, result.clone());
-        }
-        self.flight.resolve(FlightState::Done(result));
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        if let Some(tables) = lock(&self.memo.tables).as_mut() {
-            tables.inflight.remove(&self.key);
-        }
-        self.flight.resolve(FlightState::Abandoned);
     }
 }
 
@@ -578,7 +457,6 @@ mod tests {
     use crate::tenant::TenantId;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
-    use std::time::Duration;
 
     fn key(sla_q: i64) -> QueryKey {
         QueryKey {
@@ -639,39 +517,37 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_coalesces_identical_concurrent_misses() {
+    fn concurrent_misses_of_one_key_each_compute_the_same_bits() {
+        const CALLERS: usize = 4;
         let (counters, cache) = memo();
-        let cache = Arc::new(cache);
-        let calls = Arc::new(AtomicUsize::new(0));
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let cache = Arc::clone(&cache);
-                let calls = Arc::clone(&calls);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let (r, _) = cache.get_or_compute(key(42), || {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        // Hold the flight open long enough for the others
-                        // to pile onto it.
-                        std::thread::sleep(Duration::from_millis(50));
-                        Ok(0.123_456_789)
-                    });
-                    r.unwrap().to_bits()
+        let calls = AtomicUsize::new(0);
+        // No computation finishes before every caller is computing, so all
+        // of them miss.
+        let computing = Barrier::new(CALLERS);
+        let bits: Vec<u64> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let (r, miss) = cache.get_or_compute(key(42), || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            computing.wait();
+                            Ok(0.123_456_789)
+                        });
+                        assert!(miss);
+                        r.unwrap().to_bits()
+                    })
                 })
-            })
-            .collect();
-        let bits: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+                .collect();
+            callers.into_iter().map(|c| c.join().unwrap()).collect()
+        });
         assert!(bits.windows(2).all(|w| w[0] == w[1]), "same bits to all");
-        assert_eq!(
-            calls.load(Ordering::SeqCst),
-            1,
-            "exactly one computation ran"
-        );
         let stats = counters.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits + stats.misses, 4);
+        assert_eq!(stats.misses as usize, calls.load(Ordering::SeqCst));
+        assert_eq!((stats.hits, stats.misses), (0, CALLERS as u64));
+        // The answer is memoized once, whichever insert came last.
+        let (r, miss) = cache.get_or_compute(key(42), || panic!("memoized"));
+        assert_eq!((r.unwrap().to_bits(), miss), (bits[0], false));
+        assert_eq!(cache.len(), 1);
     }
 
     /// A service calibrated on the standard stream for each of `tenants`
@@ -753,37 +629,15 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_leader_wakes_waiters_to_retry() {
-        let (_, cache) = memo();
-        let cache = Arc::new(cache);
-        let barrier = Arc::new(Barrier::new(2));
-        // Leader: registers the flight, signals, then panics mid-compute.
-        let leader = {
-            let cache = Arc::clone(&cache);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let _ = cache.get_or_compute(key(7), || {
-                    barrier.wait();
-                    std::thread::sleep(Duration::from_millis(30));
-                    panic!("leader dies mid-flight");
-                });
-            })
-        };
-        // Follower: arrives while the flight is pending, must end up with
-        // a real answer (retrying, possibly leading itself) — not a hang.
-        let follower = {
-            let cache = Arc::clone(&cache);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let (r, _) = cache.get_or_compute(key(7), || Ok(9.5));
-                r.unwrap()
-            })
-        };
-        assert!(leader.join().is_err(), "leader panicked as scripted");
-        assert_eq!(follower.join().unwrap(), 9.5);
-        // The key is not wedged for later callers either.
-        let (r, _) = cache.get_or_compute(key(7), || Ok(9.5));
-        assert_eq!(r, Ok(9.5));
+    fn a_panicking_computation_memoizes_nothing_and_the_next_caller_computes() {
+        let (counters, cache) = memo();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_compute(key(7), || panic!("the computation dies"))
+        }));
+        assert!(panicked.is_err(), "the computation panicked as scripted");
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.get_or_compute(key(7), || Ok(9.5)), (Ok(9.5), true));
+        assert_eq!(cache.get_or_compute(key(7), || Ok(0.0)), (Ok(9.5), false));
+        assert_eq!(counters.stats(), CacheStats { hits: 1, misses: 2 });
     }
 }

@@ -86,8 +86,7 @@ impl EpochSnapshot {
     /// Answers `kind` on this epoch at the optional what-if rate cell
     /// under `variant`, from its memo: the one evaluation funnel of every
     /// query path. Returns the outcome and whether *this call* ran the
-    /// computation (`true` = miss; memoized answers and single-flight
-    /// waiters are hits).
+    /// computation (`true` = miss; a memoized answer is a hit).
     pub fn answer(
         &self,
         variant: ModelVariant,

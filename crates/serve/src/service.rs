@@ -46,7 +46,7 @@ use cos_obs::Registry;
 use crate::cache::{CacheCounters, QueryKey, QueryKind};
 use crate::calibrate::{CalibrationBase, CalibratorConfig, OnlineCalibrator};
 use crate::drift::{DriftConfig, DriftMonitor, DriftReport};
-use crate::engine::{snap, EngineHealth, EpochSnapshot, SLA_QUANTUM};
+use crate::engine::{snap, CacheStats, EngineHealth, EpochSnapshot, SLA_QUANTUM};
 use crate::error::ServeError;
 use crate::obs::ServeObs;
 use crate::snapshot::{PublishStats, SnapshotReader, SnapshotShared, SnapshotState};
@@ -107,6 +107,29 @@ pub struct ServiceStatus {
 }
 
 impl ServiceStatus {
+    /// The status of a tenant's `state` at event time `event_time`, with
+    /// the fleet's memo counters `cache` and the drift verdicts `drift`.
+    pub(crate) fn new(
+        state: &SnapshotState,
+        event_time: f64,
+        cache: CacheStats,
+        drift: Vec<DriftReport>,
+    ) -> ServiceStatus {
+        let snap = state.snapshot.as_ref();
+        ServiceStatus {
+            event_time,
+            epoch: snap.map(|s| s.epoch),
+            fitted_at: snap.map(|s| s.fitted_at),
+            stale: snap.is_some_and(|s| s.stale),
+            last_fit_error: state.last_fit_error.clone(),
+            engine: EngineHealth {
+                cache,
+                failed_refits: state.failed_refits,
+            },
+            drift,
+        }
+    }
+
     /// Whether any tracked SLA has drifted (observed vs predicted gap over
     /// tolerance with enough samples).
     pub fn any_drifted(&self) -> bool {
@@ -115,23 +138,17 @@ impl ServiceStatus {
 }
 
 /// One tenant's independent estimator state: calibrator window, drift
-/// monitor, and installed epoch.
+/// monitor, and the state it publishes.
 struct TenantShard {
     id: TenantId,
     slot: u32,
     calibrator: OnlineCalibrator,
     drift: DriftMonitor,
-    /// The installed epoch (`None` while warming up).
-    snapshot: Option<EpochSnapshot>,
-    /// Re-fits that have failed since startup.
-    failed_refits: u64,
-    last_fit_error: Option<String>,
-    last_fit_unstable: bool,
-    /// Drift verdicts captured at this shard's last re-fit attempt — the
-    /// published state reuses them instead of re-evaluating against a
-    /// moved clock, which is what makes [`build_state`] a pure function
-    /// of the shard (and delta publication provably lossless).
-    last_drift: Vec<DriftReport>,
+    /// What the shard last published: installed epoch, fit failures and
+    /// the drift verdicts of its last re-fit attempt, kept rather than
+    /// re-evaluated against a moved clock, so a full republish ships the
+    /// bytes a delta shipped.
+    state: SnapshotState,
     /// Whether the shard has ingested telemetry since its last re-fit.
     dirty: bool,
     events_total: u64,
@@ -145,12 +162,14 @@ impl TenantShard {
             id,
             slot,
             calibrator: OnlineCalibrator::new(base.clone(), config.calibrator.clone()),
-            last_drift: drift.report(0.0, &vec![None; config.slas.len()]),
+            state: SnapshotState {
+                snapshot: None,
+                last_fit_error: None,
+                failed_refits: 0,
+                unstable_fit: false,
+                drift: drift.report(0.0, &vec![None; config.slas.len()]),
+            },
             drift,
-            snapshot: None,
-            failed_refits: 0,
-            last_fit_error: None,
-            last_fit_unstable: false,
             dirty: false,
             events_total: 0,
         }
@@ -162,24 +181,10 @@ impl TenantShard {
     fn tracked_attainment(&self, variant: ModelVariant, slas: &[f64]) -> Vec<Option<f64>> {
         slas.iter()
             .map(|&sla| {
-                let snap = self.snapshot.as_ref()?;
+                let snap = self.state.snapshot.as_ref()?;
                 snap.answer(variant, None, QueryKind::fraction(sla)).0.ok()
             })
             .collect()
-    }
-}
-
-/// The published [`SnapshotState`] is a pure function of the shard: same
-/// shard state in, same bytes out — rebuilding an unchanged shard's state
-/// reproduces exactly what is already published, which is the invariant
-/// the delta protocol rests on.
-fn build_state(shard: &TenantShard) -> SnapshotState {
-    SnapshotState {
-        snapshot: shard.snapshot.clone(),
-        last_fit_error: shard.last_fit_error.clone(),
-        failed_refits: shard.failed_refits,
-        unstable_fit: shard.last_fit_unstable,
-        drift: shard.last_drift.clone(),
     }
 }
 
@@ -291,7 +296,7 @@ impl SlaService {
             cos_par::default_workers(),
             Arc::clone(&counters),
             obs.clone(),
-            build_state(&default_shard),
+            default_shard.state.clone(),
         ));
         SlaService {
             base,
@@ -361,7 +366,7 @@ impl SlaService {
                 let shard = TenantShard::new(tenant.clone(), slot, &self.base, &self.config);
                 let registered = self
                     .shared
-                    .register_tenant(tenant.clone(), Arc::new(build_state(&shard)));
+                    .register_tenant(tenant.clone(), Arc::new(shard.state.clone()));
                 debug_assert_eq!(registered, slot);
                 self.index.insert(tenant.clone(), slot);
                 self.shards.push(shard);
@@ -477,17 +482,16 @@ impl SlaService {
             });
 
         // Phase 2 — serial: install epochs (validated-before-install, so
-        // an unstable fit never evicts a usable epoch), pre-warm, rebuild
+        // an unstable fit never evicts a usable epoch), pre-warm, update
         // changed states, publish one delta.
         let mut installed_default = false;
         let mut changes: Vec<(u32, Arc<SnapshotState>, u64)> = Vec::with_capacity(outcomes.len());
         let mut replaced = Vec::new();
         for (slot, outcome) in outcomes {
-            let idx = slot as usize;
-            match outcome {
+            let shard = &mut self.shards[slot as usize];
+            let preds = match outcome {
                 Ok((params, model, preds)) => {
-                    let shard = &mut self.shards[idx];
-                    let epoch = shard.snapshot.as_ref().map_or(1, |s| s.epoch + 1);
+                    let epoch = shard.state.snapshot.as_ref().map_or(1, |s| s.epoch + 1);
                     let snapshot = EpochSnapshot::new(
                         epoch,
                         Arc::new(params),
@@ -502,29 +506,25 @@ impl SlaService {
                             memo.prewarm_result(QueryKey { rate_q: None, kind }, Ok(*v));
                         }
                     }
-                    replaced.extend(shard.snapshot.replace(snapshot));
-                    shard.last_fit_error = None;
-                    shard.last_fit_unstable = false;
-                    shard.last_drift = shard.drift.report(now, &preds);
-                    if slot == 0 {
-                        installed_default = true;
-                    }
+                    replaced.extend(shard.state.snapshot.replace(snapshot));
+                    shard.state.last_fit_error = None;
+                    shard.state.unstable_fit = false;
+                    installed_default |= slot == 0;
+                    preds
                 }
                 Err((message, unstable)) => {
-                    let shard = &mut self.shards[idx];
-                    shard.last_fit_error = Some(message);
-                    shard.last_fit_unstable = unstable;
-                    shard.failed_refits += 1;
-                    if let Some(s) = &mut shard.snapshot {
+                    shard.state.last_fit_error = Some(message);
+                    shard.state.unstable_fit = unstable;
+                    shard.state.failed_refits += 1;
+                    if let Some(s) = &mut shard.state.snapshot {
                         s.stale = true;
                     }
-                    let preds = shard.tracked_attainment(variant, &slas);
-                    shard.last_drift = shard.drift.report(now, &preds);
+                    shard.tracked_attainment(variant, &slas)
                 }
-            }
-            let shard = &mut self.shards[idx];
+            };
+            shard.state.drift = shard.drift.report(now, &preds);
             shard.dirty = false;
-            changes.push((slot, Arc::new(build_state(shard)), shard.events_total));
+            changes.push((slot, Arc::new(shard.state.clone()), shard.events_total));
         }
         // Publish on every attempt — success or failure — so snapshot
         // readers observe staleness and fit errors at once.
@@ -537,15 +537,15 @@ impl SlaService {
         installed_default
     }
 
-    /// Rebuilds and republishes **every** tenant's state from shard state
-    /// alone — no re-fit. Because the internal `build_state` is pure, the result is
+    /// Republishes **every** tenant's state as its shard holds it — no
+    /// re-fit. A shard keeps the state it last published, so the result is
     /// bit-identical to the currently published fleet; the property tests
     /// use this to prove delta publication lossless.
     pub fn republish_full(&mut self) -> PublishStats {
         let changes: Vec<(u32, Arc<SnapshotState>, u64)> = self
             .shards
             .iter()
-            .map(|s| (s.slot, Arc::new(build_state(s)), s.events_total))
+            .map(|s| (s.slot, Arc::new(s.state.clone()), s.events_total))
             .collect();
         self.last_publish = self.shared.publish_delta(&changes);
         self.last_publish
@@ -560,19 +560,8 @@ impl SlaService {
     fn status_slot(&self, slot: u32) -> ServiceStatus {
         let shard = &self.shards[slot as usize];
         let predictions = shard.tracked_attainment(self.config.variant, &self.config.slas);
-        let snap = shard.snapshot.as_ref();
-        ServiceStatus {
-            event_time: self.now,
-            epoch: snap.map(|s| s.epoch),
-            fitted_at: snap.map(|s| s.fitted_at),
-            stale: snap.map(|s| s.stale).unwrap_or(false),
-            last_fit_error: shard.last_fit_error.clone(),
-            engine: EngineHealth {
-                cache: self.counters.stats(),
-                failed_refits: shard.failed_refits,
-            },
-            drift: shard.drift.report(self.now, &predictions),
-        }
+        let drift = shard.drift.report(self.now, &predictions);
+        ServiceStatus::new(&shard.state, self.now, self.counters.stats(), drift)
     }
 
     /// Health summary of the `default` tenant: epoch, staleness, cache

@@ -26,12 +26,12 @@
 //! swap).
 //!
 //! A delta-applied state is **provably identical to a full republish**
-//! because each entry's `SnapshotState` is a pure function of its tenant
-//! shard's state at that shard's last refit (the drift verdicts computed
-//! then are stored and reused, not recomputed against a moved clock):
-//! rebuilding an unchanged tenant's state would produce the same bytes
-//! that are already published. `SlaService::republish_full` exercises
-//! exactly this in the property tests.
+//! because each tenant shard holds the one `SnapshotState` it publishes,
+//! changed only by that shard's refits (the drift verdicts computed then
+//! are kept, not recomputed against a moved clock): republishing an
+//! unchanged tenant's state ships the bytes that are already published.
+//! `SlaService::republish_full` exercises exactly this in the property
+//! tests.
 //!
 //! ## Consistency and memory ordering
 //!
@@ -65,7 +65,7 @@ use cos_par::ArcCell;
 
 use crate::cache::{CacheCounters, QueryKind};
 use crate::drift::DriftReport;
-use crate::engine::{EngineHealth, EpochSnapshot, Prediction};
+use crate::engine::{EpochSnapshot, Prediction};
 use crate::error::ServeError;
 use crate::obs::ServeObs;
 use crate::query::Query;
@@ -346,18 +346,26 @@ impl SnapshotReader {
         Ok(self.shared.cell.get())
     }
 
-    /// A tenant's installed epoch — or the typed refusal (`Disconnected`
-    /// after shutdown, `UnknownTenant` for a tenant the fleet has never
-    /// seen, `NotCalibrated` while warming up).
-    fn current_for(&self, tenant: &TenantId) -> Result<EpochSnapshot, ServeError> {
+    /// `read` of a tenant's published entry — or the typed refusal
+    /// (`Disconnected` after shutdown, `UnknownTenant` for a tenant the
+    /// fleet has never seen).
+    fn with_entry<T>(
+        &self,
+        tenant: &TenantId,
+        read: impl FnOnce(&TenantEntry) -> T,
+    ) -> Result<T, ServeError> {
         let fleet = self.fleet_checked()?;
         let entry = fleet.get(tenant).ok_or_else(|| ServeError::UnknownTenant {
             tenant: tenant.to_string(),
         })?;
-        entry
-            .state
-            .snapshot
-            .clone()
+        Ok(read(entry))
+    }
+
+    /// A tenant's installed epoch — or the typed refusal of
+    /// [`with_entry`](Self::with_entry), or `NotCalibrated` while warming
+    /// up.
+    fn current_for(&self, tenant: &TenantId) -> Result<EpochSnapshot, ServeError> {
+        self.with_entry(tenant, |e| e.state.snapshot.clone())?
             .ok_or(ServeError::NotCalibrated)
     }
 
@@ -477,21 +485,9 @@ impl SnapshotReader {
         Ok(points)
     }
 
-    fn status_of_entry(&self, entry: &TenantEntry) -> ServiceStatus {
-        let state = &entry.state;
-        let snap = state.snapshot.as_ref();
-        ServiceStatus {
-            event_time: self.event_time(),
-            epoch: snap.map(|s| s.epoch),
-            fitted_at: snap.map(|s| s.fitted_at),
-            stale: snap.map(|s| s.stale).unwrap_or(false),
-            last_fit_error: state.last_fit_error.clone(),
-            engine: EngineHealth {
-                cache: self.shared.counters.stats(),
-                failed_refits: state.failed_refits,
-            },
-            drift: state.drift.clone(),
-        }
+    fn status_of(&self, state: &SnapshotState) -> ServiceStatus {
+        let cache = self.shared.counters.stats();
+        ServiceStatus::new(state, self.event_time(), cache, state.drift.clone())
     }
 
     /// Health summary assembled without the service's writer lock: the
@@ -501,16 +497,12 @@ impl SnapshotReader {
     /// attempt), not recomputed per call. Scoped to the `default` tenant.
     pub fn status(&self) -> Result<ServiceStatus, ServeError> {
         let fleet = self.fleet_checked()?;
-        Ok(self.status_of_entry(fleet.default_entry()))
+        Ok(self.status_of(&fleet.default_entry().state))
     }
 
     /// [`status`](SnapshotReader::status) for an arbitrary tenant.
     pub fn status_for(&self, tenant: &TenantId) -> Result<ServiceStatus, ServeError> {
-        let fleet = self.fleet_checked()?;
-        let entry = fleet.get(tenant).ok_or_else(|| ServeError::UnknownTenant {
-            tenant: tenant.to_string(),
-        })?;
-        Ok(self.status_of_entry(entry))
+        self.with_entry(tenant, |e| self.status_of(&e.state))
     }
 
     /// The `default` tenant's raw published state: installed epoch (with
@@ -524,11 +516,7 @@ impl SnapshotReader {
 
     /// [`state`](SnapshotReader::state) for an arbitrary tenant.
     pub fn state_for(&self, tenant: &TenantId) -> Result<Arc<SnapshotState>, ServeError> {
-        let fleet = self.fleet_checked()?;
-        let entry = fleet.get(tenant).ok_or_else(|| ServeError::UnknownTenant {
-            tenant: tenant.to_string(),
-        })?;
-        Ok(Arc::clone(&entry.state))
+        self.with_entry(tenant, |e| Arc::clone(&e.state))
     }
 
     /// The whole published fleet in one immutable view (for metrics
@@ -554,11 +542,7 @@ impl SnapshotReader {
     /// change detector (unchanged tenants keep their generation across a
     /// delta publish).
     pub fn generation_for(&self, tenant: &TenantId) -> Result<u64, ServeError> {
-        let fleet = self.fleet_checked()?;
-        let entry = fleet.get(tenant).ok_or_else(|| ServeError::UnknownTenant {
-            tenant: tenant.to_string(),
-        })?;
-        Ok(entry.generation)
+        self.with_entry(tenant, |e| e.generation)
     }
 
     /// Whether the owning service has shut down.

@@ -27,31 +27,32 @@ impl TenantId {
     /// Validates and interns a tenant id: 1–64 characters drawn from
     /// `[a-z0-9_-]`.
     pub fn new(id: &str) -> Result<TenantId, InvalidTenant> {
-        if id.is_empty() {
-            return Err(InvalidTenant {
+        match TenantId::check(id) {
+            Ok(()) => Ok(TenantId(Arc::from(id))),
+            Err(reason) => Err(InvalidTenant {
                 id: id.to_string(),
-                reason: "must not be empty",
-            });
+                reason,
+            }),
+        }
+    }
+
+    /// Checks `id` against [`new`](TenantId::new)'s grammar without
+    /// interning it, or allocating: the reason it is refused, if it is.
+    pub fn check(id: &str) -> Result<(), &'static str> {
+        if id.is_empty() {
+            return Err("must not be empty");
         }
         if id.len() > 64 {
-            return Err(InvalidTenant {
-                id: id.to_string(),
-                reason: "must be at most 64 characters",
-            });
+            return Err("must be at most 64 characters");
         }
-        if let Some(bad) = id
+        match id
             .chars()
             .find(|c| !(c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_' || *c == '-'))
         {
-            return Err(InvalidTenant {
-                id: id.to_string(),
-                reason: match bad {
-                    'A'..='Z' => "must be lowercase",
-                    _ => "may only contain [a-z0-9_-]",
-                },
-            });
+            None => Ok(()),
+            Some('A'..='Z') => Err("must be lowercase"),
+            Some(_) => Err("may only contain [a-z0-9_-]"),
         }
-        Ok(TenantId(Arc::from(id)))
     }
 
     /// The reserved `default` tenant (always present, slot 0).
@@ -114,6 +115,7 @@ mod tests {
     #[test]
     fn accepts_the_grammar_and_interns() {
         for ok in ["default", "t-01", "a", "tenant_42", &"x".repeat(64)] {
+            assert_eq!(TenantId::check(ok), Ok(()));
             let t = TenantId::new(ok).unwrap();
             assert_eq!(t.as_str(), ok);
             assert_eq!(t.to_string(), ok);
@@ -139,6 +141,7 @@ mod tests {
         ] {
             let e = TenantId::new(bad).unwrap_err();
             assert!(e.to_string().contains(needle), "{bad:?}: {e}");
+            assert_eq!(TenantId::check(bad), Err(e.reason));
         }
     }
 

@@ -1,7 +1,9 @@
 //! The cost of warm keep-alive requests through the gate, sent one at a
-//! time and in pipelined batches of 32, and of 480-event telemetry POSTs,
-//! counted from inside the reactors: syscalls from their poller counters,
-//! heap allocations from the counting allocator.
+//! time and in pipelined batches of 32, of tenant-scoped ones (the shape
+//! of every GET the serving benchmark sends) one at a time, and of
+//! 480-event telemetry POSTs, counted from inside the reactors: syscalls
+//! from their poller counters, heap allocations from the counting
+//! allocator.
 //!
 //! This test binary installs the counting allocator, so it holds exactly
 //! one test: the allocation counter is process-wide, and another gate's
@@ -180,6 +182,10 @@ fn a_warm_keep_alive_request_costs_one_read_one_writev_and_few_allocations() {
     // answered by one `writev`.
     let batch = request.repeat(BATCH as usize);
     assert_round_costs(&gate, &mut stream, (&batch, BATCH), BATCHES, "pipelined");
+    // The same question named by its tenant, the shape of every question
+    // the serving benchmark asks, is held to the same limits.
+    let scoped = b"GET /v1/tenants/default/attainment?sla=0.05 HTTP/1.1\r\nHost: gate\r\n\r\n";
+    assert_round_costs(&gate, &mut stream, (scoped, 1), REQUESTS, "tenant-scoped");
 
     // Each POST of the next second of telemetry, about 29 KB, is read in
     // one `read`, or two if the reactor wakes before all of it has landed,

@@ -945,6 +945,36 @@ fn selfcheck_and_metrics_reflect_real_traffic_end_to_end() {
     drop(handle);
 }
 
+/// A tenant-scoped request is timed in its route's latency series, beside
+/// its legacy alias and whatever its status; a path that names no route,
+/// or a tenant id that could never exist, is timed in `other`.
+#[test]
+fn tenant_scoped_requests_are_timed_in_their_routes_series() {
+    let handle = SlaService::new(bare_base(), ServeConfig::default()).spawn();
+    let gate = Gate::bind("127.0.0.1:0", handle.client(), GateConfig::default()).expect("bind");
+    let mut client = Client::connect(gate.local_addr());
+    // The service is warming up (503), and no telemetry has named `blue`
+    // (404).
+    assert_eq!(client.get("/v1/attainment?sla=0.05").0, 503);
+    assert_eq!(client.get("/v1/tenants/blue/attainment?sla=0.05").0, 404);
+    assert_eq!(client.get("/v1/tenants/blue/nope").0, 404);
+    assert_eq!(client.get("/v1/tenants/BLUE/attainment?sla=0.05").0, 422);
+
+    let (status, text) = client.get("/metrics");
+    assert_eq!(status, 200);
+    let count = |route: &str| {
+        let series = format!("cos_gate_request_seconds_count{{route=\"{route}\"}} ");
+        text.lines()
+            .find_map(|line| line.strip_prefix(series.as_str()))
+            .map(|n| n.parse::<u64>().expect("integer count"))
+    };
+    assert_eq!(count("/v1/attainment"), Some(2), "{text}");
+    assert_eq!(count("other"), Some(2), "{text}");
+
+    gate.shutdown();
+    drop(handle);
+}
+
 /// Slow-loris regression: a pack of connections dribbling one byte of a
 /// request head per 100 ms must not stall the reactor. The gate runs with a
 /// **single** reactor thread so every loris and every healthy client share

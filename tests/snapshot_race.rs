@@ -5,23 +5,24 @@
 //! of the same service state machine left unspawned, and to `cos-model`
 //! called directly at the snapped inputs; a reader racing a re-fit must
 //! only ever observe whole epochs (monotone, never torn); and an epoch's
-//! [`EpochMemo`] must coalesce identical concurrent misses into one
-//! computation while staying bounded under high-cardinality query streams.
+//! [`EpochMemo`] must hand every concurrent caller of one cold question
+//! the same bits, whichever of them computed it, while staying bounded
+//! under high-cardinality query streams.
 //!
 //! [`SnapshotReader`]: cosmodel::serve::SnapshotReader
 //! [`EpochMemo`]: cosmodel::serve::EpochMemo
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use cosmodel::distr::{Degenerate, Gamma};
 use cosmodel::model::{max_admissible_rate, rank_bottlenecks, SlaGoal, SystemModel};
 use cosmodel::queueing::from_distribution;
 use cosmodel::serve::{
-    CacheCounters, CalibrationBase, EpochMemo, OpClass, Query, QueryKey, QueryKind, ServeConfig,
-    SlaService, TelemetryEvent, FRACTION_QUANTUM, RATE_QUANTUM, RESULTS_PER_EPOCH, SLA_QUANTUM,
+    quantize_rate, CacheCounters, CalibrationBase, EpochMemo, OpClass, Query, QueryKey, QueryKind,
+    ServeConfig, SlaService, TelemetryEvent, FRACTION_QUANTUM, RATE_QUANTUM, RESULTS_PER_EPOCH,
+    SLA_QUANTUM,
 };
 
 fn base() -> CalibrationBase {
@@ -324,51 +325,62 @@ fn concurrent_readers_see_monotone_untorn_epochs() {
     );
 }
 
-/// Identical concurrent misses elect one leader; everyone receives the
-/// leader's exact bits and the computation runs once.
+/// Callers that ask one cold question at once each get the bits
+/// `cos-model` gives cold at the snapped inputs, however many of them
+/// missed and computed: `misses` counts exactly the computations that ran,
+/// and every caller counts once.
 #[test]
-fn single_flight_hands_every_waiter_the_same_bits() {
-    let counters = Arc::new(CacheCounters::default());
-    let cache = Arc::new(EpochMemo::new(Arc::clone(&counters)));
+fn concurrent_cold_callers_of_one_key_all_get_the_same_bits() {
+    const CALLERS: usize = 8;
+    let service = calibrated_service();
+    let reader = service.reader();
+    let epoch = reader
+        .state()
+        .expect("service alive")
+        .snapshot
+        .clone()
+        .expect("calibrated");
+    let variant = ServeConfig::default().variant;
+    // A what-if cell, which no refit pre-warms.
+    let (rate, sla) = (120.0, 0.05);
     let key = QueryKey {
-        rate_q: None,
-        kind: QueryKind::fraction(0.05),
+        rate_q: Some(quantize_rate(rate)),
+        kind: QueryKind::fraction(sla),
     };
-    let computes = Arc::new(AtomicUsize::new(0));
-    let barrier = Arc::new(Barrier::new(8));
+    let scaled = epoch.params.scaled_to_rate(snapped(rate, RATE_QUANTUM));
+    let cold = SystemModel::new(&scaled, variant)
+        .expect("what-if point is stable")
+        .fraction_meeting_sla(snapped(sla, SLA_QUANTUM));
 
-    let threads: Vec<_> = (0..8)
-        .map(|_| {
-            let cache = Arc::clone(&cache);
-            let computes = Arc::clone(&computes);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let (result, ran) = cache.get_or_compute(key, || {
-                    computes.fetch_add(1, Ordering::SeqCst);
-                    // Long enough that every peer arrives mid-flight.
-                    std::thread::sleep(Duration::from_millis(200));
-                    Ok(0.987_654_321_f64)
-                });
-                (result.expect("leader succeeded").to_bits(), ran)
+    let before = reader.status().expect("service alive").engine.cache;
+    let start = Barrier::new(CALLERS);
+    let answers: Vec<(u64, bool)> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let (result, ran) = epoch.answer(variant, key.rate_q, key.kind);
+                    (result.expect("stable what-if").to_bits(), ran)
+                })
             })
-        })
-        .collect();
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller"))
+            .collect()
+    });
+    let after = reader.status().expect("service alive").engine.cache;
 
-    let results: Vec<(u64, bool)> = threads
-        .into_iter()
-        .map(|t| t.join().expect("flight thread"))
-        .collect();
-
-    assert_eq!(computes.load(Ordering::SeqCst), 1, "one computation total");
-    assert_eq!(results.iter().filter(|&&(_, ran)| ran).count(), 1);
-    let bits = 0.987_654_321_f64.to_bits();
-    for &(got, _) in &results {
-        assert_eq!(got, bits, "every caller got the leader's bits");
+    for &(bits, _) in &answers {
+        assert_eq!(bits, cold.to_bits(), "every caller got the cold bits");
     }
-    let stats = counters.stats();
-    assert_eq!(stats.misses, 1, "the leader is the only miss");
-    assert_eq!(stats.hits, 7, "waiters and late arrivals count as hits");
+    let computed = answers.iter().filter(|&&(_, ran)| ran).count() as u64;
+    assert!(computed >= 1, "the first caller computed");
+    assert_eq!(after.misses - before.misses, computed);
+    assert_eq!(
+        (after.hits - before.hits) + (after.misses - before.misses),
+        CALLERS as u64
+    );
 }
 
 /// A high-cardinality query stream (every what-if rate distinct) must not
