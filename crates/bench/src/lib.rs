@@ -18,6 +18,7 @@
 //!   ([`config_file`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config_file;
 pub mod pretty;

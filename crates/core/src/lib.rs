@@ -26,6 +26,7 @@
 //!   independence envelopes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod coded;

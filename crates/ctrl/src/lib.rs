@@ -14,8 +14,8 @@
 //!   [`Shed`] refusal, and the hysteresis/AIMD [`AdmissionPolicy`];
 //! * [`anomaly`] — a streaming robust z-score detector over the drift
 //!   residuals (observed vs model-predicted attainment);
-//! * [`controller`] — the [`Controller`] combining both over a lock-free
-//!   [`cos_serve::SnapshotReader`]: a sub-microsecond per-request
+//! * [`controller`] — the [`Controller`] combining both over a
+//!   [`cos_serve::SnapshotReader`], off the writer lock: a sub-microsecond per-request
 //!   [`decide`](Controller::decide) for the gate's hot path and a
 //!   generation-gated [`tick`](Controller::tick) that re-evaluates policy
 //!   exactly once per published re-fit.
@@ -29,6 +29,7 @@
 //! chaos harness and the repo-level `tests/control_loop.rs`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod anomaly;

@@ -17,6 +17,7 @@
 //! * [`fit`] — the §IV-A fitting/model-selection pass (Fig. 5).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod degenerate;
 pub mod empirical;

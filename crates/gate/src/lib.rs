@@ -23,8 +23,8 @@
 //! * [`query`] — query-string parsing with percent-decoding and typed
 //!   parameter accessors;
 //! * [`routes`] — the `/v1/*` query surface over a cloned
-//!   [`cos_serve::ServiceClient`], answered from its lock-free snapshot
-//!   reader, plus the telemetry wire format and the per-request admission
+//!   [`cos_serve::ServiceClient`], answered from its snapshot reader, off
+//!   the writer lock, plus the telemetry wire format and the per-request admission
 //!   check (`429` + `Retry-After`) when the gate runs with a
 //!   [`cos_ctrl::Controller`]. A route checks a question's wire syntax
 //!   only; [`cos_serve::Query`] judges its values;
@@ -43,7 +43,7 @@
 //!   on Linux, `poll(2)` on other Unix targets), with single-`writev`
 //!   response flushes, pooled buffers, and per-thread syscall counters
 //!   ([`Gate::syscalls`]), dispatching every route inline: GETs through
-//!   the lock-free snapshot read path, telemetry POSTs under the
+//!   the snapshot read path, off the writer lock, telemetry POSTs under the
 //!   service's writer lock.
 //!
 //! ```no_run
@@ -57,6 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod http;
 pub mod json;

@@ -34,8 +34,9 @@
 //! * **Vectored response flush.** Responses are queued as segments (a
 //!   pooled head+small-body buffer, plus large bodies as their own
 //!   zero-copy segment) in an `OutQueue`, and each drive cycle flushes
-//!   the whole queue with one `writev(2)` — a pipelined burst of N
-//!   responses costs one syscall, not N.
+//!   the whole queue with one `Write::write_vectored`, which std makes
+//!   one `writev(2)` — a pipelined burst of N responses costs one
+//!   syscall, not N.
 //! * **Buffer pooling.** Head buffers come from a per-reactor free list
 //!   and return to it once written, and fully-drained body segments are
 //!   recycled too; combined with the parser's retained buffer and the
@@ -73,9 +74,10 @@
 //!
 //! # Why dispatch runs inline
 //!
-//! Every GET answers through the lock-free snapshot read path
-//! ([`cos_serve::SnapshotReader`] behind `routes::handle_ctrl`): an
-//! atomic `Arc` load plus pure computation, no locks, no channel. So the
+//! Every GET answers through the snapshot read path, off the writer lock
+//! ([`cos_serve::SnapshotReader`] behind `routes::handle_ctrl`): one `Arc`
+//! clone under the fleet's read lock plus pure computation, no channel,
+//! and nothing that waits for a write's work. So the
 //! reactor thread evaluates it in place — the response lands in the
 //! connection's output queue microseconds after the request parses,
 //! with zero handoff. Writes run inline too: `POST /v1/telemetry` decodes
@@ -118,7 +120,7 @@
 //! point the listener's last `Arc` drops and the port closes.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -137,7 +139,7 @@ use crate::server::{reject_over_capacity, GateConfig, Shared};
 
 /// Poller token of this reactor's listener.
 const LISTENER: u64 = 0;
-/// Poller token of this reactor's wake pipe.
+/// Poller token of this reactor's waker socket.
 const WAKER: u64 = 1;
 /// Connection tokens are `slab slot + CONN_BASE`.
 const CONN_BASE: u64 = 2;
@@ -267,7 +269,7 @@ impl OutQueue {
 
     /// Fills `iovs` with the pending segments (front offset applied);
     /// returns how many entries are valid.
-    fn fill_iovecs(&self, iovs: &mut [sys::IoVec; MAX_IOV]) -> usize {
+    fn fill_iovecs<'a>(&'a self, iovs: &mut [IoSlice<'a>; MAX_IOV]) -> usize {
         let mut count = 0;
         for (i, seg) in self.segs.iter().enumerate() {
             if count == MAX_IOV {
@@ -278,10 +280,7 @@ impl OutQueue {
             if slice.is_empty() {
                 continue;
             }
-            iovs[count] = sys::IoVec {
-                base: slice.as_ptr().cast(),
-                len: slice.len(),
-            };
+            iovs[count] = IoSlice::new(slice);
             count += 1;
         }
         count
@@ -726,10 +725,10 @@ impl Reactor {
         // segment queue per writev call, until drained or WouldBlock.
         let mut dead = false;
         while conn.has_pending_out() {
-            let mut iovs = [sys::IoVec::NULL; MAX_IOV];
+            let mut iovs = [IoSlice::new(&[]); MAX_IOV];
             let count = conn.out.fill_iovecs(&mut iovs);
             SyscallCounters::bump(&self.counters.writevs);
-            match sys::writev_fd(conn.stream.as_raw_fd(), &iovs[..count]) {
+            match (&conn.stream).write_vectored(&iovs[..count]) {
                 Ok(0) => {
                     dead = true;
                     break;
@@ -865,45 +864,5 @@ impl Reactor {
 impl Drop for Reactor {
     fn drop(&mut self) {
         self.close_all();
-    }
-}
-
-/// The reactor's own raw syscall surface: vectored writes, declared as an
-/// `extern "C"` prototype against the libc the binary already links (the
-/// workspace is std-only — same convention as `cos_par::poller`).
-mod sys {
-    use std::ffi::{c_int, c_void};
-    use std::io;
-
-    /// `struct iovec`.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub struct IoVec {
-        pub base: *const c_void,
-        pub len: usize,
-    }
-
-    impl IoVec {
-        pub const NULL: IoVec = IoVec {
-            base: std::ptr::null(),
-            len: 0,
-        };
-    }
-
-    extern "C" {
-        fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
-    }
-
-    pub fn writev_fd(fd: c_int, iov: &[IoVec]) -> io::Result<usize> {
-        // SAFETY: every entry in `iov` points into a buffer that outlives
-        // the call (the connection's output segments, unmutated until the
-        // return value is consumed), and `iov.len()` is the exact entry
-        // count.
-        let n = unsafe { writev(fd, iov.as_ptr(), iov.len() as c_int) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
     }
 }

@@ -47,8 +47,8 @@
 //! never shed: starving the feedback loop that decides when to re-admit
 //! would wedge the controller in the shed state.
 //!
-//! Every GET route answers from the lock-free snapshot path, evaluated on
-//! the calling thread (see [`cos_serve::SnapshotReader`]). The telemetry
+//! Every GET route answers from the snapshot path, off the writer lock,
+//! evaluated on the calling thread (see [`cos_serve::SnapshotReader`]). The telemetry
 //! POST is the one write: it ingests on the calling thread too, under the
 //! service's writer lock.
 

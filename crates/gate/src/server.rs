@@ -5,8 +5,8 @@
 //! shared listener and runs a nonblocking, level-triggered readiness loop
 //! over many multiplexed connections (DESIGN §12). Connection capacity is
 //! bounded by memory, not threads, and every route dispatches inline on
-//! the reactor thread: GETs through the lock-free snapshot read path,
-//! telemetry POSTs under the service's writer lock.
+//! the reactor thread: GETs through the snapshot read path, off the
+//! writer lock, telemetry POSTs under the service's writer lock.
 //!
 //! Policies: excess accepts beyond [`GateConfig::max_connections`] are
 //! answered `503` and closed, a per-request deadline runs from the first
@@ -15,7 +15,7 @@
 //! service's writer lock before the HTTP reply goes out.
 //!
 //! Graceful shutdown: [`Gate::shutdown`] flips a flag and fires every
-//! reactor's pipe-based waker; the gate stops taking connections,
+//! reactor's waker; the gate stops taking connections,
 //! responses in flight finish writing (keep-alive answers are demoted to
 //! `Connection: close`), idle keep-alive connections close, and the caller
 //! blocks until every reactor has closed its last connection and exited.

@@ -17,25 +17,27 @@
 //! # Syscall accounting
 //!
 //! Every poller carries an [`Arc<SyscallCounters>`] and bumps `waits` /
-//! `ctls` itself. The I/O-side counters (`reads`, `writes`, `writevs`,
-//! `accepts`) are for the poller's *caller* — the reactor that owns the
-//! descriptors — so one snapshot tells the whole per-thread syscall story.
-//! Counters are relaxed atomics: cross-thread reads are eventually
-//! consistent, which is all a bench needs.
+//! `ctls` itself. The I/O-side counters (`reads`, `writevs`, `accepts`)
+//! are for the poller's *caller* — the reactor that owns the descriptors —
+//! so one snapshot tells the whole per-thread syscall story. Counters are
+//! relaxed atomics: cross-thread reads are eventually consistent, which is
+//! all a bench needs.
 //!
 //! No `libc` crate: the build environment is offline and the workspace is
-//! std-only, so the handful of syscalls are declared as `extern "C"`
-//! prototypes (they resolve against the libc every Rust binary on Unix
-//! already links) and descriptors ride on `std::os::fd`'s owned/raw fd
-//! types for close-on-drop hygiene.
+//! std-only, and std has no readiness API, so the epoll and `poll(2)`
+//! calls are declared as `extern "C"` prototypes (they resolve against the
+//! libc every Rust binary on Unix already links) and descriptors ride on
+//! `std::os::fd`'s owned/raw fd types for close-on-drop hygiene.
+//! Everything else here is std.
 //!
-//! [`Waker`] is the cross-thread wake primitive: a nonblocking pipe whose
-//! read end is registered like any other descriptor. Any thread can
-//! [`wake`](Waker::wake) a sleeping [`Poller::wait`]; the poll loop drains
-//! the pipe with [`WakeReader::drain`] and carries on. Wakes are
-//! *coalescing* — a thousand `wake()` calls before the loop runs cost one
-//! event — and never lost: the byte sits in the pipe until drained, so a
-//! wake that races a falling-asleep poller still lands.
+//! [`Waker`] is the cross-thread wake primitive: a nonblocking
+//! [`UnixStream`] pair whose read end is registered like any other
+//! descriptor. Any thread can [`wake`](Waker::wake) a sleeping
+//! [`Poller::wait`]; the poll loop drains the socket with
+//! [`WakeReader::drain`] and carries on. Wakes are *coalescing* — a
+//! thousand `wake()` calls before the loop runs cost one event — and never
+//! lost: the byte sits in the socket until drained, so a wake that races a
+//! falling-asleep poller still lands.
 //!
 //! The `poll(2)` backend keeps its registration table behind a mutex as a
 //! slot map: O(1) register/modify/deregister through an fd index, with
@@ -46,8 +48,9 @@
 //! O(ready) per wake. On Linux both compile, so the test suite exercises
 //! the fallback on the same machine that runs the fast path.
 
-use std::io;
-use std::os::fd::{AsRawFd, OwnedFd, RawFd};
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -123,8 +126,6 @@ pub struct SyscallCounters {
     pub ctls: AtomicU64,
     /// `read`/`recv` calls made by the caller.
     pub reads: AtomicU64,
-    /// Single-buffer `write`/`send` calls made by the caller.
-    pub writes: AtomicU64,
     /// Vectored `writev` calls made by the caller.
     pub writevs: AtomicU64,
     /// `accept` calls made by the caller.
@@ -145,7 +146,6 @@ impl SyscallCounters {
             waits: self.waits.load(Ordering::Relaxed),
             ctls: self.ctls.load(Ordering::Relaxed),
             reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
             writevs: self.writevs.load(Ordering::Relaxed),
             accepts: self.accepts.load(Ordering::Relaxed),
         }
@@ -162,8 +162,6 @@ pub struct SyscallSnapshot {
     pub ctls: u64,
     /// See [`SyscallCounters::reads`].
     pub reads: u64,
-    /// See [`SyscallCounters::writes`].
-    pub writes: u64,
     /// See [`SyscallCounters::writevs`].
     pub writevs: u64,
     /// See [`SyscallCounters::accepts`].
@@ -173,7 +171,7 @@ pub struct SyscallSnapshot {
 impl SyscallSnapshot {
     /// Every syscall in the snapshot.
     pub fn total(&self) -> u64 {
-        self.waits + self.ctls + self.reads + self.writes + self.writevs + self.accepts
+        self.waits + self.ctls + self.reads + self.writevs + self.accepts
     }
 
     /// `self - earlier`, saturating (counters are monotonic, so saturation
@@ -183,7 +181,6 @@ impl SyscallSnapshot {
             waits: self.waits.saturating_sub(earlier.waits),
             ctls: self.ctls.saturating_sub(earlier.ctls),
             reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
             writevs: self.writevs.saturating_sub(earlier.writevs),
             accepts: self.accepts.saturating_sub(earlier.accepts),
         }
@@ -197,7 +194,6 @@ impl std::ops::Add for SyscallSnapshot {
             waits: self.waits + rhs.waits,
             ctls: self.ctls + rhs.ctls,
             reads: self.reads + rhs.reads,
-            writes: self.writes + rhs.writes,
             writevs: self.writevs + rhs.writevs,
             accepts: self.accepts + rhs.accepts,
         }
@@ -331,36 +327,38 @@ impl Poller {
     }
 }
 
-/// The write end of a wake pipe: cheap, clonable, callable from any thread.
+/// The write end of a waker socket pair, callable from any thread.
 #[derive(Debug)]
 pub struct Waker {
-    tx: OwnedFd,
+    tx: UnixStream,
 }
 
-/// The read end of a wake pipe: register
+/// The read end of a waker socket pair: register
 /// [`as_raw_fd`](AsRawFd::as_raw_fd) with the poller, and
 /// [`drain`](WakeReader::drain) when its token fires.
 #[derive(Debug)]
 pub struct WakeReader {
-    rx: OwnedFd,
+    rx: UnixStream,
 }
 
 impl Waker {
-    /// Creates a connected (waker, reader) pair over a nonblocking pipe.
+    /// Creates a connected (waker, reader) pair over a nonblocking Unix
+    /// socket pair (std opens both ends close-on-exec).
     pub fn pair() -> io::Result<(Waker, WakeReader)> {
-        let (rx, tx) = sys::nonblocking_pipe()?;
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
         Ok((Waker { tx }, WakeReader { rx }))
     }
 
     /// Makes the paired reader's descriptor readable, waking a poller
-    /// blocked on it. Never blocks: a full pipe already guarantees the
-    /// reader will wake, so `EAGAIN` is success.
+    /// blocked on it. Never blocks: a full socket buffer already
+    /// guarantees the reader will wake, so `WouldBlock` is success.
     pub fn wake(&self) {
-        let byte = [1u8];
-        // EAGAIN (pipe full of unconsumed wakes) and EINTR both leave the
-        // reader wakeable; any other failure means the reader is gone and
-        // waking is moot.
-        let _ = sys::write_fd(self.tx.as_raw_fd(), &byte);
+        // WouldBlock (a buffer full of unconsumed wakes) and Interrupted
+        // both leave the reader wakeable; any other failure means the
+        // reader is gone and waking is moot.
+        let _ = (&self.tx).write(&[1]);
     }
 }
 
@@ -369,7 +367,7 @@ impl WakeReader {
     /// reader readable.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        while let Ok(n) = sys::read_fd(self.rx.as_raw_fd(), &mut buf) {
+        while let Ok(n) = (&self.rx).read(&mut buf) {
             if n < buf.len() {
                 break;
             }
@@ -380,86 +378,6 @@ impl WakeReader {
 impl AsRawFd for WakeReader {
     fn as_raw_fd(&self) -> RawFd {
         self.rx.as_raw_fd()
-    }
-}
-
-/// The raw syscall surface shared by both backends: nonblocking pipes and
-/// fd reads/writes, declared as `extern "C"` prototypes against the libc
-/// the binary already links.
-mod sys {
-    use std::ffi::{c_int, c_void};
-    use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd};
-
-    extern "C" {
-        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    }
-
-    pub fn read_fd(fd: c_int, buf: &mut [u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a live, writable slice of exactly `buf.len()`
-        // bytes for the duration of the call.
-        let n = unsafe { read(fd, buf.as_mut_ptr().cast(), buf.len()) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
-    }
-
-    pub fn write_fd(fd: c_int, buf: &[u8]) -> io::Result<usize> {
-        // SAFETY: `buf` is a live, readable slice of exactly `buf.len()`
-        // bytes for the duration of the call.
-        let n = unsafe { write(fd, buf.as_ptr().cast(), buf.len()) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    pub fn nonblocking_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
-        const O_NONBLOCK: c_int = 0o4000;
-        const O_CLOEXEC: c_int = 0o2000000;
-        extern "C" {
-            fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-        }
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `fds` is a two-slot array, exactly what pipe2 fills.
-        if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: on success both fds are freshly created and unowned.
-        Ok(unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) })
-    }
-
-    #[cfg(all(unix, not(target_os = "linux")))]
-    pub fn nonblocking_pipe() -> io::Result<(OwnedFd, OwnedFd)> {
-        const F_SETFL: c_int = 4;
-        #[cfg(any(target_os = "macos", target_os = "ios"))]
-        const O_NONBLOCK: c_int = 0x0004;
-        #[cfg(not(any(target_os = "macos", target_os = "ios")))]
-        const O_NONBLOCK: c_int = 0o4000;
-        extern "C" {
-            fn pipe(fds: *mut c_int) -> c_int;
-            fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-        }
-        let mut fds = [0 as c_int; 2];
-        // SAFETY: `fds` is a two-slot array, exactly what pipe fills.
-        if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: on success both fds are freshly created and unowned.
-        let (rx, tx) = unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) };
-        use std::os::fd::AsRawFd;
-        for fd in [rx.as_raw_fd(), tx.as_raw_fd()] {
-            // SAFETY: plain fcntl on fds this function owns.
-            if unsafe { fcntl(fd, F_SETFL, O_NONBLOCK) } != 0 {
-                return Err(io::Error::last_os_error());
-            }
-        }
-        Ok((rx, tx))
     }
 }
 
@@ -513,8 +431,8 @@ mod epoll {
             if fd < 0 {
                 return Err(io::Error::last_os_error());
             }
-            // SAFETY: checked valid and unowned above.
             Ok(Epoll {
+                // SAFETY: checked valid and unowned above.
                 fd: unsafe { OwnedFd::from_raw_fd(fd) },
             })
         }
@@ -882,8 +800,9 @@ mod tests {
                 .unwrap();
             let start = Instant::now();
             let mut events = Vec::new();
-            // Borrow (not move) the waker: dropping it closes the pipe's
-            // write end, which would make the reader report hangup forever.
+            // Borrow (not move) the waker: dropping it closes the socket
+            // pair's write end, which would make the reader report hangup
+            // forever.
             std::thread::scope(|s| {
                 s.spawn(|| {
                     std::thread::sleep(Duration::from_millis(30));
@@ -924,6 +843,34 @@ mod tests {
                 .unwrap();
             assert_eq!(events.len(), 1, "{backend:?}: pre-wait wake lost");
             reader.drain();
+        }
+    }
+
+    /// Wakes with nothing draining fill the waker's socket buffer (a few
+    /// hundred one-byte writes on Linux); every later `wake` must still
+    /// return at once, and one `drain` must empty the socket.
+    #[test]
+    fn a_wake_flood_never_blocks_and_one_drain_empties_it() {
+        for backend in backends() {
+            let poller = Poller::with_backend(backend).unwrap();
+            let (waker, reader) = Waker::pair().unwrap();
+            poller
+                .register(reader.as_raw_fd(), 4, Interest::READ)
+                .unwrap();
+            for _ in 0..100_000 {
+                waker.wake();
+            }
+            let full = (&waker.tx).write(&[1]).unwrap_err();
+            assert_eq!(full.kind(), ErrorKind::WouldBlock, "{backend:?}");
+            let mut events = Vec::new();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            assert_eq!(events.len(), 1, "{backend:?}: the flood is one event");
+            reader.drain();
+            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+            assert!(
+                events.is_empty(),
+                "{backend:?}: drain left wakes behind: {events:?}"
+            );
         }
     }
 
@@ -1000,7 +947,7 @@ mod tests {
         // 10k churn cycles. Raw fds stand in for sockets: the table only
         // stores fds, and real connect/accept 10k times would dominate
         // the test's runtime without exercising anything extra. Use the
-        // waker pipe's fds so the values are live descriptors.
+        // waker sockets' fds so the values are live descriptors.
         for i in 0..10_000u64 {
             let (_waker, reader) = Waker::pair().unwrap();
             poller

@@ -15,6 +15,7 @@
 //!   reads (Poisson-binomial combine + the split-merge hypoexponential).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fork_join;
 pub mod mg1;

@@ -48,6 +48,7 @@
 //! [`Prediction::stale`], until calibration recovers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod calibrate;

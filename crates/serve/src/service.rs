@@ -551,7 +551,8 @@ impl SlaService {
         self.last_publish
     }
 
-    /// A lock-free query endpoint over this service's published fleet:
+    /// A query endpoint over this service's published fleet, off the
+    /// writer lock:
     /// the one way to ask the service anything, in-process or spawned.
     pub fn reader(&self) -> SnapshotReader {
         SnapshotReader::new(Arc::clone(&self.shared))
@@ -631,7 +632,8 @@ pub struct ServiceClient {
 }
 
 impl ServiceClient {
-    /// The lock-free snapshot endpoint every query, sweep and status read
+    /// The snapshot endpoint, off the writer lock, that every query, sweep
+    /// and status read
     /// answers from, with the published fleet's raw state and generation
     /// counters besides.
     pub fn reader(&self) -> SnapshotReader {

@@ -1,16 +1,16 @@
-//! The lock-free snapshot read path and the fleet's delta publication
-//! protocol.
+//! The snapshot read path, off the writer lock, and the fleet's delta
+//! publication protocol.
 //!
 //! The *write* path — telemetry ingest and calibration re-fits — is the
 //! `SlaService`'s `&mut self` methods; a spawned service runs them under
 //! its writer lock on whichever thread calls them. After every re-fit
 //! attempt the writer publishes an immutable [`FleetState`] (one
-//! [`SnapshotState`] per tenant) through an atomic `Arc` swap
-//! ([`cos_par::ArcCell`]). Every read is a snapshot read: any number of
-//! [`SnapshotReader`]s — one per gate reactor thread, typically — load
-//! the current state with one atomic operation and evaluate predictions
-//! and what-if sweeps **in place on the calling thread**, without taking
-//! the writer lock and so without waiting for a write in progress.
+//! [`SnapshotState`] per tenant) by swapping the `Arc` in one
+//! `RwLock<Arc<FleetState>>`. Every read is a snapshot read: any number of
+//! [`SnapshotReader`]s — one per gate reactor thread, typically — clone
+//! the current `Arc` under the read lock and evaluate predictions and
+//! what-if sweeps **in place on the calling thread**, without taking the
+//! writer lock and so without waiting for a write in progress.
 //!
 //! ## Delta publication
 //!
@@ -37,15 +37,20 @@
 //!
 //! * A published fleet state is immutable; readers clone the `Arc`, never
 //!   the data. A reader therefore observes either the old fleet or the
-//!   new one in full — never a torn mix — because `ArcCell::set` stores
-//!   the new pointer with `Release` ordering and `ArcCell::get` loads it
-//!   with `Acquire`, so everything written while building the delta
-//!   (including the bumped per-entry generations) *happens-before* any
-//!   read through the swapped pointer. There is one writer at a time (the
-//!   `SlaService`, whose writes `&mut self` or the writer lock serialize,
-//!   and the lock's release and acquire order one writer's swap before the
-//!   next writer's load), so read-modify-write on the cell needs no CAS
-//!   loop.
+//!   new one in full — never a torn mix — because the writer builds the
+//!   next fleet completely before it takes the write lock, and the lock's
+//!   release and a reader's acquire of the read lock order everything
+//!   written while building it (including the bumped per-entry
+//!   generations) before any read through the swapped-in pointer.
+//! * No read waits for a write's work. The write lock is held for one
+//!   pointer swap (the replaced fleet is dropped after it is released),
+//!   and a read lock for one `Arc::clone`. There is one writer at a time
+//!   (the `SlaService`, whose writes `&mut self` or the writer lock
+//!   serialize), so a publish reads the current fleet, builds the next
+//!   one outside the lock and swaps it in, with no compare-and-swap loop.
+//! * The publication count is an `AtomicU64` bumped with `Release` after
+//!   each swap, so a reader that sees generation `n` (`Acquire`) and then
+//!   loads the fleet gets the `n`-th publication or a later one.
 //! * Answers are **bit-identical** across readers, and to the service's
 //!   own drift predictions, by construction: all funnel through the
 //!   published epoch's memo ([`EpochSnapshot::answer`]), which
@@ -57,11 +62,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use cos_model::{model_at_rate, ModelVariant};
-use cos_par::ArcCell;
 
 use crate::cache::{CacheCounters, QueryKind};
 use crate::drift::DriftReport;
@@ -123,19 +127,20 @@ pub struct TenantEntry {
     pub events_total: u64,
 }
 
-/// The immutable, atomically swapped map of every tenant's published
-/// state. Slot 0 is always the reserved `default` tenant.
+/// The immutable, swapped-in-whole map of every tenant's published state.
+/// Slot 0 is always the reserved `default` tenant.
 #[derive(Debug, Clone)]
 pub struct FleetState {
     entries: Vec<TenantEntry>,
-    index: HashMap<TenantId, u32>,
+    /// Tenant → slot, shared by every publish until a tenant registers.
+    index: Arc<HashMap<TenantId, u32>>,
 }
 
 impl FleetState {
     fn new(default_state: Arc<SnapshotState>) -> FleetState {
         let tenant = TenantId::default_tenant();
         FleetState {
-            index: HashMap::from([(tenant.clone(), 0)]),
+            index: Arc::new(HashMap::from([(tenant.clone(), 0)])),
             entries: vec![TenantEntry {
                 tenant,
                 slot: 0,
@@ -217,7 +222,11 @@ fn state_bytes(state: &SnapshotState) -> usize {
 /// The write side of the publication protocol, owned by the service.
 /// Readers hold it behind an `Arc` via [`SnapshotReader`].
 pub(crate) struct SnapshotShared {
-    cell: ArcCell<FleetState>,
+    /// The published fleet: a reader holds the read lock for one
+    /// `Arc::clone`, the one writer holds the write lock for one swap.
+    fleet: RwLock<Arc<FleetState>>,
+    /// Publications so far, bumped after each swap.
+    generation: AtomicU64,
     /// Set when the spawned service shuts down; readers then answer
     /// [`ServeError::Disconnected`], as its writes do.
     closed: AtomicBool,
@@ -244,7 +253,8 @@ impl SnapshotShared {
         initial: SnapshotState,
     ) -> SnapshotShared {
         SnapshotShared {
-            cell: ArcCell::new(Arc::new(FleetState::new(Arc::new(initial)))),
+            fleet: RwLock::new(Arc::new(FleetState::new(Arc::new(initial)))),
+            generation: AtomicU64::new(0),
             closed: AtomicBool::new(false),
             event_time: AtomicU64::new(0f64.to_bits()),
             counters,
@@ -254,12 +264,31 @@ impl SnapshotShared {
         }
     }
 
+    /// The current fleet. The lock guards a pointer swap that cannot be
+    /// left half done, so even a poisoned lock holds a whole fleet.
+    fn load(&self) -> Arc<FleetState> {
+        Arc::clone(&self.fleet.read().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Swaps `next` in (one writer at a time: the service) and counts the
+    /// publication. The replaced fleet is dropped after the lock is
+    /// released.
+    fn publish(&self, next: FleetState) {
+        let next = Arc::new(next);
+        let replaced = {
+            let mut slot = self.fleet.write().unwrap_or_else(|e| e.into_inner());
+            std::mem::replace(&mut *slot, next)
+        };
+        self.generation.fetch_add(1, Ordering::Release);
+        drop(replaced);
+    }
+
     /// Adds a tenant to the fleet (one writer at a time: the service), in
     /// its warming-up state. Returns the assigned slot.
     pub(crate) fn register_tenant(&self, tenant: TenantId, initial: Arc<SnapshotState>) -> u32 {
-        let current = self.cell.get();
+        let current = self.load();
         let mut entries = current.entries.clone();
-        let mut index = current.index.clone();
+        let mut index = HashMap::clone(&current.index);
         let slot = entries.len() as u32;
         index.insert(tenant.clone(), slot);
         entries.push(TenantEntry {
@@ -269,17 +298,20 @@ impl SnapshotShared {
             generation: 0,
             events_total: 0,
         });
-        self.cell.set(Arc::new(FleetState { entries, index }));
+        self.publish(FleetState {
+            entries,
+            index: Arc::new(index),
+        });
         slot
     }
 
     /// Atomically publishes a delta: only the given `(slot, state,
     /// events_total)` entries are replaced (with their generations
-    /// bumped); every other tenant keeps its exact current `Arc`. Safe
-    /// without a CAS loop because the service publishes from one writer at
-    /// a time.
+    /// bumped); every other tenant keeps its exact current `Arc`, and the
+    /// tenant index is shared, not copied. Safe without a CAS loop because
+    /// the service publishes from one writer at a time.
     pub(crate) fn publish_delta(&self, changes: &[(u32, Arc<SnapshotState>, u64)]) -> PublishStats {
-        let current = self.cell.get();
+        let current = self.load();
         let mut entries = current.entries.clone();
         let mut delta_bytes = changes.len() * std::mem::size_of::<TenantEntry>();
         for (slot, state, events_total) in changes {
@@ -297,10 +329,10 @@ impl SnapshotShared {
             delta_bytes,
             full_bytes,
         };
-        self.cell.set(Arc::new(FleetState {
+        self.publish(FleetState {
             entries,
-            index: current.index.clone(),
-        }));
+            index: Arc::clone(&current.index),
+        });
         stats
     }
 
@@ -316,12 +348,13 @@ impl SnapshotShared {
     }
 }
 
-/// A lock-free query endpoint evaluating predictions **on the calling
-/// thread** against the service's most recently published fleet state.
+/// A query endpoint off the writer lock, evaluating predictions **on the
+/// calling thread** against the service's most recently published fleet
+/// state.
 ///
 /// Obtained from [`SlaService::reader`](crate::SlaService::reader) or
 /// [`ServiceClient::reader`](crate::ServiceClient::reader); cloning is
-/// cheap (one `Arc`). Every method is a pure read: one atomic load of the
+/// cheap (one `Arc`). Every method is a pure read: one `Arc::clone` of the
 /// published state, then evaluation through the published epoch's memo
 /// ([`EpochSnapshot::answer`]) — so every reader answers with the same
 /// bits and concurrent readers scale without serializing on the writer
@@ -343,7 +376,7 @@ impl SnapshotReader {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(ServeError::Disconnected);
         }
-        Ok(self.shared.cell.get())
+        Ok(self.shared.load())
     }
 
     /// `read` of a tenant's published entry — or the typed refusal
@@ -508,7 +541,7 @@ impl SnapshotReader {
     /// The `default` tenant's raw published state: installed epoch (with
     /// its fitted [`cos_model::SystemParams`]), fit-failure flags, and
     /// drift verdicts in one immutable view. This is the endpoint control
-    /// loops poll: one atomic load, no allocation, and every field is
+    /// loops poll: one `Arc` clone, no allocation, and every field is
     /// from the same publication instant.
     pub fn state(&self) -> Result<Arc<SnapshotState>, ServeError> {
         Ok(Arc::clone(&self.fleet_checked()?.default_entry().state))
@@ -535,7 +568,7 @@ impl SnapshotReader {
     /// pollers (monotone; bumps on every re-fit attempt and tenant
     /// registration, fleet-wide).
     pub fn generation(&self) -> u64 {
-        self.shared.cell.generation()
+        self.shared.generation.load(Ordering::Acquire)
     }
 
     /// Times `tenant`'s own entry has been republished — the per-tenant

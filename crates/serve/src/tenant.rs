@@ -12,7 +12,7 @@
 //! values, so the grammar is the intersection of what both carriers can
 //! hold without escaping.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The reserved tenant every tenant-unaware call is scoped to.
 pub const DEFAULT_TENANT: &str = "default";
@@ -55,9 +55,13 @@ impl TenantId {
         }
     }
 
-    /// The reserved `default` tenant (always present, slot 0).
+    /// The reserved `default` tenant (always present, slot 0). Its id is
+    /// interned once per process, so this is a reference-count bump.
     pub fn default_tenant() -> TenantId {
-        TenantId(Arc::from(DEFAULT_TENANT))
+        static DEFAULT: OnceLock<TenantId> = OnceLock::new();
+        DEFAULT
+            .get_or_init(|| TenantId(Arc::from(DEFAULT_TENANT)))
+            .clone()
     }
 
     /// Whether this is the reserved `default` tenant.
@@ -126,6 +130,10 @@ mod tests {
         assert!(TenantId::default_tenant().is_default());
         assert!(!a.is_default());
         assert_eq!(TenantId::default(), TenantId::default_tenant());
+        assert!(Arc::ptr_eq(
+            &TenantId::default_tenant().0,
+            &TenantId::default().0
+        ));
     }
 
     #[test]

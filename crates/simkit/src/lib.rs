@@ -11,6 +11,7 @@
 //! `cos-storesim` builds the object-store model on top of these pieces.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod calendar;
 pub mod rng;

@@ -7,6 +7,7 @@
 //! windows for online calibration ([`window`]).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod error;
 pub mod percentile;

@@ -21,6 +21,7 @@
 //! * [`calibration`] — the benchmarking rigs of §IV-A (disk and parse).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod calibration;

@@ -8,6 +8,7 @@
 //! generation is deterministic in the seed.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod arrivals;
 pub mod catalog;

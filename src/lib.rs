@@ -88,6 +88,8 @@
 //! assert!(p > 0.85, "most requests meet 100 ms at this load, got {p}");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cos_ctrl as ctrl;
 pub use cos_distr as distr;
 pub use cos_gate as gate;

@@ -1,4 +1,5 @@
-//! Race and bit-identity tests for the lock-free snapshot read path.
+//! Race and bit-identity tests for the snapshot read path, which answers
+//! off the writer lock.
 //!
 //! The contract under test: any number of [`SnapshotReader`]s answering on
 //! their own threads must return **bit-identical** results to the reader
